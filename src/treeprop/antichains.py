@@ -1,5 +1,10 @@
 """Antichain enumeration and construction.
 
+Index subsets are int bitmasks over a canonical label order (bit i is the
+i-th label). `forbidden_free_masks` is the one subset scanner and `chains`
+the one chain generator; where a tree recursion exists it replaces the scan,
+which stays as its brute-force reference.
+
 Canonical orders used throughout:
   * a node set is canonically presented as its lex-sorted tuple of nodes;
   * a list of node sets is canonically ordered by comparing those tuples;
@@ -13,13 +18,13 @@ Canonical orders used throughout:
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import FrozenSet, Iterator, List, Tuple
 
 from .errors import ResourceCapError
-from .nodes import (Node, TreeDomain, concat_set, is_antichain, is_prefix,
-                    sorted_nodes)
+from .nodes import Node, TreeDomain, concat_set, sorted_nodes
 
 NodeSet = FrozenSet[Node]
 
@@ -38,7 +43,6 @@ def canonical_sets(sets) -> List[NodeSet]:
 class AntichainCatalog:
     domain: TreeDomain
     items: Tuple[NodeSet, ...]
-    maximal_only: bool = False
 
     def __len__(self):
         return len(self.items)
@@ -49,76 +53,73 @@ class AntichainCatalog:
 
 def alpha(n: int) -> int:
     """Number of maximal antichains in the binary tree of depth n:
-    alpha(0) = 0, alpha(n+1) = alpha(n)**2 + 1."""
+    alpha(0) = 0, alpha(n+1) = alpha(n)**2 + 1, the count c(n-1) below."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    a = 0
-    for _ in range(n):
-        a = a * a + 1
-    return a
+    return count_antichains(2, n - 1, nonempty=False) if n else 0
 
 
 def count_antichains(branching: int, depth: int, nonempty: bool = True) -> int:
     """Antichain count by the product recursion c(d+1) = c(d)**b + 1,
-    where c counts antichains including the empty one."""
+    where c counts antichains including the empty one. A count past the
+    interpreter's default int-to-str digit limit is refused before it is taken."""
+    digits = sys.int_info.default_max_str_digits
     c = 1
     for _ in range(depth):
+        # c**b has at least b * (bit_length(c) - 1) bits, and 2**(4 * digits) > 10**digits
+        if branching * (c.bit_length() - 1) >= 4 * digits or c ** branching + 1 >= 10 ** digits:
+            raise ResourceCapError(f"antichain count c({depth}) over {digits} decimal digits", digits)
         c = c ** branching + 1
     return c - 1 if nonempty else c
 
 
-def _subset_scan(nodes: List[Node], ok, cap: int) -> Iterator[int]:
-    """Yield bitmasks of subsets passing the predicate ok(mask)."""
-    n = len(nodes)
+def mask_set(labels, mask: int) -> frozenset:
+    """The labels whose bits are set in the mask (bit i is labels[i])."""
+    return frozenset(x for i, x in enumerate(labels) if mask >> i & 1)
+
+
+def forbidden_free_masks(labels, forbidden, cap: int) -> Tuple[List[int], List[int]]:
+    """The subset scan: every mask over the labels containing no forbidden set,
+    in increasing order, and the maximal ones. A mask is free when it is free
+    without its top bit and holds no forbidden set with that top bit; free
+    masks are closed under subsets, so a free mask is maximal when no one-bit
+    extension of it is free. `forbidden` is read only after the cap check."""
+    labels = list(labels)
+    n = len(labels)
     if 1 << n > cap:
         raise ResourceCapError(f"subset scan over 2^{n} subsets", cap)
-    for mask in range(1 << n):
-        if ok(mask):
-            yield mask
+    index = {x: i for i, x in enumerate(labels)}
+    by_top: List[List[int]] = [[] for _ in range(n)]
+    for s in forbidden:
+        m = sum(1 << index[x] for x in s)
+        by_top[m.bit_length() - 1].append(m)
+    free = bytearray(1 << n)
+    free[0] = 1
+    for mask in range(1, 1 << n):
+        top = mask.bit_length() - 1
+        free[mask] = free[mask ^ 1 << top] and all(m & mask != m for m in by_top[top])
+    masks = [mask for mask in range(1 << n) if free[mask]]
+    maximal = [mask for mask in masks
+               if all(mask >> i & 1 or not free[mask | 1 << i] for i in range(n))]
+    return masks, maximal
 
 
-def _comparability_masks(nodes: List[Node]) -> List[int]:
-    """masks[i] has bit j set iff node j is comparable with node i (j != i)."""
-    masks = []
-    for i, a in enumerate(nodes):
-        m = 0
-        for j, b in enumerate(nodes):
-            if i != j and (is_prefix(a, b) or is_prefix(b, a)):
-                m |= 1 << j
-        masks.append(m)
-    return masks
-
-
-def _prefix_masks(nodes: List[Node]) -> List[int]:
-    """masks[i] has bit j set iff node j is a prefix of node i (including i)."""
-    index = {x: i for i, x in enumerate(nodes)}
-    masks = []
-    for x in nodes:
-        m = 0
-        for l in range(len(x) + 1):
-            j = index.get(x[:l])
-            if j is not None:
-                m |= 1 << j
-        masks.append(m)
-    return masks
-
-
-def _mask_set(nodes: List[Node], mask: int) -> NodeSet:
-    return frozenset(x for i, x in enumerate(nodes) if mask >> i & 1)
+def chains(domain: TreeDomain) -> Iterator[NodeSet]:
+    """Every nonempty chain of the domain, once each: a node together with
+    any subset of its proper prefixes."""
+    for node in domain.nodes():
+        below = [node[:l] for l in range(len(node))]
+        for r in range(len(below) + 1):
+            for combo in itertools.combinations(below, r):
+                yield frozenset(combo + (node,))
 
 
 def enumerate_antichains(domain: TreeDomain, nonempty: bool = True,
                          cap: int = DEFAULT_SUBSET_CAP) -> AntichainCatalog:
     nodes = list(domain.nodes())
-    comp = _comparability_masks(nodes)
-    bits = [1 << i for i in range(len(nodes))]
-
-    def ok(mask):
-        if mask == 0:
-            return not nonempty
-        return all(not (comp[i] & mask) for i in range(len(nodes)) if bits[i] & mask)
-
-    items = [_mask_set(nodes, m) for m in _subset_scan(nodes, ok, cap)]
+    pairs = (c for c in chains(domain) if len(c) == 2)
+    masks, _ = forbidden_free_masks(nodes, pairs, cap)
+    items = [mask_set(nodes, m) for m in masks if m or not nonempty]
     return AntichainCatalog(domain, tuple(canonical_sets(items)))
 
 
@@ -138,7 +139,7 @@ def maximal_antichains(n: int, cap: int = alpha(6)) -> AntichainCatalog:
             for xj in items
         ] + [frozenset({()})]
     domain = TreeDomain(2, max(n, 1))
-    return AntichainCatalog(domain, tuple(items), maximal_only=True)
+    return AntichainCatalog(domain, tuple(items))
 
 
 def _has_chain(members: NodeSet, length: int) -> bool:
@@ -158,23 +159,9 @@ def max_chain_bounded_sets(domain: TreeDomain, k: int,
     if k < 2:
         raise ValueError("k must be >= 2")
     nodes = list(domain.nodes())
-    pref = _prefix_masks(nodes)
-
-    def chain_free(mask):
-        return all(
-            bin(pref[i] & mask).count("1") < k
-            for i in range(len(nodes))
-            if mask >> i & 1
-        )
-
-    out = []
-    for mask in _subset_scan(nodes, chain_free, cap):
-        if all(
-            mask >> i & 1 or not chain_free(mask | 1 << i)
-            for i in range(len(nodes))
-        ):
-            out.append(_mask_set(nodes, mask))
-    return canonical_sets(out)
+    k_chains = (c for c in chains(domain) if len(c) == k)
+    _, maximal = forbidden_free_masks(nodes, k_chains, cap)
+    return canonical_sets(mask_set(nodes, m) for m in maximal)
 
 
 def maximal_chain_free_binary(n: int, k: int) -> List[NodeSet]:

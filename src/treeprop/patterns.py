@@ -5,17 +5,23 @@ witness must make consistent and sets it must make inconsistent. The exact
 consistency family of a pattern is the subset closure of its maximal
 forbidden-configuration-free sets; exhaustive verification checks the oracle
 verdict against family membership on every nonempty index subset.
+
+Families and the tree patterns' required sets come from the recursions, the
+subset scanner and the chain generator in `antichains`. A `ConsistencyFamily`
+keeps each label's column, the bitmask of the maximal members containing it;
+validation, membership and both synthesized witnesses read the columns.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .antichains import (DEFAULT_SUBSET_CAP, canonical_sets,
-                         enumerate_antichains, maximal_antichains,
-                         maximal_chain_free_binary, set_key)
+from .antichains import (DEFAULT_SUBSET_CAP, canonical_sets, chains,
+                         enumerate_antichains, forbidden_free_masks, mask_set,
+                         maximal_antichains, maximal_chain_free_binary,
+                         set_key)
 from .errors import ResourceCapError
 from .nodes import TreeDomain, is_prefix
 
@@ -93,22 +99,11 @@ def make_pattern(kind: str, branching: int = 2, depth: int = 0, k: int = None,
     return PatternSpec(kind, branching=branching, depth=depth, k=k)
 
 
-def _chains(domain: TreeDomain) -> List[FrozenSet]:
-    """All nonempty chains: the nonempty subsets of root-to-node paths."""
-    out = set()
-    for node in domain.nodes():
-        path = [node[:l] for l in range(len(node) + 1)]
-        for r in range(1, len(path) + 1):
-            for combo in itertools.combinations(path, r):
-                out.add(frozenset(combo))
-    return canonical_sets(out)
-
-
 def required_consistent(p: PatternSpec) -> List[FrozenSet]:
     if p.kind in (ATP, KATP):
         return list(enumerate_antichains(p.domain()).items)
     if p.kind in (SOP1, SOP2, TP):
-        return _chains(p.domain())
+        return canonical_sets(chains(p.domain()))
     if p.kind == TP2:
         out = []
         for r in range(1, p.rows + 1):
@@ -121,21 +116,9 @@ def required_consistent(p: PatternSpec) -> List[FrozenSet]:
 
 def required_inconsistent(p: PatternSpec) -> List[FrozenSet]:
     labels = p.index_labels()
-    if p.kind == ATP:
-        return canonical_sets(
-            frozenset({a, b})
-            for a, b in itertools.combinations(labels, 2)
-            if is_prefix(a, b) or is_prefix(b, a)
-        )
-    if p.kind == KATP:
-        return canonical_sets(
-            frozenset(combo)
-            for combo in itertools.combinations(labels, p.k)
-            if all(
-                is_prefix(a, b) or is_prefix(b, a)
-                for a, b in itertools.combinations(combo, 2)
-            )
-        )
+    if p.kind in (ATP, KATP):
+        k = 2 if p.kind == ATP else p.k
+        return canonical_sets(c for c in chains(p.domain()) if len(c) == k)
     if p.kind == SOP2:
         return canonical_sets(
             frozenset({a, b})
@@ -172,69 +155,52 @@ def required_inconsistent(p: PatternSpec) -> List[FrozenSet]:
     raise ValueError(p.kind)
 
 
+def _columns(labels, members) -> Dict:
+    """Each label's column: bit n is set when members[n] contains the label."""
+    columns = {label: 0 for label in labels}
+    for n, member in enumerate(members):
+        if not member or not all(x in columns for x in member):
+            raise ValueError("maximal members must be nonempty subsets of the index set")
+        for x in member:
+            columns[x] |= 1 << n
+    return columns
+
+
+def _containing(columns: Dict, subset) -> int:
+    """The AND of the subset's columns: the members containing all of it."""
+    acc = -1
+    for x in subset:
+        acc &= columns.get(x, 0)
+    return acc
+
+
 @dataclass(frozen=True)
 class ConsistencyFamily:
     """A subset-closed family of nonempty index sets, stored by its maximal
-    members in canonical order; membership is inclusion in some member."""
+    members in canonical order; membership is inclusion in some member. A
+    member is maximal and unique exactly when its columns AND to its own bit."""
 
     labels: Tuple
     maximal: Tuple[FrozenSet, ...]
+    columns: Dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        universe = set(self.labels)
-        for m in self.maximal:
-            if not m or not m <= universe:
-                raise ValueError("maximal members must be nonempty subsets of the index set")
-        for a, b in itertools.combinations(self.maximal, 2):
-            if a <= b or b <= a:
+        columns = _columns(self.labels, self.maximal)
+        for n, m in enumerate(self.maximal):
+            if _containing(columns, m) != 1 << n:
                 raise ValueError("maximal members must be pairwise incomparable")
+        object.__setattr__(self, "columns", columns)
 
     def contains(self, subset) -> bool:
         subset = frozenset(subset)
-        if not subset:
-            return False
-        return any(subset <= m for m in self.maximal)
+        return bool(subset) and _containing(self.columns, subset) != 0
 
     @classmethod
     def from_members(cls, labels, members) -> "ConsistencyFamily":
-        members = [frozenset(m) for m in members if m]
-        maximal = [
-            m for m in members
-            if not any(m < other for other in members)
-        ]
-        seen, unique = set(), []
-        for m in sorted(maximal, key=set_key):
-            if m not in seen:
-                seen.add(m)
-                unique.append(m)
-        return cls(tuple(labels), tuple(unique))
-
-
-def _maximal_forbidden_free(labels, forbidden: List[FrozenSet],
-                            cap: int) -> List[FrozenSet]:
-    """Maximal subsets of the index set containing no forbidden set, by
-    bitmask scan."""
-    labels = list(labels)
-    n = len(labels)
-    if 1 << n > cap:
-        raise ResourceCapError(f"subset scan over 2^{n} subsets", cap)
-    index = {x: i for i, x in enumerate(labels)}
-    bad_masks = []
-    for s in forbidden:
-        m = 0
-        for x in s:
-            m |= 1 << index[x]
-        bad_masks.append(m)
-
-    def ok(mask):
-        return all(bm & mask != bm for bm in bad_masks)
-
-    good = [mask for mask in range(1 << n) if ok(mask)]
-    out = []
-    for mask in good:
-        if all(mask >> i & 1 or not ok(mask | 1 << i) for i in range(n)):
-            out.append(frozenset(x for i, x in enumerate(labels) if mask >> i & 1))
-    return out
+        unique = sorted({frozenset(m) for m in members if m}, key=set_key)
+        columns = _columns(labels, unique)
+        maximal = [m for n, m in enumerate(unique) if _containing(columns, m) == 1 << n]
+        return cls(tuple(labels), tuple(maximal))
 
 
 def exact_family(p: PatternSpec, cap: int = DEFAULT_SUBSET_CAP) -> ConsistencyFamily:
@@ -257,7 +223,8 @@ def exact_family(p: PatternSpec, cap: int = DEFAULT_SUBSET_CAP) -> ConsistencyFa
             for cols in itertools.product(range(p.cols), repeat=p.rows)
         ]
     else:
-        members = _maximal_forbidden_free(labels, required_inconsistent(p), cap)
+        _, maximal = forbidden_free_masks(labels, required_inconsistent(p), cap)
+        members = [mask_set(labels, m) for m in maximal]
     return ConsistencyFamily.from_members(labels, members)
 
 
@@ -279,12 +246,6 @@ class VerificationReport:
             line += (f"; counterexample {sorted(subset)}: "
                      f"expected {expected}, got {actual}")
         return line
-
-
-def _nonempty_subsets(labels) -> Iterator[FrozenSet]:
-    labels = list(labels)
-    for mask in range(1, 1 << len(labels)):
-        yield frozenset(x for i, x in enumerate(labels) if mask >> i & 1)
 
 
 def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False,
@@ -311,7 +272,8 @@ def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False,
             raise ResourceCapError(f"exhaustive mode over 2^{len(labels)} subsets", cap)
         family = exact_family(p, cap=cap)
         n_cons = n_incons = 0
-        for subset in _nonempty_subsets(labels):
+        for mask in range(1, 1 << len(labels)):
+            subset = mask_set(labels, mask)
             expected = family.contains(subset)
             actual = oracle.consistent(subset)
             if expected:

@@ -21,13 +21,9 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Union
-
-# Divisibility-backend parameters are products of one prime per maximal family
-# member, so at depth 5 they run to tens of thousands of decimal digits; the
-# default int<->str conversion guard would reject them.
-sys.set_int_max_str_digits(0)
 
 from .errors import WitnessError
 from .oracles import BOOLEAN, Witness
@@ -56,17 +52,45 @@ def _label_parser(pattern: PatternSpec):
     return lambda text: parse_node(text, pattern.branching)
 
 
+@contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's int<->decimal-str digit limit for the duration.
+
+    Divisibility-backend parameters are products of one prime per maximal
+    family member, so at depth 5 they run to thousands of decimal digits,
+    past the default limit. The limit is process-wide, so it is restored."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def _param_str(backend: str, value: int, width) -> str:
     if backend == BOOLEAN:
         digits = max(1, (width + 3) // 4)
         return f"0x{value:0{digits}x}"
-    return str(value)
+    with _unlimited_int_digits():
+        return str(value)
 
 
-def _param_parse(backend: str, text: str) -> int:
+def _param_parse(backend: str, text) -> int:
+    if not isinstance(text, str):
+        raise WitnessError(f"witness param {text!r} is not a string")
     if backend == BOOLEAN:
         return int(text, 16)
-    return int(text)
+    with _unlimited_int_digits():
+        return int(text)
+
+
+def _index_count_is(pattern: PatternSpec, count: int) -> bool:
+    """Whether the pattern's index set has `count` labels, decided without
+    building it: a tree of depth d has at least 2**d - 1 nodes."""
+    if pattern.kind == TP2:
+        return pattern.rows * pattern.cols == count
+    return (pattern.depth <= count.bit_length()
+            and pattern.domain().node_count() == count)
 
 
 @dataclass(frozen=True)
@@ -109,30 +133,45 @@ class WitnessFile:
         return data
 
     @classmethod
-    def from_json(cls, data: dict) -> "WitnessFile":
+    def from_json(cls, data) -> "WitnessFile":
+        """Parse a witness document. Every malformed document raises
+        WitnessError."""
+        if not isinstance(data, dict):
+            raise WitnessError("a witness file holds one JSON object")
         if data.get("version") != VERSION:
             raise WitnessError(f"unsupported witness file version {data.get('version')!r}")
+        try:
+            return cls._parse(data)
+        except WitnessError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise WitnessError(f"malformed witness file: {exc!r}") from exc
+
+    @classmethod
+    def _parse(cls, data: dict) -> "WitnessFile":
         pattern = PatternSpec.from_json(data["pattern"])
         parse_label = _label_parser(pattern)
         backend = data["backend"]
+        entries = data["provenance"] if backend == "tuple" else data["params"]
+        if not _index_count_is(pattern, len(entries)):
+            raise WitnessError("witness params do not cover the pattern's index set")
         labels = pattern.index_labels()
         if backend == "tuple":
             base_file = cls.from_json(data["base"])
             parse_source = _label_parser(base_file.pattern)
             provenance = {
                 parse_label(key): tuple(parse_source(s) for s in sources)
-                for key, sources in data["provenance"].items()
+                for key, sources in entries.items()
             }
             witness = TupleWitness(base_file.witness, labels, provenance, data["arity"])
             return cls(pattern, witness, base_pattern=base_file.pattern)
-        width = data.get("width")
         params = {
             parse_label(key): _param_parse(backend, value)
-            for key, value in data["params"].items()
+            for key, value in entries.items()
         }
         if set(params) != set(labels):
             raise WitnessError("witness params do not cover the pattern's index set")
-        witness = Witness(backend, labels, params, width=width)
+        witness = Witness(backend, labels, params, width=data.get("width"))
         return cls(pattern, witness)
 
 

@@ -164,3 +164,81 @@ def test_malformed_witness_json(capsys, tmp_path):
     path.write_text("{not json")
     code, _, _ = run(capsys, "verify", "--witness", str(path))
     assert code == 2
+
+
+def _broken_witness(capsys, tmp_path, mutate, backend="skolem"):
+    path = synth(capsys, tmp_path, "w.json",
+                 "--pattern", "atp", "--depth", "3", "--backend", backend)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(mutate(doc)))
+    return path
+
+
+def _tuple_witness(capsys, tmp_path, mutate):
+    src = synth(capsys, tmp_path, "atp.json",
+                "--pattern", "atp", "--depth", "3", "--backend", "boolean")
+    dst = tmp_path / "fat.json"
+    code, _, _ = run(capsys, "transform", "fatten", "--witness", str(src),
+                     "--m", "1", "--out", str(dst))
+    assert code == 0
+    dst.write_text(json.dumps(mutate(json.loads(dst.read_text()))))
+    return dst
+
+
+def _without(key):
+    def mutate(doc):
+        del doc[key]
+        return doc
+    return mutate
+
+
+def _pattern_without_kind(doc):
+    del doc["pattern"]["kind"]
+    return doc
+
+
+def _int_param(doc):
+    doc["params"]["0"] = 15
+    return doc
+
+
+@pytest.mark.parametrize("make,mutate", [
+    (_broken_witness, _without("pattern")),
+    (_broken_witness, _without("backend")),
+    (_broken_witness, _without("params")),
+    (_tuple_witness, _without("base")),
+    (_tuple_witness, _without("provenance")),
+    (_tuple_witness, _without("arity")),
+    (_broken_witness, _pattern_without_kind),
+    (_broken_witness, lambda doc: [doc]),
+    (_broken_witness, _int_param),
+])
+def test_verify_malformed_witness_exits_2(capsys, tmp_path, make, mutate):
+    path = make(capsys, tmp_path, mutate)
+    code, out, err = run(capsys, "verify", "--witness", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_alpha_prints_up_to_the_digit_cap(capsys):
+    code, out, _ = run(capsys, "alpha", "--n", "15")
+    assert code == 0
+    assert len(out.split()[-1]) == 2899
+
+
+@pytest.mark.parametrize("argv", [
+    ("alpha", "--n", "16"),
+    ("alpha", "--n", "40"),
+    ("enum-antichains", "--n", "40", "--count-only"),
+    ("enum-antichains", "--n", "40", "--maximal", "--count-only"),
+])
+def test_huge_counts_hit_the_cap(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and "decimal digits" in err
+
+
+def test_synth_atp_past_the_catalog_cap(capsys, tmp_path):
+    code, out, err = run(capsys, "synth", "--pattern", "atp", "--depth", "7",
+                         "--backend", "skolem",
+                         "--out", str(tmp_path / "w.json"))
+    assert code == 3 and out == "" and "alpha(7)" in err

@@ -71,3 +71,18 @@ def test_empty_family_rejected():
         synth_skolem(ConsistencyFamily(("a",), ()))
     with pytest.raises(WitnessError):
         synth_boolean(ConsistencyFamily(("a",), ()))
+
+
+def test_interleaved_generators_share_the_table(monkeypatch):
+    from treeprop import synth
+
+    monkeypatch.setattr(synth, "_PRIMES", [2, 3])  # start from a cold table
+    first, second = primes(), primes()
+    head = [next(first) for _ in range(5)]
+    other = [next(second) for _ in range(8)]
+    tail = [next(first) for _ in range(3)]
+    expected = [2, 3, 5, 7, 11, 13, 17, 19]
+    assert head + tail == expected
+    assert other == expected
+    assert synth._PRIMES == sorted(set(synth._PRIMES))
+    assert nth_prime(8) == 23

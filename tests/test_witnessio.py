@@ -1,9 +1,17 @@
+import copy
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import treeprop
 from treeprop import (WitnessError, elongate, exact_family, make_pattern,
                       synth_boolean, synth_skolem)
+from treeprop.dot import export_dot
 from treeprop.patterns import ATP, KATP, TP2
 from treeprop.witnessio import (WitnessFile, dumps, label_str, load, loads,
                                 save)
@@ -85,3 +93,115 @@ def test_save_load(tmp_path):
     wf = atp_file(3)
     save(wf, path)
     assert load(path).witness.params == wf.witness.params
+
+
+def _doc(wf):
+    return json.loads(dumps(wf))
+
+
+def _tuple_doc():
+    base_pattern = make_pattern(ATP, depth=3)
+    tw = elongate(synth_skolem(exact_family(base_pattern)), 2)
+    return _doc(WitnessFile(make_pattern(ATP, depth=2), tw, base_pattern=base_pattern))
+
+
+@pytest.mark.parametrize("key", ["pattern", "backend", "params"])
+def test_missing_key_is_witness_error(key):
+    doc = _doc(atp_file(2))
+    del doc[key]
+    with pytest.raises(WitnessError, match=key):
+        loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key", ["base", "provenance", "arity"])
+def test_tuple_missing_key_is_witness_error(key):
+    doc = _tuple_doc()
+    del doc[key]
+    with pytest.raises(WitnessError, match=key):
+        loads(json.dumps(doc))
+
+
+def test_malformed_documents_are_witness_errors():
+    no_kind = _doc(atp_file(2))
+    del no_kind["pattern"]["kind"]
+    int_param = _doc(atp_file(2))
+    int_param["params"]["0"] = 3
+    huge_depth = _doc(atp_file(2))
+    huge_depth["pattern"]["depth"] = 40  # must not build a 2^40-node index set
+    bad_label = _doc(atp_file(2))
+    bad_label["params"]["7"] = bad_label["params"].pop("0")
+    for doc in (no_kind, int_param, huge_depth, bad_label, [], "atp", 3, None):
+        with pytest.raises(WitnessError):
+            loads(json.dumps(doc))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated(draw, docs):
+    """A valid witness document with one to three keys or values deleted,
+    renamed or replaced by arbitrary JSON."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    for _ in range(draw(st.integers(1, 3))):
+        if not isinstance(doc, dict) or not doc:
+            break
+        parent, key = doc, draw(st.sampled_from(sorted(doc)))
+        while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.booleans()):
+            node = parent[key]
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, draw(st.sampled_from(keys))
+        op = draw(st.sampled_from(["delete", "rename", "replace"]))
+        if op == "delete":
+            del parent[key]
+        elif op == "rename" and isinstance(parent, dict):
+            parent[draw(st.text(max_size=4))] = parent.pop(key)
+        else:
+            parent[key] = draw(_JSON_VALUES)
+    return doc
+
+
+_VALID_DOCS = [
+    _doc(atp_file(3)),
+    _doc(atp_file(3, backend="boolean")),
+    _doc(WitnessFile(make_pattern(TP2, rows=2, cols=2),
+                     synth_boolean(exact_family(make_pattern(TP2, rows=2, cols=2))))),
+    _tuple_doc(),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated(_VALID_DOCS))
+def test_mutated_documents_raise_only_witness_error(doc):
+    try:
+        loads(json.dumps(doc))
+    except WitnessError:
+        pass
+
+
+def test_int_digit_limit_is_scoped():
+    p = make_pattern(KATP, depth=5, k=3)
+    wf = WitnessFile(p, synth_skolem(exact_family(p)))
+    widest = max(v.bit_length() for v in wf.witness.params.values())
+    assert widest * 0.30103 > sys.int_info.default_max_str_digits  # needs the lift
+    before = sys.get_int_max_str_digits()
+    text = dumps(wf)
+    again = loads(text)
+    dot = export_dot(wf)
+    assert sys.get_int_max_str_digits() == before
+    assert again.witness.params == wf.witness.params
+    assert all(value in dot for value in json.loads(text)["params"].values())
+
+
+def test_import_leaves_int_digit_limit_alone():
+    script = ("import sys; before = sys.get_int_max_str_digits(); "
+              "import treeprop, treeprop.cli; "
+              "assert sys.get_int_max_str_digits() == before")
+    src = os.path.dirname(os.path.dirname(treeprop.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
