@@ -22,8 +22,8 @@ from .oracles import (BitsetOracle, FoOracle, GcdOracle, Witness, oracle_for)
 from .patterns import (ConsistencyFamily, PatternSpec, VerificationReport,
                        exact_family, make_pattern, required_consistent,
                        required_inconsistent, verify)
-from .qftypes import (DeltaType, QfType0, atomic_pattern, delta_type, qftype0,
-                      sim0, sim0_atomic, sim0_sets, sim_delta, verify_ss_ll)
+from .qftypes import (atomic_pattern, delta_type, qftype0, sim0, sim0_atomic,
+                      sim0_sets, sim_delta, verify_ss_ll)
 from .synth import nth_prime, primes, synth_boolean, synth_skolem
 from .transforms import (ConjunctionOracle, Scaffold, TupleWitness,
                          build_onevar_scaffold, collapse_extend,

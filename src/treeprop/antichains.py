@@ -78,6 +78,15 @@ def mask_set(labels, mask: int) -> frozenset:
     return frozenset(x for i, x in enumerate(labels) if mask >> i & 1)
 
 
+def _check_subset_cap(n: int, cap: int) -> None:
+    """Refuse a scan of 2^n subsets past the cap, without building 1 << n; an n
+    too long to print in decimal (a deep domain's node count) is shown as a
+    power of two."""
+    if n >= cap.bit_length():
+        shown = n if n.bit_length() < 64 else f"(at least 2^{n.bit_length() - 1})"
+        raise ResourceCapError(f"subset scan over 2^{shown} subsets", cap)
+
+
 def forbidden_free_masks(labels, forbidden, cap: int) -> Tuple[List[int], List[int]]:
     """The subset scan: every mask over the labels containing no forbidden set,
     in increasing order, and the maximal ones. A mask is free when it is free
@@ -86,8 +95,7 @@ def forbidden_free_masks(labels, forbidden, cap: int) -> Tuple[List[int], List[i
     extension of it is free. `forbidden` is read only after the cap check."""
     labels = list(labels)
     n = len(labels)
-    if 1 << n > cap:
-        raise ResourceCapError(f"subset scan over 2^{n} subsets", cap)
+    _check_subset_cap(n, cap)
     index = {x: i for i, x in enumerate(labels)}
     by_top: List[List[int]] = [[] for _ in range(n)]
     for s in forbidden:
@@ -116,6 +124,7 @@ def chains(domain: TreeDomain) -> Iterator[NodeSet]:
 
 def enumerate_antichains(domain: TreeDomain, nonempty: bool = True,
                          cap: int = DEFAULT_SUBSET_CAP) -> AntichainCatalog:
+    _check_subset_cap(domain.node_count(), cap)
     nodes = list(domain.nodes())
     pairs = (c for c in chains(domain) if len(c) == 2)
     masks, _ = forbidden_free_masks(nodes, pairs, cap)
@@ -158,6 +167,7 @@ def max_chain_bounded_sets(domain: TreeDomain, k: int,
     by brute-force scan; for k=2 these are the maximal antichains."""
     if k < 2:
         raise ValueError("k must be >= 2")
+    _check_subset_cap(domain.node_count(), cap)
     nodes = list(domain.nodes())
     k_chains = (c for c in chains(domain) if len(c) == k)
     _, maximal = forbidden_free_masks(nodes, k_chains, cap)
@@ -222,13 +232,11 @@ def find_iso_copy(y: NodeSet, x: NodeSet):
     """First (in lex order over sorted combinations) strongly isomorphic copy
     of the antichain y inside the antichain x, as a lex-monotone mapping,
     or None."""
-    from .qftypes import sim0
+    from .qftypes import qftype0
 
     y_tuple = sorted_nodes(y)
-    pool = sorted_nodes(x)
-    if len(y_tuple) > len(pool):
-        return None
-    for candidate in itertools.combinations(pool, len(y_tuple)):
-        if sim0(y_tuple, candidate):
+    target = qftype0(y_tuple)
+    for candidate in itertools.combinations(sorted_nodes(x), len(y_tuple)):
+        if qftype0(candidate) == target:
             return dict(zip(y_tuple, candidate))
     return None

@@ -10,7 +10,8 @@ class MalformedNodeError(TreepropError, ValueError):
 
 
 class FormulaError(TreepropError, ValueError):
-    """Formula text fails to parse, or evaluation hits an unbound name."""
+    """Formula text or a structure document fails to parse, or evaluation
+    hits an unbound name."""
 
     def __init__(self, message, position=None):
         super().__init__(message if position is None else f"{message} (at position {position})")

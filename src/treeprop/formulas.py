@@ -241,7 +241,10 @@ class _Parser:
     def term(self) -> Term:
         tok, pos = self.next()
         if tok.isdigit():
-            return Literal(int(tok))
+            try:
+                return Literal(int(tok))
+            except ValueError:  # past the int-to-str digit limit
+                raise FormulaError(f"integer literal of {len(tok)} digits", pos) from None
         if not tok.isidentifier():
             raise FormulaError(f"expected term, found {tok!r}", pos)
         if self.peek() == "(":
@@ -257,7 +260,10 @@ class _Parser:
 
 def parse_formula(text: str) -> Formula:
     parser = _Parser(text)
-    f = parser.formula()
+    try:
+        f = parser.formula()
+    except RecursionError:
+        raise FormulaError("formula nested too deeply") from None
     if parser.peek() is not None:
         tok, pos = parser.tokens[parser.i]
         raise FormulaError(f"trailing input {tok!r}", pos)
@@ -272,9 +278,9 @@ class FiniteStructure:
 
     def __init__(self, universe, relations=None, functions=None, constants=None):
         self.universe = list(universe)
-        elems = set(self.universe)
+        self.elements = elems = frozenset(self.universe)
         if len(elems) != len(self.universe):
-            raise ValueError("universe has duplicate elements")
+            raise FormulaError("universe has duplicate elements")
         self.relations: Dict[str, set] = {
             name: {tuple(row) for row in rows}
             for name, rows in (relations or {}).items()
@@ -286,21 +292,33 @@ class FiniteStructure:
         for name, rows in self.relations.items():
             for row in rows:
                 if any(e not in elems for e in row):
-                    raise ValueError(f"relation {name} row {row} leaves the universe")
+                    raise FormulaError(f"relation {name} row {row} leaves the universe")
         for name, table in self.functions.items():
             for args, val in table.items():
                 if any(e not in elems for e in args) or val not in elems:
-                    raise ValueError(f"function {name} entry {args} leaves the universe")
+                    raise FormulaError(f"function {name} entry {args} leaves the universe")
         for name, val in self.constants.items():
             if val not in elems:
-                raise ValueError(f"constant {name} = {val!r} not in universe")
+                raise FormulaError(f"constant {name} = {val!r} not in universe")
 
     # JSON layout: {"universe": [...], "relations": {name: [[...], ...]},
     # "functions": {name: {"a,b": value, ...}}, "constants": {name: value}}
     @classmethod
     def from_json(cls, data) -> "FiniteStructure":
-        if isinstance(data, str):
-            data = json.loads(data)
+        """Any malformed document raises FormulaError."""
+        try:
+            if isinstance(data, str):
+                data = json.loads(data)
+            if not isinstance(data, dict) or not isinstance(data.get("universe"), list):
+                raise FormulaError("a structure is an object with a \"universe\" list")
+            return cls._from_dict(data)
+        except FormulaError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise FormulaError(f"malformed structure: {exc!r}") from None
+
+    @classmethod
+    def _from_dict(cls, data: dict) -> "FiniteStructure":
         universe = data["universe"]
         elems = {str(e): e for e in universe}
 
@@ -341,7 +359,7 @@ class FiniteStructure:
 
 def eval_term(structure: FiniteStructure, term: Term, assignment: dict):
     if isinstance(term, Literal):
-        if term.value not in set(structure.universe):
+        if term.value not in structure.elements:
             raise FormulaError(f"literal {term.value} not in universe")
         return term.value
     if isinstance(term, Name):
@@ -362,6 +380,13 @@ def eval_term(structure: FiniteStructure, term: Term, assignment: dict):
 
 
 def eval_formula(structure: FiniteStructure, f: Formula, assignment: dict) -> bool:
+    try:
+        return _eval(structure, f, assignment)
+    except RecursionError:
+        raise FormulaError("formula nested too deeply to evaluate") from None
+
+
+def _eval(structure: FiniteStructure, f: Formula, assignment: dict) -> bool:
     if isinstance(f, Atom):
         rows = structure.relations.get(f.rel)
         if rows is None:
@@ -374,22 +399,17 @@ def eval_formula(structure: FiniteStructure, f: Formula, assignment: dict) -> bo
         )
         return same != f.negated
     if isinstance(f, Not):
-        return not eval_formula(structure, f.inner, assignment)
+        return not _eval(structure, f.inner, assignment)
     if isinstance(f, And):
-        return eval_formula(structure, f.left, assignment) and eval_formula(
-            structure, f.right, assignment
-        )
+        return _eval(structure, f.left, assignment) and _eval(structure, f.right, assignment)
     if isinstance(f, Or):
-        return eval_formula(structure, f.left, assignment) or eval_formula(
-            structure, f.right, assignment
-        )
+        return _eval(structure, f.left, assignment) or _eval(structure, f.right, assignment)
     if isinstance(f, Implies):
-        return (not eval_formula(structure, f.left, assignment)) or eval_formula(
-            structure, f.right, assignment
-        )
+        return (not _eval(structure, f.left, assignment)) or _eval(
+            structure, f.right, assignment)
     if isinstance(f, Quantifier):
         hits = (
-            eval_formula(structure, f.body, {**assignment, f.var: e})
+            _eval(structure, f.body, {**assignment, f.var: e})
             for e in structure.universe
         )
         return any(hits) if f.kind == "exists" else all(hits)

@@ -197,7 +197,11 @@ class ConsistencyFamily:
 
     @classmethod
     def from_members(cls, labels, members) -> "ConsistencyFamily":
-        unique = sorted({frozenset(m) for m in members if m}, key=set_key)
+        unique = {frozenset(m) for m in members if m}
+        index_set = set(labels)
+        if not all(m <= index_set for m in unique):  # before the sort compares labels
+            raise ValueError("members must be subsets of the index set")
+        unique = sorted(unique, key=set_key)
         columns = _columns(labels, unique)
         maximal = [m for n, m in enumerate(unique) if _containing(columns, m) == 1 << n]
         return cls(tuple(labels), tuple(maximal))

@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .errors import WitnessError
 from .nodes import Node, TreeDomain, concat_set, is_antichain, is_prefix
 from .oracles import Witness
-from .qftypes import sim0_sets
+from .qftypes import qftype0
 
 
 def _witness_depth(witness: Witness) -> int:
@@ -166,12 +166,13 @@ def _check_family(families: List[FrozenSet]) -> None:
     if not families or any(not x for x in families):
         raise ValueError("families must be nonempty antichains")
     first = families[0]
+    first_type = qftype0(sorted(first))
     for x in families:
         if not is_antichain(x):
             raise ValueError(f"not an antichain: {sorted(x)}")
         if len(x) != len(first):
             raise ValueError("families must have equal cardinality")
-        if not sim0_sets(x, first):
+        if qftype0(sorted(x)) != first_type:
             raise ValueError(
                 f"families not strongly isomorphic: {sorted(first)} vs {sorted(x)}"
             )

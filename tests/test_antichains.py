@@ -89,6 +89,20 @@ def test_subset_scan_cap():
         enumerate_antichains(TreeDomain(2, 5), cap=2 ** 10)
 
 
+def test_subset_scans_cap_before_listing_nodes(monkeypatch):
+    def no_nodes(self):
+        raise AssertionError("nodes listed before the cap check")
+    monkeypatch.setattr(TreeDomain, "nodes", no_nodes)
+    with pytest.raises(ResourceCapError, match="2\\^1073741823"):
+        enumerate_antichains(TreeDomain(2, 30))
+    with pytest.raises(ResourceCapError):
+        max_chain_bounded_sets(TreeDomain(2, 30), 3)
+    with pytest.raises(ResourceCapError, match="at least 2\\^19999"):  # too many digits to print
+        enumerate_antichains(TreeDomain(2, 20000))
+    with pytest.raises(ResourceCapError):
+        enumerate_antichains(TreeDomain(2, 5), cap=2 ** 10)
+
+
 def test_stream_starts_with_depth_one():
     stream = finite_antichain_stream()
     assert next(stream) == frozenset({()})

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from treeprop import divisor_structure
+from treeprop import TreeDomain, divisor_structure
 from treeprop.cli import main
 
 
@@ -107,7 +107,7 @@ def test_check_lemma(capsys):
 
 
 def test_check_lemma_resource_cap(capsys):
-    code, _, err = run(capsys, "check-lemma", "ss-ll", "--n", "4", "--len", "3")
+    code, _, err = run(capsys, "check-lemma", "ss-ll", "--n", "7", "--len", "4")
     assert code == 3 and "cap" in err
 
 
@@ -145,6 +145,39 @@ def test_eval_parse_error(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "--structure", str(path),
                        "--formula", "x = ")
     assert code == 2
+
+
+@pytest.mark.parametrize("doc", ["{}", "[1]", '{"universe": 5}', '{"universe": [[1]]}',
+                                 '{"universe": [1], "relations": [1]}', "[[[", '"x"'])
+def test_eval_malformed_structure_exits_2(capsys, tmp_path, doc):
+    path = tmp_path / "structure.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, "eval", "--structure", str(path), "--formula", "x = x",
+                         "--assign", "x=1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("formula", [
+    "(" * 1200 + "1 = 1" + ")" * 1200,
+    "!" * 3000 + "1 = 1",
+    " & ".join(["1 = 1"] * 3000),
+    "1" * 5000 + " = 1",
+])
+def test_eval_formula_past_the_limits_exits_2(capsys, tmp_path, formula):
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(divisor_structure(6).to_json()))
+    code, out, err = run(capsys, "eval", "--structure", str(path), "--formula", formula)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_enum_antichains_caps_before_listing_nodes(capsys, monkeypatch):
+    def no_nodes(self):
+        raise AssertionError("nodes listed before the cap check")
+    monkeypatch.setattr(TreeDomain, "nodes", no_nodes)
+    code, out, err = run(capsys, "enum-antichains", "--n", "30")
+    assert code == 3 and out == "" and "2^1073741823" in err
 
 
 def test_missing_witness_file(capsys, tmp_path):

@@ -1,19 +1,23 @@
-"""Differential tests of the bitmask fast paths against plain frozenset
-references: the column-mask consistency family against the pairwise O(m^2)
-maximality filter, and the forbidden-set subset scan against a direct
-enumeration of all 2^n subsets."""
+"""Differential tests of the fast paths against plain references: the
+column-mask consistency family against the pairwise O(m^2) maximality
+filter, the forbidden-set subset scan against a direct enumeration of all
+2^n subsets, and the canonical type forms and the grouped ss-ll check
+against byte-packed relation tables compared pair by pair."""
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeprop import (ConsistencyFamily, ResourceCapError, TreeDomain,
                       enumerate_antichains, exact_family, make_pattern,
                       max_chain_bounded_sets, required_inconsistent,
                       synth_boolean)
+from treeprop import qftypes
 from treeprop.antichains import canonical_sets, chains, set_key
-from treeprop.nodes import is_chain
+from treeprop.nodes import closure, is_chain, is_prefix, meet
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
 
 
@@ -156,3 +160,140 @@ def test_sop2_family_is_the_root_to_leaf_paths():
     family = exact_family(make_pattern(SOP2, depth=10))
     assert len(family.maximal) == 2 ** 9
     assert all(len(m) == 10 and is_chain(m) for m in family.maximal)
+
+
+# --- type forms against byte-packed relation tables ---
+
+def _pack_bits(bits) -> bytes:
+    out = bytearray()
+    acc = n = 0
+    for bit in bits:
+        acc = (acc << 1) | (1 if bit else 0)
+        n += 1
+        if n == 8:
+            out.append(acc)
+            acc = n = 0
+    if n:
+        out.append(acc << (8 - n))
+    return bytes(out)
+
+
+def _relation_bytes(arity, points):
+    below = (is_prefix(a, b) for a in points for b in points)
+    lex = (a < b for a in points for b in points)
+    return arity.to_bytes(4, "big") + _pack_bits(below) + _pack_bits(lex)
+
+
+def reference_qftype0(t):
+    """The prefix and lex tables over the closure tuple, as bytes."""
+    return _relation_bytes(len(t), closure(t))
+
+
+def reference_atomic(t):
+    return _relation_bytes(len(t), t)
+
+
+def reference_delta(t):
+    """The meet-comparison tensor over all (i, j, k, l) and the lex table."""
+    n = len(t)
+    meets = [[meet(a, b) for b in t] for a in t]
+    delta = (is_prefix(meets[i][j], meets[k][l])
+             for i, j, k, l in itertools.product(range(n), repeat=4))
+    lex = (a < b for a in t for b in t)
+    return n.to_bytes(4, "big") + _pack_bits(delta) + _pack_bits(lex)
+
+
+def reference_ss_ll(branching, leaf_depth, tuple_len,
+                    delta=reference_delta,
+                    closure_type=lambda t: reference_qftype0(closure(t))):
+    """The lemma check over all T^2 ordered pairs of leaf tuples; the closure
+    side is the type of the closure tuple, as the lemma states it."""
+    leaves = list(TreeDomain(branching, leaf_depth, include_leaves=True).level(leaf_depth))
+    tuples = list(itertools.permutations(leaves, tuple_len))
+    keys = [(delta(t), closure_type(t)) for t in tuples]
+    for (t1, (d1, c1)), (t2, (d2, c2)) in itertools.product(zip(tuples, keys), repeat=2):
+        if (d1 == d2) != (c1 == c2):
+            return False, len(tuples), (t1, t2, d1 == d2, c1 == c2)
+    return True, len(tuples), None
+
+
+def same_partition(keys_a, keys_b):
+    """Whether a[i] == a[j] exactly when b[i] == b[j], for every pair i, j:
+    the pairs (a[i], b[i]) then make a bijection between the two key sets."""
+    pairs = set(zip(keys_a, keys_b))
+    return len(set(keys_a)) == len(set(keys_b)) == len(pairs)
+
+
+SS_LL_CASES = [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 2, 4),
+               (3, 1, 2), (3, 1, 3), (2, 3, 2), (2, 3, 3)]
+
+
+def _leaf_tuples(branching, leaf_depth, tuple_len):
+    leaves = TreeDomain(branching, leaf_depth, include_leaves=True).level(leaf_depth)
+    return list(itertools.permutations(leaves, tuple_len))
+
+
+def test_forms_match_bytes_on_ss_ll_tuples():
+    for case in SS_LL_CASES:
+        tuples = _leaf_tuples(*case)
+        for form, reference in [(qftypes.qftype0, reference_qftype0),
+                                (qftypes.delta_type, reference_delta),
+                                (qftypes.atomic_pattern, reference_atomic)]:
+            assert same_partition([form(t) for t in tuples],
+                                  [reference(t) for t in tuples]), (case, form)
+        # the closure side of the lemma: sim0 of closure tuples is sim0 of tuples
+        assert same_partition([qftypes.qftype0(t) for t in tuples],
+                              [reference_qftype0(closure(t)) for t in tuples]), case
+
+
+node_tuples = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    *[st.lists(st.integers(0, 2), max_size=4).map(tuple)] * n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_tuples, st.data())
+def test_forms_match_bytes_on_random_tuples(t1, data):
+    # same-length pairs, with comparable and repeated nodes; the second tuple
+    # is often a relabelling of the first, so equal types are common
+    digits = data.draw(st.permutations([0, 1, 2]))
+    relabelled = tuple(tuple(digits[d] for d in x) for x in t1)
+    t2 = data.draw(st.sampled_from([relabelled, t1[::-1]]) | node_tuples.filter(
+        lambda t: len(t) == len(t1)))
+    assert qftypes.sim0(t1, t2) == (reference_qftype0(t1) == reference_qftype0(t2))
+    assert qftypes.sim_delta(t1, t2) == (reference_delta(t1) == reference_delta(t2))
+    assert qftypes.sim0_atomic(t1, t2) == (reference_atomic(t1) == reference_atomic(t2))
+
+
+def test_grouped_ss_ll_matches_pairwise():
+    for case in SS_LL_CASES + [(3, 2, 2)]:
+        report = qftypes.verify_ss_ll(*case)
+        passed, tuple_count, counterexample = reference_ss_ll(*case)
+        assert (report.passed, report.tuple_count, report.counterexample) == \
+            (passed, tuple_count, counterexample), case
+        assert report.pair_count == tuple_count ** 2
+
+
+def _assert_real_counterexample(report, delta, closure_type, case):
+    assert not report.passed
+    t1, t2, same_delta, same_closure = report.counterexample
+    assert same_delta == (delta(t1) == delta(t2))
+    assert same_closure == (closure_type(t1) == closure_type(t2))
+    assert same_delta != same_closure
+    assert not reference_ss_ll(*case, delta=delta, closure_type=closure_type)[0]
+
+
+def test_broken_forms_give_real_counterexamples(monkeypatch):
+    delta_type, qftype0 = qftypes.delta_type, qftypes.qftype0
+    breaks = [
+        # forgetting the lex ranks merges (a, b) with (b, a): same delta, new closure
+        (lambda t: delta_type(t)[:2], qftype0),
+        # splitting by the first entry: same closure type, new delta
+        (lambda t: (delta_type(t), t[0]), qftype0),
+        (delta_type, lambda t: (qftype0(t), t[-1])),
+    ]
+    for delta, closure_type in breaks:
+        monkeypatch.setattr(qftypes, "delta_type", delta)
+        monkeypatch.setattr(qftypes, "qftype0", closure_type)
+        for case in [(2, 2, 2), (2, 3, 3)]:
+            report = qftypes.verify_ss_ll(*case)
+            _assert_real_counterexample(report, delta, closure_type, case)

@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treeprop import (FiniteStructure, FormulaError, divisor_structure,
-                      eval_formula, parse_formula)
+from treeprop import (FiniteStructure, FormulaError, TreepropError,
+                      divisor_structure, eval_formula, parse_formula)
 from treeprop.formulas import (And, Apply, Atom, Equals, Implies, Literal,
                                Name, Not, Or, Quantifier, free_variables)
 
@@ -94,3 +96,64 @@ def test_structure_validation():
         FiniteStructure([1, 2], relations={"r": [[1, 3]]})
     with pytest.raises(ValueError):
         FiniteStructure([1, 2], constants={"c": 9})
+
+
+@pytest.mark.parametrize("doc", [{}, [1], {"universe": 5}, {"universe": "ab"},
+                                 {"universe": [[1]]}, {"universe": [1], "constants": [1]},
+                                 {"universe": [1], "functions": {"f": [1]}},
+                                 {"universe": [1], "relations": {"r": 1}},
+                                 {"universe": [10 ** 5000]}])
+def test_structure_from_json_rejects_malformed_documents(doc):
+    with pytest.raises(FormulaError):
+        FiniteStructure.from_json(doc)
+    with pytest.raises(FormulaError):
+        FiniteStructure.from_json("[" * 100_000)
+
+
+def test_formula_past_the_limits_raises_formula_error():
+    with pytest.raises(FormulaError, match="nested"):
+        parse_formula("(" * 1200 + "x = 1" + ")" * 1200)
+    with pytest.raises(FormulaError, match="5000 digits"):
+        parse_formula("1" * 5000)
+    chain = parse_formula(" & ".join(["1 = 1"] * 3000))
+    with pytest.raises(FormulaError, match="nested"):
+        eval_formula(divisor_structure(6), chain, {})
+
+
+_TOKENS = ["x", "y", "c", "f", "divides", "exists", "forall", "1", "12", "(", ")",
+           ",", ".", "=", "!=", "!", "&", "|", "->", " ", "$", "\u0663"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(max_size=30),
+                 st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join)))
+def test_parse_formula_raises_only_formula_errors(text):
+    try:
+        parse_formula(text)
+    except FormulaError:
+        pass
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_STRUCTURE_DOCS = st.dictionaries(
+    st.sampled_from(["universe", "relations", "functions", "constants"]),
+    _JSON_VALUES, max_size=4,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_JSON_VALUES, _STRUCTURE_DOCS,
+                 st.builds(lambda doc: {**divisor_structure(6).to_json(), **doc},
+                           _STRUCTURE_DOCS)))
+def test_structure_from_json_raises_only_treeprop_errors(doc):
+    for data in (doc, json.dumps(doc), json.dumps(doc)[:-1]):
+        try:
+            FiniteStructure.from_json(data)
+        except TreepropError:
+            pass

@@ -131,6 +131,14 @@ def test_consistency_family_invariants():
     assert fam.maximal == (frozenset({"a", "b"}), frozenset({"c"}))
 
 
+def test_from_members_checks_labels_before_sorting():
+    # a label of another type must not reach the sort, which would raise TypeError
+    with pytest.raises(ValueError, match="index set"):
+        ConsistencyFamily.from_members(("a", "b", "c"), [{"c", 9}])
+    with pytest.raises(ValueError, match="index set"):
+        ConsistencyFamily.from_members(("a", "b", "c"), [{"a"}, {"c", 9}])
+
+
 def test_verify_pattern_and_exhaustive():
     p = make_pattern(ATP, depth=2)
     witness = synth_skolem(exact_family(p))

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treeprop import (ResourceCapError, closure, delta_type, qftype0, sim0,
-                      sim0_atomic, sim0_sets, sim_delta, verify_ss_ll)
-from treeprop.qftypes import atomic_pattern
+from treeprop import (ResourceCapError, TreeDomain, closure, delta_type, qftype0,
+                      sim0, sim0_atomic, sim0_sets, sim_delta, verify_ss_ll)
+from treeprop.qftypes import SsLlReport, atomic_pattern
 
 binary_nodes = st.lists(st.integers(0, 1), max_size=5).map(tuple)
 
@@ -49,12 +49,11 @@ def test_sim0_refines_atomic(t1, t2):
         assert sim0_atomic(tuple(t1), tuple(t2))
 
 
-def test_qftype_encodings_are_bytes():
+def test_qftype_forms_are_hashable():
     t = ((0,), (1,))
-    assert isinstance(qftype0(t).encode(), bytes)
-    assert isinstance(delta_type(t).encode(), bytes)
-    assert isinstance(atomic_pattern(t), bytes)
-    assert qftype0(t).encode() == qftype0(((1, 0), (1, 1))).encode()
+    forms = {qftype0(t), delta_type(t), atomic_pattern(t)}
+    assert len(forms) == 3
+    assert qftype0(t) == qftype0(((1, 0), (1, 1)))
 
 
 def test_delta_type_rejects_empty():
@@ -87,6 +86,27 @@ def test_ss_ll_triples_depth_two():
 def test_ss_ll_cap():
     with pytest.raises(ResourceCapError):
         verify_ss_ll(2, 3, 3, pair_cap=1000)
+
+
+def test_ss_ll_cap_before_any_tuple(monkeypatch):
+    def no_leaves(self, n):
+        raise AssertionError("leaves listed before the cap check")
+    monkeypatch.setattr(TreeDomain, "level", no_leaves)
+    # the message stays printable when the count passes the int-to-str digit limit
+    for args in [(2, 7, 4), (2, 30, 10 ** 6), (3, 20, 2), (2, 20000, 2)]:
+        with pytest.raises(ResourceCapError, match=r"at least 2\^\d+ pair comparisons"):
+            verify_ss_ll(*args)
+
+
+def test_ss_ll_reports():
+    for args, tuples in [((2, 3, 3), 336), ((3, 2, 3), 504), ((2, 4, 2), 240),
+                         ((2, 3, 4), 1680), ((2, 4, 3), 3360)]:
+        assert verify_ss_ll(*args) == SsLlReport(True, tuples, tuples ** 2, None)
+
+
+def test_ss_ll_more_leaves_requested_than_exist():
+    report = verify_ss_ll(2, 2, 5)
+    assert report.passed and (report.tuple_count, report.pair_count) == (0, 0)
 
 
 def test_ss_ll_validates_arguments():
