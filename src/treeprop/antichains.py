@@ -1,7 +1,7 @@
 """Antichain enumeration and construction.
 
 Index subsets are int bitmasks over a canonical label order (bit i is the
-i-th label). `forbidden_free_masks` is the one subset scanner and `chains`
+i-th label). `forbidden_free_table` is the one subset scanner and `chains`
 the one chain generator; where a tree recursion exists it replaces the scan,
 which stays as its brute-force reference.
 
@@ -87,12 +87,11 @@ def _check_subset_cap(n: int, cap: int) -> None:
         raise ResourceCapError(f"subset scan over 2^{shown} subsets", cap)
 
 
-def forbidden_free_masks(labels, forbidden, cap: int) -> Tuple[List[int], List[int]]:
-    """The subset scan: every mask over the labels containing no forbidden set,
-    in increasing order, and the maximal ones. A mask is free when it is free
-    without its top bit and holds no forbidden set with that top bit; free
-    masks are closed under subsets, so a free mask is maximal when no one-bit
-    extension of it is free. `forbidden` is read only after the cap check."""
+def forbidden_free_table(labels, forbidden, cap: int) -> bytearray:
+    """The subset scan: free[mask] is 1 when the mask over the labels contains
+    no forbidden set, else 0. A mask is free when it is free without its top
+    bit and holds no forbidden set with that top bit. `forbidden` is read only
+    after the cap check."""
     labels = list(labels)
     n = len(labels)
     _check_subset_cap(n, cap)
@@ -106,10 +105,16 @@ def forbidden_free_masks(labels, forbidden, cap: int) -> Tuple[List[int], List[i
     for mask in range(1, 1 << n):
         top = mask.bit_length() - 1
         free[mask] = free[mask ^ 1 << top] and all(m & mask != m for m in by_top[top])
-    masks = [mask for mask in range(1 << n) if free[mask]]
-    maximal = [mask for mask in masks
-               if all(mask >> i & 1 or not free[mask | 1 << i] for i in range(n))]
-    return masks, maximal
+    return free
+
+
+def maximal_free_masks(free: bytearray) -> List[int]:
+    """The maximal free masks of a scan table, in increasing order: free masks
+    are closed under subsets, so a free mask is maximal when no one-bit
+    extension of it is free."""
+    n = len(free).bit_length() - 1
+    return [mask for mask in range(1 << n)
+            if free[mask] and all(mask >> i & 1 or not free[mask | 1 << i] for i in range(n))]
 
 
 def chains(domain: TreeDomain) -> Iterator[NodeSet]:
@@ -127,8 +132,8 @@ def enumerate_antichains(domain: TreeDomain, nonempty: bool = True,
     _check_subset_cap(domain.node_count(), cap)
     nodes = list(domain.nodes())
     pairs = (c for c in chains(domain) if len(c) == 2)
-    masks, _ = forbidden_free_masks(nodes, pairs, cap)
-    items = [mask_set(nodes, m) for m in masks if m or not nonempty]
+    free = forbidden_free_table(nodes, pairs, cap)
+    items = [mask_set(nodes, m) for m in range(1 if nonempty else 0, len(free)) if free[m]]
     return AntichainCatalog(domain, tuple(canonical_sets(items)))
 
 
@@ -170,7 +175,7 @@ def max_chain_bounded_sets(domain: TreeDomain, k: int,
     _check_subset_cap(domain.node_count(), cap)
     nodes = list(domain.nodes())
     k_chains = (c for c in chains(domain) if len(c) == k)
-    _, maximal = forbidden_free_masks(nodes, k_chains, cap)
+    maximal = maximal_free_masks(forbidden_free_table(nodes, k_chains, cap))
     return canonical_sets(mask_set(nodes, m) for m in maximal)
 
 

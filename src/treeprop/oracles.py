@@ -87,7 +87,12 @@ class BitsetOracle:
 
 class FoOracle:
     """Consistent iff some universe element x satisfies the formula against
-    every selected parameter simultaneously (brute-force search)."""
+    every selected parameter simultaneously (brute-force search).
+
+    phi(x, p) is memoised per universe element and parameter tuple, filled as
+    the search first reaches each pair, so the structure, the formula and the
+    witness are treated as fixed after construction. An evaluation that raises
+    stores nothing and raises again when next reached."""
 
     def __init__(self, structure: FiniteStructure, formula: Formula,
                  witness: Witness, x_var: str = "x", y_vars=("y",)):
@@ -98,29 +103,32 @@ class FoOracle:
         self.witness = witness
         self.x_var = x_var
         self.y_vars = tuple(y_vars)
+        self._params = {}
         for i in witness.labels:
-            if len(self._param_tuple(i)) != len(self.y_vars):
+            p = witness.params[i]
+            self._params[i] = p if isinstance(p, tuple) else (p,)
+            if len(self._params[i]) != len(self.y_vars):
                 raise WitnessError(
                     f"parameter for {i!r} does not match y-block arity {len(self.y_vars)}"
                 )
-
-    def _param_tuple(self, label):
-        p = self.witness.params[label]
-        return p if isinstance(p, tuple) else (p,)
+        self._holds: Dict[Tuple, bool] = {}  # (x, parameter tuple) -> phi(x, p)
 
     def consistent(self, labels) -> bool:
-        labels = list(labels)
-        if not labels:
+        params = [self._params[i] for i in labels]
+        if not params:
             return True
+        holds = self._holds
         for x in self.structure.universe:
-            ok = True
-            for i in labels:
-                assignment = {self.x_var: x}
-                assignment.update(zip(self.y_vars, self._param_tuple(i)))
-                if not eval_formula(self.structure, self.formula, assignment):
-                    ok = False
+            for p in params:
+                verdict = holds.get((x, p))
+                if verdict is None:
+                    assignment = {self.x_var: x}
+                    assignment.update(zip(self.y_vars, p))
+                    verdict = holds[x, p] = eval_formula(self.structure, self.formula,
+                                                         assignment)
+                if not verdict:
                     break
-            if ok:
+            else:
                 return True
         return False
 

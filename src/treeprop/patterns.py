@@ -4,7 +4,8 @@ Each pattern names an index set plus two generated families: sets that a
 witness must make consistent and sets it must make inconsistent. The exact
 consistency family of a pattern is the subset closure of its maximal
 forbidden-configuration-free sets; exhaustive verification checks the oracle
-verdict against family membership on every nonempty index subset.
+verdict against family membership on every nonempty index subset, reading
+membership from the subset scanner's table of forbidden-free masks.
 
 Families and the tree patterns' required sets come from the recursions, the
 subset scanner and the chain generator in `antichains`. A `ConsistencyFamily`
@@ -18,11 +19,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .antichains import (DEFAULT_SUBSET_CAP, canonical_sets, chains,
-                         enumerate_antichains, forbidden_free_masks, mask_set,
-                         maximal_antichains, maximal_chain_free_binary,
+from .antichains import (DEFAULT_SUBSET_CAP, _check_subset_cap,
+                         canonical_sets, chains, enumerate_antichains,
+                         forbidden_free_table, mask_set, maximal_antichains,
+                         maximal_chain_free_binary, maximal_free_masks,
                          set_key)
-from .errors import ResourceCapError
 from .nodes import TreeDomain, is_prefix
 
 ATP = "atp"
@@ -50,6 +51,12 @@ class PatternSpec:
         if self.kind == TP2:
             return tuple((i, j) for i in range(self.rows) for j in range(self.cols))
         return tuple(self.domain().nodes())
+
+    def index_count(self) -> int:
+        """Size of the index set, computed without building it."""
+        if self.kind == TP2:
+            return self.rows * self.cols
+        return self.domain().node_count()
 
     def domain(self) -> TreeDomain:
         if self.kind == TP2:
@@ -227,8 +234,8 @@ def exact_family(p: PatternSpec, cap: int = DEFAULT_SUBSET_CAP) -> ConsistencyFa
             for cols in itertools.product(range(p.cols), repeat=p.rows)
         ]
     else:
-        _, maximal = forbidden_free_masks(labels, required_inconsistent(p), cap)
-        members = [mask_set(labels, m) for m in maximal]
+        free = forbidden_free_table(labels, required_inconsistent(p), cap)
+        members = [mask_set(labels, m) for m in maximal_free_masks(free)]
     return ConsistencyFamily.from_members(labels, members)
 
 
@@ -252,11 +259,26 @@ class VerificationReport:
         return line
 
 
+def _subset_table(labels) -> List[Tuple]:
+    """table[mask] is the tuple of the labels whose bits are set, in label
+    order; each label doubles the table."""
+    table = [()]
+    for x in labels:
+        table += [subset + (x,) for subset in table]
+    return table
+
+
 def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False,
            cap: int = DEFAULT_SUBSET_CAP) -> VerificationReport:
     """Check the witness against the pattern through the oracle. Pattern mode
     checks the generated families; exhaustive mode additionally compares the
-    oracle verdict with exact-family membership on every nonempty subset."""
+    oracle verdict with exact-family membership on every nonempty subset, in
+    increasing mask order. The exact family is the subset closure of the
+    maximal sets free of `required_inconsistent(p)`, so membership is read
+    from the subset scanner's table, one byte per mask; the 2^n cap is checked
+    before any other work."""
+    if exhaustive:
+        _check_subset_cap(p.index_count(), cap)
     labels = p.index_labels()
     if set(witness.labels) != set(labels):
         raise ValueError("witness index set does not match the pattern")
@@ -266,27 +288,27 @@ def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False,
         if not oracle.consistent(subset):
             return VerificationReport(False, n_cons, n_incons, exhaustive,
                                       (subset, "consistent", "inconsistent"))
-    for subset in required_inconsistent(p):
+    forbidden = required_inconsistent(p)
+    for subset in forbidden:
         n_incons += 1
         if oracle.consistent(subset):
             return VerificationReport(False, n_cons, n_incons, exhaustive,
                                       (subset, "inconsistent", "consistent"))
-    if exhaustive:
-        if 1 << len(labels) > cap:
-            raise ResourceCapError(f"exhaustive mode over 2^{len(labels)} subsets", cap)
-        family = exact_family(p, cap=cap)
-        n_cons = n_incons = 0
-        for mask in range(1, 1 << len(labels)):
-            subset = mask_set(labels, mask)
-            expected = family.contains(subset)
-            actual = oracle.consistent(subset)
-            if expected:
-                n_cons += 1
-            else:
-                n_incons += 1
-            if expected != actual:
-                want = "consistent" if expected else "inconsistent"
-                got = "consistent" if actual else "inconsistent"
-                return VerificationReport(False, n_cons, n_incons, True,
-                                          (subset, want, got))
-    return VerificationReport(True, n_cons, n_incons, exhaustive)
+    if not exhaustive:
+        return VerificationReport(True, n_cons, n_incons, False)
+    free = forbidden_free_table(labels, forbidden, cap)
+    # each subset reaches the oracle as a label tuple joined from two tables
+    # of 2^(n/2) entries, so no set is built per mask
+    half = len(labels) // 2
+    low, high = _subset_table(labels[:half]), _subset_table(labels[half:])
+    low_bits = (1 << half) - 1
+    for mask in range(1, len(free)):
+        actual = oracle.consistent(low[mask & low_bits] + high[mask >> half])
+        if free[mask] != actual:
+            n_cons = free.count(1, 1, mask + 1)
+            want = "consistent" if free[mask] else "inconsistent"
+            got = "consistent" if actual else "inconsistent"
+            return VerificationReport(False, n_cons, mask - n_cons, True,
+                                      (mask_set(labels, mask), want, got))
+    n_cons = free.count(1) - 1
+    return VerificationReport(True, n_cons, len(free) - 1 - n_cons, True)

@@ -87,10 +87,8 @@ def _param_parse(backend: str, text) -> int:
 def _index_count_is(pattern: PatternSpec, count: int) -> bool:
     """Whether the pattern's index set has `count` labels, decided without
     building it: a tree of depth d has at least 2**d - 1 nodes."""
-    if pattern.kind == TP2:
-        return pattern.rows * pattern.cols == count
-    return (pattern.depth <= count.bit_length()
-            and pattern.domain().node_count() == count)
+    return ((pattern.kind == TP2 or pattern.depth <= count.bit_length())
+            and pattern.index_count() == count)
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,7 @@ class WitnessFile:
             return cls._parse(data)
         except WitnessError:
             raise
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
             raise WitnessError(f"malformed witness file: {exc!r}") from exc
 
     @classmethod
@@ -180,7 +178,13 @@ def dumps(wf: WitnessFile) -> str:
 
 
 def loads(text: str) -> WitnessFile:
-    return WitnessFile.from_json(json.loads(text))
+    """Parse a witness file's text. Text that is not JSON, or is nested too
+    deeply to parse, raises WitnessError like any other malformed file."""
+    try:
+        data = json.loads(text)
+    except (RecursionError, ValueError) as exc:
+        raise WitnessError(f"witness file does not parse as JSON: {exc!r}") from None
+    return WitnessFile.from_json(data)
 
 
 def save(wf: WitnessFile, path) -> None:

@@ -172,6 +172,17 @@ def test_eval_formula_past_the_limits_exits_2(capsys, tmp_path, formula):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "export-dot"])
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"version": 1,'],
+                         ids=["deep", "truncated"])
+def test_unparsable_witness_exits_2(capsys, tmp_path, command, text):
+    path = tmp_path / "witness.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command, "--witness", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_enum_antichains_caps_before_listing_nodes(capsys, monkeypatch):
     def no_nodes(self):
         raise AssertionError("nodes listed before the cap check")

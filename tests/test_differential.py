@@ -6,19 +6,26 @@ against byte-packed relation tables compared pair by pair."""
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeprop import (ConsistencyFamily, ResourceCapError, TreeDomain,
-                      enumerate_antichains, exact_family, make_pattern,
-                      max_chain_bounded_sets, required_inconsistent,
-                      synth_boolean)
-from treeprop import qftypes
-from treeprop.antichains import canonical_sets, chains, set_key
+from treeprop import (ConsistencyFamily, FoOracle, FormulaError,
+                      ResourceCapError, TreeDomain, VerificationReport,
+                      Witness, divisor_structure, enumerate_antichains,
+                      eval_formula, exact_family, make_pattern,
+                      max_chain_bounded_sets, oracle_for, parse_formula,
+                      required_consistent, required_inconsistent,
+                      synth_boolean, synth_skolem, verify)
+from treeprop import oracles, qftypes
+from treeprop.antichains import (DEFAULT_SUBSET_CAP, canonical_sets, chains,
+                                 forbidden_free_table, mask_set, set_key)
 from treeprop.nodes import closure, is_chain, is_prefix, meet
+from treeprop.oracles import SKOLEM, STRUCTURE
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
+from treeprop.synth import nth_prime
 
 
 def reference_from_members(labels, members):
@@ -162,6 +169,151 @@ def test_sop2_family_is_the_root_to_leaf_paths():
     assert all(len(m) == 10 and is_chain(m) for m in family.maximal)
 
 
+# --- exhaustive verification against a frozenset per subset ---
+
+def reference_verify(oracle, witness, p):
+    """Exhaustive verification with one frozenset per mask and membership by
+    `exact_family(p).contains`, after the same pattern pass."""
+    labels = p.index_labels()
+    if set(witness.labels) != set(labels):
+        raise ValueError("witness index set does not match the pattern")
+    n_cons = n_incons = 0
+    for subset in required_consistent(p):
+        n_cons += 1
+        if not oracle.consistent(subset):
+            return VerificationReport(False, n_cons, n_incons, True,
+                                      (subset, "consistent", "inconsistent"))
+    for subset in required_inconsistent(p):
+        n_incons += 1
+        if oracle.consistent(subset):
+            return VerificationReport(False, n_cons, n_incons, True,
+                                      (subset, "inconsistent", "consistent"))
+    family = exact_family(p)
+    n_cons = n_incons = 0
+    for mask in range(1, 1 << len(labels)):
+        subset = mask_set(labels, mask)
+        expected = family.contains(subset)
+        actual = oracle.consistent(subset)
+        if expected:
+            n_cons += 1
+        else:
+            n_incons += 1
+        if expected != actual:
+            want = "consistent" if expected else "inconsistent"
+            got = "consistent" if actual else "inconsistent"
+            return VerificationReport(False, n_cons, n_incons, True, (subset, want, got))
+    return VerificationReport(True, n_cons, n_incons, True)
+
+
+VERIFY_SPECS = (
+    [make_pattern(kind, depth=d) for kind in (ATP, SOP1, SOP2) for d in range(1, 5)]
+    + [make_pattern(KATP, depth=d, k=k) for k in (2, 3) for d in range(1, 5)]
+    + [make_pattern(TP, branching=3, depth=3, k=k) for k in (2, 3)]
+    + [make_pattern(TP2, rows=r, cols=c) for r in range(1, 4) for c in range(1, 5)]
+)
+
+
+class RecordingOracle:
+    """Forwards to an oracle, keeping each subset it was asked about and, when
+    given a target, inverting the verdict on that one subset."""
+
+    def __init__(self, oracle, target=None):
+        self.oracle = oracle
+        self.target = target
+        self.seen = []
+
+    def consistent(self, labels) -> bool:
+        subset = frozenset(labels)
+        self.seen.append(subset)
+        verdict = self.oracle.consistent(labels)
+        return not verdict if subset == self.target else verdict
+
+
+def _same_as_reference(witness, p, target=None):
+    """verify and reference_verify agree on the report, and the oracle is asked
+    about the same subsets in the same order."""
+    fast = RecordingOracle(oracle_for(witness), target)
+    slow = RecordingOracle(oracle_for(witness), target)
+    report = verify(fast, witness, p, exhaustive=True)
+    assert report == reference_verify(slow, witness, p), (p, witness.backend)
+    assert fast.seen == slow.seen
+    return report
+
+
+def _broken_witnesses(family, witness, p):
+    """The witness with one label dropping one of its members, for a middle and
+    the last label, and with the first forbidden set given a shared fresh
+    member."""
+    labels = family.labels
+    fresh = len(family.maximal)
+    out = []
+    for label in (labels[len(labels) // 2], labels[-1]):
+        column = family.columns[label]
+        n = (column & -column).bit_length() - 1
+        value = witness.params[label]
+        value = value // nth_prime(n) if witness.backend == SKOLEM else value & ~(1 << n)
+        out.append(replace(witness, params={**witness.params, label: value}))
+    forbidden = required_inconsistent(p)
+    if forbidden:
+        params = dict(witness.params)
+        for label in forbidden[0]:
+            if witness.backend == SKOLEM:
+                params[label] *= nth_prime(fresh)
+            else:
+                params[label] |= 1 << fresh
+        width = None if witness.backend == SKOLEM else fresh + 1
+        out.append(replace(witness, params=params, width=width))
+    return out
+
+
+def test_exhaustive_verify_matches_reference():
+    in_loop = 0  # broken witnesses that pass the pattern pass
+    for p in VERIFY_SPECS:
+        family = exact_family(p)
+        required = set(required_consistent(p)) | set(required_inconsistent(p))
+        for witness in (synth_skolem(family), synth_boolean(family)):
+            report = _same_as_reference(witness, p)
+            assert report.passed
+            for broken in _broken_witnesses(family, witness, p):
+                report = _same_as_reference(broken, p)
+                assert not report.passed
+                in_loop += report.counterexample[0] not in required
+    assert in_loop >= 10
+
+
+def test_exhaustive_verify_counterexamples_match_reference():
+    """A verdict inverted on one subset outside the pattern's required sets
+    passes the pattern pass and fails in the exhaustive loop at that subset:
+    every such subset up to 7 labels, two random ones above."""
+    failures = 0
+    for p in VERIFY_SPECS:
+        witness = synth_skolem(exact_family(p))
+        labels = p.index_labels()
+        required = set(required_consistent(p)) | set(required_inconsistent(p))
+        masks = range(1, 1 << len(labels))
+        if len(labels) > 7:
+            masks = random.Random(len(labels)).sample(masks, 2)
+        for mask in masks:
+            target = mask_set(labels, mask)
+            if target in required:
+                continue
+            report = _same_as_reference(witness, p, target)
+            assert not report.passed and report.counterexample[0] == target
+            assert report.consistent_checked + report.inconsistent_checked == mask
+            failures += 1
+    assert failures > len(VERIFY_SPECS)
+
+
+def test_scanner_table_is_exact_family_membership():
+    for p in VERIFY_SPECS:
+        labels = p.index_labels()
+        family = exact_family(p)
+        free = forbidden_free_table(labels, required_inconsistent(p), DEFAULT_SUBSET_CAP)
+        assert len(free) == 1 << len(labels)
+        for mask in range(1, len(free)):
+            assert free[mask] == family.contains(mask_set(labels, mask)), (p, mask)
+
+
 # --- type forms against byte-packed relation tables ---
 
 def _pack_bits(bits) -> bytes:
@@ -297,3 +449,108 @@ def test_broken_forms_give_real_counterexamples(monkeypatch):
         for case in [(2, 2, 2), (2, 3, 3)]:
             report = qftypes.verify_ss_ll(*case)
             _assert_real_counterexample(report, delta, closure_type, case)
+
+
+# --- the first-order oracle's memo against fresh evaluation ---
+
+def reference_fo_consistent(oracle, labels):
+    """FoOracle.consistent with the formula evaluated afresh for every
+    element and parameter."""
+    labels = list(labels)
+    if not labels:
+        return True
+    for x in oracle.structure.universe:
+        ok = True
+        for i in labels:
+            p = oracle.witness.params[i]
+            assignment = {oracle.x_var: x}
+            assignment.update(zip(oracle.y_vars, p if isinstance(p, tuple) else (p,)))
+            if not eval_formula(oracle.structure, oracle.formula, assignment):
+                ok = False
+                break
+        if ok:
+            return True
+    return False
+
+
+def _all_subsets(labels):
+    return [[x for i, x in enumerate(labels) if mask >> i & 1]
+            for mask in range(1 << len(labels))]
+
+
+def criterion_8_fo_oracles(count):
+    """The first-order oracles of acceptance criterion 8's random families,
+    drawn in the same order from the same seed."""
+    rng = random.Random(20240817)
+    structure = divisor_structure(210)
+    formula = parse_formula("x != 1 & divides(x, y)")
+    divisors = [d for d in structure.universe if d > 1]
+    for _ in range(count):
+        labels = tuple(range(rng.randint(3, 6)))
+        for _ in range(rng.randint(1, 5)):  # the family's members
+            rng.sample(labels, rng.randint(1, len(labels)))
+        fo_params = {l: (rng.choice(divisors),) for l in labels}
+        big = rng.sample(labels, rng.randint(1, len(labels)))
+        rng.sample(big, rng.randint(0, len(big)))
+        yield FoOracle(structure, formula, Witness(STRUCTURE, labels, fo_params))
+
+
+def _divisor_2310_oracle():
+    """The exists-z formula over divisors(2310) with the ATP d3 skolem
+    parameters, every one of them a divisor of 2310."""
+    w = synth_skolem(exact_family(make_pattern(ATP, depth=3)))
+    witness = Witness(STRUCTURE, w.labels, {k: (v,) for k, v in w.params.items()})
+    formula = parse_formula("exists z. (z != 1 & divides(z, x) & divides(x, y))")
+    return FoOracle(divisor_structure(2310), formula, witness)
+
+
+def test_fo_memo_matches_fresh_evaluation():
+    oracles = [*criterion_8_fo_oracles(400), _divisor_2310_oracle()]
+    for oracle in oracles:
+        subsets = _all_subsets(oracle.witness.labels)
+        assert ([oracle.consistent(s) for s in subsets]
+                == [reference_fo_consistent(oracle, s) for s in subsets])
+
+
+def test_fo_memo_evaluates_each_pair_once(monkeypatch):
+    calls = []
+
+    def counting(structure, formula, assignment):
+        calls.append(assignment)
+        return eval_formula(structure, formula, assignment)
+    monkeypatch.setattr(oracles, "eval_formula", counting)
+    for oracle in [*criterion_8_fo_oracles(40), _divisor_2310_oracle()]:
+        calls.clear()
+        for _ in range(2):
+            for s in _all_subsets(oracle.witness.labels):
+                oracle.consistent(s)
+        distinct = len(set(oracle.witness.params.values()))
+        assert 0 < len(calls) <= len(oracle.structure.universe) * distinct
+        assert len({tuple(sorted(a.items())) for a in calls}) == len(calls)
+    p = make_pattern(ATP, depth=3)
+    oracle = _divisor_2310_oracle()
+    calls.clear()
+    assert verify(oracle, oracle.witness, p, exhaustive=True).passed
+    assert len(calls) <= 32 * 7
+
+
+def test_fo_memo_raises_on_the_same_calls():
+    """phi(3, y) needs an undefined relation whenever 3 divides y, and
+    phi(1, y) is false, so the search reaches it unless x = 2 succeeds."""
+    structure = divisor_structure(6)
+    formula = parse_formula("x != 1 & divides(x, y) & (x != 3 | bogus(x))")
+    params = {"a": (6,), "b": (3,), "c": (2,), "d": (1,)}
+    oracle = FoOracle(structure, formula, Witness(STRUCTURE, tuple(params), params))
+    sequence = [["c"], ["a"], ["b"], ["a", "c"], ["a", "b"], ["b"], ["d"], ["b", "d"], []]
+
+    def outcomes(consistent):
+        out = []
+        for labels in sequence:
+            try:
+                out.append(consistent(labels))
+            except FormulaError:
+                out.append("FormulaError")
+        return out
+    expected = outcomes(lambda labels: reference_fo_consistent(oracle, labels))
+    assert expected.count("FormulaError") == 4
+    assert outcomes(oracle.consistent) == expected

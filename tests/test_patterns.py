@@ -2,13 +2,15 @@ import itertools
 
 import pytest
 
-from treeprop import (ConsistencyFamily, PatternSpec, make_pattern,
-                      exact_family, maximal_antichains, oracle_for,
-                      required_consistent, required_inconsistent, verify)
+from treeprop import (ConsistencyFamily, PatternSpec, ResourceCapError,
+                      TreeDomain, make_pattern, exact_family,
+                      maximal_antichains, oracle_for, required_consistent,
+                      required_inconsistent, verify)
+from treeprop import patterns
 from treeprop.nodes import is_antichain, is_chain
 from treeprop.oracles import SKOLEM, Witness
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
-from treeprop.synth import synth_skolem
+from treeprop.synth import synth_boolean, synth_skolem
 
 
 def test_make_pattern_validation():
@@ -160,6 +162,30 @@ def test_verify_reports_counterexample():
     assert subset == frozenset({(0,), (1,)})
     assert expected == "consistent" and actual == "inconsistent"
     assert "fail" in report.summary()
+
+
+def test_exhaustive_cap_at_its_boundary():
+    p = make_pattern(ATP, depth=4)  # 15 labels
+    witness = synth_skolem(exact_family(p))
+    assert verify(oracle_for(witness), witness, p, exhaustive=True, cap=2 ** 15).passed
+    with pytest.raises(ResourceCapError, match="2\\^15 subsets"):
+        verify(oracle_for(witness), witness, p, exhaustive=True, cap=2 ** 15 - 1)
+
+
+def test_exhaustive_cap_before_any_work(monkeypatch):
+    witness = synth_boolean(exact_family(make_pattern(SOP2, depth=9)))
+
+    def no_work(*args):
+        raise AssertionError("work done before the cap check")
+    monkeypatch.setattr(patterns, "required_consistent", no_work)
+    monkeypatch.setattr(TreeDomain, "nodes", no_work)
+    for depth, shown in [(9, "2\\^511 "), (8, "2\\^255 "), (30, "2\\^1073741823 ")]:
+        with pytest.raises(ResourceCapError, match=shown):
+            verify(oracle_for(witness), witness, make_pattern(SOP2, depth=depth),
+                   exhaustive=True)
+    with pytest.raises(ResourceCapError, match="2\\^12 "):
+        verify(oracle_for(witness), witness, make_pattern(TP2, rows=3, cols=4),
+               exhaustive=True, cap=2 ** 11)
 
 
 def test_verify_rejects_label_mismatch():

@@ -135,6 +135,25 @@ def test_malformed_documents_are_witness_errors():
             loads(json.dumps(doc))
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, "{" * 100_000, '{"version": 1,', "",
+                                  "1" * 5000],
+                         ids=["deep-list", "deep-object", "truncated", "empty", "long-int"])
+def test_unparsable_text_is_witness_error(text):
+    with pytest.raises(WitnessError, match="does not parse as JSON"):
+        loads(text)
+
+
+def test_deeply_nested_tuple_witness_is_witness_error():
+    """Nested deep enough to parse as JSON but not to be read back recursively."""
+    depth = 500
+    head = ('{"version": 1, "backend": "tuple", "arity": 1, "provenance": {"": [""]}, '
+            '"pattern": {"kind": "atp", "depth": 1}, "base": ')
+    text = head * depth + dumps(atp_file(1)) + "}" * depth
+    json.loads(text)
+    with pytest.raises(WitnessError, match="RecursionError"):
+        loads(text)
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3)
