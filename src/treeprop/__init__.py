@@ -9,8 +9,7 @@ enumeration, fattening and elongation, and the collapse-skeleton embedding.
 
 from .antichains import (AntichainCatalog, alpha, count_antichains,
                          enumerate_antichains, find_iso_copy,
-                         max_chain_bounded_sets, maximal_antichains,
-                         universal_prefix)
+                         maximal_antichains, universal_prefix)
 from .errors import (FormulaError, MalformedNodeError, ResourceCapError,
                      TreepropError, WitnessError)
 from .formulas import (FiniteStructure, divisor_structure, eval_formula,

@@ -2,15 +2,15 @@
 
 Index subsets are int bitmasks over a canonical label order (bit i is the
 i-th label). `forbidden_free_table` is the one subset scanner and `chains`
-the one chain generator; where a tree recursion exists it replaces the scan,
-which stays as its brute-force reference.
+the one chain generator; `maximal_chain_free_masks` is the one tree
+recursion, and for the binary tree it replaces the scan, which stays as its
+brute-force reference next to the tests.
 
 Canonical orders used throughout:
   * a node set is canonically presented as its lex-sorted tuple of nodes;
   * a list of node sets is canonically ordered by comparing those tuples;
-  * maximal-antichain catalogs built by the binary recursion keep recursion
-    order instead (pairwise products in row-major order, then {root} last),
-    because downstream constructions index into that exact order;
+    the recursion emits its members in that order (the sets holding the
+    root first), so its catalogs need no sort;
   * the enumeration X_0, X_1, ... of all finite nonempty binary antichains
     is by depth of first appearance, then canonical set order within a depth.
 """
@@ -137,77 +137,65 @@ def enumerate_antichains(domain: TreeDomain, nonempty: bool = True,
     return AntichainCatalog(domain, tuple(canonical_sets(items)))
 
 
+def chain_free_count(n: int, k: int, cap: int) -> int:
+    """Number of maximal k-chain-free sets of the binary tree of depth n, by
+    the recursion of `maximal_chain_free_masks`: c(d, b) = 1 when b == 1 or
+    b > d, else c(d-1, b-1)**2 + c(d-1, b)**2. Every count it passes through
+    is at most c(n, k), so the first one past the cap refuses, before any
+    count grows doubly exponentially (within about 7 levels of every n)."""
+    if n < 0 or k < 1:
+        raise ValueError("need n >= 0 and k >= 1")
+    row = {}  # b -> c(d, b) for the bounds 1 < b <= d that feed c(n, k)
+    for d in range(1, n + 1):
+        row = {b: row.get(b - 1, 1) ** 2 + row.get(b, 1) ** 2
+               for b in range(max(2, k - n + d), min(k, d) + 1)}
+        if row and max(row.values()) > cap:
+            size = f"alpha({n})" if k == 2 else f"c_{k}({n})"
+            relation = "=" if d == n else ">="
+            raise ResourceCapError(f"maximal {k}-chain-free family of size {size} "
+                                   f"{relation} {max(row.values())}", cap)
+    return row.get(k, 1)
+
+
+def maximal_chain_free_masks(n: int, k: int, cap: int = alpha(6)) -> List[int]:
+    """The maximal k-chain-free subsets of the binary tree of depth n as masks
+    over its nodes in lex order, in canonical order, counted against the cap
+    before any is built. The root is bit 0 and each child subtree a run of
+    s = 2^(d-1) - 1 bits, so subtree sets a, b give a << 1 | b << (1 + s).
+    With the root, both parts are maximal (k-1)-chain-free; without it, both
+    are maximal k-chain-free and must hold a (k-1)-chain (else the root fits),
+    which all of them do in subtrees of depth >= k-1 and none in shallower
+    ones. Row-major pairs, the root block first, are in canonical order."""
+    chain_free_count(n, k, cap)
+
+    @lru_cache(maxsize=None)
+    def rec(depth: int, bound: int) -> List[int]:
+        if bound > depth:  # the whole tree holds no bound-chain
+            return [(1 << 2 ** depth - 1) - 1]
+        if bound == 1:
+            return [0]
+        s = 2 ** (depth - 1) - 1
+        with_root = rec(depth - 1, bound - 1)
+        without_root = rec(depth - 1, bound)
+        return ([1 | a << 1 | b << 1 + s for a in with_root for b in with_root]
+                + [a << 1 | b << 1 + s for a in without_root for b in without_root])
+
+    return rec(n, k)
+
+
 def maximal_antichains(n: int, cap: int = alpha(6)) -> AntichainCatalog:
-    """All maximal antichains of the binary tree of depth n, built by the
-    recursion: products of 0-/1-prefixed depth-(n-1) catalogs row-major,
-    then {root} appended."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if alpha(n) > cap:
-        raise ResourceCapError(f"maximal antichain catalog of size alpha({n})", cap)
-    items: List[NodeSet] = []
-    for _ in range(n):
-        items = [
-            concat_set((0,), xi) | concat_set((1,), xj)
-            for xi in items
-            for xj in items
-        ] + [frozenset({()})]
+    """All maximal antichains of the binary tree of depth n (none for n = 0),
+    the k = 2 case of `maximal_chain_free_masks`, in canonical order."""
     domain = TreeDomain(2, max(n, 1))
-    return AntichainCatalog(domain, tuple(items))
-
-
-def _has_chain(members: NodeSet, length: int) -> bool:
-    """Whether the set contains `length` pairwise comparable distinct nodes."""
-    if length <= 0:
-        return True
-    for x in members:
-        if sum(1 for l in range(len(x) + 1) if x[:l] in members) >= length:
-            return True
-    return False
-
-
-def max_chain_bounded_sets(domain: TreeDomain, k: int,
-                           cap: int = DEFAULT_SUBSET_CAP) -> List[NodeSet]:
-    """All maximal subsets containing no k pairwise comparable elements,
-    by brute-force scan; for k=2 these are the maximal antichains."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    _check_subset_cap(domain.node_count(), cap)
     nodes = list(domain.nodes())
-    k_chains = (c for c in chains(domain) if len(c) == k)
-    maximal = maximal_free_masks(forbidden_free_table(nodes, k_chains, cap))
-    return canonical_sets(mask_set(nodes, m) for m in maximal)
+    masks = maximal_chain_free_masks(n, 2, cap) if n else []
+    return AntichainCatalog(domain, tuple(mask_set(nodes, m) for m in masks))
 
 
 def maximal_chain_free_binary(n: int, k: int) -> List[NodeSet]:
-    """Maximal k-chain-free subsets of the binary tree of depth n by tree
-    recursion (no subset scan): with the root, both subtree parts must be
-    maximal (k-1)-chain-free; without it, both parts are maximal k-chain-free
-    and their union must already contain a (k-1)-chain (else the root could
-    be added)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-
-    @lru_cache(maxsize=None)
-    def rec(depth: int, bound: int) -> Tuple[NodeSet, ...]:
-        if depth == 0 or bound == 1:
-            return (frozenset(),)
-        out = []
-        with_root = rec(depth - 1, bound - 1)
-        for left in with_root:
-            for right in with_root:
-                out.append(
-                    frozenset({()}) | concat_set((0,), left) | concat_set((1,), right)
-                )
-        without_root = rec(depth - 1, bound)
-        for left in without_root:
-            for right in without_root:
-                s = concat_set((0,), left) | concat_set((1,), right)
-                if _has_chain(s, bound - 1):
-                    out.append(s)
-        return tuple(out)
-
-    return canonical_sets(rec(n, k))
+    """`maximal_chain_free_masks` as node sets."""
+    nodes = list(TreeDomain(2, n).nodes()) if n > 0 else []
+    return [mask_set(nodes, m) for m in maximal_chain_free_masks(n, k)]
 
 
 def finite_antichain_stream() -> Iterator[NodeSet]:

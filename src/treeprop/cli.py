@@ -78,7 +78,7 @@ def _cmd_synth(args) -> int:
     witnessio.save(witnessio.WitnessFile(pattern, witness), args.out)
     sys.stderr.write(
         f"synthesized {args.backend} witness for {args.pattern} "
-        f"({len(family.maximal)} maximal members) -> {args.out}\n"
+        f"({len(family.masks)} maximal members) -> {args.out}\n"
     )
     return 0
 

@@ -7,23 +7,25 @@ forbidden-configuration-free sets; exhaustive verification checks the oracle
 verdict against family membership on every nonempty index subset, reading
 membership from the subset scanner's table of forbidden-free masks.
 
-Families and the tree patterns' required sets come from the recursions, the
-subset scanner and the chain generator in `antichains`. A `ConsistencyFamily`
-keeps each label's column, the bitmask of the maximal members containing it;
-validation, membership and both synthesized witnesses read the columns.
+Families and the tree patterns' required sets come from the tree recursion,
+the subset scanner and the chain generator in `antichains`. A
+`ConsistencyFamily` stores its maximal members as masks and each label's
+column, the bitmask of the members containing it; membership and both
+synthesized witnesses read the columns. Members given from outside are
+checked; `exact_family` builds them maximal and in order, unchecked.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .antichains import (DEFAULT_SUBSET_CAP, _check_subset_cap,
                          canonical_sets, chains, enumerate_antichains,
-                         forbidden_free_table, mask_set, maximal_antichains,
-                         maximal_chain_free_binary, maximal_free_masks,
-                         set_key)
+                         forbidden_free_table, mask_set,
+                         maximal_chain_free_masks, maximal_free_masks, set_key)
 from .nodes import TreeDomain, is_prefix
 
 ATP = "atp"
@@ -162,15 +164,17 @@ def required_inconsistent(p: PatternSpec) -> List[FrozenSet]:
     raise ValueError(p.kind)
 
 
-def _columns(labels, members) -> Dict:
-    """Each label's column: bit n is set when members[n] contains the label."""
-    columns = {label: 0 for label in labels}
-    for n, member in enumerate(members):
-        if not member or not all(x in columns for x in member):
-            raise ValueError("maximal members must be nonempty subsets of the index set")
-        for x in member:
-            columns[x] |= 1 << n
-    return columns
+# _BIT_DIGITS[t][v] is the ASCII digit of bit t of the byte v
+_BIT_DIGITS = [bytes(48 + (v >> t & 1) for v in range(256)) for t in range(8)]
+
+
+def _columns(labels, masks) -> Dict:
+    """Each label's column: bit n is set when masks[n] holds the label. A
+    strided slice of the members' bytes, translated to digits, is one column."""
+    width = (len(labels) + 7) // 8
+    rows = b"".join(m.to_bytes(width, "little") for m in masks)
+    return {x: int(rows[i // 8::width].translate(_BIT_DIGITS[i % 8])[::-1] or b"0", 2)
+            for i, x in enumerate(labels)}
 
 
 def _containing(columns: Dict, subset) -> int:
@@ -181,62 +185,87 @@ def _containing(columns: Dict, subset) -> int:
     return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConsistencyFamily:
     """A subset-closed family of nonempty index sets, stored by its maximal
-    members in canonical order; membership is inclusion in some member. A
-    member is maximal and unique exactly when its columns AND to its own bit."""
+    members as bitmasks over the labels (bit i is labels[i]) in canonical
+    order, with each label's column; membership is inclusion in some member.
+    `maximal` builds the members as frozensets on first access.
+
+    The constructor and `from_members` check what they are given (a member is
+    maximal and unique exactly when its columns AND to its own bit);
+    `from_masks` trusts members that are maximal by construction."""
 
     labels: Tuple
-    maximal: Tuple[FrozenSet, ...]
-    columns: Dict = field(init=False, repr=False, compare=False)
+    masks: Tuple[int, ...]
+    columns: Dict = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        columns = _columns(self.labels, self.maximal)
-        for n, m in enumerate(self.maximal):
-            if _containing(columns, m) != 1 << n:
-                raise ValueError("maximal members must be pairwise incomparable")
-        object.__setattr__(self, "columns", columns)
+    def __init__(self, labels, maximal):
+        labels = tuple(labels)
+        index = {x: i for i, x in enumerate(labels)}
+        members = [set(m) for m in maximal]
+        if not all(m and m.issubset(index) for m in members):
+            raise ValueError("maximal members must be nonempty subsets of the index set")
+        self._set(labels, [sum(1 << index[x] for x in m) for m in members])
+        if self._covers() != [1 << n for n in range(len(self.masks))]:
+            raise ValueError("maximal members must be pairwise incomparable")
+
+    def _set(self, labels, masks) -> None:
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "columns", _columns(self.labels, self.masks))
+
+    def _covers(self) -> List[int]:
+        """For each member, the members containing it."""
+        return [_containing(self.columns, mask_set(self.labels, m)) for m in self.masks]
+
+    @classmethod
+    def from_masks(cls, labels, masks) -> "ConsistencyFamily":
+        family = object.__new__(cls)
+        family._set(labels, masks)
+        return family
+
+    @classmethod
+    def from_members(cls, labels, members) -> "ConsistencyFamily":
+        labels = tuple(labels)
+        index = {x: i for i, x in enumerate(labels)}
+        unique = {frozenset(m) for m in members if m}
+        if not all(m.issubset(index) for m in unique):  # before the sort compares labels
+            raise ValueError("members must be subsets of the index set")
+        family = cls.from_masks(labels, [sum(1 << index[x] for x in m)
+                                         for m in sorted(unique, key=set_key)])
+        return cls.from_masks(labels, [m for m, c in zip(family.masks, family._covers())
+                                       if c.bit_count() == 1])
+
+    @cached_property
+    def maximal(self) -> Tuple[FrozenSet, ...]:
+        return tuple(mask_set(self.labels, m) for m in self.masks)
 
     def contains(self, subset) -> bool:
         subset = frozenset(subset)
         return bool(subset) and _containing(self.columns, subset) != 0
 
-    @classmethod
-    def from_members(cls, labels, members) -> "ConsistencyFamily":
-        unique = {frozenset(m) for m in members if m}
-        index_set = set(labels)
-        if not all(m <= index_set for m in unique):  # before the sort compares labels
-            raise ValueError("members must be subsets of the index set")
-        unique = sorted(unique, key=set_key)
-        columns = _columns(labels, unique)
-        maximal = [m for n, m in enumerate(unique) if _containing(columns, m) == 1 << n]
-        return cls(tuple(labels), tuple(maximal))
-
 
 def exact_family(p: PatternSpec, cap: int = DEFAULT_SUBSET_CAP) -> ConsistencyFamily:
     """Maximal members of the family of sets avoiding the pattern's
-    forbidden configuration."""
+    forbidden configuration, in canonical order and unchecked: the tree
+    recursion for ATP (k = 2) and k-ATP, the root-to-leaf paths for SOP2, one
+    cell per row for TP2, and the subset scan otherwise."""
+    if p.kind in (ATP, KATP) and p.branching == 2:
+        masks = maximal_chain_free_masks(p.depth, 2 if p.kind == ATP else p.k)
+        return ConsistencyFamily.from_masks(p.index_labels(), masks)
     labels = p.index_labels()
-    if p.kind == ATP and p.branching == 2:
-        members = list(maximal_antichains(p.depth).items)
-    elif p.kind == KATP:
-        members = maximal_chain_free_binary(p.depth, p.k)
-    elif p.kind == SOP2:
-        domain = p.domain()
-        members = [
-            frozenset(leaf[:l] for l in range(len(leaf) + 1))
-            for leaf in domain.level(domain.max_length())
-        ]
+    index = {x: i for i, x in enumerate(labels)}
+    if p.kind == SOP2:
+        masks = [sum(1 << index[leaf[:l]] for l in range(len(leaf) + 1))
+                 for leaf in p.domain().level(p.domain().max_length())]
     elif p.kind == TP2:
-        members = [
-            frozenset(enumerate(cols))
-            for cols in itertools.product(range(p.cols), repeat=p.rows)
-        ]
+        masks = [sum(1 << index[cell] for cell in enumerate(cols))
+                 for cols in itertools.product(range(p.cols), repeat=p.rows)]
     else:
         free = forbidden_free_table(labels, required_inconsistent(p), cap)
-        members = [mask_set(labels, m) for m in maximal_free_masks(free)]
-    return ConsistencyFamily.from_members(labels, members)
+        masks = sorted(maximal_free_masks(free), key=lambda m: set_key(mask_set(labels, m)))
+    return ConsistencyFamily.from_masks(labels, masks)
 
 
 @dataclass(frozen=True)

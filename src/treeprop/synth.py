@@ -8,20 +8,27 @@ instead, so a subset has nonzero meet under the same condition.
 
 Only the maximal members are enumerated; the verdict "contained in some
 member" is unchanged and the parameters stay small. Both read the family's
-label columns (`ConsistencyFamily.columns`): the boolean witness is the columns.
+label columns (`ConsistencyFamily.columns`), never its member sets: the
+boolean witness is the columns, and the skolem witness multiplies the primes
+of each column's bits. Its total size is bounded from the columns' popcounts
+before any prime is drawn and refused past `SKOLEM_BITS_CAP`.
 """
 
 from __future__ import annotations
 
 from itertools import count, islice, takewhile
-from math import prod
+from math import log, prod
 from typing import Iterator
 
-from .errors import WitnessError
+from .errors import ResourceCapError, WitnessError
 from .oracles import BOOLEAN, SKOLEM, Witness
 from .patterns import ConsistencyFamily
 
 _PRIMES = [2, 3]
+
+# total bits of a skolem witness's parameters: 5x the largest benchmarked
+# family (k-ATP k=4 depth 5, estimated at about 0.8 Mbit)
+SKOLEM_BITS_CAP = 2 ** 22
 
 
 def _extend_primes() -> None:
@@ -49,17 +56,29 @@ def nth_prime(n: int) -> int:
     return next(islice(primes(), n, None))
 
 
+def _skolem_bits_bound(family: ConsistencyFamily) -> int:
+    """An upper bound on the total bit length of the skolem parameters: each
+    is a product of popcount(column) primes, none above the m-th prime, and
+    p_m < m (ln m + ln ln m) for m >= 6."""
+    m = len(family.masks)
+    largest = 11 if m < 6 else int(m * (log(m) + log(log(m)))) + 1
+    return sum(c.bit_count() for c in family.columns.values()) * largest.bit_length()
+
+
 def synth_skolem(family: ConsistencyFamily) -> Witness:
-    if not family.maximal:
+    if not family.masks:
         raise WitnessError("cannot synthesize from an empty family")
-    ps = list(islice(primes(), len(family.maximal)))
+    bits = _skolem_bits_bound(family)
+    if bits > SKOLEM_BITS_CAP:
+        raise ResourceCapError(f"skolem parameters of up to {bits} bits", SKOLEM_BITS_CAP)
+    ps = list(islice(primes(), len(family.masks)))
     assigned = {label: prod(p for n, p in enumerate(ps) if column >> n & 1)
                 for label, column in family.columns.items()}
     return Witness(SKOLEM, tuple(family.labels), assigned)
 
 
 def synth_boolean(family: ConsistencyFamily) -> Witness:
-    if not family.maximal:
+    if not family.masks:
         raise WitnessError("cannot synthesize from an empty family")
     return Witness(BOOLEAN, tuple(family.labels), dict(family.columns),
-                   width=len(family.maximal))
+                   width=len(family.masks))

@@ -11,14 +11,16 @@ import time
 from treeprop import (ConjunctionOracle, FoOracle, GcdOracle, TreeDomain,
                       Witness, alpha, build_onevar_scaffold, collapse_extend,
                       collapse_product, divisor_structure, exact_family,
-                      make_pattern, max_chain_bounded_sets, maximal_antichains,
-                      oracle_for, parse_formula, reduce_katp, sim0,
-                      sim0_atomic, sim0_sets, synth_boolean, synth_skolem,
-                      verify, verify_ss_ll)
+                      make_pattern, maximal_antichains, oracle_for,
+                      parse_formula, reduce_katp, sim0, sim0_atomic,
+                      sim0_sets, synth_boolean, synth_skolem, verify,
+                      verify_ss_ll)
 from treeprop.nodes import is_antichain
 from treeprop.oracles import STRUCTURE
 from treeprop.patterns import (ATP, KATP, SOP1, SOP2, TP, TP2,
                                ConsistencyFamily)
+
+from test_differential import max_chain_bounded_sets
 
 
 def report(n, text, started):

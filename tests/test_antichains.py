@@ -4,11 +4,12 @@ import pytest
 
 from treeprop import (ResourceCapError, TreeDomain, alpha, count_antichains,
                       enumerate_antichains, find_iso_copy,
-                      max_chain_bounded_sets, maximal_antichains,
-                      universal_prefix)
+                      maximal_antichains, universal_prefix)
 from treeprop.antichains import (canonical_sets, finite_antichain_stream,
                                  maximal_chain_free_binary, set_key)
 from treeprop.nodes import is_antichain, is_chain
+
+from test_differential import max_chain_bounded_sets
 
 
 def test_alpha_values():
@@ -53,9 +54,11 @@ def test_maximal_antichains_recursion_matches_subset_scan():
         assert len(built) == alpha(n)
 
 
-def test_maximal_antichains_last_item_is_root():
-    for n in range(1, 5):
-        assert maximal_antichains(n).items[-1] == frozenset({()})
+def test_maximal_antichains_root_first_in_canonical_order():
+    for n in range(1, 6):
+        items = maximal_antichains(n).items
+        assert items[0] == frozenset({()})
+        assert list(items) == canonical_sets(items)
 
 
 def test_maximal_antichains_cap():
@@ -95,8 +98,6 @@ def test_subset_scans_cap_before_listing_nodes(monkeypatch):
     monkeypatch.setattr(TreeDomain, "nodes", no_nodes)
     with pytest.raises(ResourceCapError, match="2\\^1073741823"):
         enumerate_antichains(TreeDomain(2, 30))
-    with pytest.raises(ResourceCapError):
-        max_chain_bounded_sets(TreeDomain(2, 30), 3)
     with pytest.raises(ResourceCapError, match="at least 2\\^19999"):  # too many digits to print
         enumerate_antichains(TreeDomain(2, 20000))
     with pytest.raises(ResourceCapError):

@@ -286,3 +286,22 @@ def test_synth_atp_past_the_catalog_cap(capsys, tmp_path):
                          "--backend", "skolem",
                          "--out", str(tmp_path / "w.json"))
     assert code == 3 and out == "" and "alpha(7)" in err
+
+
+def test_synth_katp_past_the_family_cap(capsys, tmp_path):
+    code, out, err = run(capsys, "synth", "--pattern", "katp:3", "--depth", "6",
+                         "--backend", "boolean", "--out", str(tmp_path / "w.json"))
+    assert code == 3 and out == "" and "10545305" in err and "cap 458330" in err
+    assert not (tmp_path / "w.json").exists()
+
+
+def test_synth_atp_depth_six_boolean_only(capsys, tmp_path):
+    code, _, err = run(capsys, "synth", "--pattern", "atp", "--depth", "6",
+                       "--backend", "skolem", "--out", str(tmp_path / "s.json"))
+    assert code == 3 and "bits" in err and "cap" in err
+    assert not (tmp_path / "s.json").exists()
+    code, _, err = run(capsys, "synth", "--pattern", "atp", "--depth", "6",
+                       "--backend", "boolean", "--out", str(tmp_path / "b.json"))
+    assert code == 0 and "458330 maximal members" in err
+    data = json.loads((tmp_path / "b.json").read_text())
+    assert data["backend"] == "boolean" and len(data["params"]) == 63

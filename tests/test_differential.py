@@ -1,8 +1,10 @@
 """Differential tests of the fast paths against plain references: the
 column-mask consistency family against the pairwise O(m^2) maximality
 filter, the forbidden-set subset scan against a direct enumeration of all
-2^n subsets, and the canonical type forms and the grouped ss-ll check
-against byte-packed relation tables compared pair by pair."""
+2^n subsets, the mask recursion for maximal k-chain-free sets against the
+frozenset recursions and the k-chain scan it replaced, and the canonical type
+forms and the grouped ss-ll check against byte-packed relation tables
+compared pair by pair."""
 
 import itertools
 import random
@@ -14,15 +16,19 @@ from hypothesis import strategies as st
 
 from treeprop import (ConsistencyFamily, FoOracle, FormulaError,
                       ResourceCapError, TreeDomain, VerificationReport,
-                      Witness, divisor_structure, enumerate_antichains,
+                      Witness, alpha, divisor_structure, enumerate_antichains,
                       eval_formula, exact_family, make_pattern,
-                      max_chain_bounded_sets, oracle_for, parse_formula,
+                      maximal_antichains, oracle_for, parse_formula,
                       required_consistent, required_inconsistent,
                       synth_boolean, synth_skolem, verify)
 from treeprop import oracles, qftypes
-from treeprop.antichains import (DEFAULT_SUBSET_CAP, canonical_sets, chains,
-                                 forbidden_free_table, mask_set, set_key)
-from treeprop.nodes import closure, is_chain, is_prefix, meet
+from treeprop.antichains import (DEFAULT_SUBSET_CAP, _check_subset_cap,
+                                 canonical_sets, chain_free_count, chains,
+                                 forbidden_free_table, mask_set,
+                                 maximal_chain_free_binary,
+                                 maximal_chain_free_masks, maximal_free_masks,
+                                 set_key)
+from treeprop.nodes import closure, concat_set, is_chain, is_prefix, meet
 from treeprop.oracles import SKOLEM, STRUCTURE
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
 from treeprop.synth import nth_prime
@@ -41,6 +47,103 @@ def reference_from_members(labels, members):
             seen.add(m)
             unique.append(m)
     return tuple(unique)
+
+
+def max_chain_bounded_sets(domain, k, cap=DEFAULT_SUBSET_CAP):
+    """All maximal subsets containing no k pairwise comparable elements, by
+    the subset scan over every k-chain, in canonical order; for k=2 these are
+    the maximal antichains (the brute-force reference of criterion 1)."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    _check_subset_cap(domain.node_count(), cap)
+    nodes = list(domain.nodes())
+    k_chains = (c for c in chains(domain) if len(c) == k)
+    maximal = maximal_free_masks(forbidden_free_table(nodes, k_chains, cap))
+    return canonical_sets(mask_set(nodes, m) for m in maximal)
+
+
+def reference_maximal_antichains(n):
+    """The frozenset recursion for maximal antichains: products of the
+    0-/1-prefixed depth-(n-1) catalogs row-major, then {root} last."""
+    items = []
+    for _ in range(n):
+        items = [concat_set((0,), xi) | concat_set((1,), xj)
+                 for xi in items for xj in items] + [frozenset({()})]
+    return items
+
+
+def _has_chain(members, length):
+    """Whether the set contains `length` pairwise comparable distinct nodes."""
+    if length <= 0:
+        return True
+    return any(sum(1 for l in range(len(x) + 1) if x[:l] in members) >= length
+               for x in members)
+
+
+def reference_chain_free_binary(n, k):
+    """The frozenset recursion for maximal k-chain-free sets: with the root,
+    two maximal (k-1)-chain-free parts; without it, two maximal k-chain-free
+    parts whose union holds a (k-1)-chain; sorted into canonical order."""
+    cache = {}
+
+    def rec(depth, bound):
+        if depth == 0 or bound == 1:
+            return [frozenset()]
+        if (depth, bound) not in cache:
+            with_root = rec(depth - 1, bound - 1)
+            without_root = rec(depth - 1, bound)
+            out = [frozenset({()}) | concat_set((0,), a) | concat_set((1,), b)
+                   for a in with_root for b in with_root]
+            for a in without_root:
+                for b in without_root:
+                    s = concat_set((0,), a) | concat_set((1,), b)
+                    if _has_chain(s, bound - 1):
+                        out.append(s)
+            cache[depth, bound] = out
+        return cache[depth, bound]
+
+    return canonical_sets(rec(n, k))
+
+
+def reference_family(labels, members):
+    """The former `from_members` path: sort the distinct members canonically,
+    grow each label's column one bit per member, and keep the members whose
+    columns AND to their own bit. Returns (maximal members, columns)."""
+    unique = sorted({frozenset(m) for m in members if m}, key=set_key)
+
+    def columns_of(sets):
+        columns = {label: 0 for label in labels}
+        for n, member in enumerate(sets):
+            for x in member:
+                columns[x] |= 1 << n
+        return columns
+
+    def containing(columns, subset):
+        acc = -1
+        for x in subset:
+            acc &= columns[x]
+        return acc
+
+    columns = columns_of(unique)
+    maximal = tuple(m for n, m in enumerate(unique) if containing(columns, m) == 1 << n)
+    return maximal, columns_of(maximal)
+
+
+def reference_members(p):
+    """The members the former `exact_family` passed to `from_members`."""
+    if p.kind == ATP:
+        return reference_maximal_antichains(p.depth)
+    if p.kind == KATP:
+        return reference_chain_free_binary(p.depth, p.k)
+    if p.kind == SOP2:
+        domain = p.domain()
+        return [frozenset(leaf[:l] for l in range(len(leaf) + 1))
+                for leaf in domain.level(domain.max_length())]
+    if p.kind == TP2:
+        return [frozenset(enumerate(cols))
+                for cols in itertools.product(range(p.cols), repeat=p.rows)]
+    _, maximal = reference_free_sets(p.index_labels(), required_inconsistent(p))
+    return maximal
 
 
 def reference_free_sets(labels, forbidden):
@@ -167,6 +270,90 @@ def test_sop2_family_is_the_root_to_leaf_paths():
     family = exact_family(make_pattern(SOP2, depth=10))
     assert len(family.maximal) == 2 ** 9
     assert all(len(m) == 10 and is_chain(m) for m in family.maximal)
+
+
+# --- the mask recursion against the frozenset recursions ---
+
+# the families the benchmark builds (build-deep) and verifies (verify-exact)
+BENCH_SPECS = [
+    make_pattern(KATP, depth=5, k=3), make_pattern(KATP, depth=5, k=4),
+    make_pattern(ATP, depth=5), make_pattern(SOP1, depth=4),
+    make_pattern(TP, branching=3, depth=3, k=2), make_pattern(SOP2, depth=5),
+    make_pattern(TP2, rows=4, cols=4), make_pattern(ATP, depth=4),
+    make_pattern(KATP, depth=4, k=3), make_pattern(SOP2, depth=4),
+    make_pattern(TP2, rows=3, cols=4), make_pattern(ATP, depth=3),
+]
+
+
+def test_chain_free_recursion_matches_frozenset_recursions():
+    for n in range(6):
+        for k in (2, 3, 4, 5):
+            expected = reference_chain_free_binary(n, k)
+            assert maximal_chain_free_binary(n, k) == expected, (n, k)
+            nodes = list(TreeDomain(2, n).nodes()) if n else []
+            masks = maximal_chain_free_masks(n, k)
+            assert [mask_set(nodes, m) for m in masks] == expected
+            assert chain_free_count(n, k, DEFAULT_SUBSET_CAP) == len(masks)
+        old = reference_maximal_antichains(n)
+        assert maximal_antichains(n).items == tuple(canonical_sets(old))
+        if n:
+            assert old[-1] == frozenset({()}) == maximal_antichains(n).items[0]
+
+
+def test_exact_family_matches_the_former_from_members_path():
+    for p in BENCH_SPECS:
+        family = exact_family(p)
+        labels = p.index_labels()
+        old_members = reference_members(p)
+        maximal, columns = reference_family(labels, old_members)
+        rebuilt = ConsistencyFamily.from_members(labels, old_members)
+        assert family.maximal == rebuilt.maximal == maximal, p
+        assert family.columns == rebuilt.columns == columns, p
+        assert family.masks == rebuilt.masks, p
+        # what the unchecked path builds passes the checked constructor
+        assert ConsistencyFamily(labels, family.maximal) == family
+
+
+def test_chain_free_count_is_exact():
+    for n in range(7):
+        for k in range(1, 9):
+            if (n, k) not in {(6, 3), (6, 4), (6, 5)}:  # these three pass the cap
+                assert chain_free_count(n, k, alpha(6)) == len(maximal_chain_free_masks(n, k))
+    # deeper than the cap allows, but no k-chain fits: the whole tree, once
+    assert maximal_chain_free_masks(8, 9) == [(1 << 255) - 1]
+
+
+def test_chain_free_cap_fires_before_any_work(monkeypatch):
+    def no_nodes(self):
+        raise AssertionError("nodes listed before the cap check")
+    monkeypatch.setattr(TreeDomain, "nodes", no_nodes)
+    for p, size in [(make_pattern(ATP, depth=7), r"alpha\(7\) = 210066388901"),
+                    (make_pattern(KATP, depth=6, k=3), r"c_3\(6\) = 10545305"),
+                    (make_pattern(ATP, depth=40), r"alpha\(40\) >= \d+")]:
+        with pytest.raises(ResourceCapError, match=f"{size} .*cap 458330"):
+            exact_family(p)
+
+
+def test_skolem_bits_bound_holds_on_benchmark_families():
+    from treeprop import synth
+
+    for p in BENCH_SPECS:
+        family = exact_family(p)
+        bound = synth._skolem_bits_bound(family)
+        bits = sum(v.bit_length() for v in synth_skolem(family).params.values())
+        assert bits <= bound <= synth.SKOLEM_BITS_CAP, p
+
+
+def test_atp_depth_six_boolean_witness_sets_member_bits():
+    p = make_pattern(ATP, depth=6)
+    family = exact_family(p)
+    assert len(family.masks) == alpha(6) == 458330
+    params = synth_boolean(family).params
+    labels = p.index_labels()
+    for n in random.Random(6).sample(range(len(family.masks)), 1000):
+        member = mask_set(labels, family.masks[n])
+        assert not _has_chain(member, 2)
+        assert {x for x in labels if params[x] >> n & 1} == member
 
 
 # --- exhaustive verification against a frozenset per subset ---

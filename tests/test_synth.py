@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from treeprop import (WitnessError, exact_family, make_pattern, nth_prime,
-                      oracle_for, primes, synth_boolean, synth_skolem)
+from treeprop import (ResourceCapError, WitnessError, exact_family,
+                      make_pattern, nth_prime, oracle_for, primes,
+                      synth_boolean, synth_skolem)
 from treeprop.patterns import ATP, ConsistencyFamily
 
 
@@ -86,3 +87,15 @@ def test_interleaved_generators_share_the_table(monkeypatch):
     assert other == expected
     assert synth._PRIMES == sorted(set(synth._PRIMES))
     assert nth_prime(8) == 23
+
+
+def test_skolem_size_cap_fires_before_any_prime(monkeypatch):
+    from treeprop import synth
+
+    def no_primes():
+        raise AssertionError("primes drawn before the size cap check")
+    monkeypatch.setattr(synth, "primes", no_primes)
+    family = exact_family(make_pattern(ATP, depth=6))
+    with pytest.raises(ResourceCapError,
+                       match=rf"up to \d+ bits \(cap {synth.SKOLEM_BITS_CAP}\)"):
+        synth_skolem(family)
