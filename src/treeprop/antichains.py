@@ -78,13 +78,16 @@ def mask_set(labels, mask: int) -> frozenset:
     return frozenset(x for i, x in enumerate(labels) if mask >> i & 1)
 
 
+def _shown(n: int):
+    """A count for an error message: n itself, or, when it may be too long to
+    print in decimal (a deep domain's node count), a power of two below it."""
+    return n if n.bit_length() < 64 else f"(at least 2^{n.bit_length() - 1})"
+
+
 def _check_subset_cap(n: int, cap: int) -> None:
-    """Refuse a scan of 2^n subsets past the cap, without building 1 << n; an n
-    too long to print in decimal (a deep domain's node count) is shown as a
-    power of two."""
+    """Refuse a scan of 2^n subsets past the cap, without building 1 << n."""
     if n >= cap.bit_length():
-        shown = n if n.bit_length() < 64 else f"(at least 2^{n.bit_length() - 1})"
-        raise ResourceCapError(f"subset scan over 2^{shown} subsets", cap)
+        raise ResourceCapError(f"subset scan over 2^{_shown(n)} subsets", cap)
 
 
 def forbidden_free_table(labels, forbidden, cap: int) -> bytearray:
@@ -224,12 +227,35 @@ def universal_prefix(m: int) -> NodeSet:
 def find_iso_copy(y: NodeSet, x: NodeSet):
     """First (in lex order over sorted combinations) strongly isomorphic copy
     of the antichain y inside the antichain x, as a lex-monotone mapping,
-    or None."""
+    or None.
+
+    The search walks the combinations of x's sorted nodes in that same order,
+    one host node at a time, and drops a partial choice of j nodes once its
+    type differs from the type of y's first j nodes. That drops no copy: the
+    closure of a prefix is a sub-tuple of the closure of the whole tuple, so
+    equal types of the whole tuples give equal types of every prefix. The
+    order is kept, so the first copy found is the first combination that
+    matches."""
     from .qftypes import qftype0
 
     y_tuple = sorted_nodes(y)
-    target = qftype0(y_tuple)
-    for candidate in itertools.combinations(sorted_nodes(x), len(y_tuple)):
-        if qftype0(candidate) == target:
-            return dict(zip(y_tuple, candidate))
-    return None
+    k = len(y_tuple)
+    # targets[j] is the type of y's first j + 1 nodes; an empty y raises here
+    targets = [qftype0(y_tuple[:j]) for j in range(1, k)] + [qftype0(y_tuple)]
+    hosts = sorted_nodes(x)
+    n = len(hosts)
+    chosen = []  # host indices of the partial choice, whose types all match
+    start = 0  # the next host index to try for position len(chosen)
+    while True:
+        j = len(chosen)
+        if j == k:
+            return dict(zip(y_tuple, (hosts[i] for i in chosen)))
+        if start <= n - k + j:  # enough hosts left after start for the rest
+            candidate = tuple(hosts[i] for i in chosen) + (hosts[start],)
+            if qftype0(candidate) == targets[j]:
+                chosen.append(start)
+            start += 1
+        elif chosen:
+            start = chosen.pop() + 1
+        else:
+            return None

@@ -59,12 +59,17 @@ def _cmd_enum(args) -> int:
         if args.count_only:
             _print(f"{antichains.alpha(args.n)}\n")
             return 0
-        catalog = antichains.maximal_antichains(args.n)
-    else:
-        if args.count_only:
-            _print(f"{antichains.count_antichains(args.b, args.n, nonempty=True)}\n")
-            return 0
-        catalog = antichains.enumerate_antichains(domain)
+        # each node string is made once and picked per mask; the masks come
+        # in canonical order, which is the sorted order of their string lists
+        bits = [(1 << i, node_str(x)) for i, x in enumerate(domain.nodes())]
+        items = [[x for bit, x in bits if mask & bit]
+                 for mask in antichains.maximal_chain_free_masks(args.n, 2)]
+        _print({"count": len(items), "items": items})
+        return 0
+    if args.count_only:
+        _print(f"{antichains.count_antichains(args.b, args.n, nonempty=True)}\n")
+        return 0
+    catalog = antichains.enumerate_antichains(domain)
     _print({"count": len(catalog), "items": _catalog_json(domain, catalog)})
     return 0
 

@@ -20,12 +20,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from .antichains import (DEFAULT_SUBSET_CAP, _check_subset_cap,
-                         canonical_sets, chains, enumerate_antichains,
-                         forbidden_free_table, mask_set,
+from .antichains import (DEFAULT_SUBSET_CAP, _check_subset_cap, _shown, alpha,
+                         canonical_sets, chain_free_count, chains,
+                         enumerate_antichains, forbidden_free_table, mask_set,
                          maximal_chain_free_masks, maximal_free_masks, set_key)
+from .errors import ResourceCapError
 from .nodes import TreeDomain, is_prefix
 
 ATP = "atp"
@@ -246,11 +247,42 @@ class ConsistencyFamily:
         return bool(subset) and _containing(self.columns, subset) != 0
 
 
+# member-label cells of a family, the bits of its masks: ATP d6, the largest
+# family built, has 63 x 458330 of them
+FAMILY_CELL_CAP = 2 ** 25
+
+
+def _check_family_size(p: PatternSpec, cap: int) -> None:
+    """Refuse a family from its index and member counts alone, before any
+    label is listed or mask built: the tree recursion's count cap, then at
+    most FAMILY_CELL_CAP cells; a scanned family has the subset scan's cap."""
+    labels = p.index_count()
+    if p.kind in (ATP, KATP) and p.branching == 2:
+        members = chain_free_count(p.depth, 2 if p.kind == ATP else p.k, alpha(6))
+    elif p.kind not in (SOP2, TP2):
+        _check_subset_cap(labels, cap)
+        return
+    elif labels > FAMILY_CELL_CAP:
+        raise ResourceCapError(f"index set of {_shown(labels)} labels", FAMILY_CELL_CAP)
+    elif p.kind == SOP2:
+        members = 2 ** (p.depth - 1)  # one per leaf
+    elif p.cols > 1 and p.rows >= FAMILY_CELL_CAP.bit_length():
+        raise ResourceCapError(f"family of at least 2^{p.rows} maximal members",
+                               FAMILY_CELL_CAP)
+    else:
+        members = p.cols ** p.rows  # one cell per row
+    if members * labels > FAMILY_CELL_CAP:
+        raise ResourceCapError(f"family of {_shown(members)} maximal members over "
+                               f"{_shown(labels)} labels", FAMILY_CELL_CAP)
+
+
 def exact_family(p: PatternSpec, cap: int = DEFAULT_SUBSET_CAP) -> ConsistencyFamily:
     """Maximal members of the family of sets avoiding the pattern's
     forbidden configuration, in canonical order and unchecked: the tree
     recursion for ATP (k = 2) and k-ATP, the root-to-leaf paths for SOP2, one
-    cell per row for TP2, and the subset scan otherwise."""
+    cell per row for TP2, and the subset scan otherwise. Its size is checked
+    first, by `_check_family_size`."""
+    _check_family_size(p, cap)
     if p.kind in (ATP, KATP) and p.branching == 2:
         masks = maximal_chain_free_masks(p.depth, 2 if p.kind == ATP else p.k)
         return ConsistencyFamily.from_masks(p.index_labels(), masks)
@@ -297,6 +329,22 @@ def _subset_table(labels) -> List[Tuple]:
     return table
 
 
+def _free_masks_in_set_order(free: bytearray) -> Iterator[int]:
+    """The nonzero free masks of a scan table in canonical set order over
+    labels in canonical order: each mask, then its extensions by higher bits.
+    Free masks are closed under subsets, so only free masks are extended."""
+    n = len(free).bit_length() - 1
+
+    def extend(mask: int, start: int) -> Iterator[int]:
+        for i in range(start, n):
+            bigger = mask | 1 << i
+            if free[bigger]:
+                yield bigger
+                yield from extend(bigger, i + 1)
+
+    return extend(0, 0)
+
+
 def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False,
            cap: int = DEFAULT_SUBSET_CAP) -> VerificationReport:
     """Check the witness against the pattern through the oracle. Pattern mode
@@ -305,19 +353,33 @@ def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False,
     increasing mask order. The exact family is the subset closure of the
     maximal sets free of `required_inconsistent(p)`, so membership is read
     from the subset scanner's table, one byte per mask; the 2^n cap is checked
-    before any other work."""
+    before any other work. When the forbidden sets are the 2-chains (ATP), the
+    required consistent sets, the nonempty antichains, are the table's nonzero
+    free masks, so the exhaustive check scans the 2-chains once."""
     if exhaustive:
         _check_subset_cap(p.index_count(), cap)
     labels = p.index_labels()
     if set(witness.labels) != set(labels):
         raise ValueError("witness index set does not match the pattern")
+    forbidden = required_inconsistent(p)
+    if exhaustive:
+        free = forbidden_free_table(labels, forbidden, cap)
+        # each subset reaches the oracle as a label tuple joined from two
+        # tables of 2^(n/2) entries, so no set is built per mask
+        half = len(labels) // 2
+        low, high = _subset_table(labels[:half]), _subset_table(labels[half:])
+        low_bits = (1 << half) - 1
+    if exhaustive and (p.kind == ATP or p.kind == KATP and p.k == 2):
+        required = (frozenset(low[m & low_bits] + high[m >> half])
+                    for m in _free_masks_in_set_order(free))
+    else:
+        required = required_consistent(p)
     n_cons = n_incons = 0
-    for subset in required_consistent(p):
+    for subset in required:
         n_cons += 1
         if not oracle.consistent(subset):
             return VerificationReport(False, n_cons, n_incons, exhaustive,
                                       (subset, "consistent", "inconsistent"))
-    forbidden = required_inconsistent(p)
     for subset in forbidden:
         n_incons += 1
         if oracle.consistent(subset):
@@ -325,12 +387,6 @@ def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False,
                                       (subset, "inconsistent", "consistent"))
     if not exhaustive:
         return VerificationReport(True, n_cons, n_incons, False)
-    free = forbidden_free_table(labels, forbidden, cap)
-    # each subset reaches the oracle as a label tuple joined from two tables
-    # of 2^(n/2) entries, so no set is built per mask
-    half = len(labels) // 2
-    low, high = _subset_table(labels[:half]), _subset_table(labels[half:])
-    low_bits = (1 << half) - 1
     for mask in range(1, len(free)):
         actual = oracle.consistent(low[mask & low_bits] + high[mask >> half])
         if free[mask] != actual:

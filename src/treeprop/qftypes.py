@@ -5,6 +5,9 @@ tuples group by type in a dict. `_order_type(points)` is the form of the
 prefix and lex relations among a tuple's positions: each position's rank
 among the distinct values, and the prefix matrix over the distinct values in
 sorted order. Equal forms mean equal (prefix, lex) tables over positions.
+In sorted order the values extending a value are the run right after it, so
+each matrix row is one run of bits, and one forward walk (`_prefix_runs`)
+finds every run without comparing each pair of values.
 
 Two tuples are strongly isomorphic (sim0) when the order types of their
 meet-closure tuples coincide; the closure tuple is meet-closed, so every
@@ -16,6 +19,7 @@ meet(a, b) is a prefix of meet(c, d); sim_delta is equality of that tensor
 together with the lexicographic pattern of the entries. Its form is built
 from that definition alone: the first-occurrence class of each pairwise
 meet, the prefix matrix over those classes, and the lex ranks of the entries.
+Its matrix rows are the sorted-order runs with each bit moved to its class.
 """
 
 from __future__ import annotations
@@ -28,21 +32,36 @@ from .errors import ResourceCapError
 from .nodes import Node, TreeDomain, closure
 
 
-def _classes(points, values) -> tuple:
-    """Each point's index in `values` (which lists every distinct point once)
-    and the prefix matrix over `values`, row i the bitmask of the j with
-    values[i] a prefix of values[j]."""
-    index = {v: i for i, v in enumerate(values)}
-    prefix = tuple(
-        sum(1 << j for j, b in enumerate(values) if b[:len(a)] == a) for a in values
-    )
-    return tuple(index[p] for p in points), prefix
+def _prefix_runs(values) -> list:
+    """For distinct nodes in sorted order, runs[i] is the number of values from
+    i on that extend values[i], itself included. They are the run right after
+    it, so one forward walk finds them all: the open values form a chain, and a
+    value closes each open one that it does not extend."""
+    runs = [0] * len(values)
+    open_runs = []  # the indices whose run is still going, each a prefix of the next
+    for j, b in enumerate(values):
+        while open_runs:
+            a = values[open_runs[-1]]
+            if b[:len(a)] == a:
+                break
+            i = open_runs.pop()
+            runs[i] = j - i
+        open_runs.append(j)
+    for i in open_runs:
+        runs[i] = len(values) - i
+    return runs
 
 
 def _order_type(points) -> tuple:
     """Lex ranks of the positions among the distinct values, and the prefix
-    matrix over the distinct values in sorted order."""
-    return _classes(points, sorted(set(points)))
+    matrix over the distinct values in sorted order: row i is the bitmask of
+    the j with values[i] a prefix of values[j]. The extensions of a value are
+    the run right after it, so row i is ((1 << run) - 1) << i and the matrix
+    takes one walk, with no comparison of every pair of values."""
+    values = sorted(set(points))
+    index = {v: i for i, v in enumerate(values)}
+    rows = tuple(((1 << run) - 1) << i for i, run in enumerate(_prefix_runs(values)))
+    return tuple(map(index.__getitem__, points)), rows
 
 
 def qftype0(nodes: Tuple[Node, ...]) -> tuple:
@@ -61,13 +80,25 @@ def atomic_pattern(nodes: Tuple[Node, ...]) -> tuple:
 def delta_type(nodes: Tuple[Node, ...]) -> tuple:
     """Meet-comparison tensor and lex pattern of a node tuple: the class of
     each pairwise meet (numbered by first occurrence, so equal meets share a
-    class), the prefix matrix over the classes, and the entries' lex ranks."""
+    class), the prefix matrix over the classes, and the entries' lex ranks.
+    The matrix rows are the sorted-order runs of `_order_type` with each bit
+    moved to its class: bits[k] holds the classes of the first k sorted meets,
+    so a run from k is bits[k + run] ^ bits[k]."""
     t = tuple(nodes)
     if not t:
         raise ValueError("delta type of empty tuple")
     meets = closure(t)
+    values = list(dict.fromkeys(meets))
+    index = {v: i for i, v in enumerate(values)}
+    ordered = sorted(values)
+    bits = [0]
+    for v in ordered:
+        bits.append(bits[-1] | 1 << index[v])
+    rows = [0] * len(values)
+    for k, run in enumerate(_prefix_runs(ordered)):
+        rows[index[ordered[k]]] = bits[k + run] ^ bits[k]
     lex_ranks, _ = _order_type(t)
-    return (*_classes(meets, list(dict.fromkeys(meets))), lex_ranks)
+    return tuple(map(index.__getitem__, meets)), tuple(rows), lex_ranks
 
 
 def sim0(t1, t2) -> bool:

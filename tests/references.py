@@ -1,0 +1,329 @@
+"""Brute-force references for the tests: the plain computations that the
+library's fast paths replaced, kept next to the tests that compare them.
+
+Families and scans: the pairwise maximality filter, the frozenset recursions
+for maximal antichains and k-chain-free sets, the subset scan over every
+k-chain, a direct listing of all 2^n subsets, and the member-by-member
+boolean witness. Verification: one frozenset per subset with membership by
+`ConsistencyFamily.contains`, and an oracle wrapper that records what it is
+asked. Types: byte-packed relation tables, the pairwise ss-ll check, the
+quadratic prefix matrix over every pair of values, and the combination scan
+for iso copies. The first-order oracle evaluated afresh on every call.
+"""
+
+import itertools
+
+from treeprop import (VerificationReport, eval_formula, exact_family,
+                      required_consistent, required_inconsistent)
+from treeprop.antichains import (DEFAULT_SUBSET_CAP, _check_subset_cap,
+                                 canonical_sets, chains, forbidden_free_table,
+                                 mask_set, maximal_free_masks, set_key)
+from treeprop.nodes import (TreeDomain, closure, concat_set, is_prefix, meet,
+                            sorted_nodes)
+from treeprop.patterns import ATP, KATP, SOP2, TP2
+
+
+def reference_from_members(labels, members):
+    """Maximal members by comparing every pair of frozensets, deduplicated
+    in canonical order."""
+    members = [frozenset(m) for m in members if m]
+    if any(not m <= set(labels) for m in members):
+        raise ValueError("members must be subsets of the index set")
+    maximal = [m for m in members if not any(m < other for other in members)]
+    seen, unique = set(), []
+    for m in sorted(maximal, key=set_key):
+        if m not in seen:
+            seen.add(m)
+            unique.append(m)
+    return tuple(unique)
+
+
+def max_chain_bounded_sets(domain, k, cap=DEFAULT_SUBSET_CAP):
+    """All maximal subsets containing no k pairwise comparable elements, by
+    the subset scan over every k-chain, in canonical order; for k=2 these are
+    the maximal antichains (the brute-force reference of criterion 1)."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    _check_subset_cap(domain.node_count(), cap)
+    nodes = list(domain.nodes())
+    k_chains = (c for c in chains(domain) if len(c) == k)
+    maximal = maximal_free_masks(forbidden_free_table(nodes, k_chains, cap))
+    return canonical_sets(mask_set(nodes, m) for m in maximal)
+
+
+def reference_maximal_antichains(n):
+    """The frozenset recursion for maximal antichains: products of the
+    0-/1-prefixed depth-(n-1) catalogs row-major, then {root} last."""
+    items = []
+    for _ in range(n):
+        items = [concat_set((0,), xi) | concat_set((1,), xj)
+                 for xi in items for xj in items] + [frozenset({()})]
+    return items
+
+
+def has_chain(members, length):
+    """Whether the set contains `length` pairwise comparable distinct nodes."""
+    if length <= 0:
+        return True
+    return any(sum(1 for l in range(len(x) + 1) if x[:l] in members) >= length
+               for x in members)
+
+
+def reference_chain_free_binary(n, k):
+    """The frozenset recursion for maximal k-chain-free sets: with the root,
+    two maximal (k-1)-chain-free parts; without it, two maximal k-chain-free
+    parts whose union holds a (k-1)-chain; sorted into canonical order."""
+    cache = {}
+
+    def rec(depth, bound):
+        if depth == 0 or bound == 1:
+            return [frozenset()]
+        if (depth, bound) not in cache:
+            with_root = rec(depth - 1, bound - 1)
+            without_root = rec(depth - 1, bound)
+            out = [frozenset({()}) | concat_set((0,), a) | concat_set((1,), b)
+                   for a in with_root for b in with_root]
+            for a in without_root:
+                for b in without_root:
+                    s = concat_set((0,), a) | concat_set((1,), b)
+                    if has_chain(s, bound - 1):
+                        out.append(s)
+            cache[depth, bound] = out
+        return cache[depth, bound]
+
+    return canonical_sets(rec(n, k))
+
+
+def reference_family(labels, members):
+    """The former `from_members` path: sort the distinct members canonically,
+    grow each label's column one bit per member, and keep the members whose
+    columns AND to their own bit. Returns (maximal members, columns)."""
+    unique = sorted({frozenset(m) for m in members if m}, key=set_key)
+
+    def columns_of(sets):
+        columns = {label: 0 for label in labels}
+        for n, member in enumerate(sets):
+            for x in member:
+                columns[x] |= 1 << n
+        return columns
+
+    def containing(columns, subset):
+        acc = -1
+        for x in subset:
+            acc &= columns[x]
+        return acc
+
+    columns = columns_of(unique)
+    maximal = tuple(m for n, m in enumerate(unique) if containing(columns, m) == 1 << n)
+    return maximal, columns_of(maximal)
+
+
+def reference_members(p):
+    """The members the former `exact_family` passed to `from_members`."""
+    if p.kind == ATP:
+        return reference_maximal_antichains(p.depth)
+    if p.kind == KATP:
+        return reference_chain_free_binary(p.depth, p.k)
+    if p.kind == SOP2:
+        domain = p.domain()
+        return [frozenset(leaf[:l] for l in range(len(leaf) + 1))
+                for leaf in domain.level(domain.max_length())]
+    if p.kind == TP2:
+        return [frozenset(enumerate(cols))
+                for cols in itertools.product(range(p.cols), repeat=p.rows)]
+    _, maximal = reference_free_sets(p.index_labels(), required_inconsistent(p))
+    return maximal
+
+
+def reference_free_sets(labels, forbidden):
+    """Every subset of the labels containing no forbidden set, by listing all
+    2^n subsets, and the maximal ones: those no single label extends."""
+    forbidden = [frozenset(f) for f in forbidden]
+    free = [
+        s
+        for r in range(len(labels) + 1)
+        for s in map(frozenset, itertools.combinations(labels, r))
+        if not any(f <= s for f in forbidden)
+    ]
+    free_set = set(free)
+    maximal = [s for s in free
+               if not any(s | {x} in free_set for x in labels if x not in s)]
+    return free, maximal
+
+
+def reference_boolean_params(family):
+    """The boolean witness built member by member: bit n for member n."""
+    params = {label: 0 for label in family.labels}
+    for n, member in enumerate(family.maximal):
+        for label in member:
+            params[label] |= 1 << n
+    return params
+
+
+def reference_verify(oracle, witness, p):
+    """Exhaustive verification with one frozenset per mask and membership by
+    `exact_family(p).contains`, after the same pattern pass."""
+    labels = p.index_labels()
+    if set(witness.labels) != set(labels):
+        raise ValueError("witness index set does not match the pattern")
+    n_cons = n_incons = 0
+    for subset in required_consistent(p):
+        n_cons += 1
+        if not oracle.consistent(subset):
+            return VerificationReport(False, n_cons, n_incons, True,
+                                      (subset, "consistent", "inconsistent"))
+    for subset in required_inconsistent(p):
+        n_incons += 1
+        if oracle.consistent(subset):
+            return VerificationReport(False, n_cons, n_incons, True,
+                                      (subset, "inconsistent", "consistent"))
+    family = exact_family(p)
+    n_cons = n_incons = 0
+    for mask in range(1, 1 << len(labels)):
+        subset = mask_set(labels, mask)
+        expected = family.contains(subset)
+        actual = oracle.consistent(subset)
+        if expected:
+            n_cons += 1
+        else:
+            n_incons += 1
+        if expected != actual:
+            want = "consistent" if expected else "inconsistent"
+            got = "consistent" if actual else "inconsistent"
+            return VerificationReport(False, n_cons, n_incons, True, (subset, want, got))
+    return VerificationReport(True, n_cons, n_incons, True)
+
+
+class RecordingOracle:
+    """Forwards to an oracle, keeping each subset it was asked about and, when
+    given a target, inverting the verdict on that one subset."""
+
+    def __init__(self, oracle, target=None):
+        self.oracle = oracle
+        self.target = target
+        self.seen = []
+
+    def consistent(self, labels) -> bool:
+        subset = frozenset(labels)
+        self.seen.append(subset)
+        verdict = self.oracle.consistent(labels)
+        return not verdict if subset == self.target else verdict
+
+
+def _pack_bits(bits) -> bytes:
+    out = bytearray()
+    acc = n = 0
+    for bit in bits:
+        acc = (acc << 1) | (1 if bit else 0)
+        n += 1
+        if n == 8:
+            out.append(acc)
+            acc = n = 0
+    if n:
+        out.append(acc << (8 - n))
+    return bytes(out)
+
+
+def _relation_bytes(arity, points):
+    below = (is_prefix(a, b) for a in points for b in points)
+    lex = (a < b for a in points for b in points)
+    return arity.to_bytes(4, "big") + _pack_bits(below) + _pack_bits(lex)
+
+
+def reference_qftype0(t):
+    """The prefix and lex tables over the closure tuple, as bytes."""
+    return _relation_bytes(len(t), closure(t))
+
+
+def reference_atomic(t):
+    return _relation_bytes(len(t), t)
+
+
+def reference_delta(t):
+    """The meet-comparison tensor over all (i, j, k, l) and the lex table."""
+    n = len(t)
+    meets = [[meet(a, b) for b in t] for a in t]
+    delta = (is_prefix(meets[i][j], meets[k][l])
+             for i, j, k, l in itertools.product(range(n), repeat=4))
+    lex = (a < b for a in t for b in t)
+    return n.to_bytes(4, "big") + _pack_bits(delta) + _pack_bits(lex)
+
+
+def reference_ss_ll(branching, leaf_depth, tuple_len,
+                    delta=reference_delta,
+                    closure_type=lambda t: reference_qftype0(closure(t))):
+    """The lemma check over all T^2 ordered pairs of leaf tuples; the closure
+    side is the type of the closure tuple, as the lemma states it."""
+    leaves = list(TreeDomain(branching, leaf_depth, include_leaves=True).level(leaf_depth))
+    tuples = list(itertools.permutations(leaves, tuple_len))
+    keys = [(delta(t), closure_type(t)) for t in tuples]
+    for (t1, (d1, c1)), (t2, (d2, c2)) in itertools.product(zip(tuples, keys), repeat=2):
+        if (d1 == d2) != (c1 == c2):
+            return False, len(tuples), (t1, t2, d1 == d2, c1 == c2)
+    return True, len(tuples), None
+
+
+def reference_fo_consistent(oracle, labels):
+    """FoOracle.consistent with the formula evaluated afresh for every
+    element and parameter."""
+    labels = list(labels)
+    if not labels:
+        return True
+    for x in oracle.structure.universe:
+        ok = True
+        for i in labels:
+            p = oracle.witness.params[i]
+            assignment = {oracle.x_var: x}
+            assignment.update(zip(oracle.y_vars, p if isinstance(p, tuple) else (p,)))
+            if not eval_formula(oracle.structure, oracle.formula, assignment):
+                ok = False
+                break
+        if ok:
+            return True
+    return False
+
+
+
+def reference_classes(points, values):
+    """Each point's index in `values` (which lists every distinct point once)
+    and the prefix matrix over `values`, row i the bitmask of the j with
+    values[i] a prefix of values[j], by comparing every pair of values."""
+    index = {v: i for i, v in enumerate(values)}
+    prefix = tuple(
+        sum(1 << j for j, b in enumerate(values) if b[:len(a)] == a) for a in values
+    )
+    return tuple(index[p] for p in points), prefix
+
+
+def reference_order_type(points):
+    """Lex ranks of the positions among the distinct values, and the
+    quadratic prefix matrix over the distinct values in sorted order."""
+    return reference_classes(points, sorted(set(points)))
+
+
+def reference_qftype0_form(t):
+    return reference_order_type(closure(tuple(t)))
+
+
+def reference_atomic_form(t):
+    return reference_order_type(tuple(t))
+
+
+def reference_delta_form(t):
+    """Meet classes by first occurrence, their quadratic prefix matrix, and
+    the entries' lex ranks."""
+    t = tuple(t)
+    meets = closure(t)
+    lex_ranks, _ = reference_order_type(t)
+    return (*reference_classes(meets, list(dict.fromkeys(meets))), lex_ranks)
+
+
+def reference_find_iso_copy(y, x):
+    """The first combination of x's sorted nodes, in combinations order, whose
+    closure type is y's, as a mapping from y's sorted nodes, or None."""
+    y_tuple = sorted_nodes(y)
+    target = reference_qftype0_form(y_tuple)
+    for candidate in itertools.combinations(sorted_nodes(x), len(y_tuple)):
+        if reference_qftype0_form(candidate) == target:
+            return dict(zip(y_tuple, candidate))
+    return None

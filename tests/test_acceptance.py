@@ -20,7 +20,7 @@ from treeprop.oracles import STRUCTURE
 from treeprop.patterns import (ATP, KATP, SOP1, SOP2, TP, TP2,
                                ConsistencyFamily)
 
-from test_differential import max_chain_bounded_sets
+from references import max_chain_bounded_sets
 
 
 def report(n, text, started):

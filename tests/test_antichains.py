@@ -9,7 +9,7 @@ from treeprop.antichains import (canonical_sets, finite_antichain_stream,
                                  maximal_chain_free_binary, set_key)
 from treeprop.nodes import is_antichain, is_chain
 
-from test_differential import max_chain_bounded_sets
+from references import max_chain_bounded_sets
 
 
 def test_alpha_values():

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from treeprop import TreeDomain, divisor_structure
-from treeprop.cli import main
+from treeprop import TreeDomain, divisor_structure, maximal_antichains
+from treeprop.cli import _catalog_json, main
 
 
 def run(capsys, *argv):
@@ -32,6 +32,14 @@ def test_enum_listing(capsys):
     doc = json.loads(out)
     assert doc["count"] == 2
     assert [""] in doc["items"] and ["0", "1"] in doc["items"]
+
+
+def test_enum_maximal_listing_is_the_catalog_listing(capsys):
+    for n in range(1, 6):
+        code, out, _ = run(capsys, "enum-antichains", "--n", str(n), "--maximal")
+        catalog = maximal_antichains(n)
+        listing = {"count": len(catalog), "items": _catalog_json(catalog.domain, catalog)}
+        assert code == 0 and out == json.dumps(listing, sort_keys=True, indent=2) + "\n"
 
 
 def test_enum_maximal_nonbinary_rejected(capsys):
@@ -189,6 +197,19 @@ def test_enum_antichains_caps_before_listing_nodes(capsys, monkeypatch):
     monkeypatch.setattr(TreeDomain, "nodes", no_nodes)
     code, out, err = run(capsys, "enum-antichains", "--n", "30")
     assert code == 3 and out == "" and "2^1073741823" in err
+
+
+def test_synth_caps_the_family_before_listing_labels(capsys, monkeypatch, tmp_path):
+    def no_nodes(self):
+        raise AssertionError("nodes listed before the cap check")
+    monkeypatch.setattr(TreeDomain, "nodes", no_nodes)
+    for pattern, size in [("sop2", "index set of 1073741823 labels"),
+                          ("katp:40", "family of 1 maximal members over 1073741823 labels")]:
+        out_file = tmp_path / "w.json"
+        code, out, err = run(capsys, "synth", "--pattern", pattern, "--depth", "30",
+                             "--backend", "boolean", "--out", str(out_file))
+        assert code == 3 and out == "" and f"{size} (cap 33554432)" in err
+        assert not out_file.exists()
 
 
 def test_missing_witness_file(capsys, tmp_path):

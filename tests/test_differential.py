@@ -1,13 +1,18 @@
-"""Differential tests of the fast paths against plain references: the
-column-mask consistency family against the pairwise O(m^2) maximality
-filter, the forbidden-set subset scan against a direct enumeration of all
-2^n subsets, the mask recursion for maximal k-chain-free sets against the
-frozenset recursions and the k-chain scan it replaced, and the canonical type
-forms and the grouped ss-ll check against byte-packed relation tables
-compared pair by pair."""
+"""Differential tests of the fast paths against the plain references in
+`references.py`: the column-mask consistency family against the pairwise
+O(m^2) maximality filter, the forbidden-set subset scan against a direct
+enumeration of all 2^n subsets, the mask recursion for maximal k-chain-free
+sets against the frozenset recursions and the k-chain scan it replaced, the
+canonical type forms and the grouped ss-ll check against byte-packed relation
+tables compared pair by pair, and the run-length type forms and the pruned
+iso-copy search against the quadratic prefix matrix and the combination
+scan, with deliberately broken copies that the comparison must catch."""
 
+import functools
+import inspect
 import itertools
 import random
+import textwrap
 from dataclasses import replace
 
 import pytest
@@ -15,161 +20,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeprop import (ConsistencyFamily, FoOracle, FormulaError,
-                      ResourceCapError, TreeDomain, VerificationReport,
-                      Witness, alpha, divisor_structure, enumerate_antichains,
-                      eval_formula, exact_family, make_pattern,
-                      maximal_antichains, oracle_for, parse_formula,
-                      required_consistent, required_inconsistent,
-                      synth_boolean, synth_skolem, verify)
-from treeprop import oracles, qftypes
-from treeprop.antichains import (DEFAULT_SUBSET_CAP, _check_subset_cap,
-                                 canonical_sets, chain_free_count, chains,
+                      ResourceCapError, TreeDomain, Witness, alpha,
+                      divisor_structure, enumerate_antichains, eval_formula,
+                      exact_family, make_pattern, maximal_antichains,
+                      oracle_for, parse_formula, required_consistent,
+                      required_inconsistent, synth_boolean, synth_skolem,
+                      verify)
+from treeprop import antichains, oracles, qftypes
+from treeprop.antichains import (DEFAULT_SUBSET_CAP, canonical_sets,
+                                 chain_free_count, chains,
+                                 find_iso_copy, finite_antichain_stream,
                                  forbidden_free_table, mask_set,
                                  maximal_chain_free_binary,
-                                 maximal_chain_free_masks, maximal_free_masks,
-                                 set_key)
-from treeprop.nodes import closure, concat_set, is_chain, is_prefix, meet
+                                 maximal_chain_free_masks, universal_prefix)
+from treeprop.nodes import closure, incomparable, is_chain
 from treeprop.oracles import SKOLEM, STRUCTURE
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
 from treeprop.synth import nth_prime
 
-
-def reference_from_members(labels, members):
-    """Maximal members by comparing every pair of frozensets, deduplicated
-    in canonical order."""
-    members = [frozenset(m) for m in members if m]
-    if any(not m <= set(labels) for m in members):
-        raise ValueError("members must be subsets of the index set")
-    maximal = [m for m in members if not any(m < other for other in members)]
-    seen, unique = set(), []
-    for m in sorted(maximal, key=set_key):
-        if m not in seen:
-            seen.add(m)
-            unique.append(m)
-    return tuple(unique)
-
-
-def max_chain_bounded_sets(domain, k, cap=DEFAULT_SUBSET_CAP):
-    """All maximal subsets containing no k pairwise comparable elements, by
-    the subset scan over every k-chain, in canonical order; for k=2 these are
-    the maximal antichains (the brute-force reference of criterion 1)."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    _check_subset_cap(domain.node_count(), cap)
-    nodes = list(domain.nodes())
-    k_chains = (c for c in chains(domain) if len(c) == k)
-    maximal = maximal_free_masks(forbidden_free_table(nodes, k_chains, cap))
-    return canonical_sets(mask_set(nodes, m) for m in maximal)
-
-
-def reference_maximal_antichains(n):
-    """The frozenset recursion for maximal antichains: products of the
-    0-/1-prefixed depth-(n-1) catalogs row-major, then {root} last."""
-    items = []
-    for _ in range(n):
-        items = [concat_set((0,), xi) | concat_set((1,), xj)
-                 for xi in items for xj in items] + [frozenset({()})]
-    return items
-
-
-def _has_chain(members, length):
-    """Whether the set contains `length` pairwise comparable distinct nodes."""
-    if length <= 0:
-        return True
-    return any(sum(1 for l in range(len(x) + 1) if x[:l] in members) >= length
-               for x in members)
-
-
-def reference_chain_free_binary(n, k):
-    """The frozenset recursion for maximal k-chain-free sets: with the root,
-    two maximal (k-1)-chain-free parts; without it, two maximal k-chain-free
-    parts whose union holds a (k-1)-chain; sorted into canonical order."""
-    cache = {}
-
-    def rec(depth, bound):
-        if depth == 0 or bound == 1:
-            return [frozenset()]
-        if (depth, bound) not in cache:
-            with_root = rec(depth - 1, bound - 1)
-            without_root = rec(depth - 1, bound)
-            out = [frozenset({()}) | concat_set((0,), a) | concat_set((1,), b)
-                   for a in with_root for b in with_root]
-            for a in without_root:
-                for b in without_root:
-                    s = concat_set((0,), a) | concat_set((1,), b)
-                    if _has_chain(s, bound - 1):
-                        out.append(s)
-            cache[depth, bound] = out
-        return cache[depth, bound]
-
-    return canonical_sets(rec(n, k))
-
-
-def reference_family(labels, members):
-    """The former `from_members` path: sort the distinct members canonically,
-    grow each label's column one bit per member, and keep the members whose
-    columns AND to their own bit. Returns (maximal members, columns)."""
-    unique = sorted({frozenset(m) for m in members if m}, key=set_key)
-
-    def columns_of(sets):
-        columns = {label: 0 for label in labels}
-        for n, member in enumerate(sets):
-            for x in member:
-                columns[x] |= 1 << n
-        return columns
-
-    def containing(columns, subset):
-        acc = -1
-        for x in subset:
-            acc &= columns[x]
-        return acc
-
-    columns = columns_of(unique)
-    maximal = tuple(m for n, m in enumerate(unique) if containing(columns, m) == 1 << n)
-    return maximal, columns_of(maximal)
-
-
-def reference_members(p):
-    """The members the former `exact_family` passed to `from_members`."""
-    if p.kind == ATP:
-        return reference_maximal_antichains(p.depth)
-    if p.kind == KATP:
-        return reference_chain_free_binary(p.depth, p.k)
-    if p.kind == SOP2:
-        domain = p.domain()
-        return [frozenset(leaf[:l] for l in range(len(leaf) + 1))
-                for leaf in domain.level(domain.max_length())]
-    if p.kind == TP2:
-        return [frozenset(enumerate(cols))
-                for cols in itertools.product(range(p.cols), repeat=p.rows)]
-    _, maximal = reference_free_sets(p.index_labels(), required_inconsistent(p))
-    return maximal
-
-
-def reference_free_sets(labels, forbidden):
-    """Every subset of the labels containing no forbidden set, by listing all
-    2^n subsets, and the maximal ones: those no single label extends."""
-    forbidden = [frozenset(f) for f in forbidden]
-    free = [
-        s
-        for r in range(len(labels) + 1)
-        for s in map(frozenset, itertools.combinations(labels, r))
-        if not any(f <= s for f in forbidden)
-    ]
-    free_set = set(free)
-    maximal = [s for s in free
-               if not any(s | {x} in free_set for x in labels if x not in s)]
-    return free, maximal
-
-
-def reference_boolean_params(family):
-    """The boolean witness built member by member: bit n for member n."""
-    params = {label: 0 for label in family.labels}
-    for n, member in enumerate(family.maximal):
-        for label in member:
-            params[label] |= 1 << n
-    return params
-
+from references import (RecordingOracle, has_chain, max_chain_bounded_sets,
+                        reference_atomic, reference_boolean_params,
+                        reference_atomic_form, reference_chain_free_binary,
+                        reference_delta, reference_delta_form,
+                        reference_family, reference_find_iso_copy,
+                        reference_fo_consistent, reference_free_sets,
+                        reference_from_members, reference_maximal_antichains,
+                        reference_members, reference_qftype0,
+                        reference_qftype0_form, reference_ss_ll,
+                        reference_verify)
 
 def random_families(count, seed=20240817):
     """Random families in the style of acceptance criterion 8: 3-6 labels
@@ -334,6 +212,23 @@ def test_chain_free_cap_fires_before_any_work(monkeypatch):
             exact_family(p)
 
 
+def test_family_size_cap_fires_before_any_label(monkeypatch):
+    def no_nodes(self):
+        raise AssertionError("nodes listed before the cap check")
+    monkeypatch.setattr(TreeDomain, "nodes", no_nodes)
+    for p, size in [(make_pattern(SOP2, depth=30), "index set of 1073741823 labels"),
+                    (make_pattern(KATP, depth=30, k=40),
+                     "family of 1 maximal members over 1073741823 labels"),
+                    (make_pattern(KATP, depth=20000, k=20001),
+                     r"family of 1 maximal members over \(at least 2\^19999\) labels"),
+                    (make_pattern(SOP2, depth=20), "family of 524288 maximal members"),
+                    (make_pattern(TP2, rows=40, cols=3), r"at least 2\^40 maximal members"),
+                    (make_pattern(TP2, rows=10, cols=10), "family of 10000000000 maximal"),
+                    (make_pattern(SOP1, depth=30), r"subset scan over 2\^1073741823")]:
+        with pytest.raises(ResourceCapError, match=size):
+            exact_family(p)
+
+
 def test_skolem_bits_bound_holds_on_benchmark_families():
     from treeprop import synth
 
@@ -352,45 +247,11 @@ def test_atp_depth_six_boolean_witness_sets_member_bits():
     labels = p.index_labels()
     for n in random.Random(6).sample(range(len(family.masks)), 1000):
         member = mask_set(labels, family.masks[n])
-        assert not _has_chain(member, 2)
+        assert not has_chain(member, 2)
         assert {x for x in labels if params[x] >> n & 1} == member
 
 
 # --- exhaustive verification against a frozenset per subset ---
-
-def reference_verify(oracle, witness, p):
-    """Exhaustive verification with one frozenset per mask and membership by
-    `exact_family(p).contains`, after the same pattern pass."""
-    labels = p.index_labels()
-    if set(witness.labels) != set(labels):
-        raise ValueError("witness index set does not match the pattern")
-    n_cons = n_incons = 0
-    for subset in required_consistent(p):
-        n_cons += 1
-        if not oracle.consistent(subset):
-            return VerificationReport(False, n_cons, n_incons, True,
-                                      (subset, "consistent", "inconsistent"))
-    for subset in required_inconsistent(p):
-        n_incons += 1
-        if oracle.consistent(subset):
-            return VerificationReport(False, n_cons, n_incons, True,
-                                      (subset, "inconsistent", "consistent"))
-    family = exact_family(p)
-    n_cons = n_incons = 0
-    for mask in range(1, 1 << len(labels)):
-        subset = mask_set(labels, mask)
-        expected = family.contains(subset)
-        actual = oracle.consistent(subset)
-        if expected:
-            n_cons += 1
-        else:
-            n_incons += 1
-        if expected != actual:
-            want = "consistent" if expected else "inconsistent"
-            got = "consistent" if actual else "inconsistent"
-            return VerificationReport(False, n_cons, n_incons, True, (subset, want, got))
-    return VerificationReport(True, n_cons, n_incons, True)
-
 
 VERIFY_SPECS = (
     [make_pattern(kind, depth=d) for kind in (ATP, SOP1, SOP2) for d in range(1, 5)]
@@ -398,22 +259,6 @@ VERIFY_SPECS = (
     + [make_pattern(TP, branching=3, depth=3, k=k) for k in (2, 3)]
     + [make_pattern(TP2, rows=r, cols=c) for r in range(1, 4) for c in range(1, 5)]
 )
-
-
-class RecordingOracle:
-    """Forwards to an oracle, keeping each subset it was asked about and, when
-    given a target, inverting the verdict on that one subset."""
-
-    def __init__(self, oracle, target=None):
-        self.oracle = oracle
-        self.target = target
-        self.seen = []
-
-    def consistent(self, labels) -> bool:
-        subset = frozenset(labels)
-        self.seen.append(subset)
-        verdict = self.oracle.consistent(labels)
-        return not verdict if subset == self.target else verdict
 
 
 def _same_as_reference(witness, p, target=None):
@@ -491,6 +336,25 @@ def test_exhaustive_verify_counterexamples_match_reference():
     assert failures > len(VERIFY_SPECS)
 
 
+def test_exhaustive_atp_verify_scans_the_two_chains_once(monkeypatch):
+    from treeprop import patterns
+
+    def no_catalog(*args, **kwargs):
+        raise AssertionError("antichains enumerated apart from the membership table")
+    scans = []
+
+    def counting_scan(labels, forbidden, cap):
+        scans.append(len(labels))
+        return forbidden_free_table(labels, forbidden, cap)
+    monkeypatch.setattr(patterns, "enumerate_antichains", no_catalog)
+    monkeypatch.setattr(patterns, "forbidden_free_table", counting_scan)
+    for p in [make_pattern(ATP, depth=4), make_pattern(KATP, depth=4, k=2)]:
+        witness = synth_skolem(exact_family(p))
+        scans.clear()
+        assert verify(oracle_for(witness), witness, p, exhaustive=True).passed
+        assert scans == [15]
+
+
 def test_scanner_table_is_exact_family_membership():
     for p in VERIFY_SPECS:
         labels = p.index_labels()
@@ -502,59 +366,6 @@ def test_scanner_table_is_exact_family_membership():
 
 
 # --- type forms against byte-packed relation tables ---
-
-def _pack_bits(bits) -> bytes:
-    out = bytearray()
-    acc = n = 0
-    for bit in bits:
-        acc = (acc << 1) | (1 if bit else 0)
-        n += 1
-        if n == 8:
-            out.append(acc)
-            acc = n = 0
-    if n:
-        out.append(acc << (8 - n))
-    return bytes(out)
-
-
-def _relation_bytes(arity, points):
-    below = (is_prefix(a, b) for a in points for b in points)
-    lex = (a < b for a in points for b in points)
-    return arity.to_bytes(4, "big") + _pack_bits(below) + _pack_bits(lex)
-
-
-def reference_qftype0(t):
-    """The prefix and lex tables over the closure tuple, as bytes."""
-    return _relation_bytes(len(t), closure(t))
-
-
-def reference_atomic(t):
-    return _relation_bytes(len(t), t)
-
-
-def reference_delta(t):
-    """The meet-comparison tensor over all (i, j, k, l) and the lex table."""
-    n = len(t)
-    meets = [[meet(a, b) for b in t] for a in t]
-    delta = (is_prefix(meets[i][j], meets[k][l])
-             for i, j, k, l in itertools.product(range(n), repeat=4))
-    lex = (a < b for a in t for b in t)
-    return n.to_bytes(4, "big") + _pack_bits(delta) + _pack_bits(lex)
-
-
-def reference_ss_ll(branching, leaf_depth, tuple_len,
-                    delta=reference_delta,
-                    closure_type=lambda t: reference_qftype0(closure(t))):
-    """The lemma check over all T^2 ordered pairs of leaf tuples; the closure
-    side is the type of the closure tuple, as the lemma states it."""
-    leaves = list(TreeDomain(branching, leaf_depth, include_leaves=True).level(leaf_depth))
-    tuples = list(itertools.permutations(leaves, tuple_len))
-    keys = [(delta(t), closure_type(t)) for t in tuples]
-    for (t1, (d1, c1)), (t2, (d2, c2)) in itertools.product(zip(tuples, keys), repeat=2):
-        if (d1 == d2) != (c1 == c2):
-            return False, len(tuples), (t1, t2, d1 == d2, c1 == c2)
-    return True, len(tuples), None
-
 
 def same_partition(keys_a, keys_b):
     """Whether a[i] == a[j] exactly when b[i] == b[j], for every pair i, j:
@@ -638,27 +449,114 @@ def test_broken_forms_give_real_counterexamples(monkeypatch):
             _assert_real_counterexample(report, delta, closure_type, case)
 
 
+# --- run-length forms and the pruned iso search against the quadratic
+# prefix matrix and the combination scan ---
+
+def _random_antichain(domain, rng, size):
+    """Up to `size` nodes of the domain, taken in a random order when
+    incomparable with every node taken before."""
+    nodes = list(domain.nodes())
+    rng.shuffle(nodes)
+    out = []
+    for x in nodes:
+        if len(out) < size and all(incomparable(x, y) for y in out):
+            out.append(x)
+    return frozenset(out)
+
+
+@functools.lru_cache(maxsize=None)
+def iso_cases():
+    """(y, x, the combination scan's mapping): the first m stream antichains
+    into universal_prefix(m) for m in 5, 12 and 20, and random antichains
+    into random antichains of TreeDomain(2, 5) and TreeDomain(3, 3)."""
+    pairs = []
+    for m in (5, 12, 20):
+        host = universal_prefix(m)
+        pairs += [(y, host) for y in itertools.islice(finite_antichain_stream(), m)]
+    rng = random.Random(7)
+    for domain in (TreeDomain(2, 5), TreeDomain(3, 3)):
+        for _ in range(60):
+            host = _random_antichain(domain, rng, rng.randint(1, 10))
+            pairs.append((_random_antichain(domain, rng, rng.randint(1, 4)), host))
+    return tuple((y, x, reference_find_iso_copy(y, x)) for y, x in pairs)
+
+
+def iso_mismatches(find):
+    return [(y, x) for y, x, expected in iso_cases() if find(y, x) != expected]
+
+
+def test_iso_search_matches_the_combination_scan():
+    cases = iso_cases()
+    assert iso_mismatches(find_iso_copy) == []
+    found = [expected is not None for _, _, expected in cases]
+    assert all(found[:5 + 12 + 20])  # the universal antichains hold every copy
+    assert 10 < found.count(False) and 40 < found.count(True)
+    with pytest.raises(ValueError):
+        find_iso_copy(frozenset(), universal_prefix(3))
+
+
+def _form_values(tuples):
+    return [(qftypes.qftype0(t), qftypes.atomic_pattern(t), qftypes.delta_type(t))
+            for t in tuples]
+
+
+def _reference_form_values(tuples):
+    return [(reference_qftype0_form(t), reference_atomic_form(t), reference_delta_form(t))
+            for t in tuples]
+
+
+FORM_TUPLES = [t for case in [(2, 2, 3), (3, 1, 3), (2, 3, 2)] for t in _leaf_tuples(*case)] + [
+    ((), (0,), (0, 1), (0,)), ((1, 0), (0,), (1, 0), (), (1,)), ((0, 0, 1), (0, 1), (0,))]
+
+
+def test_run_length_forms_equal_the_quadratic_forms():
+    assert _form_values(FORM_TUPLES) == _reference_form_values(FORM_TUPLES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_tuples)
+def test_run_length_forms_equal_the_quadratic_forms_on_random_tuples(t):
+    assert _form_values([t]) == _reference_form_values([t])
+
+
+def mutant(module, name, old, new):
+    """A copy of module.name with one change to its source, defined in a copy
+    of the module's namespace, so the module itself is untouched."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+def test_broken_iso_searches_fail_the_gate():
+    breaks = [
+        # pruning a choice of j + 1 nodes on the type of y's first j nodes
+        ("qftype0(candidate) == targets[j]", "qftype0(candidate) == targets[j - 1]"),
+        # never trying the last host node that still leaves room for the rest
+        ("start <= n - k + j", "start < n - k + j"),
+    ]
+    for old, new in breaks:
+        assert iso_mismatches(mutant(antichains, "find_iso_copy", old, new)), new
+
+
+def test_broken_run_length_forms_fail_the_gate(monkeypatch):
+    breaks = [
+        # a run that goes on past the first value that does not extend it,
+        # while the first digit agrees
+        ("_prefix_runs", "if b[:len(a)] == a:", "if b[:1] == a[:1]:"),
+        # the runs still open at the end stopping one value short
+        ("_prefix_runs", "runs[i] = len(values) - i\n", "runs[i] = len(values) - i - 1\n"),
+        # delta rows left in sorted order instead of moved to the meet classes
+        ("delta_type", "= bits[k + run] ^ bits[k]", "= ((1 << run) - 1) << k"),
+    ]
+    for name, old, new in breaks:
+        with monkeypatch.context() as patch:
+            patch.setattr(qftypes, name, mutant(qftypes, name, old, new))
+            assert _form_values(FORM_TUPLES) != _reference_form_values(FORM_TUPLES), new
+
+
 # --- the first-order oracle's memo against fresh evaluation ---
-
-def reference_fo_consistent(oracle, labels):
-    """FoOracle.consistent with the formula evaluated afresh for every
-    element and parameter."""
-    labels = list(labels)
-    if not labels:
-        return True
-    for x in oracle.structure.universe:
-        ok = True
-        for i in labels:
-            p = oracle.witness.params[i]
-            assignment = {oracle.x_var: x}
-            assignment.update(zip(oracle.y_vars, p if isinstance(p, tuple) else (p,)))
-            if not eval_formula(oracle.structure, oracle.formula, assignment):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
 
 def _all_subsets(labels):
     return [[x for i, x in enumerate(labels) if mask >> i & 1]
