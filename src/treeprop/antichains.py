@@ -1,18 +1,21 @@
 """Antichain enumeration and construction.
 
 Index subsets are int bitmasks over a canonical label order (bit i is the
-i-th label). `forbidden_free_table` is the one subset scanner and `chains`
-the one chain generator; `maximal_chain_free_masks` is the one tree
-recursion, and for the binary tree it replaces the scan, which stays as its
-brute-force reference next to the tests.
+i-th label). `subtree_walk` lists every nonempty chain or antichain of a
+tree domain; `forbidden_free_table` is the one subset scanner;
+`maximal_chain_free_masks` is the one tree recursion, and for the binary
+tree it replaces the scan, which stays as its brute-force reference next to
+the tests.
 
 Canonical orders used throughout:
   * a node set is canonically presented as its lex-sorted tuple of nodes;
   * a list of node sets is canonically ordered by comparing those tuples;
-    the recursion emits its members in that order (the sets holding the
-    root first), so its catalogs need no sort;
+    the walk and the recursion emit their sets in that order (the
+    recursion's sets holding the root first), so their listings need no sort;
   * the enumeration X_0, X_1, ... of all finite nonempty binary antichains
-    is by depth of first appearance, then canonical set order within a depth.
+    is by depth of first appearance, then canonical set order within a
+    depth: depth d brings the antichains of TreeDomain(2, d) whose longest
+    node has length d - 1, the ones that no shallower domain holds.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import FrozenSet, Iterator, List, Tuple
 
 from .errors import ResourceCapError
 from .nodes import Node, TreeDomain, concat_set, sorted_nodes
+from .qftypes import qftype0
 
 NodeSet = FrozenSet[Node]
 
@@ -74,8 +78,14 @@ def count_antichains(branching: int, depth: int, nonempty: bool = True) -> int:
 
 
 def mask_set(labels, mask: int) -> frozenset:
-    """The labels whose bits are set in the mask (bit i is labels[i])."""
-    return frozenset(x for i, x in enumerate(labels) if mask >> i & 1)
+    """The labels whose bits are set in the mask (bit i is labels[i]), taken
+    lowest bit first, so a sparse mask over many labels costs its set bits."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(labels[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
 
 
 def _shown(n: int):
@@ -120,24 +130,36 @@ def maximal_free_masks(free: bytearray) -> List[int]:
             if free[mask] and all(mask >> i & 1 or not free[mask | 1 << i] for i in range(n))]
 
 
-def chains(domain: TreeDomain) -> Iterator[NodeSet]:
-    """Every nonempty chain of the domain, once each: a node together with
-    any subset of its proper prefixes."""
-    for node in domain.nodes():
-        below = [node[:l] for l in range(len(node))]
-        for r in range(len(below) + 1):
-            for combo in itertools.combinations(below, r):
-                yield frozenset(combo + (node,))
+def subtree_walk(domain: TreeDomain, chains: bool = False) -> Iterator[int]:
+    """Every nonempty antichain (or, with chains, every nonempty chain) of the
+    domain once, as a mask over its nodes in lex order, in canonical order.
+    In lex order the subtree of node i is the run of size[i] nodes from i on,
+    so a set holding i extends by a node past that run (antichains) or inside
+    it (chains). A depth-first walk that tries the nodes in increasing order
+    emits each set before its extensions, which is canonical set order."""
+    b, top = domain.branching, domain.max_length()
+    size = [(b ** (top - len(x) + 1) - 1) // (b - 1) for x in domain.nodes()]
+    stack = [(0, 0, len(size))]  # (set, next node to try, end of its window)
+    while stack:
+        mask, i, hi = stack.pop()
+        if i < hi:
+            stack.append((mask, i + 1, hi))  # the sets without node i come after
+            mask |= 1 << i
+            yield mask
+            if chains:
+                stack.append((mask, i + 1, i + size[i]))
+            else:
+                stack.append((mask, i + size[i], hi))
 
 
-def enumerate_antichains(domain: TreeDomain, nonempty: bool = True,
+def enumerate_antichains(domain: TreeDomain,
                          cap: int = DEFAULT_SUBSET_CAP) -> AntichainCatalog:
+    """Every nonempty antichain of the domain, from `subtree_walk`, in
+    canonical order. Every antichain is a subset of the n nodes, so 2^n bounds
+    the listing: it is refused past the subset cap before any node is listed."""
     _check_subset_cap(domain.node_count(), cap)
     nodes = list(domain.nodes())
-    pairs = (c for c in chains(domain) if len(c) == 2)
-    free = forbidden_free_table(nodes, pairs, cap)
-    items = [mask_set(nodes, m) for m in range(1 if nonempty else 0, len(free)) if free[m]]
-    return AntichainCatalog(domain, tuple(canonical_sets(items)))
+    return AntichainCatalog(domain, tuple(mask_set(nodes, m) for m in subtree_walk(domain)))
 
 
 def chain_free_count(n: int, k: int, cap: int) -> int:
@@ -203,16 +225,12 @@ def maximal_chain_free_binary(n: int, k: int) -> List[NodeSet]:
 
 def finite_antichain_stream() -> Iterator[NodeSet]:
     """The canonical enumeration X_0, X_1, ... of all finite nonempty binary
-    antichains: by depth of first appearance, canonical set order within."""
-    seen = set()
-    depth = 1
-    while True:
-        catalog = enumerate_antichains(TreeDomain(2, depth))
-        for item in catalog:
-            if item not in seen:
-                seen.add(item)
+    antichains: by depth of first appearance, canonical set order within.
+    The antichains new at depth d are those with a node of length d - 1."""
+    for depth in itertools.count(1):
+        for item in enumerate_antichains(TreeDomain(2, depth)):
+            if any(len(x) == depth - 1 for x in item):
                 yield item
-        depth += 1
 
 
 def universal_prefix(m: int) -> NodeSet:
@@ -236,8 +254,6 @@ def find_iso_copy(y: NodeSet, x: NodeSet):
     equal types of the whole tuples give equal types of every prefix. The
     order is kept, so the first copy found is the first combination that
     matches."""
-    from .qftypes import qftype0
-
     y_tuple = sorted_nodes(y)
     k = len(y_tuple)
     # targets[j] is the type of y's first j + 1 nodes; an empty y raises here

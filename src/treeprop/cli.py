@@ -17,7 +17,7 @@ from .errors import ResourceCapError, TreepropError
 from .formulas import FiniteStructure, eval_formula, parse_formula
 from .nodes import TreeDomain, node_str
 from .oracles import oracle_for
-from .patterns import TP2, KATP, ATP, TP, make_pattern, verify
+from .patterns import ATP, KATP, TP2, exact_family, make_pattern, verify
 from .qftypes import verify_ss_ll
 from .synth import synth_boolean, synth_skolem
 from .transforms import (ConjunctionOracle, TupleWitness, elongate, fatten,
@@ -32,10 +32,16 @@ def _parse_pattern_arg(text: str, branching: int, depth: int, rows: int, cols: i
     return make_pattern(kind, branching=branching, depth=depth, k=k)
 
 
-def _catalog_json(domain: TreeDomain, items) -> list:
-    return sorted(
-        sorted(node_str(x, domain.branching) for x in item) for item in items
-    )
+def _listing(domain: TreeDomain, masks) -> dict:
+    """The node sets given as masks over the domain's nodes, as lists of node
+    strings, each string made once and picked per mask. Masks in canonical
+    order give the sorted order of the string lists, except that dotted names
+    (branching > 10) do not sort like nodes, so those lists are sorted."""
+    bits = [(1 << i, node_str(x, domain.branching)) for i, x in enumerate(domain.nodes())]
+    items = [[x for bit, x in bits if mask & bit] for mask in masks]
+    if domain.branching > 10:
+        items = sorted(sorted(item) for item in items)
+    return {"count": len(items), "items": items}
 
 
 def _print(data) -> None:
@@ -59,24 +65,17 @@ def _cmd_enum(args) -> int:
         if args.count_only:
             _print(f"{antichains.alpha(args.n)}\n")
             return 0
-        # each node string is made once and picked per mask; the masks come
-        # in canonical order, which is the sorted order of their string lists
-        bits = [(1 << i, node_str(x)) for i, x in enumerate(domain.nodes())]
-        items = [[x for bit, x in bits if mask & bit]
-                 for mask in antichains.maximal_chain_free_masks(args.n, 2)]
-        _print({"count": len(items), "items": items})
+        _print(_listing(domain, antichains.maximal_chain_free_masks(args.n, 2)))
         return 0
     if args.count_only:
         _print(f"{antichains.count_antichains(args.b, args.n, nonempty=True)}\n")
         return 0
-    catalog = antichains.enumerate_antichains(domain)
-    _print({"count": len(catalog), "items": _catalog_json(domain, catalog)})
+    antichains._check_subset_cap(domain.node_count(), antichains.DEFAULT_SUBSET_CAP)
+    _print(_listing(domain, antichains.subtree_walk(domain)))
     return 0
 
 
 def _cmd_synth(args) -> int:
-    from .patterns import exact_family
-
     pattern = _parse_pattern_arg(args.pattern, args.b, args.depth, args.rows, args.cols)
     family = exact_family(pattern)
     witness = synth_skolem(family) if args.backend == "skolem" else synth_boolean(family)

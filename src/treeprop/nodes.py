@@ -55,10 +55,6 @@ def node_str(node: Node, branching: int = 2) -> str:
     return "".join(str(d) for d in node)
 
 
-def length(node: Node) -> int:
-    return len(node)
-
-
 def is_prefix(eta: Node, nu: Node) -> bool:
     """The prefix order (non-strict): eta is an initial segment of nu."""
     return nu[: len(eta)] == eta
@@ -157,10 +153,6 @@ class TreeDomain:
 
     def level(self, n: int) -> Iterator[Node]:
         return itertools.product(range(self.branching), repeat=n)
-
-
-def enumerate_nodes(domain: TreeDomain) -> list:
-    return list(domain.nodes())
 
 
 def sorted_nodes(nodes: Iterable[Node]) -> Tuple[Node, ...]:

@@ -8,7 +8,7 @@ verdict against family membership on every nonempty index subset, reading
 membership from the subset scanner's table of forbidden-free masks.
 
 Families and the tree patterns' required sets come from the tree recursion,
-the subset scanner and the chain generator in `antichains`. A
+the subset scanner and the chain and antichain walk in `antichains`. A
 `ConsistencyFamily` stores its maximal members as masks and each label's
 column, the bitmask of the members containing it; membership and both
 synthesized witnesses read the columns. Members given from outside are
@@ -20,12 +20,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .antichains import (DEFAULT_SUBSET_CAP, _check_subset_cap, _shown, alpha,
-                         canonical_sets, chain_free_count, chains,
-                         enumerate_antichains, forbidden_free_table, mask_set,
-                         maximal_chain_free_masks, maximal_free_masks, set_key)
+                         canonical_sets, chain_free_count, enumerate_antichains,
+                         forbidden_free_table, mask_set,
+                         maximal_chain_free_masks, maximal_free_masks, set_key,
+                         subtree_walk)
 from .errors import ResourceCapError
 from .nodes import TreeDomain, is_prefix
 
@@ -113,7 +114,8 @@ def required_consistent(p: PatternSpec) -> List[FrozenSet]:
     if p.kind in (ATP, KATP):
         return list(enumerate_antichains(p.domain()).items)
     if p.kind in (SOP1, SOP2, TP):
-        return canonical_sets(chains(p.domain()))
+        labels = p.index_labels()
+        return [mask_set(labels, m) for m in subtree_walk(p.domain(), chains=True)]
     if p.kind == TP2:
         out = []
         for r in range(1, p.rows + 1):
@@ -128,7 +130,8 @@ def required_inconsistent(p: PatternSpec) -> List[FrozenSet]:
     labels = p.index_labels()
     if p.kind in (ATP, KATP):
         k = 2 if p.kind == ATP else p.k
-        return canonical_sets(c for c in chains(p.domain()) if len(c) == k)
+        return [mask_set(labels, m) for m in subtree_walk(p.domain(), chains=True)
+                if m.bit_count() == k]
     if p.kind == SOP2:
         return canonical_sets(
             frozenset({a, b})
@@ -329,22 +332,6 @@ def _subset_table(labels) -> List[Tuple]:
     return table
 
 
-def _free_masks_in_set_order(free: bytearray) -> Iterator[int]:
-    """The nonzero free masks of a scan table in canonical set order over
-    labels in canonical order: each mask, then its extensions by higher bits.
-    Free masks are closed under subsets, so only free masks are extended."""
-    n = len(free).bit_length() - 1
-
-    def extend(mask: int, start: int) -> Iterator[int]:
-        for i in range(start, n):
-            bigger = mask | 1 << i
-            if free[bigger]:
-                yield bigger
-                yield from extend(bigger, i + 1)
-
-    return extend(0, 0)
-
-
 def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False,
            cap: int = DEFAULT_SUBSET_CAP) -> VerificationReport:
     """Check the witness against the pattern through the oracle. Pattern mode
@@ -353,9 +340,7 @@ def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False,
     increasing mask order. The exact family is the subset closure of the
     maximal sets free of `required_inconsistent(p)`, so membership is read
     from the subset scanner's table, one byte per mask; the 2^n cap is checked
-    before any other work. When the forbidden sets are the 2-chains (ATP), the
-    required consistent sets, the nonempty antichains, are the table's nonzero
-    free masks, so the exhaustive check scans the 2-chains once."""
+    before any other work."""
     if exhaustive:
         _check_subset_cap(p.index_count(), cap)
     labels = p.index_labels()
@@ -369,13 +354,8 @@ def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False,
         half = len(labels) // 2
         low, high = _subset_table(labels[:half]), _subset_table(labels[half:])
         low_bits = (1 << half) - 1
-    if exhaustive and (p.kind == ATP or p.kind == KATP and p.k == 2):
-        required = (frozenset(low[m & low_bits] + high[m >> half])
-                    for m in _free_masks_in_set_order(free))
-    else:
-        required = required_consistent(p)
     n_cons = n_incons = 0
-    for subset in required:
+    for subset in required_consistent(p):
         n_cons += 1
         if not oracle.consistent(subset):
             return VerificationReport(False, n_cons, n_incons, exhaustive,

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import WitnessError
+from .nodes import node_str, parse_node
 from .oracles import BOOLEAN, Witness
 from .patterns import TP2, PatternSpec
 from .transforms import TupleWitness
@@ -36,8 +37,6 @@ VERSION = 1
 def label_str(pattern: PatternSpec, label) -> str:
     if pattern.kind == TP2:
         return f"{label[0]},{label[1]}"
-    from .nodes import node_str
-
     return node_str(label, pattern.branching)
 
 
@@ -47,8 +46,6 @@ def _label_parser(pattern: PatternSpec):
             row, col = text.split(",")
             return (int(row), int(col))
         return parse
-    from .nodes import parse_node
-
     return lambda text: parse_node(text, pattern.branching)
 
 

@@ -4,7 +4,9 @@ library's fast paths replaced, kept next to the tests that compare them.
 Families and scans: the pairwise maximality filter, the frozenset recursions
 for maximal antichains and k-chain-free sets, the subset scan over every
 k-chain, a direct listing of all 2^n subsets, and the member-by-member
-boolean witness. Verification: one frozenset per subset with membership by
+boolean witness. Chains and antichains: the chain generator over prefix
+subsets, the antichain listing from the scan over the 2-chains, the required
+sets and the antichain stream built on them, and the sorted CLI listing. Verification: one frozenset per subset with membership by
 `ConsistencyFamily.contains`, and an oracle wrapper that records what it is
 asked. Types: byte-packed relation tables, the pairwise ss-ll check, the
 quadratic prefix matrix over every pair of values, and the combination scan
@@ -15,12 +17,72 @@ import itertools
 
 from treeprop import (VerificationReport, eval_formula, exact_family,
                       required_consistent, required_inconsistent)
-from treeprop.antichains import (DEFAULT_SUBSET_CAP, _check_subset_cap,
-                                 canonical_sets, chains, forbidden_free_table,
+from treeprop.antichains import (DEFAULT_SUBSET_CAP, AntichainCatalog,
+                                 _check_subset_cap, canonical_sets,
+                                 forbidden_free_table,
                                  mask_set, maximal_free_masks, set_key)
 from treeprop.nodes import (TreeDomain, closure, concat_set, is_prefix, meet,
-                            sorted_nodes)
-from treeprop.patterns import ATP, KATP, SOP2, TP2
+                            node_str, sorted_nodes)
+from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
+
+
+def chains(domain):
+    """Every nonempty chain of the domain, once each and out of order: a node
+    together with any subset of its proper prefixes."""
+    for node in domain.nodes():
+        below = [node[:l] for l in range(len(node))]
+        for r in range(len(below) + 1):
+            for combo in itertools.combinations(below, r):
+                yield frozenset(combo + (node,))
+
+
+def reference_enumerate_antichains(domain, cap=DEFAULT_SUBSET_CAP):
+    """The nonempty antichains as the nonzero masks of the subset scan over
+    the 2-chains, sorted into canonical order."""
+    _check_subset_cap(domain.node_count(), cap)
+    nodes = list(domain.nodes())
+    pairs = (c for c in chains(domain) if len(c) == 2)
+    free = forbidden_free_table(nodes, pairs, cap)
+    items = [mask_set(nodes, m) for m in range(1, len(free)) if free[m]]
+    return AntichainCatalog(domain, tuple(canonical_sets(items)))
+
+
+def reference_required_consistent(p):
+    """The tree patterns' required consistent sets from the scan and the
+    sorted chains; the array pattern's are the library's."""
+    if p.kind in (ATP, KATP):
+        return list(reference_enumerate_antichains(p.domain()).items)
+    if p.kind in (SOP1, SOP2, TP):
+        return canonical_sets(chains(p.domain()))
+    return required_consistent(p)
+
+
+def reference_required_inconsistent(p):
+    """ATP's 2-chains and k-ATP's k-chains, sorted; the other patterns' are
+    the library's."""
+    if p.kind in (ATP, KATP):
+        k = 2 if p.kind == ATP else p.k
+        return canonical_sets(c for c in chains(p.domain()) if len(c) == k)
+    return required_inconsistent(p)
+
+
+def reference_antichain_stream():
+    """The antichain stream that rescans every depth and skips the antichains
+    it has seen."""
+    seen = set()
+    depth = 1
+    while True:
+        for item in reference_enumerate_antichains(TreeDomain(2, depth)):
+            if item not in seen:
+                seen.add(item)
+                yield item
+        depth += 1
+
+
+def reference_catalog_json(domain, items):
+    """The `enum-antichains` listing of the node sets: each set's sorted node
+    strings, the lists sorted."""
+    return sorted(sorted(node_str(x, domain.branching) for x in item) for item in items)
 
 
 def reference_from_members(labels, members):

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
-from treeprop import TreeDomain, divisor_structure, maximal_antichains
-from treeprop.cli import _catalog_json, main
+from treeprop import (TreeDomain, divisor_structure, enumerate_antichains,
+                      maximal_antichains)
+from treeprop.cli import main
+
+from references import reference_catalog_json
 
 
 def run(capsys, *argv):
@@ -38,7 +41,18 @@ def test_enum_maximal_listing_is_the_catalog_listing(capsys):
     for n in range(1, 6):
         code, out, _ = run(capsys, "enum-antichains", "--n", str(n), "--maximal")
         catalog = maximal_antichains(n)
-        listing = {"count": len(catalog), "items": _catalog_json(catalog.domain, catalog)}
+        listing = {"count": len(catalog),
+                   "items": reference_catalog_json(catalog.domain, catalog)}
+        assert code == 0 and out == json.dumps(listing, sort_keys=True, indent=2) + "\n"
+
+
+def test_enum_listing_is_the_sorted_catalog_listing(capsys):
+    # dotted names (b = 11) do not sort like nodes
+    for b, n in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (11, 2)]:
+        code, out, _ = run(capsys, "enum-antichains", "--b", str(b), "--n", str(n))
+        catalog = enumerate_antichains(TreeDomain(b, n))
+        listing = {"count": len(catalog),
+                   "items": reference_catalog_json(catalog.domain, catalog)}
         assert code == 0 and out == json.dumps(listing, sort_keys=True, indent=2) + "\n"
 
 

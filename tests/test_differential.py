@@ -6,7 +6,9 @@ sets against the frozenset recursions and the k-chain scan it replaced, the
 canonical type forms and the grouped ss-ll check against byte-packed relation
 tables compared pair by pair, and the run-length type forms and the pruned
 iso-copy search against the quadratic prefix matrix and the combination
-scan, with deliberately broken copies that the comparison must catch."""
+scan, the subtree walk over chains and antichains against brute force and
+the scan and sorts it replaced, with deliberately broken copies that the
+comparison must catch."""
 
 import functools
 import inspect
@@ -28,17 +30,20 @@ from treeprop import (ConsistencyFamily, FoOracle, FormulaError,
                       verify)
 from treeprop import antichains, oracles, qftypes
 from treeprop.antichains import (DEFAULT_SUBSET_CAP, canonical_sets,
-                                 chain_free_count, chains,
-                                 find_iso_copy, finite_antichain_stream,
+                                 chain_free_count, find_iso_copy,
+                                 finite_antichain_stream,
                                  forbidden_free_table, mask_set,
                                  maximal_chain_free_binary,
-                                 maximal_chain_free_masks, universal_prefix)
-from treeprop.nodes import closure, incomparable, is_chain
+                                 maximal_chain_free_masks, subtree_walk,
+                                 universal_prefix)
+from treeprop.nodes import closure, incomparable, is_antichain, is_chain
 from treeprop.oracles import SKOLEM, STRUCTURE
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
 from treeprop.synth import nth_prime
 
-from references import (RecordingOracle, has_chain, max_chain_bounded_sets,
+from references import (RecordingOracle, chains, has_chain,
+                        max_chain_bounded_sets,
+                        reference_antichain_stream,
                         reference_atomic, reference_boolean_params,
                         reference_atomic_form, reference_chain_free_binary,
                         reference_delta, reference_delta_form,
@@ -46,7 +51,9 @@ from references import (RecordingOracle, has_chain, max_chain_bounded_sets,
                         reference_fo_consistent, reference_free_sets,
                         reference_from_members, reference_maximal_antichains,
                         reference_members, reference_qftype0,
-                        reference_qftype0_form, reference_ss_ll,
+                        reference_qftype0_form,
+                        reference_required_consistent,
+                        reference_required_inconsistent, reference_ss_ll,
                         reference_verify)
 
 def random_families(count, seed=20240817):
@@ -339,20 +346,93 @@ def test_exhaustive_verify_counterexamples_match_reference():
 def test_exhaustive_atp_verify_scans_the_two_chains_once(monkeypatch):
     from treeprop import patterns
 
-    def no_catalog(*args, **kwargs):
-        raise AssertionError("antichains enumerated apart from the membership table")
     scans = []
 
     def counting_scan(labels, forbidden, cap):
         scans.append(len(labels))
         return forbidden_free_table(labels, forbidden, cap)
-    monkeypatch.setattr(patterns, "enumerate_antichains", no_catalog)
     monkeypatch.setattr(patterns, "forbidden_free_table", counting_scan)
+    monkeypatch.setattr(antichains, "forbidden_free_table", counting_scan)
     for p in [make_pattern(ATP, depth=4), make_pattern(KATP, depth=4, k=2)]:
         witness = synth_skolem(exact_family(p))
         scans.clear()
         assert verify(oracle_for(witness), witness, p, exhaustive=True).passed
         assert scans == [15]
+
+
+# --- the subtree walk against brute force and the former scan and sorts ---
+
+# (branching, depth) domains where every subset, or for chains every subset
+# of at most depth nodes, can be listed and filtered
+WALK_DOMAINS = [(2, d) for d in range(1, 5)] + [(3, 1), (3, 2), (3, 3), (4, 1),
+                                               (4, 2), (11, 1), (11, 2)]
+CHAIN_DOMAINS = WALK_DOMAINS + [(2, 5), (3, 4), (4, 3), (11, 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def brute_masks(domain, chains):
+    """The nonempty antichains, or chains, of the domain as masks, in canonical
+    order: node combinations (for chains, of at most depth nodes) filtered by
+    is_antichain or is_chain, then sorted."""
+    nodes = list(domain.nodes())
+    index = {x: i for i, x in enumerate(nodes)}
+    most, keep = (domain.depth, is_chain) if chains else (len(nodes), is_antichain)
+    sets = canonical_sets(c for r in range(1, most + 1)
+                          for c in itertools.combinations(nodes, r) if keep(c))
+    return [sum(1 << index[x] for x in s) for s in sets]
+
+
+def walk_mismatches(walk):
+    """The domains on which the walk lists other antichains or chains than
+    brute force, or in another order. The walk is read only up to its first
+    difference, so a walk that repeats a set forever is caught too."""
+    bad = []
+    for chains, domains in [(False, WALK_DOMAINS), (True, CHAIN_DOMAINS)]:
+        for b, depth in domains:
+            domain = TreeDomain(b, depth)
+            pairs = itertools.zip_longest(walk(domain, chains=chains),
+                                          brute_masks(domain, chains))
+            if any(x != y for x, y in pairs):
+                bad.append((b, depth, chains))
+    return bad
+
+
+def test_subtree_walk_matches_brute_force():
+    assert walk_mismatches(subtree_walk) == []
+
+
+def test_broken_walks_fail_the_gate():
+    breaks = [
+        # an antichain extended from the last node of the chosen node's subtree
+        ("(mask, i + size[i], hi)", "(mask, i + size[i] - 1, hi)"),
+        # a chain extended by the node just past the chosen node's subtree
+        ("(mask, i + 1, i + size[i])", "(mask, i + 1, i + size[i] + 1)"),
+    ]
+    for old, new in breaks:
+        assert walk_mismatches(mutant(antichains, "subtree_walk", old, new)), new
+
+
+def _outcome(f, p):
+    try:
+        return f(p)
+    except ResourceCapError as exc:
+        return str(exc)
+
+
+def test_required_sets_match_the_former_scan_and_sorts():
+    for p in VERIFY_SPECS + BENCH_SPECS:
+        assert _outcome(required_consistent, p) == _outcome(reference_required_consistent, p), p
+        assert (_outcome(required_inconsistent, p)
+                == _outcome(reference_required_inconsistent, p)), p
+    # the depth-5 antichains stay past the subset cap
+    assert "2^31" in _outcome(required_consistent, make_pattern(ATP, depth=5))
+
+
+def test_stream_matches_the_seen_set_stream():
+    new = list(itertools.islice(finite_antichain_stream(), 676))
+    assert new == list(itertools.islice(reference_antichain_stream(), 676))
+    with pytest.raises(ResourceCapError):
+        next(itertools.islice(finite_antichain_stream(), 676, None))
 
 
 def test_scanner_table_is_exact_family_membership():
