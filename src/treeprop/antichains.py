@@ -24,7 +24,7 @@ import itertools
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, Iterator, List, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Tuple
 
 from .errors import ResourceCapError
 from .nodes import Node, TreeDomain, concat_set, sorted_nodes
@@ -130,13 +130,16 @@ def maximal_free_masks(free: bytearray) -> List[int]:
             if free[mask] and all(mask >> i & 1 or not free[mask | 1 << i] for i in range(n))]
 
 
-def subtree_walk(domain: TreeDomain, chains: bool = False) -> Iterator[int]:
+def subtree_walk(domain: TreeDomain, chains: bool = False,
+                 most: Optional[int] = None) -> Iterator[int]:
     """Every nonempty antichain (or, with chains, every nonempty chain) of the
-    domain once, as a mask over its nodes in lex order, in canonical order.
+    domain of at most `most` nodes (default: any number) once, as a mask over
+    its nodes in lex order, in canonical order.
     In lex order the subtree of node i is the run of size[i] nodes from i on,
     so a set holding i extends by a node past that run (antichains) or inside
     it (chains). A depth-first walk that tries the nodes in increasing order
-    emits each set before its extensions, which is canonical set order."""
+    emits each set before its extensions, which is canonical set order; a set
+    of `most` nodes is not extended."""
     b, top = domain.branching, domain.max_length()
     size = [(b ** (top - len(x) + 1) - 1) // (b - 1) for x in domain.nodes()]
     stack = [(0, 0, len(size))]  # (set, next node to try, end of its window)
@@ -146,6 +149,8 @@ def subtree_walk(domain: TreeDomain, chains: bool = False) -> Iterator[int]:
             stack.append((mask, i + 1, hi))  # the sets without node i come after
             mask |= 1 << i
             yield mask
+            if most is not None and mask.bit_count() == most:
+                continue
             if chains:
                 stack.append((mask, i + 1, i + size[i]))
             else:

@@ -32,16 +32,29 @@ def _parse_pattern_arg(text: str, branching: int, depth: int, rows: int, cols: i
     return make_pattern(kind, branching=branching, depth=depth, k=k)
 
 
-def _listing(domain: TreeDomain, masks) -> dict:
-    """The node sets given as masks over the domain's nodes, as lists of node
-    strings, each string made once and picked per mask. Masks in canonical
-    order give the sorted order of the string lists, except that dotted names
-    (branching > 10) do not sort like nodes, so those lists are sorted."""
+# one node string per line, at the depth of json.dump(..., indent=2)
+_ITEM = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
+def _print_listing(domain: TreeDomain, masks) -> None:
+    """Print the node sets given as masks over the domain's nodes as lists of
+    node strings, each string made once and picked per mask. Masks in
+    canonical order give the sorted order of the string lists, except that
+    dotted names (branching > 10) do not sort like nodes, so those lists are
+    sorted.
+
+    The text is what json.dump({"count": ..., "items": ...}, sort_keys=True,
+    indent=2) writes, but each list is encoded in one piece by the C encoder,
+    which json.dump leaves for the pure-Python one when it indents."""
     bits = [(1 << i, node_str(x, domain.branching)) for i, x in enumerate(domain.nodes())]
     items = [[x for bit, x in bits if mask & bit] for mask in masks]
     if domain.branching > 10:
         items = sorted(sorted(item) for item in items)
-    return {"count": len(items), "items": items}
+    write = sys.stdout.write
+    write(f'{{\n  "count": {len(items)},\n  "items": [\n    ')
+    for n, item in enumerate(items):
+        write(("[\n      " if n == 0 else ",\n    [\n      ") + _ITEM(item)[1:-1] + "\n    ]")
+    write("\n  ]\n}\n")
 
 
 def _print(data) -> None:
@@ -65,13 +78,13 @@ def _cmd_enum(args) -> int:
         if args.count_only:
             _print(f"{antichains.alpha(args.n)}\n")
             return 0
-        _print(_listing(domain, antichains.maximal_chain_free_masks(args.n, 2)))
+        _print_listing(domain, antichains.maximal_chain_free_masks(args.n, 2))
         return 0
     if args.count_only:
         _print(f"{antichains.count_antichains(args.b, args.n, nonempty=True)}\n")
         return 0
     antichains._check_subset_cap(domain.node_count(), antichains.DEFAULT_SUBSET_CAP)
-    _print(_listing(domain, antichains.subtree_walk(domain)))
+    _print_listing(domain, antichains.subtree_walk(domain))
     return 0
 
 

@@ -1,17 +1,38 @@
 """Consistency oracles: gcd over positive integers, bitset meet, and
 brute-force first-order search over a finite structure.
 
-All oracles are monotone: removing instances cannot break consistency.
-Consistency of the empty index set is true by convention.
+Every built-in oracle is a meet-semilattice. It has a `top` element, a
+`meet`, an `element(label)` per index label and a `holds` predicate, and
+consistent(S) is holds of the meet of the elements of S, folded from top:
+
+- gcd: top 0, meet `math.gcd`, element the parameter, holds `!= 1`;
+- bitset: top -1, meet `&`, element the parameter, holds `!= 0`;
+- first-order: top -1, meet `&`, element the mask of the universe elements
+  x with phi(x, p), one cached mask per parameter tuple p, holds `!= 0`;
+- conjunction (`transforms.ConjunctionOracle`): the base oracle's lattice,
+  with a label's element the base meet over the label's source indices.
+
+So the oracles are monotone: removing instances cannot break consistency.
+Consistency of the empty index set is true by convention (holds(top)).
+`consistent()` folds the labels in order and stops at the first meet that
+fails `holds`. That exit is sound because a failed meet never recovers:
+gcd(1, b) = 1 and 0 & b = 0, so every further meet fails as well.
+
+`semilattice(oracle)` hands out the four parts, and exhaustive `verify`
+joins meets of subsets from them. An oracle with only `consistent()` (no
+`holds`) still works: it gets the label-tuple lattice (top `()`, meet tuple concatenation,
+element `(label,)`, holds `consistent()` itself), so it is asked once per
+subset, about the subset's labels in label order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .errors import WitnessError
+from .errors import FormulaError, WitnessError
 from .formulas import FiniteStructure, Formula, eval_formula
 
 SKOLEM = "skolem"
@@ -48,51 +69,83 @@ class Witness:
             raise WitnessError(f"unknown backend {self.backend!r}")
 
 
-class GcdOracle:
+class MeetOracle:
+    """An oracle given by its meet-semilattice: subclasses set `top`, `meet`
+    and `holds` and define `element`; consistent(S) folds S's elements."""
+
+    def consistent(self, labels) -> bool:
+        acc, meet, element, holds = self.top, self.meet, self.element, self.holds
+        for i in labels:
+            acc = meet(acc, element(i))
+            if not holds(acc):
+                return False  # a failed meet never recovers
+        return True
+
+
+def _single(label) -> tuple:
+    return (label,)
+
+
+def semilattice(oracle):
+    """The oracle's (top, meet, element, holds), or for an oracle with only
+    consistent() the label-tuple lattice, whose holds is consistent()."""
+    if hasattr(oracle, "holds"):
+        return oracle.top, oracle.meet, oracle.element, oracle.holds
+    return (), tuple.__add__, _single, oracle.consistent
+
+
+class GcdOracle(MeetOracle):
     """Consistent iff the parameters share a factor > 1."""
+
+    top = 0  # gcd(0, b) = b; the empty set's meet is 0, which holds
+    meet = staticmethod(math.gcd)
 
     def __init__(self, witness: Witness):
         if witness.backend != SKOLEM:
             raise WitnessError(f"gcd oracle needs a skolem witness, got {witness.backend}")
         self.witness = witness
 
-    def consistent(self, labels) -> bool:
-        g = 0
-        for i in labels:
-            g = math.gcd(g, self.witness.params[i])
-            if g == 1:
-                return False
-        return g != 1  # empty set: g == 0, vacuously consistent
+    def element(self, label) -> int:
+        return self.witness.params[label]
+
+    @staticmethod
+    def holds(value: int) -> bool:
+        return value != 1
 
 
-class BitsetOracle:
+class BitsetOracle(MeetOracle):
     """Consistent iff the bitwise meet of the parameters is nonzero."""
+
+    top = -1
+    meet = staticmethod(operator.and_)
 
     def __init__(self, witness: Witness):
         if witness.backend != BOOLEAN:
             raise WitnessError(f"bitset oracle needs a boolean witness, got {witness.backend}")
         self.witness = witness
 
-    def consistent(self, labels) -> bool:
-        labels = list(labels)
-        if not labels:
-            return True
-        acc = -1
-        for i in labels:
-            acc &= self.witness.params[i]
-            if acc == 0:
-                return False
-        return True
+    def element(self, label) -> int:
+        return self.witness.params[label]
+
+    @staticmethod
+    def holds(value: int) -> bool:
+        return value != 0
 
 
-class FoOracle:
+class FoOracle(MeetOracle):
     """Consistent iff some universe element x satisfies the formula against
-    every selected parameter simultaneously (brute-force search).
+    every selected parameter simultaneously.
 
-    phi(x, p) is memoised per universe element and parameter tuple, filled as
-    the search first reaches each pair, so the structure, the formula and the
-    witness are treated as fixed after construction. An evaluation that raises
-    stores nothing and raises again when next reached."""
+    A label's element is the mask of the universe positions j with
+    phi(universe[j], p) for its parameter tuple p, computed once per p, so
+    the structure, the formula and the witness are treated as fixed after
+    construction. Where phi raises for some x, p has no mask (nothing is
+    cached): element() raises, so exhaustive `verify` does, and consistent()
+    judges a set holding that label by the plain search, x by x in universe
+    order, which raises only where it reaches the error."""
+
+    top = -1
+    meet = staticmethod(operator.and_)
 
     def __init__(self, structure: FiniteStructure, formula: Formula,
                  witness: Witness, x_var: str = "x", y_vars=("y",)):
@@ -111,26 +164,36 @@ class FoOracle:
                 raise WitnessError(
                     f"parameter for {i!r} does not match y-block arity {len(self.y_vars)}"
                 )
-        self._holds: Dict[Tuple, bool] = {}  # (x, parameter tuple) -> phi(x, p)
+        self._masks: Dict[Tuple, int] = {}  # parameter tuple -> universe mask
+
+    def _phi(self, x, p) -> bool:
+        assignment = {self.x_var: x}
+        assignment.update(zip(self.y_vars, p))
+        return eval_formula(self.structure, self.formula, assignment)
+
+    def element(self, label) -> int:
+        p = self._params[label]
+        mask = self._masks.get(p)
+        if mask is None:
+            mask = sum(1 << j for j, x in enumerate(self.structure.universe)
+                       if self._phi(x, p))
+            self._masks[p] = mask
+        return mask
+
+    @staticmethod
+    def holds(value: int) -> bool:
+        return value != 0
 
     def consistent(self, labels) -> bool:
-        params = [self._params[i] for i in labels]
-        if not params:
-            return True
-        holds = self._holds
-        for x in self.structure.universe:
-            for p in params:
-                verdict = holds.get((x, p))
-                if verdict is None:
-                    assignment = {self.x_var: x}
-                    assignment.update(zip(self.y_vars, p))
-                    verdict = holds[x, p] = eval_formula(self.structure, self.formula,
-                                                         assignment)
-                if not verdict:
-                    break
-            else:
-                return True
-        return False
+        labels = tuple(labels)
+        try:
+            return super().consistent(labels)
+        except FormulaError:
+            # the fold stopped at a label without a mask, and every label
+            # before it has one
+            params = [self._params[i] for i in labels]
+            return any(all(self._phi(x, p) for p in params)
+                       for x in self.structure.universe)
 
 
 def oracle_for(witness: Witness):

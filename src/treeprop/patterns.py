@@ -29,6 +29,7 @@ from .antichains import (DEFAULT_SUBSET_CAP, _check_subset_cap, _shown, alpha,
                          subtree_walk)
 from .errors import ResourceCapError
 from .nodes import TreeDomain, is_prefix
+from .oracles import semilattice
 
 ATP = "atp"
 KATP = "katp"
@@ -130,7 +131,7 @@ def required_inconsistent(p: PatternSpec) -> List[FrozenSet]:
     labels = p.index_labels()
     if p.kind in (ATP, KATP):
         k = 2 if p.kind == ATP else p.k
-        return [mask_set(labels, m) for m in subtree_walk(p.domain(), chains=True)
+        return [mask_set(labels, m) for m in subtree_walk(p.domain(), chains=True, most=k)
                 if m.bit_count() == k]
     if p.kind == SOP2:
         return canonical_sets(
@@ -323,12 +324,12 @@ class VerificationReport:
         return line
 
 
-def _subset_table(labels) -> List[Tuple]:
-    """table[mask] is the tuple of the labels whose bits are set, in label
-    order; each label doubles the table."""
-    table = [()]
-    for x in labels:
-        table += [subset + (x,) for subset in table]
+def _meet_table(top, meet, elements) -> List:
+    """table[mask] is the meet of the elements whose bits are set in mask,
+    folded in order from top; each element doubles the table."""
+    table = [top]
+    for e in elements:
+        table += [meet(v, e) for v in table]
     return table
 
 
@@ -340,7 +341,13 @@ def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False,
     increasing mask order. The exact family is the subset closure of the
     maximal sets free of `required_inconsistent(p)`, so membership is read
     from the subset scanner's table, one byte per mask; the 2^n cap is checked
-    before any other work."""
+    before any other work.
+
+    The exhaustive verdicts come from the oracle's meet-semilattice
+    (`oracles.semilattice`): two tables of 2^(n/2) meets, over the low and the
+    high half of the labels, and one holds(meet(low, high)) per mask. An
+    oracle with only consistent() gets tables of label tuples, so it is asked
+    once per mask about the subset's labels in label order."""
     if exhaustive:
         _check_subset_cap(p.index_count(), cap)
     labels = p.index_labels()
@@ -349,11 +356,6 @@ def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False,
     forbidden = required_inconsistent(p)
     if exhaustive:
         free = forbidden_free_table(labels, forbidden, cap)
-        # each subset reaches the oracle as a label tuple joined from two
-        # tables of 2^(n/2) entries, so no set is built per mask
-        half = len(labels) // 2
-        low, high = _subset_table(labels[:half]), _subset_table(labels[half:])
-        low_bits = (1 << half) - 1
     n_cons = n_incons = 0
     for subset in required_consistent(p):
         n_cons += 1
@@ -367,8 +369,13 @@ def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False,
                                       (subset, "inconsistent", "consistent"))
     if not exhaustive:
         return VerificationReport(True, n_cons, n_incons, False)
+    top, meet, element, holds = semilattice(oracle)
+    elements = [element(x) for x in labels]
+    half = len(labels) // 2
+    low, high = _meet_table(top, meet, elements[:half]), _meet_table(top, meet, elements[half:])
+    low_bits = (1 << half) - 1
     for mask in range(1, len(free)):
-        actual = oracle.consistent(low[mask & low_bits] + high[mask >> half])
+        actual = holds(meet(low[mask & low_bits], high[mask >> half]))
         if free[mask] != actual:
             n_cons = free.count(1, 1, mask + 1)
             want = "consistent" if free[mask] else "inconsistent"

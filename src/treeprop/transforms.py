@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import WitnessError
 from .nodes import Node, TreeDomain, concat_set, is_antichain, is_prefix
-from .oracles import Witness
+from .oracles import Witness, semilattice
 from .qftypes import qftype0
 
 
@@ -59,14 +59,31 @@ class TupleWitness:
 
 class ConjunctionOracle:
     """Judges sets of tuple instances by the base oracle on the union of
-    their source indices."""
+    their source indices. It has the base oracle's lattice (`semilattice`),
+    and a label's element is the base meet over the label's sources, made
+    once per label. consistent() meets the labels' elements and asks holds
+    once, so a base with only consistent() is asked once per set, about the
+    sources of its labels in label order."""
 
     def __init__(self, base_oracle, tuple_witness: TupleWitness):
         self.base_oracle = base_oracle
         self.tuple_witness = tuple_witness
+        self.top, self.meet, self._base_element, self.holds = semilattice(base_oracle)
+        self._elements = {}
+
+    def element(self, label):
+        if label not in self._elements:
+            value = self.top
+            for source in self.tuple_witness.provenance[label]:
+                value = self.meet(value, self._base_element(source))
+            self._elements[label] = value
+        return self._elements[label]
 
     def consistent(self, labels) -> bool:
-        return self.base_oracle.consistent(self.tuple_witness.source_union(labels))
+        value = self.top
+        for label in labels:
+            value = self.meet(value, self.element(label))
+        return self.holds(value)
 
 
 def fatten(witness: Witness, m: int) -> TupleWitness:

@@ -7,8 +7,9 @@ k-chain, a direct listing of all 2^n subsets, and the member-by-member
 boolean witness. Chains and antichains: the chain generator over prefix
 subsets, the antichain listing from the scan over the 2-chains, the required
 sets and the antichain stream built on them, and the sorted CLI listing. Verification: one frozenset per subset with membership by
-`ConsistencyFamily.contains`, and an oracle wrapper that records what it is
-asked. Types: byte-packed relation tables, the pairwise ss-ll check, the
+`ConsistencyFamily.contains`, an oracle wrapper that records what it is
+asked, and the conjunction oracle that asked its base about source unions.
+Types: byte-packed relation tables, the pairwise ss-ll check, the
 quadratic prefix matrix over every pair of values, and the combination scan
 for iso copies. The first-order oracle evaluated afresh on every call.
 """
@@ -270,6 +271,18 @@ class RecordingOracle:
         self.seen.append(subset)
         verdict = self.oracle.consistent(labels)
         return not verdict if subset == self.target else verdict
+
+
+class ReferenceConjunctionOracle:
+    """The conjunction oracle before it had a lattice: the base oracle asked
+    once per set, about the union of the labels' sources as a frozenset."""
+
+    def __init__(self, base_oracle, tuple_witness):
+        self.base_oracle = base_oracle
+        self.tuple_witness = tuple_witness
+
+    def consistent(self, labels) -> bool:
+        return self.base_oracle.consistent(self.tuple_witness.source_union(labels))
 
 
 def _pack_bits(bits) -> bytes:

@@ -7,8 +7,9 @@ canonical type forms and the grouped ss-ll check against byte-packed relation
 tables compared pair by pair, and the run-length type forms and the pruned
 iso-copy search against the quadratic prefix matrix and the combination
 scan, the subtree walk over chains and antichains against brute force and
-the scan and sorts it replaced, with deliberately broken copies that the
-comparison must catch."""
+the scan and sorts it replaced, and exhaustive verification by the oracles'
+semilattice meets against one consistent() call per subset, with
+deliberately broken copies that the comparison must catch."""
 
 import functools
 import inspect
@@ -21,14 +22,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeprop import (ConsistencyFamily, FoOracle, FormulaError,
-                      ResourceCapError, TreeDomain, Witness, alpha,
-                      divisor_structure, enumerate_antichains, eval_formula,
-                      exact_family, make_pattern, maximal_antichains,
-                      oracle_for, parse_formula, required_consistent,
-                      required_inconsistent, synth_boolean, synth_skolem,
-                      verify)
-from treeprop import antichains, oracles, qftypes
+from treeprop import (BitsetOracle, ConjunctionOracle, ConsistencyFamily,
+                      FoOracle, FormulaError, GcdOracle, ResourceCapError,
+                      TreeDomain, Witness, alpha, divisor_structure,
+                      elongate, enumerate_antichains, eval_formula,
+                      exact_family, fatten, make_pattern, maximal_antichains,
+                      oracle_for, parse_formula,
+                      required_consistent, required_inconsistent,
+                      synth_boolean, synth_skolem, verify)
+from treeprop import antichains, oracles, patterns, qftypes
 from treeprop.antichains import (DEFAULT_SUBSET_CAP, canonical_sets,
                                  chain_free_count, find_iso_copy,
                                  finite_antichain_stream,
@@ -37,11 +39,12 @@ from treeprop.antichains import (DEFAULT_SUBSET_CAP, canonical_sets,
                                  maximal_chain_free_masks, subtree_walk,
                                  universal_prefix)
 from treeprop.nodes import closure, incomparable, is_antichain, is_chain
-from treeprop.oracles import SKOLEM, STRUCTURE
+from treeprop.oracles import SKOLEM, STRUCTURE, semilattice
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
 from treeprop.synth import nth_prime
 
-from references import (RecordingOracle, chains, has_chain,
+from references import (RecordingOracle, ReferenceConjunctionOracle,
+                        chains, has_chain,
                         max_chain_bounded_sets,
                         reference_antichain_stream,
                         reference_atomic, reference_boolean_params,
@@ -360,6 +363,114 @@ def test_exhaustive_atp_verify_scans_the_two_chains_once(monkeypatch):
         assert scans == [15]
 
 
+# --- exhaustive verification by semilattice meets ---
+
+@functools.lru_cache(maxsize=None)
+def meet_cases():
+    """(pattern, witness, reference report) for every VERIFY_SPECS witness on
+    both backends and each of its broken copies, the report made by
+    `reference_verify` through the unwrapped oracle."""
+    out = []
+    for p in VERIFY_SPECS:
+        family = exact_family(p)
+        for witness in (synth_skolem(family), synth_boolean(family)):
+            for w in [witness, *_broken_witnesses(family, witness, p)]:
+                out.append((p, w, reference_verify(oracle_for(w), w, p)))
+    return tuple(out)
+
+
+def first_meet_mismatch(verify_fn):
+    """The first case where verify_fn, given the unwrapped oracle, so reading
+    the oracle's meets, reports otherwise than the reference; None if none."""
+    for p, witness, expected in meet_cases():
+        if verify_fn(oracle_for(witness), witness, p, exhaustive=True) != expected:
+            return p, witness
+    return None
+
+
+def test_meet_verify_matches_reference():
+    assert first_meet_mismatch(verify) is None
+    assert sum(not report.passed for _, _, report in meet_cases()) > len(VERIFY_SPECS)
+
+
+def test_broken_meet_tables_fail_the_gate(monkeypatch):
+    # a table that leaves out its last label: top stands in for its element
+    skips_last = mutant(patterns, "_meet_table", "for e in elements:",
+                        "for e in elements[:-1] + [top]:")
+    with monkeypatch.context() as patch:
+        patch.setattr(patterns, "_meet_table", skips_last)
+        assert first_meet_mismatch(verify) is not None
+    # the high table split off one label before the low table ends
+    wrong_split = mutant(patterns, "verify", "elements[half:]", "elements[half - 1:]")
+    assert first_meet_mismatch(wrong_split) is not None
+
+
+def _folded(oracle, labels):
+    """holds of the meet of the labels' elements, folded from top in full."""
+    top, meet, element, holds = semilattice(oracle)
+    value = top
+    for x in labels:
+        value = meet(value, element(x))
+    return holds(value)
+
+
+def meet_oracles():
+    """Small oracles of every built-in kind with their labels: gcd and bitset
+    on random families and small patterns, first-order over the divisors of
+    210 and 2310, and conjunctions over elongated and fattened gcd and bitset
+    witnesses."""
+    for labels, members in random_families(100):
+        family = ConsistencyFamily.from_members(labels, members)
+        for witness in (synth_skolem(family), synth_boolean(family)):
+            yield oracle_for(witness), labels
+    for p in VERIFY_SPECS:
+        if p.index_count() <= 8:
+            family = exact_family(p)
+            for witness in (synth_skolem(family), synth_boolean(family)):
+                yield oracle_for(witness), witness.labels
+    for fo in [*criterion_8_fo_oracles(100), _divisor_2310_oracle()]:
+        yield fo, fo.witness.labels
+    for synth in (synth_skolem, synth_boolean):
+        katp = synth(exact_family(make_pattern(KATP, depth=5, k=3)))
+        atp = synth(exact_family(make_pattern(ATP, depth=4)))
+        for tw in (elongate(katp, 2), fatten(atp, 1)):
+            yield ConjunctionOracle(oracle_for(tw.base), tw), tw.labels
+
+
+def test_consistent_is_the_meet_fold():
+    kinds = set()
+    for oracle, labels in meet_oracles():
+        kinds.add(type(oracle))
+        for subset in _all_subsets(labels):
+            assert oracle.consistent(subset) == _folded(oracle, subset), (oracle, subset)
+    assert kinds == {GcdOracle, BitsetOracle, FoOracle, ConjunctionOracle}
+
+
+def test_conjunction_over_a_consistent_only_base_is_asked_as_before():
+    """A base with only consistent() gives the conjunction the label-tuple
+    lattice. Over the elongated and the fattened witness (ATP d3) it is asked
+    about the same source sets in the same order as by the conjunction that
+    asked about source unions, also when a verdict inverted in the exhaustive
+    loop stops it. (A plain RecordingOracle is checked the same way by
+    `_same_as_reference`.)"""
+    p = make_pattern(ATP, depth=3)
+    labels = p.index_labels()
+    required = set(required_consistent(p)) | set(required_inconsistent(p))
+    outside = [mask_set(labels, m) for m in range(1, 1 << len(labels))
+               if mask_set(labels, m) not in required]
+    katp = synth_skolem(exact_family(make_pattern(KATP, depth=5, k=3)))
+    atp = synth_skolem(exact_family(make_pattern(ATP, depth=4)))
+    for tw in (elongate(katp, 2), fatten(atp, 1)):
+        for target in [None, *random.Random(3).sample(outside, 6)]:
+            sources = None if target is None else tw.source_union(target)
+            fast = RecordingOracle(oracle_for(tw.base), sources)
+            slow = RecordingOracle(oracle_for(tw.base), sources)
+            report = verify(ConjunctionOracle(fast, tw), tw, p, exhaustive=True)
+            assert report == reference_verify(ReferenceConjunctionOracle(slow, tw), tw, p)
+            assert report.passed == (target is None)
+            assert fast.seen == slow.seen
+
+
 # --- the subtree walk against brute force and the former scan and sorts ---
 
 # (branching, depth) domains where every subset, or for chains every subset
@@ -426,6 +537,21 @@ def test_required_sets_match_the_former_scan_and_sorts():
                 == _outcome(reference_required_inconsistent, p)), p
     # the depth-5 antichains stay past the subset cap
     assert "2^31" in _outcome(required_consistent, make_pattern(ATP, depth=5))
+
+
+def test_required_k_chains_walk_no_longer_chains(monkeypatch):
+    walked = []
+
+    def recording_walk(domain, chains=False, most=None):
+        for mask in subtree_walk(domain, chains, most):
+            walked.append(mask)
+            yield mask
+    monkeypatch.setattr(patterns, "subtree_walk", recording_walk)
+    for p, k, count in [(make_pattern(ATP, depth=10), 2, 8194),
+                        (make_pattern(KATP, depth=10, k=3), 3, 29692)]:
+        walked.clear()
+        assert len(required_inconsistent(p)) == count
+        assert max(m.bit_count() for m in walked) == k
 
 
 def test_stream_matches_the_seen_set_stream():
@@ -636,7 +762,7 @@ def test_broken_run_length_forms_fail_the_gate(monkeypatch):
             assert _form_values(FORM_TUPLES) != _reference_form_values(FORM_TUPLES), new
 
 
-# --- the first-order oracle's memo against fresh evaluation ---
+# --- the first-order oracle's cached universe masks against fresh evaluation ---
 
 def _all_subsets(labels):
     return [[x for i, x in enumerate(labels) if mask >> i & 1]
@@ -719,3 +845,17 @@ def test_fo_memo_raises_on_the_same_calls():
     expected = outcomes(lambda labels: reference_fo_consistent(oracle, labels))
     assert expected.count("FormulaError") == 4
     assert outcomes(oracle.consistent) == expected
+
+
+def test_fo_exhaustive_verify_reads_every_mask():
+    """Exhaustive verify reads every label's universe mask, so it raises when
+    phi raises for any element and parameter; the pattern pass judges sets
+    through consistent(), which raises only where the search meets the error."""
+    structure = divisor_structure(6)
+    formula = parse_formula("x != 1 & divides(x, y) & (x != 3 | bogus(x))")
+    witness = Witness(STRUCTURE, ((),), {(): (6,)})
+    oracle = FoOracle(structure, formula, witness)
+    p = make_pattern(ATP, depth=1)
+    assert verify(oracle, witness, p).passed
+    with pytest.raises(FormulaError):
+        verify(oracle, witness, p, exhaustive=True)
