@@ -2,16 +2,15 @@
 
 Index subsets are int bitmasks over a canonical label order (bit i is the
 i-th label). `subtree_walk` lists every nonempty chain or antichain of a
-tree domain; `forbidden_free_table` is the one subset scanner;
-`maximal_chain_free_masks` is the one tree recursion, and for the binary
-tree it replaces the scan, which stays as its brute-force reference next to
-the tests.
+tree domain; one tree recursion per pattern builds the maximal sets free of
+its forbidden configuration (k-chains, SOP1 pairs, k siblings) with no subset
+scan. The scan stays as their brute-force reference next to the tests.
 
 Canonical orders used throughout:
   * a node set is canonically presented as its lex-sorted tuple of nodes;
   * a list of node sets is canonically ordered by comparing those tuples;
-    the walk and the recursion emit their sets in that order (the
-    recursion's sets holding the root first), so their listings need no sort;
+    the walk and the recursions emit their sets in that order, so their
+    listings need no sort;
   * the enumeration X_0, X_1, ... of all finite nonempty binary antichains
     is by depth of first appearance, then canonical set order within a
     depth: depth d brings the antichains of TreeDomain(2, d) whose longest
@@ -77,15 +76,19 @@ def count_antichains(branching: int, depth: int, nonempty: bool = True) -> int:
     return c - 1 if nonempty else c
 
 
-def mask_set(labels, mask: int) -> frozenset:
-    """The labels whose bits are set in the mask (bit i is labels[i]), taken
-    lowest bit first, so a sparse mask over many labels costs its set bits."""
+def mask_labels(labels, mask: int) -> list:
+    """The labels whose bits are set in the mask (bit i is labels[i]), lowest
+    bit first, so a sparse mask over many labels costs its set bits."""
     out = []
     while mask:
         low = mask & -mask
         out.append(labels[low.bit_length() - 1])
         mask ^= low
-    return frozenset(out)
+    return out
+
+
+def mask_set(labels, mask: int) -> frozenset:
+    return frozenset(mask_labels(labels, mask))
 
 
 def _shown(n: int):
@@ -98,36 +101,6 @@ def _check_subset_cap(n: int, cap: int) -> None:
     """Refuse a scan of 2^n subsets past the cap, without building 1 << n."""
     if n >= cap.bit_length():
         raise ResourceCapError(f"subset scan over 2^{_shown(n)} subsets", cap)
-
-
-def forbidden_free_table(labels, forbidden, cap: int) -> bytearray:
-    """The subset scan: free[mask] is 1 when the mask over the labels contains
-    no forbidden set, else 0. A mask is free when it is free without its top
-    bit and holds no forbidden set with that top bit. `forbidden` is read only
-    after the cap check."""
-    labels = list(labels)
-    n = len(labels)
-    _check_subset_cap(n, cap)
-    index = {x: i for i, x in enumerate(labels)}
-    by_top: List[List[int]] = [[] for _ in range(n)]
-    for s in forbidden:
-        m = sum(1 << index[x] for x in s)
-        by_top[m.bit_length() - 1].append(m)
-    free = bytearray(1 << n)
-    free[0] = 1
-    for mask in range(1, 1 << n):
-        top = mask.bit_length() - 1
-        free[mask] = free[mask ^ 1 << top] and all(m & mask != m for m in by_top[top])
-    return free
-
-
-def maximal_free_masks(free: bytearray) -> List[int]:
-    """The maximal free masks of a scan table, in increasing order: free masks
-    are closed under subsets, so a free mask is maximal when no one-bit
-    extension of it is free."""
-    n = len(free).bit_length() - 1
-    return [mask for mask in range(1 << n)
-            if free[mask] and all(mask >> i & 1 or not free[mask | 1 << i] for i in range(n))]
 
 
 def subtree_walk(domain: TreeDomain, chains: bool = False,
@@ -211,6 +184,38 @@ def maximal_chain_free_masks(n: int, k: int, cap: int = alpha(6)) -> List[int]:
                 + [a << 1 | b << 1 + s for a in without_root for b in without_root])
 
     return rec(n, k)
+
+
+def maximal_sop1_free_masks(n: int) -> List[int]:
+    """The maximal subsets of the binary tree of depth n >= 1 with no pair
+    {eta 1, eta 0 nu}, laid out and ordered as in `maximal_chain_free_masks`.
+    The root is in no pair and (1) pairs with all of the 0-subtree, so a set
+    a of the 0-subtree goes with one b of the 1-subtree less its root, or b."""
+    masks = [1]
+    for depth in range(2, n + 1):
+        s = 2 ** (depth - 1) - 1
+        masks = ([1 | a << 1 | (b & ~1) << 1 + s for a in masks for b in masks]
+                 + [1 | b << 1 + s for b in masks])
+    return masks
+
+
+def maximal_sibling_free_masks(branching: int, n: int, k: int) -> List[int]:
+    """The maximal subsets of the tree of depth n >= 1 with no k siblings, laid
+    out as in `maximal_chain_free_masks`: the root, each child of an internal
+    node with a maximal set of its subtree, its root kept in pick = min(k - 1,
+    branching) of them. Each child chosen before not, in order, is canonical."""
+    pick = min(k - 1, branching)
+    masks = [1]
+    for depth in range(2, n + 1):
+        s = (branching ** (depth - 1) - 1) // (branching - 1)
+        tails = [[0]] + [[] for _ in range(pick)]  # [j]: children from i on, j chosen
+        for i in reversed(range(branching)):
+            shift = 1 + i * s
+            tails = [([a << shift | t for a in masks for t in tails[j - 1]] if j else [])
+                     + [(a & ~1) << shift | t for a in masks for t in tails[j]]
+                     for j in range(pick + 1)]
+        masks = [1 | t for t in tails[pick]]
+    return masks
 
 
 def maximal_antichains(n: int, cap: int = alpha(6)) -> AntichainCatalog:

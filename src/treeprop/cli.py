@@ -38,16 +38,16 @@ _ITEM = json.JSONEncoder(separators=(",\n      ", ": ")).encode
 
 def _print_listing(domain: TreeDomain, masks) -> None:
     """Print the node sets given as masks over the domain's nodes as lists of
-    node strings, each string made once and picked per mask. Masks in
-    canonical order give the sorted order of the string lists, except that
-    dotted names (branching > 10) do not sort like nodes, so those lists are
-    sorted.
+    node strings, each string made once and picked by the mask's set bits,
+    lowest first. Masks in canonical order give the sorted order of the string
+    lists, except that dotted names (branching > 10) do not sort like nodes,
+    so those lists are sorted.
 
     The text is what json.dump({"count": ..., "items": ...}, sort_keys=True,
     indent=2) writes, but each list is encoded in one piece by the C encoder,
     which json.dump leaves for the pure-Python one when it indents."""
-    bits = [(1 << i, node_str(x, domain.branching)) for i, x in enumerate(domain.nodes())]
-    items = [[x for bit, x in bits if mask & bit] for mask in masks]
+    names = [node_str(x, domain.branching) for x in domain.nodes()]
+    items = [antichains.mask_labels(names, mask) for mask in masks]
     if domain.branching > 10:
         items = sorted(sorted(item) for item in items)
     write = sys.stdout.write

@@ -5,30 +5,32 @@ witness must make consistent and sets it must make inconsistent. The exact
 consistency family of a pattern is the subset closure of its maximal
 forbidden-configuration-free sets; exhaustive verification checks the oracle
 verdict against family membership on every nonempty index subset, reading
-membership from the subset scanner's table of forbidden-free masks.
+membership from the exact family's columns.
 
-Families and the tree patterns' required sets come from the tree recursion,
-the subset scanner and the chain and antichain walk in `antichains`. A
-`ConsistencyFamily` stores its maximal members as masks and each label's
-column, the bitmask of the members containing it; membership and both
-synthesized witnesses read the columns. Members given from outside are
-checked; `exact_family` builds them maximal and in order, unchecked.
+Families and the tree patterns' required sets come from the tree recursions
+and the chain and antichain walk in `antichains`. A `ConsistencyFamily`
+stores its maximal members as masks and each label's column, the bitmask of
+the members containing it; membership and both synthesized witnesses read
+the columns. Members given from outside are checked; `exact_family` builds
+them maximal and in order, unchecked.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .antichains import (DEFAULT_SUBSET_CAP, _check_subset_cap, _shown, alpha,
                          canonical_sets, chain_free_count, enumerate_antichains,
-                         forbidden_free_table, mask_set,
-                         maximal_chain_free_masks, maximal_free_masks, set_key,
-                         subtree_walk)
+                         mask_set, maximal_chain_free_masks,
+                         maximal_sibling_free_masks, maximal_sop1_free_masks,
+                         set_key, subtree_walk)
 from .errors import ResourceCapError
-from .nodes import TreeDomain, is_prefix
+from .nodes import TreeDomain
 from .oracles import semilattice
 
 ATP = "atp"
@@ -129,28 +131,14 @@ def required_consistent(p: PatternSpec) -> List[FrozenSet]:
 
 def required_inconsistent(p: PatternSpec) -> List[FrozenSet]:
     labels = p.index_labels()
-    if p.kind in (ATP, KATP):
-        k = 2 if p.kind == ATP else p.k
-        return [mask_set(labels, m) for m in subtree_walk(p.domain(), chains=True, most=k)
+    if p.kind in (ATP, KATP, SOP2):  # the k-chains, or SOP2's incomparable pairs
+        k = p.k if p.kind == KATP else 2
+        return [mask_set(labels, m)
+                for m in subtree_walk(p.domain(), chains=p.kind != SOP2, most=k)
                 if m.bit_count() == k]
-    if p.kind == SOP2:
-        return canonical_sets(
-            frozenset({a, b})
-            for a, b in itertools.combinations(labels, 2)
-            if not (is_prefix(a, b) or is_prefix(b, a))
-        )
-    if p.kind == SOP1:
-        domain = p.domain()
-        out = set()
-        for eta in labels:
-            left = eta + (1,)
-            if not domain.contains(left):
-                continue
-            for nu in labels:
-                right = eta + (0,) + nu
-                if domain.contains(right):
-                    out.add(frozenset({left, right}))
-        return canonical_sets(out)
+    if p.kind == SOP1:  # {eta 1, eta 0 nu}: one pair per 0 digit of a node
+        return canonical_sets(frozenset({x[:i] + (1,), x})
+                              for x in labels for i, digit in enumerate(x) if digit == 0)
     if p.kind == TP:
         out = []
         for eta in labels:
@@ -256,51 +244,59 @@ class ConsistencyFamily:
 FAMILY_CELL_CAP = 2 ** 25
 
 
-def _check_family_size(p: PatternSpec, cap: int) -> None:
-    """Refuse a family from its index and member counts alone, before any
-    label is listed or mask built: the tree recursion's count cap, then at
-    most FAMILY_CELL_CAP cells; a scanned family has the subset scan's cap."""
+def _check_family_size(p: PatternSpec) -> None:
+    """Refuse a family by its index and member counts, before any label is
+    listed: the k-chain-free count cap, then at most FAMILY_CELL_CAP cells."""
     labels = p.index_count()
-    if p.kind in (ATP, KATP) and p.branching == 2:
+    if p.kind in (ATP, KATP):
         members = chain_free_count(p.depth, 2 if p.kind == ATP else p.k, alpha(6))
-    elif p.kind not in (SOP2, TP2):
-        _check_subset_cap(labels, cap)
-        return
     elif labels > FAMILY_CELL_CAP:
         raise ResourceCapError(f"index set of {_shown(labels)} labels", FAMILY_CELL_CAP)
+    elif p.kind == SOP1:
+        members = 1
+        for _ in range(p.depth - 1):  # c(d) = c(d-1) * (c(d-1) + 1)
+            if members > FAMILY_CELL_CAP:
+                raise ResourceCapError(f"family of at least {members} maximal members",
+                                       FAMILY_CELL_CAP)
+            members *= members + 1
     elif p.kind == SOP2:
         members = 2 ** (p.depth - 1)  # one per leaf
-    elif p.cols > 1 and p.rows >= FAMILY_CELL_CAP.bit_length():
-        raise ResourceCapError(f"family of at least 2^{p.rows} maximal members",
-                               FAMILY_CELL_CAP)
-    else:
-        members = p.cols ** p.rows  # one cell per row
+    else:  # C(n, pick) choices per internal node (TP) or one cell per row (TP2)
+        if p.kind == TP:
+            n, pick = p.branching, min(p.k - 1, p.branching)
+            times = (labels - 1) // p.branching  # the internal nodes
+        else:
+            n, pick, times = p.cols, 1, p.rows
+        bits = times * min(pick, n - pick)  # C(n, pick) >= 2^min(pick, n - pick)
+        if bits >= FAMILY_CELL_CAP.bit_length():
+            raise ResourceCapError(f"family of at least 2^{bits} maximal members",
+                                   FAMILY_CELL_CAP)
+        members = math.comb(n, pick) ** times
     if members * labels > FAMILY_CELL_CAP:
         raise ResourceCapError(f"family of {_shown(members)} maximal members over "
                                f"{_shown(labels)} labels", FAMILY_CELL_CAP)
 
 
-def exact_family(p: PatternSpec, cap: int = DEFAULT_SUBSET_CAP) -> ConsistencyFamily:
-    """Maximal members of the family of sets avoiding the pattern's
-    forbidden configuration, in canonical order and unchecked: the tree
-    recursion for ATP (k = 2) and k-ATP, the root-to-leaf paths for SOP2, one
-    cell per row for TP2, and the subset scan otherwise. Its size is checked
-    first, by `_check_family_size`."""
-    _check_family_size(p, cap)
-    if p.kind in (ATP, KATP) and p.branching == 2:
-        masks = maximal_chain_free_masks(p.depth, 2 if p.kind == ATP else p.k)
-        return ConsistencyFamily.from_masks(p.index_labels(), masks)
+def exact_family(p: PatternSpec) -> ConsistencyFamily:
+    """Maximal members of the family of sets avoiding the pattern's forbidden
+    configuration, in canonical order and unchecked, after `_check_family_size`:
+    a tree recursion for ATP (k = 2), k-ATP, SOP1 and TP, the root-to-leaf
+    paths for SOP2, and one cell per row for TP2."""
+    _check_family_size(p)
     labels = p.index_labels()
     index = {x: i for i, x in enumerate(labels)}
-    if p.kind == SOP2:
+    if p.kind in (ATP, KATP):
+        masks = maximal_chain_free_masks(p.depth, 2 if p.kind == ATP else p.k)
+    elif p.kind == SOP1:
+        masks = maximal_sop1_free_masks(p.depth)
+    elif p.kind == TP:
+        masks = maximal_sibling_free_masks(p.branching, p.depth, p.k)
+    elif p.kind == SOP2:
         masks = [sum(1 << index[leaf[:l]] for l in range(len(leaf) + 1))
                  for leaf in p.domain().level(p.domain().max_length())]
-    elif p.kind == TP2:
+    else:
         masks = [sum(1 << index[cell] for cell in enumerate(cols))
                  for cols in itertools.product(range(p.cols), repeat=p.rows)]
-    else:
-        free = forbidden_free_table(labels, required_inconsistent(p), cap)
-        masks = sorted(maximal_free_masks(free), key=lambda m: set_key(mask_set(labels, m)))
     return ConsistencyFamily.from_masks(labels, masks)
 
 
@@ -338,31 +334,26 @@ def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False,
     """Check the witness against the pattern through the oracle. Pattern mode
     checks the generated families; exhaustive mode additionally compares the
     oracle verdict with exact-family membership on every nonempty subset, in
-    increasing mask order. The exact family is the subset closure of the
-    maximal sets free of `required_inconsistent(p)`, so membership is read
-    from the subset scanner's table, one byte per mask; the 2^n cap is checked
-    before any other work.
+    increasing mask order; the 2^n cap is checked before any other work.
 
-    The exhaustive verdicts come from the oracle's meet-semilattice
-    (`oracles.semilattice`): two tables of 2^(n/2) meets, over the low and the
-    high half of the labels, and one holds(meet(low, high)) per mask. An
-    oracle with only consistent() gets tables of label tuples, so it is asked
-    once per mask about the subset's labels in label order."""
+    Each side is read from two tables of 2^(n/2) entries, over the low and the
+    high half of the labels: membership from the ANDs of the `exact_family(p)`
+    columns, nonzero for a member, and verdicts from the oracle's meets
+    (`oracles.semilattice`), one holds(meet(low, high)) per mask. An oracle
+    with only consistent() gets tables of label tuples, so it is asked once
+    per mask about the subset's labels in label order."""
     if exhaustive:
         _check_subset_cap(p.index_count(), cap)
     labels = p.index_labels()
     if set(witness.labels) != set(labels):
         raise ValueError("witness index set does not match the pattern")
-    forbidden = required_inconsistent(p)
-    if exhaustive:
-        free = forbidden_free_table(labels, forbidden, cap)
     n_cons = n_incons = 0
     for subset in required_consistent(p):
         n_cons += 1
         if not oracle.consistent(subset):
             return VerificationReport(False, n_cons, n_incons, exhaustive,
                                       (subset, "consistent", "inconsistent"))
-    for subset in forbidden:
+    for subset in required_inconsistent(p):
         n_incons += 1
         if oracle.consistent(subset):
             return VerificationReport(False, n_cons, n_incons, exhaustive,
@@ -371,16 +362,20 @@ def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False,
         return VerificationReport(True, n_cons, n_incons, False)
     top, meet, element, holds = semilattice(oracle)
     elements = [element(x) for x in labels]
+    columns = exact_family(p).columns
     half = len(labels) // 2
     low, high = _meet_table(top, meet, elements[:half]), _meet_table(top, meet, elements[half:])
+    in_low = _meet_table(-1, operator.and_, [columns[x] for x in labels[:half]])
+    in_high = _meet_table(-1, operator.and_, [columns[x] for x in labels[half:]])
     low_bits = (1 << half) - 1
-    for mask in range(1, len(free)):
+    n_cons = 0
+    for mask in range(1, 1 << len(labels)):
+        expected = in_low[mask & low_bits] & in_high[mask >> half] != 0
         actual = holds(meet(low[mask & low_bits], high[mask >> half]))
-        if free[mask] != actual:
-            n_cons = free.count(1, 1, mask + 1)
-            want = "consistent" if free[mask] else "inconsistent"
+        n_cons += expected
+        if expected != actual:
+            want = "consistent" if expected else "inconsistent"
             got = "consistent" if actual else "inconsistent"
             return VerificationReport(False, n_cons, mask - n_cons, True,
                                       (mask_set(labels, mask), want, got))
-    n_cons = free.count(1) - 1
-    return VerificationReport(True, n_cons, len(free) - 1 - n_cons, True)
+    return VerificationReport(True, n_cons, (1 << len(labels)) - 1 - n_cons, True)

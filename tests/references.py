@@ -1,12 +1,16 @@
 """Brute-force references for the tests: the plain computations that the
 library's fast paths replaced, kept next to the tests that compare them.
 
-Families and scans: the pairwise maximality filter, the frozenset recursions
-for maximal antichains and k-chain-free sets, the subset scan over every
-k-chain, a direct listing of all 2^n subsets, and the member-by-member
-boolean witness. Chains and antichains: the chain generator over prefix
-subsets, the antichain listing from the scan over the 2-chains, the required
-sets and the antichain stream built on them, and the sorted CLI listing. Verification: one frozenset per subset with membership by
+Families and scans: the subset scan (a table of the 2^n masks free of a
+forbidden family, and its maximal masks), the pairwise maximality filter,
+the frozenset recursions for maximal antichains and k-chain-free sets, the
+subset scan over every k-chain, the SOP1 and TP families scanned and sorted,
+a direct listing of all 2^n subsets, and the member-by-member boolean
+witness. Chains and antichains: the chain generator over prefix subsets, the
+antichain listing from the scan over the 2-chains, the required sets (SOP2's
+incomparable pairs filtered from all pairs, SOP1's pairs from every two
+nodes) and the antichain stream built on them, and the sorted CLI listing.
+Verification: one frozenset per subset with membership by
 `ConsistencyFamily.contains`, an oracle wrapper that records what it is
 asked, and the conjunction oracle that asked its base about source unions.
 Types: byte-packed relation tables, the pairwise ss-ll check, the
@@ -15,16 +19,46 @@ for iso copies. The first-order oracle evaluated afresh on every call.
 """
 
 import itertools
+from typing import List
 
 from treeprop import (VerificationReport, eval_formula, exact_family,
                       required_consistent, required_inconsistent)
 from treeprop.antichains import (DEFAULT_SUBSET_CAP, AntichainCatalog,
                                  _check_subset_cap, canonical_sets,
-                                 forbidden_free_table,
-                                 mask_set, maximal_free_masks, set_key)
-from treeprop.nodes import (TreeDomain, closure, concat_set, is_prefix, meet,
-                            node_str, sorted_nodes)
+                                 mask_set, set_key)
+from treeprop.nodes import (TreeDomain, closure, concat_set, incomparable,
+                            is_prefix, meet, node_str, sorted_nodes)
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
+
+
+def forbidden_free_table(labels, forbidden, cap: int) -> bytearray:
+    """The subset scan: free[mask] is 1 when the mask over the labels contains
+    no forbidden set, else 0. A mask is free when it is free without its top
+    bit and holds no forbidden set with that top bit. `forbidden` is read only
+    after the cap check."""
+    labels = list(labels)
+    n = len(labels)
+    _check_subset_cap(n, cap)
+    index = {x: i for i, x in enumerate(labels)}
+    by_top: List[List[int]] = [[] for _ in range(n)]
+    for s in forbidden:
+        m = sum(1 << index[x] for x in s)
+        by_top[m.bit_length() - 1].append(m)
+    free = bytearray(1 << n)
+    free[0] = 1
+    for mask in range(1, 1 << n):
+        top = mask.bit_length() - 1
+        free[mask] = free[mask ^ 1 << top] and all(m & mask != m for m in by_top[top])
+    return free
+
+
+def maximal_free_masks(free: bytearray) -> List[int]:
+    """The maximal free masks of a scan table, in increasing order: free masks
+    are closed under subsets, so a free mask is maximal when no one-bit
+    extension of it is free."""
+    n = len(free).bit_length() - 1
+    return [mask for mask in range(1 << n)
+            if free[mask] and all(mask >> i & 1 or not free[mask | 1 << i] for i in range(n))]
 
 
 def chains(domain):
@@ -59,11 +93,22 @@ def reference_required_consistent(p):
 
 
 def reference_required_inconsistent(p):
-    """ATP's 2-chains and k-ATP's k-chains, sorted; the other patterns' are
-    the library's."""
+    """ATP's 2-chains and k-ATP's k-chains, SOP2's incomparable pairs filtered
+    from all pairs, and SOP1's pairs {eta 1, eta 0 nu} from every eta and nu
+    in the domain, sorted; the other patterns' are the library's."""
+    labels = p.index_labels()
     if p.kind in (ATP, KATP):
         k = 2 if p.kind == ATP else p.k
         return canonical_sets(c for c in chains(p.domain()) if len(c) == k)
+    if p.kind == SOP2:
+        return canonical_sets(frozenset(c) for c in itertools.combinations(labels, 2)
+                              if incomparable(*c))
+    if p.kind == SOP1:
+        domain = p.domain()
+        return canonical_sets({frozenset({eta + (1,), eta + (0,) + nu})
+                               for eta in labels for nu in labels
+                               if domain.contains(eta + (1,))
+                               and domain.contains(eta + (0,) + nu)})
     return required_inconsistent(p)
 
 
@@ -196,6 +241,14 @@ def reference_members(p):
                 for cols in itertools.product(range(p.cols), repeat=p.rows)]
     _, maximal = reference_free_sets(p.index_labels(), required_inconsistent(p))
     return maximal
+
+
+def reference_scan_masks(p):
+    """The maximal masks of the subset scan over the pattern's forbidden sets,
+    sorted into canonical order: how SOP1 and TP families were built."""
+    labels = p.index_labels()
+    free = forbidden_free_table(labels, required_inconsistent(p), DEFAULT_SUBSET_CAP)
+    return sorted(maximal_free_masks(free), key=lambda m: set_key(mask_set(labels, m)))
 
 
 def reference_free_sets(labels, forbidden):

@@ -217,11 +217,15 @@ def test_synth_caps_the_family_before_listing_labels(capsys, monkeypatch, tmp_pa
     def no_nodes(self):
         raise AssertionError("nodes listed before the cap check")
     monkeypatch.setattr(TreeDomain, "nodes", no_nodes)
-    for pattern, size in [("sop2", "index set of 1073741823 labels"),
-                          ("katp:40", "family of 1 maximal members over 1073741823 labels")]:
+    for pattern, b, depth, size in [
+            ("sop2", 2, 30, "index set of 1073741823 labels"),
+            ("katp:40", 2, 30, "family of 1 maximal members over 1073741823 labels"),
+            ("sop1", 2, 6, "family of 3263442 maximal members over 63 labels"),
+            ("tp:2", 3, 4, "family of 1594323 maximal members over 40 labels")]:
         out_file = tmp_path / "w.json"
-        code, out, err = run(capsys, "synth", "--pattern", pattern, "--depth", "30",
-                             "--backend", "boolean", "--out", str(out_file))
+        code, out, err = run(capsys, "synth", "--pattern", pattern, "--b", str(b),
+                             "--depth", str(depth), "--backend", "boolean",
+                             "--out", str(out_file))
         assert code == 3 and out == "" and f"{size} (cap 33554432)" in err
         assert not out_file.exists()
 

@@ -1,8 +1,9 @@
 """Differential tests of the fast paths against the plain references in
 `references.py`: the column-mask consistency family against the pairwise
-O(m^2) maximality filter, the forbidden-set subset scan against a direct
+O(m^2) maximality filter, the reference subset scan against a direct
 enumeration of all 2^n subsets, the mask recursion for maximal k-chain-free
 sets against the frozenset recursions and the k-chain scan it replaced, the
+SOP1 and TP recursions against the subset scan they replaced, the
 canonical type forms and the grouped ss-ll check against byte-packed relation
 tables compared pair by pair, and the run-length type forms and the pruned
 iso-copy search against the quadratic prefix matrix and the combination
@@ -33,10 +34,11 @@ from treeprop import (BitsetOracle, ConjunctionOracle, ConsistencyFamily,
 from treeprop import antichains, oracles, patterns, qftypes
 from treeprop.antichains import (DEFAULT_SUBSET_CAP, canonical_sets,
                                  chain_free_count, find_iso_copy,
-                                 finite_antichain_stream,
-                                 forbidden_free_table, mask_set,
+                                 finite_antichain_stream, mask_set,
                                  maximal_chain_free_binary,
-                                 maximal_chain_free_masks, subtree_walk,
+                                 maximal_chain_free_masks,
+                                 maximal_sibling_free_masks,
+                                 maximal_sop1_free_masks, subtree_walk,
                                  universal_prefix)
 from treeprop.nodes import closure, incomparable, is_antichain, is_chain
 from treeprop.oracles import SKOLEM, STRUCTURE, semilattice
@@ -44,7 +46,7 @@ from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
 from treeprop.synth import nth_prime
 
 from references import (RecordingOracle, ReferenceConjunctionOracle,
-                        chains, has_chain,
+                        chains, forbidden_free_table, has_chain,
                         max_chain_bounded_sets,
                         reference_antichain_stream,
                         reference_atomic, reference_boolean_params,
@@ -56,7 +58,8 @@ from references import (RecordingOracle, ReferenceConjunctionOracle,
                         reference_members, reference_qftype0,
                         reference_qftype0_form,
                         reference_required_consistent,
-                        reference_required_inconsistent, reference_ss_ll,
+                        reference_required_inconsistent,
+                        reference_scan_masks, reference_ss_ll,
                         reference_verify)
 
 def random_families(count, seed=20240817):
@@ -102,11 +105,15 @@ def test_column_family_rejects_bad_members():
     assert not family.contains({"z"}) and not family.contains(())
 
 
+# the SOP1 and TP families small enough for the subset scan; the last has
+# k > b + 1, so its family is one member, the whole tree
+RECURSION_SPECS = [make_pattern(SOP1, depth=d) for d in range(1, 5)] + [
+    make_pattern(TP, branching=b, depth=d, k=k)
+    for b, d, k in [(3, 3, 2), (3, 3, 3), (2, 4, 2), (4, 2, 2), (4, 2, 3), (3, 2, 5)]]
+
+
 def test_scanner_matches_plain_scan_on_patterns():
-    specs = [make_pattern(SOP1, depth=d) for d in range(1, 5)] + [
-        make_pattern(TP, branching=3, depth=3, k=k) for k in (2, 3)
-    ]
-    for p in specs:
+    for p in RECURSION_SPECS:
         _, maximal = reference_free_sets(p.index_labels(), required_inconsistent(p))
         assert exact_family(p).maximal == tuple(canonical_sets(maximal)), p
 
@@ -234,7 +241,14 @@ def test_family_size_cap_fires_before_any_label(monkeypatch):
                     (make_pattern(SOP2, depth=20), "family of 524288 maximal members"),
                     (make_pattern(TP2, rows=40, cols=3), r"at least 2\^40 maximal members"),
                     (make_pattern(TP2, rows=10, cols=10), "family of 10000000000 maximal"),
-                    (make_pattern(SOP1, depth=30), r"subset scan over 2\^1073741823")]:
+                    (make_pattern(SOP1, depth=30), "index set of 1073741823 labels"),
+                    (make_pattern(SOP1, depth=6), "family of 3263442 maximal members over 63"),
+                    (make_pattern(SOP1, depth=8), "family of at least 10650056950806 maximal"),
+                    (make_pattern(TP, branching=3, depth=4, k=2),
+                     "family of 1594323 maximal members over 40 labels"),
+                    # C(2^24, 2^23 - 1) is refused by a bound before it is taken
+                    (make_pattern(TP, branching=2 ** 24, depth=2, k=2 ** 23),
+                     r"at least 2\^8388607 maximal members")]:
         with pytest.raises(ResourceCapError, match=size):
             exact_family(p)
 
@@ -346,21 +360,82 @@ def test_exhaustive_verify_counterexamples_match_reference():
     assert failures > len(VERIFY_SPECS)
 
 
-def test_exhaustive_atp_verify_scans_the_two_chains_once(monkeypatch):
-    from treeprop import patterns
+def test_exhaustive_verify_makes_no_subset_scan(monkeypatch):
+    """Exhaustive verify over 15 labels builds the exact family once and four
+    tables over 7 or 8 labels (the oracle's meets and the columns' ANDs), and
+    no table over all 15: no module keeps a subset scanner."""
+    tables, families = [], []
+    meet_table = patterns._meet_table
 
-    scans = []
+    def recording_table(top, meet, elements):
+        tables.append(len(elements))
+        return meet_table(top, meet, elements)
 
-    def counting_scan(labels, forbidden, cap):
-        scans.append(len(labels))
-        return forbidden_free_table(labels, forbidden, cap)
-    monkeypatch.setattr(patterns, "forbidden_free_table", counting_scan)
-    monkeypatch.setattr(antichains, "forbidden_free_table", counting_scan)
-    for p in [make_pattern(ATP, depth=4), make_pattern(KATP, depth=4, k=2)]:
+    def recording_family(p):
+        families.append(p)
+        return exact_family(p)
+    monkeypatch.setattr(patterns, "_meet_table", recording_table)
+    monkeypatch.setattr(patterns, "exact_family", recording_family)
+    for p in [make_pattern(ATP, depth=4), make_pattern(KATP, depth=4, k=2),
+              make_pattern(SOP1, depth=4), make_pattern(TP, branching=2, depth=4, k=2)]:
         witness = synth_skolem(exact_family(p))
-        scans.clear()
+        tables.clear()
+        families.clear()
         assert verify(oracle_for(witness), witness, p, exhaustive=True).passed
-        assert scans == [15]
+        assert sorted(tables) == [7, 7, 8, 8] and families == [p]
+    assert not [name for module in (antichains, patterns) for name in vars(module)
+                if name in ("forbidden_free_table", "maximal_free_masks")]
+
+
+# --- the SOP1 and TP recursions against the subset scan they replaced ---
+
+@functools.lru_cache(maxsize=None)
+def scanned_masks(p):
+    return tuple(reference_scan_masks(p))
+
+
+def recursion_mismatches(sibling_free):
+    """The RECURSION_SPECS on which the SOP1 recursion or the given TP
+    recursion lists other masks than the sorted scan, or another order."""
+    return [p for p in RECURSION_SPECS
+            if tuple(maximal_sop1_free_masks(p.depth) if p.kind == SOP1
+                     else sibling_free(p.branching, p.depth, p.k)) != scanned_masks(p)]
+
+
+def test_sop1_and_tp_recursions_match_the_reference_scan():
+    assert recursion_mismatches(maximal_sibling_free_masks) == []
+    for p in RECURSION_SPECS:
+        assert exact_family(p).masks == scanned_masks(p), p
+    assert exact_family(RECURSION_SPECS[-1]).masks == (0b1111,)
+    assert len(exact_family(make_pattern(SOP1, depth=5)).masks) == 1806
+
+
+def test_broken_tp_recursion_fails_the_gate():
+    # the chosen children taken one combination at a time, outermost
+    combinations_outermost = mutant(antichains, "maximal_sibling_free_masks", """\
+        tails = [[0]] + [[] for _ in range(pick)]  # [j]: children from i on, j chosen
+        for i in reversed(range(branching)):
+            shift = 1 + i * s
+            tails = [([a << shift | t for a in masks for t in tails[j - 1]] if j else [])
+                     + [(a & ~1) << shift | t for a in masks for t in tails[j]]
+                     for j in range(pick + 1)]
+        masks = [1 | t for t in tails[pick]]
+""", """\
+        out = []
+        for chosen in itertools.combinations(range(branching), pick):
+            tails = [0]
+            for i in reversed(range(branching)):
+                shift = 1 + i * s
+                tails = [(a if i in chosen else a & ~1) << shift | t
+                         for a in masks for t in tails]
+            out += [1 | t for t in tails]
+        masks = out
+""")
+    bad = recursion_mismatches(combinations_outermost)
+    assert make_pattern(TP, branching=3, depth=3, k=2) in bad
+    # the same sets: only the order is wrong
+    assert all(sorted(combinations_outermost(p.branching, p.depth, p.k))
+               == sorted(scanned_masks(p)) for p in bad)
 
 
 # --- exhaustive verification by semilattice meets ---
@@ -403,6 +478,9 @@ def test_broken_meet_tables_fail_the_gate(monkeypatch):
     # the high table split off one label before the low table ends
     wrong_split = mutant(patterns, "verify", "elements[half:]", "elements[half - 1:]")
     assert first_meet_mismatch(wrong_split) is not None
+    # the high membership table split off one label before the low one ends
+    early_membership = mutant(patterns, "verify", "labels[half:]", "labels[half - 1:]")
+    assert first_meet_mismatch(early_membership) is not None
 
 
 def _folded(oracle, labels):
