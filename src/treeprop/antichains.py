@@ -208,12 +208,12 @@ def maximal_sibling_free_masks(branching: int, n: int, k: int) -> List[int]:
     masks = [1]
     for depth in range(2, n + 1):
         s = (branching ** (depth - 1) - 1) // (branching - 1)
-        tails = [[0]] + [[] for _ in range(pick)]  # [j]: children from i on, j chosen
+        tails = {0: [0]}  # [j]: children from i on, j chosen
         for i in reversed(range(branching)):
             shift = 1 + i * s
-            tails = [([a << shift | t for a in masks for t in tails[j - 1]] if j else [])
-                     + [(a & ~1) << shift | t for a in masks for t in tails[j]]
-                     for j in range(pick + 1)]
+            tails = {j: [a << shift | t for a in masks for t in tails.get(j - 1, [])]
+                     + [(a & ~1) << shift | t for a in masks for t in tails.get(j, [])]
+                     for j in range(max(pick - i, 0), pick + 1)}  # rows the first i can fill
         masks = [1 | t for t in tails[pick]]
     return masks
 

@@ -17,6 +17,7 @@ import inspect
 import itertools
 import random
 import textwrap
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -116,6 +117,22 @@ def test_scanner_matches_plain_scan_on_patterns():
     for p in RECURSION_SPECS:
         _, maximal = reference_free_sets(p.index_labels(), required_inconsistent(p))
         assert exact_family(p).maximal == tuple(canonical_sets(maximal)), p
+    assert exact_family(RECURSION_SPECS[-1]).masks == (0b1111,)
+    assert len(exact_family(make_pattern(SOP1, depth=5)).masks) == 1806
+
+
+def test_tp_recursion_builds_only_parts_of_members():
+    # k > b + 1 leaves one member; a recursion that kept every row of partial
+    # sets would build sum_j C(b, j) = 2^b of them on the way
+    tracemalloc.start()
+    try:
+        assert maximal_sibling_free_masks(20, 2, 21) == [(1 << 21) - 1]
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert exact_family(make_pattern(TP, branching=40, depth=2, k=41)).masks == ((1 << 41) - 1,)
+    family = exact_family(make_pattern(TP, branching=30, depth=2, k=30))
+    assert len(family.masks) == 30 and all(m.bit_count() == 30 for m in family.masks)
 
 
 def test_scanner_matches_plain_scan_on_chain_free_sets():
@@ -402,23 +419,16 @@ def recursion_mismatches(sibling_free):
                      else sibling_free(p.branching, p.depth, p.k)) != scanned_masks(p)]
 
 
-def test_sop1_and_tp_recursions_match_the_reference_scan():
-    assert recursion_mismatches(maximal_sibling_free_masks) == []
-    for p in RECURSION_SPECS:
-        assert exact_family(p).masks == scanned_masks(p), p
-    assert exact_family(RECURSION_SPECS[-1]).masks == (0b1111,)
-    assert len(exact_family(make_pattern(SOP1, depth=5)).masks) == 1806
-
-
 def test_broken_tp_recursion_fails_the_gate():
+    assert recursion_mismatches(maximal_sibling_free_masks) == []
     # the chosen children taken one combination at a time, outermost
     combinations_outermost = mutant(antichains, "maximal_sibling_free_masks", """\
-        tails = [[0]] + [[] for _ in range(pick)]  # [j]: children from i on, j chosen
+        tails = {0: [0]}  # [j]: children from i on, j chosen
         for i in reversed(range(branching)):
             shift = 1 + i * s
-            tails = [([a << shift | t for a in masks for t in tails[j - 1]] if j else [])
-                     + [(a & ~1) << shift | t for a in masks for t in tails[j]]
-                     for j in range(pick + 1)]
+            tails = {j: [a << shift | t for a in masks for t in tails.get(j - 1, [])]
+                     + [(a & ~1) << shift | t for a in masks for t in tails.get(j, [])]
+                     for j in range(max(pick - i, 0), pick + 1)}  # rows the first i can fill
         masks = [1 | t for t in tails[pick]]
 """, """\
         out = []
