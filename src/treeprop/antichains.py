@@ -31,7 +31,13 @@ from .qftypes import qftype0
 
 NodeSet = FrozenSet[Node]
 
+# index subsets that one listing or exhaustive scan may range over
 DEFAULT_SUBSET_CAP = 2 ** 20
+# maximal k-chain-free sets that one family may hold: alpha(6), the maximal
+# antichains of the depth-6 binary tree
+CHAIN_FREE_CAP = 458330
+# decimal digits of an antichain count: the interpreter's int-to-str limit
+COUNT_DIGITS_CAP = sys.int_info.default_max_str_digits
 
 
 def set_key(nodes) -> Tuple[Node, ...]:
@@ -64,14 +70,15 @@ def alpha(n: int) -> int:
 
 def count_antichains(branching: int, depth: int, nonempty: bool = True) -> int:
     """Antichain count by the product recursion c(d+1) = c(d)**b + 1,
-    where c counts antichains including the empty one. A count past the
-    interpreter's default int-to-str digit limit is refused before it is taken."""
-    digits = sys.int_info.default_max_str_digits
+    where c counts antichains including the empty one. A count past
+    COUNT_DIGITS_CAP decimal digits is refused before it is taken."""
+    digits = COUNT_DIGITS_CAP
     c = 1
     for _ in range(depth):
         # c**b has at least b * (bit_length(c) - 1) bits, and 2**(4 * digits) > 10**digits
         if branching * (c.bit_length() - 1) >= 4 * digits or c ** branching + 1 >= 10 ** digits:
-            raise ResourceCapError(f"antichain count c({depth}) over {digits} decimal digits", digits)
+            raise ResourceCapError(f"antichain count c({depth}) over {digits} decimal digits",
+                                   COUNT_DIGITS_CAP)
         c = c ** branching + 1
     return c - 1 if nonempty else c
 
@@ -97,10 +104,10 @@ def _shown(n: int):
     return n if n.bit_length() < 64 else f"(at least 2^{n.bit_length() - 1})"
 
 
-def _check_subset_cap(n: int, cap: int) -> None:
-    """Refuse a scan of 2^n subsets past the cap, without building 1 << n."""
-    if n >= cap.bit_length():
-        raise ResourceCapError(f"subset scan over 2^{_shown(n)} subsets", cap)
+def _check_subset_cap(n: int) -> None:
+    """Refuse a scan of 2^n subsets past DEFAULT_SUBSET_CAP, without building 1 << n."""
+    if n >= DEFAULT_SUBSET_CAP.bit_length():
+        raise ResourceCapError(f"subset scan over 2^{_shown(n)} subsets", DEFAULT_SUBSET_CAP)
 
 
 def subtree_walk(domain: TreeDomain, chains: bool = False,
@@ -113,7 +120,7 @@ def subtree_walk(domain: TreeDomain, chains: bool = False,
     it (chains). A depth-first walk that tries the nodes in increasing order
     emits each set before its extensions, which is canonical set order; a set
     of `most` nodes is not extended."""
-    b, top = domain.branching, domain.max_length()
+    b, top = domain.branching, domain.depth - 1
     size = [(b ** (top - len(x) + 1) - 1) // (b - 1) for x in domain.nodes()]
     stack = [(0, 0, len(size))]  # (set, next node to try, end of its window)
     while stack:
@@ -130,46 +137,46 @@ def subtree_walk(domain: TreeDomain, chains: bool = False,
                 stack.append((mask, i + size[i], hi))
 
 
-def enumerate_antichains(domain: TreeDomain,
-                         cap: int = DEFAULT_SUBSET_CAP) -> AntichainCatalog:
+def enumerate_antichains(domain: TreeDomain) -> AntichainCatalog:
     """Every nonempty antichain of the domain, from `subtree_walk`, in
     canonical order. Every antichain is a subset of the n nodes, so 2^n bounds
     the listing: it is refused past the subset cap before any node is listed."""
-    _check_subset_cap(domain.node_count(), cap)
+    _check_subset_cap(domain.node_count())
     nodes = list(domain.nodes())
     return AntichainCatalog(domain, tuple(mask_set(nodes, m) for m in subtree_walk(domain)))
 
 
-def chain_free_count(n: int, k: int, cap: int) -> int:
+def chain_free_count(n: int, k: int) -> int:
     """Number of maximal k-chain-free sets of the binary tree of depth n, by
     the recursion of `maximal_chain_free_masks`: c(d, b) = 1 when b == 1 or
     b > d, else c(d-1, b-1)**2 + c(d-1, b)**2. Every count it passes through
-    is at most c(n, k), so the first one past the cap refuses, before any
-    count grows doubly exponentially (within about 7 levels of every n)."""
+    is at most c(n, k), so the first one past CHAIN_FREE_CAP refuses, before
+    any count grows doubly exponentially (within about 7 levels of every n)."""
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     row = {}  # b -> c(d, b) for the bounds 1 < b <= d that feed c(n, k)
     for d in range(1, n + 1):
         row = {b: row.get(b - 1, 1) ** 2 + row.get(b, 1) ** 2
                for b in range(max(2, k - n + d), min(k, d) + 1)}
-        if row and max(row.values()) > cap:
+        if row and max(row.values()) > CHAIN_FREE_CAP:
             size = f"alpha({n})" if k == 2 else f"c_{k}({n})"
             relation = "=" if d == n else ">="
             raise ResourceCapError(f"maximal {k}-chain-free family of size {size} "
-                                   f"{relation} {max(row.values())}", cap)
+                                   f"{relation} {max(row.values())}", CHAIN_FREE_CAP)
     return row.get(k, 1)
 
 
-def maximal_chain_free_masks(n: int, k: int, cap: int = alpha(6)) -> List[int]:
+def maximal_chain_free_masks(n: int, k: int) -> List[int]:
     """The maximal k-chain-free subsets of the binary tree of depth n as masks
-    over its nodes in lex order, in canonical order, counted against the cap
-    before any is built. The root is bit 0 and each child subtree a run of
-    s = 2^(d-1) - 1 bits, so subtree sets a, b give a << 1 | b << (1 + s).
+    over its nodes in lex order, in canonical order, counted against
+    CHAIN_FREE_CAP by `chain_free_count` before any is built. The root is bit
+    0 and each child subtree a run of s = 2^(d-1) - 1 bits, so subtree sets
+    a, b give a << 1 | b << (1 + s).
     With the root, both parts are maximal (k-1)-chain-free; without it, both
     are maximal k-chain-free and must hold a (k-1)-chain (else the root fits),
     which all of them do in subtrees of depth >= k-1 and none in shallower
     ones. Row-major pairs, the root block first, are in canonical order."""
-    chain_free_count(n, k, cap)
+    chain_free_count(n, k)
 
     @lru_cache(maxsize=None)
     def rec(depth: int, bound: int) -> List[int]:
@@ -218,12 +225,12 @@ def maximal_sibling_free_masks(branching: int, n: int, k: int) -> List[int]:
     return masks
 
 
-def maximal_antichains(n: int, cap: int = alpha(6)) -> AntichainCatalog:
+def maximal_antichains(n: int) -> AntichainCatalog:
     """All maximal antichains of the binary tree of depth n (none for n = 0),
     the k = 2 case of `maximal_chain_free_masks`, in canonical order."""
     domain = TreeDomain(2, max(n, 1))
     nodes = list(domain.nodes())
-    masks = maximal_chain_free_masks(n, 2, cap) if n else []
+    masks = maximal_chain_free_masks(n, 2) if n else []
     return AntichainCatalog(domain, tuple(mask_set(nodes, m) for m in masks))
 
 

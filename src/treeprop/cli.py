@@ -83,7 +83,7 @@ def _cmd_enum(args) -> int:
     if args.count_only:
         _print(f"{antichains.count_antichains(args.b, args.n, nonempty=True)}\n")
         return 0
-    antichains._check_subset_cap(domain.node_count(), antichains.DEFAULT_SUBSET_CAP)
+    antichains._check_subset_cap(domain.node_count())
     _print_listing(domain, antichains.subtree_walk(domain))
     return 0
 

@@ -117,12 +117,10 @@ def is_chain(nodes: Iterable[Node]) -> bool:
 
 @dataclass(frozen=True)
 class TreeDomain:
-    """All nodes of length < depth over digits < branching; with
-    include_leaves, the length == depth level is part of the domain too."""
+    """All nodes of length < depth over digits < branching."""
 
     branching: int
     depth: int
-    include_leaves: bool = False
 
     def __post_init__(self):
         if self.branching < 2:
@@ -130,22 +128,19 @@ class TreeDomain:
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
 
-    def max_length(self) -> int:
-        return self.depth if self.include_leaves else self.depth - 1
-
     def contains(self, node: Node) -> bool:
-        return len(node) <= self.max_length() and all(0 <= d < self.branching for d in node)
+        return len(node) < self.depth and all(0 <= d < self.branching for d in node)
 
     def node_count(self) -> int:
         b = self.branching
-        return (b ** (self.max_length() + 1) - 1) // (b - 1)
+        return (b ** self.depth - 1) // (b - 1)
 
     def nodes(self) -> Iterator[Node]:
         """All nodes in lexicographic order (depth-first, digit order)."""
 
         def walk(prefix: Node) -> Iterator[Node]:
             yield prefix
-            if len(prefix) < self.max_length():
+            if len(prefix) < self.depth - 1:
                 for d in range(self.branching):
                     yield from walk(prefix + (d,))
 

@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .antichains import (DEFAULT_SUBSET_CAP, _check_subset_cap, _shown, alpha,
-                         canonical_sets, chain_free_count, enumerate_antichains,
-                         mask_set, maximal_chain_free_masks,
-                         maximal_sibling_free_masks, maximal_sop1_free_masks,
-                         set_key, subtree_walk)
+from .antichains import (_check_subset_cap, _shown, canonical_sets,
+                         chain_free_count, enumerate_antichains, mask_set,
+                         maximal_chain_free_masks, maximal_sibling_free_masks,
+                         maximal_sop1_free_masks, set_key, subtree_walk)
 from .errors import ResourceCapError
 from .nodes import TreeDomain
 from .oracles import semilattice
@@ -246,10 +245,11 @@ FAMILY_CELL_CAP = 2 ** 25
 
 def _check_family_size(p: PatternSpec) -> None:
     """Refuse a family by its index and member counts, before any label is
-    listed: the k-chain-free count cap, then at most FAMILY_CELL_CAP cells."""
+    listed: the k-chain-free count cap (`chain_free_count`), then at most
+    FAMILY_CELL_CAP cells."""
     labels = p.index_count()
     if p.kind in (ATP, KATP):
-        members = chain_free_count(p.depth, 2 if p.kind == ATP else p.k, alpha(6))
+        members = chain_free_count(p.depth, 2 if p.kind == ATP else p.k)
     elif labels > FAMILY_CELL_CAP:
         raise ResourceCapError(f"index set of {_shown(labels)} labels", FAMILY_CELL_CAP)
     elif p.kind == SOP1:
@@ -293,7 +293,7 @@ def exact_family(p: PatternSpec) -> ConsistencyFamily:
         masks = maximal_sibling_free_masks(p.branching, p.depth, p.k)
     elif p.kind == SOP2:
         masks = [sum(1 << index[leaf[:l]] for l in range(len(leaf) + 1))
-                 for leaf in p.domain().level(p.domain().max_length())]
+                 for leaf in p.domain().level(p.depth - 1)]
     else:
         masks = [sum(1 << index[cell] for cell in enumerate(cols))
                  for cols in itertools.product(range(p.cols), repeat=p.rows)]
@@ -329,12 +329,12 @@ def _meet_table(top, meet, elements) -> List:
     return table
 
 
-def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False,
-           cap: int = DEFAULT_SUBSET_CAP) -> VerificationReport:
+def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False) -> VerificationReport:
     """Check the witness against the pattern through the oracle. Pattern mode
     checks the generated families; exhaustive mode additionally compares the
     oracle verdict with exact-family membership on every nonempty subset, in
-    increasing mask order; the 2^n cap is checked before any other work.
+    increasing mask order; 2^n subsets are checked against DEFAULT_SUBSET_CAP
+    before any other work.
 
     Each side is read from two tables of 2^(n/2) entries, over the low and the
     high half of the labels: membership from the ANDs of the `exact_family(p)`
@@ -343,7 +343,7 @@ def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False,
     with only consistent() gets tables of label tuples, so it is asked once
     per mask about the subset's labels in label order."""
     if exhaustive:
-        _check_subset_cap(p.index_count(), cap)
+        _check_subset_cap(p.index_count())
     labels = p.index_labels()
     if set(witness.labels) != set(labels):
         raise ValueError("witness index set does not match the pattern")

@@ -130,14 +130,17 @@ class SsLlReport:
     counterexample: tuple | None  # (tuple1, tuple2, sim_delta, sim0_of_closures)
 
 
-def verify_ss_ll(branching: int, leaf_depth: int, tuple_len: int,
-                 pair_cap: int = 2 ** 32) -> SsLlReport:
+# ordered pairs of leaf tuples that one ss-ll check may stand for
+SS_LL_PAIR_CAP = 2 ** 32
+
+
+def verify_ss_ll(branching: int, leaf_depth: int, tuple_len: int) -> SsLlReport:
     """Exhaustive finite check that sim_delta on tuples of distinct leaves
     coincides with sim0 on their closure tuples (which is sim0 of the tuples:
     the meets of a closure tuple are its own entries). Tuples are grouped by
     form: the lemma holds when delta forms map to closure forms and back as
-    functions. pair_count is the T^2 ordered comparisons this covers; the cap
-    applies to it before any tuple is built."""
+    functions. pair_count is the T^2 ordered comparisons this covers;
+    SS_LL_PAIR_CAP applies to them before any tuple is built."""
     if branching < 2 or leaf_depth < 1 or tuple_len < 1:
         raise ValueError("branching >= 2, leaf_depth >= 1, tuple_len >= 1 required")
     leaves = branching ** leaf_depth
@@ -145,10 +148,11 @@ def verify_ss_ll(branching: int, leaf_depth: int, tuple_len: int,
     tuple_count = 1
     for free in factors:
         tuple_count *= free
-        if tuple_count ** 2 > pair_cap:  # reported as a power of two, which always prints
+        if tuple_count ** 2 > SS_LL_PAIR_CAP:  # reported as a power of two, which always prints
             bits = 2 * tuple_count.bit_length() - 2
-            raise ResourceCapError(f"ss-ll check needs at least 2^{bits} pair comparisons", pair_cap)
-    domain = TreeDomain(branching, leaf_depth, include_leaves=True)
+            raise ResourceCapError(f"ss-ll check needs at least 2^{bits} pair comparisons",
+                                   SS_LL_PAIR_CAP)
+    domain = TreeDomain(branching, leaf_depth)
     closure_of, delta_of = {}, {}
     for t in itertools.permutations(domain.level(leaf_depth), tuple_len):
         d, c = delta_type(t), qftype0(t)

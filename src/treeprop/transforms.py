@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .errors import WitnessError
+from .errors import ResourceCapError, WitnessError
 from .nodes import Node, TreeDomain, concat_set, is_antichain, is_prefix
 from .oracles import Witness, semilattice
 from .qftypes import qftype0
@@ -115,21 +115,15 @@ def elongated_core(eta: Node, k: int) -> Node:
     return tuple(eta[i // k] if i % k == 0 else 0 for i in range(n))
 
 
-def elongate(witness: Witness, k: int, target_depth: Optional[int] = None) -> TupleWitness:
+def elongate(witness: Witness, k: int) -> TupleWitness:
     """k-fold elongation: the tuple at a node is the k-chain of source nodes
     hanging zeros off its elongated core; the root takes the all-zero chain
-    of length k from the source root."""
+    of length k from the source root. The target is as deep as the source
+    allows."""
     if k < 2:
         raise ValueError("k must be >= 2")
     source_depth = _witness_depth(witness)
-    max_depth = (source_depth - 1) // k + 1
-    if target_depth is None:
-        target_depth = max_depth
-    if target_depth < 1 or target_depth > max_depth:
-        raise WitnessError(
-            f"elongation depth {target_depth} not supported by source depth {source_depth}"
-        )
-    labels = tuple(TreeDomain(2, target_depth).nodes())
+    labels = tuple(TreeDomain(2, (source_depth - 1) // k + 1).nodes())
     provenance = {}
     for eta in labels:
         core = elongated_core(eta, k)
@@ -151,25 +145,18 @@ def probe_set(m: int, k: int) -> FrozenSet[Node]:
     )
 
 
-def reduce_katp(witness: Witness, oracle, k: int,
-                probe_bound: Optional[int] = None):
-    """The (k+1)-ATP to k-ATP reduction: probe the sets K_m through the
-    oracle; the first inconsistent one selects m-fold fattening, otherwise
-    k-fold elongation."""
+def reduce_katp(witness: Witness, oracle, k: int):
+    """The (k+1)-ATP to k-ATP reduction: probe the sets K_m, for every m the
+    source depth allows, through the oracle; the first inconsistent one
+    selects m-fold fattening, otherwise k-fold elongation."""
     if k < 2:
         raise ValueError("k must be >= 2")
     source_depth = _witness_depth(witness)
     max_probe = source_depth - k
     if max_probe < 0:
         raise WitnessError(f"source depth {source_depth} too small for k={k}")
-    if probe_bound is None:
-        probe_bound = max_probe
-    if probe_bound > max_probe:
-        raise WitnessError(
-            f"probe bound {probe_bound} exceeds depth budget (max {max_probe})"
-        )
     probes = []
-    for m in range(probe_bound + 1):
+    for m in range(max_probe + 1):
         ok = oracle.consistent(probe_set(m, k))
         probes.append((m, ok))
         if not ok:
@@ -245,16 +232,19 @@ class Scaffold:
     chi_prime: Optional[Node]
 
 
-def build_onevar_scaffold(m: int, seed: FrozenSet, max_level: int = 4) -> Scaffold:
+# levels of the scaffold construction, whose family count is doubly exponential
+SCAFFOLD_LEVEL_CAP = 4
+
+
+def build_onevar_scaffold(m: int, seed: FrozenSet) -> Scaffold:
     """Iterate product and extension steps starting from a single seed
     antichain, building the families and the strong embedding of the binary
-    tree of depth m."""
+    tree of depth m, for m up to SCAFFOLD_LEVEL_CAP."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > max_level:
-        raise WitnessError(
-            f"scaffold level {m} exceeds cap {max_level} (family count is doubly exponential)"
-        )
+    if m > SCAFFOLD_LEVEL_CAP:
+        raise ResourceCapError(f"scaffold level {m} (family count is doubly exponential)",
+                               SCAFFOLD_LEVEL_CAP)
     seed = frozenset(seed)
     if not seed or not is_antichain(seed):
         raise ValueError("seed must be a nonempty antichain")

@@ -23,22 +23,21 @@ from typing import List
 
 from treeprop import (VerificationReport, eval_formula, exact_family,
                       required_consistent, required_inconsistent)
-from treeprop.antichains import (DEFAULT_SUBSET_CAP, AntichainCatalog,
-                                 _check_subset_cap, canonical_sets,
-                                 mask_set, set_key)
+from treeprop.antichains import (AntichainCatalog, _check_subset_cap,
+                                 canonical_sets, mask_set, set_key)
 from treeprop.nodes import (TreeDomain, closure, concat_set, incomparable,
                             is_prefix, meet, node_str, sorted_nodes)
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
 
 
-def forbidden_free_table(labels, forbidden, cap: int) -> bytearray:
+def forbidden_free_table(labels, forbidden) -> bytearray:
     """The subset scan: free[mask] is 1 when the mask over the labels contains
     no forbidden set, else 0. A mask is free when it is free without its top
     bit and holds no forbidden set with that top bit. `forbidden` is read only
-    after the cap check."""
+    after the subset cap check."""
     labels = list(labels)
     n = len(labels)
-    _check_subset_cap(n, cap)
+    _check_subset_cap(n)
     index = {x: i for i, x in enumerate(labels)}
     by_top: List[List[int]] = [[] for _ in range(n)]
     for s in forbidden:
@@ -71,13 +70,13 @@ def chains(domain):
                 yield frozenset(combo + (node,))
 
 
-def reference_enumerate_antichains(domain, cap=DEFAULT_SUBSET_CAP):
+def reference_enumerate_antichains(domain):
     """The nonempty antichains as the nonzero masks of the subset scan over
     the 2-chains, sorted into canonical order."""
-    _check_subset_cap(domain.node_count(), cap)
+    _check_subset_cap(domain.node_count())
     nodes = list(domain.nodes())
     pairs = (c for c in chains(domain) if len(c) == 2)
-    free = forbidden_free_table(nodes, pairs, cap)
+    free = forbidden_free_table(nodes, pairs)
     items = [mask_set(nodes, m) for m in range(1, len(free)) if free[m]]
     return AntichainCatalog(domain, tuple(canonical_sets(items)))
 
@@ -146,16 +145,16 @@ def reference_from_members(labels, members):
     return tuple(unique)
 
 
-def max_chain_bounded_sets(domain, k, cap=DEFAULT_SUBSET_CAP):
+def max_chain_bounded_sets(domain, k):
     """All maximal subsets containing no k pairwise comparable elements, by
     the subset scan over every k-chain, in canonical order; for k=2 these are
     the maximal antichains (the brute-force reference of criterion 1)."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    _check_subset_cap(domain.node_count(), cap)
+    _check_subset_cap(domain.node_count())
     nodes = list(domain.nodes())
     k_chains = (c for c in chains(domain) if len(c) == k)
-    maximal = maximal_free_masks(forbidden_free_table(nodes, k_chains, cap))
+    maximal = maximal_free_masks(forbidden_free_table(nodes, k_chains))
     return canonical_sets(mask_set(nodes, m) for m in maximal)
 
 
@@ -235,7 +234,7 @@ def reference_members(p):
     if p.kind == SOP2:
         domain = p.domain()
         return [frozenset(leaf[:l] for l in range(len(leaf) + 1))
-                for leaf in domain.level(domain.max_length())]
+                for leaf in domain.level(domain.depth - 1)]
     if p.kind == TP2:
         return [frozenset(enumerate(cols))
                 for cols in itertools.product(range(p.cols), repeat=p.rows)]
@@ -247,7 +246,7 @@ def reference_scan_masks(p):
     """The maximal masks of the subset scan over the pattern's forbidden sets,
     sorted into canonical order: how SOP1 and TP families were built."""
     labels = p.index_labels()
-    free = forbidden_free_table(labels, required_inconsistent(p), DEFAULT_SUBSET_CAP)
+    free = forbidden_free_table(labels, required_inconsistent(p))
     return sorted(maximal_free_masks(free), key=lambda m: set_key(mask_set(labels, m)))
 
 
@@ -382,7 +381,7 @@ def reference_ss_ll(branching, leaf_depth, tuple_len,
                     closure_type=lambda t: reference_qftype0(closure(t))):
     """The lemma check over all T^2 ordered pairs of leaf tuples; the closure
     side is the type of the closure tuple, as the lemma states it."""
-    leaves = list(TreeDomain(branching, leaf_depth, include_leaves=True).level(leaf_depth))
+    leaves = list(TreeDomain(branching, leaf_depth).level(leaf_depth))
     tuples = list(itertools.permutations(leaves, tuple_len))
     keys = [(delta(t), closure_type(t)) for t in tuples]
     for (t1, (d1, c1)), (t2, (d2, c2)) in itertools.product(zip(tuples, keys), repeat=2):

@@ -5,6 +5,7 @@ import pytest
 from treeprop import (ResourceCapError, TreeDomain, alpha, count_antichains,
                       enumerate_antichains, find_iso_copy,
                       maximal_antichains, universal_prefix)
+from treeprop import antichains
 from treeprop.antichains import (canonical_sets, finite_antichain_stream,
                                  maximal_chain_free_binary, set_key)
 from treeprop.nodes import is_antichain, is_chain
@@ -62,6 +63,7 @@ def test_maximal_antichains_root_first_in_canonical_order():
 
 
 def test_maximal_antichains_cap():
+    assert antichains.CHAIN_FREE_CAP == alpha(6)
     with pytest.raises(ResourceCapError):
         maximal_antichains(7)
 
@@ -87,9 +89,16 @@ def test_chain_free_depth_five_count():
     assert len(maximal_chain_free_binary(5, 3)) == 3176
 
 
-def test_subset_scan_cap():
-    with pytest.raises(ResourceCapError):
-        enumerate_antichains(TreeDomain(2, 5), cap=2 ** 10)
+def test_subset_scan_cap(monkeypatch):
+    monkeypatch.setattr(antichains, "DEFAULT_SUBSET_CAP", 2 ** 10)
+    with pytest.raises(ResourceCapError, match="2\\^31 subsets \\(cap 1024\\)"):
+        enumerate_antichains(TreeDomain(2, 5))
+    # 15 nodes: 2^15 subsets pass a cap of 2^15 and not one of 2^15 - 1
+    monkeypatch.setattr(antichains, "DEFAULT_SUBSET_CAP", 2 ** 15)
+    assert len(enumerate_antichains(TreeDomain(2, 4))) == count_antichains(2, 4)
+    monkeypatch.setattr(antichains, "DEFAULT_SUBSET_CAP", 2 ** 15 - 1)
+    with pytest.raises(ResourceCapError, match="2\\^15 subsets"):
+        enumerate_antichains(TreeDomain(2, 4))
 
 
 def test_subset_scans_cap_before_listing_nodes(monkeypatch):
@@ -100,8 +109,9 @@ def test_subset_scans_cap_before_listing_nodes(monkeypatch):
         enumerate_antichains(TreeDomain(2, 30))
     with pytest.raises(ResourceCapError, match="at least 2\\^19999"):  # too many digits to print
         enumerate_antichains(TreeDomain(2, 20000))
-    with pytest.raises(ResourceCapError):
-        enumerate_antichains(TreeDomain(2, 5), cap=2 ** 10)
+    monkeypatch.setattr(antichains, "DEFAULT_SUBSET_CAP", 2 ** 10)
+    with pytest.raises(ResourceCapError, match="2\\^31 subsets"):
+        enumerate_antichains(TreeDomain(2, 5))
 
 
 def test_stream_starts_with_depth_one():

@@ -33,7 +33,7 @@ from treeprop import (BitsetOracle, ConjunctionOracle, ConsistencyFamily,
                       required_consistent, required_inconsistent,
                       synth_boolean, synth_skolem, verify)
 from treeprop import antichains, oracles, patterns, qftypes
-from treeprop.antichains import (DEFAULT_SUBSET_CAP, canonical_sets,
+from treeprop.antichains import (canonical_sets,
                                  chain_free_count, find_iso_copy,
                                  finite_antichain_stream, mask_set,
                                  maximal_chain_free_binary,
@@ -205,7 +205,7 @@ def test_chain_free_recursion_matches_frozenset_recursions():
             nodes = list(TreeDomain(2, n).nodes()) if n else []
             masks = maximal_chain_free_masks(n, k)
             assert [mask_set(nodes, m) for m in masks] == expected
-            assert chain_free_count(n, k, DEFAULT_SUBSET_CAP) == len(masks)
+            assert chain_free_count(n, k) == len(masks)
         old = reference_maximal_antichains(n)
         assert maximal_antichains(n).items == tuple(canonical_sets(old))
         if n:
@@ -230,7 +230,7 @@ def test_chain_free_count_is_exact():
     for n in range(7):
         for k in range(1, 9):
             if (n, k) not in {(6, 3), (6, 4), (6, 5)}:  # these three pass the cap
-                assert chain_free_count(n, k, alpha(6)) == len(maximal_chain_free_masks(n, k))
+                assert chain_free_count(n, k) == len(maximal_chain_free_masks(n, k))
     # deeper than the cap allows, but no k-chain fits: the whole tree, once
     assert maximal_chain_free_masks(8, 9) == [(1 << 255) - 1]
 
@@ -653,7 +653,7 @@ def test_scanner_table_is_exact_family_membership():
     for p in VERIFY_SPECS:
         labels = p.index_labels()
         family = exact_family(p)
-        free = forbidden_free_table(labels, required_inconsistent(p), DEFAULT_SUBSET_CAP)
+        free = forbidden_free_table(labels, required_inconsistent(p))
         assert len(free) == 1 << len(labels)
         for mask in range(1, len(free)):
             assert free[mask] == family.contains(mask_set(labels, mask)), (p, mask)
@@ -673,7 +673,7 @@ SS_LL_CASES = [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 2, 4),
 
 
 def _leaf_tuples(branching, leaf_depth, tuple_len):
-    leaves = TreeDomain(branching, leaf_depth, include_leaves=True).level(leaf_depth)
+    leaves = TreeDomain(branching, leaf_depth).level(leaf_depth)
     return list(itertools.permutations(leaves, tuple_len))
 
 

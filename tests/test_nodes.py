@@ -123,9 +123,6 @@ def test_domain_counts_and_membership():
     assert list(d.nodes()) == sorted(d.nodes())
     assert d.contains((0, 1)) and not d.contains((0, 1, 0))
     assert not d.contains((2,))
-    leaves = TreeDomain(2, 3, include_leaves=True)
-    assert leaves.node_count() == 15
-    assert len(list(leaves.level(3))) == 8
 
 
 def test_domain_validation():

@@ -6,7 +6,7 @@ from treeprop import (ConsistencyFamily, PatternSpec, ResourceCapError,
                       TreeDomain, make_pattern, exact_family,
                       maximal_antichains, oracle_for, required_consistent,
                       required_inconsistent, verify)
-from treeprop import patterns
+from treeprop import antichains, patterns
 from treeprop.nodes import is_antichain, is_chain
 from treeprop.oracles import SKOLEM, Witness
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
@@ -164,12 +164,14 @@ def test_verify_reports_counterexample():
     assert "fail" in report.summary()
 
 
-def test_exhaustive_cap_at_its_boundary():
+def test_exhaustive_cap_at_its_boundary(monkeypatch):
     p = make_pattern(ATP, depth=4)  # 15 labels
     witness = synth_skolem(exact_family(p))
-    assert verify(oracle_for(witness), witness, p, exhaustive=True, cap=2 ** 15).passed
+    monkeypatch.setattr(antichains, "DEFAULT_SUBSET_CAP", 2 ** 15)
+    assert verify(oracle_for(witness), witness, p, exhaustive=True).passed
+    monkeypatch.setattr(antichains, "DEFAULT_SUBSET_CAP", 2 ** 15 - 1)
     with pytest.raises(ResourceCapError, match="2\\^15 subsets"):
-        verify(oracle_for(witness), witness, p, exhaustive=True, cap=2 ** 15 - 1)
+        verify(oracle_for(witness), witness, p, exhaustive=True)
 
 
 def test_exhaustive_cap_before_any_work(monkeypatch):
@@ -183,9 +185,10 @@ def test_exhaustive_cap_before_any_work(monkeypatch):
         with pytest.raises(ResourceCapError, match=shown):
             verify(oracle_for(witness), witness, make_pattern(SOP2, depth=depth),
                    exhaustive=True)
+    monkeypatch.setattr(antichains, "DEFAULT_SUBSET_CAP", 2 ** 11)
     with pytest.raises(ResourceCapError, match="2\\^12 "):
         verify(oracle_for(witness), witness, make_pattern(TP2, rows=3, cols=4),
-               exhaustive=True, cap=2 ** 11)
+               exhaustive=True)
 
 
 def test_verify_rejects_label_mismatch():

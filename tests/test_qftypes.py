@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from treeprop import (ResourceCapError, TreeDomain, closure, delta_type, qftype0,
                       sim0, sim0_atomic, sim0_sets, sim_delta, verify_ss_ll)
+from treeprop import qftypes
 from treeprop.qftypes import SsLlReport, atomic_pattern
 
 binary_nodes = st.lists(st.integers(0, 1), max_size=5).map(tuple)
@@ -83,9 +84,16 @@ def test_ss_ll_triples_depth_two():
     assert report.tuple_count == 24
 
 
-def test_ss_ll_cap():
-    with pytest.raises(ResourceCapError):
-        verify_ss_ll(2, 3, 3, pair_cap=1000)
+def test_ss_ll_cap(monkeypatch):
+    monkeypatch.setattr(qftypes, "SS_LL_PAIR_CAP", 1000)
+    with pytest.raises(ResourceCapError, match=r"2\^10 pair comparisons \(cap 1000\)"):
+        verify_ss_ll(2, 3, 3)
+    # 56 pairs of distinct leaves of 8: 3136 comparisons pass a cap of 3136 only
+    monkeypatch.setattr(qftypes, "SS_LL_PAIR_CAP", 3136)
+    assert verify_ss_ll(2, 3, 2).pair_count == 3136
+    monkeypatch.setattr(qftypes, "SS_LL_PAIR_CAP", 3135)
+    with pytest.raises(ResourceCapError, match=r"2\^10 pair comparisons \(cap 3135\)"):
+        verify_ss_ll(2, 3, 2)
 
 
 def test_ss_ll_cap_before_any_tuple(monkeypatch):

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from treeprop import (ConjunctionOracle, TupleWitness, WitnessError, alpha,
+from treeprop import (ConjunctionOracle, ResourceCapError, TupleWitness,
+                      WitnessError, alpha,
                       build_onevar_scaffold, collapse_extend, collapse_product,
                       elongate, exact_family, fatten, make_pattern,
                       maximal_antichains, oracle_for, reduce_katp, sim0,
@@ -59,8 +60,6 @@ def test_elongate_provenance():
 def test_elongate_validation():
     with pytest.raises(ValueError):
         elongate(atp_witness(3), 1)
-    with pytest.raises(WitnessError):
-        elongate(atp_witness(3), 2, target_depth=5)
 
 
 def test_tuple_witness_validation():
@@ -113,8 +112,6 @@ def test_reduce_validation():
         reduce_katp(base, oracle_for(base), 1)
     with pytest.raises(WitnessError):
         reduce_katp(base, oracle_for(base), 4)
-    with pytest.raises(WitnessError):
-        reduce_katp(base, oracle_for(base), 2, probe_bound=5)
 
 
 def test_collapse_product_example():
@@ -195,5 +192,5 @@ def test_scaffold_validation():
         build_onevar_scaffold(0, {(0,)})
     with pytest.raises(ValueError):
         build_onevar_scaffold(2, {(), (0,)})
-    with pytest.raises(WitnessError):
+    with pytest.raises(ResourceCapError, match=r"scaffold level 5 .*\(cap 4\)"):
         build_onevar_scaffold(5, {(0,)})
