@@ -66,6 +66,7 @@ def _print(data) -> None:
 
 
 def _cmd_alpha(args) -> int:
+    antichains.alpha(args.n)  # refuses n < 0, and a count past its cap, before any is printed
     _print(" ".join(str(antichains.alpha(n)) for n in range(args.n + 1)) + "\n")
     return 0
 

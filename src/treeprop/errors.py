@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+# items of a list that an error message shows before it gives only the count
+MESSAGE_ITEMS = 3
+
+
+def shown_items(items: list) -> str:
+    """A list for an error message: the whole list, or its first few items
+    and the count of the rest, so a message stays one short line."""
+    if len(items) <= MESSAGE_ITEMS:
+        return str(items)
+    return f"{str(items[:MESSAGE_ITEMS])[:-1]}, ... ({len(items) - MESSAGE_ITEMS} more)]"
+
 
 class TreepropError(Exception):
     pass
@@ -19,7 +30,8 @@ class FormulaError(TreepropError, ValueError):
 
 
 class ResourceCapError(TreepropError, RuntimeError):
-    """An enumeration would exceed its configured cap."""
+    """A size would exceed its cap, a module-level constant of the module that
+    raises it."""
 
     def __init__(self, message, cap):
         super().__init__(f"{message} (cap {cap})")

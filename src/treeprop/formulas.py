@@ -127,29 +127,6 @@ class Quantifier(Formula):
         return f"{self.kind} {self.var}. ({self.body})"
 
 
-def free_variables(f: Formula) -> set:
-    """Names occurring free; constant resolution happens at evaluation."""
-
-    def term_names(t: Term) -> set:
-        if isinstance(t, Name):
-            return {t.ident}
-        if isinstance(t, Apply):
-            return set().union(*(term_names(a) for a in t.args))
-        return set()
-
-    if isinstance(f, Atom):
-        return set().union(*(term_names(a) for a in f.args))
-    if isinstance(f, Equals):
-        return term_names(f.left) | term_names(f.right)
-    if isinstance(f, Not):
-        return free_variables(f.inner)
-    if isinstance(f, (And, Or, Implies)):
-        return free_variables(f.left) | free_variables(f.right)
-    if isinstance(f, Quantifier):
-        return free_variables(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
-
-
 # --- Parser ---
 
 _TOKEN = re.compile(r"\s*(->|!=|[()=.,&|!]|[A-Za-z_][A-Za-z_0-9]*|\d+)")

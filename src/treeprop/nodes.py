@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
-from .errors import MalformedNodeError
+from .errors import MalformedNodeError, ResourceCapError
 
 Node = Tuple[int, ...]
 
@@ -115,6 +115,11 @@ def is_chain(nodes: Iterable[Node]) -> bool:
     return all(not incomparable(a, b) for a, b in itertools.combinations(xs, 2))
 
 
+# bits of a domain's node count, bounded before any power is taken: a domain
+# of depth d has at least b^(d-1) >= 2^((d-1) * (bit_length(b) - 1)) nodes
+DOMAIN_BITS_CAP = 2 ** 16
+
+
 @dataclass(frozen=True)
 class TreeDomain:
     """All nodes of length < depth over digits < branching."""
@@ -127,6 +132,10 @@ class TreeDomain:
             raise ValueError("branching must be >= 2")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
+        bits = (self.depth - 1) * (self.branching.bit_length() - 1)
+        if bits >= DOMAIN_BITS_CAP:
+            raise ResourceCapError(f"tree domain whose node count has over {bits} bits",
+                                   DOMAIN_BITS_CAP)
 
     def contains(self, node: Node) -> bool:
         return len(node) < self.depth and all(0 <= d < self.branching for d in node)

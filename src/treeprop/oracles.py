@@ -32,7 +32,7 @@ import operator
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .errors import FormulaError, WitnessError
+from .errors import FormulaError, WitnessError, shown_items
 from .formulas import FiniteStructure, Formula, eval_formula
 
 SKOLEM = "skolem"
@@ -54,17 +54,19 @@ class Witness:
     def __post_init__(self):
         missing = [i for i in self.labels if i not in self.params]
         if missing or len(self.params) != len(self.labels):
-            raise WitnessError(f"parameter map does not match labels: missing {missing}")
+            raise WitnessError("parameter map does not match labels: "
+                               f"missing {shown_items(missing)}")
         if self.backend == SKOLEM:
             bad = [i for i in self.labels if not isinstance(self.params[i], int) or self.params[i] < 1]
             if bad:
-                raise WitnessError(f"skolem parameters must be >= 1: {bad}")
+                raise WitnessError(f"skolem parameters must be >= 1: {shown_items(bad)}")
         elif self.backend == BOOLEAN:
             if self.width is None or self.width < 0:
                 raise WitnessError("boolean witness needs a declared width")
             bad = [i for i in self.labels if self.params[i] >> self.width]
             if bad:
-                raise WitnessError(f"bitset wider than declared width {self.width}: {bad}")
+                raise WitnessError(f"bitset wider than declared width {self.width}: "
+                                   f"{shown_items(bad)}")
         elif self.backend != STRUCTURE:
             raise WitnessError(f"unknown backend {self.backend!r}")
 

@@ -139,20 +139,23 @@ def verify_ss_ll(branching: int, leaf_depth: int, tuple_len: int) -> SsLlReport:
     coincides with sim0 on their closure tuples (which is sim0 of the tuples:
     the meets of a closure tuple are its own entries). Tuples are grouped by
     form: the lemma holds when delta forms map to closure forms and back as
-    functions. pair_count is the T^2 ordered comparisons this covers;
-    SS_LL_PAIR_CAP applies to them before any tuple is built."""
+    functions. pair_count is the T^2 ordered comparisons this covers; the
+    tree above the leaves is sized first, and SS_LL_PAIR_CAP applies to the
+    pairs before any tuple is built. Past the leaf count there are no tuples,
+    and the check passes with none."""
     if branching < 2 or leaf_depth < 1 or tuple_len < 1:
         raise ValueError("branching >= 2, leaf_depth >= 1, tuple_len >= 1 required")
+    domain = TreeDomain(branching, leaf_depth)  # refuses a huge tree before the power
     leaves = branching ** leaf_depth
-    factors = range(leaves, leaves - tuple_len, -1) if tuple_len <= leaves else (0,)
+    if tuple_len > leaves:
+        return SsLlReport(True, 0, 0, None)
     tuple_count = 1
-    for free in factors:
+    for free in range(leaves, leaves - tuple_len, -1):
         tuple_count *= free
         if tuple_count ** 2 > SS_LL_PAIR_CAP:  # reported as a power of two, which always prints
             bits = 2 * tuple_count.bit_length() - 2
             raise ResourceCapError(f"ss-ll check needs at least 2^{bits} pair comparisons",
                                    SS_LL_PAIR_CAP)
-    domain = TreeDomain(branching, leaf_depth)
     closure_of, delta_of = {}, {}
     for t in itertools.permutations(domain.level(leaf_depth), tuple_len):
         d, c = delta_type(t), qftype0(t)

@@ -20,6 +20,7 @@ from itertools import count, islice, takewhile
 from math import log, prod
 from typing import Iterator
 
+from .antichains import mask_labels
 from .errors import ResourceCapError, WitnessError
 from .oracles import BOOLEAN, SKOLEM, Witness
 from .patterns import ConsistencyFamily
@@ -72,8 +73,7 @@ def synth_skolem(family: ConsistencyFamily) -> Witness:
     if bits > SKOLEM_BITS_CAP:
         raise ResourceCapError(f"skolem parameters of up to {bits} bits", SKOLEM_BITS_CAP)
     ps = list(islice(primes(), len(family.masks)))
-    assigned = {label: prod(p for n, p in enumerate(ps) if column >> n & 1)
-                for label, column in family.columns.items()}
+    assigned = {label: prod(mask_labels(ps, column)) for label, column in family.columns.items()}
     return Witness(SKOLEM, tuple(family.labels), assigned)
 
 

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .errors import ResourceCapError, WitnessError
+from .errors import ResourceCapError, WitnessError, shown_items
 from .nodes import Node, TreeDomain, concat_set, is_antichain, is_prefix
 from .oracles import Witness, semilattice
 from .qftypes import qftype0
@@ -45,7 +45,7 @@ class TupleWitness:
                 raise WitnessError(f"non-uniform arity at {label}")
             missing = [s for s in sources if s not in base_labels]
             if missing:
-                raise WitnessError(f"unknown source indices {missing} at {label}")
+                raise WitnessError(f"unknown source indices {shown_items(missing)} at {label}")
 
     def components(self, label: Node) -> tuple:
         return tuple(self.base.params[s] for s in self.provenance[label])
@@ -118,11 +118,13 @@ def elongated_core(eta: Node, k: int) -> Node:
 def elongate(witness: Witness, k: int) -> TupleWitness:
     """k-fold elongation: the tuple at a node is the k-chain of source nodes
     hanging zeros off its elongated core; the root takes the all-zero chain
-    of length k from the source root. The target is as deep as the source
-    allows."""
+    of length k from the source root, so k past the source depth is refused
+    before any chain is built. The target is as deep as the source allows."""
     if k < 2:
         raise ValueError("k must be >= 2")
     source_depth = _witness_depth(witness)
+    if k > source_depth:
+        raise WitnessError(f"elongation by {k} exceeds source depth {source_depth}")
     labels = tuple(TreeDomain(2, (source_depth - 1) // k + 1).nodes())
     provenance = {}
     for eta in labels:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treeprop
 from treeprop import (TreeDomain, divisor_structure, enumerate_antichains,
                       maximal_antichains)
 from treeprop.cli import main
@@ -303,6 +308,11 @@ def test_verify_malformed_witness_exits_2(capsys, tmp_path, make, mutate):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_alpha_refuses_a_negative_n(capsys):
+    code, out, err = run(capsys, "alpha", "--n", "-1")
+    assert code == 2 and out == "" and err == "error: n must be >= 0\n"
+
+
 def test_alpha_prints_up_to_the_digit_cap(capsys):
     code, out, _ = run(capsys, "alpha", "--n", "15")
     assert code == 0
@@ -344,3 +354,55 @@ def test_synth_atp_depth_six_boolean_only(capsys, tmp_path):
     assert code == 0 and "458330 maximal members" in err
     data = json.loads((tmp_path / "b.json").read_text())
     assert data["backend"] == "boolean" and len(data["params"]) == 63
+
+
+# --- every integer argument, sized before any work ---
+
+SWEEP_VALUES = ("-1", "0", "1", str(10 ** 6), str(10 ** 20))
+
+# one template per integer argument of each subcommand; {} takes each value,
+# W is a depth-4 ATP witness and OUT an output path
+SWEEP_TEMPLATES = [
+    "alpha --n {}",
+    "enum-antichains --n {}",
+    "enum-antichains --b {} --n 2",
+    "enum-antichains --n {} --count-only",
+    "enum-antichains --b {} --n 2 --count-only",
+    "enum-antichains --n {} --maximal",
+    "enum-antichains --n {} --maximal --count-only",
+    "enum-antichains --b {} --n 2 --maximal",
+    "synth --pattern atp --depth {} --backend boolean --out OUT",
+    "synth --pattern katp:{} --depth 3 --backend skolem --out OUT",
+    "synth --pattern sop1 --depth {} --backend skolem --out OUT",
+    "synth --pattern sop2 --depth {} --backend boolean --out OUT",
+    "synth --pattern tp:{} --b 3 --depth 3 --backend boolean --out OUT",
+    "synth --pattern tp:2 --b {} --depth 3 --backend boolean --out OUT",
+    "synth --pattern tp:2 --b 3 --depth {} --backend boolean --out OUT",
+    "synth --pattern tp2 --rows {} --cols 2 --backend skolem --out OUT",
+    "synth --pattern tp2 --rows 2 --cols {} --backend skolem --out OUT",
+    "transform fatten --witness W --m {} --out OUT",
+    "transform elongate --witness W --k {} --out OUT",
+    "transform reduce --witness W --k {} --out OUT",
+    "check-lemma ss-ll --b {} --n 2 --len 2",
+    "check-lemma ss-ll --n {} --len 2",
+    "check-lemma ss-ll --n 3 --len {}",
+]
+
+
+def test_every_integer_argument_exits_cleanly(capsys, tmp_path):
+    # each run is a child under a 512 MB address-space limit and a 10 s alarm
+    # (tests/sweep_child.py): never run these values without them
+    witness = tmp_path / "w.json"
+    assert main(["synth", "--pattern", "atp", "--depth", "4", "--backend", "skolem",
+                 "--out", str(witness)]) == 0
+    argvs = [[str(witness) if word == "W" else str(tmp_path / "out.json") if word == "OUT"
+              else word.format(value) for word in template.split()]
+             for template in SWEEP_TEMPLATES for value in SWEEP_VALUES]
+    child = Path(__file__).with_name("sweep_child.py")
+    env = {**os.environ, "PYTHONPATH": str(Path(treeprop.__file__).parents[1])}
+    done = subprocess.run([sys.executable, str(child)], input=json.dumps(argvs),
+                          capture_output=True, text=True, env=env, timeout=300, check=True)
+    bad = {" ".join(argv[1:] if argv[0] == "transform" else argv): (status, err)
+           for argv, (status, err) in zip(argvs, json.loads(done.stdout))
+           if status not in (0, 2, 3) or err.count("\n") > 1 or len(err) > 300}
+    assert bad == {}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from treeprop import (FiniteStructure, FormulaError, TreepropError,
                       divisor_structure, eval_formula, parse_formula)
 from treeprop.formulas import (And, Apply, Atom, Equals, Implies, Literal,
-                               Name, Not, Or, Quantifier, free_variables)
+                               Name, Not, Or, Quantifier)
 
 
 def test_parse_precedence():
@@ -46,11 +46,6 @@ def test_parse_errors_carry_positions():
         parse_formula("x = 1 )")
     with pytest.raises(FormulaError):
         parse_formula("x = 1 $")
-
-
-def test_free_variables():
-    f = parse_formula("exists y. divides(x, y) & y != z")
-    assert free_variables(f) == {"x", "z"}
 
 
 def test_divisor_structure():

@@ -37,3 +37,72 @@ def test_unused_imports_are_found(tmp_path):
                       "from .a import b, c as d\n"
                       "def f(x: d) -> None:\n    return b(system.argv)\n")
     assert unused_imports(module) == ["os"]
+
+
+def _module_constants(tree):
+    """The UPPER_CASE names that the module assigns at its top level."""
+    return {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name) and target.id.isupper()}
+
+
+def loose_caps(path):
+    """The lines raising ResourceCapError(message, cap) whose cap is not a
+    module-level UPPER_CASE constant of the same module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    constants = _module_constants(tree)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ResourceCapError":
+            caps = node.args[1:] + [k.value for k in node.keywords if k.arg == "cap"]
+            if not (len(caps) == 1 and isinstance(caps[0], ast.Name)
+                    and caps[0].id in constants):
+                out.append(node.lineno)
+    return sorted(out)
+
+
+def called_defaults(path):
+    """The functions with a parameter default that calls a function, which
+    runs once at import and hides a limit from the module's constants."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.name if hasattr(node, "name") else f"lambda at {node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            and any(isinstance(inner, ast.Call)
+                    for default in node.args.defaults + node.args.kw_defaults
+                    if default is not None for inner in ast.walk(default))]
+
+
+def test_every_cap_is_a_module_constant():
+    modules = sorted(SOURCE.glob("*.py"))
+    raising = [path for path in modules if "ResourceCapError(" in path.read_text(encoding="utf-8")]
+    assert len(raising) >= 5
+    assert {path.name: loose_caps(path) for path in raising if loose_caps(path)} == {}
+
+
+def test_loose_caps_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("LIMIT = 8\nlimit = 9\n"
+                      "def f(n, cap=LIMIT):\n"
+                      "    raise ResourceCapError('a', LIMIT)\n"
+                      "    raise ResourceCapError('b', cap)\n"
+                      "    raise ResourceCapError('c', limit)\n"
+                      "    raise ResourceCapError('d', 2 ** 3)\n"
+                      "    raise ResourceCapError('e', cap=LIMIT)\n"
+                      "    raise ResourceCapError('f', OTHER)\n")
+    assert loose_caps(module) == [5, 6, 7, 9]
+
+
+def test_no_parameter_default_calls_a_function():
+    assert {path.name: called_defaults(path) for path in sorted(SOURCE.glob("*.py"))
+            if called_defaults(path)} == {}
+
+
+def test_called_defaults_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("CAP = 4\n"
+                      "def f(n, cap=alpha(6)): pass\n"
+                      "def g(n, cap=CAP, k=None, *, s=2 ** 3): pass\n"
+                      "class C:\n    def h(self, *, x=[len(s) for s in ()]): pass\n"
+                      "key = lambda x, y=sorted([]): x\n")
+    assert called_defaults(module) == ["f", "h", "lambda at 6"]

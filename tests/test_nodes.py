@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treeprop import (MalformedNodeError, Rel, TreeDomain, closure, compare,
-                      concat, concat_set, is_antichain, is_chain, lex_less,
+import treeprop.nodes
+from treeprop import (MalformedNodeError, Rel, ResourceCapError, TreeDomain, closure,
+                      compare, concat, concat_set, is_antichain, is_chain, lex_less,
                       meet, node_str, parse_node)
 from treeprop.nodes import incomparable, is_prefix, sorted_nodes
 
@@ -130,6 +131,19 @@ def test_domain_validation():
         TreeDomain(1, 3)
     with pytest.raises(ValueError):
         TreeDomain(2, 0)
+
+
+def test_domain_size_cap_before_any_power(monkeypatch):
+    # depth d over b digits has at least 2^((d - 1) * (bit_length(b) - 1)) nodes
+    assert TreeDomain(2, 2 ** 16).node_count() == 2 ** 2 ** 16 - 1
+    for args, bits in [((2, 2 ** 16 + 1), 65536), ((3, 10 ** 20), 10 ** 20 - 1),
+                       ((10 ** 20, 10 ** 20), 66 * (10 ** 20 - 1))]:
+        with pytest.raises(ResourceCapError, match=f"over {bits} bits \\(cap 65536\\)"):
+            TreeDomain(*args)
+    monkeypatch.setattr(treeprop.nodes, "DOMAIN_BITS_CAP", 8)
+    assert TreeDomain(4, 4).node_count() == 85
+    with pytest.raises(ResourceCapError, match="over 8 bits \\(cap 8\\)"):
+        TreeDomain(4, 5)
 
 
 def test_sorted_nodes_dedups():

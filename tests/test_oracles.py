@@ -25,6 +25,18 @@ def test_witness_validation():
         Witness("other", ("a",), {"a": 1})
 
 
+def test_witness_errors_list_a_few_labels_and_a_count():
+    labels = tuple(range(1000))
+    with pytest.raises(WitnessError, match=r"missing \[0, 1, 2, \.\.\. \(997 more\)\]$"):
+        Witness(SKOLEM, labels, {})
+    with pytest.raises(WitnessError, match=r">= 1: \[0, 1, 2, \.\.\. \(997 more\)\]$"):
+        Witness(SKOLEM, labels, dict.fromkeys(labels, 0))
+    with pytest.raises(WitnessError, match=r"width 3: \[0, 1, 2, \.\.\. \(997 more\)\]$"):
+        Witness(BOOLEAN, labels, dict.fromkeys(labels, 8), width=3)
+    with pytest.raises(WitnessError, match=r"width 3: \[0, 1, 2\]$"):
+        Witness(BOOLEAN, labels[:3], dict.fromkeys(labels[:3], 8), width=3)
+
+
 def test_gcd_oracle():
     oracle = GcdOracle(skolem({"a": 6, "b": 10, "c": 15, "d": 7}))
     assert oracle.consistent([])  # empty set by convention

@@ -113,8 +113,9 @@ def test_ss_ll_reports():
 
 
 def test_ss_ll_more_leaves_requested_than_exist():
-    report = verify_ss_ll(2, 2, 5)
-    assert report.passed and (report.tuple_count, report.pair_count) == (0, 0)
+    for tuple_len in (5, 10 ** 20):
+        report = verify_ss_ll(2, 2, tuple_len)
+        assert report.passed and (report.tuple_count, report.pair_count) == (0, 0)
 
 
 def test_ss_ll_validates_arguments():

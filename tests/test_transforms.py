@@ -62,6 +62,22 @@ def test_elongate_validation():
         elongate(atp_witness(3), 1)
 
 
+def test_elongate_refuses_k_past_the_source_depth():
+    assert elongate(atp_witness(3), 3).labels == ((),)
+    with pytest.raises(WitnessError) as refused:
+        elongate(atp_witness(3), 3000)  # a chain of 3000 at the root, none of it built
+    assert str(refused.value) == "elongation by 3000 exceeds source depth 3"
+
+
+def test_missing_sources_are_listed_briefly():
+    base = atp_witness(2)
+    sources = tuple((0,) * i for i in range(2, 3002))
+    with pytest.raises(WitnessError) as refused:
+        TupleWitness(base, ((),), {(): sources}, len(sources))
+    assert str(refused.value) == ("unknown source indices [(0, 0), (0, 0, 0), (0, 0, 0, 0), "
+                                  "... (2997 more)] at ()")
+
+
 def test_tuple_witness_validation():
     base = atp_witness(2)
     with pytest.raises(WitnessError):
