@@ -6,7 +6,8 @@ Reads a JSON list of argument lists on stdin and writes one JSON list of
 code, or -N when signal N ended the child (SIGALRM at the time limit). The
 module imports treeprop once and forks per command, so no run pays for the
 interpreter's start-up, and a run that allocates without bound meets the
-limit as a MemoryError in its own child.
+limit as a MemoryError in its own child. The process starts no thread, so
+forking it is safe.
 
     python tests/sweep_child.py < argvs.json
 """
@@ -34,7 +35,7 @@ def _child(argv, err_path) -> int:
             code = treeprop.cli.main(argv)
         except SystemExit as exc:  # argparse refusing the arguments
             code = exc.code if isinstance(exc.code, int) else 1
-        except BaseException:
+        except Exception:  # what an uncaught error would print, and exit 1
             traceback.print_exc()
             code = 1
         sys.stderr.flush()

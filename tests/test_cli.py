@@ -402,7 +402,7 @@ def test_every_integer_argument_exits_cleanly(capsys, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(treeprop.__file__).parents[1])}
     done = subprocess.run([sys.executable, str(child)], input=json.dumps(argvs),
                           capture_output=True, text=True, env=env, timeout=300, check=True)
-    bad = {" ".join(argv[1:] if argv[0] == "transform" else argv): (status, err)
+    bad = {" ".join(argv): (status, err)
            for argv, (status, err) in zip(argvs, json.loads(done.stdout))
            if status not in (0, 2, 3) or err.count("\n") > 1 or len(err) > 300}
     assert bad == {}
