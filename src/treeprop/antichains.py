@@ -218,9 +218,11 @@ def maximal_sibling_free_masks(branching: int, n: int, k: int) -> List[int]:
         tails = {0: [0]}  # [j]: children from i on, j chosen
         for i in reversed(range(branching)):
             shift = 1 + i * s
+            # j of the b - i children from i on, leaving at most i to the first i
+            rows = range(max(pick - i, 0), min(pick, branching - i) + 1)
             tails = {j: [a << shift | t for a in masks for t in tails.get(j - 1, [])]
                      + [(a & ~1) << shift | t for a in masks for t in tails.get(j, [])]
-                     for j in range(max(pick - i, 0), pick + 1)}  # rows the first i can fill
+                     for j in rows}
         masks = [1 | t for t in tails[pick]]
     return masks
 

@@ -376,6 +376,7 @@ SWEEP_TEMPLATES = [
     "synth --pattern sop1 --depth {} --backend skolem --out OUT",
     "synth --pattern sop2 --depth {} --backend boolean --out OUT",
     "synth --pattern tp:{} --b 3 --depth 3 --backend boolean --out OUT",
+    "synth --pattern tp:{} --b 20000 --depth 2 --backend boolean --out OUT",
     "synth --pattern tp:2 --b {} --depth 3 --backend boolean --out OUT",
     "synth --pattern tp:2 --b 3 --depth {} --backend boolean --out OUT",
     "synth --pattern tp2 --rows {} --cols 2 --backend skolem --out OUT",

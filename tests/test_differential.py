@@ -131,6 +131,8 @@ def test_tp_recursion_builds_only_parts_of_members():
     finally:
         tracemalloc.stop()
     assert exact_family(make_pattern(TP, branching=40, depth=2, k=41)).masks == ((1 << 41) - 1,)
+    # pick = b: one row per child, not one per child and count, so b = 20000 is quick
+    assert maximal_sibling_free_masks(20000, 2, 20001) == [(1 << 20001) - 1]
     family = exact_family(make_pattern(TP, branching=30, depth=2, k=30))
     assert len(family.masks) == 30 and all(m.bit_count() == 30 for m in family.masks)
 
@@ -426,9 +428,11 @@ def test_broken_tp_recursion_fails_the_gate():
         tails = {0: [0]}  # [j]: children from i on, j chosen
         for i in reversed(range(branching)):
             shift = 1 + i * s
+            # j of the b - i children from i on, leaving at most i to the first i
+            rows = range(max(pick - i, 0), min(pick, branching - i) + 1)
             tails = {j: [a << shift | t for a in masks for t in tails.get(j - 1, [])]
                      + [(a & ~1) << shift | t for a in masks for t in tails.get(j, [])]
-                     for j in range(max(pick - i, 0), pick + 1)}  # rows the first i can fill
+                     for j in rows}
         masks = [1 | t for t in tails[pick]]
 """, """\
         out = []
