@@ -3,11 +3,11 @@ import itertools
 import pytest
 
 from treeprop import (ConjunctionOracle, ResourceCapError, TupleWitness,
-                      WitnessError, alpha,
-                      build_onevar_scaffold, collapse_extend, collapse_product,
-                      elongate, exact_family, fatten, make_pattern,
-                      maximal_antichains, oracle_for, reduce_katp, sim0,
-                      sim0_atomic, sim0_sets, synth_skolem, verify)
+                      WitnessError, alpha, build_onevar_scaffold,
+                      collapse_extend, collapse_product, elongate, exact_family,
+                      fatten, make_pattern, maximal_antichains, oracle_for,
+                      reduce_katp, sim0, sim0_atomic, sim0_sets, synth_skolem,
+                      verify)
 from treeprop.nodes import is_antichain
 from treeprop.patterns import ATP, KATP
 from treeprop.transforms import elongated_core, probe_set
