@@ -2,9 +2,9 @@
 
 Index subsets are int bitmasks over a canonical label order (bit i is the
 i-th label). `subtree_walk` lists every nonempty chain or antichain of a
-tree domain; one tree recursion per pattern builds the maximal sets free of
-its forbidden configuration (k-chains, SOP1 pairs, k siblings) with no subset
-scan. The scan stays as their brute-force reference next to the tests.
+tree or of an array whose rows are chains; one tree recursion per pattern
+builds the maximal sets free of its forbidden configuration (k-chains, SOP1
+pairs, k siblings) without the subset scan, their reference in the tests.
 
 Canonical orders used throughout:
   * a node set is canonically presented as its lex-sorted tuple of nodes;
@@ -42,10 +42,6 @@ COUNT_DIGITS_CAP = sys.int_info.default_max_str_digits
 
 def set_key(nodes) -> Tuple[Node, ...]:
     return tuple(sorted(nodes))
-
-
-def canonical_sets(sets) -> List[NodeSet]:
-    return sorted((frozenset(s) for s in sets), key=set_key)
 
 
 @dataclass(frozen=True)
@@ -110,31 +106,37 @@ def _check_subset_cap(n: int) -> None:
         raise ResourceCapError(f"subset scan over 2^{_shown(n)} subsets", DEFAULT_SUBSET_CAP)
 
 
-def subtree_walk(domain: TreeDomain, chains: bool = False,
-                 most: Optional[int] = None) -> Iterator[int]:
-    """Every nonempty antichain (or, with chains, every nonempty chain) of the
-    domain of at most `most` nodes (default: any number) once, as a mask over
-    its nodes in lex order, in canonical order.
-    In lex order the subtree of node i is the run of size[i] nodes from i on,
-    so a set holding i extends by a node past that run (antichains) or inside
-    it (chains). A depth-first walk that tries the nodes in increasing order
-    emits each set before its extensions, which is canonical set order; a set
-    of `most` nodes is not extended."""
-    b, top = domain.branching, domain.depth - 1
-    size = [(b ** (top - len(x) + 1) - 1) // (b - 1) for x in domain.nodes()]
-    stack = [(0, 0, len(size))]  # (set, next node to try, end of its window)
+def _check_row_choices(rows: int, cols: int) -> None:
+    """Refuse listing the (cols+1)^rows - 1 sets of at most one cell per row
+    past DEFAULT_SUBSET_CAP, bounding the power by 2^bits <= it before it is taken."""
+    bits = rows * ((cols + 1).bit_length() - 1)
+    if bits > DEFAULT_SUBSET_CAP.bit_length() or (cols + 1) ** rows - 1 > DEFAULT_SUBSET_CAP:
+        raise ResourceCapError(f"{_shown(cols + 1)}^{_shown(rows)} - 1 sets of at most one "
+                               f"cell per row", DEFAULT_SUBSET_CAP)
+
+
+def subtree_walk(runs, chains: bool = False, most: Optional[int] = None) -> Iterator[int]:
+    """Every nonempty antichain (or, with chains, every nonempty chain) of at
+    most `most` labels (default: any number) once, as a mask, in canonical
+    order. runs[i] counts the labels from i on comparable with i, i included:
+    a node's subtree in lex order, or a cell's rest of its row in an array
+    whose rows are chains. So a set holding i extends by a label past that run
+    (antichains) or inside it (chains). A depth-first walk that tries the
+    labels in increasing order emits each set before its extensions, which is
+    canonical set order; a set of `most` labels is not extended."""
+    stack = [(0, 0, len(runs))]  # (set, next label to try, end of its window)
     while stack:
         mask, i, hi = stack.pop()
         if i < hi:
-            stack.append((mask, i + 1, hi))  # the sets without node i come after
+            stack.append((mask, i + 1, hi))  # the sets without label i come after
             mask |= 1 << i
             yield mask
             if most is not None and mask.bit_count() == most:
                 continue
             if chains:
-                stack.append((mask, i + 1, i + size[i]))
+                stack.append((mask, i + 1, i + runs[i]))
             else:
-                stack.append((mask, i + size[i], hi))
+                stack.append((mask, i + runs[i], hi))
 
 
 def enumerate_antichains(domain: TreeDomain) -> AntichainCatalog:
@@ -143,7 +145,8 @@ def enumerate_antichains(domain: TreeDomain) -> AntichainCatalog:
     the listing: it is refused past the subset cap before any node is listed."""
     _check_subset_cap(domain.node_count())
     nodes = list(domain.nodes())
-    return AntichainCatalog(domain, tuple(mask_set(nodes, m) for m in subtree_walk(domain)))
+    return AntichainCatalog(domain, tuple(mask_set(nodes, m)
+                                          for m in subtree_walk(domain.subtree_sizes())))
 
 
 def chain_free_count(n: int, k: int) -> int:

@@ -85,7 +85,7 @@ def _cmd_enum(args) -> int:
         _print(f"{antichains.count_antichains(args.b, args.n, nonempty=True)}\n")
         return 0
     antichains._check_subset_cap(domain.node_count())
-    _print_listing(domain, antichains.subtree_walk(domain))
+    _print_listing(domain, antichains.subtree_walk(domain.subtree_sizes()))
     return 0
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from .errors import MalformedNodeError, ResourceCapError
 
@@ -154,6 +154,13 @@ class TreeDomain:
                     yield from walk(prefix + (d,))
 
         return walk(ROOT)
+
+    def subtree_sizes(self) -> List[int]:
+        """Each node's subtree size, in lex order: its run of nodes from it on."""
+        b, sizes = self.branching, [1]
+        for d in range(2, self.depth + 1):
+            sizes = [(b ** d - 1) // (b - 1)] + sizes * b
+        return sizes
 
     def level(self, n: int) -> Iterator[Node]:
         return itertools.product(range(self.branching), repeat=n)

@@ -22,10 +22,10 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from .antichains import (_check_subset_cap, _shown, canonical_sets,
-                         chain_free_count, enumerate_antichains, mask_set,
+from .antichains import (_check_row_choices, _check_subset_cap, _shown,
+                         chain_free_count, mask_labels, mask_set,
                          maximal_chain_free_masks, maximal_sibling_free_masks,
                          maximal_sop1_free_masks, set_key, subtree_walk)
 from .errors import ResourceCapError
@@ -63,6 +63,12 @@ class PatternSpec:
         if self.kind == TP2:
             return self.rows * self.cols
         return self.domain().node_count()
+
+    def runs(self) -> List[int]:
+        """Each label's run in `subtree_walk`: a node's subtree, or the rest of a cell's row."""
+        if self.kind == TP2:
+            return [self.cols - c for _ in range(self.rows) for c in range(self.cols)]
+        return self.domain().subtree_sizes()
 
     def domain(self) -> TreeDomain:
         if self.kind == TP2:
@@ -112,48 +118,33 @@ def make_pattern(kind: str, branching: int = 2, depth: int = 0, k: int = None,
     return PatternSpec(kind, branching=branching, depth=depth, k=k)
 
 
-def required_consistent(p: PatternSpec) -> List[FrozenSet]:
+def required_consistent(p: PatternSpec) -> Iterator[int]:
+    """Masks of the sets a witness must make consistent, in canonical order."""
     if p.kind in (ATP, KATP):
-        return list(enumerate_antichains(p.domain()).items)
-    if p.kind in (SOP1, SOP2, TP):
-        labels = p.index_labels()
-        return [mask_set(labels, m) for m in subtree_walk(p.domain(), chains=True)]
-    if p.kind == TP2:
-        out = []
-        for r in range(1, p.rows + 1):
-            for row_combo in itertools.combinations(range(p.rows), r):
-                for cols in itertools.product(range(p.cols), repeat=r):
-                    out.append(frozenset(zip(row_combo, cols)))
-        return canonical_sets(out)
-    raise ValueError(p.kind)
+        _check_subset_cap(p.index_count())
+    elif p.kind == TP2:
+        _check_row_choices(p.rows, p.cols)
+    return subtree_walk(p.runs(), chains=p.kind in (SOP1, SOP2, TP))
 
 
-def required_inconsistent(p: PatternSpec) -> List[FrozenSet]:
-    labels = p.index_labels()
-    if p.kind in (ATP, KATP, SOP2):  # the k-chains, or SOP2's incomparable pairs
+def required_inconsistent(p: PatternSpec) -> Iterator[int]:
+    """Masks of the sets a witness must make inconsistent, in canonical order."""
+    labels, runs = p.index_labels(), p.runs()
+    if p.kind == SOP1:  # x and x[:i] + (1,) per 0 digit i of x, the last first
+        index = {x: n for n, x in enumerate(labels)}
+        for n, x in enumerate(labels):
+            for i in reversed(range(len(x))):
+                if x[i] == 0:
+                    yield 1 << n | 1 << index[x[:i] + (1,)]
+    elif p.kind == TP:  # by first sibling; the c-th after it starts c runs on
+        for i, x in enumerate(labels[1:], 1):
+            later = [i + c * runs[i] for c in range(1, p.branching - x[-1])]
+            for others in itertools.combinations(later, p.k - 1):
+                yield sum((1 << j for j in others), 1 << i)
+    else:
         k = p.k if p.kind == KATP else 2
-        return [mask_set(labels, m)
-                for m in subtree_walk(p.domain(), chains=p.kind != SOP2, most=k)
-                if m.bit_count() == k]
-    if p.kind == SOP1:  # {eta 1, eta 0 nu}: one pair per 0 digit of a node
-        return canonical_sets(frozenset({x[:i] + (1,), x})
-                              for x in labels for i, digit in enumerate(x) if digit == 0)
-    if p.kind == TP:
-        out = []
-        for eta in labels:
-            children = [eta + (i,) for i in range(p.branching)]
-            if not p.domain().contains(children[0]):
-                continue
-            for combo in itertools.combinations(children, p.k):
-                out.append(frozenset(combo))
-        return canonical_sets(out)
-    if p.kind == TP2:
-        return canonical_sets(
-            frozenset({(i, j1), (i, j2)})
-            for i in range(p.rows)
-            for j1, j2 in itertools.combinations(range(p.cols), 2)
-        )
-    raise ValueError(p.kind)
+        yield from (m for m in subtree_walk(runs, chains=p.kind != SOP2, most=k)
+                    if m.bit_count() == k)
 
 
 # _BIT_DIGITS[t][v] is the ASCII digit of bit t of the byte v
@@ -347,19 +338,16 @@ def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False) -> Verific
     labels = p.index_labels()
     if set(witness.labels) != set(labels):
         raise ValueError("witness index set does not match the pattern")
-    n_cons = n_incons = 0
-    for subset in required_consistent(p):
-        n_cons += 1
-        if not oracle.consistent(subset):
-            return VerificationReport(False, n_cons, n_incons, exhaustive,
-                                      (subset, "consistent", "inconsistent"))
-    for subset in required_inconsistent(p):
-        n_incons += 1
-        if oracle.consistent(subset):
-            return VerificationReport(False, n_cons, n_incons, exhaustive,
-                                      (subset, "inconsistent", "consistent"))
+    checked = [0, 0]  # consistent, inconsistent
+    for want, masks in ((True, required_consistent(p)), (False, required_inconsistent(p))):
+        for mask in masks:
+            checked[not want] += 1
+            if bool(oracle.consistent(mask_labels(labels, mask))) != want:
+                names = ("inconsistent", "consistent")
+                return VerificationReport(False, *checked, exhaustive,
+                                          (mask_set(labels, mask), names[want], names[not want]))
     if not exhaustive:
-        return VerificationReport(True, n_cons, n_incons, False)
+        return VerificationReport(True, *checked, False)
     top, meet, element, holds = semilattice(oracle)
     elements = [element(x) for x in labels]
     columns = exact_family(p).columns

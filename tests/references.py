@@ -6,10 +6,13 @@ forbidden family, and its maximal masks), the pairwise maximality filter,
 the frozenset recursions for maximal antichains and k-chain-free sets, the
 subset scan over every k-chain, the SOP1 and TP families scanned and sorted,
 a direct listing of all 2^n subsets, and the member-by-member boolean
-witness. Chains and antichains: the chain generator over prefix subsets, the
-antichain listing from the scan over the 2-chains, the required sets (SOP2's
-incomparable pairs filtered from all pairs, SOP1's pairs from every two
-nodes) and the antichain stream built on them, and the sorted CLI listing.
+witness. Chains and antichains: the canonical sort of node sets, the chain
+generator over prefix subsets, the antichain listing from the scan over the
+2-chains, the required sets of every pattern (SOP2's incomparable pairs
+filtered from all pairs, SOP1's pairs from every two nodes, TP's combinations
+of children, TP2's combinations of rows and cells, all sorted) and the
+antichain stream built on them, and the sorted CLI listing. The library's
+required sets, which are masks, are read back as frozensets here.
 Verification: one frozenset per subset with membership by
 `ConsistencyFamily.contains`, an oracle wrapper that records what it is
 asked, and the conjunction oracle that asked its base about source unions.
@@ -24,10 +27,27 @@ from typing import List
 from treeprop import (VerificationReport, eval_formula, exact_family,
                       required_consistent, required_inconsistent)
 from treeprop.antichains import (AntichainCatalog, _check_subset_cap,
-                                 canonical_sets, mask_set, set_key)
+                                 mask_set, set_key)
 from treeprop.nodes import (TreeDomain, closure, concat_set, incomparable,
                             is_prefix, meet, node_str, sorted_nodes)
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
+
+
+def canonical_sets(sets):
+    """The sets as frozensets, sorted into canonical order."""
+    return sorted((frozenset(s) for s in sets), key=set_key)
+
+
+def listed(p, masks):
+    """Masks over the pattern's labels as frozensets, in their order."""
+    labels = p.index_labels()
+    return [mask_set(labels, m) for m in masks]
+
+
+def required_sets(p):
+    """The library's required consistent and inconsistent sets of the
+    pattern, together, as one set of frozensets."""
+    return set(listed(p, required_consistent(p))) | set(listed(p, required_inconsistent(p)))
 
 
 def forbidden_free_table(labels, forbidden) -> bytearray:
@@ -83,18 +103,23 @@ def reference_enumerate_antichains(domain):
 
 def reference_required_consistent(p):
     """The tree patterns' required consistent sets from the scan and the
-    sorted chains; the array pattern's are the library's."""
+    sorted chains; TP2's, one cell from each of some rows, from combinations
+    of rows and products of columns, sorted."""
     if p.kind in (ATP, KATP):
         return list(reference_enumerate_antichains(p.domain()).items)
     if p.kind in (SOP1, SOP2, TP):
         return canonical_sets(chains(p.domain()))
-    return required_consistent(p)
+    return canonical_sets(zip(rows, cols)
+                          for r in range(1, p.rows + 1)
+                          for rows in itertools.combinations(range(p.rows), r)
+                          for cols in itertools.product(range(p.cols), repeat=r))
 
 
 def reference_required_inconsistent(p):
     """ATP's 2-chains and k-ATP's k-chains, SOP2's incomparable pairs filtered
-    from all pairs, and SOP1's pairs {eta 1, eta 0 nu} from every eta and nu
-    in the domain, sorted; the other patterns' are the library's."""
+    from all pairs, SOP1's pairs {eta 1, eta 0 nu} from every eta and nu in
+    the domain, TP's k-combinations of every node's children and TP2's
+    pairs of cells in one row, sorted."""
     labels = p.index_labels()
     if p.kind in (ATP, KATP):
         k = 2 if p.kind == ATP else p.k
@@ -108,7 +133,13 @@ def reference_required_inconsistent(p):
                                for eta in labels for nu in labels
                                if domain.contains(eta + (1,))
                                and domain.contains(eta + (0,) + nu)})
-    return required_inconsistent(p)
+    if p.kind == TP:
+        domain = p.domain()
+        return canonical_sets(combo for eta in labels if domain.contains(eta + (0,))
+                              for combo in itertools.combinations(
+                                  [eta + (i,) for i in range(p.branching)], p.k))
+    return canonical_sets({(i, j1), (i, j2)} for i in range(p.rows)
+                          for j1, j2 in itertools.combinations(range(p.cols), 2))
 
 
 def reference_antichain_stream():
@@ -238,7 +269,7 @@ def reference_members(p):
     if p.kind == TP2:
         return [frozenset(enumerate(cols))
                 for cols in itertools.product(range(p.cols), repeat=p.rows)]
-    _, maximal = reference_free_sets(p.index_labels(), required_inconsistent(p))
+    _, maximal = reference_free_sets(p.index_labels(), reference_required_inconsistent(p))
     return maximal
 
 
@@ -246,7 +277,7 @@ def reference_scan_masks(p):
     """The maximal masks of the subset scan over the pattern's forbidden sets,
     sorted into canonical order: how SOP1 and TP families were built."""
     labels = p.index_labels()
-    free = forbidden_free_table(labels, required_inconsistent(p))
+    free = forbidden_free_table(labels, reference_required_inconsistent(p))
     return sorted(maximal_free_masks(free), key=lambda m: set_key(mask_set(labels, m)))
 
 
@@ -282,12 +313,12 @@ def reference_verify(oracle, witness, p):
     if set(witness.labels) != set(labels):
         raise ValueError("witness index set does not match the pattern")
     n_cons = n_incons = 0
-    for subset in required_consistent(p):
+    for subset in listed(p, required_consistent(p)):
         n_cons += 1
         if not oracle.consistent(subset):
             return VerificationReport(False, n_cons, n_incons, True,
                                       (subset, "consistent", "inconsistent"))
-    for subset in required_inconsistent(p):
+    for subset in listed(p, required_inconsistent(p)):
         n_incons += 1
         if oracle.consistent(subset):
             return VerificationReport(False, n_cons, n_incons, True,

@@ -6,11 +6,11 @@ from treeprop import (ResourceCapError, TreeDomain, alpha, count_antichains,
                       enumerate_antichains, find_iso_copy,
                       maximal_antichains, universal_prefix)
 from treeprop import antichains
-from treeprop.antichains import (canonical_sets, finite_antichain_stream,
+from treeprop.antichains import (finite_antichain_stream,
                                  maximal_chain_free_binary, set_key)
 from treeprop.nodes import is_antichain, is_chain
 
-from references import max_chain_bounded_sets
+from references import canonical_sets, max_chain_bounded_sets
 
 
 def test_alpha_values():

@@ -33,9 +33,8 @@ from treeprop import (BitsetOracle, ConjunctionOracle, ConsistencyFamily,
                       required_consistent, required_inconsistent,
                       synth_boolean, synth_skolem, verify)
 from treeprop import antichains, oracles, patterns, qftypes
-from treeprop.antichains import (canonical_sets,
-                                 chain_free_count, find_iso_copy,
-                                 finite_antichain_stream, mask_set,
+from treeprop.antichains import (chain_free_count, find_iso_copy,
+                                 finite_antichain_stream, mask_labels, mask_set,
                                  maximal_chain_free_binary,
                                  maximal_chain_free_masks,
                                  maximal_sibling_free_masks,
@@ -47,7 +46,8 @@ from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
 from treeprop.synth import nth_prime
 
 from references import (RecordingOracle, ReferenceConjunctionOracle,
-                        chains, forbidden_free_table, has_chain,
+                        canonical_sets, chains, forbidden_free_table, has_chain,
+                        listed,
                         max_chain_bounded_sets,
                         reference_antichain_stream,
                         reference_atomic, reference_boolean_params,
@@ -61,7 +61,7 @@ from references import (RecordingOracle, ReferenceConjunctionOracle,
                         reference_required_consistent,
                         reference_required_inconsistent,
                         reference_scan_masks, reference_ss_ll,
-                        reference_verify)
+                        reference_verify, required_sets)
 
 def random_families(count, seed=20240817):
     """Random families in the style of acceptance criterion 8: 3-6 labels
@@ -115,7 +115,8 @@ RECURSION_SPECS = [make_pattern(SOP1, depth=d) for d in range(1, 5)] + [
 
 def test_scanner_matches_plain_scan_on_patterns():
     for p in RECURSION_SPECS:
-        _, maximal = reference_free_sets(p.index_labels(), required_inconsistent(p))
+        _, maximal = reference_free_sets(p.index_labels(),
+                                         listed(p, required_inconsistent(p)))
         assert exact_family(p).maximal == tuple(canonical_sets(maximal)), p
     assert exact_family(RECURSION_SPECS[-1]).masks == (0b1111,)
     assert len(exact_family(make_pattern(SOP1, depth=5)).masks) == 1806
@@ -328,10 +329,10 @@ def _broken_witnesses(family, witness, p):
         value = witness.params[label]
         value = value // nth_prime(n) if witness.backend == SKOLEM else value & ~(1 << n)
         out.append(replace(witness, params={**witness.params, label: value}))
-    forbidden = required_inconsistent(p)
-    if forbidden:
+    forbidden = next(required_inconsistent(p), None)
+    if forbidden is not None:
         params = dict(witness.params)
-        for label in forbidden[0]:
+        for label in mask_labels(labels, forbidden):
             if witness.backend == SKOLEM:
                 params[label] *= nth_prime(fresh)
             else:
@@ -345,7 +346,7 @@ def test_exhaustive_verify_matches_reference():
     in_loop = 0  # broken witnesses that pass the pattern pass
     for p in VERIFY_SPECS:
         family = exact_family(p)
-        required = set(required_consistent(p)) | set(required_inconsistent(p))
+        required = required_sets(p)
         for witness in (synth_skolem(family), synth_boolean(family)):
             report = _same_as_reference(witness, p)
             assert report.passed
@@ -364,7 +365,7 @@ def test_exhaustive_verify_counterexamples_match_reference():
     for p in VERIFY_SPECS:
         witness = synth_skolem(exact_family(p))
         labels = p.index_labels()
-        required = set(required_consistent(p)) | set(required_inconsistent(p))
+        required = required_sets(p)
         masks = range(1, 1 << len(labels))
         if len(labels) > 7:
             masks = random.Random(len(labels)).sample(masks, 2)
@@ -547,7 +548,7 @@ def test_conjunction_over_a_consistent_only_base_is_asked_as_before():
     `_same_as_reference`.)"""
     p = make_pattern(ATP, depth=3)
     labels = p.index_labels()
-    required = set(required_consistent(p)) | set(required_inconsistent(p))
+    required = required_sets(p)
     outside = [mask_set(labels, m) for m in range(1, 1 << len(labels))
                if mask_set(labels, m) not in required]
     katp = synth_skolem(exact_family(make_pattern(KATP, depth=5, k=3)))
@@ -593,7 +594,7 @@ def walk_mismatches(walk):
     for chains, domains in [(False, WALK_DOMAINS), (True, CHAIN_DOMAINS)]:
         for b, depth in domains:
             domain = TreeDomain(b, depth)
-            pairs = itertools.zip_longest(walk(domain, chains=chains),
+            pairs = itertools.zip_longest(walk(domain.subtree_sizes(), chains=chains),
                                           brute_masks(domain, chains))
             if any(x != y for x, y in pairs):
                 bad.append((b, depth, chains))
@@ -607,17 +608,20 @@ def test_subtree_walk_matches_brute_force():
 def test_broken_walks_fail_the_gate():
     breaks = [
         # an antichain extended from the last node of the chosen node's subtree
-        ("(mask, i + size[i], hi)", "(mask, i + size[i] - 1, hi)"),
+        ("(mask, i + runs[i], hi)", "(mask, i + runs[i] - 1, hi)"),
         # a chain extended by the node just past the chosen node's subtree
-        ("(mask, i + 1, i + size[i])", "(mask, i + 1, i + size[i] + 1)"),
+        ("(mask, i + 1, i + runs[i])", "(mask, i + 1, i + runs[i] + 1)"),
     ]
     for old, new in breaks:
         assert walk_mismatches(mutant(antichains, "subtree_walk", old, new)), new
 
 
 def _outcome(f, p):
+    """What f gives for p as a list of frozensets (the library's masks read
+    over p's labels), or the message of the cap error it raises."""
     try:
-        return f(p)
+        return [s if isinstance(s, frozenset) else mask_set(p.index_labels(), s)
+                for s in f(p)]
     except ResourceCapError as exc:
         return str(exc)
 
@@ -634,15 +638,15 @@ def test_required_sets_match_the_former_scan_and_sorts():
 def test_required_k_chains_walk_no_longer_chains(monkeypatch):
     walked = []
 
-    def recording_walk(domain, chains=False, most=None):
-        for mask in subtree_walk(domain, chains, most):
+    def recording_walk(runs, chains=False, most=None):
+        for mask in subtree_walk(runs, chains, most):
             walked.append(mask)
             yield mask
     monkeypatch.setattr(patterns, "subtree_walk", recording_walk)
     for p, k, count in [(make_pattern(ATP, depth=10), 2, 8194),
                         (make_pattern(KATP, depth=10, k=3), 3, 29692)]:
         walked.clear()
-        assert len(required_inconsistent(p)) == count
+        assert len(list(required_inconsistent(p))) == count
         assert max(m.bit_count() for m in walked) == k
 
 
@@ -657,7 +661,7 @@ def test_scanner_table_is_exact_family_membership():
     for p in VERIFY_SPECS:
         labels = p.index_labels()
         family = exact_family(p)
-        free = forbidden_free_table(labels, required_inconsistent(p))
+        free = forbidden_free_table(labels, listed(p, required_inconsistent(p)))
         assert len(free) == 1 << len(labels)
         for mask in range(1, len(free)):
             assert free[mask] == family.contains(mask_set(labels, mask)), (p, mask)

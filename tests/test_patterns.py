@@ -12,6 +12,8 @@ from treeprop.oracles import SKOLEM, Witness
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
 from treeprop.synth import synth_boolean, synth_skolem
 
+from references import listed
+
 
 def test_make_pattern_validation():
     with pytest.raises(ValueError):
@@ -51,8 +53,8 @@ def test_pattern_json_round_trip():
 
 def test_atp_required_families():
     p = make_pattern(ATP, depth=3)
-    cons = required_consistent(p)
-    incons = required_inconsistent(p)
+    cons = listed(p, required_consistent(p))
+    incons = listed(p, required_inconsistent(p))
     assert len(cons) == 25  # nonempty antichains of the 7-node tree
     assert all(is_antichain(s) for s in cons)
     assert len(incons) == 10  # comparable pairs
@@ -61,20 +63,20 @@ def test_atp_required_families():
 
 def test_katp_required_inconsistent_are_chains():
     p = make_pattern(KATP, depth=3, k=3)
-    incons = required_inconsistent(p)
+    incons = listed(p, required_inconsistent(p))
     assert incons == [frozenset({(), (0,), (0, 0)}), frozenset({(), (0,), (0, 1)}),
                       frozenset({(), (1,), (1, 0)}), frozenset({(), (1,), (1, 1)})]
 
 
 def test_sop2_required_families():
     p = make_pattern(SOP2, depth=3)
-    assert all(is_chain(s) for s in required_consistent(p))
-    assert all(len(s) == 2 and not is_chain(s) for s in required_inconsistent(p))
+    assert all(is_chain(s) for s in listed(p, required_consistent(p)))
+    assert all(len(s) == 2 and not is_chain(s) for s in listed(p, required_inconsistent(p)))
 
 
 def test_sop1_forbidden_pairs():
     p = make_pattern(SOP1, depth=3)
-    incons = required_inconsistent(p)
+    incons = listed(p, required_inconsistent(p))
     assert frozenset({(1,), (0,)}) in incons
     assert frozenset({(1,), (0, 0)}) in incons
     assert frozenset({(0, 1), (0, 0)}) in incons
@@ -83,17 +85,17 @@ def test_sop1_forbidden_pairs():
 
 def test_tp_sibling_sets():
     p = make_pattern(TP, depth=2, branching=3, k=2)
-    incons = required_inconsistent(p)
+    incons = listed(p, required_inconsistent(p))
     assert len(incons) == 3  # pairs among the root's three children
     assert all(s <= {(0,), (1,), (2,)} for s in incons)
 
 
 def test_tp2_families():
     p = make_pattern(TP2, rows=2, cols=2)
-    cons = required_consistent(p)
+    cons = listed(p, required_consistent(p))
     assert frozenset({(0, 0), (1, 1)}) in cons
     assert frozenset({(0, 0), (0, 1)}) not in cons
-    assert required_inconsistent(p) == [
+    assert listed(p, required_inconsistent(p)) == [
         frozenset({(0, 0), (0, 1)}), frozenset({(1, 0), (1, 1)})
     ]
 
@@ -204,5 +206,5 @@ def test_required_sets_within_index_set():
               make_pattern(TP, depth=3, branching=2, k=2),
               make_pattern(TP2, rows=2, cols=3)]:
         labels = set(p.index_labels())
-        for s in itertools.chain(required_consistent(p), required_inconsistent(p)):
+        for s in listed(p, itertools.chain(required_consistent(p), required_inconsistent(p))):
             assert s and s <= labels
