@@ -137,6 +137,8 @@ def _cmd_transform(args) -> int:
     wf = witnessio.load(args.witness)
     if isinstance(wf.witness, TupleWitness):
         raise TreepropError("transforms apply to base witnesses, not tuple witnesses")
+    if wf.pattern.kind not in (ATP, KATP):
+        raise TreepropError(f"transforms apply to atp and katp witnesses, not {wf.pattern.kind}")
     if args.op == "fatten":
         if args.m is None:
             raise TreepropError("fatten needs --m")

@@ -118,6 +118,28 @@ def test_transform_fatten(capsys, tmp_path):
     assert code == 0 and json.loads(out)["pass"]
 
 
+# synth arguments for a small witness of every pattern kind
+WITNESS_KINDS = {
+    "atp": ("--pattern", "atp", "--depth", "3"),
+    "katp": ("--pattern", "katp:3", "--depth", "3"),
+    "sop1": ("--pattern", "sop1", "--depth", "3"),
+    "sop2": ("--pattern", "sop2", "--depth", "3"),
+    "tp": ("--pattern", "tp:2", "--b", "3", "--depth", "3"),
+    "tp2": ("--pattern", "tp2", "--rows", "2", "--cols", "2"),
+}
+TRANSFORMS = [("fatten", "--m", "1"), ("elongate", "--k", "2"), ("reduce", "--k", "2")]
+
+
+@pytest.mark.parametrize("kind", ["sop1", "sop2", "tp", "tp2"])
+def test_transforms_refuse_witnesses_that_are_not_atp(capsys, tmp_path, kind):
+    src = synth(capsys, tmp_path, "w.json", *WITNESS_KINDS[kind], "--backend", "skolem")
+    dst = tmp_path / "out.json"
+    for op in TRANSFORMS:
+        code, out, err = run(capsys, "transform", *op, "--witness", str(src), "--out", str(dst))
+        assert code == 2 and out == "" and err.count("\n") == 1, (op, err)
+        assert "atp and katp witnesses" in err and not dst.exists()
+
+
 def test_transform_missing_argument(capsys, tmp_path):
     src = synth(capsys, tmp_path, "atp.json",
                 "--pattern", "atp", "--depth", "2", "--backend", "skolem")
@@ -390,20 +412,46 @@ SWEEP_TEMPLATES = [
 ]
 
 
+def sweep(argvs):
+    """Run each argument list in a child under a 512 MB address-space limit
+    and a 10 s alarm (tests/sweep_child.py): {command: (status, stderr)}."""
+    child = Path(__file__).with_name("sweep_child.py")
+    env = {**os.environ, "PYTHONPATH": str(Path(treeprop.__file__).parents[1])}
+    done = subprocess.run([sys.executable, str(child)], input=json.dumps(argvs),
+                          capture_output=True, text=True, env=env, timeout=300, check=True)
+    return {" ".join(argv): tuple(result)
+            for argv, result in zip(argvs, json.loads(done.stdout))}
+
+
+def unclean(results):
+    """The runs that did not exit 0, 2 or 3 with at most one short stderr line."""
+    return {command: (status, err) for command, (status, err) in results.items()
+            if status not in (0, 2, 3) or err.count("\n") > 1 or len(err) > 300}
+
+
 def test_every_integer_argument_exits_cleanly(capsys, tmp_path):
-    # each run is a child under a 512 MB address-space limit and a 10 s alarm
-    # (tests/sweep_child.py): never run these values without them
+    # never run these values without the limits of `sweep`
     witness = tmp_path / "w.json"
     assert main(["synth", "--pattern", "atp", "--depth", "4", "--backend", "skolem",
                  "--out", str(witness)]) == 0
     argvs = [[str(witness) if word == "W" else str(tmp_path / "out.json") if word == "OUT"
               else word.format(value) for word in template.split()]
              for template in SWEEP_TEMPLATES for value in SWEEP_VALUES]
-    child = Path(__file__).with_name("sweep_child.py")
-    env = {**os.environ, "PYTHONPATH": str(Path(treeprop.__file__).parents[1])}
-    done = subprocess.run([sys.executable, str(child)], input=json.dumps(argvs),
-                          capture_output=True, text=True, env=env, timeout=300, check=True)
-    bad = {" ".join(argv): (status, err)
-           for argv, (status, err) in zip(argvs, json.loads(done.stdout))
-           if status not in (0, 2, 3) or err.count("\n") > 1 or len(err) > 300}
-    assert bad == {}
+    assert unclean(sweep(argvs)) == {}
+
+
+def test_every_transform_and_a_capped_verify_exit_cleanly(capsys, tmp_path):
+    # every transform of a witness of every kind, and the verify of a TP2
+    # witness whose 2^25 - 1 required sets pass the subset cap, in `sweep`
+    argvs = []
+    for kind, args in WITNESS_KINDS.items():
+        src = synth(capsys, tmp_path, f"{kind}.json", *args, "--backend", "boolean")
+        argvs += [["transform", *op, "--witness", str(src), "--out", str(tmp_path / "out.json")]
+                  for op in TRANSFORMS]
+    rows = synth(capsys, tmp_path, "rows.json", "--pattern", "tp2", "--rows", "25",
+                 "--cols", "1", "--backend", "boolean")
+    argvs.append(["verify", "--witness", str(rows)])
+    results = sweep(argvs)
+    assert unclean(results) == {}
+    status, err = results[" ".join(argvs[-1])]
+    assert status == 3 and "2^25 - 1" in err and "cap" in err
