@@ -7,8 +7,12 @@ forbidden-configuration-free sets; exhaustive verification checks the oracle
 verdict against family membership on every nonempty index subset, reading
 membership from the exact family's columns.
 
-Families and the tree patterns' required sets come from the tree recursions
-and the chain and antichain walk in `antichains`. A `ConsistencyFamily`
+The required sets are lazy streams of int masks over the canonical label
+order, from one chain and antichain walk (`antichains.subtree_walk`) over
+each label's run: a node's subtree, or the rest of a cell's row, so that
+TP2's rows are chains of cells. SOP1's pairs and TP's sibling sets are
+listed directly. Families come from the tree recursions in `antichains`.
+A `ConsistencyFamily`
 stores its maximal members as masks and each label's column, the bitmask of
 the members containing it; membership and both synthesized witnesses read
 the columns. Members given from outside are checked; `exact_family` builds
@@ -119,7 +123,12 @@ def make_pattern(kind: str, branching: int = 2, depth: int = 0, k: int = None,
 
 
 def required_consistent(p: PatternSpec) -> Iterator[int]:
-    """Masks of the sets a witness must make consistent, in canonical order."""
+    """The sets a witness must make consistent, as a lazy stream of masks over
+    `p.index_labels()` in canonical order: the antichains of `subtree_walk`
+    (ATP, k-ATP, and TP2's sets of one cell from each of some rows) or its
+    chains (SOP1, SOP2, TP). ATP and k-ATP are refused past 2^n subsets and
+    TP2 past its exact count (cols+1)^rows - 1, both against
+    DEFAULT_SUBSET_CAP, when this is called."""
     if p.kind in (ATP, KATP):
         _check_subset_cap(p.index_count())
     elif p.kind == TP2:
@@ -128,7 +137,11 @@ def required_consistent(p: PatternSpec) -> Iterator[int]:
 
 
 def required_inconsistent(p: PatternSpec) -> Iterator[int]:
-    """Masks of the sets a witness must make inconsistent, in canonical order."""
+    """The sets a witness must make inconsistent, as a lazy stream of masks
+    over `p.index_labels()` in canonical order: the k-chains (ATP with k = 2,
+    k-ATP), incomparable pairs (SOP2) or same-row pairs (TP2) of
+    `subtree_walk`; SOP1's pairs {eta 1, eta 0 nu} and TP's sets of k
+    siblings listed directly."""
     labels, runs = p.index_labels(), p.runs()
     if p.kind == SOP1:  # x and x[:i] + (1,) per 0 digit i of x, the last first
         index = {x: n for n, x in enumerate(labels)}
@@ -275,7 +288,6 @@ def exact_family(p: PatternSpec) -> ConsistencyFamily:
     paths for SOP2, and one cell per row for TP2."""
     _check_family_size(p)
     labels = p.index_labels()
-    index = {x: i for i, x in enumerate(labels)}
     if p.kind in (ATP, KATP):
         masks = maximal_chain_free_masks(p.depth, 2 if p.kind == ATP else p.k)
     elif p.kind == SOP1:
@@ -283,10 +295,13 @@ def exact_family(p: PatternSpec) -> ConsistencyFamily:
     elif p.kind == TP:
         masks = maximal_sibling_free_masks(p.branching, p.depth, p.k)
     elif p.kind == SOP2:
+        index = {x: i for i, x in enumerate(labels)}
         masks = [sum(1 << index[leaf[:l]] for l in range(len(leaf) + 1))
                  for leaf in p.domain().level(p.depth - 1)]
-    else:
-        masks = [sum(1 << index[cell] for cell in enumerate(cols))
+    else:  # one cell per row, in binary digits: the last row first, each row's
+        # digits from its last column, so that cell (r, c) is bit r * cols + c
+        rows = ["0" * (p.cols - 1 - c) + "1" + "0" * c for c in range(p.cols)]
+        masks = [int("".join(rows[c] for c in reversed(cols)), 2)
                  for cols in itertools.product(range(p.cols), repeat=p.rows)]
     return ConsistencyFamily.from_masks(labels, masks)
 
@@ -322,8 +337,10 @@ def _meet_table(top, meet, elements) -> List:
 
 def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False) -> VerificationReport:
     """Check the witness against the pattern through the oracle. Pattern mode
-    checks the generated families; exhaustive mode additionally compares the
-    oracle verdict with exact-family membership on every nonempty subset, in
+    streams the required families, asks the oracle about each mask's labels in
+    label order, and builds a frozenset only for a counterexample, so it holds
+    one set at a time. Exhaustive mode additionally compares the oracle
+    verdict with exact-family membership on every nonempty subset, in
     increasing mask order; 2^n subsets are checked against DEFAULT_SUBSET_CAP
     before any other work.
 

@@ -42,7 +42,7 @@ from treeprop.antichains import (chain_free_count, find_iso_copy,
                                  universal_prefix)
 from treeprop.nodes import closure, incomparable, is_antichain, is_chain
 from treeprop.oracles import SKOLEM, STRUCTURE, semilattice
-from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
+from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2, PatternSpec
 from treeprop.synth import nth_prime
 
 from references import (RecordingOracle, ReferenceConjunctionOracle,
@@ -618,21 +618,49 @@ def test_broken_walks_fail_the_gate():
 
 def _outcome(f, p):
     """What f gives for p as a list of frozensets (the library's masks read
-    over p's labels), or the message of the cap error it raises."""
+    over p's labels), or the message of the cap error it raises, or of the
+    IndexError of a mask with a bit past the labels."""
     try:
         return [s if isinstance(s, frozenset) else mask_set(p.index_labels(), s)
                 for s in f(p)]
-    except ResourceCapError as exc:
+    except (ResourceCapError, IndexError) as exc:
         return str(exc)
 
 
+# ATP, SOP1 and SOP2 at depths 1-5, k-ATP for k = 2..4 at depths 1-5, ten TP
+# shapes (b, d, k) and TP2 up to 4 x 5
+REQUIRED_SPECS = (
+    [make_pattern(kind, depth=d) for kind in (ATP, SOP1, SOP2) for d in range(1, 6)]
+    + [make_pattern(KATP, depth=d, k=k) for k in (2, 3, 4) for d in range(1, 6)]
+    + [make_pattern(TP, branching=b, depth=d, k=k) for b, d, k in
+       [(2, 2, 2), (2, 3, 2), (2, 4, 2), (3, 2, 2), (3, 3, 2), (3, 3, 3), (4, 2, 2),
+        (4, 2, 3), (3, 2, 5), (4, 3, 4)]]
+    + [make_pattern(TP2, rows=r, cols=c) for r in range(1, 5) for c in range(1, 6)]
+)
+
+
+def required_mismatches(consistent, inconsistent):
+    """The patterns whose required sets from the two functions differ from
+    the references', in content or order, or in the cap message."""
+    return [p for p in REQUIRED_SPECS + VERIFY_SPECS + BENCH_SPECS
+            if _outcome(consistent, p) != _outcome(reference_required_consistent, p)
+            or _outcome(inconsistent, p) != _outcome(reference_required_inconsistent, p)]
+
+
 def test_required_sets_match_the_former_scan_and_sorts():
-    for p in VERIFY_SPECS + BENCH_SPECS:
-        assert _outcome(required_consistent, p) == _outcome(reference_required_consistent, p), p
-        assert (_outcome(required_inconsistent, p)
-                == _outcome(reference_required_inconsistent, p)), p
+    assert required_mismatches(required_consistent, required_inconsistent) == []
     # the depth-5 antichains stay past the subset cap
     assert "2^31" in _outcome(required_consistent, make_pattern(ATP, depth=5))
+
+
+def test_broken_required_sets_fail_the_gate(monkeypatch):
+    # a TP sibling one label past the start of its subtree
+    broken = mutant(patterns, "required_inconsistent", "i + c * runs[i]", "i + c * runs[i] + 1")
+    assert required_mismatches(required_consistent, broken)
+    # a TP2 cell's run one cell into the next row
+    monkeypatch.setattr(PatternSpec, "runs", mutant(patterns, "PatternSpec.runs",
+                                                    "self.cols - c", "self.cols - c + 1"))
+    assert required_mismatches(required_consistent, required_inconsistent)
 
 
 def test_required_k_chains_walk_no_longer_chains(monkeypatch):
@@ -822,13 +850,14 @@ def test_run_length_forms_equal_the_quadratic_forms_on_random_tuples(t):
 
 
 def mutant(module, name, old, new):
-    """A copy of module.name with one change to its source, defined in a copy
-    of the module's namespace, so the module itself is untouched."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    """A copy of module.name, or of a method "Class.method", with one change
+    to its source, defined in a copy of the module's namespace, so the module
+    itself is untouched."""
+    source = textwrap.dedent(inspect.getsource(functools.reduce(getattr, name.split("."), module)))
     assert source.count(old) == 1, (name, old)
     namespace = dict(vars(module))
     exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
-    return namespace[name]
+    return namespace[name.split(".")[-1]]
 
 
 def test_broken_iso_searches_fail_the_gate():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -191,6 +192,45 @@ def test_exhaustive_cap_before_any_work(monkeypatch):
     with pytest.raises(ResourceCapError, match="2\\^12 "):
         verify(oracle_for(witness), witness, make_pattern(TP2, rows=3, cols=4),
                exhaustive=True)
+
+
+def test_pattern_verify_holds_one_set_at_a_time():
+    # listing a family whole before its first check peaked at 22.8 and 43.9 MB
+    for p in [make_pattern(TP, branching=400, depth=2, k=2), make_pattern(SOP2, depth=9)]:
+        witness = synth_boolean(exact_family(p))
+        oracle = oracle_for(witness)
+        tracemalloc.start()
+        try:
+            assert verify(oracle, witness, p).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, (p, peak)
+
+
+def test_tp2_pattern_verify_within_the_cap():
+    # 1 x 400 has 400 required consistent sets, though 2^400 subsets
+    for rows, cols in [(1, 400), (4, 4)]:
+        p = make_pattern(TP2, rows=rows, cols=cols)
+        witness = synth_skolem(exact_family(p))
+        report = verify(oracle_for(witness), witness, p)
+        assert report.passed and report.consistent_checked == (cols + 1) ** rows - 1
+
+
+def test_tp2_cap_at_its_exact_count(monkeypatch):
+    p = make_pattern(TP2, rows=4, cols=4)  # 5^4 - 1 = 624 required consistent sets
+    witness = synth_boolean(exact_family(p))
+    monkeypatch.setattr(antichains, "DEFAULT_SUBSET_CAP", 624)
+    assert verify(oracle_for(witness), witness, p).passed
+    monkeypatch.setattr(antichains, "DEFAULT_SUBSET_CAP", 623)
+    with pytest.raises(ResourceCapError, match="5\\^4 - 1 sets"):
+        verify(oracle_for(witness), witness, p)
+    # 2^20 - 1 sets fill a cap of 2^20 - 1, whose bit length the rows reach
+    monkeypatch.setattr(antichains, "DEFAULT_SUBSET_CAP", 2 ** 20 - 1)
+    required_consistent(make_pattern(TP2, rows=20, cols=1))
+    monkeypatch.setattr(antichains, "DEFAULT_SUBSET_CAP", 2 ** 20 - 2)
+    with pytest.raises(ResourceCapError, match="2\\^20 - 1 sets"):
+        required_consistent(make_pattern(TP2, rows=20, cols=1))
 
 
 def test_verify_rejects_label_mismatch():
