@@ -225,12 +225,13 @@ def test_tp2_cap_at_its_exact_count(monkeypatch):
     monkeypatch.setattr(antichains, "DEFAULT_SUBSET_CAP", 623)
     with pytest.raises(ResourceCapError, match="5\\^4 - 1 sets"):
         verify(oracle_for(witness), witness, p)
-    # 2^20 - 1 sets fill a cap of 2^20 - 1, whose bit length the rows reach
+    # 20 rows of one cell give 2^20 - 1 sets, which fill a cap of 2^20 - 1
+    # though the rows reach its bit length
     monkeypatch.setattr(antichains, "DEFAULT_SUBSET_CAP", 2 ** 20 - 1)
-    required_consistent(make_pattern(TP2, rows=20, cols=1))
+    antichains._check_row_choices(20, 1)
     monkeypatch.setattr(antichains, "DEFAULT_SUBSET_CAP", 2 ** 20 - 2)
     with pytest.raises(ResourceCapError, match="2\\^20 - 1 sets"):
-        required_consistent(make_pattern(TP2, rows=20, cols=1))
+        antichains._check_row_choices(20, 1)
 
 
 def test_verify_rejects_label_mismatch():
