@@ -8,7 +8,8 @@ canonical type forms and the grouped ss-ll check against byte-packed relation
 tables compared pair by pair, and the run-length type forms and the pruned
 iso-copy search against the quadratic prefix matrix and the combination
 scan, the subtree walk over chains and antichains against brute force and
-the scan and sorts it replaced, and exhaustive verification by the oracles'
+the scan and sorts it replaced, every pattern's required sets against the
+sorted references, and exhaustive verification by the oracles'
 semilattice meets against one consistent() call per subset, with
 deliberately broken copies that the comparison must catch."""
 
