@@ -2,14 +2,17 @@
 
 Index subsets are int bitmasks over a canonical label order (bit i is the
 i-th label). `subtree_walk` lists every nonempty chain or antichain of a
-tree or of an array whose rows are chains; one tree recursion per pattern
-builds the maximal sets free of its forbidden configuration (k-chains, SOP1
-pairs, k siblings) without the subset scan, their reference in the tests.
+tree or of an array whose rows are chains. One choice routine, `_choose`,
+builds the maximal sets of every tree pattern free of its forbidden
+configuration (k-chains, SOP1 pairs, incomparable pairs, k siblings)
+without the subset scan, their reference in the tests: each is the root,
+then below each node a maximal set of each child subtree, some children
+kept whole and the others dropped.
 
 Canonical orders used throughout:
   * a node set is canonically presented as its lex-sorted tuple of nodes;
   * a list of node sets is canonically ordered by comparing those tuples;
-    the walk and the recursions emit their sets in that order, so their
+    the walk and `_choose` emit their sets in that order, so their
     listings need no sort;
   * the enumeration X_0, X_1, ... of all finite nonempty binary antichains
     is by depth of first appearance, then canonical set order within a
@@ -169,16 +172,32 @@ def chain_free_count(n: int, k: int) -> int:
     return row.get(k, 1)
 
 
+def _choose(parts, pick: int) -> List[int]:
+    """The ORs of one mask per (shift, kept, dropped) part, shifted by its
+    shift, exactly `pick` parts taking theirs from kept, in canonical order:
+    that of `itertools.product` over each part's kept + dropped. Built from
+    the last part, so each suffix is made once and shared; row j holds the
+    suffixes from part i on with j kept, built only if the i parts before
+    can make up the rest of `pick`."""
+    tails = {0: [0]}
+    for i in reversed(range(len(parts))):
+        shift, kept, dropped = parts[i]
+        rows = range(max(pick - i, 0), min(pick, len(parts) - i) + 1)
+        tails = {j: [a << shift | t for a in kept for t in tails.get(j - 1, [])]
+                 + [a << shift | t for a in dropped for t in tails.get(j, [])]
+                 for j in rows}
+    return tails.get(pick, [])
+
+
 def maximal_chain_free_masks(n: int, k: int) -> List[int]:
     """The maximal k-chain-free subsets of the binary tree of depth n as masks
     over its nodes in lex order, in canonical order, counted against
     CHAIN_FREE_CAP by `chain_free_count` before any is built. The root is bit
-    0 and each child subtree a run of s = 2^(d-1) - 1 bits, so subtree sets
-    a, b give a << 1 | b << (1 + s).
+    0 and each child subtree a run of s = 2^(d-1) - 1 bits from bit 1 + i * s.
     With the root, both parts are maximal (k-1)-chain-free; without it, both
     are maximal k-chain-free and must hold a (k-1)-chain (else the root fits),
     which all of them do in subtrees of depth >= k-1 and none in shallower
-    ones. Row-major pairs, the root block first, are in canonical order."""
+    ones. The root block first, each a `_choose` of both parts, is canonical."""
     chain_free_count(n, k)
 
     @lru_cache(maxsize=None)
@@ -190,43 +209,27 @@ def maximal_chain_free_masks(n: int, k: int) -> List[int]:
         s = 2 ** (depth - 1) - 1
         with_root = rec(depth - 1, bound - 1)
         without_root = rec(depth - 1, bound)
-        return ([1 | a << 1 | b << 1 + s for a in with_root for b in with_root]
-                + [a << 1 | b << 1 + s for a in without_root for b in without_root])
+        return ([1 | t for t in _choose([(1, with_root, []), (1 + s, with_root, [])], 2)]
+                + _choose([(1, without_root, []), (1 + s, without_root, [])], 2))
 
     return rec(n, k)
 
 
-def maximal_sop1_free_masks(n: int) -> List[int]:
-    """The maximal subsets of the binary tree of depth n >= 1 with no pair
-    {eta 1, eta 0 nu}, laid out and ordered as in `maximal_chain_free_masks`.
-    The root is in no pair and (1) pairs with all of the 0-subtree, so a set
-    a of the 0-subtree goes with one b of the 1-subtree less its root, or b."""
-    masks = [1]
-    for depth in range(2, n + 1):
-        s = 2 ** (depth - 1) - 1
-        masks = ([1 | a << 1 | (b & ~1) << 1 + s for a in masks for b in masks]
-                 + [1 | b << 1 + s for b in masks])
-    return masks
-
-
-def maximal_sibling_free_masks(branching: int, n: int, k: int) -> List[int]:
-    """The maximal subsets of the tree of depth n >= 1 with no k siblings, laid
-    out as in `maximal_chain_free_masks`: the root, each child of an internal
-    node with a maximal set of its subtree, its root kept in pick = min(k - 1,
-    branching) of them. Each child chosen before not, in order, is canonical."""
-    pick = min(k - 1, branching)
+def maximal_choice_masks(branching: int, n: int, pick: int, emptied=()) -> List[int]:
+    """The maximal sets of the tree of depth n >= 1 that hold the root and,
+    below each internal node, a maximal set of each child subtree: `pick`
+    children kept whole, the others less their root, or empty if in
+    `emptied`. Laid out as in `maximal_chain_free_masks`. SOP1 is (2, n, 1,
+    emptied=(0,)), as (1) pairs with all of the 0-subtree; SOP2 the paths
+    (2, n, 1, emptied=(0, 1)); TP (b, n, min(k - 1, b)). The root stays out
+    of `_choose`: a forced part would widen its rows."""
     masks = [1]
     for depth in range(2, n + 1):
         s = (branching ** (depth - 1) - 1) // (branching - 1)
-        tails = {0: [0]}  # [j]: children from i on, j chosen
-        for i in reversed(range(branching)):
-            shift = 1 + i * s
-            # j of the b - i children from i on, leaving at most i to the first i
-            rows = range(max(pick - i, 0), min(pick, branching - i) + 1)
-            tails = {j: [a << shift | t for a in masks for t in tails.get(j - 1, [])]
-                     + [(a & ~1) << shift | t for a in masks for t in tails.get(j, [])]
-                     for j in rows}
-        masks = [1 | t for t in tails[pick]]
+        rootless = [a & ~1 for a in masks]
+        parts = [(1 + i * s, masks, [0] if i in emptied else rootless)
+                 for i in range(branching)]
+        masks = [1 | t for t in _choose(parts, pick)]
     return masks
 
 

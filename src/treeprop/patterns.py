@@ -11,12 +11,12 @@ The required sets are lazy streams of int masks over the canonical label
 order, from one chain and antichain walk (`antichains.subtree_walk`) over
 each label's run: a node's subtree, or the rest of a cell's row, so that
 TP2's rows are chains of cells. SOP1's pairs and TP's sibling sets are
-listed directly. Families come from the tree recursions in `antichains`.
-A `ConsistencyFamily`
-stores its maximal members as masks and each label's column, the bitmask of
-the members containing it; membership and both synthesized witnesses read
-the columns. Members given from outside are checked; `exact_family` builds
-them maximal and in order, unchecked.
+listed directly. The families of all tree kinds come from one choice
+routine (`antichains._choose`), and TP2's from binary strings. A
+`ConsistencyFamily` stores its maximal members as masks and each label's
+column, the bitmask of the members containing it; membership and both
+synthesized witnesses read the columns. Members given from outside are
+checked; `exact_family` builds them maximal and in order, unchecked.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .antichains import (_check_row_choices, _check_subset_cap, _shown,
                          chain_free_count, mask_labels, mask_set,
-                         maximal_chain_free_masks, maximal_sibling_free_masks,
-                         maximal_sop1_free_masks, set_key, subtree_walk)
+                         maximal_chain_free_masks, maximal_choice_masks,
+                         set_key, subtree_walk)
 from .errors import ResourceCapError
 from .nodes import TreeDomain
 from .oracles import semilattice
@@ -284,21 +284,18 @@ def _check_family_size(p: PatternSpec) -> None:
 def exact_family(p: PatternSpec) -> ConsistencyFamily:
     """Maximal members of the family of sets avoiding the pattern's forbidden
     configuration, in canonical order and unchecked, after `_check_family_size`:
-    a tree recursion for ATP (k = 2), k-ATP, SOP1 and TP, the root-to-leaf
-    paths for SOP2, and one cell per row for TP2."""
+    for every tree kind one choice per node (`antichains._choose`), and one
+    cell per row for TP2."""
     _check_family_size(p)
     labels = p.index_labels()
     if p.kind in (ATP, KATP):
         masks = maximal_chain_free_masks(p.depth, 2 if p.kind == ATP else p.k)
-    elif p.kind == SOP1:
-        masks = maximal_sop1_free_masks(p.depth)
+    elif p.kind in (SOP1, SOP2):
+        masks = maximal_choice_masks(2, p.depth, 1, emptied=(0,) if p.kind == SOP1 else (0, 1))
     elif p.kind == TP:
-        masks = maximal_sibling_free_masks(p.branching, p.depth, p.k)
-    elif p.kind == SOP2:
-        index = {x: i for i, x in enumerate(labels)}
-        masks = [sum(1 << index[leaf[:l]] for l in range(len(leaf) + 1))
-                 for leaf in p.domain().level(p.depth - 1)]
-    else:  # one cell per row, in binary digits: the last row first, each row's
+        masks = maximal_choice_masks(p.branching, p.depth, min(p.k - 1, p.branching))
+    else:  # not a tree, and a `_choose` product would OR growing ints, quadratic in the rows
+        # one cell per row, in binary digits: the last row first, each row's
         # digits from its last column, so that cell (r, c) is bit r * cols + c
         rows = ["0" * (p.cols - 1 - c) + "1" + "0" * c for c in range(p.cols)]
         masks = [int("".join(rows[c] for c in reversed(cols)), 2)

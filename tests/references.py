@@ -4,9 +4,9 @@ library's fast paths replaced, kept next to the tests that compare them.
 Families and scans: the subset scan (a table of the 2^n masks free of a
 forbidden family, and its maximal masks), the pairwise maximality filter,
 the frozenset recursions for maximal antichains and k-chain-free sets, the
-subset scan over every k-chain, the SOP1 and TP families scanned and sorted,
-a direct listing of all 2^n subsets, and the member-by-member boolean
-witness. Chains and antichains: the canonical sort of node sets, the chain
+subset scan over every k-chain, the SOP1, SOP2 and TP families scanned and
+sorted, the choice product filtered by its count of kept parts, a direct
+listing of all 2^n subsets, and the member-by-member boolean witness. Chains and antichains: the canonical sort of node sets, the chain
 generator over prefix subsets, the antichain listing from the scan over the
 2-chains, the required sets of every pattern (SOP2's incomparable pairs
 filtered from all pairs, SOP1's pairs from every two nodes, TP's combinations
@@ -21,7 +21,9 @@ quadratic prefix matrix over every pair of values, and the combination scan
 for iso copies. The first-order oracle evaluated afresh on every call.
 """
 
+import functools
 import itertools
+import operator
 from typing import List
 
 from treeprop import (VerificationReport, eval_formula, exact_family,
@@ -140,6 +142,17 @@ def reference_required_inconsistent(p):
                                   [eta + (i,) for i in range(p.branching)], p.k))
     return canonical_sets({(i, j1), (i, j2)} for i in range(p.rows)
                           for j1, j2 in itertools.combinations(range(p.cols), 2))
+
+
+def reference_choose(parts, pick):
+    """`antichains._choose` by brute force: the product over each part's kept
+    then dropped masks, whose order is canonical, keeping the choices with
+    exactly pick kept."""
+    options = [[(a << shift, True) for a in kept] + [(a << shift, False) for a in dropped]
+               for shift, kept, dropped in parts]
+    return [functools.reduce(operator.or_, (m for m, _ in choice), 0)
+            for choice in itertools.product(*options)
+            if sum(was_kept for _, was_kept in choice) == pick]
 
 
 def reference_antichain_stream():
@@ -275,7 +288,8 @@ def reference_members(p):
 
 def reference_scan_masks(p):
     """The maximal masks of the subset scan over the pattern's forbidden sets,
-    sorted into canonical order: how SOP1 and TP families were built."""
+    sorted into canonical order: how SOP1 and TP families were built, and
+    the reference for SOP2's."""
     labels = p.index_labels()
     free = forbidden_free_table(labels, reference_required_inconsistent(p))
     return sorted(maximal_free_masks(free), key=lambda m: set_key(mask_set(labels, m)))

@@ -3,7 +3,8 @@
 O(m^2) maximality filter, the reference subset scan against a direct
 enumeration of all 2^n subsets, the mask recursion for maximal k-chain-free
 sets against the frozenset recursions and the k-chain scan it replaced, the
-SOP1 and TP recursions against the subset scan they replaced, the
+choice routine against the brute-force product and the SOP1, SOP2 and TP
+families it builds against the subset scan they replaced, the
 canonical type forms and the grouped ss-ll check against byte-packed relation
 tables compared pair by pair, and the run-length type forms and the pruned
 iso-copy search against the quadratic prefix matrix and the combination
@@ -34,12 +35,11 @@ from treeprop import (BitsetOracle, ConjunctionOracle, ConsistencyFamily,
                       required_consistent, required_inconsistent,
                       synth_boolean, synth_skolem, verify)
 from treeprop import antichains, oracles, patterns, qftypes
-from treeprop.antichains import (chain_free_count, find_iso_copy,
+from treeprop.antichains import (_choose, chain_free_count, find_iso_copy,
                                  finite_antichain_stream, mask_labels, mask_set,
                                  maximal_chain_free_binary,
                                  maximal_chain_free_masks,
-                                 maximal_sibling_free_masks,
-                                 maximal_sop1_free_masks, subtree_walk,
+                                 maximal_choice_masks, subtree_walk,
                                  universal_prefix)
 from treeprop.nodes import closure, incomparable, is_antichain, is_chain
 from treeprop.oracles import SKOLEM, STRUCTURE, semilattice
@@ -50,7 +50,7 @@ from references import (RecordingOracle, ReferenceConjunctionOracle,
                         canonical_sets, chains, forbidden_free_table, has_chain,
                         listed,
                         max_chain_bounded_sets,
-                        reference_antichain_stream,
+                        reference_antichain_stream, reference_choose,
                         reference_atomic, reference_boolean_params,
                         reference_atomic_form, reference_chain_free_binary,
                         reference_delta, reference_delta_form,
@@ -107,9 +107,9 @@ def test_column_family_rejects_bad_members():
     assert not family.contains({"z"}) and not family.contains(())
 
 
-# the SOP1 and TP families small enough for the subset scan; the last has
-# k > b + 1, so its family is one member, the whole tree
-RECURSION_SPECS = [make_pattern(SOP1, depth=d) for d in range(1, 5)] + [
+# the SOP1, SOP2 and TP families small enough for the subset scan; the last
+# has k > b + 1, so its family is one member, the whole tree
+RECURSION_SPECS = [make_pattern(kind, depth=d) for kind in (SOP1, SOP2) for d in range(1, 5)] + [
     make_pattern(TP, branching=b, depth=d, k=k)
     for b, d, k in [(3, 3, 2), (3, 3, 3), (2, 4, 2), (4, 2, 2), (4, 2, 3), (3, 2, 5)]]
 
@@ -128,13 +128,13 @@ def test_tp_recursion_builds_only_parts_of_members():
     # sets would build sum_j C(b, j) = 2^b of them on the way
     tracemalloc.start()
     try:
-        assert maximal_sibling_free_masks(20, 2, 21) == [(1 << 21) - 1]
+        assert maximal_choice_masks(20, 2, 20) == [(1 << 21) - 1]
         assert tracemalloc.get_traced_memory()[1] < 2 ** 20
     finally:
         tracemalloc.stop()
     assert exact_family(make_pattern(TP, branching=40, depth=2, k=41)).masks == ((1 << 41) - 1,)
     # pick = b: one row per child, not one per child and count, so b = 20000 is quick
-    assert maximal_sibling_free_masks(20000, 2, 20001) == [(1 << 20001) - 1]
+    assert maximal_choice_masks(20000, 2, 20000) == [(1 << 20001) - 1]
     family = exact_family(make_pattern(TP, branching=30, depth=2, k=30))
     assert len(family.masks) == 30 and all(m.bit_count() == 30 for m in family.masks)
 
@@ -408,50 +408,90 @@ def test_exhaustive_verify_makes_no_subset_scan(monkeypatch):
                 if name in ("forbidden_free_table", "maximal_free_masks")]
 
 
-# --- the SOP1 and TP recursions against the subset scan they replaced ---
+# --- the choice routine against brute force, and the tree families it
+# builds against the subset scan they replaced ---
+
+def random_choices(count, seed=20261019):
+    """Random (parts, pick) for `_choose`: up to 4 parts side by side, each
+    with 0-3 kept and 0-3 dropped masks of its width, and every pick from 0
+    to the number of parts."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        parts, shift = [], 0
+        for _ in range(rng.randint(0, 4)):
+            width = rng.randint(1, 4)
+            kept, dropped = ([rng.randrange(1 << width) for _ in range(rng.randint(0, 3))]
+                             for _ in range(2))
+            parts.append((shift, kept, dropped))
+            shift += width
+        yield parts, rng.randint(0, len(parts))
+
+
+def choose_mismatches(choose):
+    """The random cases on which choose lists other masks than the brute-force
+    product, or another order."""
+    return [(parts, pick) for parts, pick in random_choices(400)
+            if choose(parts, pick) != reference_choose(parts, pick)]
+
+
+def test_choose_matches_the_product():
+    assert choose_mismatches(_choose) == []
+    assert _choose([], 0) == [0] and _choose([(0, [1], [])], 2) == []
+
+
+def test_broken_choose_fails_the_gate():
+    breaks = [
+        # dropped masks before kept ones
+        ("""[a << shift | t for a in kept for t in tails.get(j - 1, [])]
+                 + [a << shift | t for a in dropped for t in tails.get(j, [])]""",
+         """[a << shift | t for a in dropped for t in tails.get(j, [])]
+                 + [a << shift | t for a in kept for t in tails.get(j - 1, [])]"""),
+        # the rows one short at the top and at the bottom
+        ("min(pick, len(parts) - i) + 1", "min(pick, len(parts) - i)"),
+        ("max(pick - i, 0)", "max(pick - i + 1, 0)"),
+    ]
+    for old, new in breaks:
+        assert choose_mismatches(mutant(antichains, "_choose", old, new)), new
+
 
 @functools.lru_cache(maxsize=None)
 def scanned_masks(p):
     return tuple(reference_scan_masks(p))
 
 
-def recursion_mismatches(sibling_free):
-    """The RECURSION_SPECS on which the SOP1 recursion or the given TP
-    recursion lists other masks than the sorted scan, or another order."""
-    return [p for p in RECURSION_SPECS
-            if tuple(maximal_sop1_free_masks(p.depth) if p.kind == SOP1
-                     else sibling_free(p.branching, p.depth, p.k)) != scanned_masks(p)]
+def recursion_mismatches():
+    """The RECURSION_SPECS on which `exact_family` lists other masks than the
+    sorted scan, or another order."""
+    return [p for p in RECURSION_SPECS if exact_family(p).masks != scanned_masks(p)]
 
 
-def test_broken_tp_recursion_fails_the_gate():
-    assert recursion_mismatches(maximal_sibling_free_masks) == []
-    # the chosen children taken one combination at a time, outermost
-    combinations_outermost = mutant(antichains, "maximal_sibling_free_masks", """\
-        tails = {0: [0]}  # [j]: children from i on, j chosen
-        for i in reversed(range(branching)):
-            shift = 1 + i * s
-            # j of the b - i children from i on, leaving at most i to the first i
-            rows = range(max(pick - i, 0), min(pick, branching - i) + 1)
-            tails = {j: [a << shift | t for a in masks for t in tails.get(j - 1, [])]
-                     + [(a & ~1) << shift | t for a in masks for t in tails.get(j, [])]
-                     for j in rows}
-        masks = [1 | t for t in tails[pick]]
+def test_broken_tp_recursion_fails_the_gate(monkeypatch):
+    assert recursion_mismatches() == []
+    # the kept parts taken one combination at a time, outermost
+    combinations_outermost = mutant(antichains, "_choose", """\
+    tails = {0: [0]}
+    for i in reversed(range(len(parts))):
+        shift, kept, dropped = parts[i]
+        rows = range(max(pick - i, 0), min(pick, len(parts) - i) + 1)
+        tails = {j: [a << shift | t for a in kept for t in tails.get(j - 1, [])]
+                 + [a << shift | t for a in dropped for t in tails.get(j, [])]
+                 for j in rows}
+    return tails.get(pick, [])
 """, """\
-        out = []
-        for chosen in itertools.combinations(range(branching), pick):
-            tails = [0]
-            for i in reversed(range(branching)):
-                shift = 1 + i * s
-                tails = [(a if i in chosen else a & ~1) << shift | t
-                         for a in masks for t in tails]
-            out += [1 | t for t in tails]
-        masks = out
+    out = []
+    for chosen in itertools.combinations(range(len(parts)), pick):
+        tails = [0]
+        for i in reversed(range(len(parts))):
+            shift, kept, dropped = parts[i]
+            tails = [a << shift | t for a in (kept if i in chosen else dropped) for t in tails]
+        out += tails
+    return out
 """)
-    bad = recursion_mismatches(combinations_outermost)
+    monkeypatch.setattr(antichains, "_choose", combinations_outermost)
+    bad = recursion_mismatches()
     assert make_pattern(TP, branching=3, depth=3, k=2) in bad
     # the same sets: only the order is wrong
-    assert all(sorted(combinations_outermost(p.branching, p.depth, p.k))
-               == sorted(scanned_masks(p)) for p in bad)
+    assert all(sorted(exact_family(p).masks) == sorted(scanned_masks(p)) for p in bad)
 
 
 # --- exhaustive verification by semilattice meets ---
