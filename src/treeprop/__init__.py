@@ -14,9 +14,8 @@ from .errors import (FormulaError, MalformedNodeError, ResourceCapError,
                      TreepropError, WitnessError)
 from .formulas import (FiniteStructure, divisor_structure, eval_formula,
                        parse_formula)
-from .nodes import (Node, Rel, TreeDomain, closure, compare, concat,
-                    concat_set, is_antichain, is_chain, lex_less, meet,
-                    node_str, parse_node)
+from .nodes import (Node, TreeDomain, closure, concat_set, is_antichain,
+                    is_chain, meet, node_str, parse_node)
 from .oracles import (BitsetOracle, FoOracle, GcdOracle, Witness, oracle_for)
 from .patterns import (ConsistencyFamily, PatternSpec, VerificationReport,
                        exact_family, make_pattern, required_consistent,

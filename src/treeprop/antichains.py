@@ -11,9 +11,9 @@ kept whole and the others dropped.
 
 Canonical orders used throughout:
   * a node set is canonically presented as its lex-sorted tuple of nodes;
-  * a list of node sets is canonically ordered by comparing those tuples;
-    the walk and `_choose` emit their sets in that order, so their
-    listings need no sort;
+  * a list of node sets is canonically ordered by comparing those tuples
+    (`nodes.sorted_nodes` is the key); the walk and `_choose` emit their
+    sets in that order, so their listings need no sort;
   * the enumeration X_0, X_1, ... of all finite nonempty binary antichains
     is by depth of first appearance, then canonical set order within a
     depth: depth d brings the antichains of TreeDomain(2, d) whose longest
@@ -41,10 +41,6 @@ DEFAULT_SUBSET_CAP = 2 ** 20
 CHAIN_FREE_CAP = 458330
 # decimal digits of an antichain count: the interpreter's int-to-str limit
 COUNT_DIGITS_CAP = sys.int_info.default_max_str_digits
-
-
-def set_key(nodes) -> Tuple[Node, ...]:
-    return tuple(sorted(nodes))
 
 
 @dataclass(frozen=True)
@@ -251,11 +247,17 @@ def maximal_chain_free_binary(n: int, k: int) -> List[NodeSet]:
 def finite_antichain_stream() -> Iterator[NodeSet]:
     """The canonical enumeration X_0, X_1, ... of all finite nonempty binary
     antichains: by depth of first appearance, canonical set order within.
-    The antichains new at depth d are those with a node of length d - 1."""
+    The antichains new at depth d are those with a node of length d - 1, a
+    leaf of TreeDomain(2, d) (run 1), read lazily from `subtree_walk`; only
+    the ones yielded become frozensets, so a prefix costs what it reaches."""
     for depth in itertools.count(1):
-        for item in enumerate_antichains(TreeDomain(2, depth)):
-            if any(len(x) == depth - 1 for x in item):
-                yield item
+        domain = TreeDomain(2, depth)
+        runs = domain.subtree_sizes()
+        leaves = sum(1 << i for i, run in enumerate(runs) if run == 1)
+        nodes = list(domain.nodes())
+        for mask in subtree_walk(runs):
+            if mask & leaves:
+                yield mask_set(nodes, mask)
 
 
 def universal_prefix(m: int) -> NodeSet:

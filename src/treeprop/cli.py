@@ -17,7 +17,7 @@ from .errors import ResourceCapError, TreepropError
 from .formulas import FiniteStructure, eval_formula, parse_formula
 from .nodes import TreeDomain, node_str
 from .oracles import oracle_for
-from .patterns import ATP, KATP, TP2, exact_family, make_pattern, verify
+from .patterns import ATP, KATP, exact_family, make_pattern, verify
 from .qftypes import verify_ss_ll
 from .synth import synth_boolean, synth_skolem
 from .transforms import (ConjunctionOracle, TupleWitness, elongate, fatten,
@@ -27,9 +27,7 @@ from .transforms import (ConjunctionOracle, TupleWitness, elongate, fatten,
 def _parse_pattern_arg(text: str, branching: int, depth: int, rows: int, cols: int):
     kind, _, karg = text.partition(":")
     k = int(karg) if karg else None
-    if kind == TP2:
-        return make_pattern(TP2, rows=rows, cols=cols)
-    return make_pattern(kind, branching=branching, depth=depth, k=k)
+    return make_pattern(kind, branching=branching, depth=depth, k=k, rows=rows, cols=cols)
 
 
 # one node string per line, at the depth of json.dump(..., indent=2)

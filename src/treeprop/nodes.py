@@ -10,7 +10,6 @@ so nodes can be sorted directly.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Tuple
@@ -20,13 +19,6 @@ from .errors import MalformedNodeError, ResourceCapError
 Node = Tuple[int, ...]
 
 ROOT: Node = ()
-
-
-class Rel(enum.Enum):
-    EQUAL = "equal"
-    BELOW = "strictly-below"
-    ABOVE = "strictly-above"
-    INCOMPARABLE = "incomparable"
 
 
 def parse_node(text: str, branching: int) -> Node:
@@ -60,16 +52,6 @@ def is_prefix(eta: Node, nu: Node) -> bool:
     return nu[: len(eta)] == eta
 
 
-def compare(eta: Node, nu: Node) -> Rel:
-    if eta == nu:
-        return Rel.EQUAL
-    if is_prefix(eta, nu):
-        return Rel.BELOW
-    if is_prefix(nu, eta):
-        return Rel.ABOVE
-    return Rel.INCOMPARABLE
-
-
 def incomparable(eta: Node, nu: Node) -> bool:
     return not is_prefix(eta, nu) and not is_prefix(nu, eta)
 
@@ -82,15 +64,6 @@ def meet(eta: Node, nu: Node) -> Node:
             break
         i += 1
     return eta[:i]
-
-
-def lex_less(eta: Node, nu: Node) -> bool:
-    """Strict lexicographic tree order; equals Python tuple comparison."""
-    return eta < nu
-
-
-def concat(eta: Node, nu: Node) -> Node:
-    return eta + nu
 
 
 def concat_set(eta: Node, nodes: Iterable[Node]) -> frozenset:
@@ -167,5 +140,6 @@ class TreeDomain:
 
 
 def sorted_nodes(nodes: Iterable[Node]) -> Tuple[Node, ...]:
-    """Canonical (lexicographic) enumeration of a node set."""
+    """Canonical (lexicographic) enumeration of a node set, and the key of
+    canonical set order: node sets compare as these tuples."""
     return tuple(sorted(set(nodes)))

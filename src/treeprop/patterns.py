@@ -11,12 +11,13 @@ The required sets are lazy streams of int masks over the canonical label
 order, from one chain and antichain walk (`antichains.subtree_walk`) over
 each label's run: a node's subtree, or the rest of a cell's row, so that
 TP2's rows are chains of cells. SOP1's pairs and TP's sibling sets are
-listed directly. The families of all tree kinds come from one choice
-routine (`antichains._choose`), and TP2's from binary strings. A
-`ConsistencyFamily` stores its maximal members as masks and each label's
-column, the bitmask of the members containing it; membership and both
-synthesized witnesses read the columns. Members given from outside are
-checked; `exact_family` builds them maximal and in order, unchecked.
+listed directly, TP's refused past FAMILY_CELL_CAP labels. The families of
+all tree kinds come from one choice routine (`antichains._choose`), and
+TP2's from binary strings. A `ConsistencyFamily` stores its maximal
+members as masks and each label's column, the bitmask of the members
+containing it; membership and both synthesized witnesses read the columns.
+Members given from outside are checked; `exact_family` builds them maximal
+and in order, unchecked.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 from .antichains import (_check_row_choices, _check_subset_cap, _shown,
                          chain_free_count, mask_labels, mask_set,
                          maximal_chain_free_masks, maximal_choice_masks,
-                         set_key, subtree_walk)
+                         subtree_walk)
 from .errors import ResourceCapError
-from .nodes import TreeDomain
+from .nodes import TreeDomain, sorted_nodes
 from .oracles import semilattice
 
 ATP = "atp"
@@ -107,6 +108,8 @@ def make_pattern(kind: str, branching: int = 2, depth: int = 0, k: int = None,
     if kind == TP2:
         if rows < 1 or cols < 1:
             raise ValueError("tp2 needs rows >= 1 and cols >= 1")
+        if k is not None:
+            raise ValueError("tp2 takes no k parameter")
         return PatternSpec(TP2, rows=rows, cols=cols)
     if kind not in TREE_KINDS:
         raise ValueError(f"unknown pattern kind {kind!r}")
@@ -141,23 +144,32 @@ def required_inconsistent(p: PatternSpec) -> Iterator[int]:
     over `p.index_labels()` in canonical order: the k-chains (ATP with k = 2,
     k-ATP), incomparable pairs (SOP2) or same-row pairs (TP2) of
     `subtree_walk`; SOP1's pairs {eta 1, eta 0 nu} and TP's sets of k
-    siblings listed directly."""
+    siblings listed directly. TP's sets are refused by `_check_sibling_sets`
+    when this is called."""
+    if p.kind == TP:
+        _check_sibling_sets(p)
     labels, runs = p.index_labels(), p.runs()
     if p.kind == SOP1:  # x and x[:i] + (1,) per 0 digit i of x, the last first
         index = {x: n for n, x in enumerate(labels)}
-        for n, x in enumerate(labels):
-            for i in reversed(range(len(x))):
-                if x[i] == 0:
-                    yield 1 << n | 1 << index[x[:i] + (1,)]
-    elif p.kind == TP:  # by first sibling; the c-th after it starts c runs on
-        for i, x in enumerate(labels[1:], 1):
-            later = [i + c * runs[i] for c in range(1, p.branching - x[-1])]
-            for others in itertools.combinations(later, p.k - 1):
-                yield sum((1 << j for j in others), 1 << i)
-    else:
-        k = p.k if p.kind == KATP else 2
-        yield from (m for m in subtree_walk(runs, chains=p.kind != SOP2, most=k)
-                    if m.bit_count() == k)
+        return (1 << n | 1 << index[x[:i] + (1,)] for n, x in enumerate(labels)
+                for i in reversed(range(len(x))) if x[i] == 0)
+    if p.kind == TP:  # by first sibling; the c-th after it starts c runs on
+        return (sum((1 << j for j in others), 1 << i) for i, x in enumerate(labels[1:], 1)
+                for others in itertools.combinations(
+                    [i + c * runs[i] for c in range(1, p.branching - x[-1])], p.k - 1))
+    k = p.k if p.kind == KATP else 2
+    return (m for m in subtree_walk(runs, chains=p.kind != SOP2, most=k) if m.bit_count() == k)
+
+
+def _check_sibling_sets(p: PatternSpec) -> None:
+    """Refuse TP's internal nodes x C(b, k) sibling sets of k labels each past
+    FAMILY_CELL_CAP cells, bounding C(b, k) >= 2^min(k, b - k) before it is taken."""
+    b, k = p.branching, p.k
+    internal = (p.index_count() - 1) // b
+    if internal and (min(k, b - k) >= FAMILY_CELL_CAP.bit_length()
+                     or internal * math.comb(b, k) * k > FAMILY_CELL_CAP):
+        raise ResourceCapError(f"{_shown(internal)} x C({b}, {k}) sets of {k} siblings",
+                               FAMILY_CELL_CAP)
 
 
 # _BIT_DIGITS[t][v] is the ASCII digit of bit t of the byte v
@@ -229,7 +241,7 @@ class ConsistencyFamily:
         if not all(m.issubset(index) for m in unique):  # before the sort compares labels
             raise ValueError("members must be subsets of the index set")
         family = cls.from_masks(labels, [sum(1 << index[x] for x in m)
-                                         for m in sorted(unique, key=set_key)])
+                                         for m in sorted(unique, key=sorted_nodes)])
         return cls.from_masks(labels, [m for m, c in zip(family.masks, family._covers())
                                        if c.bit_count() == 1])
 
@@ -242,8 +254,8 @@ class ConsistencyFamily:
         return bool(subset) and _containing(self.columns, subset) != 0
 
 
-# member-label cells of a family, the bits of its masks: ATP d6, the largest
-# family built, has 63 x 458330 of them
+# member-label cells of a family, the bits of its masks (and of TP's required
+# sibling sets): ATP d6, the largest family built, has 63 x 458330 of them
 FAMILY_CELL_CAP = 2 ** 25
 
 

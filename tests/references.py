@@ -28,8 +28,7 @@ from typing import List
 
 from treeprop import (VerificationReport, eval_formula, exact_family,
                       required_consistent, required_inconsistent)
-from treeprop.antichains import (AntichainCatalog, _check_subset_cap,
-                                 mask_set, set_key)
+from treeprop.antichains import AntichainCatalog, _check_subset_cap, mask_set
 from treeprop.nodes import (TreeDomain, closure, concat_set, incomparable,
                             is_prefix, meet, node_str, sorted_nodes)
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
@@ -37,7 +36,7 @@ from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
 
 def canonical_sets(sets):
     """The sets as frozensets, sorted into canonical order."""
-    return sorted((frozenset(s) for s in sets), key=set_key)
+    return sorted((frozenset(s) for s in sets), key=sorted_nodes)
 
 
 def listed(p, masks):
@@ -182,7 +181,7 @@ def reference_from_members(labels, members):
         raise ValueError("members must be subsets of the index set")
     maximal = [m for m in members if not any(m < other for other in members)]
     seen, unique = set(), []
-    for m in sorted(maximal, key=set_key):
+    for m in sorted(maximal, key=sorted_nodes):
         if m not in seen:
             seen.add(m)
             unique.append(m)
@@ -249,7 +248,7 @@ def reference_family(labels, members):
     """The former `from_members` path: sort the distinct members canonically,
     grow each label's column one bit per member, and keep the members whose
     columns AND to their own bit. Returns (maximal members, columns)."""
-    unique = sorted({frozenset(m) for m in members if m}, key=set_key)
+    unique = sorted({frozenset(m) for m in members if m}, key=sorted_nodes)
 
     def columns_of(sets):
         columns = {label: 0 for label in labels}
@@ -292,7 +291,7 @@ def reference_scan_masks(p):
     the reference for SOP2's."""
     labels = p.index_labels()
     free = forbidden_free_table(labels, reference_required_inconsistent(p))
-    return sorted(maximal_free_masks(free), key=lambda m: set_key(mask_set(labels, m)))
+    return sorted(maximal_free_masks(free), key=lambda m: sorted_nodes(mask_set(labels, m)))
 
 
 def reference_free_sets(labels, forbidden):

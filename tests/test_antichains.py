@@ -6,9 +6,8 @@ from treeprop import (ResourceCapError, TreeDomain, alpha, count_antichains,
                       enumerate_antichains, find_iso_copy,
                       maximal_antichains, universal_prefix)
 from treeprop import antichains
-from treeprop.antichains import (finite_antichain_stream,
-                                 maximal_chain_free_binary, set_key)
-from treeprop.nodes import is_antichain, is_chain
+from treeprop.antichains import finite_antichain_stream, maximal_chain_free_binary
+from treeprop.nodes import concat_set, is_antichain, is_chain, sorted_nodes
 
 from references import canonical_sets, max_chain_bounded_sets
 
@@ -34,7 +33,7 @@ def test_count_antichains_alpha_relation():
 
 def test_enumeration_is_canonical_and_deduplicated():
     catalog = enumerate_antichains(TreeDomain(2, 3))
-    keys = [set_key(x) for x in catalog]
+    keys = [sorted_nodes(x) for x in catalog]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -130,6 +129,14 @@ def test_universal_prefix_contains_copies():
         mapping = find_iso_copy(x, u)
         assert mapping is not None
         assert set(mapping) == set(x)
+
+
+def test_universal_prefix_reads_depth_five_lazily():
+    # the 677th antichain is the first new one at depth 5, whose 2^31 subsets
+    # no listing may range over
+    u = universal_prefix(677)
+    assert len(u) == 2657
+    assert concat_set((1,) * 676 + (0,), {(0,), (1, 0), (1, 1, 0), (1, 1, 1, 0)}) <= u
 
 
 def test_find_iso_copy_none_when_too_small():

@@ -455,3 +455,24 @@ def test_every_transform_and_a_capped_verify_exit_cleanly(capsys, tmp_path):
     assert unclean(results) == {}
     status, err = results[" ".join(argvs[-1])]
     assert status == 3 and "2^25 - 1" in err and "cap" in err
+
+
+def test_pattern_arguments_and_a_capped_tp_verify_exit_cleanly(capsys, tmp_path):
+    # the kind is read in any case and tp2 takes no k; a TP witness whose
+    # pattern asks for C(400, 200) sibling sets is refused, in `sweep`
+    src = synth(capsys, tmp_path, "tp.json", "--pattern", "tp:2", "--b", "400", "--depth", "2",
+                "--backend", "boolean")
+    doc = json.loads(src.read_text())
+    doc["pattern"]["k"] = 200
+    src.write_text(json.dumps(doc))
+    out = str(tmp_path / "out.json")
+    argvs = [["verify", "--witness", str(src)],
+             ["synth", "--pattern", "TP2", "--rows", "2", "--cols", "2", "--backend", "skolem",
+              "--out", out],
+             ["synth", "--pattern", "tp2:7", "--rows", "2", "--cols", "2", "--backend", "skolem",
+              "--out", out]]
+    results = sweep(argvs)
+    assert unclean(results) == {}
+    assert [status for status, _ in results.values()] == [3, 0, 2]
+    verified, _, refused = (err for _, err in results.values())
+    assert "C(400, 200)" in verified and "cap" in verified and "takes no k" in refused

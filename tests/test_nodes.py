@@ -5,9 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import treeprop.nodes
-from treeprop import (MalformedNodeError, Rel, ResourceCapError, TreeDomain, closure,
-                      compare, concat, concat_set, is_antichain, is_chain, lex_less,
-                      meet, node_str, parse_node)
+from treeprop import (MalformedNodeError, ResourceCapError, TreeDomain, closure,
+                      concat_set, is_antichain, is_chain, meet, node_str, parse_node)
 from treeprop.nodes import incomparable, is_prefix, sorted_nodes
 
 nodes = st.lists(st.integers(0, 2), max_size=6).map(tuple)
@@ -31,13 +30,6 @@ def test_parse_rejects_out_of_range_digit():
         parse_node("0.x", 12)
 
 
-def test_compare_cases():
-    assert compare((), ()) is Rel.EQUAL
-    assert compare((), (0,)) is Rel.BELOW
-    assert compare((0, 1), (0,)) is Rel.ABOVE
-    assert compare((0,), (1,)) is Rel.INCOMPARABLE
-
-
 def test_meet_examples():
     assert meet((0, 1, 0), (0, 1, 1)) == (0, 1)
     assert meet((0,), (1,)) == ()
@@ -45,10 +37,10 @@ def test_meet_examples():
 
 
 def test_lex_prefixes_sort_first():
-    assert lex_less((), (0,))
-    assert lex_less((0,), (0, 1))
-    assert lex_less((0, 1), (1,))
-    assert not lex_less((1,), (0, 1))
+    assert () < (0,)
+    assert (0,) < (0, 1)
+    assert (0, 1) < (1,)
+    assert not (1,) < (0, 1)
 
 
 @given(nodes, nodes)
@@ -70,13 +62,13 @@ def test_meet_is_common_prefix(a, b):
 
 @given(nodes, nodes)
 def test_lex_trichotomy(a, b):
-    assert (lex_less(a, b), a == b, lex_less(b, a)).count(True) == 1
+    assert (a < b, a == b, b < a).count(True) == 1
 
 
 @given(nodes, nodes)
 def test_prefix_implies_lex(a, b):
     if is_prefix(a, b) and a != b:
-        assert lex_less(a, b)
+        assert a < b
 
 
 @given(nodes, nodes)
@@ -106,7 +98,6 @@ def test_closure_empty_rejected():
 
 
 def test_concat():
-    assert concat((0,), (1, 1)) == (0, 1, 1)
     assert concat_set((1,), [(), (0,)]) == {(1,), (1, 0)}
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import pytest
@@ -31,6 +32,9 @@ def test_make_pattern_validation():
         make_pattern(ATP, depth=3, branching=3)
     with pytest.raises(ValueError):
         make_pattern(TP2, rows=0, cols=3)
+    with pytest.raises(ValueError, match="tp2 takes no k"):
+        make_pattern(TP2, rows=2, cols=2, k=7)
+    assert make_pattern("TP2", rows=2, cols=2) == make_pattern(TP2, rows=2, cols=2)
 
 
 def test_pattern_index_labels():
@@ -232,6 +236,32 @@ def test_tp2_cap_at_its_exact_count(monkeypatch):
     monkeypatch.setattr(antichains, "DEFAULT_SUBSET_CAP", 2 ** 20 - 2)
     with pytest.raises(ResourceCapError, match="2\\^20 - 1 sets"):
         antichains._check_row_choices(20, 1)
+
+
+def test_tp_sibling_sets_cap_at_their_cells(monkeypatch):
+    p = make_pattern(TP, branching=4, depth=3, k=2)  # 5 internal nodes x C(4, 2) x 2 = 60 cells
+    witness = synth_boolean(exact_family(p))
+    monkeypatch.setattr(patterns, "FAMILY_CELL_CAP", 60)
+    assert verify(oracle_for(witness), witness, p).passed
+    monkeypatch.setattr(patterns, "FAMILY_CELL_CAP", 59)
+    # refused when called, before the consistent sets are streamed
+    with pytest.raises(ResourceCapError, match="5 x C\\(4, 2\\) sets of 2 siblings"):
+        required_inconsistent(p)
+    with pytest.raises(ResourceCapError):
+        verify(oracle_for(witness), witness, p)
+
+
+def test_tp_sibling_sets_cap_bounds_the_binomial_first(monkeypatch):
+    # 24,995,000 cells pass; C(400, 200) and C(10^6, 5 x 10^5) are refused by
+    # their bit bound, without taking the binomial
+    assert sum(1 for _ in required_inconsistent(make_pattern(TP, branching=5000, depth=2,
+                                                             k=2))) == math.comb(5000, 2)
+    def no_comb(n, k):
+        raise AssertionError("binomial taken before the bit bound")
+    monkeypatch.setattr(math, "comb", no_comb)
+    for b, k in [(400, 200), (10 ** 6, 5 * 10 ** 5)]:
+        with pytest.raises(ResourceCapError, match=f"C\\({b}, {k}\\)"):
+            required_inconsistent(make_pattern(TP, branching=b, depth=2, k=k))
 
 
 def test_verify_rejects_label_mismatch():
