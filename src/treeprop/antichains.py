@@ -7,7 +7,9 @@ builds the maximal sets of every tree pattern free of its forbidden
 configuration (k-chains, SOP1 pairs, incomparable pairs, k siblings)
 without the subset scan, their reference in the tests: each is the root,
 then below each node a maximal set of each child subtree, some children
-kept whole and the others dropped.
+kept whole and the others dropped; TP2's sets of one cell per row are
+binary strings. Each builder first counts its family by its own recursion
+and refuses it past FAMILY_CELL_CAP cells before building any member.
 
 Canonical orders used throughout:
   * a node set is canonically presented as its lex-sorted tuple of nodes;
@@ -23,6 +25,7 @@ Canonical orders used throughout:
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,9 +39,10 @@ NodeSet = FrozenSet[Node]
 
 # index subsets that one listing or exhaustive scan may range over
 DEFAULT_SUBSET_CAP = 2 ** 20
-# maximal k-chain-free sets that one family may hold: alpha(6), the maximal
-# antichains of the depth-6 binary tree
-CHAIN_FREE_CAP = 458330
+# member-label cells of an exact family, the bits of its masks, and its index
+# labels (also the labels of TP's required sibling sets): ATP d6, the largest
+# family built, has 63 x 458330 of them
+FAMILY_CELL_CAP = 2 ** 25
 # decimal digits of an antichain count: the interpreter's int-to-str limit
 COUNT_DIGITS_CAP = sys.int_info.default_max_str_digits
 
@@ -114,6 +118,15 @@ def _check_row_choices(rows: int, cols: int) -> None:
                                f"cell per row", DEFAULT_SUBSET_CAP)
 
 
+def _check_sibling_sets(b: int, k: int, internal: int) -> None:
+    """Refuse TP's internal nodes x C(b, k) sibling sets of k labels each past
+    FAMILY_CELL_CAP cells, bounding C(b, k) >= 2^min(k, b - k) before it is taken."""
+    if internal and (min(k, b - k) >= FAMILY_CELL_CAP.bit_length()
+                     or internal * math.comb(b, k) * k > FAMILY_CELL_CAP):
+        raise ResourceCapError(f"{_shown(internal)} x C({b}, {k}) sets of {k} siblings",
+                               FAMILY_CELL_CAP)
+
+
 def subtree_walk(runs, chains: bool = False, most: Optional[int] = None) -> Iterator[int]:
     """Every nonempty antichain (or, with chains, every nonempty chain) of at
     most `most` labels (default: any number) once, as a mask, in canonical
@@ -148,24 +161,70 @@ def enumerate_antichains(domain: TreeDomain) -> AntichainCatalog:
                                           for m in subtree_walk(domain.subtree_sizes())))
 
 
+def _check_cells(members: int, labels: int, exact: bool = True) -> None:
+    """Refuse an index set past FAMILY_CELL_CAP labels, then members x labels
+    cells past it; members is the family's count when exact, else a count it
+    has at least."""
+    if labels > FAMILY_CELL_CAP:
+        raise ResourceCapError(f"index set of {_shown(labels)} labels", FAMILY_CELL_CAP)
+    if members * labels > FAMILY_CELL_CAP:
+        size = _shown(members) if exact or members.bit_length() >= 64 else f"at least {members}"
+        raise ResourceCapError(f"family of {size} maximal members over {labels} labels",
+                               FAMILY_CELL_CAP)
+
+
+def _check_members(bits: int) -> None:
+    """Refuse a family of at least 2^bits members, before its count is taken."""
+    if bits >= FAMILY_CELL_CAP.bit_length():
+        raise ResourceCapError(f"family of at least 2^{bits} maximal members", FAMILY_CELL_CAP)
+
+
 def chain_free_count(n: int, k: int) -> int:
     """Number of maximal k-chain-free sets of the binary tree of depth n, by
     the recursion of `maximal_chain_free_masks`: c(d, b) = 1 when b == 1 or
     b > d, else c(d-1, b-1)**2 + c(d-1, b)**2. Every count it passes through
-    is at most c(n, k), so the first one past CHAIN_FREE_CAP refuses, before
-    any count grows doubly exponentially (within about 7 levels of every n)."""
+    is at most c(n, k), so the first level whose largest count passes
+    FAMILY_CELL_CAP cells over the 2^n - 1 labels refuses, before any count
+    grows doubly exponentially."""
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
+    labels = TreeDomain(2, n).node_count() if n else 0
     row = {}  # b -> c(d, b) for the bounds 1 < b <= d that feed c(n, k)
     for d in range(1, n + 1):
         row = {b: row.get(b - 1, 1) ** 2 + row.get(b, 1) ** 2
                for b in range(max(2, k - n + d), min(k, d) + 1)}
-        if row and max(row.values()) > CHAIN_FREE_CAP:
-            size = f"alpha({n})" if k == 2 else f"c_{k}({n})"
-            relation = "=" if d == n else ">="
-            raise ResourceCapError(f"maximal {k}-chain-free family of size {size} "
-                                   f"{relation} {max(row.values())}", CHAIN_FREE_CAP)
+        _check_cells(max(row.values(), default=1), labels, d == n)
     return row.get(k, 1)
+
+
+def choice_count(branching: int, n: int, pick: int, emptied=()) -> int:
+    """Number of sets `maximal_choice_masks` builds, by its recursion: 1 at
+    depth 1, then with u = len(emptied), c' is the sum over the t kept emptied
+    children of C(u, t) C(b - u, pick - t) c^(b - u + t). Each level's count is
+    at most the last, so each is refused past FAMILY_CELL_CAP cells over the
+    labels of depth n; each term is first bounded by C(m, j) >=
+    2^min(j, m - j) and c^e >= 2^(e (bit_length(c) - 1))."""
+    labels = TreeDomain(branching, n).node_count()
+    _check_cells(1, labels)
+    u, c = len(emptied), 1
+    for depth in range(2, n + 1):
+        rest = branching - u
+        terms = range(max(0, pick - rest), min(u, pick) + 1)
+        for t in terms:
+            _check_members(min(pick - t, rest - pick + t) + (rest + t) * (c.bit_length() - 1))
+        c = sum(math.comb(u, t) * math.comb(rest, pick - t) * c ** (rest + t) for t in terms)
+        _check_cells(c, labels, depth == n)
+    return c
+
+
+def row_choice_count(rows: int, cols: int) -> int:
+    """cols^rows sets of one cell per row, the power bounded by
+    2^(rows (bit_length(cols) - 1)) before it is taken."""
+    _check_cells(1, rows * cols)
+    _check_members(rows * (cols.bit_length() - 1))
+    members = cols ** rows
+    _check_cells(members, rows * cols)
+    return members
 
 
 def _choose(parts, pick: int) -> List[int]:
@@ -187,13 +246,13 @@ def _choose(parts, pick: int) -> List[int]:
 
 def maximal_chain_free_masks(n: int, k: int) -> List[int]:
     """The maximal k-chain-free subsets of the binary tree of depth n as masks
-    over its nodes in lex order, in canonical order, counted against
-    CHAIN_FREE_CAP by `chain_free_count` before any is built. The root is bit
-    0 and each child subtree a run of s = 2^(d-1) - 1 bits from bit 1 + i * s.
-    With the root, both parts are maximal (k-1)-chain-free; without it, both
-    are maximal k-chain-free and must hold a (k-1)-chain (else the root fits),
-    which all of them do in subtrees of depth >= k-1 and none in shallower
-    ones. The root block first, each a `_choose` of both parts, is canonical."""
+    over its nodes in lex order, in canonical order, counted by
+    `chain_free_count` before any is built. The root is bit 0 and each child
+    subtree a run of s = 2^(d-1) - 1 bits from bit 1 + i * s. With the root,
+    both parts are maximal (k-1)-chain-free; without it, both are maximal
+    k-chain-free and must hold a (k-1)-chain (else the root fits), which all
+    of them do in subtrees of depth >= k-1 and none in shallower ones. The
+    root block first, each a `_choose` of both parts, is canonical."""
     chain_free_count(n, k)
 
     @lru_cache(maxsize=None)
@@ -215,10 +274,12 @@ def maximal_choice_masks(branching: int, n: int, pick: int, emptied=()) -> List[
     """The maximal sets of the tree of depth n >= 1 that hold the root and,
     below each internal node, a maximal set of each child subtree: `pick`
     children kept whole, the others less their root, or empty if in
-    `emptied`. Laid out as in `maximal_chain_free_masks`. SOP1 is (2, n, 1,
-    emptied=(0,)), as (1) pairs with all of the 0-subtree; SOP2 the paths
-    (2, n, 1, emptied=(0, 1)); TP (b, n, min(k - 1, b)). The root stays out
-    of `_choose`: a forced part would widen its rows."""
+    `emptied`; counted by `choice_count` before any is built. Laid out as in
+    `maximal_chain_free_masks`. SOP1 is (2, n, 1, emptied=(0,)), as (1) pairs
+    with all of the 0-subtree; SOP2 the paths (2, n, 1, emptied=(0, 1)); TP
+    (b, n, min(k - 1, b)). The root stays out of `_choose`: a forced part
+    would widen its rows."""
+    choice_count(branching, n, pick, emptied)
     masks = [1]
     for depth in range(2, n + 1):
         s = (branching ** (depth - 1) - 1) // (branching - 1)
@@ -229,19 +290,33 @@ def maximal_choice_masks(branching: int, n: int, pick: int, emptied=()) -> List[
     return masks
 
 
+def maximal_row_masks(rows: int, cols: int) -> List[int]:
+    """The sets of one cell per row of a rows x cols array as masks, cell
+    (r, c) bit r * cols + c, in canonical order, counted by `row_choice_count`
+    before any is built. Each is one binary string, the last row first and
+    each row's digits from its last column: not a tree, and a `_choose`
+    product would OR growing ints, quadratic in the rows."""
+    row_choice_count(rows, cols)
+    digits = ["0" * (cols - 1 - c) + "1" + "0" * c for c in range(cols)]
+    return [int("".join(digits[c] for c in reversed(choice)), 2)
+            for choice in itertools.product(range(cols), repeat=rows)]
+
+
 def maximal_antichains(n: int) -> AntichainCatalog:
     """All maximal antichains of the binary tree of depth n (none for n = 0),
-    the k = 2 case of `maximal_chain_free_masks`, in canonical order."""
+    the k = 2 case of `maximal_chain_free_masks`, in canonical order; the
+    nodes are listed once the masks are built."""
+    masks = maximal_chain_free_masks(n, 2) if n else []
     domain = TreeDomain(2, max(n, 1))
     nodes = list(domain.nodes())
-    masks = maximal_chain_free_masks(n, 2) if n else []
     return AntichainCatalog(domain, tuple(mask_set(nodes, m) for m in masks))
 
 
 def maximal_chain_free_binary(n: int, k: int) -> List[NodeSet]:
-    """`maximal_chain_free_masks` as node sets."""
+    """`maximal_chain_free_masks` as node sets, listed once the masks are built."""
+    masks = maximal_chain_free_masks(n, k)
     nodes = list(TreeDomain(2, n).nodes()) if n > 0 else []
-    return [mask_set(nodes, m) for m in maximal_chain_free_masks(n, k)]
+    return [mask_set(nodes, m) for m in masks]
 
 
 def finite_antichain_stream() -> Iterator[NodeSet]:

@@ -11,29 +11,28 @@ The required sets are lazy streams of int masks over the canonical label
 order, from one chain and antichain walk (`antichains.subtree_walk`) over
 each label's run: a node's subtree, or the rest of a cell's row, so that
 TP2's rows are chains of cells. SOP1's pairs and TP's sibling sets are
-listed directly, TP's refused past FAMILY_CELL_CAP labels. The families of
-all tree kinds come from one choice routine (`antichains._choose`), and
-TP2's from binary strings. A `ConsistencyFamily` stores its maximal
-members as masks and each label's column, the bitmask of the members
-containing it; membership and both synthesized witnesses read the columns.
-Members given from outside are checked; `exact_family` builds them maximal
-and in order, unchecked.
+listed directly, TP's refused past `antichains.FAMILY_CELL_CAP` labels.
+`exact_family` only dispatches to the family builders of `antichains`,
+which size each family and refuse it there, and lists the labels once the
+masks exist. A `ConsistencyFamily` is its labels and its maximal members as
+masks; each label's column, the bitmask of the members containing it, is
+computed when first read, and membership and both synthesized witnesses
+read the columns. Members given from outside come in through the checked
+`from_members`; `exact_family` builds them maximal and in order, unchecked.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from .antichains import (_check_row_choices, _check_subset_cap, _shown,
-                         chain_free_count, mask_labels, mask_set,
+from .antichains import (_check_row_choices, _check_sibling_sets,
+                         _check_subset_cap, mask_labels, mask_set,
                          maximal_chain_free_masks, maximal_choice_masks,
-                         subtree_walk)
-from .errors import ResourceCapError
+                         maximal_row_masks, subtree_walk)
 from .nodes import TreeDomain, sorted_nodes
 from .oracles import semilattice
 
@@ -147,7 +146,7 @@ def required_inconsistent(p: PatternSpec) -> Iterator[int]:
     siblings listed directly. TP's sets are refused by `_check_sibling_sets`
     when this is called."""
     if p.kind == TP:
-        _check_sibling_sets(p)
+        _check_sibling_sets(p.branching, p.k, (p.index_count() - 1) // p.branching)
     labels, runs = p.index_labels(), p.runs()
     if p.kind == SOP1:  # x and x[:i] + (1,) per 0 digit i of x, the last first
         index = {x: n for n, x in enumerate(labels)}
@@ -159,17 +158,6 @@ def required_inconsistent(p: PatternSpec) -> Iterator[int]:
                     [i + c * runs[i] for c in range(1, p.branching - x[-1])], p.k - 1))
     k = p.k if p.kind == KATP else 2
     return (m for m in subtree_walk(runs, chains=p.kind != SOP2, most=k) if m.bit_count() == k)
-
-
-def _check_sibling_sets(p: PatternSpec) -> None:
-    """Refuse TP's internal nodes x C(b, k) sibling sets of k labels each past
-    FAMILY_CELL_CAP cells, bounding C(b, k) >= 2^min(k, b - k) before it is taken."""
-    b, k = p.branching, p.k
-    internal = (p.index_count() - 1) // b
-    if internal and (min(k, b - k) >= FAMILY_CELL_CAP.bit_length()
-                     or internal * math.comb(b, k) * k > FAMILY_CELL_CAP):
-        raise ResourceCapError(f"{_shown(internal)} x C({b}, {k}) sets of {k} siblings",
-                               FAMILY_CELL_CAP)
 
 
 # _BIT_DIGITS[t][v] is the ASCII digit of bit t of the byte v
@@ -193,57 +181,36 @@ def _containing(columns: Dict, subset) -> int:
     return acc
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ConsistencyFamily:
     """A subset-closed family of nonempty index sets, stored by its maximal
     members as bitmasks over the labels (bit i is labels[i]) in canonical
-    order, with each label's column; membership is inclusion in some member.
-    `maximal` builds the members as frozensets on first access.
+    order; membership is inclusion in some member. Each label's column and
+    the members as frozensets (`maximal`) are computed when first read.
 
-    The constructor and `from_members` check what they are given (a member is
-    maximal and unique exactly when its columns AND to its own bit);
-    `from_masks` trusts members that are maximal by construction."""
+    The fields are trusted as given; `from_members` is the checked way in."""
 
     labels: Tuple
     masks: Tuple[int, ...]
-    columns: Dict = field(repr=False, compare=False)
-
-    def __init__(self, labels, maximal):
-        labels = tuple(labels)
-        index = {x: i for i, x in enumerate(labels)}
-        members = [set(m) for m in maximal]
-        if not all(m and m.issubset(index) for m in members):
-            raise ValueError("maximal members must be nonempty subsets of the index set")
-        self._set(labels, [sum(1 << index[x] for x in m) for m in members])
-        if self._covers() != [1 << n for n in range(len(self.masks))]:
-            raise ValueError("maximal members must be pairwise incomparable")
-
-    def _set(self, labels, masks) -> None:
-        object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "masks", tuple(masks))
-        object.__setattr__(self, "columns", _columns(self.labels, self.masks))
-
-    def _covers(self) -> List[int]:
-        """For each member, the members containing it."""
-        return [_containing(self.columns, mask_set(self.labels, m)) for m in self.masks]
-
-    @classmethod
-    def from_masks(cls, labels, masks) -> "ConsistencyFamily":
-        family = object.__new__(cls)
-        family._set(labels, masks)
-        return family
 
     @classmethod
     def from_members(cls, labels, members) -> "ConsistencyFamily":
+        """The family of the given members, which must lie in the index set:
+        duplicates and members inside another are dropped (a member is
+        maximal and unique exactly when its columns AND to its own bit)."""
         labels = tuple(labels)
         index = {x: i for i, x in enumerate(labels)}
         unique = {frozenset(m) for m in members if m}
         if not all(m.issubset(index) for m in unique):  # before the sort compares labels
             raise ValueError("members must be subsets of the index set")
-        family = cls.from_masks(labels, [sum(1 << index[x] for x in m)
-                                         for m in sorted(unique, key=sorted_nodes)])
-        return cls.from_masks(labels, [m for m, c in zip(family.masks, family._covers())
-                                       if c.bit_count() == 1])
+        family = cls(labels, tuple(sum(1 << index[x] for x in m)
+                                   for m in sorted(unique, key=sorted_nodes)))
+        return cls(labels, tuple(m for m in family.masks if _containing(
+            family.columns, mask_labels(labels, m)).bit_count() == 1))
+
+    @cached_property
+    def columns(self) -> Dict:
+        return _columns(self.labels, self.masks)
 
     @cached_property
     def maximal(self) -> Tuple[FrozenSet, ...]:
@@ -254,65 +221,21 @@ class ConsistencyFamily:
         return bool(subset) and _containing(self.columns, subset) != 0
 
 
-# member-label cells of a family, the bits of its masks (and of TP's required
-# sibling sets): ATP d6, the largest family built, has 63 x 458330 of them
-FAMILY_CELL_CAP = 2 ** 25
-
-
-def _check_family_size(p: PatternSpec) -> None:
-    """Refuse a family by its index and member counts, before any label is
-    listed: the k-chain-free count cap (`chain_free_count`), then at most
-    FAMILY_CELL_CAP cells."""
-    labels = p.index_count()
-    if p.kind in (ATP, KATP):
-        members = chain_free_count(p.depth, 2 if p.kind == ATP else p.k)
-    elif labels > FAMILY_CELL_CAP:
-        raise ResourceCapError(f"index set of {_shown(labels)} labels", FAMILY_CELL_CAP)
-    elif p.kind == SOP1:
-        members = 1
-        for _ in range(p.depth - 1):  # c(d) = c(d-1) * (c(d-1) + 1)
-            if members > FAMILY_CELL_CAP:
-                raise ResourceCapError(f"family of at least {members} maximal members",
-                                       FAMILY_CELL_CAP)
-            members *= members + 1
-    elif p.kind == SOP2:
-        members = 2 ** (p.depth - 1)  # one per leaf
-    else:  # C(n, pick) choices per internal node (TP) or one cell per row (TP2)
-        if p.kind == TP:
-            n, pick = p.branching, min(p.k - 1, p.branching)
-            times = (labels - 1) // p.branching  # the internal nodes
-        else:
-            n, pick, times = p.cols, 1, p.rows
-        bits = times * min(pick, n - pick)  # C(n, pick) >= 2^min(pick, n - pick)
-        if bits >= FAMILY_CELL_CAP.bit_length():
-            raise ResourceCapError(f"family of at least 2^{bits} maximal members",
-                                   FAMILY_CELL_CAP)
-        members = math.comb(n, pick) ** times
-    if members * labels > FAMILY_CELL_CAP:
-        raise ResourceCapError(f"family of {_shown(members)} maximal members over "
-                               f"{_shown(labels)} labels", FAMILY_CELL_CAP)
-
-
 def exact_family(p: PatternSpec) -> ConsistencyFamily:
     """Maximal members of the family of sets avoiding the pattern's forbidden
-    configuration, in canonical order and unchecked, after `_check_family_size`:
-    for every tree kind one choice per node (`antichains._choose`), and one
-    cell per row for TP2."""
-    _check_family_size(p)
-    labels = p.index_labels()
+    configuration, in canonical order and unchecked, from the `antichains`
+    builder of its kind, which refuses the family past its cap before any
+    member or label is built: one choice per node for every tree kind, one
+    cell per row for TP2. The labels are listed once the masks exist."""
     if p.kind in (ATP, KATP):
         masks = maximal_chain_free_masks(p.depth, 2 if p.kind == ATP else p.k)
     elif p.kind in (SOP1, SOP2):
         masks = maximal_choice_masks(2, p.depth, 1, emptied=(0,) if p.kind == SOP1 else (0, 1))
     elif p.kind == TP:
         masks = maximal_choice_masks(p.branching, p.depth, min(p.k - 1, p.branching))
-    else:  # not a tree, and a `_choose` product would OR growing ints, quadratic in the rows
-        # one cell per row, in binary digits: the last row first, each row's
-        # digits from its last column, so that cell (r, c) is bit r * cols + c
-        rows = ["0" * (p.cols - 1 - c) + "1" + "0" * c for c in range(p.cols)]
-        masks = [int("".join(rows[c] for c in reversed(cols)), 2)
-                 for cols in itertools.product(range(p.cols), repeat=p.rows)]
-    return ConsistencyFamily.from_masks(labels, masks)
+    else:
+        masks = maximal_row_masks(p.rows, p.cols)
+    return ConsistencyFamily(p.index_labels(), tuple(masks))
 
 
 @dataclass(frozen=True)

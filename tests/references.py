@@ -6,7 +6,8 @@ forbidden family, and its maximal masks), the pairwise maximality filter,
 the frozenset recursions for maximal antichains and k-chain-free sets, the
 subset scan over every k-chain, the SOP1, SOP2 and TP families scanned and
 sorted, the choice product filtered by its count of kept parts, a direct
-listing of all 2^n subsets, and the member-by-member boolean witness. Chains and antichains: the canonical sort of node sets, the chain
+listing of all 2^n subsets, the member-by-member boolean witness and the
+closed-form family counts the builders' own counts replaced. Chains and antichains: the canonical sort of node sets, the chain
 generator over prefix subsets, the antichain listing from the scan over the
 2-chains, the required sets of every pattern (SOP2's incomparable pairs
 filtered from all pairs, SOP1's pairs from every two nodes, TP's combinations
@@ -23,6 +24,7 @@ for iso copies. The first-order oracle evaluated afresh on every call.
 
 import functools
 import itertools
+import math
 import operator
 from typing import List
 
@@ -317,6 +319,30 @@ def reference_boolean_params(family):
         for label in member:
             params[label] |= 1 << n
     return params
+
+
+def reference_family_count(p):
+    """The number of maximal members of p's exact family by the closed forms
+    that sized it before its builders counted it: the k-chain-free recursion
+    (ATP with k = 2, k-ATP), c(d) = c(d-1) (c(d-1) + 1) for SOP1, one path per
+    leaf for SOP2, C(b, min(k - 1, b)) choices per internal node for TP and
+    one cell per row for TP2."""
+    if p.kind == TP2:
+        return p.cols ** p.rows
+    if p.kind in (ATP, KATP):
+        @functools.lru_cache(maxsize=None)
+        def chain_free(d, b):
+            return 1 if b == 1 or b > d else chain_free(d - 1, b - 1) ** 2 + chain_free(d - 1, b) ** 2
+        return chain_free(p.depth, 2 if p.kind == ATP else p.k)
+    if p.kind == SOP1:
+        c = 1
+        for _ in range(p.depth - 1):
+            c *= c + 1
+        return c
+    if p.kind == SOP2:
+        return 2 ** (p.depth - 1)
+    internal = (p.index_count() - 1) // p.branching
+    return math.comb(p.branching, min(p.k - 1, p.branching)) ** internal
 
 
 def reference_verify(oracle, witness, p):

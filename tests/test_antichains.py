@@ -6,7 +6,8 @@ from treeprop import (ResourceCapError, TreeDomain, alpha, count_antichains,
                       enumerate_antichains, find_iso_copy,
                       maximal_antichains, universal_prefix)
 from treeprop import antichains
-from treeprop.antichains import finite_antichain_stream, maximal_chain_free_binary
+from treeprop.antichains import (chain_free_count, finite_antichain_stream,
+                                 maximal_chain_free_binary)
 from treeprop.nodes import concat_set, is_antichain, is_chain, sorted_nodes
 
 from references import canonical_sets, max_chain_bounded_sets
@@ -62,8 +63,10 @@ def test_maximal_antichains_root_first_in_canonical_order():
 
 
 def test_maximal_antichains_cap():
-    assert antichains.CHAIN_FREE_CAP == alpha(6)
-    with pytest.raises(ResourceCapError):
+    # alpha(6) members over 63 labels fit the cell cap; depth 7 is refused by
+    # its depth-6 count over 127 labels, before any node is listed
+    assert chain_free_count(6, 2) == alpha(6) and alpha(6) * 63 <= antichains.FAMILY_CELL_CAP
+    with pytest.raises(ResourceCapError, match="at least 458330 maximal members over 127"):
         maximal_antichains(7)
 
 

@@ -54,7 +54,8 @@ from references import (RecordingOracle, ReferenceConjunctionOracle,
                         reference_atomic, reference_boolean_params,
                         reference_atomic_form, reference_chain_free_binary,
                         reference_delta, reference_delta_form,
-                        reference_family, reference_find_iso_copy,
+                        reference_family, reference_family_count,
+                        reference_find_iso_copy,
                         reference_fo_consistent, reference_free_sets,
                         reference_from_members, reference_maximal_antichains,
                         reference_members, reference_qftype0,
@@ -92,18 +93,15 @@ def test_column_family_matches_pairwise_reference():
 def test_column_family_rejects_bad_members():
     labels = ("a", "b", "c")
     a, ab = frozenset("a"), frozenset("ab")
-    for maximal in [(a, a), (ab, a), (a, ab), (frozenset("z"),),
-                    (frozenset("az"),), (frozenset(),)]:
-        with pytest.raises(ValueError):
-            ConsistencyFamily(labels, maximal)
-    for members in [[{"z"}], [{"a"}, {"a", "z"}], [{"a", "b"}, {"c", "z"}]]:
+    for members in [[{"z"}], [{"a"}, {"a", "z"}], [{"a", "b"}, {"c", "z"}], [{"a", "z"}]]:
         with pytest.raises(ValueError):
             reference_from_members(labels, members)
         with pytest.raises(ValueError):
             ConsistencyFamily.from_members(labels, members)
-    # duplicates and nested members are filtered, not rejected
-    family = ConsistencyFamily.from_members(labels, [a, ab, ab, {"c"}, a])
-    assert family.maximal == reference_from_members(labels, [a, ab, ab, {"c"}, a])
+    # empty, repeated and nested members are filtered, not rejected
+    for members in [[a, a], [ab, a], [a, ab], [frozenset()], [a, ab, ab, {"c"}, a]]:
+        family = ConsistencyFamily.from_members(labels, members)
+        assert family.maximal == reference_from_members(labels, members), members
     assert not family.contains({"z"}) and not family.contains(())
 
 
@@ -225,9 +223,7 @@ def test_exact_family_matches_the_former_from_members_path():
         rebuilt = ConsistencyFamily.from_members(labels, old_members)
         assert family.maximal == rebuilt.maximal == maximal, p
         assert family.columns == rebuilt.columns == columns, p
-        assert family.masks == rebuilt.masks, p
-        # what the unchecked path builds passes the checked constructor
-        assert ConsistencyFamily(labels, family.maximal) == family
+        assert family == rebuilt, p
 
 
 def test_chain_free_count_is_exact():
@@ -243,10 +239,12 @@ def test_chain_free_cap_fires_before_any_work(monkeypatch):
     def no_nodes(self):
         raise AssertionError("nodes listed before the cap check")
     monkeypatch.setattr(TreeDomain, "nodes", no_nodes)
-    for p, size in [(make_pattern(ATP, depth=7), r"alpha\(7\) = 210066388901"),
-                    (make_pattern(KATP, depth=6, k=3), r"c_3\(6\) = 10545305"),
-                    (make_pattern(ATP, depth=40), r"alpha\(40\) >= \d+")]:
-        with pytest.raises(ResourceCapError, match=f"{size} .*cap 458330"):
+    for p, size in [
+            # refused by the depth-6 count over depth 7's 127 labels
+            (make_pattern(ATP, depth=7), "family of at least 458330 maximal members over 127"),
+            (make_pattern(KATP, depth=6, k=3), "family of 10545305 maximal members over 63"),
+            (make_pattern(ATP, depth=40), "index set of 1099511627775")]:
+        with pytest.raises(ResourceCapError, match=f"{size} labels \\(cap 33554432\\)"):
             exact_family(p)
 
 
@@ -255,23 +253,117 @@ def test_family_size_cap_fires_before_any_label(monkeypatch):
         raise AssertionError("nodes listed before the cap check")
     monkeypatch.setattr(TreeDomain, "nodes", no_nodes)
     for p, size in [(make_pattern(SOP2, depth=30), "index set of 1073741823 labels"),
-                    (make_pattern(KATP, depth=30, k=40),
-                     "family of 1 maximal members over 1073741823 labels"),
+                    (make_pattern(KATP, depth=30, k=40), "index set of 1073741823 labels"),
                     (make_pattern(KATP, depth=20000, k=20001),
-                     r"family of 1 maximal members over \(at least 2\^19999\) labels"),
-                    (make_pattern(SOP2, depth=20), "family of 524288 maximal members"),
+                     r"index set of \(at least 2\^19999\) labels"),
+                    # refused at depth 7, where 64 paths over 2^20 - 1 labels pass the cap
+                    (make_pattern(SOP2, depth=20),
+                     "family of at least 64 maximal members over 1048575 labels"),
                     (make_pattern(TP2, rows=40, cols=3), r"at least 2\^40 maximal members"),
-                    (make_pattern(TP2, rows=10, cols=10), "family of 10000000000 maximal"),
+                    # 10^10 >= 2^(10 x 3), a bound taken before the power
+                    (make_pattern(TP2, rows=10, cols=10), r"family of at least 2\^30 maximal"),
                     (make_pattern(SOP1, depth=30), "index set of 1073741823 labels"),
                     (make_pattern(SOP1, depth=6), "family of 3263442 maximal members over 63"),
-                    (make_pattern(SOP1, depth=8), "family of at least 10650056950806 maximal"),
+                    (make_pattern(SOP1, depth=8),
+                     "family of at least 3263442 maximal members over 255 labels"),
                     (make_pattern(TP, branching=3, depth=4, k=2),
                      "family of 1594323 maximal members over 40 labels"),
                     # C(2^24, 2^23 - 1) is refused by a bound before it is taken
                     (make_pattern(TP, branching=2 ** 24, depth=2, k=2 ** 23),
-                     r"at least 2\^8388607 maximal members")]:
-        with pytest.raises(ResourceCapError, match=size):
+                     r"at least 2\^8388607 maximal members"),
+                    # C(3000, 20) at depth 2 of 3, a lower bound past 64 bits
+                    (make_pattern(TP, branching=3000, depth=3, k=21),
+                     r"family of \(at least 2\^\d+\) maximal members over 9003001 labels")]:
+        with pytest.raises(ResourceCapError, match=size) as refused:
             exact_family(p)
+        assert "at least (at least" not in str(refused.value), p
+
+
+# --- each builder's own count against its build and the closed forms ---
+
+# ATP, SOP1 and SOP2 at depths 1-7, k-ATP for k = 3..6 at depths 1-7, TP for
+# b = 2, 3, 4, 10 at depths 1-4 and k = 2, 3, b, b + 1, TP2 up to 5 x 5, and
+# six extremes (C(2^24, 2^23 - 1), whose closed form is too large to take,
+# is in the test above)
+COUNT_GRID = (
+    [make_pattern(kind, depth=d) for kind in (ATP, SOP1, SOP2) for d in range(1, 8)]
+    + [make_pattern(KATP, depth=d, k=k) for k in range(3, 7) for d in range(1, 8)]
+    + [make_pattern(TP, branching=b, depth=d, k=k) for b in (2, 3, 4, 10) for d in range(1, 5)
+       for k in sorted({2, 3, b, b + 1})]
+    + [make_pattern(TP2, rows=r, cols=c) for r in range(1, 6) for c in range(1, 6)]
+    + [make_pattern(KATP, depth=30, k=40), make_pattern(KATP, depth=20000, k=20001),
+       make_pattern(SOP2, depth=30), make_pattern(TP, branching=20000, depth=2, k=20001),
+       make_pattern(TP2, rows=10, cols=10), make_pattern(TP2, rows=100000, cols=1)]
+)
+
+
+def family_count(p):
+    """The count of p's family by the `antichains` builder that `exact_family` calls."""
+    if p.kind in (ATP, KATP):
+        return antichains.chain_free_count(p.depth, 2 if p.kind == ATP else p.k)
+    if p.kind in (SOP1, SOP2):
+        return antichains.choice_count(2, p.depth, 1, (0,) if p.kind == SOP1 else (0, 1))
+    if p.kind == TP:
+        return antichains.choice_count(p.branching, p.depth, min(p.k - 1, p.branching))
+    return antichains.row_choice_count(p.rows, p.cols)
+
+
+def refused_by_closed_form(p):
+    labels = p.index_count()
+    cap = antichains.FAMILY_CELL_CAP
+    return labels > cap or reference_family_count(p) * labels > cap
+
+
+def first_count_fault():
+    """The first COUNT_GRID pattern whose builder count differs from its
+    built masks or from the closed form, or that is not refused, under the
+    cap, before `_choose` runs or a node is listed (both made to raise);
+    None if there is none."""
+    def no_work(*args):
+        raise AssertionError("a member or a label built before the cap check")
+    for p in COUNT_GRID:
+        if not refused_by_closed_form(p):
+            if not family_count(p) == len(exact_family(p).masks) == reference_family_count(p):
+                return p
+            continue
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(antichains, "_choose", no_work)
+            patch.setattr(TreeDomain, "nodes", no_work)
+            try:
+                exact_family(p)
+            except ResourceCapError:
+                continue
+            except AssertionError:
+                pass
+        return p
+    return None
+
+
+def test_builder_counts_mirror_their_builds():
+    assert first_count_fault() is None
+    refused = sum(map(refused_by_closed_form, COUNT_GRID))
+    assert (refused, len(COUNT_GRID) - refused) == (25, 107)
+
+
+def test_broken_counts_fail_the_gate(monkeypatch):
+    breaks = [
+        # the kept emptied children dropped from the exponent
+        ("choice_count", "* c ** (rest + t) for t in terms", "* c ** rest for t in terms"),
+        # each level's count checked at the next level, so the last never
+        ("chain_free_count", """\
+        row = {b: row.get(b - 1, 1) ** 2 + row.get(b, 1) ** 2
+               for b in range(max(2, k - n + d), min(k, d) + 1)}
+        _check_cells(max(row.values(), default=1), labels, d == n)
+""", """\
+        _check_cells(max(row.values(), default=1), labels, d == n)
+        row = {b: row.get(b - 1, 1) ** 2 + row.get(b, 1) ** 2
+               for b in range(max(2, k - n + d), min(k, d) + 1)}
+"""),
+    ]
+    for name, old, new in breaks:
+        with monkeypatch.context() as patch:
+            patch.setattr(antichains, name, mutant(antichains, name, old, new))
+            assert first_count_fault() is not None, name
 
 
 def test_skolem_bits_bound_holds_on_benchmark_families():

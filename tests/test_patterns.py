@@ -127,17 +127,17 @@ def test_exact_family_tp2_counts():
 
 
 def test_consistency_family_invariants():
+    # from_members refuses labels outside the index set and drops empty,
+    # repeated and nested members
     with pytest.raises(ValueError):
-        ConsistencyFamily(("a", "b"), (frozenset(),))
-    with pytest.raises(ValueError):
-        ConsistencyFamily(("a", "b"), (frozenset({"c"}),))
-    with pytest.raises(ValueError):
-        ConsistencyFamily(("a", "b"),
-                          (frozenset({"a"}), frozenset({"a", "b"})))
+        ConsistencyFamily.from_members(("a", "b"), (frozenset({"c"}),))
+    assert ConsistencyFamily.from_members(("a", "b"), (frozenset(),)).masks == ()
     fam = ConsistencyFamily.from_members(
         ("a", "b", "c"), [{"a"}, {"a", "b"}, {"c"}, {"a", "b"}]
     )
     assert fam.maximal == (frozenset({"a", "b"}), frozenset({"c"}))
+    assert fam == ConsistencyFamily(("a", "b", "c"), (0b011, 0b100))
+    assert fam.columns == {"a": 0b01, "b": 0b01, "c": 0b10}
 
 
 def test_from_members_checks_labels_before_sorting():
@@ -241,9 +241,9 @@ def test_tp2_cap_at_its_exact_count(monkeypatch):
 def test_tp_sibling_sets_cap_at_their_cells(monkeypatch):
     p = make_pattern(TP, branching=4, depth=3, k=2)  # 5 internal nodes x C(4, 2) x 2 = 60 cells
     witness = synth_boolean(exact_family(p))
-    monkeypatch.setattr(patterns, "FAMILY_CELL_CAP", 60)
+    monkeypatch.setattr(antichains, "FAMILY_CELL_CAP", 60)
     assert verify(oracle_for(witness), witness, p).passed
-    monkeypatch.setattr(patterns, "FAMILY_CELL_CAP", 59)
+    monkeypatch.setattr(antichains, "FAMILY_CELL_CAP", 59)
     # refused when called, before the consistent sets are streamed
     with pytest.raises(ResourceCapError, match="5 x C\\(4, 2\\) sets of 2 siblings"):
         required_inconsistent(p)

@@ -50,7 +50,7 @@ def test_backends_agree_on_membership():
 
 
 def test_index_outside_every_member_gets_unit():
-    fam = ConsistencyFamily(("a", "b"), (frozenset({"a"}),))
+    fam = ConsistencyFamily.from_members(("a", "b"), [{"a"}])
     w = synth_skolem(fam)
     assert w.params["b"] == 1
     bw = synth_boolean(fam)
