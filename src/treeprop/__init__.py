@@ -22,7 +22,7 @@ from .patterns import (ConsistencyFamily, PatternSpec, VerificationReport,
                        required_inconsistent, verify)
 from .qftypes import (atomic_pattern, delta_type, qftype0, sim0, sim0_atomic,
                       sim0_sets, sim_delta, verify_ss_ll)
-from .synth import nth_prime, primes, synth_boolean, synth_skolem
+from .synth import synth_boolean, synth_skolem
 from .transforms import (ConjunctionOracle, Scaffold, TupleWitness,
                          build_onevar_scaffold, collapse_extend,
                          collapse_product, elongate, fatten, reduce_katp)

@@ -37,25 +37,16 @@ class Name(Term):
     """Variable or constant reference, resolved at evaluation time."""
     ident: str
 
-    def __str__(self):
-        return self.ident
-
 
 @dataclass(frozen=True)
 class Literal(Term):
     value: int
-
-    def __str__(self):
-        return str(self.value)
 
 
 @dataclass(frozen=True)
 class Apply(Term):
     func: str
     args: Tuple[Term, ...]
-
-    def __str__(self):
-        return f"{self.func}({', '.join(map(str, self.args))})"
 
 
 class Formula:
@@ -67,9 +58,6 @@ class Atom(Formula):
     rel: str
     args: Tuple[Term, ...]
 
-    def __str__(self):
-        return f"{self.rel}({', '.join(map(str, self.args))})"
-
 
 @dataclass(frozen=True)
 class Equals(Formula):
@@ -77,17 +65,10 @@ class Equals(Formula):
     right: Term
     negated: bool = False
 
-    def __str__(self):
-        op = "!=" if self.negated else "="
-        return f"{self.left} {op} {self.right}"
-
 
 @dataclass(frozen=True)
 class Not(Formula):
     inner: Formula
-
-    def __str__(self):
-        return f"!({self.inner})"
 
 
 @dataclass(frozen=True)
@@ -95,17 +76,11 @@ class And(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self):
-        return f"({self.left} & {self.right})"
-
 
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
-
-    def __str__(self):
-        return f"({self.left} | {self.right})"
 
 
 @dataclass(frozen=True)
@@ -113,18 +88,12 @@ class Implies(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self):
-        return f"({self.left} -> {self.right})"
-
 
 @dataclass(frozen=True)
 class Quantifier(Formula):
     kind: str  # "exists" | "forall"
     var: str
     body: Formula
-
-    def __str__(self):
-        return f"{self.kind} {self.var}. ({self.body})"
 
 
 # --- Parser ---

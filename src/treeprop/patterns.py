@@ -103,15 +103,21 @@ class PatternSpec:
 
 def make_pattern(kind: str, branching: int = 2, depth: int = 0, k: int = None,
                  rows: int = 0, cols: int = 0) -> PatternSpec:
+    """A validated pattern. Each kind refuses the arguments it does not use:
+    tp2 a k, a depth or a branching other than 2, the tree kinds rows or cols."""
     kind = kind.lower()
     if kind == TP2:
         if rows < 1 or cols < 1:
             raise ValueError("tp2 needs rows >= 1 and cols >= 1")
         if k is not None:
             raise ValueError("tp2 takes no k parameter")
+        if depth or branching != 2:
+            raise ValueError("tp2 takes no depth or branching")
         return PatternSpec(TP2, rows=rows, cols=cols)
     if kind not in TREE_KINDS:
         raise ValueError(f"unknown pattern kind {kind!r}")
+    if rows or cols:
+        raise ValueError(f"{kind} takes no rows or cols")
     if depth < 1:
         raise ValueError(f"{kind} needs depth >= 1")
     if kind in (KATP, TP):

@@ -6,8 +6,9 @@ forbidden family, and its maximal masks), the pairwise maximality filter,
 the frozenset recursions for maximal antichains and k-chain-free sets, the
 subset scan over every k-chain, the SOP1, SOP2 and TP families scanned and
 sorted, the choice product filtered by its count of kept parts, a direct
-listing of all 2^n subsets, the member-by-member boolean witness and the
-closed-form family counts the builders' own counts replaced. Chains and antichains: the canonical sort of node sets, the chain
+listing of all 2^n subsets, the member-by-member boolean witness, the
+closed-form family counts the builders' own counts replaced, and the first
+primes by trial division. Chains and antichains: the canonical sort of node sets, the chain
 generator over prefix subsets, the antichain listing from the scan over the
 2-chains, the required sets of every pattern (SOP2's incomparable pairs
 filtered from all pairs, SOP1's pairs from every two nodes, TP's combinations
@@ -319,6 +320,16 @@ def reference_boolean_params(family):
         for label in member:
             params[label] |= 1 << n
     return params
+
+
+def reference_first_primes(m):
+    """The first m primes by trial division by the primes found so far."""
+    out, n = [], 2
+    while len(out) < m:
+        if all(n % q for q in out if q * q <= n):
+            out.append(n)
+        n += 1
+    return out
 
 
 def reference_family_count(p):

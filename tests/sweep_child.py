@@ -1,17 +1,22 @@
-"""Run treeprop CLI commands, each in a forked child process under an
-address-space limit and an alarm, and report how each one ended.
+"""Run treeprop CLI commands and library calls, each in a forked child
+process under an address-space limit and an alarm, and report how each one
+ended.
 
 Reads a JSON list of argument lists on stdin and writes one JSON list of
-[status, stderr text] pairs on stdout. The status is the command's exit
-code, or -N when signal N ended the child (SIGALRM at the time limit). The
-module imports treeprop once and forks per command, so no run pays for the
-interpreter's start-up, and a run that allocates without bound meets the
-limit as a MemoryError in its own child. The process starts no thread, so
-forking it is safe.
+[status, stderr text] pairs on stdout. An argument list is a CLI command,
+or ["call", "<module>.<function>", arg, ...], which calls that function of
+treeprop with the given arguments. The status is the command's exit code (a
+call gives 0 when it returns, 3 on a ResourceCapError with one stderr line,
+and 1 with the traceback on any other exception), or -N when signal N ended
+the child (SIGALRM at the time limit). The module imports treeprop once and
+forks per run, so no run pays for the interpreter's start-up, and a run
+that allocates without bound meets the limit as a MemoryError in its own
+child. The process starts no thread, so forking it is safe.
 
     python tests/sweep_child.py < argvs.json
 """
 
+import importlib
 import json
 import os
 import resource
@@ -21,9 +26,21 @@ import tempfile
 import traceback
 
 import treeprop.cli
+from treeprop.errors import ResourceCapError
 
 MEMORY_LIMIT = 512 * 2 ** 20  # bytes of address space per run
 TIME_LIMIT = 10  # seconds per run
+
+
+def _call(name, args) -> int:
+    """Call treeprop.<module>.<function>(*args), given name "<module>.<function>"."""
+    module, function = name.rsplit(".", 1)
+    try:
+        getattr(importlib.import_module(f"treeprop.{module}"), function)(*args)
+    except ResourceCapError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 3
+    return 0
 
 
 def _child(argv, err_path) -> int:
@@ -32,7 +49,7 @@ def _child(argv, err_path) -> int:
     with open(os.devnull, "w") as out, open(err_path, "w") as err:
         sys.stdout, sys.stderr = out, err
         try:
-            code = treeprop.cli.main(argv)
+            code = _call(argv[1], argv[2:]) if argv[0] == "call" else treeprop.cli.main(argv)
         except SystemExit as exc:  # argparse refusing the arguments
             code = exc.code if isinstance(exc.code, int) else 1
         except Exception:  # what an uncaught error would print, and exit 1

@@ -421,7 +421,7 @@ def sweep(argvs):
     env = {**os.environ, "PYTHONPATH": str(Path(treeprop.__file__).parents[1])}
     done = subprocess.run([sys.executable, str(child)], input=json.dumps(argvs),
                           capture_output=True, text=True, env=env, timeout=300, check=True)
-    return {" ".join(argv): tuple(result)
+    return {" ".join(map(str, argv)): tuple(result)
             for argv, result in zip(argvs, json.loads(done.stdout))}
 
 
@@ -460,8 +460,9 @@ def test_every_transform_and_a_capped_verify_exit_cleanly(capsys, tmp_path):
 
 
 def test_pattern_arguments_and_a_capped_tp_verify_exit_cleanly(capsys, tmp_path):
-    # the kind is read in any case and tp2 takes no k; a TP witness whose
-    # pattern asks for C(400, 200) sibling sets is refused, in `sweep`
+    # the kind is read in any case, tp2 takes no k, depth or b and the tree
+    # kinds no rows or cols; a TP witness whose pattern asks for C(400, 200)
+    # sibling sets is refused, in `sweep`
     src = synth(capsys, tmp_path, "tp.json", "--pattern", "tp:2", "--b", "400", "--depth", "2",
                 "--backend", "boolean")
     doc = json.loads(src.read_text())
@@ -472,9 +473,25 @@ def test_pattern_arguments_and_a_capped_tp_verify_exit_cleanly(capsys, tmp_path)
              ["synth", "--pattern", "TP2", "--rows", "2", "--cols", "2", "--backend", "skolem",
               "--out", out],
              ["synth", "--pattern", "tp2:7", "--rows", "2", "--cols", "2", "--backend", "skolem",
-              "--out", out]]
+              "--out", out],
+             ["synth", "--pattern", "atp", "--depth", "2", "--rows", "5", "--cols", "9",
+              "--backend", "skolem", "--out", out],
+             ["synth", "--pattern", "tp2", "--rows", "2", "--cols", "2", "--depth", "9", "--b", "7",
+              "--backend", "skolem", "--out", out]]
     results = sweep(argvs)
     assert unclean(results) == {}
-    assert [status for status, _ in results.values()] == [3, 0, 2]
-    verified, _, refused = (err for _, err in results.values())
+    assert [status for status, _ in results.values()] == [3, 0, 2, 2, 2]
+    verified, _, refused, tree, array = (err for _, err in results.values())
     assert "C(400, 200)" in verified and "cap" in verified and "takes no k" in refused
+    assert "atp takes no rows or cols" in tree and "tp2 takes no depth or branching" in array
+
+
+def test_library_calls_past_the_family_cap_exit_cleanly():
+    # each raised MemoryError under the limits of `sweep` before the family
+    # was sized where it is built; never make these calls without them
+    calls = [["call", "antichains.maximal_chain_free_masks", 40, 50],
+             ["call", "antichains.maximal_choice_masks", 2, 40, 2],
+             ["call", "antichains.maximal_chain_free_binary", 30, 40],
+             ["call", "antichains.maximal_antichains", 30]]
+    for status, err in sweep(calls).values():
+        assert status == 3 and err.count("\n") == 1 and "(cap 33554432)" in err, err

@@ -4,7 +4,8 @@ O(m^2) maximality filter, the reference subset scan against a direct
 enumeration of all 2^n subsets, the mask recursion for maximal k-chain-free
 sets against the frozenset recursions and the k-chain scan it replaced, the
 choice routine against the brute-force product and the SOP1, SOP2 and TP
-families it builds against the subset scan they replaced, the
+families it builds against the subset scan they replaced, each family
+builder's own count against its masks and the closed forms, the
 canonical type forms and the grouped ss-ll check against byte-packed relation
 tables compared pair by pair, and the run-length type forms and the pruned
 iso-copy search against the quadratic prefix matrix and the combination
@@ -44,7 +45,7 @@ from treeprop.antichains import (_choose, chain_free_count, find_iso_copy,
 from treeprop.nodes import closure, incomparable, is_antichain, is_chain
 from treeprop.oracles import SKOLEM, STRUCTURE, semilattice
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2, PatternSpec
-from treeprop.synth import nth_prime
+from treeprop.synth import _first_primes
 
 from references import (RecordingOracle, ReferenceConjunctionOracle,
                         canonical_sets, chains, forbidden_free_table, has_chain,
@@ -416,18 +417,19 @@ def _broken_witnesses(family, witness, p):
     labels = family.labels
     fresh = len(family.maximal)
     out = []
+    primes = _first_primes(fresh + 1)
     for label in (labels[len(labels) // 2], labels[-1]):
         column = family.columns[label]
         n = (column & -column).bit_length() - 1
         value = witness.params[label]
-        value = value // nth_prime(n) if witness.backend == SKOLEM else value & ~(1 << n)
+        value = value // primes[n] if witness.backend == SKOLEM else value & ~(1 << n)
         out.append(replace(witness, params={**witness.params, label: value}))
     forbidden = next(required_inconsistent(p), None)
     if forbidden is not None:
         params = dict(witness.params)
         for label in mask_labels(labels, forbidden):
             if witness.backend == SKOLEM:
-                params[label] *= nth_prime(fresh)
+                params[label] *= primes[fresh]
             else:
                 params[label] |= 1 << fresh
         width = None if witness.backend == SKOLEM else fresh + 1

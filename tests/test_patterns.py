@@ -34,6 +34,14 @@ def test_make_pattern_validation():
         make_pattern(TP2, rows=0, cols=3)
     with pytest.raises(ValueError, match="tp2 takes no k"):
         make_pattern(TP2, rows=2, cols=2, k=7)
+    # arguments the kind does not use are refused, not ignored
+    with pytest.raises(ValueError, match="tp2 takes no depth or branching"):
+        make_pattern(TP2, rows=2, cols=2, depth=9)
+    with pytest.raises(ValueError, match="tp2 takes no depth or branching"):
+        make_pattern(TP2, rows=2, cols=2, branching=7)
+    for kind, extra in [(ATP, {"rows": 5}), (SOP1, {"cols": 9}), (TP, {"k": 2, "rows": 1})]:
+        with pytest.raises(ValueError, match=f"{kind} takes no rows or cols"):
+            make_pattern(kind, depth=2, **extra)
     assert make_pattern("TP2", rows=2, cols=2) == make_pattern(TP2, rows=2, cols=2)
 
 

@@ -3,17 +3,20 @@ import math
 import pytest
 
 from treeprop import (ResourceCapError, WitnessError, exact_family,
-                      make_pattern, nth_prime, oracle_for, primes,
-                      synth_boolean, synth_skolem)
+                      make_pattern, oracle_for, synth_boolean, synth_skolem)
 from treeprop.patterns import ATP, ConsistencyFamily
+from treeprop.synth import _first_primes
+
+from references import reference_first_primes
 
 
 def test_primes():
-    gen = primes()
-    assert [next(gen) for _ in range(10)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert nth_prime(0) == 2 and nth_prime(25) == 101
-    with pytest.raises(ValueError):
-        nth_prime(-1)
+    assert _first_primes(10) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert _first_primes(0) == [] and _first_primes(26)[25] == 101
+    # below and past the m = 6 switch to Rosser's bound, and the k-ATP d5 and
+    # universal-prefix member counts
+    for m in [*range(301), 677, 3176, 5000, 20000]:
+        assert _first_primes(m) == reference_first_primes(m), m
 
 
 def test_depth3_skolem_assignment():
@@ -60,8 +63,7 @@ def test_index_outside_every_member_gets_unit():
 def test_distinct_members_get_distinct_primes():
     family = exact_family(make_pattern(ATP, depth=4))
     w = synth_skolem(family)
-    for member, p in zip(family.maximal,
-                         (nth_prime(i) for i in range(len(family.maximal)))):
+    for member, p in zip(family.maximal, _first_primes(len(family.maximal))):
         for label in family.labels:
             assert (w.params[label] % p == 0) == (label in member)
     assert math.gcd(*(w.params[l] for l in family.maximal[0])) > 1
@@ -74,27 +76,12 @@ def test_empty_family_rejected():
         synth_boolean(ConsistencyFamily(("a",), ()))
 
 
-def test_interleaved_generators_share_the_table(monkeypatch):
-    from treeprop import synth
-
-    monkeypatch.setattr(synth, "_PRIMES", [2, 3])  # start from a cold table
-    first, second = primes(), primes()
-    head = [next(first) for _ in range(5)]
-    other = [next(second) for _ in range(8)]
-    tail = [next(first) for _ in range(3)]
-    expected = [2, 3, 5, 7, 11, 13, 17, 19]
-    assert head + tail == expected
-    assert other == expected
-    assert synth._PRIMES == sorted(set(synth._PRIMES))
-    assert nth_prime(8) == 23
-
-
 def test_skolem_size_cap_fires_before_any_prime(monkeypatch):
     from treeprop import synth
 
-    def no_primes():
+    def no_primes(m):
         raise AssertionError("primes drawn before the size cap check")
-    monkeypatch.setattr(synth, "primes", no_primes)
+    monkeypatch.setattr(synth, "_first_primes", no_primes)
     family = exact_family(make_pattern(ATP, depth=6))
     with pytest.raises(ResourceCapError,
                        match=rf"up to \d+ bits \(cap {synth.SKOLEM_BITS_CAP}\)"):
