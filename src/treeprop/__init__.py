@@ -14,17 +14,17 @@ from .errors import (FormulaError, MalformedNodeError, ResourceCapError,
                      TreepropError, WitnessError)
 from .formulas import (FiniteStructure, divisor_structure, eval_formula,
                        parse_formula)
-from .nodes import (Node, TreeDomain, closure, concat_set, is_antichain,
-                    is_chain, meet, node_str, parse_node)
-from .oracles import (BitsetOracle, FoOracle, GcdOracle, Witness, oracle_for)
+from .nodes import (Node, TreeDomain, closure, concat_set, is_antichain, meet,
+                    node_str, parse_node)
+from .oracles import (BitsetOracle, ConjunctionOracle, FoOracle, GcdOracle,
+                      TupleWitness, Witness, oracle_for)
 from .patterns import (ConsistencyFamily, PatternSpec, VerificationReport,
                        exact_family, make_pattern, required_consistent,
                        required_inconsistent, verify)
 from .qftypes import (atomic_pattern, delta_type, qftype0, sim0, sim0_atomic,
                       sim0_sets, sim_delta, verify_ss_ll)
 from .synth import synth_boolean, synth_skolem
-from .transforms import (ConjunctionOracle, Scaffold, TupleWitness,
-                         build_onevar_scaffold, collapse_extend,
+from .transforms import (Scaffold, build_onevar_scaffold, collapse_extend,
                          collapse_product, elongate, fatten, reduce_katp)
 
 __version__ = "0.1.0"

@@ -16,12 +16,11 @@ from .dot import export_dot
 from .errors import ResourceCapError, TreepropError
 from .formulas import FiniteStructure, eval_formula, parse_formula
 from .nodes import TreeDomain, node_str
-from .oracles import oracle_for
+from .oracles import TupleWitness, oracle_for
 from .patterns import ATP, KATP, exact_family, make_pattern, verify
 from .qftypes import verify_ss_ll
 from .synth import synth_boolean, synth_skolem
-from .transforms import (ConjunctionOracle, TupleWitness, elongate, fatten,
-                         reduce_katp)
+from .transforms import elongate, fatten, reduce_katp
 
 
 def _parse_pattern_arg(text: str, branching: int, depth: int, rows: int, cols: int):
@@ -99,15 +98,9 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _oracle_for_file(wf: witnessio.WitnessFile):
-    if isinstance(wf.witness, TupleWitness):
-        return ConjunctionOracle(oracle_for(wf.witness.base), wf.witness)
-    return oracle_for(wf.witness)
-
-
 def _cmd_verify(args) -> int:
     wf = witnessio.load(args.witness)
-    report = verify(_oracle_for_file(wf), wf.witness, wf.pattern,
+    report = verify(oracle_for(wf.witness), wf.witness, wf.pattern,
                     exhaustive=args.exhaustive)
     _print({
         "pass": report.passed,
@@ -125,18 +118,18 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _reduced_pattern(kind_k: int, depth: int):
-    if kind_k == 2:
-        return make_pattern(ATP, depth=depth)
-    return make_pattern(KATP, depth=depth, k=kind_k)
-
-
 def _cmd_transform(args) -> int:
     wf = witnessio.load(args.witness)
     if isinstance(wf.witness, TupleWitness):
         raise TreepropError("transforms apply to base witnesses, not tuple witnesses")
     if wf.pattern.kind not in (ATP, KATP):
         raise TreepropError(f"transforms apply to atp and katp witnesses, not {wf.pattern.kind}")
+    if args.op != "fatten":
+        # both are sound only for a (K+1)-ATP witness
+        if args.k is None:
+            raise TreepropError(f"{args.op} needs --k")
+        if wf.pattern.kind != KATP or wf.pattern.k != args.k + 1:
+            raise TreepropError(f"{args.op} --k {args.k} needs a katp:{args.k + 1} witness")
     if args.op == "fatten":
         if args.m is None:
             raise TreepropError("fatten needs --m")
@@ -146,17 +139,18 @@ def _cmd_transform(args) -> int:
         )
         note = f"fatten({args.m})"
     elif args.op == "elongate":
-        if args.k is None:
-            raise TreepropError("elongate needs --k")
         tw = elongate(wf.witness, args.k)
         out_pattern = make_pattern(ATP, depth=max(len(l) for l in tw.labels) + 1)
         note = f"elongate({args.k})"
     else:  # reduce
-        if args.k is None:
-            raise TreepropError("reduce needs --k")
         tw, report = reduce_katp(wf.witness, oracle_for(wf.witness), args.k)
         depth = max(len(l) for l in tw.labels) + 1
-        out_pattern = _reduced_pattern(args.k, depth)
+        # an elongated node is a chain of k sources, so two comparable ones
+        # hold a (k+1)-chain: elongation makes an ATP witness for every k
+        if report.case == "elongate" or args.k == 2:
+            out_pattern = make_pattern(ATP, depth=depth)
+        else:
+            out_pattern = make_pattern(KATP, depth=depth, k=args.k)
         note = (f"reduce: case {report.case}"
                 + (f"(m={report.fatten_level})" if report.case == "fatten" else "")
                 + f", probes {[ok for _, ok in report.probes]}")
@@ -272,7 +266,7 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (TreepropError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (TreepropError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -9,18 +9,18 @@ output ordering is deterministic.
 from __future__ import annotations
 
 from .patterns import TP2
-from .transforms import TupleWitness
-from .witnessio import WitnessFile, label_str, _param_str
+from .oracles import TupleWitness
+from .witnessio import WitnessFile, label_str, param_str
 
 
 def _display_param(wf: WitnessFile, label) -> str:
     w = wf.witness
     if isinstance(w, TupleWitness):
         parts = (
-            _param_str(w.base.backend, v, w.base.width) for v in w.components(label)
+            param_str(w.base.backend, v, w.base.width) for v in w.components(label)
         )
         return "(" + ", ".join(parts) + ")"
-    return _param_str(w.backend, w.params[label], w.width)
+    return param_str(w.backend, w.params[label], w.width)
 
 
 def export_dot(wf: WitnessFile) -> str:

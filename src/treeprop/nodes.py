@@ -83,11 +83,6 @@ def is_antichain(nodes: Iterable[Node]) -> bool:
     return all(incomparable(a, b) for a, b in itertools.combinations(xs, 2))
 
 
-def is_chain(nodes: Iterable[Node]) -> bool:
-    xs = list(nodes)
-    return all(not incomparable(a, b) for a, b in itertools.combinations(xs, 2))
-
-
 # bits of a domain's node count, bounded before any power is taken: a domain
 # of depth d has at least b^(d-1) >= 2^((d-1) * (bit_length(b) - 1)) nodes
 DOMAIN_BITS_CAP = 2 ** 16
@@ -109,9 +104,6 @@ class TreeDomain:
         if bits >= DOMAIN_BITS_CAP:
             raise ResourceCapError(f"tree domain whose node count has over {bits} bits",
                                    DOMAIN_BITS_CAP)
-
-    def contains(self, node: Node) -> bool:
-        return len(node) < self.depth and all(0 <= d < self.branching for d in node)
 
     def node_count(self) -> int:
         b = self.branching

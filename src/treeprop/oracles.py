@@ -1,32 +1,34 @@
-"""Consistency oracles: gcd over positive integers, bitset meet, and
-brute-force first-order search over a finite structure.
+"""Witnesses and their consistency oracles: gcd over positive integers,
+bitset meet, brute-force first-order search over a finite structure, and
+the conjunction that judges the tuple witnesses of `transforms`.
 
-Every built-in oracle is a meet-semilattice. It has a `top` element, a
-`meet`, an `element(label)` per index label and a `holds` predicate, and
+Every oracle is a meet-semilattice. It has a `top` element, a `meet`, an
+`element(label)` per index label and a `holds` predicate, and
 consistent(S) is holds of the meet of the elements of S, folded from top:
 
 - gcd: top 0, meet `math.gcd`, element the parameter, holds `!= 1`;
 - bitset: top -1, meet `&`, element the parameter, holds `!= 0`;
 - first-order: top -1, meet `&`, element the mask of the universe elements
   x with phi(x, p), one cached mask per parameter tuple p, holds `!= 0`;
-- conjunction (`transforms.ConjunctionOracle`): the base oracle's lattice,
-  with a label's element the base meet over the label's source indices.
+- conjunction: the base oracle's lattice, with a label's element the base
+  meet over the label's source indices.
 
 So the oracles are monotone: removing instances cannot break consistency.
 Consistency of the empty index set is true by convention (holds(top)).
-`consistent()` folds the labels in order and stops at the first meet that
-fails `holds`. That exit is sound because a failed meet never recovers:
-gcd(1, b) = 1 and 0 & b = 0, so every further meet fails as well.
+`MeetOracle.consistent()` is the one fold: it meets every label's element
+and calls `holds` once. `oracle_for` picks a witness's default oracle,
+tuple witnesses included.
 
 `semilattice(oracle)` hands out the four parts, and exhaustive `verify`
 joins meets of subsets from them. An oracle with only `consistent()` (no
-`holds`) still works: it gets the label-tuple lattice (top `()`, meet tuple concatenation,
-element `(label,)`, holds `consistent()` itself), so it is asked once per
-subset, about the subset's labels in label order.
+`holds`) still works: it gets the label-tuple lattice (top `()`, meet tuple
+concatenation, element `(label,)`, holds `consistent()` itself), so it is
+asked once per subset, about the subset's labels in label order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -34,6 +36,7 @@ from typing import Dict, Optional, Tuple
 
 from .errors import FormulaError, WitnessError, shown_items
 from .formulas import FiniteStructure, Formula, eval_formula
+from .nodes import Node
 
 SKOLEM = "skolem"
 BOOLEAN = "boolean"
@@ -71,17 +74,38 @@ class Witness:
             raise WitnessError(f"unknown backend {self.backend!r}")
 
 
+@dataclass(frozen=True)
+class TupleWitness:
+    """A witness whose parameter for each index is the tuple of base
+    parameters at the recorded source indices, as fattening and elongation
+    (`transforms`) make them."""
+
+    base: Witness
+    labels: Tuple[Node, ...]
+    provenance: Dict[Node, Tuple[Node, ...]]
+    arity: int
+
+    def __post_init__(self):
+        base_labels = set(self.base.labels)
+        for label in self.labels:
+            sources = self.provenance[label]
+            if len(sources) != self.arity:
+                raise WitnessError(f"non-uniform arity at {label}")
+            missing = [s for s in sources if s not in base_labels]
+            if missing:
+                raise WitnessError(f"unknown source indices {shown_items(missing)} at {label}")
+
+    def components(self, label: Node) -> tuple:
+        return tuple(self.base.params[s] for s in self.provenance[label])
+
+
 class MeetOracle:
     """An oracle given by its meet-semilattice: subclasses set `top`, `meet`
-    and `holds` and define `element`; consistent(S) folds S's elements."""
+    and `holds` and define `element`. consistent(S) is the one fold: the
+    meet of S's elements from top, judged by one holds."""
 
     def consistent(self, labels) -> bool:
-        acc, meet, element, holds = self.top, self.meet, self.element, self.holds
-        for i in labels:
-            acc = meet(acc, element(i))
-            if not holds(acc):
-                return False  # a failed meet never recovers
-        return True
+        return self.holds(functools.reduce(self.meet, map(self.element, labels), self.top))
 
 
 def _single(label) -> tuple:
@@ -96,42 +120,65 @@ def semilattice(oracle):
     return (), tuple.__add__, _single, oracle.consistent
 
 
-class GcdOracle(MeetOracle):
-    """Consistent iff the parameters share a factor > 1."""
+class ParamOracle(MeetOracle):
+    """An oracle whose element is the witness parameter itself; subclasses
+    declare the `backend` they judge."""
 
-    top = 0  # gcd(0, b) = b; the empty set's meet is 0, which holds
-    meet = staticmethod(math.gcd)
+    backend: str
 
     def __init__(self, witness: Witness):
-        if witness.backend != SKOLEM:
-            raise WitnessError(f"gcd oracle needs a skolem witness, got {witness.backend}")
+        if witness.backend != self.backend:
+            raise WitnessError(f"{type(self).__name__} needs a {self.backend} witness, "
+                               f"got {witness.backend}")
         self.witness = witness
+        # the dict's own lookup: the fold reads every label's element, and a
+        # Python method per label made consistent() about twice as slow
+        self.element = witness.params.__getitem__
 
-    def element(self, label) -> int:
-        return self.witness.params[label]
+
+class GcdOracle(ParamOracle):
+    """Consistent iff the parameters share a factor > 1."""
+
+    backend = SKOLEM
+    top = 0  # gcd(0, b) = b; the empty set's meet is 0, which holds
+    meet = staticmethod(math.gcd)
 
     @staticmethod
     def holds(value: int) -> bool:
         return value != 1
 
 
-class BitsetOracle(MeetOracle):
+class BitsetOracle(ParamOracle):
     """Consistent iff the bitwise meet of the parameters is nonzero."""
 
+    backend = BOOLEAN
     top = -1
     meet = staticmethod(operator.and_)
-
-    def __init__(self, witness: Witness):
-        if witness.backend != BOOLEAN:
-            raise WitnessError(f"bitset oracle needs a boolean witness, got {witness.backend}")
-        self.witness = witness
-
-    def element(self, label) -> int:
-        return self.witness.params[label]
 
     @staticmethod
     def holds(value: int) -> bool:
         return value != 0
+
+
+class ConjunctionOracle(MeetOracle):
+    """Judges sets of tuple instances by the base oracle on the union of
+    their source indices. It has the base oracle's lattice (`semilattice`),
+    and a label's element is the base meet over the label's sources, made
+    once per label. So a base with only consistent() is asked once per set,
+    about the sources of its labels in label order."""
+
+    def __init__(self, base_oracle, tuple_witness: TupleWitness):
+        self.base_oracle = base_oracle
+        self.tuple_witness = tuple_witness
+        self.top, self.meet, self._base_element, self.holds = semilattice(base_oracle)
+        self._elements = {}
+
+    def element(self, label):
+        if label not in self._elements:
+            sources = self.tuple_witness.provenance[label]
+            self._elements[label] = functools.reduce(
+                self.meet, map(self._base_element, sources), self.top)
+        return self._elements[label]
 
 
 class FoOracle(MeetOracle):
@@ -198,9 +245,12 @@ class FoOracle(MeetOracle):
                        for x in self.structure.universe)
 
 
-def oracle_for(witness: Witness):
-    if witness.backend == SKOLEM:
-        return GcdOracle(witness)
-    if witness.backend == BOOLEAN:
-        return BitsetOracle(witness)
+def oracle_for(witness):
+    """The default oracle of a witness: gcd for skolem, bitset for boolean,
+    and for a tuple witness the conjunction over its base's default oracle."""
+    if isinstance(witness, TupleWitness):
+        return ConjunctionOracle(oracle_for(witness.base), witness)
+    for oracle in (GcdOracle, BitsetOracle):
+        if witness.backend == oracle.backend:
+            return oracle(witness)
     raise WitnessError(f"no default oracle for backend {witness.backend!r}")

@@ -1,10 +1,10 @@
 """Tree transformations on witnesses and antichain families.
 
 Fattening tuples the two sibling subtrees of every node, prepending digits;
-elongation packs chains of k source nodes into each target node. Conjunction
-semantics for the resulting tuple witnesses: a set of tuple instances is
-consistent iff the union of all contributing source indices is consistent
-under the base oracle.
+elongation packs chains of k source nodes into each target node. Both make
+`oracles.TupleWitness`es, which `oracles.ConjunctionOracle` judges: a set of
+tuple instances is consistent iff the union of all contributing source
+indices is consistent under the base oracle.
 
 The collapse operations and the scaffold builder follow the recursive
 construction that pairs maximal antichains of the binary tree with an
@@ -17,73 +17,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .errors import ResourceCapError, WitnessError, shown_items
+from .errors import ResourceCapError, WitnessError
 from .nodes import Node, TreeDomain, concat_set, is_antichain, is_prefix
-from .oracles import Witness, semilattice
+from .oracles import TupleWitness, Witness
 from .qftypes import qftype0
 
 
 def _witness_depth(witness: Witness) -> int:
     return max(len(label) for label in witness.labels) + 1
-
-
-@dataclass(frozen=True)
-class TupleWitness:
-    """A witness whose parameter for each index is the tuple of base
-    parameters at the recorded source indices."""
-
-    base: Witness
-    labels: Tuple[Node, ...]
-    provenance: Dict[Node, Tuple[Node, ...]]
-    arity: int
-
-    def __post_init__(self):
-        base_labels = set(self.base.labels)
-        for label in self.labels:
-            sources = self.provenance[label]
-            if len(sources) != self.arity:
-                raise WitnessError(f"non-uniform arity at {label}")
-            missing = [s for s in sources if s not in base_labels]
-            if missing:
-                raise WitnessError(f"unknown source indices {shown_items(missing)} at {label}")
-
-    def components(self, label: Node) -> tuple:
-        return tuple(self.base.params[s] for s in self.provenance[label])
-
-    def source_union(self, labels) -> FrozenSet[Node]:
-        out = set()
-        for label in labels:
-            out.update(self.provenance[label])
-        return frozenset(out)
-
-
-class ConjunctionOracle:
-    """Judges sets of tuple instances by the base oracle on the union of
-    their source indices. It has the base oracle's lattice (`semilattice`),
-    and a label's element is the base meet over the label's sources, made
-    once per label. consistent() meets the labels' elements and asks holds
-    once, so a base with only consistent() is asked once per set, about the
-    sources of its labels in label order."""
-
-    def __init__(self, base_oracle, tuple_witness: TupleWitness):
-        self.base_oracle = base_oracle
-        self.tuple_witness = tuple_witness
-        self.top, self.meet, self._base_element, self.holds = semilattice(base_oracle)
-        self._elements = {}
-
-    def element(self, label):
-        if label not in self._elements:
-            value = self.top
-            for source in self.tuple_witness.provenance[label]:
-                value = self.meet(value, self._base_element(source))
-            self._elements[label] = value
-        return self._elements[label]
-
-    def consistent(self, labels) -> bool:
-        value = self.top
-        for label in labels:
-            value = self.meet(value, self.element(label))
-        return self.holds(value)
 
 
 def fatten(witness: Witness, m: int) -> TupleWitness:

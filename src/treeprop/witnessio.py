@@ -27,9 +27,8 @@ from typing import Union
 
 from .errors import WitnessError
 from .nodes import node_str, parse_node
-from .oracles import BOOLEAN, Witness
+from .oracles import BOOLEAN, TupleWitness, Witness
 from .patterns import TP2, PatternSpec
-from .transforms import TupleWitness
 
 VERSION = 1
 
@@ -64,7 +63,7 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(saved)
 
 
-def _param_str(backend: str, value: int, width) -> str:
+def param_str(backend: str, value: int, width) -> str:
     if backend == BOOLEAN:
         digits = max(1, (width + 3) // 4)
         return f"0x{value:0{digits}x}"
@@ -119,7 +118,7 @@ class WitnessFile:
             "pattern": self.pattern.to_json(),
             "backend": w.backend,
             "params": {
-                label_str(self.pattern, label): _param_str(w.backend, w.params[label], w.width)
+                label_str(self.pattern, label): param_str(w.backend, w.params[label], w.width)
                 for label in w.labels
             },
         }

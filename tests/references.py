@@ -8,7 +8,8 @@ subset scan over every k-chain, the SOP1, SOP2 and TP families scanned and
 sorted, the choice product filtered by its count of kept parts, a direct
 listing of all 2^n subsets, the member-by-member boolean witness, the
 closed-form family counts the builders' own counts replaced, and the first
-primes by trial division. Chains and antichains: the canonical sort of node sets, the chain
+primes by trial division. Chains and antichains: the pairwise chain test,
+domain membership by length and digits, the canonical sort of node sets, the chain
 generator over prefix subsets, the antichain listing from the scan over the
 2-chains, the required sets of every pattern (SOP2's incomparable pairs
 filtered from all pairs, SOP1's pairs from every two nodes, TP's combinations
@@ -17,7 +18,8 @@ antichain stream built on them, and the sorted CLI listing. The library's
 required sets, which are masks, are read back as frozensets here.
 Verification: one frozenset per subset with membership by
 `ConsistencyFamily.contains`, an oracle wrapper that records what it is
-asked, and the conjunction oracle that asked its base about source unions.
+asked, and the conjunction oracle that asked its base about source unions,
+with the source union of a tuple witness's labels.
 Types: byte-packed relation tables, the pairwise ss-ll check, the
 quadratic prefix matrix over every pair of values, and the combination scan
 for iso copies. The first-order oracle evaluated afresh on every call.
@@ -35,6 +37,23 @@ from treeprop.antichains import AntichainCatalog, _check_subset_cap, mask_set
 from treeprop.nodes import (TreeDomain, closure, concat_set, incomparable,
                             is_prefix, meet, node_str, sorted_nodes)
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
+
+
+def is_chain(nodes):
+    """Whether every two of the nodes are comparable."""
+    xs = list(nodes)
+    return all(not incomparable(a, b) for a, b in itertools.combinations(xs, 2))
+
+
+def domain_contains(domain, node):
+    """Whether the node lies in the domain: shorter than its depth, every
+    digit below its branching."""
+    return len(node) < domain.depth and all(0 <= d < domain.branching for d in node)
+
+
+def source_union(tuple_witness, labels):
+    """The source indices of the tuple witness's labels, as one frozenset."""
+    return frozenset(s for label in labels for s in tuple_witness.provenance[label])
 
 
 def canonical_sets(sets):
@@ -135,11 +154,11 @@ def reference_required_inconsistent(p):
         domain = p.domain()
         return canonical_sets({frozenset({eta + (1,), eta + (0,) + nu})
                                for eta in labels for nu in labels
-                               if domain.contains(eta + (1,))
-                               and domain.contains(eta + (0,) + nu)})
+                               if domain_contains(domain, eta + (1,))
+                               and domain_contains(domain, eta + (0,) + nu)})
     if p.kind == TP:
         domain = p.domain()
-        return canonical_sets(combo for eta in labels if domain.contains(eta + (0,))
+        return canonical_sets(combo for eta in labels if domain_contains(domain, eta + (0,))
                               for combo in itertools.combinations(
                                   [eta + (i,) for i in range(p.branching)], p.k))
     return canonical_sets({(i, j1), (i, j2)} for i in range(p.rows)
@@ -323,10 +342,11 @@ def reference_boolean_params(family):
 
 
 def reference_first_primes(m):
-    """The first m primes by trial division by the primes found so far."""
+    """The first m primes by trial division by the primes found so far, up
+    to the square root of each candidate."""
     out, n = [], 2
     while len(out) < m:
-        if all(n % q for q in out if q * q <= n):
+        if all(n % q for q in itertools.takewhile(lambda q: q * q <= n, out)):
             out.append(n)
         n += 1
     return out
@@ -415,7 +435,7 @@ class ReferenceConjunctionOracle:
         self.tuple_witness = tuple_witness
 
     def consistent(self, labels) -> bool:
-        return self.base_oracle.consistent(self.tuple_witness.source_union(labels))
+        return self.base_oracle.consistent(source_union(self.tuple_witness, labels))
 
 
 def _pack_bits(bits) -> bytes:

@@ -97,14 +97,34 @@ def test_verify_detects_tampering(capsys, tmp_path):
 
 
 def test_transform_reduce_pipeline(capsys, tmp_path):
-    src = synth(capsys, tmp_path, "katp.json",
-                "--pattern", "katp:3", "--depth", "5", "--backend", "skolem")
-    dst = tmp_path / "reduced.json"
-    code, _, err = run(capsys, "transform", "reduce", "--witness", str(src),
-                       "--k", "2", "--out", str(dst))
-    assert code == 0 and "elongate" in err
-    code, out, _ = run(capsys, "verify", "--witness", str(dst), "--exhaustive")
-    assert code == 0 and json.loads(out)["pass"]
+    # katp:4 with --k 3 was written under a katp:3 pattern that verify failed
+    for pattern, depth, k in (("katp:3", "5", "2"), ("katp:4", "4", "3")):
+        src = synth(capsys, tmp_path, "katp.json",
+                    "--pattern", pattern, "--depth", depth, "--backend", "skolem")
+        dst = tmp_path / "reduced.json"
+        code, _, err = run(capsys, "transform", "reduce", "--witness", str(src),
+                           "--k", k, "--out", str(dst))
+        assert code == 0 and "elongate" in err
+        code, out, _ = run(capsys, "verify", "--witness", str(dst), "--exhaustive")
+        assert code == 0 and json.loads(out)["pass"], pattern
+
+
+@pytest.mark.parametrize("pattern, depth, op, k", [
+    ("atp", "4", "elongate", "2"),
+    ("katp:3", "4", "elongate", "3"),
+    ("katp:4", "4", "elongate", "2"),
+    ("katp:4", "5", "reduce", "2"),
+])
+def test_elongate_and_reduce_refuse_all_but_a_katp_k_plus_one_witness(capsys, tmp_path,
+                                                                      pattern, depth, op, k):
+    # each of these wrote a witness that `verify` then failed
+    src = synth(capsys, tmp_path, "w.json", "--pattern", pattern, "--depth", depth,
+                "--backend", "boolean")
+    dst = tmp_path / "out.json"
+    code, out, err = run(capsys, "transform", op, "--k", k, "--witness", str(src),
+                         "--out", str(dst))
+    assert code == 2 and out == "" and err.count("\n") == 1, err
+    assert f"needs a katp:{int(k) + 1} witness" in err and not dst.exists()
 
 
 def test_transform_fatten(capsys, tmp_path):

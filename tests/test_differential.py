@@ -42,14 +42,14 @@ from treeprop.antichains import (_choose, chain_free_count, find_iso_copy,
                                  maximal_chain_free_masks,
                                  maximal_choice_masks, subtree_walk,
                                  universal_prefix)
-from treeprop.nodes import closure, incomparable, is_antichain, is_chain
+from treeprop.nodes import closure, incomparable, is_antichain
 from treeprop.oracles import SKOLEM, STRUCTURE, semilattice
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2, PatternSpec
 from treeprop.synth import _first_primes
 
 from references import (RecordingOracle, ReferenceConjunctionOracle,
                         canonical_sets, chains, forbidden_free_table, has_chain,
-                        listed,
+                        is_chain, listed,
                         max_chain_bounded_sets,
                         reference_antichain_stream, reference_choose,
                         reference_atomic, reference_boolean_params,
@@ -64,7 +64,7 @@ from references import (RecordingOracle, ReferenceConjunctionOracle,
                         reference_required_consistent,
                         reference_required_inconsistent,
                         reference_scan_masks, reference_ss_ll,
-                        reference_verify, required_sets)
+                        reference_verify, required_sets, source_union)
 
 def random_families(count, seed=20240817):
     """Random families in the style of acceptance criterion 8: 3-6 labels
@@ -690,7 +690,7 @@ def test_conjunction_over_a_consistent_only_base_is_asked_as_before():
     atp = synth_skolem(exact_family(make_pattern(ATP, depth=4)))
     for tw in (elongate(katp, 2), fatten(atp, 1)):
         for target in [None, *random.Random(3).sample(outside, 6)]:
-            sources = None if target is None else tw.source_union(target)
+            sources = None if target is None else source_union(tw, target)
             fast = RecordingOracle(oracle_for(tw.base), sources)
             slow = RecordingOracle(oracle_for(tw.base), sources)
             report = verify(ConjunctionOracle(fast, tw), tw, p, exhaustive=True)

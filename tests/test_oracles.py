@@ -1,10 +1,13 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treeprop import (BitsetOracle, FoOracle, GcdOracle, Witness,
-                      WitnessError, divisor_structure, oracle_for,
-                      parse_formula)
+from treeprop import (BitsetOracle, ConjunctionOracle, FoOracle, GcdOracle,
+                      Witness, WitnessError, divisor_structure, exact_family,
+                      fatten, make_pattern, oracle_for, parse_formula,
+                      synth_boolean, synth_skolem)
 from treeprop.oracles import BOOLEAN, SKOLEM, STRUCTURE
 
 
@@ -73,6 +76,17 @@ def test_oracle_for_dispatch():
     )
     with pytest.raises(WitnessError):
         oracle_for(Witness(STRUCTURE, ("a",), {"a": (2,)}))
+    family = exact_family(make_pattern("atp", depth=4))
+    for base in (synth_skolem(family), synth_boolean(family)):
+        tw = fatten(base, 1)  # an ATP d3 witness
+        oracle = oracle_for(tw)
+        assert isinstance(oracle, ConjunctionOracle)
+        direct = ConjunctionOracle(oracle_for(base), tw)
+        subsets = [s for r in range(len(tw.labels) + 1)
+                   for s in itertools.combinations(tw.labels, r)]
+        verdicts = [oracle.consistent(s) for s in subsets]
+        assert verdicts == [direct.consistent(s) for s in subsets]
+        assert set(verdicts) == {True, False}
 
 
 def test_fo_oracle_matches_gcd():

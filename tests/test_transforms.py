@@ -12,6 +12,8 @@ from treeprop.nodes import is_antichain
 from treeprop.patterns import ATP, KATP
 from treeprop.transforms import elongated_core, probe_set
 
+from references import source_union
+
 
 def atp_witness(depth):
     return synth_skolem(exact_family(make_pattern(ATP, depth=depth)))
@@ -90,7 +92,7 @@ def test_conjunction_oracle_unions_sources():
     base = atp_witness(5)
     tw = elongate(base, 2)
     oracle = ConjunctionOracle(oracle_for(base), tw)
-    assert tw.source_union([(), (1,)]) == {(), (0,), (1,), (1, 0)}
+    assert source_union(tw, [(), (1,)]) == {(), (0,), (1,), (1, 0)}
     assert oracle.consistent([]) and oracle.consistent([()]) is not None
 
 
