@@ -15,22 +15,39 @@ Layout (JSON, UTF-8, sorted keys):
 
 Tree indices key by node string ("" is the root, dot-separated digits above
 branching 10); array indices key by "row,col".
+
+Skolem parameters are products of one prime per maximal family member, so
+at depth 5 they run to about 10,000 decimal digits, past the interpreter's
+int<->str digit limit (4,300 by default, 640 at the least), and `str` and
+`int` take time quadratic in the digits. They are written and read in
+pieces of at most `_DECIMAL_PIECE` digits, each converted by `str` or `int`
+under the limit, which is never changed: a value is split by 10**k into a
+high and a low half, and a text of n digits is read as hi * 10**k + lo with
+10**k = 5**k << k, k = `_DECIMAL_PIECE` * 2^j the largest such below n.
+The powers are made once per value. A skolem param must be plain ASCII
+digits, and a document whose params hold more digits than
+`synth.SKOLEM_BITS_CAP` bits allow is refused before any is read.
 """
 
 from __future__ import annotations
 
 import json
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
+from math import log2
 from typing import Union
 
 from .errors import WitnessError
 from .nodes import node_str, parse_node
-from .oracles import BOOLEAN, TupleWitness, Witness
+from .oracles import BOOLEAN, SKOLEM, TupleWitness, Witness
 from .patterns import TP2, PatternSpec
+from .synth import check_skolem_bits
 
 VERSION = 1
+
+# decimal digits that `str` and `int` convert at once: under the smallest
+# int<->str digit limit the interpreter accepts (640), so no setting of it
+# stops witness I/O
+_DECIMAL_PIECE = 512
 
 
 def label_str(pattern: PatternSpec, label) -> str:
@@ -48,36 +65,74 @@ def _label_parser(pattern: PatternSpec):
     return lambda text: parse_node(text, pattern.branching)
 
 
-@contextmanager
-def _unlimited_int_digits():
-    """Lift the interpreter's int<->decimal-str digit limit for the duration.
+def _decimal_str(value: int) -> str:
+    """str(value) for a nonnegative int of any size, in pieces of at most
+    `_DECIMAL_PIECE` digits: divmod by 10**k splits off the low half,
+    printed with exactly k digits by zfill."""
+    powers = [10 ** _DECIMAL_PIECE]  # powers[i] = 10 ** (_DECIMAL_PIECE << i)
+    while powers[-1] <= value:
+        powers.append(powers[-1] * powers[-1])
+    parts = []
+    _write_decimal(parts, powers, value, len(powers) - 1, False)
+    return "".join(parts)
 
-    Divisibility-backend parameters are products of one prime per maximal
-    family member, so at depth 5 they run to thousands of decimal digits,
-    past the default limit. The limit is process-wide, so it is restored."""
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
+
+def _write_decimal(parts: list, powers: list, value: int, level: int, pad: bool) -> None:
+    """Append the digits of value < powers[level] to `parts`: padded to
+    exactly `_DECIMAL_PIECE` << level digits, or with no leading zero."""
+    while not pad and level and value < powers[level - 1]:
+        level -= 1
+    if level == 0:
+        parts.append(str(value).zfill(_DECIMAL_PIECE) if pad else str(value))
+        return
+    hi, lo = divmod(value, powers[level - 1])
+    _write_decimal(parts, powers, hi, level - 1, pad)
+    _write_decimal(parts, powers, lo, level - 1, True)
+
+
+def _decimal_int(text: str) -> int:
+    """int(text) for a text of ASCII digits of any length."""
+    return _read_decimal(text, 0, len(text), {})
+
+
+def _read_decimal(text: str, start: int, stop: int, powers: dict) -> int:
+    """The value of text[start:stop]: its last k digits are the low half,
+    k = `_DECIMAL_PIECE` * 2^j the largest below its length, and hi * 10**k
+    is (hi * 5**k) << k, with 5**k kept in `powers`."""
+    n = stop - start
+    if n <= _DECIMAL_PIECE:
+        return int(text[start:stop])
+    k = _DECIMAL_PIECE << ((n - 1) // _DECIMAL_PIECE).bit_length() - 1
+    if k not in powers:
+        powers[k] = 5 ** k
+    hi = _read_decimal(text, start, stop - k, powers)
+    return (hi * powers[k] << k) + _read_decimal(text, stop - k, stop, powers)
 
 
 def param_str(backend: str, value: int, width) -> str:
     if backend == BOOLEAN:
         digits = max(1, (width + 3) // 4)
         return f"0x{value:0{digits}x}"
-    with _unlimited_int_digits():
-        return str(value)
+    return _decimal_str(value)
 
 
-def _param_parse(backend: str, text) -> int:
+def _skolem_params(texts) -> list:
+    """Skolem params read from their texts, each plain ASCII digits. Their
+    size is checked before any is read: d digits mean at least
+    (d - 1) log2(10) bits."""
+    for text in texts:
+        if not (isinstance(text, str) and text.isascii() and text.isdigit()):
+            raise WitnessError(f"skolem param {text!r:.40} is not a string of decimal digits")
+    digits = sum(len(text) for text in texts)
+    check_skolem_bits(int((digits - len(texts)) * log2(10)),
+                      f"{digits} decimal digits, at least")
+    return [_decimal_int(text) for text in texts]
+
+
+def _boolean_param(text) -> int:
     if not isinstance(text, str):
         raise WitnessError(f"witness param {text!r} is not a string")
-    if backend == BOOLEAN:
-        return int(text, 16)
-    with _unlimited_int_digits():
-        return int(text)
+    return int(text, 16)
 
 
 def _index_count_is(pattern: PatternSpec, count: int) -> bool:
@@ -159,10 +214,13 @@ class WitnessFile:
             }
             witness = TupleWitness(base_file.witness, labels, provenance, data["arity"])
             return cls(pattern, witness, base_pattern=base_file.pattern)
-        params = {
-            parse_label(key): _param_parse(backend, value)
-            for key, value in entries.items()
-        }
+        if backend == SKOLEM:
+            values = _skolem_params(entries.values())
+        elif backend == BOOLEAN:
+            values = [_boolean_param(text) for text in entries.values()]
+        else:
+            raise WitnessError(f"unknown witness backend {backend!r:.40}")
+        params = dict(zip(map(parse_label, entries), values))
         if set(params) != set(labels):
             raise WitnessError("witness params do not cover the pattern's index set")
         witness = Witness(backend, labels, params, width=data.get("width"))

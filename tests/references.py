@@ -7,9 +7,9 @@ the frozenset recursions for maximal antichains and k-chain-free sets, the
 subset scan over every k-chain, the SOP1, SOP2 and TP families scanned and
 sorted, the choice product filtered by its count of kept parts, a direct
 listing of all 2^n subsets, the member-by-member boolean witness, the
-closed-form family counts the builders' own counts replaced, and the first
-primes by trial division. Chains and antichains: the pairwise chain test,
-domain membership by length and digits, the canonical sort of node sets, the chain
+closed-form family counts the builders' own counts replaced, the first
+primes by trial division, and the skolem parameters as running products.
+Chains and antichains: the pairwise chain test, domain membership by length and digits, the canonical sort of node sets, the chain
 generator over prefix subsets, the antichain listing from the scan over the
 2-chains, the required sets of every pattern (SOP2's incomparable pairs
 filtered from all pairs, SOP1's pairs from every two nodes, TP's combinations
@@ -33,7 +33,8 @@ from typing import List
 
 from treeprop import (VerificationReport, eval_formula, exact_family,
                       required_consistent, required_inconsistent)
-from treeprop.antichains import AntichainCatalog, _check_subset_cap, mask_set
+from treeprop.antichains import (AntichainCatalog, _check_subset_cap, mask_labels,
+                                 mask_set)
 from treeprop.nodes import (TreeDomain, closure, concat_set, incomparable,
                             is_prefix, meet, node_str, sorted_nodes)
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
@@ -350,6 +351,15 @@ def reference_first_primes(m):
             out.append(n)
         n += 1
     return out
+
+
+def reference_skolem_params(family):
+    """The skolem parameters as a running product: each label's param is the
+    product, one prime after another, of the primes of the members that hold
+    it, the n-th member taking the n-th prime."""
+    ps = reference_first_primes(len(family.masks))
+    return {label: math.prod(mask_labels(ps, column))
+            for label, column in family.columns.items()}
 
 
 def reference_family_count(p):

@@ -10,6 +10,7 @@ import treeprop
 from treeprop import (TreeDomain, divisor_structure, enumerate_antichains,
                       maximal_antichains)
 from treeprop.cli import main
+from treeprop.synth import SKOLEM_BITS_CAP
 
 from references import reference_catalog_json
 
@@ -348,6 +349,26 @@ def test_verify_malformed_witness_exits_2(capsys, tmp_path, make, mutate):
     code, out, err = run(capsys, "verify", "--witness", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["+15", " 15", "1_5", "\u0661\u0665"])
+def test_verify_refuses_a_skolem_param_of_other_characters(capsys, tmp_path, text):
+    def mutate(doc):
+        doc["params"]["0"] = text
+        return doc
+    path = _broken_witness(capsys, tmp_path, mutate)
+    code, out, err = run(capsys, "verify", "--witness", str(path))
+    assert code == 2 and out == "" and "decimal digits" in err
+
+
+def test_verify_sizes_skolem_params_before_reading_them(capsys, tmp_path):
+    def mutate(doc):
+        doc["params"]["0"] = "1" * (int(SKOLEM_BITS_CAP * 0.30103) + 2)
+        return doc
+    path = _broken_witness(capsys, tmp_path, mutate)
+    code, out, err = run(capsys, "verify", "--witness", str(path))
+    assert code == 3 and out == ""
+    assert "decimal digits, at least" in err and f"(cap {SKOLEM_BITS_CAP})" in err
 
 
 def test_alpha_refuses_a_negative_n(capsys):

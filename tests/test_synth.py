@@ -1,13 +1,14 @@
+import itertools
 import math
 
 import pytest
 
 from treeprop import (ResourceCapError, WitnessError, exact_family,
                       make_pattern, oracle_for, synth_boolean, synth_skolem)
-from treeprop.patterns import ATP, ConsistencyFamily
+from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2, ConsistencyFamily
 from treeprop.synth import _first_primes
 
-from references import reference_first_primes
+from references import reference_first_primes, reference_skolem_params
 
 
 def test_primes():
@@ -86,3 +87,36 @@ def test_skolem_size_cap_fires_before_any_prime(monkeypatch):
     with pytest.raises(ResourceCapError,
                        match=rf"up to \d+ bits \(cap {synth.SKOLEM_BITS_CAP}\)"):
         synth_skolem(family)
+
+
+SPLIT_PATTERNS = (
+    [make_pattern(ATP, depth=d) for d in range(1, 6)]
+    + [make_pattern(KATP, depth=d, k=k) for k in (3, 4) for d in range(1, 6)]
+    + [make_pattern(SOP1, depth=d) for d in range(1, 6)]
+    + [make_pattern(SOP2, depth=d) for d in range(1, 7)]
+    + [make_pattern(TP, branching=3, depth=3, k=2)]
+    + [make_pattern(TP2, rows=n, cols=n) for n in (4, 5)])
+
+
+def _pattern_id(p):
+    if p.kind == TP2:
+        return f"tp2-{p.rows}x{p.cols}"
+    return f"{p.kind}{p.k or ''}-b{p.branching}-d{p.depth}"
+
+
+@pytest.mark.parametrize("p", SPLIT_PATTERNS, ids=_pattern_id)
+def test_split_product_is_the_running_product(p):
+    family = exact_family(p)
+    assert synth_skolem(family).params == reference_skolem_params(family)
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 127, 128, 129])
+def test_split_product_across_the_leaf_width(m):
+    # m distinct 4-sets of 12 labels, an antichain, and one label in none
+    labels = [(i,) for i in range(13)]
+    members = list(itertools.islice(itertools.combinations(labels[:12], 4), m))
+    family = ConsistencyFamily.from_members(labels, members)
+    assert len(family.masks) == m
+    params = synth_skolem(family).params
+    assert params == reference_skolem_params(family)
+    assert params[(12,)] == 1

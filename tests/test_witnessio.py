@@ -1,20 +1,25 @@
 import copy
+import functools
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeprop
-from treeprop import (WitnessError, elongate, exact_family, make_pattern,
-                      synth_boolean, synth_skolem)
+from treeprop import (ResourceCapError, WitnessError, elongate, exact_family,
+                      make_pattern, synth_boolean, synth_skolem, witnessio)
 from treeprop.dot import export_dot
 from treeprop.patterns import ATP, KATP, TP2
-from treeprop.witnessio import (WitnessFile, dumps, label_str, load, loads,
-                                save)
+from treeprop.synth import SKOLEM_BITS_CAP
+from treeprop.witnessio import (WitnessFile, _decimal_int, _decimal_str, dumps,
+                                label_str, load, loads, save)
 
 
 def atp_file(depth, backend="skolem"):
@@ -207,7 +212,7 @@ def test_int_digit_limit_is_scoped():
     p = make_pattern(KATP, depth=5, k=3)
     wf = WitnessFile(p, synth_skolem(exact_family(p)))
     widest = max(v.bit_length() for v in wf.witness.params.values())
-    assert widest * 0.30103 > sys.int_info.default_max_str_digits  # needs the lift
+    assert widest * 0.30103 > sys.int_info.default_max_str_digits  # past the limit
     before = sys.get_int_max_str_digits()
     text = dumps(wf)
     again = loads(text)
@@ -224,3 +229,95 @@ def test_import_leaves_int_digit_limit_alone():
     src = os.path.dirname(os.path.dirname(treeprop.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
+
+
+def test_no_source_module_sets_the_int_digit_limit():
+    src = Path(treeprop.__file__).parent
+    assert [path.name for path in sorted(src.glob("*.py"))
+            if "set_int_max_str_digits" in path.read_text(encoding="utf-8")] == []
+
+
+@functools.cache
+def _decimal_cases():
+    """Values at the edges of the pieces and of their powers, and seeded
+    random values of up to 200k bits, each with its str() taken with the
+    digit limit lifted."""
+    values = [0, 1, 9, 10]
+    for k in (512, 1024, 2048, 4096):
+        values += [10 ** k - 1, 10 ** k, 10 ** k + 1]
+    values += [10 ** 9000 - 1, 10 ** 9000, 10 ** 4096 * (10 ** 4096 - 1)]
+    rng = random.Random(1)
+    values += [rng.getrandbits(rng.randint(1, 200_000)) for _ in range(8)]
+    values.append(rng.getrandbits(200_000) | 1 << 199_999)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [(value, str(value)) for value in values]
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.fixture(params=[sys.int_info.default_max_str_digits,
+                        sys.int_info.str_digits_check_threshold],
+                ids=["default-limit", "least-limit"])
+def digit_limit(request):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    yield request.param
+    sys.set_int_max_str_digits(saved)
+
+
+def test_decimal_io_is_str_and_int(digit_limit):
+    for value, text in _decimal_cases():
+        assert _decimal_str(value) == text, value.bit_length()
+        assert _decimal_int(text) == value, len(text)
+        assert _decimal_int("000" + text) == value
+    assert sys.get_int_max_str_digits() == digit_limit
+
+
+def test_katp_round_trip_under_the_least_digit_limit(digit_limit):
+    p = make_pattern(KATP, depth=5, k=4)
+    wf = WitnessFile(p, synth_skolem(exact_family(p)))
+    text = dumps(wf)
+    assert loads(text).witness.params == wf.witness.params
+    assert sys.get_int_max_str_digits() == digit_limit
+
+
+def test_tp2_6x5_skolem_round_trip():
+    p = make_pattern(TP2, rows=6, cols=5)
+    wf = WitnessFile(p, synth_skolem(exact_family(p)))
+    assert sum(v.bit_length() for v in wf.witness.params.values()) > 10 ** 6
+    assert loads(dumps(wf)).witness.params == wf.witness.params
+
+
+@pytest.mark.parametrize("text", ["+15", " 15", "15 ", "1_5", "\u0661\u0665", "-15", "",
+                                  "0x15", "15.0", "1e3"])
+def test_skolem_param_must_be_ascii_digits(text):
+    doc = _doc(atp_file(2))
+    doc["params"]["0"] = text
+    with pytest.raises(WitnessError, match="decimal digits"):
+        loads(json.dumps(doc))
+
+
+def _cap_digits():
+    """The fewest digits of one param that pass what SKOLEM_BITS_CAP allows:
+    one more than the floor(CAP log10(2)) + 1 digits of 2^CAP - 1."""
+    return int(SKOLEM_BITS_CAP * math.log10(2)) + 2
+
+
+def test_skolem_params_are_sized_before_any_is_read(monkeypatch):
+    def no_read(text):
+        raise AssertionError("a param was read before the size check")
+    monkeypatch.setattr(witnessio, "_decimal_int", no_read)
+    doc = _doc(atp_file(1))
+    doc["params"][""] = "1" * _cap_digits()
+    with pytest.raises(ResourceCapError, match=rf"at least \d+ bits \(cap {SKOLEM_BITS_CAP}\)"):
+        loads(json.dumps(doc))
+
+
+def test_the_most_digits_the_cap_allows_pass_the_size_check(monkeypatch):
+    # a param of as many digits as 2^CAP - 1 has is read
+    monkeypatch.setattr(witnessio, "_decimal_int", len)
+    doc = _doc(atp_file(1))
+    doc["params"][""] = "9" * (_cap_digits() - 1)
+    assert loads(json.dumps(doc)).witness.params[()] == _cap_digits() - 1
