@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import FrozenSet, Iterator, List, Optional, Tuple
 
+from . import qftypes
 from .errors import ResourceCapError
 from .nodes import Node, TreeDomain, concat_set, sorted_nodes
-from .qftypes import qftype0
 
 NodeSet = FrozenSet[Node]
 
@@ -356,6 +356,7 @@ def find_iso_copy(y: NodeSet, x: NodeSet):
     equal types of the whole tuples give equal types of every prefix. The
     order is kept, so the first copy found is the first combination that
     matches."""
+    qftype0 = qftypes.qftype0
     y_tuple = sorted_nodes(y)
     k = len(y_tuple)
     # targets[j] is the type of y's first j + 1 nodes; an empty y raises here

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / verification pass, 1 verification fail, 2 usage or
 input error, 3 resource cap exceeded. Machine-readable output (JSON, DOT)
-goes to stdout; diagnostics go to stderr.
+goes to stdout; diagnostics go to stderr. Each command imports the modules
+it uses, so a command runs no other (see the package docstring).
 """
 
 from __future__ import annotations
@@ -11,19 +12,12 @@ import argparse
 import json
 import sys
 
-from . import antichains, witnessio
-from .dot import export_dot
 from .errors import ResourceCapError, TreepropError
-from .formulas import FiniteStructure, eval_formula, parse_formula
-from .nodes import TreeDomain, node_str
-from .oracles import TupleWitness, oracle_for
-from .patterns import ATP, KATP, exact_family, make_pattern, verify
-from .qftypes import verify_ss_ll
-from .synth import synth_boolean, synth_skolem
-from .transforms import elongate, fatten, reduce_katp
 
 
 def _parse_pattern_arg(text: str, branching: int, depth: int, rows: int, cols: int):
+    from .patterns import make_pattern
+
     kind, _, karg = text.partition(":")
     k = int(karg) if karg else None
     return make_pattern(kind, branching=branching, depth=depth, k=k, rows=rows, cols=cols)
@@ -33,7 +27,7 @@ def _parse_pattern_arg(text: str, branching: int, depth: int, rows: int, cols: i
 _ITEM = json.JSONEncoder(separators=(",\n      ", ": ")).encode
 
 
-def _print_listing(domain: TreeDomain, masks) -> None:
+def _print_listing(domain, masks) -> None:
     """Print the node sets given as masks over the domain's nodes as lists of
     node strings, each string made once and picked by the mask's set bits,
     lowest first. Masks in canonical order give the sorted order of the string
@@ -43,6 +37,9 @@ def _print_listing(domain: TreeDomain, masks) -> None:
     The text is what json.dump({"count": ..., "items": ...}, sort_keys=True,
     indent=2) writes, but each list is encoded in one piece by the C encoder,
     which json.dump leaves for the pure-Python one when it indents."""
+    from . import antichains
+    from .nodes import node_str
+
     names = [node_str(x, domain.branching) for x in domain.nodes()]
     items = [antichains.mask_labels(names, mask) for mask in masks]
     if domain.branching > 10:
@@ -63,12 +60,17 @@ def _print(data) -> None:
 
 
 def _cmd_alpha(args) -> int:
+    from . import antichains
+
     antichains.alpha(args.n)  # refuses n < 0, and a count past its cap, before any is printed
     _print(" ".join(str(antichains.alpha(n)) for n in range(args.n + 1)) + "\n")
     return 0
 
 
 def _cmd_enum(args) -> int:
+    from . import antichains
+    from .nodes import TreeDomain
+
     domain = TreeDomain(args.b, args.n)
     if args.maximal:
         if args.b != 2:
@@ -87,6 +89,10 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from . import witnessio
+    from .patterns import exact_family
+    from .synth import synth_boolean, synth_skolem
+
     pattern = _parse_pattern_arg(args.pattern, args.b, args.depth, args.rows, args.cols)
     family = exact_family(pattern)
     witness = synth_skolem(family) if args.backend == "skolem" else synth_boolean(family)
@@ -99,6 +105,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import witnessio
+    from .oracles import oracle_for
+    from .patterns import verify
+
     wf = witnessio.load(args.witness)
     report = verify(oracle_for(wf.witness), wf.witness, wf.pattern,
                     exhaustive=args.exhaustive)
@@ -119,6 +129,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from . import witnessio
+    from .oracles import TupleWitness, oracle_for
+    from .patterns import ATP, KATP, make_pattern
+    from .transforms import elongate, fatten, reduce_katp
+
     wf = witnessio.load(args.witness)
     if isinstance(wf.witness, TupleWitness):
         raise TreepropError("transforms apply to base witnesses, not tuple witnesses")
@@ -162,6 +177,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_check_lemma(args) -> int:
+    from .qftypes import verify_ss_ll
+
     if args.lemma != "ss-ll":
         raise TreepropError(f"unknown lemma {args.lemma!r}")
     report = verify_ss_ll(args.b, args.n, args.len)
@@ -174,11 +191,16 @@ def _cmd_check_lemma(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
+    from . import witnessio
+    from .dot import export_dot
+
     _print(export_dot(witnessio.load(args.witness)))
     return 0
 
 
 def _cmd_eval(args) -> int:
+    from .formulas import FiniteStructure, eval_formula, parse_formula
+
     with open(args.structure, encoding="utf-8") as fh:
         structure = FiniteStructure.from_json(fh.read())
     formula = parse_formula(args.formula)

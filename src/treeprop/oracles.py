@@ -34,8 +34,8 @@ import operator
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from . import formulas
 from .errors import FormulaError, WitnessError, shown_items
-from .formulas import FiniteStructure, Formula, eval_formula
 from .nodes import Node
 
 SKOLEM = "skolem"
@@ -196,7 +196,7 @@ class FoOracle(MeetOracle):
     top = -1
     meet = staticmethod(operator.and_)
 
-    def __init__(self, structure: FiniteStructure, formula: Formula,
+    def __init__(self, structure: formulas.FiniteStructure, formula: formulas.Formula,
                  witness: Witness, x_var: str = "x", y_vars=("y",)):
         if witness.backend != STRUCTURE:
             raise WitnessError(f"fo oracle needs a structure witness, got {witness.backend}")
@@ -218,7 +218,7 @@ class FoOracle(MeetOracle):
     def _phi(self, x, p) -> bool:
         assignment = {self.x_var: x}
         assignment.update(zip(self.y_vars, p))
-        return eval_formula(self.structure, self.formula, assignment)
+        return formulas.eval_formula(self.structure, self.formula, assignment)
 
     def element(self, label) -> int:
         p = self._params[label]

@@ -25,8 +25,9 @@ under the limit, which is never changed: a value is split by 10**k into a
 high and a low half, and a text of n digits is read as hi * 10**k + lo with
 10**k = 5**k << k, k = `_DECIMAL_PIECE` * 2^j the largest such below n.
 The powers are made once per value. A skolem param must be plain ASCII
-digits, and a document whose params hold more digits than
-`synth.SKOLEM_BITS_CAP` bits allow is refused before any is read.
+digits, a boolean param `0x` and ASCII hex digits, and a document whose
+params hold more digits than `synth.SKOLEM_BITS_CAP` bits allow is refused
+before any is read.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ VERSION = 1
 # int<->str digit limit the interpreter accepts (640), so no setting of it
 # stops witness I/O
 _DECIMAL_PIECE = 512
+
+_HEX_DIGITS = "0123456789abcdefABCDEF"
 
 
 def label_str(pattern: PatternSpec, label) -> str:
@@ -130,8 +133,11 @@ def _skolem_params(texts) -> list:
 
 
 def _boolean_param(text) -> int:
-    if not isinstance(text, str):
-        raise WitnessError(f"witness param {text!r} is not a string")
+    """A boolean param read from its text, `0x` and one or more ASCII hex
+    digits."""
+    if not (isinstance(text, str) and text[:2] == "0x" and len(text) > 2
+            and not text[2:].strip(_HEX_DIGITS)):
+        raise WitnessError(f"boolean param {text!r:.40} is not 0x and hex digits")
     return int(text, 16)
 
 

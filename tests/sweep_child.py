@@ -9,9 +9,10 @@ treeprop with the given arguments. The status is the command's exit code (a
 call gives 0 when it returns, 3 on a ResourceCapError with one stderr line,
 and 1 with the traceback on any other exception), or -N when signal N ended
 the child (SIGALRM at the time limit). The module imports treeprop once and
-forks per run, so no run pays for the interpreter's start-up, and a run
-that allocates without bound meets the limit as a MemoryError in its own
-child. The process starts no thread, so forking it is safe.
+runs every treeprop module before it forks per run, so no run pays for the
+interpreter's start-up or for loading a module, and a run that allocates
+without bound meets the limit as a MemoryError in its own child. The process
+starts no thread, so forking it is safe.
 
     python tests/sweep_child.py < argvs.json
 """
@@ -79,6 +80,11 @@ def run(argv, workdir):
 
 def main() -> None:
     argvs = json.load(sys.stdin)
+    # treeprop runs a module when its namespace is first read: read each one
+    # here, so that no forked run compiles a module again
+    for name, module in list(sys.modules.items()):
+        if name.startswith("treeprop."):
+            vars(module)
     with tempfile.TemporaryDirectory() as workdir:
         results = [run(argv, workdir) for argv in argvs]
     json.dump(results, sys.stdout)

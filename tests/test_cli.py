@@ -361,6 +361,16 @@ def test_verify_refuses_a_skolem_param_of_other_characters(capsys, tmp_path, tex
     assert code == 2 and out == "" and "decimal digits" in err
 
 
+@pytest.mark.parametrize("text", [" +0x0_1 ", "1", "0x", "0x_1", "0x\u0661"])
+def test_verify_refuses_a_boolean_param_of_other_characters(capsys, tmp_path, text):
+    def mutate(doc):
+        doc["params"]["0"] = text
+        return doc
+    path = _broken_witness(capsys, tmp_path, mutate, backend="boolean")
+    code, out, err = run(capsys, "verify", "--witness", str(path))
+    assert code == 2 and out == "" and "0x and hex digits" in err
+
+
 def test_verify_sizes_skolem_params_before_reading_them(capsys, tmp_path):
     def mutate(doc):
         doc["params"]["0"] = "1" * (int(SKOLEM_BITS_CAP * 0.30103) + 2)

@@ -35,7 +35,7 @@ from treeprop import (BitsetOracle, ConjunctionOracle, ConsistencyFamily,
                       oracle_for, parse_formula,
                       required_consistent, required_inconsistent,
                       synth_boolean, synth_skolem, verify)
-from treeprop import antichains, oracles, patterns, qftypes
+from treeprop import antichains, formulas, oracles, patterns, qftypes
 from treeprop.antichains import (_choose, chain_free_count, find_iso_copy,
                                  finite_antichain_stream, mask_labels, mask_set,
                                  maximal_chain_free_binary,
@@ -1070,7 +1070,7 @@ def test_fo_memo_evaluates_each_pair_once(monkeypatch):
     def counting(structure, formula, assignment):
         calls.append(assignment)
         return eval_formula(structure, formula, assignment)
-    monkeypatch.setattr(oracles, "eval_formula", counting)
+    monkeypatch.setattr(formulas, "eval_formula", counting)
     for oracle in [*criterion_8_fo_oracles(40), _divisor_2310_oracle()]:
         calls.clear()
         for _ in range(2):

@@ -299,6 +299,24 @@ def test_skolem_param_must_be_ascii_digits(text):
         loads(json.dumps(doc))
 
 
+@pytest.mark.parametrize("text", [" +0x0_1 ", "1", "0x", "0x_1", "0x\u0661", "0X1",
+                                  "-0x1", "0x1 ", 1])
+def test_boolean_param_must_be_0x_and_ascii_hex_digits(text):
+    doc = _doc(atp_file(2, backend="boolean"))
+    doc["params"]["0"] = text
+    with pytest.raises(WitnessError, match="0x and hex digits"):
+        loads(json.dumps(doc))
+
+
+def test_boolean_param_hex_digits_take_either_case():
+    doc = _doc(atp_file(4, backend="boolean"))  # 26 bits wide
+    values = []
+    for text in ("0xaB", "0xAb", "0x0ab"):
+        doc["params"]["0"] = text
+        values.append(loads(json.dumps(doc)).witness.params[(0,)])
+    assert values == [0xAB] * 3
+
+
 def _cap_digits():
     """The fewest digits of one param that pass what SKOLEM_BITS_CAP allows:
     one more than the floor(CAP log10(2)) + 1 digits of 2^CAP - 1."""
