@@ -16,11 +16,9 @@ from .witnessio import WitnessFile, label_str, param_str
 def _display_param(wf: WitnessFile, label) -> str:
     w = wf.witness
     if isinstance(w, TupleWitness):
-        parts = (
-            param_str(w.base.backend, v, w.base.width) for v in w.components(label)
-        )
+        parts = (param_str(v, w.base.width) for v in w.components(label))
         return "(" + ", ".join(parts) + ")"
-    return param_str(w.backend, w.params[label], w.width)
+    return param_str(w.params[label], w.width)
 
 
 def export_dot(wf: WitnessFile) -> str:

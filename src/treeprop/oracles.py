@@ -42,6 +42,11 @@ SKOLEM = "skolem"
 BOOLEAN = "boolean"
 STRUCTURE = "structure"
 
+# the free variables of a `FoOracle` formula: x, searched over the universe,
+# and the y-block, bound to a label's parameter tuple
+FO_X_VAR = "x"
+FO_Y_VARS = ("y",)
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -197,27 +202,25 @@ class FoOracle(MeetOracle):
     meet = staticmethod(operator.and_)
 
     def __init__(self, structure: formulas.FiniteStructure, formula: formulas.Formula,
-                 witness: Witness, x_var: str = "x", y_vars=("y",)):
+                 witness: Witness):
         if witness.backend != STRUCTURE:
             raise WitnessError(f"fo oracle needs a structure witness, got {witness.backend}")
         self.structure = structure
         self.formula = formula
         self.witness = witness
-        self.x_var = x_var
-        self.y_vars = tuple(y_vars)
         self._params = {}
         for i in witness.labels:
             p = witness.params[i]
             self._params[i] = p if isinstance(p, tuple) else (p,)
-            if len(self._params[i]) != len(self.y_vars):
+            if len(self._params[i]) != len(FO_Y_VARS):
                 raise WitnessError(
-                    f"parameter for {i!r} does not match y-block arity {len(self.y_vars)}"
+                    f"parameter for {i!r} does not match y-block arity {len(FO_Y_VARS)}"
                 )
         self._masks: Dict[Tuple, int] = {}  # parameter tuple -> universe mask
 
     def _phi(self, x, p) -> bool:
-        assignment = {self.x_var: x}
-        assignment.update(zip(self.y_vars, p))
+        assignment = {FO_X_VAR: x}
+        assignment.update(zip(FO_Y_VARS, p))
         return formulas.eval_formula(self.structure, self.formula, assignment)
 
     def element(self, label) -> int:

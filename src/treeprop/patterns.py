@@ -104,7 +104,11 @@ class PatternSpec:
 def make_pattern(kind: str, branching: int = 2, depth: int = 0, k: int = None,
                  rows: int = 0, cols: int = 0) -> PatternSpec:
     """A validated pattern. Each kind refuses the arguments it does not use:
-    tp2 a k, a depth or a branching other than 2, the tree kinds rows or cols."""
+    tp2 a k, a depth or a branching other than 2, the tree kinds rows or cols.
+    Every size must be a plain int (a bool or a float is not), and k may be None."""
+    for name, value in dict(branching=branching, depth=depth, k=k, rows=rows, cols=cols).items():
+        if type(value) is not int and not (name == "k" and value is None):
+            raise ValueError(f"{name} must be an integer, not {value!r:.40}")
     kind = kind.lower()
     if kind == TP2:
         if rows < 1 or cols < 1:
@@ -221,10 +225,6 @@ class ConsistencyFamily:
     @cached_property
     def maximal(self) -> Tuple[FrozenSet, ...]:
         return tuple(mask_set(self.labels, m) for m in self.masks)
-
-    def contains(self, subset) -> bool:
-        subset = frozenset(subset)
-        return bool(subset) and _containing(self.columns, subset) != 0
 
 
 def exact_family(p: PatternSpec) -> ConsistencyFamily:

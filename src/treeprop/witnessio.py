@@ -3,38 +3,34 @@
 Layout (JSON, UTF-8, sorted keys):
 
     {
-      "version": 1,
+      "version": 2,
       "pattern": {"kind": "atp", "branching": 2, "depth": 3},
       "backend": "skolem" | "boolean" | "tuple",
-      "width": 5,                      # boolean only
-      "params": {"": "2", "0": "15"},  # decimal, or "0x.." hex for boolean
-      "arity": 2,                      # tuple witness only, with:
-      "provenance": {"": ["", "0"]},   #   source node strings per index
+      "width": 5,                         # boolean only
+      "params": {"": "0x2", "0": "0xf"},  # hex, zero-padded for boolean
+      "arity": 2,                         # tuple witness only, with:
+      "provenance": {"": ["", "0"]},      #   source node strings per index
       "base": { ... nested witness ... }
     }
 
 Tree indices key by node string ("" is the root, dot-separated digits above
 branching 10); array indices key by "row,col".
 
-Skolem parameters are products of one prime per maximal family member, so
-at depth 5 they run to about 10,000 decimal digits, past the interpreter's
-int<->str digit limit (4,300 by default, 640 at the least), and `str` and
-`int` take time quadratic in the digits. They are written and read in
-pieces of at most `_DECIMAL_PIECE` digits, each converted by `str` or `int`
-under the limit, which is never changed: a value is split by 10**k into a
-high and a low half, and a text of n digits is read as hi * 10**k + lo with
-10**k = 5**k << k, k = `_DECIMAL_PIECE` * 2^j the largest such below n.
-The powers are made once per value. A skolem param must be plain ASCII
-digits, a boolean param `0x` and ASCII hex digits, and a document whose
-params hold more digits than `synth.SKOLEM_BITS_CAP` bits allow is refused
-before any is read.
+Every param, skolem or boolean, is written as `0x` and lowercase hex
+digits: a boolean param zero-padded to the digits of its width, a skolem
+param with the fewest digits. Hex converts in linear time and is outside
+the interpreter's int<->str digit limit, so a skolem param of millions of
+bits (a product of one prime per maximal member) needs no change to that
+limit. A param is read only as `0x` and one or more ASCII hex digits of
+either case, and a skolem document whose params hold more digits than
+`synth.SKOLEM_BITS_CAP` bits allow is refused before any is read. Files of
+version 1, which wrote skolem params in decimal, are refused.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import log2
 from typing import Union
 
 from .errors import WitnessError
@@ -43,12 +39,7 @@ from .oracles import BOOLEAN, SKOLEM, TupleWitness, Witness
 from .patterns import TP2, PatternSpec
 from .synth import check_skolem_bits
 
-VERSION = 1
-
-# decimal digits that `str` and `int` convert at once: under the smallest
-# int<->str digit limit the interpreter accepts (640), so no setting of it
-# stops witness I/O
-_DECIMAL_PIECE = 512
+VERSION = 2
 
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 
@@ -68,77 +59,36 @@ def _label_parser(pattern: PatternSpec):
     return lambda text: parse_node(text, pattern.branching)
 
 
-def _decimal_str(value: int) -> str:
-    """str(value) for a nonnegative int of any size, in pieces of at most
-    `_DECIMAL_PIECE` digits: divmod by 10**k splits off the low half,
-    printed with exactly k digits by zfill."""
-    powers = [10 ** _DECIMAL_PIECE]  # powers[i] = 10 ** (_DECIMAL_PIECE << i)
-    while powers[-1] <= value:
-        powers.append(powers[-1] * powers[-1])
-    parts = []
-    _write_decimal(parts, powers, value, len(powers) - 1, False)
-    return "".join(parts)
+def param_str(value: int, width=None) -> str:
+    """A param's text: `0x` and lowercase hex digits, as many as `width` bits
+    take for a boolean param, the fewest for a skolem one (no width)."""
+    return f"0x{value:0{max(1, ((width or 0) + 3) // 4)}x}"
 
 
-def _write_decimal(parts: list, powers: list, value: int, level: int, pad: bool) -> None:
-    """Append the digits of value < powers[level] to `parts`: padded to
-    exactly `_DECIMAL_PIECE` << level digits, or with no leading zero."""
-    while not pad and level and value < powers[level - 1]:
-        level -= 1
-    if level == 0:
-        parts.append(str(value).zfill(_DECIMAL_PIECE) if pad else str(value))
-        return
-    hi, lo = divmod(value, powers[level - 1])
-    _write_decimal(parts, powers, hi, level - 1, pad)
-    _write_decimal(parts, powers, lo, level - 1, True)
-
-
-def _decimal_int(text: str) -> int:
-    """int(text) for a text of ASCII digits of any length."""
-    return _read_decimal(text, 0, len(text), {})
-
-
-def _read_decimal(text: str, start: int, stop: int, powers: dict) -> int:
-    """The value of text[start:stop]: its last k digits are the low half,
-    k = `_DECIMAL_PIECE` * 2^j the largest below its length, and hi * 10**k
-    is (hi * 5**k) << k, with 5**k kept in `powers`."""
-    n = stop - start
-    if n <= _DECIMAL_PIECE:
-        return int(text[start:stop])
-    k = _DECIMAL_PIECE << ((n - 1) // _DECIMAL_PIECE).bit_length() - 1
-    if k not in powers:
-        powers[k] = 5 ** k
-    hi = _read_decimal(text, start, stop - k, powers)
-    return (hi * powers[k] << k) + _read_decimal(text, stop - k, stop, powers)
-
-
-def param_str(backend: str, value: int, width) -> str:
-    if backend == BOOLEAN:
-        digits = max(1, (width + 3) // 4)
-        return f"0x{value:0{digits}x}"
-    return _decimal_str(value)
-
-
-def _skolem_params(texts) -> list:
-    """Skolem params read from their texts, each plain ASCII digits. Their
-    size is checked before any is read: d digits mean at least
-    (d - 1) log2(10) bits."""
+def _params(backend: str, texts) -> list:
+    """Params read from their texts, each `0x` and one or more ASCII hex
+    digits. Skolem params are sized before any is read: d digits mean at
+    least 4(d - 1) bits."""
     for text in texts:
-        if not (isinstance(text, str) and text.isascii() and text.isdigit()):
-            raise WitnessError(f"skolem param {text!r:.40} is not a string of decimal digits")
-    digits = sum(len(text) for text in texts)
-    check_skolem_bits(int((digits - len(texts)) * log2(10)),
-                      f"{digits} decimal digits, at least")
-    return [_decimal_int(text) for text in texts]
+        if not (isinstance(text, str) and text[:2] == "0x" and len(text) > 2
+                and not text[2:].strip(_HEX_DIGITS)):
+            raise WitnessError(f"{backend} param {text!r:.40} is not 0x and hex digits")
+    if backend == SKOLEM:
+        digits = sum(len(text) - 2 for text in texts)
+        check_skolem_bits(4 * (digits - len(texts)), f"{digits} hex digits, at least")
+    return [_read_param(text) for text in texts]
 
 
-def _boolean_param(text) -> int:
-    """A boolean param read from its text, `0x` and one or more ASCII hex
-    digits."""
-    if not (isinstance(text, str) and text[:2] == "0x" and len(text) > 2
-            and not text[2:].strip(_HEX_DIGITS)):
-        raise WitnessError(f"boolean param {text!r:.40} is not 0x and hex digits")
+def _read_param(text: str) -> int:
+    """The value of a checked param text."""
     return int(text, 16)
+
+
+def _plain_int(value, name: str) -> int:
+    """The value, refused unless it is a plain int: a bool or a float is not."""
+    if type(value) is not int:
+        raise WitnessError(f"witness {name} {value!r:.40} is not an integer")
+    return value
 
 
 def _index_count_is(pattern: PatternSpec, count: int) -> bool:
@@ -179,7 +129,7 @@ class WitnessFile:
             "pattern": self.pattern.to_json(),
             "backend": w.backend,
             "params": {
-                label_str(self.pattern, label): param_str(w.backend, w.params[label], w.width)
+                label_str(self.pattern, label): param_str(w.params[label], w.width)
                 for label in w.labels
             },
         }
@@ -193,8 +143,9 @@ class WitnessFile:
         WitnessError."""
         if not isinstance(data, dict):
             raise WitnessError("a witness file holds one JSON object")
-        if data.get("version") != VERSION:
-            raise WitnessError(f"unsupported witness file version {data.get('version')!r}")
+        version = data.get("version")
+        if type(version) is not int or version != VERSION:
+            raise WitnessError(f"unsupported witness file version {version!r:.40}")
         try:
             return cls._parse(data)
         except WitnessError:
@@ -218,18 +169,18 @@ class WitnessFile:
                 parse_label(key): tuple(parse_source(s) for s in sources)
                 for key, sources in entries.items()
             }
-            witness = TupleWitness(base_file.witness, labels, provenance, data["arity"])
+            witness = TupleWitness(base_file.witness, labels, provenance,
+                                   _plain_int(data["arity"], "arity"))
             return cls(pattern, witness, base_pattern=base_file.pattern)
-        if backend == SKOLEM:
-            values = _skolem_params(entries.values())
-        elif backend == BOOLEAN:
-            values = [_boolean_param(text) for text in entries.values()]
-        else:
+        if backend not in (SKOLEM, BOOLEAN):
             raise WitnessError(f"unknown witness backend {backend!r:.40}")
+        values = _params(backend, list(entries.values()))
         params = dict(zip(map(parse_label, entries), values))
         if set(params) != set(labels):
             raise WitnessError("witness params do not cover the pattern's index set")
-        witness = Witness(backend, labels, params, width=data.get("width"))
+        width = data.get("width")
+        witness = Witness(backend, labels, params,
+                          width=None if width is None else _plain_int(width, "width"))
         return cls(pattern, witness)
 
 

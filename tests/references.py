@@ -6,9 +6,10 @@ forbidden family, and its maximal masks), the pairwise maximality filter,
 the frozenset recursions for maximal antichains and k-chain-free sets, the
 subset scan over every k-chain, the SOP1, SOP2 and TP families scanned and
 sorted, the choice product filtered by its count of kept parts, a direct
-listing of all 2^n subsets, the member-by-member boolean witness, the
-closed-form family counts the builders' own counts replaced, the first
-primes by trial division, and the skolem parameters as running products.
+listing of all 2^n subsets, the maximal conflict-free sets by Bron-Kerbosch,
+the member-by-member boolean witness, the closed-form family counts the
+builders' own counts replaced, the first primes by trial division, and the
+skolem parameters as running products.
 Chains and antichains: the pairwise chain test, domain membership by length and digits, the canonical sort of node sets, the chain
 generator over prefix subsets, the antichain listing from the scan over the
 2-chains, the required sets of every pattern (SOP2's incomparable pairs
@@ -16,8 +17,8 @@ filtered from all pairs, SOP1's pairs from every two nodes, TP's combinations
 of children, TP2's combinations of rows and cells, all sorted) and the
 antichain stream built on them, and the sorted CLI listing. The library's
 required sets, which are masks, are read back as frozensets here.
-Verification: one frozenset per subset with membership by
-`ConsistencyFamily.contains`, an oracle wrapper that records what it is
+Verification: family membership as inclusion in some maximal member, one
+frozenset per subset with membership by it, an oracle wrapper that records what it is
 asked, and the conjunction oracle that asked its base about source unions,
 with the source union of a tuple witness's labels.
 Types: byte-packed relation tables, the pairwise ss-ll check, the
@@ -35,6 +36,7 @@ from treeprop import (VerificationReport, eval_formula, exact_family,
                       required_consistent, required_inconsistent)
 from treeprop.antichains import (AntichainCatalog, _check_subset_cap, mask_labels,
                                  mask_set)
+from treeprop.oracles import FO_X_VAR, FO_Y_VARS
 from treeprop.nodes import (TreeDomain, closure, concat_set, incomparable,
                             is_prefix, meet, node_str, sorted_nodes)
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
@@ -333,6 +335,44 @@ def reference_free_sets(labels, forbidden):
     return free, maximal
 
 
+def reference_maximal_free(n, conflicts):
+    """The maximal subsets of the labels 0..n-1 that hold no conflict pair, as
+    int masks: the maximal cliques of the graph joining every two labels that
+    do not conflict, by Bron-Kerbosch with Tomita's pivot, a vertex of
+    candidates | excluded with the most candidate neighbours (Tomita, Tanaka
+    and Takahashi, Theor. Comput. Sci. 363, 2006)."""
+    full = (1 << n) - 1
+    friends = [full ^ 1 << v for v in range(n)]
+    for a, b in conflicts:
+        friends[a] &= ~(1 << b)
+        friends[b] &= ~(1 << a)
+    out = []
+
+    def expand(clique, candidates, excluded):
+        pool = candidates | excluded
+        if not pool:
+            out.append(clique)
+            return
+        most = -1
+        while pool:
+            u = (pool & -pool).bit_length() - 1
+            pool &= pool - 1
+            reach = (candidates & friends[u]).bit_count()
+            if reach > most:
+                most, pivot = reach, u
+        rest = candidates & ~friends[pivot]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            expand(clique | bit, candidates & friends[v], excluded & friends[v])
+            candidates ^= bit
+            excluded |= bit
+
+    expand(0, full, 0)
+    return out
+
+
 def reference_boolean_params(family):
     """The boolean witness built member by member: bit n for member n."""
     params = {label: 0 for label in family.labels}
@@ -386,9 +426,16 @@ def reference_family_count(p):
     return math.comb(p.branching, min(p.k - 1, p.branching)) ** internal
 
 
+def contains(family, subset):
+    """Whether the family holds the subset: it is nonempty and inside some
+    maximal member."""
+    subset = frozenset(subset)
+    return bool(subset) and any(subset <= member for member in family.maximal)
+
+
 def reference_verify(oracle, witness, p):
     """Exhaustive verification with one frozenset per mask and membership by
-    `exact_family(p).contains`, after the same pattern pass."""
+    `contains(exact_family(p), subset)`, after the same pattern pass."""
     labels = p.index_labels()
     if set(witness.labels) != set(labels):
         raise ValueError("witness index set does not match the pattern")
@@ -407,7 +454,7 @@ def reference_verify(oracle, witness, p):
     n_cons = n_incons = 0
     for mask in range(1, 1 << len(labels)):
         subset = mask_set(labels, mask)
-        expected = family.contains(subset)
+        expected = contains(family, subset)
         actual = oracle.consistent(subset)
         if expected:
             n_cons += 1
@@ -511,8 +558,8 @@ def reference_fo_consistent(oracle, labels):
         ok = True
         for i in labels:
             p = oracle.witness.params[i]
-            assignment = {oracle.x_var: x}
-            assignment.update(zip(oracle.y_vars, p if isinstance(p, tuple) else (p,)))
+            assignment = {FO_X_VAR: x}
+            assignment.update(zip(FO_Y_VARS, p if isinstance(p, tuple) else (p,)))
             if not eval_formula(oracle.structure, oracle.formula, assignment):
                 ok = False
                 break

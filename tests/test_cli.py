@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from treeprop import (TreeDomain, divisor_structure, enumerate_antichains,
                       maximal_antichains)
 from treeprop.cli import main
 from treeprop.synth import SKOLEM_BITS_CAP
+from treeprop.witnessio import VERSION, load
 
 from references import reference_catalog_json
 
@@ -351,34 +354,91 @@ def test_verify_malformed_witness_exits_2(capsys, tmp_path, make, mutate):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("text", ["+15", " 15", "1_5", "\u0661\u0665"])
+# params of other characters than 0x and ASCII hex digits, for both backends
+_BAD_PARAMS = ["+15", " 15", "1_5", "\u0661\u0665", " +0x0_1 ", "1", "0x", "0x_1",
+               "0x\u0661", "0X15", "0x+15"]
+
+
+def _verify_refuses_param(capsys, tmp_path, backend, text):
+    def mutate(doc):
+        doc["params"]["0"] = text
+        return doc
+    path = _broken_witness(capsys, tmp_path, mutate, backend=backend)
+    code, out, err = run(capsys, "verify", "--witness", str(path))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert f"{backend} param" in err and "0x and hex digits" in err
+
+
+@pytest.mark.parametrize("text", _BAD_PARAMS)
 def test_verify_refuses_a_skolem_param_of_other_characters(capsys, tmp_path, text):
-    def mutate(doc):
-        doc["params"]["0"] = text
-        return doc
-    path = _broken_witness(capsys, tmp_path, mutate)
-    code, out, err = run(capsys, "verify", "--witness", str(path))
-    assert code == 2 and out == "" and "decimal digits" in err
+    _verify_refuses_param(capsys, tmp_path, "skolem", text)
 
 
-@pytest.mark.parametrize("text", [" +0x0_1 ", "1", "0x", "0x_1", "0x\u0661"])
+@pytest.mark.parametrize("text", _BAD_PARAMS)
 def test_verify_refuses_a_boolean_param_of_other_characters(capsys, tmp_path, text):
-    def mutate(doc):
-        doc["params"]["0"] = text
-        return doc
-    path = _broken_witness(capsys, tmp_path, mutate, backend="boolean")
-    code, out, err = run(capsys, "verify", "--witness", str(path))
-    assert code == 2 and out == "" and "0x and hex digits" in err
+    _verify_refuses_param(capsys, tmp_path, "boolean", text)
 
 
 def test_verify_sizes_skolem_params_before_reading_them(capsys, tmp_path):
     def mutate(doc):
-        doc["params"]["0"] = "1" * (int(SKOLEM_BITS_CAP * 0.30103) + 2)
+        doc["params"]["0"] = "0x" + "1" * (SKOLEM_BITS_CAP // 4 + 2)
         return doc
     path = _broken_witness(capsys, tmp_path, mutate)
     code, out, err = run(capsys, "verify", "--witness", str(path))
     assert code == 3 and out == ""
-    assert "decimal digits, at least" in err and f"(cap {SKOLEM_BITS_CAP})" in err
+    assert "hex digits, at least" in err and f"(cap {SKOLEM_BITS_CAP})" in err
+
+
+def test_verify_refuses_a_version_one_file(capsys, tmp_path):
+    # version 1 wrote skolem params in decimal
+    def mutate(doc):
+        doc["version"] = 1
+        doc["params"] = {label: str(int(text, 16)) for label, text in doc["params"].items()}
+        return doc
+    path = _broken_witness(capsys, tmp_path, mutate)
+    code, out, err = run(capsys, "verify", "--witness", str(path))
+    assert (code, out, err) == (2, "", "error: unsupported witness file version 1\n")
+
+
+def _set(*path_and_value):
+    """A mutation that sets doc[path...] to the value."""
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        functools.reduce(operator.getitem, path, doc)[key] = value
+        return doc
+    return mutate
+
+
+# integer fields holding a float or a bool: some made verify pass without
+# checking anything, or print a traceback, before such fields were refused
+@pytest.mark.parametrize("mutate", [
+    _set("pattern", "k", 2.5), _set("pattern", "k", 3.0), _set("pattern", "k", 1e300),
+    _set("pattern", "k", True), _set("pattern", "depth", 3.0), _set("pattern", "branching", 2.0),
+    _set("version", float(VERSION)), _set("version", True),
+], ids=["k-2.5", "k-3.0", "k-1e300", "k-true", "depth-3.0", "branching-2.0", "version-float",
+        "version-true"])
+@pytest.mark.parametrize("exhaustive", [(), ("--exhaustive",)], ids=["pattern", "exhaustive"])
+def test_verify_refuses_a_non_integer_field(capsys, tmp_path, mutate, exhaustive):
+    path = synth(capsys, tmp_path, "w.json", "--pattern", "katp:3", "--depth", "3",
+                 "--backend", "skolem")
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    code, out, err = run(capsys, "verify", "--witness", str(path), *exhaustive)
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("make,mutate", [
+    (functools.partial(_broken_witness, backend="boolean"), _set("width", 5.0)),
+    (functools.partial(_broken_witness, backend="boolean"), _set("width", True)),
+    (_tuple_witness, _set("arity", 2.0)),
+    (_tuple_witness, _set("base", "width", 5.0)),
+    (_tuple_witness, _set("pattern", "depth", 2.0)),
+    (_tuple_witness, _set("base", "pattern", "depth", 3.0)),
+], ids=["width-5.0", "width-true", "arity-2.0", "base-width-5.0", "depth-2.0", "base-depth-3.0"])
+def test_verify_refuses_a_non_integer_boolean_or_tuple_field(capsys, tmp_path, make, mutate):
+    path = make(capsys, tmp_path, mutate)
+    code, out, err = run(capsys, "verify", "--witness", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_alpha_refuses_a_negative_n(capsys):
@@ -535,6 +595,23 @@ def test_pattern_arguments_and_a_capped_tp_verify_exit_cleanly(capsys, tmp_path)
     verified, _, refused, tree, array = (err for _, err in results.values())
     assert "C(400, 200)" in verified and "cap" in verified and "takes no k" in refused
     assert "atp takes no rows or cols" in tree and "tp2 takes no depth or branching" in array
+
+
+def test_a_param_of_about_the_cap_is_written_in_time(capsys, tmp_path):
+    # a skolem param of about SKOLEM_BITS_CAP bits is read, drawn and written
+    # again by export-dot and by transform fatten, in `sweep`
+    digits = SKOLEM_BITS_CAP // 4 - 16
+
+    def mutate(doc):
+        doc["params"]["0"] = "0x" + "f" * digits
+        return doc
+    path = _broken_witness(capsys, tmp_path, mutate)
+    out = tmp_path / "fat.json"
+    results = sweep([["export-dot", "--witness", str(path)],
+                     ["transform", "fatten", "--witness", str(path), "--m", "1",
+                      "--out", str(out)]])
+    assert unclean(results) == {} and [status for status, _ in results.values()] == [0, 0]
+    assert load(out).witness.base.params[(0,)] == 16 ** digits - 1
 
 
 def test_library_calls_past_the_family_cap_exit_cleanly():

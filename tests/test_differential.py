@@ -4,7 +4,8 @@ O(m^2) maximality filter, the reference subset scan against a direct
 enumeration of all 2^n subsets, the mask recursion for maximal k-chain-free
 sets against the frozenset recursions and the k-chain scan it replaced, the
 choice routine against the brute-force product and the SOP1, SOP2 and TP
-families it builds against the subset scan they replaced, each family
+families it builds against the subset scan they replaced, every family of
+forbidden pairs against Bron-Kerbosch up to depth 5 or 6, each family
 builder's own count against its masks and the closed forms, the
 canonical type forms and the grouped ss-ll check against byte-packed relation
 tables compared pair by pair, and the run-length type forms and the pruned
@@ -48,7 +49,8 @@ from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2, PatternSpec
 from treeprop.synth import _first_primes
 
 from references import (RecordingOracle, ReferenceConjunctionOracle,
-                        canonical_sets, chains, forbidden_free_table, has_chain,
+                        canonical_sets, chains, contains, forbidden_free_table,
+                        has_chain,
                         is_chain, listed,
                         max_chain_bounded_sets,
                         reference_antichain_stream, reference_choose,
@@ -59,6 +61,7 @@ from references import (RecordingOracle, ReferenceConjunctionOracle,
                         reference_find_iso_copy,
                         reference_fo_consistent, reference_free_sets,
                         reference_from_members, reference_maximal_antichains,
+                        reference_maximal_free,
                         reference_members, reference_qftype0,
                         reference_qftype0_form,
                         reference_required_consistent,
@@ -87,7 +90,7 @@ def test_column_family_matches_pairwise_reference():
         for r in range(len(labels) + 1):
             for subset in itertools.combinations(labels, r):
                 inside = bool(subset) and any(set(subset) <= m for m in expected)
-                assert family.contains(subset) == inside
+                assert contains(family, subset) == inside
         assert synth_boolean(family).params == reference_boolean_params(family)
 
 
@@ -103,7 +106,7 @@ def test_column_family_rejects_bad_members():
     for members in [[a, a], [ab, a], [a, ab], [frozenset()], [a, ab, ab, {"c"}, a]]:
         family = ConsistencyFamily.from_members(labels, members)
         assert family.maximal == reference_from_members(labels, members), members
-    assert not family.contains({"z"}) and not family.contains(())
+    assert not contains(family, {"z"}) and not contains(family, ())
 
 
 # the SOP1, SOP2 and TP families small enough for the subset scan; the last
@@ -588,6 +591,58 @@ def test_broken_tp_recursion_fails_the_gate(monkeypatch):
     assert all(sorted(exact_family(p).masks) == sorted(scanned_masks(p)) for p in bad)
 
 
+# --- every family against Bron-Kerbosch on its forbidden pairs ---
+
+# the patterns whose forbidden sets are all pairs, so that each exact family
+# is the maximal independent sets of a conflict graph; k-ATP with k >= 3
+# forbids k-chains and is left out
+CONFLICT_SPECS = (
+    [make_pattern(ATP, depth=d) for d in range(1, 7)]
+    + [make_pattern(SOP1, depth=d) for d in range(1, 6)]
+    + [make_pattern(SOP2, depth=d) for d in range(1, 7)]
+    + [make_pattern(TP2, rows=r, cols=c) for r in range(1, 5) for c in range(1, 6)]
+    + [make_pattern(TP, branching=3, depth=3, k=2)]
+)
+
+
+def conflict_free_mismatches(specs):
+    """The patterns whose exact family repeats a member or is not, as a set
+    of masks, every maximal set free of its forbidden pairs."""
+    out = []
+    for p in specs:
+        labels = p.index_labels()
+        index = {x: i for i, x in enumerate(labels)}
+        conflicts = [[index[x] for x in s] for s in reference_required_inconsistent(p)]
+        masks = exact_family(p).masks
+        if (len(set(masks)) != len(masks)
+                or set(masks) != set(reference_maximal_free(len(labels), conflicts))):
+            out.append(p)
+    return out
+
+
+def test_families_are_the_maximal_conflict_free_sets():
+    assert conflict_free_mismatches(CONFLICT_SPECS) == []
+
+
+def test_broken_builders_fail_the_conflict_free_gate(monkeypatch):
+    depth_five = [p for p in CONFLICT_SPECS if p.depth == 5]
+    breaks = [
+        # a `_choose` row one short at the top: members dropped
+        (antichains, "_choose", "min(pick, len(parts) - i) + 1", "min(pick, len(parts) - i)"),
+        # the choice parts without their rootless options: members dropped
+        (patterns, "maximal_choice_masks", "else rootless", "else []"),
+        # the choice parts with whole subtrees for rootless ones: members repeated
+        (patterns, "maximal_choice_masks", "else rootless", "else masks"),
+        # the chain-free sets without the root left out: members dropped
+        (patterns, "maximal_chain_free_masks",
+         "+ _choose([(1, without_root, []), (1 + s, without_root, [])], 2))", "+ [])"),
+    ]
+    for module, name, old, new in breaks:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, mutant(antichains, name, old, new))
+            assert conflict_free_mismatches(depth_five), (name, new)
+
+
 # --- exhaustive verification by semilattice meets ---
 
 @functools.lru_cache(maxsize=None)
@@ -828,7 +883,7 @@ def test_scanner_table_is_exact_family_membership():
         free = forbidden_free_table(labels, listed(p, required_inconsistent(p)))
         assert len(free) == 1 << len(labels)
         for mask in range(1, len(free)):
-            assert free[mask] == family.contains(mask_set(labels, mask)), (p, mask)
+            assert free[mask] == contains(family, mask_set(labels, mask)), (p, mask)
 
 
 # --- type forms against byte-packed relation tables ---

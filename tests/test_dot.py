@@ -13,7 +13,7 @@ def test_tree_dot_contains_nodes_and_red_edges():
     assert '"root"' in text and '"01"' in text
     assert '"root" -> "0" [color=red]' in text
     assert '"1" -> "10" [color=red]' in text
-    assert "77" in text  # parameters rendered in labels
+    assert "\\n0x4d" in text  # parameters rendered in labels, 77 in hex
 
 
 def test_tp2_dot_uses_row_clusters():

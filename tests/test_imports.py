@@ -106,3 +106,50 @@ def test_called_defaults_are_found(tmp_path):
                       "class C:\n    def h(self, *, x=[len(s) for s in ()]): pass\n"
                       "key = lambda x, y=sorted([]): x\n")
     assert called_defaults(module) == ["f", "h", "lambda at 6"]
+
+
+def _hex_spec(spec) -> bool:
+    """Whether a format spec node, a constant or an f-string spec, ends in the
+    hex type x or X."""
+    if isinstance(spec, ast.JoinedStr) and spec.values:
+        spec = spec.values[-1]
+    return (isinstance(spec, ast.Constant) and isinstance(spec.value, str)
+            and spec.value[-1:] in ("x", "X"))
+
+
+def hex_codecs(path):
+    """The lines that write or read hex: a call of hex(), an int() with base
+    16, a format() call or an f-string field whose spec ends in x or X."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FormattedValue) and _hex_spec(node.format_spec):
+            out.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            args = node.args[1:] + [k.value for k in node.keywords]
+            name = node.func.id
+            if (name == "hex"
+                    or name == "int" and any(isinstance(a, ast.Constant) and a.value == 16
+                                             for a in args)
+                    or name == "format" and any(_hex_spec(a) for a in args)):
+                out.append(node.lineno)
+    return sorted(set(out))
+
+
+def test_only_witnessio_writes_or_reads_hex():
+    # witness params are written and read in one place, in one encoding
+    assert hex_codecs(SOURCE / "witnessio.py")
+    assert {path.name: hex_codecs(path) for path in sorted(SOURCE.glob("*.py"))
+            if path.name != "witnessio.py" and hex_codecs(path)} == {}
+
+
+def test_hex_codecs_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("a = hex(5)\n"
+                      "b = int('ff', 16)\n"
+                      "c = int('ff', base=16)\n"
+                      "d = f'{a:08x}'\n"
+                      "e = f'{a:0{b}X}'\n"
+                      "f = format(a, 'x')\n"
+                      "g = int('10'), int('10', 2), f'{a:>8}', format(a, 'b'), f'{a!r}'\n")
+    assert hex_codecs(module) == [1, 2, 3, 4, 5, 6]

@@ -14,7 +14,16 @@ from treeprop.oracles import SKOLEM, Witness
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
 from treeprop.synth import synth_boolean, synth_skolem
 
-from references import is_chain, listed
+from references import contains, is_chain, listed
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, True, "2"])
+@pytest.mark.parametrize("kind,field", [(KATP, "branching"), (KATP, "depth"), (KATP, "k"),
+                                        (TP2, "rows"), (TP2, "cols")])
+def test_make_pattern_refuses_sizes_that_are_not_plain_ints(kind, field, value):
+    args = dict(depth=3, k=3) if kind == KATP else dict(rows=2, cols=2)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        make_pattern(kind, **{**args, field: value})
 
 
 def test_make_pattern_validation():
@@ -117,9 +126,9 @@ def test_exact_family_atp_matches_maximal_antichains():
     p = make_pattern(ATP, depth=3)
     family = exact_family(p)
     assert set(family.maximal) == set(maximal_antichains(3).items)
-    assert family.contains({(0,), (1, 0)})
-    assert not family.contains({(), (0,)})
-    assert not family.contains([])
+    assert contains(family, {(0,), (1, 0)})
+    assert not contains(family, {(), (0,)})
+    assert not contains(family, [])
 
 
 def test_exact_family_sop2_is_paths():

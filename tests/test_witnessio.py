@@ -1,7 +1,6 @@
 import copy
 import functools
 import json
-import math
 import os
 import random
 import subprocess
@@ -16,10 +15,10 @@ import treeprop
 from treeprop import (ResourceCapError, WitnessError, elongate, exact_family,
                       make_pattern, synth_boolean, synth_skolem, witnessio)
 from treeprop.dot import export_dot
-from treeprop.patterns import ATP, KATP, TP2
+from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
 from treeprop.synth import SKOLEM_BITS_CAP
-from treeprop.witnessio import (WitnessFile, _decimal_int, _decimal_str, dumps,
-                                label_str, load, loads, save)
+from treeprop.witnessio import (VERSION, WitnessFile, dumps, label_str, load, loads,
+                                param_str, save)
 
 
 def atp_file(depth, backend="skolem"):
@@ -35,6 +34,17 @@ def test_skolem_round_trip():
     assert again.pattern == wf.pattern
     assert again.witness.backend == "skolem"
     assert again.witness.params == wf.witness.params
+
+
+def test_params_are_written_in_hex():
+    # boolean params zero-padded to the 2 digits of width 5, skolem ones minimal
+    skolem, boolean = (_doc(atp_file(3, backend))["params"] for backend in ("skolem", "boolean"))
+    assert skolem == {"": "0x2", "0": "0xf", "1": "0x15", "00": "0x4d", "01": "0x4d",
+                      "10": "0x37", "11": "0x37"}
+    assert boolean == {"": "0x01", "0": "0x06", "1": "0x0a", "00": "0x18", "01": "0x18",
+                       "10": "0x14", "11": "0x14"}
+    assert [param_str(0b1001, width) for width in (0, 1, 4, 5, 8, 9, 13)] == \
+        ["0x9", "0x9", "0x9", "0x09", "0x09", "0x009", "0x0009"]
 
 
 def test_boolean_round_trip_uses_hex():
@@ -84,6 +94,17 @@ def test_version_check():
     doc["version"] = 99
     with pytest.raises(WitnessError):
         loads(json.dumps(doc))
+
+
+def test_benchmark_families_round_trip():
+    # the families of the build-deep benchmark, on both backends
+    for p in [make_pattern(KATP, depth=5, k=3), make_pattern(KATP, depth=5, k=4),
+              make_pattern(ATP, depth=5), make_pattern(SOP1, depth=4),
+              make_pattern(TP, branching=3, depth=3, k=2), make_pattern(SOP2, depth=5),
+              make_pattern(TP2, rows=4, cols=4)]:
+        family = exact_family(p)
+        for w in (synth_skolem(family), synth_boolean(family)):
+            assert loads(dumps(WitnessFile(p, w))).witness.params == w.params, (p, w.backend)
 
 
 def test_params_must_cover_index_set():
@@ -151,8 +172,8 @@ def test_unparsable_text_is_witness_error(text):
 def test_deeply_nested_tuple_witness_is_witness_error():
     """Nested deep enough to parse as JSON but not to be read back recursively."""
     depth = 500
-    head = ('{"version": 1, "backend": "tuple", "arity": 1, "provenance": {"": [""]}, '
-            '"pattern": {"kind": "atp", "depth": 1}, "base": ')
+    head = (f'{{"version": {VERSION}, "backend": "tuple", "arity": 1, '
+            '"provenance": {"": [""]}, "pattern": {"kind": "atp", "depth": 1}, "base": ')
     text = head * depth + dumps(atp_file(1)) + "}" * depth
     json.loads(text)
     with pytest.raises(WitnessError, match="RecursionError"):
@@ -238,23 +259,14 @@ def test_no_source_module_sets_the_int_digit_limit():
 
 
 @functools.cache
-def _decimal_cases():
-    """Values at the edges of the pieces and of their powers, and seeded
-    random values of up to 200k bits, each with its str() taken with the
-    digit limit lifted."""
-    values = [0, 1, 9, 10]
-    for k in (512, 1024, 2048, 4096):
-        values += [10 ** k - 1, 10 ** k, 10 ** k + 1]
-    values += [10 ** 9000 - 1, 10 ** 9000, 10 ** 4096 * (10 ** 4096 - 1)]
+def _hex_cases():
+    """Values at the edges of hex digits, and seeded random values of up to
+    200k bits, each nonzero, as a skolem param is."""
+    values = [1, 15, 16, 255, 256, 2 ** 64 - 1, 2 ** 64]
     rng = random.Random(1)
-    values += [rng.getrandbits(rng.randint(1, 200_000)) for _ in range(8)]
+    values += [rng.getrandbits(rng.randint(1, 200_000)) | 1 for _ in range(8)]
     values.append(rng.getrandbits(200_000) | 1 << 199_999)
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return [(value, str(value)) for value in values]
-    finally:
-        sys.set_int_max_str_digits(saved)
+    return values
 
 
 @pytest.fixture(params=[sys.int_info.default_max_str_digits,
@@ -267,11 +279,14 @@ def digit_limit(request):
     sys.set_int_max_str_digits(saved)
 
 
-def test_decimal_io_is_str_and_int(digit_limit):
-    for value, text in _decimal_cases():
-        assert _decimal_str(value) == text, value.bit_length()
-        assert _decimal_int(text) == value, len(text)
-        assert _decimal_int("000" + text) == value
+def test_param_io_is_hex_under_any_digit_limit(digit_limit):
+    doc = _doc(atp_file(1))
+    for value in _hex_cases():
+        text = param_str(value)
+        assert text == hex(value), value.bit_length()
+        for written in (text, "0x000" + text[2:], "0x" + text[2:].upper()):
+            doc["params"][""] = written
+            assert loads(json.dumps(doc)).witness.params[()] == value, len(text)
     assert sys.get_int_max_str_digits() == digit_limit
 
 
@@ -290,52 +305,57 @@ def test_tp2_6x5_skolem_round_trip():
     assert loads(dumps(wf)).witness.params == wf.witness.params
 
 
-@pytest.mark.parametrize("text", ["+15", " 15", "15 ", "1_5", "\u0661\u0665", "-15", "",
-                                  "0x15", "15.0", "1e3"])
+# what each backend's param must not be: a sign, whitespace, an underscore,
+# a non-ASCII digit, a bare number, an upper-case 0X, a lone 0x or not text
+_BAD_PARAMS = ["+15", " 15", "15 ", "1_5", "\u0661\u0665", "-15", "", "15.0", "1e3",
+               " +0x0_1 ", "1", "0x", "0x_1", "0x\u0661", "0X1", "-0x1", "0x1 ", 1,
+               "0x+15", "0x 15", "0x1_5", "0x\u0661\u0665", "0X15", "0x15.0", "0x-1", "0x0x1"]
+
+
+def _param_is_refused(backend, text):
+    doc = _doc(atp_file(2, backend))
+    doc["params"]["0"] = text
+    with pytest.raises(WitnessError, match=f"{backend} param .* is not 0x and hex digits"):
+        loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", _BAD_PARAMS)
 def test_skolem_param_must_be_ascii_digits(text):
-    doc = _doc(atp_file(2))
-    doc["params"]["0"] = text
-    with pytest.raises(WitnessError, match="decimal digits"):
-        loads(json.dumps(doc))
+    _param_is_refused("skolem", text)
 
 
-@pytest.mark.parametrize("text", [" +0x0_1 ", "1", "0x", "0x_1", "0x\u0661", "0X1",
-                                  "-0x1", "0x1 ", 1])
+@pytest.mark.parametrize("text", _BAD_PARAMS)
 def test_boolean_param_must_be_0x_and_ascii_hex_digits(text):
-    doc = _doc(atp_file(2, backend="boolean"))
-    doc["params"]["0"] = text
-    with pytest.raises(WitnessError, match="0x and hex digits"):
-        loads(json.dumps(doc))
+    _param_is_refused("boolean", text)
 
 
 def test_boolean_param_hex_digits_take_either_case():
-    doc = _doc(atp_file(4, backend="boolean"))  # 26 bits wide
-    values = []
-    for text in ("0xaB", "0xAb", "0x0ab"):
-        doc["params"]["0"] = text
-        values.append(loads(json.dumps(doc)).witness.params[(0,)])
-    assert values == [0xAB] * 3
+    for backend in ("skolem", "boolean"):
+        doc = _doc(atp_file(4, backend))  # 26 bits wide for boolean
+        values = []
+        for text in ("0xaB", "0xAb", "0x0ab"):
+            doc["params"]["0"] = text
+            values.append(loads(json.dumps(doc)).witness.params[(0,)])
+        assert values == [0xAB] * 3, backend
 
 
-def _cap_digits():
-    """The fewest digits of one param that pass what SKOLEM_BITS_CAP allows:
-    one more than the floor(CAP log10(2)) + 1 digits of 2^CAP - 1."""
-    return int(SKOLEM_BITS_CAP * math.log10(2)) + 2
+# the most hex digits that one param can have under SKOLEM_BITS_CAP: d digits
+# mean at least 4(d - 1) bits
+_CAP_DIGITS = SKOLEM_BITS_CAP // 4 + 1
 
 
 def test_skolem_params_are_sized_before_any_is_read(monkeypatch):
     def no_read(text):
         raise AssertionError("a param was read before the size check")
-    monkeypatch.setattr(witnessio, "_decimal_int", no_read)
+    monkeypatch.setattr(witnessio, "_read_param", no_read)
     doc = _doc(atp_file(1))
-    doc["params"][""] = "1" * _cap_digits()
-    with pytest.raises(ResourceCapError, match=rf"at least \d+ bits \(cap {SKOLEM_BITS_CAP}\)"):
+    doc["params"][""] = "0x" + "1" * (_CAP_DIGITS + 1)
+    size = rf"{_CAP_DIGITS + 1} hex digits, at least {SKOLEM_BITS_CAP + 4} bits"
+    with pytest.raises(ResourceCapError, match=rf"{size} \(cap {SKOLEM_BITS_CAP}\)"):
         loads(json.dumps(doc))
 
 
-def test_the_most_digits_the_cap_allows_pass_the_size_check(monkeypatch):
-    # a param of as many digits as 2^CAP - 1 has is read
-    monkeypatch.setattr(witnessio, "_decimal_int", len)
+def test_the_most_digits_the_cap_allows_pass_the_size_check():
     doc = _doc(atp_file(1))
-    doc["params"][""] = "9" * (_cap_digits() - 1)
-    assert loads(json.dumps(doc)).witness.params[()] == _cap_digits() - 1
+    doc["params"][""] = "0x" + "f" * _CAP_DIGITS
+    assert loads(json.dumps(doc)).witness.params[()] == 16 ** _CAP_DIGITS - 1
