@@ -8,12 +8,14 @@ enumeration, fattening and elongation, and the collapse-skeleton embedding.
 
 The package is lazy. Importing it puts every submodule but `cli` in
 `sys.modules` and binds it here through `importlib.util.LazyLoader`, but runs
-none of them: a submodule runs when one of its attributes is first read. The
-exported names are served by the module `__getattr__` (PEP 562) from the
-module that defines them, and cached here once read. So a process, a CLI command
-above all, runs only the modules it uses: `import treeprop.cli` takes about
-13 ms where it took 61 ms with every module run and compiled from source, and
-7 ms where it took 43 ms with the bytecode cached (README, "Import cost").
+none of them: a submodule runs when one of its attributes is first read. So
+a process, a CLI command above all, runs only the modules it uses:
+`import treeprop.cli` takes about 13 ms where it took 61 ms with every module
+run and compiled from source, and 7 ms where it took 43 ms with the bytecode
+cached (README, "Import cost"). The exported names are served by the module
+`__getattr__` (PEP 562), which reads each one from its defining module on
+every access and keeps none here: a name patched there is patched here too,
+and no longer than there.
 A module imports another at top level only if all of its callers need it;
 otherwise it binds the lazy module (`from . import qftypes`) or imports
 inside the one function that needs it.
@@ -33,12 +35,11 @@ _EXPORTS = {
                    "enumerate_antichains", "find_iso_copy", "maximal_antichains",
                    "universal_prefix"),
     "dot": (),
-    "errors": ("FormulaError", "MalformedNodeError", "ResourceCapError",
-               "TreepropError", "WitnessError"),
+    "errors": ("FormulaError", "ResourceCapError", "TreepropError", "WitnessError"),
     "formulas": ("FiniteStructure", "divisor_structure", "eval_formula",
                  "parse_formula"),
     "nodes": ("Node", "TreeDomain", "closure", "concat_set", "is_antichain", "meet",
-              "node_str", "parse_node"),
+              "node_str"),
     "oracles": ("BitsetOracle", "ConjunctionOracle", "FoOracle", "GcdOracle",
                 "TupleWitness", "Witness", "oracle_for"),
     "patterns": ("ConsistencyFamily", "PatternSpec", "VerificationReport",
@@ -73,8 +74,7 @@ del _module
 def __getattr__(name: str):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(globals()[_HOME[name]], name)
-    return value
+    return getattr(globals()[_HOME[name]], name)
 
 
 def __dir__():

@@ -18,8 +18,10 @@ from .errors import ResourceCapError, TreepropError
 def _parse_pattern_arg(text: str, branching: int, depth: int, rows: int, cols: int):
     from .patterns import make_pattern
 
-    kind, _, karg = text.partition(":")
-    k = int(karg) if karg else None
+    kind, colon, karg = text.partition(":")
+    if colon and (not karg or karg.strip("0123456789")):
+        raise ValueError(f"the k of pattern {text!r:.40} is not ASCII digits")
+    k = int(karg) if colon else None
     return make_pattern(kind, branching=branching, depth=depth, k=k, rows=rows, cols=cols)
 
 

@@ -16,10 +16,6 @@ class TreepropError(Exception):
     pass
 
 
-class MalformedNodeError(TreepropError, ValueError):
-    """Node text does not parse under the declared branching."""
-
-
 class FormulaError(TreepropError, ValueError):
     """Formula text or a structure document fails to parse, or evaluation
     hits an unbound name."""

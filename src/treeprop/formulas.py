@@ -98,7 +98,7 @@ class Quantifier(Formula):
 
 # --- Parser ---
 
-_TOKEN = re.compile(r"\s*(->|!=|[()=.,&|!]|[A-Za-z_][A-Za-z_0-9]*|\d+)")
+_TOKEN = re.compile(r"\s*(->|!=|[()=.,&|!]|[A-Za-z_][A-Za-z_0-9]*|[0-9]+)")
 
 
 class _Parser:
@@ -109,6 +109,7 @@ class _Parser:
         while pos < len(text) and not text[pos:].isspace():
             m = _TOKEN.match(text, pos)
             if not m:
+                pos += len(text[pos:]) - len(text[pos:].lstrip())
                 raise FormulaError(f"unexpected character {text[pos]!r}", pos)
             self.tokens.append((m.group(1), m.start(1)))
             pos = m.end()
@@ -186,7 +187,7 @@ class _Parser:
 
     def term(self) -> Term:
         tok, pos = self.next()
-        if tok.isdigit():
+        if "0" <= tok[0] <= "9":
             try:
                 return Literal(int(tok))
             except ValueError:  # past the int-to-str digit limit

@@ -14,31 +14,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Tuple
 
-from .errors import MalformedNodeError, ResourceCapError
+from .errors import ResourceCapError
 
 Node = Tuple[int, ...]
 
 ROOT: Node = ()
-
-
-def parse_node(text: str, branching: int) -> Node:
-    """Parse a node string: "" is the root, digits for branching <= 10,
-    dot-separated digits for larger branchings."""
-    if text == "":
-        return ROOT
-    if branching > 10 or "." in text:
-        parts = text.split(".")
-    else:
-        parts = list(text)
-    digits = []
-    for part in parts:
-        if not part.isdigit():
-            raise MalformedNodeError(f"bad digit {part!r} in node {text!r}")
-        d = int(part)
-        if d >= branching:
-            raise MalformedNodeError(f"digit {d} out of range for branching {branching}")
-        digits.append(d)
-    return tuple(digits)
 
 
 def node_str(node: Node, branching: int = 2) -> str:

@@ -13,8 +13,15 @@ Layout (JSON, UTF-8, sorted keys):
       "base": { ... nested witness ... }
     }
 
-Tree indices key by node string ("" is the root, dot-separated digits above
-branching 10); array indices key by "row,col".
+Each index keys its entry by the one text `label_str` writes for it: a tree
+node by its node string ("" is the root, plain digits up to branching 10,
+dot-separated digits without leading zeros above it), an array cell by
+"row,col" in ASCII decimal. The reader parses no key. It checks that there
+are as many entries as labels and fetches each label's entry by its text,
+so a file with a key of any other text (a non-ASCII or out-of-range digit,
+a leading zero, a sign, a space) lacks some label's key and is refused. A
+tuple witness's provenance sources are looked up the same way among its
+base witness's labels.
 
 Every param, skolem or boolean, is written as `0x` and lowercase hex
 digits: a boolean param zero-padded to the digits of its width, a skolem
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import WitnessError
-from .nodes import node_str, parse_node
+from .nodes import node_str
 from .oracles import BOOLEAN, SKOLEM, TupleWitness, Witness
 from .patterns import TP2, PatternSpec
 from .synth import check_skolem_bits
@@ -50,13 +57,12 @@ def label_str(pattern: PatternSpec, label) -> str:
     return node_str(label, pattern.branching)
 
 
-def _label_parser(pattern: PatternSpec):
-    if pattern.kind == TP2:
-        def parse(text: str):
-            row, col = text.split(",")
-            return (int(row), int(col))
-        return parse
-    return lambda text: parse_node(text, pattern.branching)
+def _fetch(table: dict, keys, name: str) -> list:
+    """The entry of each key in `table`; a key it lacks raises WitnessError."""
+    try:
+        return [table[key] for key in keys]
+    except KeyError as exc:
+        raise WitnessError(f"no key {exc.args[0]!r:.40} in the {name}") from None
 
 
 def param_str(value: int, width=None) -> str:
@@ -156,28 +162,23 @@ class WitnessFile:
     @classmethod
     def _parse(cls, data: dict) -> "WitnessFile":
         pattern = PatternSpec.from_json(data["pattern"])
-        parse_label = _label_parser(pattern)
         backend = data["backend"]
         entries = data["provenance"] if backend == "tuple" else data["params"]
         if not _index_count_is(pattern, len(entries)):
             raise WitnessError("witness params do not cover the pattern's index set")
         labels = pattern.index_labels()
+        values = _fetch(entries, (label_str(pattern, label) for label in labels), "witness")
         if backend == "tuple":
             base_file = cls.from_json(data["base"])
-            parse_source = _label_parser(base_file.pattern)
-            provenance = {
-                parse_label(key): tuple(parse_source(s) for s in sources)
-                for key, sources in entries.items()
-            }
+            source = {label_str(base_file.pattern, s): s for s in base_file.witness.labels}
+            provenance = {label: tuple(_fetch(source, keys, "base witness"))
+                          for label, keys in zip(labels, values)}
             witness = TupleWitness(base_file.witness, labels, provenance,
                                    _plain_int(data["arity"], "arity"))
             return cls(pattern, witness, base_pattern=base_file.pattern)
         if backend not in (SKOLEM, BOOLEAN):
             raise WitnessError(f"unknown witness backend {backend!r:.40}")
-        values = _params(backend, list(entries.values()))
-        params = dict(zip(map(parse_label, entries), values))
-        if set(params) != set(labels):
-            raise WitnessError("witness params do not cover the pattern's index set")
+        params = dict(zip(labels, _params(backend, values)))
         width = data.get("width")
         witness = Witness(backend, labels, params,
                           width=None if width is None else _plain_int(width, "width"))

@@ -572,8 +572,8 @@ def test_every_transform_and_a_capped_verify_exit_cleanly(capsys, tmp_path):
 
 def test_pattern_arguments_and_a_capped_tp_verify_exit_cleanly(capsys, tmp_path):
     # the kind is read in any case, tp2 takes no k, depth or b and the tree
-    # kinds no rows or cols; a TP witness whose pattern asks for C(400, 200)
-    # sibling sets is refused, in `sweep`
+    # kinds no rows or cols, and a k is ASCII digits; a TP witness whose
+    # pattern asks for C(400, 200) sibling sets is refused, in `sweep`
     src = synth(capsys, tmp_path, "tp.json", "--pattern", "tp:2", "--b", "400", "--depth", "2",
                 "--backend", "boolean")
     doc = json.loads(src.read_text())
@@ -589,12 +589,16 @@ def test_pattern_arguments_and_a_capped_tp_verify_exit_cleanly(capsys, tmp_path)
               "--backend", "skolem", "--out", out],
              ["synth", "--pattern", "tp2", "--rows", "2", "--cols", "2", "--depth", "9", "--b", "7",
               "--backend", "skolem", "--out", out]]
+    lax_ks = ["katp:+3", "katp: 3", "katp:\u0663", "katp:3_0", "katp:3 ", "katp:", "atp:"]
+    argvs += [["synth", "--pattern", text, "--depth", "3", "--backend", "skolem", "--out", out]
+              for text in lax_ks]
     results = sweep(argvs)
     assert unclean(results) == {}
-    assert [status for status, _ in results.values()] == [3, 0, 2, 2, 2]
-    verified, _, refused, tree, array = (err for _, err in results.values())
+    assert [status for status, _ in results.values()] == [3, 0, 2, 2, 2] + [2] * len(lax_ks)
+    verified, _, refused, tree, array, *lax = (err for _, err in results.values())
     assert "C(400, 200)" in verified and "cap" in verified and "takes no k" in refused
     assert "atp takes no rows or cols" in tree and "tp2 takes no depth or branching" in array
+    assert all("is not ASCII digits" in err and err.count("\n") == 1 for err in lax), lax
 
 
 def test_a_param_of_about_the_cap_is_written_in_time(capsys, tmp_path):

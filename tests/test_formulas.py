@@ -46,6 +46,12 @@ def test_parse_errors_carry_positions():
         parse_formula("x = 1 )")
     with pytest.raises(FormulaError):
         parse_formula("x = 1 $")
+    # an integer is ASCII digits: other digits are refused where they stand
+    for text, position in [("x = \u0663", 4), ("divides(x, \u0661\u0660)", 11),
+                           ("x = 1\u0660", 5), ("x = 1 $", 6)]:
+        with pytest.raises(FormulaError) as err:
+            parse_formula(text)
+        assert err.value.position == position, text
 
 
 def test_divisor_structure():

@@ -153,3 +153,31 @@ def test_hex_codecs_are_found(tmp_path):
                       "f = format(a, 'x')\n"
                       "g = int('10'), int('10', 2), f'{a:>8}', format(a, 'b'), f'{a!r}'\n")
     assert hex_codecs(module) == [1, 2, 3, 4, 5, 6]
+
+
+def lax_digit_tests(path):
+    """The lines that read a str method isdigit, isdecimal or isnumeric, or
+    hold a string constant with the regex class \\d: each takes any Unicode
+    digit, where treeprop reads only ASCII ones."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in ("isdigit", "isdecimal", "isnumeric")
+                   or isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and "\\d" in node.value})
+
+
+def test_no_module_tests_for_digits_that_are_not_ascii():
+    assert {path.name: lax_digit_tests(path) for path in sorted(SOURCE.glob("*.py"))
+            if lax_digit_tests(path)} == {}
+
+
+def test_lax_digit_tests_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("a = '12'.isdigit()\n"
+                      "b = str.isdecimal('1')\n"
+                      "c = filter(str.isnumeric, a)\n"
+                      "d = re.compile(r'[a-z]\\d+')\n"
+                      "e = f'{a}\\\\d'\n"
+                      "f = '[0-9]+', r'\\D', '\\\\', 'd', a.isalpha(), a.isascii()\n")
+    assert lax_digit_tests(module) == [1, 2, 3, 4, 5]

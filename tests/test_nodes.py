@@ -5,8 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import treeprop.nodes
-from treeprop import (MalformedNodeError, ResourceCapError, TreeDomain, closure,
-                      concat_set, is_antichain, meet, node_str, parse_node)
+from treeprop import (ResourceCapError, TreeDomain, closure, concat_set, is_antichain,
+                      meet, node_str)
 from treeprop.nodes import incomparable, is_prefix, sorted_nodes
 
 from references import domain_contains, is_chain
@@ -15,21 +15,12 @@ nodes = st.lists(st.integers(0, 2), max_size=6).map(tuple)
 binary_nodes = st.lists(st.integers(0, 1), max_size=6).map(tuple)
 
 
-def test_parse_round_trip_small_branching():
-    for text in ["", "0", "1", "010", "1101"]:
-        assert node_str(parse_node(text, 2), 2) == text
-
-
-def test_parse_round_trip_large_branching():
-    assert parse_node("10.3.0", 12) == (10, 3, 0)
+def test_node_str_writes_digits_or_dotted_digits():
+    for node, text in [((), ""), ((0,), "0"), ((1,), "1"), ((0, 1, 0), "010"),
+                       ((1, 1, 0, 1), "1101")]:
+        assert node_str(node, 2) == text
     assert node_str((10, 3, 0), 12) == "10.3.0"
-
-
-def test_parse_rejects_out_of_range_digit():
-    with pytest.raises(MalformedNodeError):
-        parse_node("2", 2)
-    with pytest.raises(MalformedNodeError):
-        parse_node("0.x", 12)
+    assert node_str((9, 0), 10) == "90" and node_str((9, 0), 11) == "9.0"
 
 
 def test_meet_examples():

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeprop
-from treeprop import (ResourceCapError, WitnessError, elongate, exact_family,
+from treeprop import (ResourceCapError, WitnessError, elongate, exact_family, fatten,
                       make_pattern, synth_boolean, synth_skolem, witnessio)
+from treeprop.cli import main
 from treeprop.dot import export_dot
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
 from treeprop.synth import SKOLEM_BITS_CAP
@@ -105,6 +106,65 @@ def test_benchmark_families_round_trip():
         family = exact_family(p)
         for w in (synth_skolem(family), synth_boolean(family)):
             assert loads(dumps(WitnessFile(p, w))).witness.params == w.params, (p, w.backend)
+
+
+@functools.cache
+def _canonical_doc(name):
+    """A witness document as treeprop writes it, of a binary tree (boolean
+    ATP d3), of branching 12 (TP b12 d3 with k 13: one member over 157
+    labels), of an array (boolean TP2 2x2) or of a tuple witness (a
+    fattening of boolean ATP d3 by 1)."""
+    if name == "fattened":
+        base_pattern = make_pattern(ATP, depth=3)
+        tw = fatten(synth_boolean(exact_family(base_pattern)), 1)
+        return _doc(WitnessFile(make_pattern(ATP, depth=2), tw, base_pattern=base_pattern))
+    p = {"binary": make_pattern(ATP, depth=3),
+         "branching-12": make_pattern(TP, branching=12, depth=3, k=13),
+         "tp2": make_pattern(TP2, rows=2, cols=2)}[name]
+    return _doc(WitnessFile(p, synth_boolean(exact_family(p))))
+
+
+def test_branching_12_keys_round_trip():
+    doc = _canonical_doc("branching-12")
+    assert len(doc["params"]) == 157
+    assert {"", "0", "9", "11", "1.0", "10.3", "11.11"} <= set(doc["params"])
+    wf = loads(json.dumps(doc))
+    assert wf.witness.labels == wf.pattern.index_labels()
+    assert wf.witness.params[(10, 3)] == int(doc["params"]["10.3"], 16)
+    assert _doc(wf) == doc
+
+
+# keys that treeprop does not write, each put in place of the key it stands
+# for: (document, where, the key, its new text), where a "source" is one in
+# the provenance of the tuple witness's index "0"
+_NONCANONICAL_KEYS = [
+    ("binary", "params", "01", "0.1"), ("binary", "params", "1", "\u0661"),
+    ("binary", "params", "01", "01 "), ("binary", "params", "1", "2"),
+    ("branching-12", "params", "1.0", "01.0"), ("branching-12", "params", "1.0", "1.00"),
+    ("branching-12", "params", "1", "01"), ("branching-12", "params", "0.1", "0.x"),
+    ("tp2", "params", "0,1", "+0, \u0661"), ("tp2", "params", "0,1", " 0,1"),
+    ("tp2", "params", "0,1", "0,01"), ("tp2", "params", "0,1", "00,1"),
+    ("fattened", "provenance", "1", "\u0661"), ("fattened", "source", "00", "0.0"),
+]
+
+
+@pytest.mark.parametrize("name,where,key,text", _NONCANONICAL_KEYS,
+                         ids=[f"{name}-{where}:{text}"
+                              for name, where, _, text in _NONCANONICAL_KEYS])
+def test_a_key_treeprop_does_not_write_is_refused(capsys, tmp_path, name, where, key, text):
+    doc = copy.deepcopy(_canonical_doc(name))
+    if where == "source":
+        sources = doc["provenance"]["0"]
+        sources[sources.index(key)] = text
+    else:
+        doc[where][text] = doc[where].pop(key)
+    with pytest.raises(WitnessError, match="no key"):
+        loads(json.dumps(doc))
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--witness", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: no key") and err.count("\n") == 1
 
 
 def test_params_must_cover_index_set():
