@@ -15,6 +15,21 @@ import sys
 from .errors import ResourceCapError, TreepropError
 
 
+def _integer(text: str) -> int:
+    """An integer option's value: ASCII digits, after a minus sign that the
+    command's own range check then refuses. Any other text raises
+    TreepropError, which argparse does not catch, so it exits 2 with one
+    line."""
+    digits = text[1:] if text.startswith("-") else text
+    if not digits or digits.strip("0123456789"):
+        raise TreepropError(f"integer argument {text!r:.40} is not ASCII digits")
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise TreepropError(f"integer argument of {len(digits)} digits is past "
+                            "the interpreter's digit limit") from None
+
+
 def _parse_pattern_arg(text: str, branching: int, depth: int, rows: int, cols: int):
     from .patterns import make_pattern
 
@@ -228,12 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("alpha", help="print the maximal-antichain counts")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.set_defaults(func=_cmd_alpha)
 
     p = sub.add_parser("enum-antichains", help="enumerate (maximal) antichains")
-    p.add_argument("--b", type=int, default=2)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--b", type=_integer, default=2)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--maximal", action="store_true")
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=_cmd_enum)
@@ -241,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize an exact witness")
     p.add_argument("--pattern", required=True,
                    help="atp | katp:K | sop1 | sop2 | tp:K | tp2")
-    p.add_argument("--depth", type=int, default=0)
-    p.add_argument("--b", type=int, default=2)
-    p.add_argument("--rows", type=int, default=0)
-    p.add_argument("--cols", type=int, default=0)
+    p.add_argument("--depth", type=_integer, default=0)
+    p.add_argument("--b", type=_integer, default=2)
+    p.add_argument("--rows", type=_integer, default=0)
+    p.add_argument("--cols", type=_integer, default=0)
     p.add_argument("--backend", choices=["skolem", "boolean"], required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
@@ -258,15 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=["fatten", "elongate", "reduce"])
     p.add_argument("--witness", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
+    p.add_argument("--k", type=_integer)
+    p.add_argument("--m", type=_integer)
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("check-lemma", help="run a finite lemma check")
     p.add_argument("lemma", choices=["ss-ll"])
-    p.add_argument("--b", type=int, default=2)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--len", type=int, required=True)
+    p.add_argument("--b", type=_integer, default=2)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--len", type=_integer, required=True)
     p.set_defaults(func=_cmd_check_lemma)
 
     p = sub.add_parser("export-dot", help="emit Graphviz DOT for a witness")
@@ -283,9 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ResourceCapError as exc:
         sys.stderr.write(f"error: {exc}\n")

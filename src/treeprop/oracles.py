@@ -20,7 +20,8 @@ and calls `holds` once. `oracle_for` picks a witness's default oracle,
 tuple witnesses included.
 
 `semilattice(oracle)` hands out the four parts, and exhaustive `verify`
-joins meets of subsets from them. An oracle with only `consistent()` (no
+joins meets of subsets from them and groups subsets by their meets, so meet
+values must be hashable (every built-in one is an int or a tuple). An oracle with only `consistent()` (no
 `holds`) still works: it gets the label-tuple lattice (top `()`, meet tuple
 concatenation, element `(label,)`, holds `consistent()` itself), so it is
 asked once per subset, about the subset's labels in label order.
@@ -119,7 +120,9 @@ def _single(label) -> tuple:
 
 def semilattice(oracle):
     """The oracle's (top, meet, element, holds), or for an oracle with only
-    consistent() the label-tuple lattice, whose holds is consistent()."""
+    consistent() the label-tuple lattice, whose holds is consistent(). Meet
+    values must be hashable: exhaustive `verify` groups subsets by them. The
+    built-in ones are ints or tuples."""
     if hasattr(oracle, "holds"):
         return oracle.top, oracle.meet, oracle.element, oracle.holds
     return (), tuple.__add__, _single, oracle.consistent

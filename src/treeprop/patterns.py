@@ -273,6 +273,16 @@ def _meet_table(top, meet, elements) -> List:
     return table
 
 
+def _classes(members, values) -> Dict:
+    """{(member, value): [first index, count]} over two tables of one half:
+    the classes of indices with equal membership and meet, in order of first
+    index."""
+    classes = {}
+    for i, pair in enumerate(zip(members, values)):
+        classes.setdefault(pair, [i, 0])[1] += 1
+    return classes
+
+
 def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False) -> VerificationReport:
     """Check the witness against the pattern through the oracle. Pattern mode
     streams the required families, asks the oracle about each mask's labels in
@@ -284,10 +294,16 @@ def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False) -> Verific
 
     Each side is read from two tables of 2^(n/2) entries, over the low and the
     high half of the labels: membership from the ANDs of the `exact_family(p)`
-    columns, nonzero for a member, and verdicts from the oracle's meets
-    (`oracles.semilattice`), one holds(meet(low, high)) per mask. An oracle
-    with only consistent() gets tables of label tuples, so it is asked once
-    per mask about the subset's labels in label order."""
+    columns, nonzero for a member, and the oracle's meets
+    (`oracles.semilattice`). A mask's verdict depends only on its halves'
+    (membership, meet) pairs, so each half's indices are grouped into classes
+    of equal pairs, and each pair of a high and a low class is judged once,
+    by one holds(meet(low, high)), for all the masks it holds. High classes
+    outside and low classes inside, each in order of first index, meet the
+    first failing mask first, and the report counts the masks up to it. An
+    oracle with only consistent() gets tables of distinct label tuples, so
+    every class is one index and it is still asked once per mask, in mask
+    order, about the subset's labels in label order."""
     if exhaustive:
         _check_subset_cap(p.index_count())
     labels = p.index_labels()
@@ -310,15 +326,21 @@ def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False) -> Verific
     low, high = _meet_table(top, meet, elements[:half]), _meet_table(top, meet, elements[half:])
     in_low = _meet_table(-1, operator.and_, [columns[x] for x in labels[:half]])
     in_high = _meet_table(-1, operator.and_, [columns[x] for x in labels[half:]])
-    low_bits = (1 << half) - 1
     n_cons = 0
-    for mask in range(1, 1 << len(labels)):
-        expected = in_low[mask & low_bits] & in_high[mask >> half] != 0
-        actual = holds(meet(low[mask & low_bits], high[mask >> half]))
-        n_cons += expected
-        if expected != actual:
-            want = "consistent" if expected else "inconsistent"
-            got = "consistent" if actual else "inconsistent"
-            return VerificationReport(False, n_cons, mask - n_cons, True,
-                                      (mask_set(labels, mask), want, got))
+    low_classes = _classes(in_low, low).items()
+    for (in_h, high_value), (h0, count_h) in _classes(in_high, high).items():
+        for (in_l, low_value), (l0, count_l) in low_classes:
+            if h0 == l0 == 0:  # the empty set: membership -1, so a class of its own
+                continue
+            expected = in_l & in_h != 0
+            n_cons += expected * count_l * count_h
+            if expected != holds(meet(low_value, high_value)):
+                mask = h0 << half | l0  # the first failing mask; recount up to it
+                low_bits = (1 << half) - 1
+                n_cons = sum(in_low[m & low_bits] & in_high[m >> half] != 0
+                             for m in range(1, mask + 1))
+                want = "consistent" if expected else "inconsistent"
+                got = "inconsistent" if expected else "consistent"
+                return VerificationReport(False, n_cons, mask - n_cons, True,
+                                          (mask_set(labels, mask), want, got))
     return VerificationReport(True, n_cons, (1 << len(labels)) - 1 - n_cons, True)

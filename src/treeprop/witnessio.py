@@ -20,8 +20,9 @@ dot-separated digits without leading zeros above it), an array cell by
 are as many entries as labels and fetches each label's entry by its text,
 so a file with a key of any other text (a non-ASCII or out-of-range digit,
 a leading zero, a sign, a space) lacks some label's key and is refused. A
-tuple witness's provenance sources are looked up the same way among its
-base witness's labels.
+tuple witness's provenance entry for an index must be a list of key
+strings, and its sources are looked up the same way among its base
+witness's labels.
 
 Every param, skolem or boolean, is written as `0x` and lowercase hex
 digits: a boolean param zero-padded to the digits of its width, a skolem
@@ -170,6 +171,9 @@ class WitnessFile:
         values = _fetch(entries, (label_str(pattern, label) for label in labels), "witness")
         if backend == "tuple":
             base_file = cls.from_json(data["base"])
+            for keys in values:
+                if type(keys) is not list or any(type(key) is not str for key in keys):
+                    raise WitnessError(f"provenance entry {keys!r:.40} is not a list of keys")
             source = {label_str(base_file.pattern, s): s for s in base_file.witness.labels}
             provenance = {label: tuple(_fetch(source, keys, "base witness"))
                           for label, keys in zip(labels, values)}

@@ -336,6 +336,13 @@ def _int_param(doc):
     return doc
 
 
+def _string_provenance(doc):
+    # the root's source keys joined into one string, which a reader that
+    # iterates the entry takes one character per key
+    doc["provenance"][""] = "".join(doc["provenance"][""])
+    return doc
+
+
 @pytest.mark.parametrize("make,mutate", [
     (_broken_witness, _without("pattern")),
     (_broken_witness, _without("backend")),
@@ -346,6 +353,7 @@ def _int_param(doc):
     (_broken_witness, _pattern_without_kind),
     (_broken_witness, lambda doc: [doc]),
     (_broken_witness, _int_param),
+    (_tuple_witness, _string_provenance),
 ])
 def test_verify_malformed_witness_exits_2(capsys, tmp_path, make, mutate):
     path = make(capsys, tmp_path, mutate)
@@ -551,6 +559,18 @@ def test_every_integer_argument_exits_cleanly(capsys, tmp_path):
               else word.format(value) for word in template.split()]
              for template in SWEEP_TEMPLATES for value in SWEEP_VALUES]
     assert unclean(sweep(argvs)) == {}
+
+
+def test_every_integer_argument_is_ascii_digits(capsys):
+    # argparse exits before any work, so these run in-process; W and OUT are
+    # never opened
+    lax = ["٣", "-٣", " +0_3", "+3", "3 ", "3_0", "0x3", ""]
+    for template in SWEEP_TEMPLATES:
+        for value in lax + ["1" * 5000]:
+            code, out, err = run(capsys, *[word.format(value) for word in template.split()])
+            assert code == 2 and out == "" and err.startswith("error: "), (template, value)
+            assert err.count("\n") == 1 and len(err) < 300, (template, value)
+            assert ("is not ASCII digits" in err) == (value in lax), (template, value)
 
 
 def test_every_transform_and_a_capped_verify_exit_cleanly(capsys, tmp_path):

@@ -19,6 +19,7 @@ deliberately broken copies that the comparison must catch."""
 import functools
 import inspect
 import itertools
+import operator
 import random
 import textwrap
 import tracemalloc
@@ -686,6 +687,52 @@ def test_broken_meet_tables_fail_the_gate(monkeypatch):
     # the high membership table split off one label before the low one ends
     early_membership = mutant(patterns, "verify", "labels[half:]", "labels[half - 1:]")
     assert first_meet_mismatch(early_membership) is not None
+    # classes keyed on the meet alone: an index joins the first class of its
+    # meet, whatever its membership
+    meet_alone = mutant(patterns, "_classes", "classes.setdefault(pair, [i, 0])",
+                        "classes.setdefault(next((key for key in classes if key[1] == pair[1]),"
+                        " pair), [i, 0])")
+    with monkeypatch.context() as patch:
+        patch.setattr(patterns, "_classes", meet_alone)
+        assert first_meet_mismatch(verify) is not None
+    # a class pair counted as many masks as its low class has indices
+    one_side = mutant(patterns, "verify", "expected * count_l * count_h", "expected * count_l")
+    assert first_meet_mismatch(one_side) is not None
+    # the empty-set skip widened to every mask with an empty high half
+    first_row = mutant(patterns, "verify", "if h0 == l0 == 0:", "if h0 == 0:")
+    assert first_meet_mismatch(first_row) is not None
+
+
+@pytest.mark.parametrize("synth, oracle_class", [(synth_skolem, GcdOracle),
+                                                 (synth_boolean, BitsetOracle)])
+def test_exhaustive_verify_judges_each_class_pair_once(synth, oracle_class):
+    """Exhaustive ATP d4 calls holds at most once per pair of a low and a high
+    class of equal (membership, meet), not once per each of the 32,767 masks."""
+    p = make_pattern(ATP, depth=4)
+    family = exact_family(p)
+    witness = synth(family)
+    labels, half = p.index_labels(), p.index_count() // 2
+
+    class Counting(oracle_class):
+        calls = 0
+
+        def holds(self, value):
+            self.calls += 1
+            return super().holds(value)
+
+    oracle = Counting(witness)
+    top, meet, element, _ = semilattice(oracle)
+    classes = []
+    for part in (labels[:half], labels[half:]):
+        values = patterns._meet_table(top, meet, [element(x) for x in part])
+        members = patterns._meet_table(-1, operator.and_, [family.columns[x] for x in part])
+        classes.append(len(set(zip(members, values))))
+    assert verify(oracle, witness, p).passed
+    pattern_calls, oracle.calls = oracle.calls, 0
+    report = verify(oracle, witness, p, exhaustive=True)
+    assert (report.passed, report.consistent_checked, report.inconsistent_checked) == \
+        (True, 676, 32091)
+    assert oracle.calls - pattern_calls <= classes[0] * classes[1] < 300
 
 
 def _folded(oracle, labels):

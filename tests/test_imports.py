@@ -181,3 +181,29 @@ def test_lax_digit_tests_are_found(tmp_path):
                       "e = f'{a}\\\\d'\n"
                       "f = '[0-9]+', r'\\D', '\\\\', 'd', a.isalpha(), a.isascii()\n")
     assert lax_digit_tests(module) == [1, 2, 3, 4, 5]
+
+
+def int_typed_arguments(path):
+    """The lines of add_argument calls that pass type=int, which takes
+    non-ASCII digits, signs, spaces and underscores."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) == "add_argument"
+                  and any(k.arg == "type" and isinstance(k.value, ast.Name) and k.value.id == "int"
+                          for k in node.keywords))
+
+
+def test_no_cli_option_is_read_by_int():
+    assert "add_argument(" in (SOURCE / "cli.py").read_text(encoding="utf-8")
+    assert int_typed_arguments(SOURCE / "cli.py") == []
+
+
+def test_int_typed_arguments_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("p.add_argument('--n', type=int)\n"
+                      "p.add_argument('--m', default=2, type=int, required=True)\n"
+                      "add_argument('--k', type=int)\n"
+                      "p.add_argument('--j', type=_integer), p.add_argument('--s', type=str)\n"
+                      "q = int('3'), dict(type=int), p.add_argument('--i', int)\n")
+    assert int_typed_arguments(module) == [1, 2, 3]

@@ -167,6 +167,24 @@ def test_a_key_treeprop_does_not_write_is_refused(capsys, tmp_path, name, where,
     assert out == "" and err.startswith("error: no key") and err.count("\n") == 1
 
 
+# provenance entries that are not a list of key strings, in place of the
+# root's ["0", "1"]: the keys joined into one string, a list in an object,
+# an object keyed by them, and a key that is a number
+@pytest.mark.parametrize("entry", ["01", {"0": 0, "1": 1}, [["0", "1"]], ["0", 1]],
+                         ids=["string", "object", "nested", "number"])
+def test_a_provenance_entry_that_is_not_a_list_of_keys_is_refused(capsys, tmp_path, entry):
+    doc = copy.deepcopy(_canonical_doc("fattened"))
+    assert doc["provenance"][""] == ["0", "1"]
+    doc["provenance"][""] = entry
+    with pytest.raises(WitnessError, match="is not a list of keys"):
+        loads(json.dumps(doc))
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--witness", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: provenance entry") and err.count("\n") == 1
+
+
 def test_params_must_cover_index_set():
     doc = json.loads(dumps(atp_file(2)))
     del doc["params"]["0"]
