@@ -234,8 +234,17 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subcommand parsers, whose
+    refusals raise TreepropError: `main` writes them as one `error:` line and
+    exits 2, with no usage text."""
+
+    def error(self, message):
+        raise TreepropError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treeprop",
         description="Finite-scale lab for tree properties: witness synthesis, "
                     "verification, antichain combinatorics.",

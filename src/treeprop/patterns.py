@@ -5,7 +5,11 @@ witness must make consistent and sets it must make inconsistent. The exact
 consistency family of a pattern is the subset closure of its maximal
 forbidden-configuration-free sets; exhaustive verification checks the oracle
 verdict against family membership on every nonempty index subset, reading
-membership from the exact family's columns.
+membership from the exact family's columns. Every required consistent set is
+a member and no required inconsistent set is one, so exhaustive verification
+decides by class-pair tables of the two and streams the required sets only
+to name a failure, except for an oracle without meets (the label-tuple
+lattice of `oracles.semilattice`), which is streamed first as in pattern mode.
 
 The required sets are lazy streams of int masks over the canonical label
 order, from one chain and antichain walk (`antichains.subtree_walk`) over
@@ -23,6 +27,7 @@ read the columns. Members given from outside come in through the checked
 
 from __future__ import annotations
 
+import collections
 import itertools
 import operator
 from dataclasses import dataclass
@@ -283,43 +288,29 @@ def _classes(members, values) -> Dict:
     return classes
 
 
-def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False) -> VerificationReport:
-    """Check the witness against the pattern through the oracle. Pattern mode
-    streams the required families, asks the oracle about each mask's labels in
-    label order, and builds a frozenset only for a counterexample, so it holds
-    one set at a time. Exhaustive mode additionally compares the oracle
-    verdict with exact-family membership on every nonempty subset, in
-    increasing mask order; 2^n subsets are checked against DEFAULT_SUBSET_CAP
-    before any other work.
+def _members_up_to(in_low, in_high, h0: int, l0: int) -> int:
+    """How many nonempty masks up to h0 << half | l0 are exact-family
+    members, read from the two membership tables: the rows below h0 by
+    classes of equal membership on both sides, then row h0 up to l0."""
+    rows = collections.Counter(in_high[:h0])
+    count = sum(n_l * n_h for m_l, n_l in collections.Counter(in_low).items()
+                for m_h, n_h in rows.items() if m_l & m_h)
+    count += sum(m & in_high[h0] != 0 for m in in_low[:l0 + 1])
+    return count - 1  # the empty set, whose membership -1 meets every row
 
-    Each side is read from two tables of 2^(n/2) entries, over the low and the
-    high half of the labels: membership from the ANDs of the `exact_family(p)`
-    columns, nonzero for a member, and the oracle's meets
-    (`oracles.semilattice`). A mask's verdict depends only on its halves'
-    (membership, meet) pairs, so each half's indices are grouped into classes
-    of equal pairs, and each pair of a high and a low class is judged once,
-    by one holds(meet(low, high)), for all the masks it holds. High classes
-    outside and low classes inside, each in order of first index, meet the
-    first failing mask first, and the report counts the masks up to it. An
-    oracle with only consistent() gets tables of distinct label tuples, so
-    every class is one index and it is still asked once per mask, in mask
-    order, about the subset's labels in label order."""
-    if exhaustive:
-        _check_subset_cap(p.index_count())
-    labels = p.index_labels()
-    if set(witness.labels) != set(labels):
-        raise ValueError("witness index set does not match the pattern")
-    checked = [0, 0]  # consistent, inconsistent
-    for want, masks in ((True, required_consistent(p)), (False, required_inconsistent(p))):
-        for mask in masks:
-            checked[not want] += 1
-            if bool(oracle.consistent(mask_labels(labels, mask))) != want:
-                names = ("inconsistent", "consistent")
-                return VerificationReport(False, *checked, exhaustive,
-                                          (mask_set(labels, mask), names[want], names[not want]))
-    if not exhaustive:
-        return VerificationReport(True, *checked, False)
-    top, meet, element, holds = semilattice(oracle)
+
+def _class_pairs(lattice, labels, p: PatternSpec) -> VerificationReport:
+    """The exhaustive verdict on every nonempty subset, from two tables of
+    2^(n/2) entries over the low and the high half of the labels: membership
+    from the ANDs of the `exact_family(p)` columns, nonzero for a member, and
+    the meets of the oracle's lattice (`oracles.semilattice`). A mask's
+    verdict depends only on its halves' (membership, meet) pairs, so each
+    half's indices are grouped into classes of equal pairs, and each pair of
+    a high and a low class is judged once, by one holds(meet(low, high)), for
+    all the masks it holds. High classes outside and low classes inside, each
+    in order of first index, meet the first failing mask first, and the
+    report counts the masks up to it."""
+    top, meet, element, holds = lattice
     elements = [element(x) for x in labels]
     columns = exact_family(p).columns
     half = len(labels) // 2
@@ -335,12 +326,67 @@ def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False) -> Verific
             expected = in_l & in_h != 0
             n_cons += expected * count_l * count_h
             if expected != holds(meet(low_value, high_value)):
-                mask = h0 << half | l0  # the first failing mask; recount up to it
-                low_bits = (1 << half) - 1
-                n_cons = sum(in_low[m & low_bits] & in_high[m >> half] != 0
-                             for m in range(1, mask + 1))
+                mask = h0 << half | l0  # the first failing mask
+                n_cons = _members_up_to(in_low, in_high, h0, l0)
                 want = "consistent" if expected else "inconsistent"
                 got = "inconsistent" if expected else "consistent"
                 return VerificationReport(False, n_cons, mask - n_cons, True,
                                           (mask_set(labels, mask), want, got))
     return VerificationReport(True, n_cons, (1 << len(labels)) - 1 - n_cons, True)
+
+
+def _stream(oracle, labels, p: PatternSpec, exhaustive: bool) -> VerificationReport:
+    """The required families through oracle.consistent(), each mask's labels
+    in label order: the first failure, or a pass with the counts checked."""
+    checked = [0, 0]  # consistent, inconsistent
+    for want, masks in ((True, required_consistent(p)), (False, required_inconsistent(p))):
+        for mask in masks:
+            checked[not want] += 1
+            if bool(oracle.consistent(mask_labels(labels, mask))) != want:
+                names = ("inconsistent", "consistent")
+                return VerificationReport(False, *checked, exhaustive,
+                                          (mask_set(labels, mask), names[want], names[not want]))
+    return VerificationReport(True, *checked, exhaustive)
+
+
+def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False) -> VerificationReport:
+    """Check the witness against the pattern through the oracle. Pattern mode
+    streams the required families, asks the oracle about each mask's labels in
+    label order, and builds a frozenset only for a counterexample, so it holds
+    one set at a time. Exhaustive mode compares the oracle verdict with
+    exact-family membership on every nonempty subset, in increasing mask
+    order, by the class-pair tables of `_class_pairs`; 2^n subsets are checked
+    against DEFAULT_SUBSET_CAP before any other work.
+
+    Every required consistent set is an exact-family member and no required
+    inconsistent set is one, so a clean table pass implies a clean stream,
+    and exhaustive mode streams the required families only when the tables
+    fail or raise: a failure in the stream is then the report, as it always
+    came first, and otherwise the tables' failure or exception stands. An
+    oracle with only consistent() (or a conjunction over one) gets the
+    label-tuple lattice, whose tables hold distinct label tuples, so every
+    class is one index: it is streamed first and then asked once per mask,
+    in mask order, about the subset's labels in label order."""
+    if exhaustive:
+        _check_subset_cap(p.index_count())
+    labels = p.index_labels()
+    if set(witness.labels) != set(labels):
+        raise ValueError("witness index set does not match the pattern")
+    if not exhaustive:
+        return _stream(oracle, labels, p, False)
+    lattice = semilattice(oracle)
+    if lattice[1] is tuple.__add__:  # label tuples: one ask per subset, stream first
+        streamed = _stream(oracle, labels, p, True)
+        return _class_pairs(lattice, labels, p) if streamed.passed else streamed
+    try:
+        tables = _class_pairs(lattice, labels, p)
+    except Exception as exc:  # raised below unless the stream fails first
+        tables = exc
+    if isinstance(tables, VerificationReport) and tables.passed:
+        return tables
+    streamed = _stream(oracle, labels, p, True)
+    if not streamed.passed:
+        return streamed
+    if isinstance(tables, Exception):
+        raise tables
+    return tables

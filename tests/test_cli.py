@@ -449,6 +449,24 @@ def test_verify_refuses_a_non_integer_boolean_or_tuple_field(capsys, tmp_path, m
     assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("synth --pattern atp --depth --3 --backend skolem --out w.json",
+     "argument --depth: expected one argument"),
+    ("synth --pattern atp --depth 3 --out w.json",
+     "the following arguments are required: --backend"),
+    ("synth --pattern atp --depth 3 --backend gcd --out w.json",
+     "argument --backend: invalid choice: 'gcd'"),
+    ("alpha --n 3 --bogus", "unrecognized arguments: --bogus"),
+    ("", "the following arguments are required: command"),
+], ids=["option-as-value", "missing-option", "bad-choice", "unknown-argument", "no-command"])
+def test_argparse_refusals_are_one_line(capsys, argv, message):
+    # argparse wrote its usage text before its error line; nothing is read
+    # or written, since the arguments are refused first
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == "" and err.startswith(f"error: {message}")
+    assert err.count("\n") == 1, err
+
+
 def test_alpha_refuses_a_negative_n(capsys):
     code, out, err = run(capsys, "alpha", "--n", "-1")
     assert code == 2 and out == "" and err == "error: n must be >= 0\n"

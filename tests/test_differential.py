@@ -13,8 +13,9 @@ iso-copy search against the quadratic prefix matrix and the combination
 scan, the subtree walk over chains and antichains against brute force and
 the scan and sorts it replaced, every pattern's required sets against the
 sorted references, and exhaustive verification by the oracles'
-semilattice meets against one consistent() call per subset, with
-deliberately broken copies that the comparison must catch."""
+semilattice meets, which streams the required sets only to name a failure,
+against one consistent() call per subset, with deliberately broken copies
+that the comparison must catch."""
 
 import functools
 import inspect
@@ -681,12 +682,16 @@ def test_broken_meet_tables_fail_the_gate(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(patterns, "_meet_table", skips_last)
         assert first_meet_mismatch(verify) is not None
+
+    def broken_pairs(old, new):
+        """The first mismatch of verify over a copy of `_class_pairs` with one change."""
+        with monkeypatch.context() as patch:
+            patch.setattr(patterns, "_class_pairs", mutant(patterns, "_class_pairs", old, new))
+            return first_meet_mismatch(verify)
     # the high table split off one label before the low table ends
-    wrong_split = mutant(patterns, "verify", "elements[half:]", "elements[half - 1:]")
-    assert first_meet_mismatch(wrong_split) is not None
+    assert broken_pairs("elements[half:]", "elements[half - 1:]") is not None
     # the high membership table split off one label before the low one ends
-    early_membership = mutant(patterns, "verify", "labels[half:]", "labels[half - 1:]")
-    assert first_meet_mismatch(early_membership) is not None
+    assert broken_pairs("labels[half:]", "labels[half - 1:]") is not None
     # classes keyed on the meet alone: an index joins the first class of its
     # meet, whatever its membership
     meet_alone = mutant(patterns, "_classes", "classes.setdefault(pair, [i, 0])",
@@ -696,29 +701,80 @@ def test_broken_meet_tables_fail_the_gate(monkeypatch):
         patch.setattr(patterns, "_classes", meet_alone)
         assert first_meet_mismatch(verify) is not None
     # a class pair counted as many masks as its low class has indices
-    one_side = mutant(patterns, "verify", "expected * count_l * count_h", "expected * count_l")
-    assert first_meet_mismatch(one_side) is not None
+    assert broken_pairs("expected * count_l * count_h", "expected * count_l") is not None
     # the empty-set skip widened to every mask with an empty high half
-    first_row = mutant(patterns, "verify", "if h0 == l0 == 0:", "if h0 == 0:")
-    assert first_meet_mismatch(first_row) is not None
+    assert broken_pairs("if h0 == l0 == 0:", "if h0 == 0:") is not None
+
+
+def test_broken_recount_fails_the_gate(monkeypatch):
+    # the membership recount of a table failure taking one row more or fewer
+    # below the failing row
+    for new in ("in_high[:h0 + 1]", "in_high[:h0 - 1]"):
+        with monkeypatch.context() as patch:
+            patch.setattr(patterns, "_members_up_to",
+                          mutant(patterns, "_members_up_to", "in_high[:h0]", new))
+            assert first_meet_mismatch(verify) is not None, new
+
+
+def test_broken_verify_orders_fail_the_gate():
+    # a table failure returned without the stream, which names the first
+    # failing required set
+    unstreamed = mutant(patterns, "verify",
+                        "if isinstance(tables, VerificationReport) and tables.passed:",
+                        "if isinstance(tables, VerificationReport):")
+    assert first_meet_mismatch(unstreamed) is not None
+    # the table pass skipped, so the stream decides alone: it passes broken
+    # witnesses that fail only outside the required sets
+    stream_only = mutant(patterns, "verify", "tables = _class_pairs(lattice, labels, p)",
+                         "tables = _stream(oracle, labels, p, True)")
+    assert first_meet_mismatch(stream_only) is not None
+    assert any(stream_only(oracle_for(w), w, p, exhaustive=True).passed
+               for p, w, report in meet_cases() if not report.passed)
+
+
+# the patterns of the verify-exact benchmark workload, all also in VERIFY_SPECS
+VERIFY_EXACT_SPECS = (
+    make_pattern(ATP, depth=4), make_pattern(KATP, depth=4, k=3), make_pattern(SOP1, depth=4),
+    make_pattern(SOP2, depth=4), make_pattern(TP, branching=3, depth=3, k=2),
+    make_pattern(TP2, rows=3, cols=4), make_pattern(ATP, depth=3),
+)
+
+
+def test_required_sets_split_by_family_membership():
+    """Every required consistent set is an exact-family member and no required
+    inconsistent set is one, read from the family's columns: so a witness that
+    passes the class-pair tables passes the stream of required sets too."""
+    assert set(VERIFY_EXACT_SPECS) <= set(VERIFY_SPECS)
+    for p in VERIFY_SPECS:
+        family, labels = exact_family(p), p.index_labels()
+
+        def member(mask):
+            return patterns._containing(family.columns, mask_labels(labels, mask)) != 0
+        assert all(member(m) for m in required_consistent(p)), p
+        assert not any(member(m) for m in required_inconsistent(p)), p
 
 
 @pytest.mark.parametrize("synth, oracle_class", [(synth_skolem, GcdOracle),
                                                  (synth_boolean, BitsetOracle)])
 def test_exhaustive_verify_judges_each_class_pair_once(synth, oracle_class):
-    """Exhaustive ATP d4 calls holds at most once per pair of a low and a high
-    class of equal (membership, meet), not once per each of the 32,767 masks."""
+    """A passing exhaustive ATP d4 run asks consistent() nothing, and calls
+    holds at most once per pair of a low and a high class of equal
+    (membership, meet), not once per each of the 32,767 masks."""
     p = make_pattern(ATP, depth=4)
     family = exact_family(p)
     witness = synth(family)
     labels, half = p.index_labels(), p.index_count() // 2
 
     class Counting(oracle_class):
-        calls = 0
+        calls = asked = 0
 
         def holds(self, value):
             self.calls += 1
             return super().holds(value)
+
+        def consistent(self, labels):
+            self.asked += 1
+            return super().consistent(labels)
 
     oracle = Counting(witness)
     top, meet, element, _ = semilattice(oracle)
@@ -727,12 +783,10 @@ def test_exhaustive_verify_judges_each_class_pair_once(synth, oracle_class):
         values = patterns._meet_table(top, meet, [element(x) for x in part])
         members = patterns._meet_table(-1, operator.and_, [family.columns[x] for x in part])
         classes.append(len(set(zip(members, values))))
-    assert verify(oracle, witness, p).passed
-    pattern_calls, oracle.calls = oracle.calls, 0
     report = verify(oracle, witness, p, exhaustive=True)
     assert (report.passed, report.consistent_checked, report.inconsistent_checked) == \
         (True, 676, 32091)
-    assert oracle.calls - pattern_calls <= classes[0] * classes[1] < 300
+    assert oracle.asked == 0 and oracle.calls <= classes[0] * classes[1] < 300
 
 
 def _folded(oracle, labels):
@@ -1222,3 +1276,20 @@ def test_fo_exhaustive_verify_reads_every_mask():
     assert verify(oracle, witness, p).passed
     with pytest.raises(FormulaError):
         verify(oracle, witness, p, exhaustive=True)
+
+
+def test_fo_exhaustive_verify_names_a_stream_failure_before_a_table_error():
+    """The tables raise where phi raises, at the root's parameter 6, but the
+    required inconsistent pair of the root and its child is consistent (x = 2
+    divides both parameters), and the stream names it as the reference does."""
+    structure = divisor_structure(6)
+    formula = parse_formula("x != 1 & divides(x, y) & (x != 3 | bogus(x))")
+    p = make_pattern(ATP, depth=2)
+    params = dict(zip(p.index_labels(), [(6,), (2,), (2,)]))
+    witness = Witness(STRUCTURE, tuple(params), params)
+    oracle = FoOracle(structure, formula, witness)
+    with pytest.raises(FormulaError):
+        patterns._class_pairs(semilattice(oracle), p.index_labels(), p)
+    report = verify(oracle, witness, p, exhaustive=True)
+    assert report == reference_verify(FoOracle(structure, formula, witness), witness, p)
+    assert report.counterexample == (frozenset({(), (0,)}), "inconsistent", "consistent")
