@@ -52,10 +52,18 @@ def concat_set(eta: Node, nodes: Iterable[Node]) -> frozenset:
 
 
 def closure(nodes: Tuple[Node, ...]) -> Tuple[Node, ...]:
-    """The (k+1)^2-tuple of pairwise meets in row-major order, duplicates kept."""
+    """The (k+1)^2-tuple of pairwise meets in row-major order, duplicates kept.
+    The meet of a node with itself is the node, and meet(a, b) = meet(b, a),
+    so each unordered pair's meet is taken once and written to both entries."""
     if not nodes:
         raise ValueError("closure of empty tuple")
-    return tuple(meet(a, b) for a in nodes for b in nodes)
+    k = len(nodes)
+    meets = [None] * (k * k)
+    for i, a in enumerate(nodes):
+        meets[i * k + i] = a
+        for j in range(i + 1, k):
+            meets[i * k + j] = meets[j * k + i] = meet(a, nodes[j])
+    return tuple(meets)
 
 
 def is_antichain(nodes: Iterable[Node]) -> bool:

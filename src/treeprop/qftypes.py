@@ -87,7 +87,11 @@ def delta_type(nodes: Tuple[Node, ...]) -> tuple:
     t = tuple(nodes)
     if not t:
         raise ValueError("delta type of empty tuple")
-    meets = closure(t)
+    return _delta_form(t, closure(t))
+
+
+def _delta_form(t: Tuple[Node, ...], meets: Tuple[Node, ...]) -> tuple:
+    """The delta type of t from its closure tuple `meets`."""
     values = list(dict.fromkeys(meets))
     index = {v: i for i, v in enumerate(values)}
     ordered = sorted(values)
@@ -99,6 +103,12 @@ def delta_type(nodes: Tuple[Node, ...]) -> tuple:
         rows[index[ordered[k]]] = bits[k + run] ^ bits[k]
     lex_ranks, _ = _order_type(t)
     return tuple(map(index.__getitem__, meets)), tuple(rows), lex_ranks
+
+
+def _forms(t: Tuple[Node, ...]) -> tuple:
+    """(delta_type(t), qftype0(t)), both read from one closure tuple."""
+    meets = closure(t)
+    return _delta_form(t, meets), _order_type(meets)
 
 
 def sim0(t1, t2) -> bool:
@@ -158,7 +168,7 @@ def verify_ss_ll(branching: int, leaf_depth: int, tuple_len: int) -> SsLlReport:
                                    SS_LL_PAIR_CAP)
     closure_of, delta_of = {}, {}
     for t in itertools.permutations(domain.level(leaf_depth), tuple_len):
-        d, c = delta_type(t), qftype0(t)
+        d, c = _forms(t)
         c_first, t1 = closure_of.setdefault(d, (c, t))
         d_first, t2 = delta_of.setdefault(c, (d, t))
         if c_first != c or d_first != d:

@@ -30,7 +30,8 @@ param with the fewest digits. Hex converts in linear time and is outside
 the interpreter's int<->str digit limit, so a skolem param of millions of
 bits (a product of one prime per maximal member) needs no change to that
 limit. A param is read only as `0x` and one or more ASCII hex digits of
-either case, and a skolem document whose params hold more digits than
+either case, checked in one pass over its bytes once the text is known to be
+ASCII, and a skolem document whose params hold more digits than
 `synth.SKOLEM_BITS_CAP` bits allow is refused before any is read. Files of
 version 1, which wrote skolem params in decimal, are refused.
 """
@@ -49,7 +50,7 @@ from .synth import check_skolem_bits
 
 VERSION = 2
 
-_HEX_DIGITS = "0123456789abcdefABCDEF"
+_HEX_BYTES = b"0123456789abcdefABCDEF"
 
 
 def label_str(pattern: PatternSpec, label) -> str:
@@ -74,11 +75,13 @@ def param_str(value: int, width=None) -> str:
 
 def _params(backend: str, texts) -> list:
     """Params read from their texts, each `0x` and one or more ASCII hex
-    digits. Skolem params are sized before any is read: d digits mean at
-    least 4(d - 1) bits."""
+    digits: ASCII text of which no byte after `0x` is left once the hex
+    digits are deleted. ASCII is checked first, since a lone surrogate (which
+    JSON can carry) does not encode. Skolem params are sized before any is
+    read: d digits mean at least 4(d - 1) bits."""
     for text in texts:
         if not (isinstance(text, str) and text[:2] == "0x" and len(text) > 2
-                and not text[2:].strip(_HEX_DIGITS)):
+                and text.isascii() and not text[2:].encode().translate(None, _HEX_BYTES)):
             raise WitnessError(f"{backend} param {text!r:.40} is not 0x and hex digits")
     if backend == SKOLEM:
         digits = sum(len(text) - 2 for text in texts)

@@ -387,6 +387,20 @@ def test_verify_refuses_a_boolean_param_of_other_characters(capsys, tmp_path, te
     _verify_refuses_param(capsys, tmp_path, "boolean", text)
 
 
+@pytest.mark.parametrize("backend", ["skolem", "boolean"])
+def test_verify_refuses_a_lone_surrogate_param(capsys, tmp_path, backend):
+    # the file holds the escape "\ud800", which JSON reads as a lone
+    # surrogate: text that does not encode as UTF-8
+    def mutate(doc):
+        doc["params"]["0"] = "0x\ud800"
+        return doc
+    path = _broken_witness(capsys, tmp_path, mutate, backend=backend)
+    assert '"0x\\ud800"' in path.read_text()
+    code, out, err = run(capsys, "verify", "--witness", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {backend} param") and err.count("\n") == 1
+
+
 def test_verify_sizes_skolem_params_before_reading_them(capsys, tmp_path):
     def mutate(doc):
         doc["params"]["0"] = "0x" + "1" * (SKOLEM_BITS_CAP // 4 + 2)

@@ -68,7 +68,8 @@ from references import (RecordingOracle, ReferenceConjunctionOracle,
                         reference_qftype0_form,
                         reference_required_consistent,
                         reference_required_inconsistent,
-                        reference_scan_masks, reference_ss_ll,
+                        reference_scan_masks, reference_skolem_params,
+                        reference_ss_ll,
                         reference_verify, required_sets, source_union)
 
 def random_families(count, seed=20240817):
@@ -380,6 +381,59 @@ def test_skolem_bits_bound_holds_on_benchmark_families():
         bound = synth._skolem_bits_bound(family)
         bits = sum(v.bit_length() for v in synth_skolem(family).params.values())
         assert bits <= bound <= synth.SKOLEM_BITS_CAP, p
+
+
+def _column_product_calls(monkeypatch, family):
+    """The skolem params of the family, and the columns that synth_skolem
+    asks `_column_product` for, leaving out its recursion into halves."""
+    from treeprop import synth
+
+    product, calls, depth = synth._column_product, [], [0]
+
+    def counted(ps, column, flags, offset=0):
+        if not depth[0]:
+            calls.append(column)
+        depth[0] += 1
+        try:
+            return product(ps, column, flags, offset)
+        finally:
+            depth[0] -= 1
+    with monkeypatch.context() as patch:
+        patch.setattr(synth, "_column_product", counted)
+        return synth.synth_skolem(family).params, calls
+
+
+def test_skolem_takes_one_product_per_distinct_column(monkeypatch):
+    # at depth 5 the two sibling leaves under each of the 8 nodes of depth 3
+    # share their column: 23 distinct columns among 31 labels
+    for p in [make_pattern(KATP, depth=5, k=3), make_pattern(KATP, depth=5, k=4),
+              make_pattern(ATP, depth=5)]:
+        _, calls = _column_product_calls(monkeypatch, exact_family(p))
+        assert len(calls) == len(set(calls)) == 23, p
+    for p in BENCH_SPECS:
+        family = exact_family(p)
+        params, calls = _column_product_calls(monkeypatch, family)
+        assert sorted(calls) == sorted(set(family.columns.values())), p
+        assert params == reference_skolem_params(family), p
+
+
+def skolem_mismatches(synth_skolem):
+    """The BENCH_SPECS patterns whose skolem params differ from the running
+    product."""
+    families = [(p, exact_family(p)) for p in BENCH_SPECS]
+    return [p for p, family in families
+            if synth_skolem(family).params != reference_skolem_params(family)]
+
+
+def test_broken_product_sharing_fails_the_gate():
+    from treeprop import synth
+
+    assert skolem_mismatches(synth_skolem) == []
+    # each label given the product of the first column of its popcount
+    broken = mutant(synth, "synth_skolem", "products[column] for label",
+                    "next(v for c, v in products.items() if c.bit_count() == column.bit_count())"
+                    " for label")
+    assert skolem_mismatches(broken)
 
 
 def test_atp_depth_six_boolean_witness_sets_member_bits():
@@ -1036,6 +1090,12 @@ def test_forms_match_bytes_on_random_tuples(t1, data):
     assert qftypes.sim0_atomic(t1, t2) == (reference_atomic(t1) == reference_atomic(t2))
 
 
+def test_ss_ll_reads_both_forms_from_one_closure():
+    for case in SS_LL_CASES:
+        for t in _leaf_tuples(*case):
+            assert qftypes._forms(t) == (qftypes.delta_type(t), qftypes.qftype0(t)), t
+
+
 def test_grouped_ss_ll_matches_pairwise():
     for case in SS_LL_CASES + [(3, 2, 2)]:
         report = qftypes.verify_ss_ll(*case)
@@ -1064,8 +1124,8 @@ def test_broken_forms_give_real_counterexamples(monkeypatch):
         (delta_type, lambda t: (qftype0(t), t[-1])),
     ]
     for delta, closure_type in breaks:
-        monkeypatch.setattr(qftypes, "delta_type", delta)
-        monkeypatch.setattr(qftypes, "qftype0", closure_type)
+        # verify_ss_ll reads both forms of a tuple from one closure, in _forms
+        monkeypatch.setattr(qftypes, "_forms", lambda t: (delta(t), closure_type(t)))
         for case in [(2, 2, 2), (2, 3, 3)]:
             report = qftypes.verify_ss_ll(*case)
             _assert_real_counterexample(report, delta, closure_type, case)
@@ -1171,7 +1231,7 @@ def test_broken_run_length_forms_fail_the_gate(monkeypatch):
         # the runs still open at the end stopping one value short
         ("_prefix_runs", "runs[i] = len(values) - i\n", "runs[i] = len(values) - i - 1\n"),
         # delta rows left in sorted order instead of moved to the meet classes
-        ("delta_type", "= bits[k + run] ^ bits[k]", "= ((1 << run) - 1) << k"),
+        ("_delta_form", "= bits[k + run] ^ bits[k]", "= ((1 << run) - 1) << k"),
     ]
     for name, old, new in breaks:
         with monkeypatch.context() as patch:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -83,6 +84,18 @@ def test_closure_is_meet_closed(ts):
 def test_closure_row_major_order():
     t = ((0,), (1,))
     assert closure(t) == ((0,), (), (), (1,))
+
+
+def test_closure_is_the_full_meet_table_on_random_tuples():
+    # repeated nodes, nodes that are prefixes of others, and the root: the
+    # table takes each unordered pair's meet once and writes it twice
+    rng = random.Random(22)
+    for _ in range(3000):
+        pool = [tuple(rng.randrange(3) for _ in range(rng.randrange(6)))
+                for _ in range(rng.randint(1, 4))]
+        pool += [x[:rng.randint(0, len(x))] for x in pool] + [()]
+        t = tuple(rng.choice(pool) for _ in range(rng.randint(1, 7)))
+        assert closure(t) == tuple(meet(a, b) for a in t for b in t), t
 
 
 def test_closure_empty_rejected():

@@ -417,6 +417,28 @@ def test_boolean_param_hex_digits_take_either_case():
         assert values == [0xAB] * 3, backend
 
 
+# every code point below U+3000, the fullwidth digits and letters a-f, and
+# lone surrogates, which JSON can carry but UTF-8 cannot encode
+_PARAM_CHARS = [chr(c) for c in [*range(0x3000), *range(0xFF10, 0xFF1A),
+                                 *range(0xFF21, 0xFF27), *range(0xFF41, 0xFF47),
+                                 0xD800, 0xDBFF, 0xDC00, 0xDFFF]]
+
+
+def test_param_check_accepts_exactly_the_ascii_hex_digits():
+    for backend in ("skolem", "boolean"):
+        for place in ("0x{}", "0x{}1", "0x1{}"):
+            accepted = set()
+            for c in _PARAM_CHARS:
+                text = place.format(c)
+                try:
+                    values = witnessio._params(backend, [text])
+                except WitnessError:
+                    continue
+                assert values == [int(text, 16)], text
+                accepted.add(c)
+            assert accepted == set("0123456789abcdefABCDEF"), (backend, place)
+
+
 # the most hex digits that one param can have under SKOLEM_BITS_CAP: d digits
 # mean at least 4(d - 1) bits
 _CAP_DIGITS = SKOLEM_BITS_CAP // 4 + 1
