@@ -5,9 +5,9 @@ tuples group by type in a dict. `_order_type(points)` is the form of the
 prefix and lex relations among a tuple's positions: each position's rank
 among the distinct values, and the prefix matrix over the distinct values in
 sorted order. Equal forms mean equal (prefix, lex) tables over positions.
-In sorted order the values extending a value are the run right after it, so
-each matrix row is one run of bits, and one forward walk (`_prefix_runs`)
-finds every run without comparing each pair of values.
+Each form comes from one sort of the positions and hashes no node: in
+sorted order equal values are adjacent and the values extending a value are
+the run right after it, so one forward walk finds every row's run of bits.
 
 Two tuples are strongly isomorphic (sim0) when the order types of their
 meet-closure tuples coincide; the closure tuple is meet-closed, so every
@@ -16,10 +16,10 @@ the order type of the entries alone.
 
 The four-place relation over an antichain holds of (a, b, c, d) when
 meet(a, b) is a prefix of meet(c, d); sim_delta is equality of that tensor
-together with the lexicographic pattern of the entries. Its form is built
-from that definition alone: the first-occurrence class of each pairwise
-meet, the prefix matrix over those classes, and the lex ranks of the entries.
-Its matrix rows are the sorted-order runs with each bit moved to its class.
+together with the lexicographic pattern of the entries. Its form is read
+off the closure tuple's order type: the first-occurrence class of each
+pairwise meet, the prefix matrix over those classes, and the lex ranks of
+the entries, which are the closure's diagonal.
 """
 
 from __future__ import annotations
@@ -32,36 +32,34 @@ from .errors import ResourceCapError
 from .nodes import Node, TreeDomain, closure
 
 
-def _prefix_runs(values) -> list:
-    """For distinct nodes in sorted order, runs[i] is the number of values from
-    i on that extend values[i], itself included. They are the run right after
-    it, so one forward walk finds them all: the open values form a chain, and a
-    value closes each open one that it does not extend."""
-    runs = [0] * len(values)
-    open_runs = []  # the indices whose run is still going, each a prefix of the next
-    for j, b in enumerate(values):
-        while open_runs:
-            a = values[open_runs[-1]]
-            if b[:len(a)] == a:
-                break
-            i = open_runs.pop()
-            runs[i] = j - i
-        open_runs.append(j)
-    for i in open_runs:
-        runs[i] = len(values) - i
-    return runs
-
-
 def _order_type(points) -> tuple:
     """Lex ranks of the positions among the distinct values, and the prefix
     matrix over the distinct values in sorted order: row i is the bitmask of
-    the j with values[i] a prefix of values[j]. The extensions of a value are
-    the run right after it, so row i is ((1 << run) - 1) << i and the matrix
-    takes one walk, with no comparison of every pair of values."""
-    values = sorted(set(points))
-    index = {v: i for i, v in enumerate(values)}
-    rows = tuple(((1 << run) - 1) << i for i, run in enumerate(_prefix_runs(values)))
-    return tuple(map(index.__getitem__, points)), rows
+    the j with values[i] a prefix of values[j], which is (1 << end) - (1 << i).
+    One walk over the sorted positions compares each value with the last
+    distinct one, and closes each open run that the new value does not extend
+    (the open values form a chain)."""
+    order = sorted(range(len(points)), key=points.__getitem__)
+    ranks = [0] * len(points)
+    values, rows = [], []
+    open_runs = []  # the indices whose run is still going, each a prefix of the next
+    for p in order:
+        b = points[p]
+        if not values or b != values[-1]:
+            j = len(values)
+            while open_runs:
+                a = values[open_runs[-1]]
+                if b[:len(a)] == a:
+                    break
+                i = open_runs.pop()
+                rows[i] = (1 << j) - (1 << i)
+            open_runs.append(j)
+            values.append(b)
+            rows.append(0)
+        ranks[p] = j
+    for i in open_runs:
+        rows[i] = (1 << len(values)) - (1 << i)
+    return tuple(ranks), tuple(rows)
 
 
 def qftype0(nodes: Tuple[Node, ...]) -> tuple:
@@ -80,35 +78,35 @@ def atomic_pattern(nodes: Tuple[Node, ...]) -> tuple:
 def delta_type(nodes: Tuple[Node, ...]) -> tuple:
     """Meet-comparison tensor and lex pattern of a node tuple: the class of
     each pairwise meet (numbered by first occurrence, so equal meets share a
-    class), the prefix matrix over the classes, and the entries' lex ranks.
-    The matrix rows are the sorted-order runs of `_order_type` with each bit
-    moved to its class: bits[k] holds the classes of the first k sorted meets,
-    so a run from k is bits[k + run] ^ bits[k]."""
+    class), the prefix matrix over the classes, and the entries' lex ranks."""
     t = tuple(nodes)
     if not t:
         raise ValueError("delta type of empty tuple")
-    return _delta_form(t, closure(t))
+    return _delta_form(len(t), *_order_type(closure(t)))
 
 
-def _delta_form(t: Tuple[Node, ...], meets: Tuple[Node, ...]) -> tuple:
-    """The delta type of t from its closure tuple `meets`."""
-    values = list(dict.fromkeys(meets))
-    index = {v: i for i, v in enumerate(values)}
-    ordered = sorted(values)
+def _delta_form(k: int, ranks: tuple, rows: tuple) -> tuple:
+    """The delta type of a k-tuple from its closure's order type. The classes
+    are the ranks by first occurrence; bits[i] holds the classes of the first
+    i sorted meets, so row i, the run up to its bit length, moves to its class
+    as bits[end] ^ bits[i]. The entries' lex ranks are the diagonal's, made dense."""
+    classes = {r: c for c, r in enumerate(dict.fromkeys(ranks))}
     bits = [0]
-    for v in ordered:
-        bits.append(bits[-1] | 1 << index[v])
-    rows = [0] * len(values)
-    for k, run in enumerate(_prefix_runs(ordered)):
-        rows[index[ordered[k]]] = bits[k + run] ^ bits[k]
-    lex_ranks, _ = _order_type(t)
-    return tuple(map(index.__getitem__, meets)), tuple(rows), lex_ranks
+    for r in range(len(rows)):
+        bits.append(bits[-1] | 1 << classes[r])
+    moved = [0] * len(rows)
+    for i, row in enumerate(rows):
+        moved[classes[i]] = bits[row.bit_length()] ^ bits[i]
+    diagonal = ranks[::k + 1]
+    dense = {r: i for i, r in enumerate(sorted(set(diagonal)))}
+    return (tuple(map(classes.__getitem__, ranks)), tuple(moved),
+            tuple(map(dense.__getitem__, diagonal)))
 
 
 def _forms(t: Tuple[Node, ...]) -> tuple:
-    """(delta_type(t), qftype0(t)), both read from one closure tuple."""
-    meets = closure(t)
-    return _delta_form(t, meets), _order_type(meets)
+    """(delta_type(t), qftype0(t)), both read from one closure order type."""
+    ranks, rows = _order_type(closure(t))
+    return _delta_form(len(t), ranks, rows), (ranks, rows)
 
 
 def sim0(t1, t2) -> bool:

@@ -49,6 +49,7 @@ from treeprop.nodes import closure, incomparable, is_antichain
 from treeprop.oracles import SKOLEM, STRUCTURE, semilattice
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2, PatternSpec
 from treeprop.synth import _first_primes
+from treeprop.transforms import build_onevar_scaffold
 
 from references import (RecordingOracle, ReferenceConjunctionOracle,
                         canonical_sets, chains, contains, forbidden_free_table,
@@ -1223,15 +1224,46 @@ def test_broken_iso_searches_fail_the_gate():
         assert iso_mismatches(mutant(antichains, "find_iso_copy", old, new)), new
 
 
+def _deep_tuples():
+    """Every permutation of up to 3 of the level-4 scaffold's embedding images
+    (17 to 36 digits deep) and the closure tuple of every ordered pair, each
+    also with its nodes copied, so that equal nodes are distinct objects."""
+    images = sorted(build_onevar_scaffold(4, {(0,)}).embedding.values())
+    tuples = [t for r in (1, 2, 3) for t in itertools.permutations(images, r)]
+    tuples += [closure(t) for t in itertools.permutations(images, 2)]
+    return tuples + [tuple(tuple(list(x)) for x in t) for t in tuples]
+
+
+def test_run_length_forms_equal_the_quadratic_forms_on_deep_nodes():
+    tuples = _deep_tuples()
+    assert max(len(x) for t in tuples for x in t) == 36
+    assert _form_values(tuples) == _reference_form_values(tuples)
+
+
+class UnhashableNode(tuple):
+    __hash__ = None
+
+
+def test_forms_hash_no_node():
+    wrapped = [tuple(map(UnhashableNode, t)) for t in FORM_TUPLES]
+    with pytest.raises(TypeError):
+        hash(wrapped[0][0])
+    assert _form_values(wrapped) == _reference_form_values(FORM_TUPLES)
+
+
 def test_broken_run_length_forms_fail_the_gate(monkeypatch):
     breaks = [
         # a run that goes on past the first value that does not extend it,
         # while the first digit agrees
-        ("_prefix_runs", "if b[:len(a)] == a:", "if b[:1] == a[:1]:"),
+        ("_order_type", "if b[:len(a)] == a:", "if b[:1] == a[:1]:"),
         # the runs still open at the end stopping one value short
-        ("_prefix_runs", "runs[i] = len(values) - i\n", "runs[i] = len(values) - i - 1\n"),
+        ("_order_type", "(1 << len(values)) - (1 << i)", "(1 << len(values) - 1) - (1 << i)"),
+        # duplicates dropped by comparing with the first distinct value, not the last
+        ("_order_type", "b != values[-1]", "b != values[0]"),
         # delta rows left in sorted order instead of moved to the meet classes
-        ("_delta_form", "= bits[k + run] ^ bits[k]", "= ((1 << run) - 1) << k"),
+        ("_delta_form", "moved[classes[i]] =", "moved[i] ="),
+        # the entries' lex ranks taken raw from the closure ranks, not made dense
+        ("_delta_form", "tuple(map(dense.__getitem__, diagonal))", "diagonal"),
     ]
     for name, old, new in breaks:
         with monkeypatch.context() as patch:
