@@ -16,9 +16,10 @@ cached (README, "Import cost"). The exported names are served by the module
 `__getattr__` (PEP 562), which reads each one from its defining module on
 every access and keeps none here: a name patched there is patched here too,
 and no longer than there.
-A module imports another at top level only if all of its callers need it;
-otherwise it binds the lazy module (`from . import qftypes`) or imports
-inside the one function that needs it.
+A module imports names from another only if all of its callers need them;
+otherwise it binds the lazy module (`from . import qftypes`), which runs
+when a caller first reads a name through it. No module imports inside a
+function: `cli` binds every module it uses this way.
 `cli` is left out so that `python -m treeprop.cli` does not find it in
 `sys.modules` already. LazyLoader is not thread-safe before Python 3.12; the
 package starts no threads.

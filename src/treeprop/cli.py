@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / verification pass, 1 verification fail, 2 usage or
 input error, 3 resource cap exceeded. Machine-readable output (JSON, DOT)
-goes to stdout; diagnostics go to stderr. Each command imports the modules
-it uses, so a command runs no other (see the package docstring).
+goes to stdout; diagnostics go to stderr. The submodules are bound as the
+package's lazy modules, so a command runs only the modules it uses (see the
+package docstring).
 """
 
 from __future__ import annotations
@@ -12,14 +13,16 @@ import argparse
 import json
 import sys
 
+from . import (antichains, dot, formulas, nodes, oracles, patterns, qftypes, synth,
+               transforms, witnessio)
 from .errors import ResourceCapError, TreepropError
 
 
 def _integer(text: str) -> int:
-    """An integer option's value: ASCII digits, after a minus sign that the
-    command's own range check then refuses. Any other text raises
-    TreepropError, which argparse does not catch, so it exits 2 with one
-    line."""
+    """An integer option's value, or the K of `katp:K` and `tp:K`: ASCII
+    digits, after a minus sign that the command's own range check then
+    refuses. Any other text raises TreepropError, which argparse does not
+    catch, so it exits 2 with one line."""
     digits = text[1:] if text.startswith("-") else text
     if not digits or digits.strip("0123456789"):
         raise TreepropError(f"integer argument {text!r:.40} is not ASCII digits")
@@ -31,13 +34,9 @@ def _integer(text: str) -> int:
 
 
 def _parse_pattern_arg(text: str, branching: int, depth: int, rows: int, cols: int):
-    from .patterns import make_pattern
-
     kind, colon, karg = text.partition(":")
-    if colon and (not karg or karg.strip("0123456789")):
-        raise ValueError(f"the k of pattern {text!r:.40} is not ASCII digits")
-    k = int(karg) if colon else None
-    return make_pattern(kind, branching=branching, depth=depth, k=k, rows=rows, cols=cols)
+    return patterns.make_pattern(kind, branching=branching, depth=depth,
+                                 k=_integer(karg) if colon else None, rows=rows, cols=cols)
 
 
 # one node string per line, at the depth of json.dump(..., indent=2)
@@ -54,10 +53,7 @@ def _print_listing(domain, masks) -> None:
     The text is what json.dump({"count": ..., "items": ...}, sort_keys=True,
     indent=2) writes, but each list is encoded in one piece by the C encoder,
     which json.dump leaves for the pure-Python one when it indents."""
-    from . import antichains
-    from .nodes import node_str
-
-    names = [node_str(x, domain.branching) for x in domain.nodes()]
+    names = [nodes.node_str(x, domain.branching) for x in domain.nodes()]
     items = [antichains.mask_labels(names, mask) for mask in masks]
     if domain.branching > 10:
         items = sorted(sorted(item) for item in items)
@@ -77,18 +73,13 @@ def _print(data) -> None:
 
 
 def _cmd_alpha(args) -> int:
-    from . import antichains
-
     antichains.alpha(args.n)  # refuses n < 0, and a count past its cap, before any is printed
     _print(" ".join(str(antichains.alpha(n)) for n in range(args.n + 1)) + "\n")
     return 0
 
 
 def _cmd_enum(args) -> int:
-    from . import antichains
-    from .nodes import TreeDomain
-
-    domain = TreeDomain(args.b, args.n)
+    domain = nodes.TreeDomain(args.b, args.n)
     if args.maximal:
         if args.b != 2:
             raise TreepropError("--maximal supports binary trees only")
@@ -106,13 +97,10 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    from . import witnessio
-    from .patterns import exact_family
-    from .synth import synth_boolean, synth_skolem
-
     pattern = _parse_pattern_arg(args.pattern, args.b, args.depth, args.rows, args.cols)
-    family = exact_family(pattern)
-    witness = synth_skolem(family) if args.backend == "skolem" else synth_boolean(family)
+    family = patterns.exact_family(pattern)
+    witness = (synth.synth_skolem(family) if args.backend == "skolem"
+               else synth.synth_boolean(family))
     witnessio.save(witnessio.WitnessFile(pattern, witness), args.out)
     sys.stderr.write(
         f"synthesized {args.backend} witness for {args.pattern} "
@@ -122,13 +110,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import witnessio
-    from .oracles import oracle_for
-    from .patterns import verify
-
     wf = witnessio.load(args.witness)
-    report = verify(oracle_for(wf.witness), wf.witness, wf.pattern,
-                    exhaustive=args.exhaustive)
+    report = patterns.verify(oracles.oracle_for(wf.witness), wf.witness, wf.pattern,
+                             exhaustive=args.exhaustive)
     _print({
         "pass": report.passed,
         "mode": "exhaustive" if report.exhaustive else "pattern",
@@ -146,46 +130,39 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    from . import witnessio
-    from .oracles import TupleWitness, oracle_for
-    from .patterns import ATP, KATP, make_pattern
-    from .transforms import elongate, fatten, reduce_katp
-
     wf = witnessio.load(args.witness)
-    if isinstance(wf.witness, TupleWitness):
+    if isinstance(wf.witness, oracles.TupleWitness):
         raise TreepropError("transforms apply to base witnesses, not tuple witnesses")
-    if wf.pattern.kind not in (ATP, KATP):
+    if wf.pattern.kind not in (patterns.ATP, patterns.KATP):
         raise TreepropError(f"transforms apply to atp and katp witnesses, not {wf.pattern.kind}")
     if args.op != "fatten":
         # both are sound only for a (K+1)-ATP witness
         if args.k is None:
             raise TreepropError(f"{args.op} needs --k")
-        if wf.pattern.kind != KATP or wf.pattern.k != args.k + 1:
+        if wf.pattern.kind != patterns.KATP or wf.pattern.k != args.k + 1:
             raise TreepropError(f"{args.op} --k {args.k} needs a katp:{args.k + 1} witness")
     if args.op == "fatten":
         if args.m is None:
             raise TreepropError("fatten needs --m")
-        tw = fatten(wf.witness, args.m)
-        out_pattern = make_pattern(
-            wf.pattern.kind, depth=wf.pattern.depth - args.m, k=wf.pattern.k
-        )
+        tw = transforms.fatten(wf.witness, args.m)
+        kind, k = wf.pattern.kind, wf.pattern.k
         note = f"fatten({args.m})"
     elif args.op == "elongate":
-        tw = elongate(wf.witness, args.k)
-        out_pattern = make_pattern(ATP, depth=max(len(l) for l in tw.labels) + 1)
+        tw = transforms.elongate(wf.witness, args.k)
+        kind, k = patterns.ATP, None
         note = f"elongate({args.k})"
     else:  # reduce
-        tw, report = reduce_katp(wf.witness, oracle_for(wf.witness), args.k)
-        depth = max(len(l) for l in tw.labels) + 1
+        tw, report = transforms.reduce_katp(wf.witness, oracles.oracle_for(wf.witness), args.k)
         # an elongated node is a chain of k sources, so two comparable ones
         # hold a (k+1)-chain: elongation makes an ATP witness for every k
         if report.case == "elongate" or args.k == 2:
-            out_pattern = make_pattern(ATP, depth=depth)
+            kind, k = patterns.ATP, None
         else:
-            out_pattern = make_pattern(KATP, depth=depth, k=args.k)
+            kind, k = patterns.KATP, args.k
         note = (f"reduce: case {report.case}"
                 + (f"(m={report.fatten_level})" if report.case == "fatten" else "")
                 + f", probes {[ok for _, ok in report.probes]}")
+    out_pattern = patterns.make_pattern(kind, depth=max(len(l) for l in tw.labels) + 1, k=k)
     witnessio.save(
         witnessio.WitnessFile(out_pattern, tw, base_pattern=wf.pattern), args.out
     )
@@ -194,11 +171,9 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_check_lemma(args) -> int:
-    from .qftypes import verify_ss_ll
-
     if args.lemma != "ss-ll":
         raise TreepropError(f"unknown lemma {args.lemma!r}")
-    report = verify_ss_ll(args.b, args.n, args.len)
+    report = qftypes.verify_ss_ll(args.b, args.n, args.len)
     _print({
         "pass": report.passed,
         "tuples": report.tuple_count,
@@ -208,19 +183,14 @@ def _cmd_check_lemma(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    from . import witnessio
-    from .dot import export_dot
-
-    _print(export_dot(witnessio.load(args.witness)))
+    _print(dot.export_dot(witnessio.load(args.witness)))
     return 0
 
 
 def _cmd_eval(args) -> int:
-    from .formulas import FiniteStructure, eval_formula, parse_formula
-
     with open(args.structure, encoding="utf-8") as fh:
-        structure = FiniteStructure.from_json(fh.read())
-    formula = parse_formula(args.formula)
+        structure = formulas.FiniteStructure.from_json(fh.read())
+    formula = formulas.parse_formula(args.formula)
     assignment = {}
     if args.assign:
         elems = {str(e): e for e in structure.universe}
@@ -229,7 +199,7 @@ def _cmd_eval(args) -> int:
             if not _ or value not in elems:
                 raise TreepropError(f"bad assignment {item!r}")
             assignment[name.strip()] = elems[value]
-    result = eval_formula(structure, formula, assignment)
+    result = formulas.eval_formula(structure, formula, assignment)
     _print("true\n" if result else "false\n")
     return 0
 

@@ -34,6 +34,12 @@ either case, checked in one pass over its bytes once the text is known to be
 ASCII, and a skolem document whose params hold more digits than
 `synth.SKOLEM_BITS_CAP` bits allow is refused before any is read. Files of
 version 1, which wrote skolem params in decimal, are refused.
+
+Two documents that treeprop never writes are refused before their params
+are read: a tuple document whose base is itself a tuple document, and a
+declared width past `antichains.FAMILY_CELL_CAP` cells over the labels
+(width x labels), which no exact family reaches and which would make the
+writers pad every param to that many bits.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ import json
 from dataclasses import dataclass
 from typing import Union
 
+from . import antichains
 from .errors import WitnessError
 from .nodes import node_str
 from .oracles import BOOLEAN, SKOLEM, TupleWitness, Witness
@@ -173,7 +180,10 @@ class WitnessFile:
         labels = pattern.index_labels()
         values = _fetch(entries, (label_str(pattern, label) for label in labels), "witness")
         if backend == "tuple":
-            base_file = cls.from_json(data["base"])
+            base = data["base"]
+            if isinstance(base, dict) and base.get("backend") == "tuple":
+                raise WitnessError("the base of a tuple witness is itself a tuple witness")
+            base_file = cls.from_json(base)
             for keys in values:
                 if type(keys) is not list or any(type(key) is not str for key in keys):
                     raise WitnessError(f"provenance entry {keys!r:.40} is not a list of keys")
@@ -185,11 +195,14 @@ class WitnessFile:
             return cls(pattern, witness, base_pattern=base_file.pattern)
         if backend not in (SKOLEM, BOOLEAN):
             raise WitnessError(f"unknown witness backend {backend!r:.40}")
-        params = dict(zip(labels, _params(backend, values)))
         width = data.get("width")
-        witness = Witness(backend, labels, params,
-                          width=None if width is None else _plain_int(width, "width"))
-        return cls(pattern, witness)
+        if width is not None:
+            width = _plain_int(width, "width")
+            if width * len(labels) > antichains.FAMILY_CELL_CAP:
+                raise WitnessError(f"witness width {width!r:.40} over {len(labels)} labels "
+                                   f"is past {antichains.FAMILY_CELL_CAP} cells")
+        params = dict(zip(labels, _params(backend, values)))
+        return cls(pattern, Witness(backend, labels, params, width=width))
 
 
 def dumps(wf: WitnessFile) -> str:

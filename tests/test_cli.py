@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 import treeprop
-from treeprop import (TreeDomain, divisor_structure, enumerate_antichains,
-                      maximal_antichains)
+from treeprop import (TreeDomain, Witness, divisor_structure, enumerate_antichains,
+                      make_pattern, maximal_antichains)
 from treeprop.cli import main
 from treeprop.synth import SKOLEM_BITS_CAP
-from treeprop.witnessio import VERSION, load
+from treeprop.witnessio import VERSION, WitnessFile, load, save
 
 from references import reference_catalog_json
 
@@ -140,6 +140,82 @@ def test_transform_fatten(capsys, tmp_path):
     assert code == 0
     code, out, _ = run(capsys, "verify", "--witness", str(dst), "--exhaustive")
     assert code == 0 and json.loads(out)["pass"]
+
+
+def _prime_katp(tmp_path, k, depth):
+    """A katp:k skolem witness of one distinct prime per label, so every set
+    of two or more labels is inconsistent: reduce finds K_0 inconsistent and
+    takes fattening by 0."""
+    pattern = make_pattern("katp", depth=depth, k=k)
+    labels = pattern.index_labels()
+    primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+    assert len(primes) >= len(labels)
+    path = tmp_path / "primes.json"
+    save(WitnessFile(pattern, Witness("skolem", labels, dict(zip(labels, primes)))), path)
+    return path
+
+
+ATP_PATTERN = {"kind": "atp", "branching": 2}
+
+
+@pytest.mark.parametrize("source, op, note, pattern", [
+    (("atp", "4"), ("fatten", "--m", "1"), "fatten(1)", {**ATP_PATTERN, "depth": 3}),
+    (("katp:3", "5"), ("fatten", "--m", "2"), "fatten(2)",
+     {"kind": "katp", "branching": 2, "depth": 3, "k": 3}),
+    (("katp:3", "5"), ("elongate", "--k", "2"), "elongate(2)", {**ATP_PATTERN, "depth": 3}),
+    (("katp:3", "5"), ("reduce", "--k", "2"), "reduce: case elongate",
+     {**ATP_PATTERN, "depth": 3}),
+    (("katp:4", "4"), ("reduce", "--k", "3"), "reduce: case elongate",
+     {**ATP_PATTERN, "depth": 2}),
+    (3, ("reduce", "--k", "2"), "reduce: case fatten(m=0)", {**ATP_PATTERN, "depth": 4}),
+    (4, ("reduce", "--k", "3"), "reduce: case fatten(m=0)",
+     {"kind": "katp", "branching": 2, "depth": 4, "k": 3}),
+])
+def test_each_transform_writes_its_output_pattern(capsys, tmp_path, source, op, note, pattern):
+    if isinstance(source, int):
+        src = _prime_katp(tmp_path, source, 4)
+    else:
+        src = synth(capsys, tmp_path, "w.json", "--pattern", source[0], "--depth", source[1],
+                    "--backend", "skolem")
+    dst = tmp_path / "out.json"
+    code, out, err = run(capsys, "transform", *op, "--witness", str(src), "--out", str(dst))
+    assert code == 0 and out == "" and err.startswith(note), err
+    assert json.loads(dst.read_text())["pattern"] == pattern
+
+
+def _refused_everywhere(capsys, tmp_path, path, message):
+    """Every command that reads the witness file exits 2 with one `error:`
+    line that holds `message`, and writes nothing."""
+    dst = tmp_path / "out.json"
+    for argv in (["export-dot"], ["verify"], ["verify", "--exhaustive"],
+                 ["transform", "fatten", "--m", "1", "--out", str(dst)]):
+        code, out, err = run(capsys, *argv, "--witness", str(path))
+        assert code == 2 and out == "" and err.count("\n") == 1, (argv, err)
+        assert err.startswith("error: ") and message in err and not dst.exists(), (argv, err)
+
+
+def test_a_tuple_witness_over_a_tuple_witness_exits_2(capsys, tmp_path):
+    # such a file crashed export-dot, which read the inner base's params
+    src = synth(capsys, tmp_path, "katp.json", "--pattern", "katp:3", "--depth", "5",
+                "--backend", "skolem")
+    reduced = tmp_path / "r.json"
+    assert run(capsys, "transform", "reduce", "--k", "2", "--witness", str(src),
+               "--out", str(reduced))[0] == 0
+    base = json.loads(reduced.read_text())
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({
+        "version": VERSION, "pattern": base["pattern"], "backend": "tuple", "arity": 1,
+        "provenance": {key: [key] for key in base["provenance"]}, "base": base}))
+    _refused_everywhere(capsys, tmp_path, path, "is itself a tuple witness")
+
+
+def test_a_width_past_the_family_cells_exits_2(capsys, tmp_path):
+    # export-dot wrote 30 MB for this 158-byte file, padding each param to its width
+    def widen(doc):
+        doc["width"] = 40_000_000
+        return doc
+    path = _broken_witness(capsys, tmp_path, widen, "boolean")
+    _refused_everywhere(capsys, tmp_path, path, "witness width 40000000 over 7 labels")
 
 
 # synth arguments for a small witness of every pattern kind

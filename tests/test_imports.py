@@ -39,6 +39,36 @@ def test_unused_imports_are_found(tmp_path):
     assert unused_imports(module) == ["os"]
 
 
+def nested_imports(path):
+    """The lines of the import statements inside a function or class body."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted({inner.lineno for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                   for inner in ast.walk(node)
+                   if isinstance(inner, (ast.Import, ast.ImportFrom))})
+
+
+def test_every_import_is_at_module_level():
+    # a module that one caller alone needs is bound lazily at the top
+    # (`from . import qftypes`), which runs it no sooner than an import in
+    # that caller would
+    modules = sorted(SOURCE.glob("*.py"))
+    assert len(modules) > 10
+    assert {path.name: nested_imports(path) for path in modules if nested_imports(path)} == {}
+
+
+def test_nested_imports_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import os\nfrom . import qftypes\n"
+                      "if os.name:\n    import sys\n"
+                      "def f():\n    from .nodes import meet\n    return meet\n"
+                      "class C:\n    import json\n"
+                      "    def g(self):\n        def h():\n            import re\n"
+                      "async def a():\n    import io\n"
+                      "b = __import__('math')\n")
+    assert nested_imports(module) == [6, 9, 12, 14]
+
+
 def _module_constants(tree):
     """The UPPER_CASE names that the module assigns at its top level."""
     return {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))

@@ -254,8 +254,28 @@ def test_deeply_nested_tuple_witness_is_witness_error():
             '"provenance": {"": [""]}, "pattern": {"kind": "atp", "depth": 1}, "base": ')
     text = head * depth + dumps(atp_file(1)) + "}" * depth
     json.loads(text)
-    with pytest.raises(WitnessError, match="RecursionError"):
+    with pytest.raises(WitnessError, match="is itself a tuple witness"):
         loads(text)
+
+
+def test_a_tuple_witness_over_a_tuple_witness_is_refused_before_its_base():
+    # the base is refused by its backend alone, before any other key is read
+    doc = {**_canonical_doc("fattened"), "base": {"backend": "tuple"}}
+    with pytest.raises(WitnessError, match="is itself a tuple witness"):
+        loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("backend", ["boolean", "skolem"])
+def test_a_width_past_the_family_cells_is_refused(backend):
+    # no exact family has more than FAMILY_CELL_CAP member-label cells, so
+    # no witness treeprop writes is wider than FAMILY_CELL_CAP // labels
+    doc = _doc(atp_file(2, backend))
+    labels = len(doc["params"])
+    doc["width"] = treeprop.antichains.FAMILY_CELL_CAP // labels
+    assert loads(json.dumps(doc)).witness.width == doc["width"]
+    doc["width"] += 1
+    with pytest.raises(WitnessError, match=f"over {labels} labels is past"):
+        loads(json.dumps(doc))
 
 
 _JSON_VALUES = st.recursive(
