@@ -31,9 +31,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import FrozenSet, Iterator, List, Optional, Tuple
 
-from . import qftypes
 from .errors import ResourceCapError
-from .nodes import Node, TreeDomain, concat_set, sorted_nodes
+from .nodes import Node, TreeDomain, concat_set, meet, sorted_nodes
 
 NodeSet = FrozenSet[Node]
 
@@ -344,35 +343,74 @@ def universal_prefix(m: int) -> NodeSet:
     return frozenset(out)
 
 
+def _shape_step(stack, length: int):
+    """One step of reading a lex-sorted antichain's meet tree off its
+    consecutive meet lengths, as a Cartesian tree is built (Vuillemin 1980):
+    `stack` holds the meet lengths on the rightmost path, increasing upward;
+    the next meet pops every longer one, then joins an equal one or is
+    pushed. Returns the step's descriptor (popped, joined)."""
+    popped = 0
+    while popped < len(stack) and stack[-1 - popped] > length:
+        popped += 1
+    return popped, popped < len(stack) and stack[-1 - popped] == length
+
+
 def find_iso_copy(y: NodeSet, x: NodeSet):
     """First (in lex order over sorted combinations) strongly isomorphic copy
-    of the antichain y inside the antichain x, as a lex-monotone mapping,
-    or None.
+    of the antichain y inside the node set x, as a lex-monotone mapping, or
+    None. An empty y, or one with a node that is a prefix of another, raises
+    ValueError.
 
-    The search walks the combinations of x's sorted nodes in that same order,
-    one host node at a time, and drops a partial choice of j nodes once its
-    type differs from the type of y's first j nodes. That drops no copy: the
-    closure of a prefix is a sub-tuple of the closure of the whole tuple, so
-    equal types of the whole tuples give equal types of every prefix. The
-    order is kept, so the first copy found is the first combination that
-    matches."""
-    qftype0 = qftypes.qftype0
+    A lex-sorted antichain's type is its meet-tree shape: the meet of a_i and
+    a_j (i < j) is the shortest consecutive meet between them, so the
+    descriptors of `_shape_step` over the consecutive meet lengths fix the
+    closure's order type, and a prefix of the nodes has a prefix of the
+    descriptors. y's descriptors are read once. The search walks the
+    combinations of x's sorted nodes in combinations order, one host node at
+    a time, keeping the rightmost-path stack of each partial choice. A
+    candidate costs one meet with the last chosen host: it is dropped when
+    that host is its prefix, or when its step's descriptor differs from y's.
+    A choice whose consecutive nodes are incomparable is an antichain (if
+    a < b < c in lex order and a is a prefix of c, it is a prefix of b), so x
+    need not be one. The order is kept, so the first copy found is the first
+    combination that matches."""
     y_tuple = sorted_nodes(y)
     k = len(y_tuple)
-    # targets[j] is the type of y's first j + 1 nodes; an empty y raises here
-    targets = [qftype0(y_tuple[:j]) for j in range(1, k)] + [qftype0(y_tuple)]
+    if not k:
+        raise ValueError("iso copy of an empty set")
+    targets, stack = [], ()
+    for a, b in zip(y_tuple, y_tuple[1:]):
+        length = len(meet(a, b))
+        if length == len(a):
+            raise ValueError(f"iso copy of a set that is not an antichain: {a} is a prefix of {b}")
+        popped, joined = _shape_step(stack, length)
+        targets.append((popped, joined))
+        stack = stack[:len(stack) - popped] + (() if joined else (length,))
     hosts = sorted_nodes(x)
     n = len(hosts)
-    chosen = []  # host indices of the partial choice, whose types all match
+    chosen = []  # host indices of the partial choice, whose descriptors all match
+    stacks = [()]  # stacks[j] is the rightmost-path stack of the first j + 1 chosen
     start = 0  # the next host index to try for position len(chosen)
     while True:
         j = len(chosen)
         if j == k:
             return dict(zip(y_tuple, (hosts[i] for i in chosen)))
         if start <= n - k + j:  # enough hosts left after start for the rest
-            candidate = tuple(hosts[i] for i in chosen) + (hosts[start],)
-            if qftype0(candidate) == targets[j]:
+            if not j:
                 chosen.append(start)
+            else:
+                last = hosts[chosen[-1]]
+                length = len(meet(last, hosts[start]))
+                if length < len(last):  # last is not a prefix of the candidate
+                    # _shape_step, inlined: this loop makes nearly every call
+                    stack = stacks[j - 1]
+                    popped = 0
+                    while popped < len(stack) and stack[-1 - popped] > length:
+                        popped += 1
+                    joined = popped < len(stack) and stack[-1 - popped] == length
+                    if (popped, joined) == targets[j - 1]:
+                        chosen.append(start)
+                        stacks[j:] = [stack[:len(stack) - popped] + (() if joined else (length,))]
             start += 1
         elif chosen:
             start = chosen.pop() + 1

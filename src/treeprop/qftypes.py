@@ -150,7 +150,18 @@ def verify_ss_ll(branching: int, leaf_depth: int, tuple_len: int) -> SsLlReport:
     functions. pair_count is the T^2 ordered comparisons this covers; the
     tree above the leaves is sized first, and SS_LL_PAIR_CAP applies to the
     pairs before any tuple is built. Past the leaf count there are no tuples,
-    and the check passes with none."""
+    and the check passes with none.
+
+    Only the C(leaves, k) lex-increasing tuples are formed, which stand for
+    all T = leaves! / (leaves - k)! of them by symmetry. Write t.p for t with
+    its positions permuted by p, (t.p)[i] = t[p[i]]. For an increasing t the
+    closure of t.p is t's closure with entry (p[i], p[j]) moved to (i, j), so
+    the closure form of t.p is t's ranks permuted over the same rows, and its
+    delta form is `_delta_form` of that: both are p acting on t's forms. Both
+    forms also carry the entries' lex ranks, which read p back. So if t.p and
+    u.q share a form, then p == q, and t and u share that form too (apply
+    p^-1); forms that determine each other on increasing tuples determine
+    each other on all of them. A failure names two increasing tuples."""
     if branching < 2 or leaf_depth < 1 or tuple_len < 1:
         raise ValueError("branching >= 2, leaf_depth >= 1, tuple_len >= 1 required")
     domain = TreeDomain(branching, leaf_depth)  # refuses a huge tree before the power
@@ -165,7 +176,7 @@ def verify_ss_ll(branching: int, leaf_depth: int, tuple_len: int) -> SsLlReport:
             raise ResourceCapError(f"ss-ll check needs at least 2^{bits} pair comparisons",
                                    SS_LL_PAIR_CAP)
     closure_of, delta_of = {}, {}
-    for t in itertools.permutations(domain.level(leaf_depth), tuple_len):
+    for t in itertools.combinations(domain.level(leaf_depth), tuple_len):
         d, c = _forms(t)
         c_first, t1 = closure_of.setdefault(d, (c, t))
         d_first, t2 = delta_of.setdefault(c, (d, t))

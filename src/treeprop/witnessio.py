@@ -35,11 +35,12 @@ ASCII, and a skolem document whose params hold more digits than
 `synth.SKOLEM_BITS_CAP` bits allow is refused before any is read. Files of
 version 1, which wrote skolem params in decimal, are refused.
 
-Two documents that treeprop never writes are refused before their params
-are read: a tuple document whose base is itself a tuple document, and a
-declared width past `antichains.FAMILY_CELL_CAP` cells over the labels
-(width x labels), which no exact family reaches and which would make the
-writers pad every param to that many bits.
+Three documents that treeprop never writes are refused before their params
+are read: a skolem or tuple document that declares a width, which the
+writers would pad skolem params to; a tuple document whose base is itself a
+tuple document; and a boolean width past `antichains.FAMILY_CELL_CAP` cells
+over the labels (width x labels), which no exact family reaches and which
+would make the writers pad every param to that many bits.
 """
 
 from __future__ import annotations
@@ -174,6 +175,8 @@ class WitnessFile:
     def _parse(cls, data: dict) -> "WitnessFile":
         pattern = PatternSpec.from_json(data["pattern"])
         backend = data["backend"]
+        if backend != BOOLEAN and "width" in data:
+            raise WitnessError(f"a {backend!r:.40} witness declares no width")
         entries = data["provenance"] if backend == "tuple" else data["params"]
         if not _index_count_is(pattern, len(entries)):
             raise WitnessError("witness params do not cover the pattern's index set")

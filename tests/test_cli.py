@@ -218,6 +218,15 @@ def test_a_width_past_the_family_cells_exits_2(capsys, tmp_path):
     _refused_everywhere(capsys, tmp_path, path, "witness width 40000000 over 7 labels")
 
 
+def test_a_width_on_a_skolem_witness_exits_2(capsys, tmp_path):
+    # export-dot printed each param of this file zero-padded to 10 digits
+    def widen(doc):
+        doc["width"] = 40
+        return doc
+    path = _broken_witness(capsys, tmp_path, widen, "skolem")
+    _refused_everywhere(capsys, tmp_path, path, "'skolem' witness declares no width")
+
+
 # synth arguments for a small witness of every pattern kind
 WITNESS_KINDS = {
     "atp": ("--pattern", "atp", "--depth", "3"),

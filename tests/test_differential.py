@@ -8,9 +8,10 @@ families it builds against the subset scan they replaced, every family of
 forbidden pairs against Bron-Kerbosch up to depth 5 or 6, each family
 builder's own count against its masks and the closed forms, the
 canonical type forms and the grouped ss-ll check against byte-packed relation
-tables compared pair by pair, and the run-length type forms and the pruned
-iso-copy search against the quadratic prefix matrix and the combination
-scan, the subtree walk over chains and antichains against brute force and
+tables compared pair by pair, with the symmetry that lets the check form
+increasing tuples only, and the run-length type forms and the meet-tree
+shape iso-copy search against the quadratic prefix matrix and the
+combination scan, the subtree walk over chains and antichains against brute force and
 the scan and sorts it replaced, every pattern's required sets against the
 sorted references, and exhaustive verification by the oracles'
 semilattice meets, which streams the required sets only to name a failure,
@@ -1106,6 +1107,48 @@ def test_grouped_ss_ll_matches_pairwise():
         assert report.pair_count == tuple_count ** 2
 
 
+def _permuted_forms(forms, p):
+    """The forms of t.p, where (t.p)[i] = t[p[i]], rebuilt from t's forms
+    alone: closure entry (i, j) of t.p is t's entry (p[i], p[j]), over the
+    same distinct values, so the closure ranks move and the rows stay; the
+    delta classes move too, are numbered again by first occurrence, and
+    their prefix rows follow them; the entries' lex ranks, if any, move."""
+    (classes, moved, *lex), (ranks, rows) = forms
+    k = len(p)
+    at = [p[i] * k + p[j] for i in range(k) for j in range(k)]
+    old = [classes[a] for a in at]
+    new = {c: i for i, c in enumerate(dict.fromkeys(old))}
+    new_moved = [0] * len(moved)
+    for c, row in enumerate(moved):
+        new_moved[new[c]] = sum(1 << new[d] for d in range(len(moved)) if row >> d & 1)
+    return ((tuple(map(new.__getitem__, old)), tuple(new_moved),
+             *(tuple(ranks_[i] for i in p) for ranks_ in lex)),
+            (tuple(ranks[a] for a in at), rows))
+
+
+def ss_ll_symmetry_breaks(forms, case):
+    """The (t, p), t an increasing leaf tuple and p a permutation of its
+    positions, where forms(t.p) is not p acting on forms(t), or where the
+    entries' lex ranks in either form of t.p are not p: the two facts that
+    let verify_ss_ll check the increasing tuples alone."""
+    branching, leaf_depth, k = case
+    breaks = []
+    for t in itertools.combinations(TreeDomain(branching, leaf_depth).level(leaf_depth), k):
+        forms_t = forms(t)
+        for p in itertools.permutations(range(k)):
+            delta, (ranks, rows) = moved = forms(tuple(t[i] for i in p))
+            diagonal = ranks[::k + 1]
+            if (moved != _permuted_forms(forms_t, p) or delta[2:] != (p,)
+                    or tuple(map(sorted(diagonal).index, diagonal)) != p):
+                breaks.append((t, p))
+    return breaks
+
+
+def test_forms_move_with_the_positions_of_increasing_tuples():
+    for case in SS_LL_CASES:
+        assert ss_ll_symmetry_breaks(qftypes._forms, case) == [], case
+
+
 def _assert_real_counterexample(report, delta, closure_type, case):
     assert not report.passed
     t1, t2, same_delta, same_closure = report.counterexample
@@ -1117,19 +1160,29 @@ def _assert_real_counterexample(report, delta, closure_type, case):
 
 def test_broken_forms_give_real_counterexamples(monkeypatch):
     delta_type, qftype0 = qftypes.delta_type, qftypes.qftype0
+    # verify_ss_ll reads both forms of a tuple from one closure, in _forms
+    with monkeypatch.context() as patch:
+        # forgetting the lex ranks merges (a, b) with (b, a): same delta, new
+        # closure. Every increasing tuple has the same lex ranks, so the check
+        # over them is blind to it; the forms no longer read p back, which the
+        # symmetry check catches
+        delta = lambda t: delta_type(t)[:2]
+        patch.setattr(qftypes, "_forms", lambda t: (delta(t), qftype0(t)))
+        for case in [(2, 2, 2), (2, 3, 3)]:
+            assert qftypes.verify_ss_ll(*case).passed
+            assert ss_ll_symmetry_breaks(qftypes._forms, case)
+            assert not reference_ss_ll(*case, delta=delta, closure_type=qftype0)[0]
     breaks = [
-        # forgetting the lex ranks merges (a, b) with (b, a): same delta, new closure
-        (lambda t: delta_type(t)[:2], qftype0),
         # splitting by the first entry: same closure type, new delta
         (lambda t: (delta_type(t), t[0]), qftype0),
         (delta_type, lambda t: (qftype0(t), t[-1])),
     ]
     for delta, closure_type in breaks:
-        # verify_ss_ll reads both forms of a tuple from one closure, in _forms
         monkeypatch.setattr(qftypes, "_forms", lambda t: (delta(t), closure_type(t)))
         for case in [(2, 2, 2), (2, 3, 3)]:
             report = qftypes.verify_ss_ll(*case)
             _assert_real_counterexample(report, delta, closure_type, case)
+            assert all(t == tuple(sorted(t)) for t in report.counterexample[:2])
 
 
 # --- run-length forms and the pruned iso search against the quadratic
@@ -1151,7 +1204,8 @@ def _random_antichain(domain, rng, size):
 def iso_cases():
     """(y, x, the combination scan's mapping): the first m stream antichains
     into universal_prefix(m) for m in 5, 12 and 20, and random antichains
-    into random antichains of TreeDomain(2, 5) and TreeDomain(3, 3)."""
+    into random antichains and into random node sets, comparable nodes
+    included, of TreeDomain(2, 5) and TreeDomain(3, 3)."""
     pairs = []
     for m in (5, 12, 20):
         host = universal_prefix(m)
@@ -1160,6 +1214,11 @@ def iso_cases():
     for domain in (TreeDomain(2, 5), TreeDomain(3, 3)):
         for _ in range(60):
             host = _random_antichain(domain, rng, rng.randint(1, 10))
+            pairs.append((_random_antichain(domain, rng, rng.randint(1, 4)), host))
+    for domain in (TreeDomain(2, 5), TreeDomain(3, 3)):
+        nodes = list(domain.nodes())
+        for _ in range(60):
+            host = frozenset(rng.sample(nodes, rng.randint(1, 12)))
             pairs.append((_random_antichain(domain, rng, rng.randint(1, 4)), host))
     return tuple((y, x, reference_find_iso_copy(y, x)) for y, x in pairs)
 
@@ -1174,8 +1233,12 @@ def test_iso_search_matches_the_combination_scan():
     found = [expected is not None for _, _, expected in cases]
     assert all(found[:5 + 12 + 20])  # the universal antichains hold every copy
     assert 10 < found.count(False) and 40 < found.count(True)
-    with pytest.raises(ValueError):
+    assert any(not is_antichain(x) and expected is not None for _, x, expected in cases)
+    with pytest.raises(ValueError, match="empty"):
         find_iso_copy(frozenset(), universal_prefix(3))
+    for y in [{(0,), (0, 1)}, {(1,), (0,), (0, 0, 1)}, {(), (2,)}]:
+        with pytest.raises(ValueError, match="not an antichain"):
+            find_iso_copy(frozenset(y), universal_prefix(3))
 
 
 def _form_values(tuples):
@@ -1215,8 +1278,12 @@ def mutant(module, name, old, new):
 
 def test_broken_iso_searches_fail_the_gate():
     breaks = [
-        # pruning a choice of j + 1 nodes on the type of y's first j nodes
-        ("qftype0(candidate) == targets[j]", "qftype0(candidate) == targets[j - 1]"),
+        # a host meet popping an equal length off the stack instead of joining it
+        ("stack[-1 - popped] > length:\n", "stack[-1 - popped] >= length:\n"),
+        # a host meet never joining an equal length, so a third child reads as a push
+        ("joined = popped < len(stack) and stack[-1 - popped] == length", "joined = False"),
+        # a candidate kept when the last chosen host is its prefix
+        ("if length < len(last):", "if True:"),
         # never trying the last host node that still leaves room for the rest
         ("start <= n - k + j", "start < n - k + j"),
     ]

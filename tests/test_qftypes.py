@@ -108,7 +108,8 @@ def test_ss_ll_cap_before_any_tuple(monkeypatch):
 
 def test_ss_ll_reports():
     for args, tuples in [((2, 3, 3), 336), ((3, 2, 3), 504), ((2, 4, 2), 240),
-                         ((2, 3, 4), 1680), ((2, 4, 3), 3360)]:
+                         ((2, 3, 4), 1680), ((2, 4, 3), 3360), ((3, 3, 3), 17550),
+                         ((2, 4, 4), 43680)]:
         assert verify_ss_ll(*args) == SsLlReport(True, tuples, tuples ** 2, None)
 
 

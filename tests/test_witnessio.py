@@ -265,7 +265,7 @@ def test_a_tuple_witness_over_a_tuple_witness_is_refused_before_its_base():
         loads(json.dumps(doc))
 
 
-@pytest.mark.parametrize("backend", ["boolean", "skolem"])
+@pytest.mark.parametrize("backend", ["boolean"])
 def test_a_width_past_the_family_cells_is_refused(backend):
     # no exact family has more than FAMILY_CELL_CAP member-label cells, so
     # no witness treeprop writes is wider than FAMILY_CELL_CAP // labels
@@ -276,6 +276,17 @@ def test_a_width_past_the_family_cells_is_refused(backend):
     doc["width"] += 1
     with pytest.raises(WitnessError, match=f"over {labels} labels is past"):
         loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("make", [lambda: _doc(atp_file(2)), _tuple_doc],
+                         ids=["skolem", "tuple"])
+def test_a_width_on_a_non_boolean_document_is_refused(make):
+    # a skolem width padded every param that export-dot and transform wrote
+    doc = make()
+    assert "width" not in doc and loads(json.dumps(doc))
+    for width in (40, 0, None, "40"):
+        with pytest.raises(WitnessError, match="witness declares no width"):
+            loads(json.dumps({**doc, "width": width}))
 
 
 _JSON_VALUES = st.recursive(
