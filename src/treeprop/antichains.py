@@ -63,11 +63,11 @@ def alpha(n: int) -> int:
     alpha(0) = 0, alpha(n+1) = alpha(n)**2 + 1, the count c(n-1) below."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return count_antichains(2, n - 1, nonempty=False) if n else 0
+    return count_antichains(2, n - 1) + 1 if n else 0
 
 
-def count_antichains(branching: int, depth: int, nonempty: bool = True) -> int:
-    """Antichain count by the product recursion c(d+1) = c(d)**b + 1,
+def count_antichains(branching: int, depth: int) -> int:
+    """The nonempty antichains by the product recursion c(d+1) = c(d)**b + 1,
     where c counts antichains including the empty one. A count past
     COUNT_DIGITS_CAP decimal digits is refused before it is taken."""
     digits = COUNT_DIGITS_CAP
@@ -78,7 +78,7 @@ def count_antichains(branching: int, depth: int, nonempty: bool = True) -> int:
             raise ResourceCapError(f"antichain count c({depth}) over {digits} decimal digits",
                                    COUNT_DIGITS_CAP)
         c = c ** branching + 1
-    return c - 1 if nonempty else c
+    return c - 1
 
 
 def mask_labels(labels, mask: int) -> list:
@@ -402,12 +402,8 @@ def find_iso_copy(y: NodeSet, x: NodeSet):
                 last = hosts[chosen[-1]]
                 length = len(meet(last, hosts[start]))
                 if length < len(last):  # last is not a prefix of the candidate
-                    # _shape_step, inlined: this loop makes nearly every call
                     stack = stacks[j - 1]
-                    popped = 0
-                    while popped < len(stack) and stack[-1 - popped] > length:
-                        popped += 1
-                    joined = popped < len(stack) and stack[-1 - popped] == length
+                    popped, joined = _shape_step(stack, length)
                     if (popped, joined) == targets[j - 1]:
                         chosen.append(start)
                         stacks[j:] = [stack[:len(stack) - popped] + (() if joined else (length,))]

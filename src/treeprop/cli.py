@@ -89,7 +89,7 @@ def _cmd_enum(args) -> int:
         _print_listing(domain, antichains.maximal_chain_free_masks(args.n, 2))
         return 0
     if args.count_only:
-        _print(f"{antichains.count_antichains(args.b, args.n, nonempty=True)}\n")
+        _print(f"{antichains.count_antichains(args.b, args.n)}\n")
         return 0
     antichains._check_subset_cap(domain.node_count())
     _print_listing(domain, antichains.subtree_walk(domain.subtree_sizes()))
@@ -171,8 +171,6 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_check_lemma(args) -> int:
-    if args.lemma != "ss-ll":
-        raise TreepropError(f"unknown lemma {args.lemma!r}")
     report = qftypes.verify_ss_ll(args.b, args.n, args.len)
     _print({
         "pass": report.passed,

@@ -98,21 +98,22 @@ class Quantifier(Formula):
 
 # --- Parser ---
 
-_TOKEN = re.compile(r"\s*(->|!=|[()=.,&|!]|[A-Za-z_][A-Za-z_0-9]*|[0-9]+)")
+_TOKEN = re.compile(r"->|!=|[()=.,&|!]|[A-Za-z_][A-Za-z_0-9]*|[0-9]+")
+_SPACE = re.compile(r"\s*")
 
 
 class _Parser:
     def __init__(self, text: str):
+        """Tokens and their positions, from one match in place per token and per space run."""
         self.text = text
         self.tokens: List[Tuple[str, int]] = []
-        pos = 0
-        while pos < len(text) and not text[pos:].isspace():
+        pos = _SPACE.match(text).end()
+        while pos < len(text):
             m = _TOKEN.match(text, pos)
             if not m:
-                pos += len(text[pos:]) - len(text[pos:].lstrip())
                 raise FormulaError(f"unexpected character {text[pos]!r}", pos)
-            self.tokens.append((m.group(1), m.start(1)))
-            pos = m.end()
+            self.tokens.append((m.group(), pos))
+            pos = _SPACE.match(text, m.end()).end()
         self.i = 0
 
     def peek(self):

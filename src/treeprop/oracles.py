@@ -21,10 +21,11 @@ tuple witnesses included.
 
 `semilattice(oracle)` hands out the four parts, and exhaustive `verify`
 joins meets of subsets from them and groups subsets by their meets, so meet
-values must be hashable (every built-in one is an int or a tuple). An oracle with only `consistent()` (no
-`holds`) still works: it gets the label-tuple lattice (top `()`, meet tuple
-concatenation, element `(label,)`, holds `consistent()` itself), so it is
-asked once per subset, about the subset's labels in label order.
+values must be hashable (every built-in one is an int or a tuple). An oracle
+with only `consistent()` (no `holds`) still works: it gets the label-tuple
+lattice (top `()`, meet tuple concatenation, element `(label,)`, holds
+`consistent()` itself), whose meets are distinct, so exhaustive `verify`
+asks it once per subset in mask order, about the labels in label order.
 """
 
 from __future__ import annotations

@@ -7,9 +7,8 @@ forbidden-configuration-free sets; exhaustive verification checks the oracle
 verdict against family membership on every nonempty index subset, reading
 membership from the exact family's columns. Every required consistent set is
 a member and no required inconsistent set is one, so exhaustive verification
-decides by class-pair tables of the two and streams the required sets only
-to name a failure, except for an oracle without meets (the label-tuple
-lattice of `oracles.semilattice`), which is streamed first as in pattern mode.
+decides by class-pair tables of the two, for every oracle, and streams the
+required sets only to name a failure.
 
 The required sets are lazy streams of int masks over the canonical label
 order, from one chain and antichain walk (`antichains.subtree_walk`) over
@@ -363,10 +362,10 @@ def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False) -> Verific
     and exhaustive mode streams the required families only when the tables
     fail or raise: a failure in the stream is then the report, as it always
     came first, and otherwise the tables' failure or exception stands. An
-    oracle with only consistent() (or a conjunction over one) gets the
-    label-tuple lattice, whose tables hold distinct label tuples, so every
-    class is one index: it is streamed first and then asked once per mask,
-    in mask order, about the subset's labels in label order."""
+    oracle with only consistent() (or a conjunction over one) takes the same
+    path with the label-tuple lattice of `oracles.semilattice`, whose every
+    class is one index: its table pass asks it once per mask, in mask order,
+    up to the first failing mask."""
     if exhaustive:
         _check_subset_cap(p.index_count())
     labels = p.index_labels()
@@ -375,9 +374,6 @@ def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False) -> Verific
     if not exhaustive:
         return _stream(oracle, labels, p, False)
     lattice = semilattice(oracle)
-    if lattice[1] is tuple.__add__:  # label tuples: one ask per subset, stream first
-        streamed = _stream(oracle, labels, p, True)
-        return _class_pairs(lattice, labels, p) if streamed.passed else streamed
     try:
         tables = _class_pairs(lattice, labels, p)
     except Exception as exc:  # raised below unless the stream fails first

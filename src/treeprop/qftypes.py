@@ -109,15 +109,19 @@ def _forms(t: Tuple[Node, ...]) -> tuple:
     return _delta_form(len(t), ranks, rows), (ranks, rows)
 
 
+def _same_form(form, t1, t2) -> bool:
+    """Whether the node tuples have one length and one form."""
+    t1, t2 = tuple(t1), tuple(t2)
+    return len(t1) == len(t2) and form(t1) == form(t2)
+
+
 def sim0(t1, t2) -> bool:
     """Strong isomorphism of node tuples."""
-    t1, t2 = tuple(t1), tuple(t2)
-    return len(t1) == len(t2) and qftype0(t1) == qftype0(t2)
+    return _same_form(qftype0, t1, t2)
 
 
 def sim0_atomic(t1, t2) -> bool:
-    t1, t2 = tuple(t1), tuple(t2)
-    return len(t1) == len(t2) and atomic_pattern(t1) == atomic_pattern(t2)
+    return _same_form(atomic_pattern, t1, t2)
 
 
 def sim0_sets(x1, x2) -> bool:
@@ -126,8 +130,7 @@ def sim0_sets(x1, x2) -> bool:
 
 
 def sim_delta(t1, t2) -> bool:
-    t1, t2 = tuple(t1), tuple(t2)
-    return len(t1) == len(t2) and delta_type(t1) == delta_type(t2)
+    return _same_form(delta_type, t1, t2)
 
 
 @dataclass(frozen=True)

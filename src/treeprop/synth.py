@@ -41,6 +41,8 @@ from .patterns import ConsistencyFamily
 # total 716,211 bits (605,003 for k=3)
 SKOLEM_BITS_CAP = 2 ** 22
 
+_PICKS = bytes.maketrans(b"01", b"\0\1")  # a binary digit's 0/1 byte, which picks a prime
+
 
 def _prime_bound(m: int) -> int:
     """A bound on the m-th prime: 11 for m < 6, else m (ln m + ln ln m),
@@ -77,17 +79,17 @@ def check_skolem_bits(bits: int, size: str) -> None:
         raise ResourceCapError(f"skolem parameters of {size} {bits} bits", SKOLEM_BITS_CAP)
 
 
-def _column_product(ps: list, column: int, flags: bytes, offset: int = 0) -> int:
+def _column_product(ps: list, column: int, offset: int = 0) -> int:
     """The product of ps[offset + i] over the set bits i of the column. A
     column of at most 64 bits maps its binary digits, lowest first, to 0/1
-    bytes by `flags`, which pick the primes."""
+    bytes by `_PICKS`, which pick the primes."""
     width = column.bit_length()
     if width <= 64:
-        picks = format(column, "b")[::-1].encode().translate(flags)
+        picks = format(column, "b")[::-1].encode().translate(_PICKS)
         return prod(compress(ps[offset:offset + width], picks))
     half = width >> 1
-    return (_column_product(ps, column & ((1 << half) - 1), flags, offset)
-            * _column_product(ps, column >> half, flags, offset + half))
+    return (_column_product(ps, column & ((1 << half) - 1), offset)
+            * _column_product(ps, column >> half, offset + half))
 
 
 def synth_skolem(family: ConsistencyFamily) -> Witness:
@@ -95,9 +97,7 @@ def synth_skolem(family: ConsistencyFamily) -> Witness:
         raise WitnessError("cannot synthesize from an empty family")
     check_skolem_bits(_skolem_bits_bound(family), "up to")
     ps = _first_primes(len(family.masks))
-    flags = bytes.maketrans(b"01", b"\0\1")
-    products = {column: _column_product(ps, column, flags)
-                for column in set(family.columns.values())}
+    products = {column: _column_product(ps, column) for column in set(family.columns.values())}
     assigned = {label: products[column] for label, column in family.columns.items()}
     return Witness(SKOLEM, tuple(family.labels), assigned)
 

@@ -18,21 +18,24 @@ of children, TP2's combinations of rows and cells, all sorted) and the
 antichain stream built on them, and the sorted CLI listing. The library's
 required sets, which are masks, are read back as frozensets here.
 Verification: family membership as inclusion in some maximal member, one
-frozenset per subset with membership by it, an oracle wrapper that records what it is
-asked, and the conjunction oracle that asked its base about source unions,
-with the source union of a tuple witness's labels.
+frozenset per subset with membership by the subset scan over the reference
+forbidden sets, an oracle wrapper that records what it is asked, and the
+conjunction oracle that asked its base about source unions, with the source
+union of a tuple witness's labels.
 Types: byte-packed relation tables, the pairwise ss-ll check, the
 quadratic prefix matrix over every pair of values, and the combination scan
-for iso copies. The first-order oracle evaluated afresh on every call.
+for iso copies. The first-order oracle evaluated afresh on every call, and
+the formula tokenizer that sliced the rest of the text for every token.
 """
 
 import functools
 import itertools
 import math
 import operator
+import re
 from typing import List
 
-from treeprop import (VerificationReport, eval_formula, exact_family,
+from treeprop import (FormulaError, VerificationReport, eval_formula,
                       required_consistent, required_inconsistent)
 from treeprop.antichains import (AntichainCatalog, _check_subset_cap, mask_labels,
                                  mask_set)
@@ -433,12 +436,17 @@ def contains(family, subset):
     return bool(subset) and any(subset <= member for member in family.maximal)
 
 
-def reference_verify(oracle, witness, p):
-    """Exhaustive verification with one frozenset per mask and membership by
-    `contains(exact_family(p), subset)`, after the same pattern pass."""
-    labels = p.index_labels()
-    if set(witness.labels) != set(labels):
-        raise ValueError("witness index set does not match the pattern")
+@functools.lru_cache(maxsize=None)
+def reference_membership(p):
+    """free[mask] for every mask over p's labels: 1 when the mask holds no
+    forbidden set of `reference_required_inconsistent(p)`, which is
+    exact-family membership, read without any family builder."""
+    return forbidden_free_table(p.index_labels(), reference_required_inconsistent(p))
+
+
+def _pattern_pass(oracle, p):
+    """The pattern pass: the required consistent then the required
+    inconsistent sets as frozensets, up to the first failure."""
     n_cons = n_incons = 0
     for subset in listed(p, required_consistent(p)):
         n_cons += 1
@@ -450,21 +458,44 @@ def reference_verify(oracle, witness, p):
         if oracle.consistent(subset):
             return VerificationReport(False, n_cons, n_incons, True,
                                       (subset, "inconsistent", "consistent"))
-    family = exact_family(p)
-    n_cons = n_incons = 0
-    for mask in range(1, 1 << len(labels)):
-        subset = mask_set(labels, mask)
-        expected = contains(family, subset)
-        actual = oracle.consistent(subset)
-        if expected:
-            n_cons += 1
-        else:
-            n_incons += 1
-        if expected != actual:
-            want = "consistent" if expected else "inconsistent"
-            got = "consistent" if actual else "inconsistent"
-            return VerificationReport(False, n_cons, n_incons, True, (subset, want, got))
     return VerificationReport(True, n_cons, n_incons, True)
+
+
+def reference_verify(oracle, witness, p):
+    """Exhaustive verification with one frozenset per mask, asked in mask
+    order up to the first failure, with membership by
+    `reference_membership(p)`. Only after a failure or an exception comes
+    the pattern pass: its failure is the report, else the scan's failure or
+    exception stands."""
+    labels = p.index_labels()
+    if set(witness.labels) != set(labels):
+        raise ValueError("witness index set does not match the pattern")
+    free = reference_membership(p)
+    n_cons = n_incons = 0
+    try:
+        for mask in range(1, 1 << len(labels)):
+            subset = mask_set(labels, mask)
+            expected = bool(free[mask])
+            actual = oracle.consistent(subset)
+            if expected:
+                n_cons += 1
+            else:
+                n_incons += 1
+            if expected != actual:
+                want = "consistent" if expected else "inconsistent"
+                got = "consistent" if actual else "inconsistent"
+                scan = VerificationReport(False, n_cons, n_incons, True, (subset, want, got))
+                break
+        else:
+            return VerificationReport(True, n_cons, n_incons, True)
+    except Exception as exc:
+        scan = exc
+    streamed = _pattern_pass(oracle, p)
+    if not streamed.passed:
+        return streamed
+    if isinstance(scan, Exception):
+        raise scan
+    return scan
 
 
 class RecordingOracle:
@@ -612,3 +643,22 @@ def reference_find_iso_copy(y, x):
         if reference_qftype0_form(candidate) == target:
             return dict(zip(y_tuple, candidate))
     return None
+
+
+_REFERENCE_TOKEN = re.compile(r"\s*(->|!=|[()=.,&|!]|[A-Za-z_][A-Za-z_0-9]*|[0-9]+)")
+
+
+def reference_tokens(text):
+    """The (token, position) pairs of a formula text by the loop that sliced
+    the rest of the text twice per token, quadratic in the text; a character
+    no token starts with raises FormulaError at its position."""
+    tokens = []
+    pos = 0
+    while pos < len(text) and not text[pos:].isspace():
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if not m:
+            pos += len(text[pos:]) - len(text[pos:].lstrip())
+            raise FormulaError(f"unexpected character {text[pos]!r}", pos)
+        tokens.append((m.group(1), m.start(1)))
+        pos = m.end()
+    return tokens

@@ -29,7 +29,7 @@ def test_count_antichains_matches_enumeration():
 def test_count_antichains_alpha_relation():
     # antichain count including the empty set at depth n equals alpha(n+1)
     for n in range(5):
-        assert count_antichains(2, n, nonempty=False) == alpha(n + 1)
+        assert count_antichains(2, n) + 1 == alpha(n + 1)
 
 
 def test_enumeration_is_canonical_and_deduplicated():

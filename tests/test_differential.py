@@ -47,7 +47,7 @@ from treeprop.antichains import (_choose, chain_free_count, find_iso_copy,
                                  maximal_choice_masks, subtree_walk,
                                  universal_prefix)
 from treeprop.nodes import closure, incomparable, is_antichain
-from treeprop.oracles import SKOLEM, STRUCTURE, semilattice
+from treeprop.oracles import SKOLEM, STRUCTURE, TupleWitness, semilattice
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2, PatternSpec
 from treeprop.synth import _first_primes
 from treeprop.transforms import build_onevar_scaffold
@@ -392,12 +392,12 @@ def _column_product_calls(monkeypatch, family):
 
     product, calls, depth = synth._column_product, [], [0]
 
-    def counted(ps, column, flags, offset=0):
+    def counted(ps, column, offset=0):
         if not depth[0]:
             calls.append(column)
         depth[0] += 1
         try:
-            return product(ps, column, flags, offset)
+            return product(ps, column, offset)
         finally:
             depth[0] -= 1
     with monkeypatch.context() as patch:
@@ -462,7 +462,9 @@ VERIFY_SPECS = (
 
 def _same_as_reference(witness, p, target=None):
     """verify and reference_verify agree on the report, and the oracle is asked
-    about the same subsets in the same order."""
+    about the same subsets in the same order: every nonempty mask in
+    increasing order up to the first failing one, then, only after a
+    failure, the required sets up to their first failure."""
     fast = RecordingOracle(oracle_for(witness), target)
     slow = RecordingOracle(oracle_for(witness), target)
     report = verify(fast, witness, p, exhaustive=True)
@@ -911,6 +913,92 @@ def test_conjunction_over_a_consistent_only_base_is_asked_as_before():
             assert fast.seen == slow.seen
 
 
+class RaisingOracle(RecordingOracle):
+    """A RecordingOracle that raises LookupError on one chosen subset."""
+
+    def __init__(self, oracle, raise_on):
+        super().__init__(oracle)
+        self.raise_on = raise_on
+
+    def consistent(self, labels) -> bool:
+        verdict = super().consistent(labels)
+        if self.seen[-1] == self.raise_on:
+            raise LookupError(self.raise_on)
+        return verdict
+
+
+def _verify_outcome(verify_fn, oracle, witness, p):
+    """The report, or the type and subset of a LookupError."""
+    try:
+        return verify_fn(oracle, witness, p)
+    except LookupError as exc:
+        return type(exc), exc.args[0]
+
+
+def test_a_raising_consistent_only_oracle_reaches_the_tables_first():
+    """An oracle with only consistent() that raises on one subset, inside the
+    required sets or outside them, is asked every mask in increasing order up
+    to that subset, and then the required sets; it gets the reference's
+    outcome, asked the same subsets in the same order."""
+    for p in (make_pattern(ATP, depth=3), make_pattern(TP2, rows=2, cols=3)):
+        labels = p.index_labels()
+        witness = synth_skolem(exact_family(p))
+        required = required_sets(p)
+        rng = random.Random(p.index_count())
+        masks = range(1, 1 << len(labels))
+        for inside in (True, False):
+            mask = rng.choice([m for m in masks if (mask_set(labels, m) in required) == inside])
+            target = mask_set(labels, mask)
+            fast = RaisingOracle(oracle_for(witness), target)
+            slow = RaisingOracle(oracle_for(witness), target)
+            outcome = _verify_outcome(functools.partial(verify, exhaustive=True), fast, witness, p)
+            assert outcome == _verify_outcome(reference_verify, slow, witness, p) \
+                == (LookupError, target)
+            assert fast.seen == slow.seen
+            assert fast.seen[:mask] == [mask_set(labels, m) for m in range(1, mask + 1)]
+            assert (target in fast.seen[mask:]) == inside
+
+
+class ConsistentOnly:
+    """An oracle's consistent() alone, without its lattice."""
+
+    def __init__(self, oracle):
+        self.consistent = oracle.consistent
+
+
+def test_conjunctions_over_a_consistent_only_base_match_reference():
+    """On every VERIFY_SPECS witness and broken copy, on both backends, the
+    conjunction over a consistent()-only base, through the tuple witness of
+    arity 1 whose every label is its own source, gets the reference report.
+    (The base alone is checked by `_same_as_reference`.)"""
+    for p, witness, expected in meet_cases():
+        tw = TupleWitness(witness, witness.labels, {x: (x,) for x in witness.labels}, 1)
+        oracle = ConjunctionOracle(ConsistentOnly(oracle_for(witness)), tw)
+        assert verify(oracle, tw, p, exhaustive=True) == expected, (p, witness.backend)
+
+
+@pytest.mark.parametrize("synth", [synth_skolem, synth_boolean])
+def test_broken_family_builders_fail_the_verify_gate(monkeypatch, synth):
+    """Exhaustive verify passes a witness built from a wrong family, since it
+    reads membership from that same family; `reference_verify`, run under
+    the same builder, reads it from the forbidden sets, so the comparison
+    fails, at ATP d4, for a builder that drops its last mask and for one that
+    adds a non-member."""
+    p = make_pattern(ATP, depth=4)
+    builders = [
+        lambda n, k: maximal_chain_free_masks(n, k)[:-1],
+        # the root and its first child, a 2-chain
+        lambda n, k: maximal_chain_free_masks(n, k) + [0b11],
+    ]
+    for builder in builders:
+        with monkeypatch.context() as patch:
+            patch.setattr(patterns, "maximal_chain_free_masks", builder)
+            witness = synth(exact_family(p))
+            report = verify(oracle_for(witness), witness, p, exhaustive=True)
+            assert report.passed
+            assert report != reference_verify(oracle_for(witness), witness, p)
+
+
 # --- the subtree walk against brute force and the former scan and sorts ---
 
 # (branching, depth) domains where every subset, or for chains every subset
@@ -1276,18 +1364,24 @@ def mutant(module, name, old, new):
     return namespace[name.split(".")[-1]]
 
 
-def test_broken_iso_searches_fail_the_gate():
-    breaks = [
-        # a host meet popping an equal length off the stack instead of joining it
+def test_broken_iso_searches_fail_the_gate(monkeypatch):
+    shape_breaks = [
+        # a meet popping an equal length off the stack instead of joining it
         ("stack[-1 - popped] > length:\n", "stack[-1 - popped] >= length:\n"),
-        # a host meet never joining an equal length, so a third child reads as a push
-        ("joined = popped < len(stack) and stack[-1 - popped] == length", "joined = False"),
+        # a meet never joining an equal length, so a third child reads as a push
+        ("popped, popped < len(stack) and stack[-1 - popped] == length", "popped, False"),
+    ]
+    for old, new in shape_breaks:
+        with monkeypatch.context() as patch:
+            patch.setattr(antichains, "_shape_step", mutant(antichains, "_shape_step", old, new))
+            assert iso_mismatches(find_iso_copy), new
+    search_breaks = [
         # a candidate kept when the last chosen host is its prefix
         ("if length < len(last):", "if True:"),
         # never trying the last host node that still leaves room for the rest
         ("start <= n - k + j", "start < n - k + j"),
     ]
-    for old, new in breaks:
+    for old, new in search_breaks:
         assert iso_mismatches(mutant(antichains, "find_iso_copy", old, new)), new
 
 

@@ -215,18 +215,26 @@ def test_exhaustive_cap_before_any_work(monkeypatch):
                exhaustive=True)
 
 
-def test_pattern_verify_holds_one_set_at_a_time():
-    # listing a family whole before its first check peaked at 22.8 and 43.9 MB
-    for p in [make_pattern(TP, branching=400, depth=2, k=2), make_pattern(SOP2, depth=9)]:
-        witness = synth_boolean(exact_family(p))
-        oracle = oracle_for(witness)
+def test_pattern_verify_holds_one_set_at_a_time(monkeypatch):
+    # streaming peaked at 0.03 and 0.05 MB; listing the required inconsistent
+    # sets whole before the first check, at 1.08 and 1.72 MB
+    bound = 2 ** 19
+
+    def peak(oracle, witness, p):
         tracemalloc.start()
         try:
             assert verify(oracle, witness, p).passed
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2 ** 20, (p, peak)
+    for p in [make_pattern(TP, branching=200, depth=2, k=2), make_pattern(SOP2, depth=8)]:
+        witness = synth_boolean(exact_family(p))
+        oracle = oracle_for(witness)
+        assert peak(oracle, witness, p) < bound, p
+        with monkeypatch.context() as patch:
+            patch.setattr(patterns, "required_inconsistent",
+                          lambda spec: list(required_inconsistent(spec)))
+            assert peak(oracle, witness, p) > bound, p
 
 
 def test_tp2_pattern_verify_within_the_cap():
