@@ -25,7 +25,8 @@ values must be hashable (every built-in one is an int or a tuple). An oracle
 with only `consistent()` (no `holds`) still works: it gets the label-tuple
 lattice (top `()`, meet tuple concatenation, element `(label,)`, holds
 `consistent()` itself), whose meets are distinct, so exhaustive `verify`
-asks it once per subset in mask order, about the labels in label order.
+asks it once per subset in mask order, about the labels in label order, up
+to the first failing subset and nothing after.
 """
 
 from __future__ import annotations

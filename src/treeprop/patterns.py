@@ -3,12 +3,11 @@
 Each pattern names an index set plus two generated families: sets that a
 witness must make consistent and sets it must make inconsistent. The exact
 consistency family of a pattern is the subset closure of its maximal
-forbidden-configuration-free sets; exhaustive verification checks the oracle
-verdict against family membership on every nonempty index subset, reading
-membership from the exact family's columns. Every required consistent set is
-a member and no required inconsistent set is one, so exhaustive verification
-decides by class-pair tables of the two, for every oracle, and streams the
-required sets only to name a failure.
+forbidden-configuration-free sets. Each verify mode has one engine, and its
+report is that engine's: pattern verification streams the required sets, and
+exhaustive verification checks the oracle verdict against family membership
+on every nonempty index subset by class-pair tables of the two, for every
+oracle, reading membership from the exact family's columns.
 
 The required sets are lazy streams of int masks over the canonical label
 order, from one chain and antichain walk (`antichains.subtree_walk`) over
@@ -334,7 +333,7 @@ def _class_pairs(lattice, labels, p: PatternSpec) -> VerificationReport:
     return VerificationReport(True, n_cons, (1 << len(labels)) - 1 - n_cons, True)
 
 
-def _stream(oracle, labels, p: PatternSpec, exhaustive: bool) -> VerificationReport:
+def _stream(oracle, labels, p: PatternSpec) -> VerificationReport:
     """The required families through oracle.consistent(), each mask's labels
     in label order: the first failure, or a pass with the counts checked."""
     checked = [0, 0]  # consistent, inconsistent
@@ -343,46 +342,29 @@ def _stream(oracle, labels, p: PatternSpec, exhaustive: bool) -> VerificationRep
             checked[not want] += 1
             if bool(oracle.consistent(mask_labels(labels, mask))) != want:
                 names = ("inconsistent", "consistent")
-                return VerificationReport(False, *checked, exhaustive,
+                return VerificationReport(False, *checked, False,
                                           (mask_set(labels, mask), names[want], names[not want]))
-    return VerificationReport(True, *checked, exhaustive)
+    return VerificationReport(True, *checked, False)
 
 
 def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False) -> VerificationReport:
-    """Check the witness against the pattern through the oracle. Pattern mode
-    streams the required families, asks the oracle about each mask's labels in
-    label order, and builds a frozenset only for a counterexample, so it holds
-    one set at a time. Exhaustive mode compares the oracle verdict with
-    exact-family membership on every nonempty subset, in increasing mask
-    order, by the class-pair tables of `_class_pairs`; 2^n subsets are checked
-    against DEFAULT_SUBSET_CAP before any other work.
-
-    Every required consistent set is an exact-family member and no required
-    inconsistent set is one, so a clean table pass implies a clean stream,
-    and exhaustive mode streams the required families only when the tables
-    fail or raise: a failure in the stream is then the report, as it always
-    came first, and otherwise the tables' failure or exception stands. An
-    oracle with only consistent() (or a conjunction over one) takes the same
-    path with the label-tuple lattice of `oracles.semilattice`, whose every
-    class is one index: its table pass asks it once per mask, in mask order,
-    up to the first failing mask."""
+    """Check the witness against the pattern through the oracle. Each mode has
+    one engine. Pattern mode streams the required families, asks the oracle
+    about each mask's labels in label order, and builds a frozenset only for
+    a counterexample, so it holds one set at a time. Exhaustive mode compares
+    the oracle verdict with exact-family membership on every nonempty subset
+    by the class-pair tables of `_class_pairs`, and its report is theirs: a
+    pass, or the first failing subset in mask order with the counts of the
+    masks up to it. 2^n subsets are checked against DEFAULT_SUBSET_CAP before
+    any other work, and whatever the oracle raises propagates. An oracle with
+    only consistent() (or a conjunction over one) gets the label-tuple
+    lattice of `oracles.semilattice`, whose every class is one index, so it
+    is asked once per mask, in mask order, up to the first failing mask."""
     if exhaustive:
         _check_subset_cap(p.index_count())
     labels = p.index_labels()
     if set(witness.labels) != set(labels):
         raise ValueError("witness index set does not match the pattern")
-    if not exhaustive:
-        return _stream(oracle, labels, p, False)
-    lattice = semilattice(oracle)
-    try:
-        tables = _class_pairs(lattice, labels, p)
-    except Exception as exc:  # raised below unless the stream fails first
-        tables = exc
-    if isinstance(tables, VerificationReport) and tables.passed:
-        return tables
-    streamed = _stream(oracle, labels, p, True)
-    if not streamed.passed:
-        return streamed
-    if isinstance(tables, Exception):
-        raise tables
-    return tables
+    if exhaustive:
+        return _class_pairs(semilattice(oracle), labels, p)
+    return _stream(oracle, labels, p)

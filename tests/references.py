@@ -444,58 +444,28 @@ def reference_membership(p):
     return forbidden_free_table(p.index_labels(), reference_required_inconsistent(p))
 
 
-def _pattern_pass(oracle, p):
-    """The pattern pass: the required consistent then the required
-    inconsistent sets as frozensets, up to the first failure."""
-    n_cons = n_incons = 0
-    for subset in listed(p, required_consistent(p)):
-        n_cons += 1
-        if not oracle.consistent(subset):
-            return VerificationReport(False, n_cons, n_incons, True,
-                                      (subset, "consistent", "inconsistent"))
-    for subset in listed(p, required_inconsistent(p)):
-        n_incons += 1
-        if oracle.consistent(subset):
-            return VerificationReport(False, n_cons, n_incons, True,
-                                      (subset, "inconsistent", "consistent"))
-    return VerificationReport(True, n_cons, n_incons, True)
-
-
 def reference_verify(oracle, witness, p):
     """Exhaustive verification with one frozenset per mask, asked in mask
     order up to the first failure, with membership by
-    `reference_membership(p)`. Only after a failure or an exception comes
-    the pattern pass: its failure is the report, else the scan's failure or
-    exception stands."""
+    `reference_membership(p)`; whatever the oracle raises propagates."""
     labels = p.index_labels()
     if set(witness.labels) != set(labels):
         raise ValueError("witness index set does not match the pattern")
     free = reference_membership(p)
     n_cons = n_incons = 0
-    try:
-        for mask in range(1, 1 << len(labels)):
-            subset = mask_set(labels, mask)
-            expected = bool(free[mask])
-            actual = oracle.consistent(subset)
-            if expected:
-                n_cons += 1
-            else:
-                n_incons += 1
-            if expected != actual:
-                want = "consistent" if expected else "inconsistent"
-                got = "consistent" if actual else "inconsistent"
-                scan = VerificationReport(False, n_cons, n_incons, True, (subset, want, got))
-                break
+    for mask in range(1, 1 << len(labels)):
+        subset = mask_set(labels, mask)
+        expected = bool(free[mask])
+        actual = oracle.consistent(subset)
+        if expected:
+            n_cons += 1
         else:
-            return VerificationReport(True, n_cons, n_incons, True)
-    except Exception as exc:
-        scan = exc
-    streamed = _pattern_pass(oracle, p)
-    if not streamed.passed:
-        return streamed
-    if isinstance(scan, Exception):
-        raise scan
-    return scan
+            n_incons += 1
+        if expected != actual:
+            want = "consistent" if expected else "inconsistent"
+            got = "consistent" if actual else "inconsistent"
+            return VerificationReport(False, n_cons, n_incons, True, (subset, want, got))
+    return VerificationReport(True, n_cons, n_incons, True)
 
 
 class RecordingOracle:

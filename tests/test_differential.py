@@ -14,8 +14,8 @@ shape iso-copy search against the quadratic prefix matrix and the
 combination scan, the subtree walk over chains and antichains against brute force and
 the scan and sorts it replaced, every pattern's required sets against the
 sorted references, and exhaustive verification by the oracles'
-semilattice meets, which streams the required sets only to name a failure,
-against one consistent() call per subset, with deliberately broken copies
+semilattice meets, whose report is the class-pair tables' own, against one
+consistent() call per subset in mask order, with deliberately broken copies
 that the comparison must catch."""
 
 import functools
@@ -463,8 +463,7 @@ VERIFY_SPECS = (
 def _same_as_reference(witness, p, target=None):
     """verify and reference_verify agree on the report, and the oracle is asked
     about the same subsets in the same order: every nonempty mask in
-    increasing order up to the first failing one, then, only after a
-    failure, the required sets up to their first failure."""
+    increasing order up to the first failing one, and nothing after."""
     fast = RecordingOracle(oracle_for(witness), target)
     slow = RecordingOracle(oracle_for(witness), target)
     report = verify(fast, witness, p, exhaustive=True)
@@ -501,7 +500,7 @@ def _broken_witnesses(family, witness, p):
 
 
 def test_exhaustive_verify_matches_reference():
-    in_loop = 0  # broken witnesses that pass the pattern pass
+    in_loop = 0  # broken witnesses that fail first outside the required sets
     for p in VERIFY_SPECS:
         family = exact_family(p)
         required = required_sets(p)
@@ -775,16 +774,12 @@ def test_broken_recount_fails_the_gate(monkeypatch):
 
 
 def test_broken_verify_orders_fail_the_gate():
-    # a table failure returned without the stream, which names the first
-    # failing required set
-    unstreamed = mutant(patterns, "verify",
-                        "if isinstance(tables, VerificationReport) and tables.passed:",
-                        "if isinstance(tables, VerificationReport):")
-    assert first_meet_mismatch(unstreamed) is not None
-    # the table pass skipped, so the stream decides alone: it passes broken
-    # witnesses that fail only outside the required sets
-    stream_only = mutant(patterns, "verify", "tables = _class_pairs(lattice, labels, p)",
-                         "tables = _stream(oracle, labels, p, True)")
+    # the class-pair tables replaced by the stream of required sets, so the
+    # stream decides alone: it passes broken witnesses that fail only outside
+    # the required sets
+    stream_only = mutant(patterns, "verify",
+                         "return _class_pairs(semilattice(oracle), labels, p)",
+                         "return _stream(oracle, labels, p)")
     assert first_meet_mismatch(stream_only) is not None
     assert any(stream_only(oracle_for(w), w, p, exhaustive=True).passed
                for p, w, report in meet_cases() if not report.passed)
@@ -935,11 +930,11 @@ def _verify_outcome(verify_fn, oracle, witness, p):
         return type(exc), exc.args[0]
 
 
-def test_a_raising_consistent_only_oracle_reaches_the_tables_first():
+def test_a_raising_consistent_only_oracle_is_asked_each_mask_up_to_its_subset():
     """An oracle with only consistent() that raises on one subset, inside the
     required sets or outside them, is asked every mask in increasing order up
-    to that subset, and then the required sets; it gets the reference's
-    outcome, asked the same subsets in the same order."""
+    to that subset and nothing after, as by the reference, and its exception
+    propagates."""
     for p in (make_pattern(ATP, depth=3), make_pattern(TP2, rows=2, cols=3)):
         labels = p.index_labels()
         witness = synth_skolem(exact_family(p))
@@ -954,9 +949,7 @@ def test_a_raising_consistent_only_oracle_reaches_the_tables_first():
             outcome = _verify_outcome(functools.partial(verify, exhaustive=True), fast, witness, p)
             assert outcome == _verify_outcome(reference_verify, slow, witness, p) \
                 == (LookupError, target)
-            assert fast.seen == slow.seen
-            assert fast.seen[:mask] == [mask_set(labels, m) for m in range(1, mask + 1)]
-            assert (target in fast.seen[mask:]) == inside
+            assert fast.seen == slow.seen == [mask_set(labels, m) for m in range(1, mask + 1)]
 
 
 class ConsistentOnly:
@@ -1531,10 +1524,12 @@ def test_fo_exhaustive_verify_reads_every_mask():
         verify(oracle, witness, p, exhaustive=True)
 
 
-def test_fo_exhaustive_verify_names_a_stream_failure_before_a_table_error():
-    """The tables raise where phi raises, at the root's parameter 6, but the
-    required inconsistent pair of the root and its child is consistent (x = 2
-    divides both parameters), and the stream names it as the reference does."""
+def test_fo_exhaustive_verify_raises_where_pattern_verify_names_a_failure():
+    """The tables raise where phi raises, at the root's parameter 6, and
+    exhaustive verify lets the error through; pattern verify asks consistent()
+    about the required sets, which meets no error, and names the required
+    inconsistent pair of the root and its child, which is consistent (x = 2
+    divides both parameters)."""
     structure = divisor_structure(6)
     formula = parse_formula("x != 1 & divides(x, y) & (x != 3 | bogus(x))")
     p = make_pattern(ATP, depth=2)
@@ -1542,7 +1537,7 @@ def test_fo_exhaustive_verify_names_a_stream_failure_before_a_table_error():
     witness = Witness(STRUCTURE, tuple(params), params)
     oracle = FoOracle(structure, formula, witness)
     with pytest.raises(FormulaError):
-        patterns._class_pairs(semilattice(oracle), p.index_labels(), p)
-    report = verify(oracle, witness, p, exhaustive=True)
-    assert report == reference_verify(FoOracle(structure, formula, witness), witness, p)
+        verify(oracle, witness, p, exhaustive=True)
+    report = verify(oracle, witness, p)
+    assert not report.passed and not report.exhaustive
     assert report.counterexample == (frozenset({(), (0,)}), "inconsistent", "consistent")

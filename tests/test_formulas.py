@@ -80,6 +80,72 @@ def test_eval_quantifiers():
     assert not eval_formula(s, parse_formula("forall x. divides(2, x)"), {})
 
 
+def test_eval_negation_and_implication_on_divisors():
+    s = divisor_structure(12)
+    cases = [  # (formula, x, y, truth value)
+        ("! divides(x, y)", 2, 6, False),
+        ("! divides(x, y)", 4, 6, True),
+        ("!!divides(x, y)", 4, 6, False),
+        ("divides(x, 4) -> divides(x, y)", 2, 6, True),
+        ("divides(x, 4) -> divides(x, y)", 4, 6, False),
+        ("divides(x, 4) -> divides(x, y)", 3, 4, True),  # a false premise
+        ("divides(x, 4) -> divides(x, y)", 6, 1, True),
+        ("! x = y -> divides(x, y)", 2, 3, False),
+        ("! x = y -> divides(x, y)", 3, 3, True),
+        ("divides(x, y) -> divides(y, x)", 1, 2, False),
+        # right-associative: p -> (q -> r), which is true at (1, 2) as q is false
+        ("divides(x, y) -> divides(y, x) -> x = y", 1, 2, True),
+        ("(divides(x, y) -> divides(y, x)) -> x = y", 1, 2, True),
+        ("(divides(x, y) -> divides(y, x)) -> x = y", 2, 4, True),
+        ("(divides(x, y) -> divides(y, x)) -> x = y", 3, 4, False),
+    ]
+    for text, x, y, truth in cases:
+        assert eval_formula(s, parse_formula(text), {"x": x, "y": y}) is truth, (text, x, y)
+    antisymmetry = parse_formula("forall x. forall y. divides(x, y) -> divides(y, x) -> x = y")
+    assert eval_formula(s, antisymmetry, {})
+    assert not eval_formula(s, parse_formula("forall x. divides(x, 4) -> divides(x, 6)"), {})
+
+
+def test_eval_function_terms():
+    # successor mod 4, addition mod 4, and halving, defined on even elements only
+    s = FiniteStructure(
+        [0, 1, 2, 3],
+        functions={"succ": {(0,): 1, (1,): 2, (2,): 3, (3,): 0},
+                   "add": {(a, b): (a + b) % 4 for a in range(4) for b in range(4)},
+                   "half": {(0,): 0, (2,): 1}},
+        constants={"zero": 0})
+    cases = [  # (formula, x, y, truth value)
+        ("succ(x) = y", 0, 1, True),
+        ("succ(x) = y", 3, 0, True),
+        ("succ(x) = y", 1, 1, False),
+        ("succ(succ(x)) = y", 3, 1, True),
+        ("add(x, succ(x)) = y", 1, 3, True),
+        ("add(x, succ(x)) = y", 2, 1, True),
+        ("add(x, y) = zero", 1, 3, True),
+        ("add(x, y) = 0", 2, 1, False),
+        ("add(x, y) != succ(y)", 1, 2, False),
+        ("half(x) = y", 2, 1, True),
+        ("half(add(x, x)) = x", 1, 0, True),
+        ("! succ(x) = x -> half(x) = y", 0, 0, True),
+    ]
+    for text, x, y, truth in cases:
+        assert eval_formula(s, parse_formula(text), {"x": x, "y": y}) is truth, (text, x, y)
+    assert eval_formula(s, parse_formula("forall x. exists y. succ(y) = x"), {})
+    assert not eval_formula(s, parse_formula("exists x. succ(x) = x"), {})
+    with pytest.raises(FormulaError, match=r"function 'half' undefined on \(1,\)"):
+        eval_formula(s, parse_formula("half(x) = y"), {"x": 1, "y": 0})
+    # x = 0 holds (half of 2 is 1), and x = 1 asks for half of 3
+    with pytest.raises(FormulaError, match=r"function 'half' undefined on \(3,\)"):
+        eval_formula(s, parse_formula("forall x. half(succ(succ(x))) = 1"), {})
+    with pytest.raises(FormulaError, match="unknown function 'g'"):
+        eval_formula(s, parse_formula("g(x) = x"), {"x": 0})
+    # the same tables read from a structure document
+    again = FiniteStructure.from_json(json.dumps(s.to_json()))
+    assert again.functions == s.functions
+    for text, x, y, truth in cases:
+        assert eval_formula(again, parse_formula(text), {"x": x, "y": y}) is truth
+
+
 def test_eval_unbound_name_is_error():
     s = divisor_structure(6)
     with pytest.raises(FormulaError):

@@ -8,9 +8,9 @@ from treeprop import (ConjunctionOracle, ResourceCapError, TupleWitness,
                       fatten, make_pattern, maximal_antichains, oracle_for,
                       reduce_katp, sim0, sim0_atomic, sim0_sets, synth_skolem,
                       verify)
-from treeprop.nodes import is_antichain
+from treeprop.nodes import concat_set, is_antichain, is_prefix
 from treeprop.patterns import ATP, KATP
-from treeprop.transforms import elongated_core, probe_set
+from treeprop.transforms import _check_family, elongated_core, probe_set
 
 from references import source_union
 
@@ -157,6 +157,25 @@ def test_collapse_extend_examples():
     out, chi, chi_prime = collapse_extend([{()}])
     assert out == [{(0, 0)}, {()}] and chi == () and chi_prime == (0, 0)
     assert chi == chi_prime[: len(chi)]
+
+
+def test_collapse_extend_searches_for_a_fresh_branch_point():
+    # (0, 0) lies in the second family, so the branch point moves one level
+    # further down, to (0, 0, 0), and chi_prime is its 0 child
+    families = [frozenset({(0,)}), frozenset({(0, 0)})]
+    out, chi, chi_prime = collapse_extend(families)
+    assert chi == (0,) and chi_prime == (0, 0, 0, 0)
+    assert out == [{(0, 0, 0, 0, 0)}, {(0, 0, 0, 0, 0, 0)}, {(0,)}]
+    # the documented properties: every family prefixed by chi_prime, the
+    # first appended unchanged, chi in it and a prefix of chi_prime, and the
+    # branch point below chi_prime is no prefix of any input element
+    assert out[:-1] == [concat_set(chi_prime, x) for x in families]
+    assert out[-1] == families[0] and chi in out[-1]
+    assert chi == chi_prime[:len(chi)]
+    assert not any(is_prefix(chi_prime[:-1], e) for x in families for e in x)
+    _check_family(out)
+    # no search for [{(0,)}, {(1,)}]: the branch point (0, 0) is fresh
+    assert collapse_extend([{(0,)}, {(1,)}])[2] == (0, 0, 0)
 
 
 def test_collapse_extend_validation():
