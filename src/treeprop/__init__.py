@@ -39,8 +39,7 @@ _EXPORTS = {
     "errors": ("FormulaError", "ResourceCapError", "TreepropError", "WitnessError"),
     "formulas": ("FiniteStructure", "divisor_structure", "eval_formula",
                  "parse_formula"),
-    "nodes": ("Node", "TreeDomain", "closure", "concat_set", "is_antichain", "meet",
-              "node_str"),
+    "nodes": ("Node", "TreeDomain", "closure", "concat_set", "meet", "node_str"),
     "oracles": ("BitsetOracle", "ConjunctionOracle", "FoOracle", "GcdOracle",
                 "TupleWitness", "Witness", "oracle_for"),
     "patterns": ("ConsistencyFamily", "PatternSpec", "VerificationReport",

@@ -10,6 +10,9 @@ then below each node a maximal set of each child subtree, some children
 kept whole and the others dropped; TP2's sets of one cell per row are
 binary strings. Each builder first counts its family by its own recursion
 and refuses it past FAMILY_CELL_CAP cells before building any member.
+`_shape`, a lex-sorted antichain's meet-tree shape, is the library's one
+antichain check and type: `find_iso_copy` and the collapse steps of
+`transforms`, which always check their families, compare shapes.
 
 Canonical orders used throughout:
   * a node set is canonically presented as its lex-sorted tuple of nodes;
@@ -355,37 +358,45 @@ def _shape_step(stack, length: int):
     return popped, popped < len(stack) and stack[-1 - popped] == length
 
 
+def _shape(nodes: Tuple[Node, ...]) -> Tuple[Tuple[int, bool], ...]:
+    """The meet-tree shape of a lex-sorted antichain: the `_shape_step`
+    descriptors of its consecutive meet lengths. The meet of a_i and a_j
+    (i < j) is the shortest consecutive meet between them, so the shape fixes
+    the closure's order type: two antichains are strongly isomorphic exactly
+    when their shapes are equal, and a prefix of the nodes has a prefix of
+    the shape. Raises ValueError when a node is a prefix of the next, which
+    is when the nodes are not an antichain (if a < b < c in lex order and a
+    is a prefix of c, it is a prefix of b)."""
+    shape, stack = [], ()
+    for a, b in zip(nodes, nodes[1:]):
+        length = len(meet(a, b))
+        if length == len(a):
+            raise ValueError(f"not an antichain: {a} is a prefix of {b}")
+        popped, joined = _shape_step(stack, length)
+        shape.append((popped, joined))
+        stack = stack[:len(stack) - popped] + (() if joined else (length,))
+    return tuple(shape)
+
+
 def find_iso_copy(y: NodeSet, x: NodeSet):
     """First (in lex order over sorted combinations) strongly isomorphic copy
     of the antichain y inside the node set x, as a lex-monotone mapping, or
     None. An empty y, or one with a node that is a prefix of another, raises
     ValueError.
 
-    A lex-sorted antichain's type is its meet-tree shape: the meet of a_i and
-    a_j (i < j) is the shortest consecutive meet between them, so the
-    descriptors of `_shape_step` over the consecutive meet lengths fix the
-    closure's order type, and a prefix of the nodes has a prefix of the
-    descriptors. y's descriptors are read once. The search walks the
-    combinations of x's sorted nodes in combinations order, one host node at
-    a time, keeping the rightmost-path stack of each partial choice. A
-    candidate costs one meet with the last chosen host: it is dropped when
-    that host is its prefix, or when its step's descriptor differs from y's.
-    A choice whose consecutive nodes are incomparable is an antichain (if
-    a < b < c in lex order and a is a prefix of c, it is a prefix of b), so x
-    need not be one. The order is kept, so the first copy found is the first
-    combination that matches."""
+    y's `_shape` is read once. The search walks the combinations of x's
+    sorted nodes in combinations order, one host node at a time, keeping the
+    rightmost-path stack of each partial choice. A candidate costs one meet
+    with the last chosen host: it is dropped when that host is its prefix,
+    or when its step's descriptor differs from y's. A choice whose
+    consecutive nodes are incomparable is an antichain, so x need not be
+    one. The order is kept, so the first copy found is the first combination
+    that matches."""
     y_tuple = sorted_nodes(y)
     k = len(y_tuple)
     if not k:
         raise ValueError("iso copy of an empty set")
-    targets, stack = [], ()
-    for a, b in zip(y_tuple, y_tuple[1:]):
-        length = len(meet(a, b))
-        if length == len(a):
-            raise ValueError(f"iso copy of a set that is not an antichain: {a} is a prefix of {b}")
-        popped, joined = _shape_step(stack, length)
-        targets.append((popped, joined))
-        stack = stack[:len(stack) - popped] + (() if joined else (length,))
+    targets = _shape(y_tuple)
     hosts = sorted_nodes(x)
     n = len(hosts)
     chosen = []  # host indices of the partial choice, whose descriptors all match

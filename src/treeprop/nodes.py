@@ -32,10 +32,6 @@ def is_prefix(eta: Node, nu: Node) -> bool:
     return nu[: len(eta)] == eta
 
 
-def incomparable(eta: Node, nu: Node) -> bool:
-    return not is_prefix(eta, nu) and not is_prefix(nu, eta)
-
-
 def meet(eta: Node, nu: Node) -> Node:
     """Longest common prefix."""
     i = 0
@@ -52,9 +48,10 @@ def concat_set(eta: Node, nodes: Iterable[Node]) -> frozenset:
 
 
 def closure(nodes: Tuple[Node, ...]) -> Tuple[Node, ...]:
-    """The (k+1)^2-tuple of pairwise meets in row-major order, duplicates kept.
-    The meet of a node with itself is the node, and meet(a, b) = meet(b, a),
-    so each unordered pair's meet is taken once and written to both entries."""
+    """The k^2-tuple of pairwise meets of the k nodes in row-major order,
+    duplicates kept. The meet of a node with itself is the node, and
+    meet(a, b) = meet(b, a), so each unordered pair's meet is taken once and
+    written to both entries."""
     if not nodes:
         raise ValueError("closure of empty tuple")
     k = len(nodes)
@@ -64,11 +61,6 @@ def closure(nodes: Tuple[Node, ...]) -> Tuple[Node, ...]:
         for j in range(i + 1, k):
             meets[i * k + j] = meets[j * k + i] = meet(a, nodes[j])
     return tuple(meets)
-
-
-def is_antichain(nodes: Iterable[Node]) -> bool:
-    xs = list(nodes)
-    return all(incomparable(a, b) for a, b in itertools.combinations(xs, 2))
 
 
 # bits of a domain's node count, bounded before any power is taken: a domain

@@ -9,6 +9,8 @@ indices is consistent under the base oracle.
 The collapse operations and the scaffold builder follow the recursive
 construction that pairs maximal antichains of the binary tree with an
 indexed family of strongly isomorphic antichains and a strong embedding.
+Both collapse steps always check their families, by meet-tree shape
+(`antichains._shape`), so the scaffold checks every level.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from .antichains import _shape
 from .errors import ResourceCapError, WitnessError
-from .nodes import Node, TreeDomain, concat_set, is_antichain, is_prefix
+from .nodes import Node, TreeDomain, concat_set, is_prefix, sorted_nodes
 from .oracles import TupleWitness, Witness
-from .qftypes import qftype0
 
 
 def _witness_depth(witness: Witness) -> int:
@@ -110,30 +112,25 @@ def reduce_katp(witness: Witness, oracle, k: int):
 # --- Collapse skeleton ---
 
 def _check_family(families: List[FrozenSet]) -> None:
+    """Refuse families that are not nonempty antichains of one meet-tree
+    shape (`antichains._shape`), the shape being their strong isomorphism type."""
     if not families or any(not x for x in families):
         raise ValueError("families must be nonempty antichains")
-    first = families[0]
-    first_type = qftype0(sorted(first))
+    first = _shape(sorted_nodes(families[0]))
     for x in families:
-        if not is_antichain(x):
-            raise ValueError(f"not an antichain: {sorted(x)}")
-        if len(x) != len(first):
-            raise ValueError("families must have equal cardinality")
-        if qftype0(sorted(x)) != first_type:
+        if _shape(sorted_nodes(x)) != first:
             raise ValueError(
-                f"families not strongly isomorphic: {sorted(first)} vs {sorted(x)}"
+                f"families not strongly isomorphic: {sorted(families[0])} vs {sorted(x)}"
             )
 
 
-def collapse_product(families: List[FrozenSet], nu: Node, xi: Node,
-                     validate: bool = True) -> List[FrozenSet]:
+def collapse_product(families: List[FrozenSet], nu: Node, xi: Node) -> List[FrozenSet]:
     """All unions of a nu-prefixed and a xi-prefixed family, row-major."""
     if is_prefix(nu, xi) or is_prefix(xi, nu):
         raise ValueError(f"prefix nodes must be incomparable: {nu} vs {xi}")
     if not nu < xi:
         raise ValueError(f"expected {nu} lex-before {xi}")
-    if validate:
-        _check_family(families)
+    _check_family(families)
     return [
         concat_set(nu, left) | concat_set(xi, right)
         for left in families
@@ -141,12 +138,11 @@ def collapse_product(families: List[FrozenSet], nu: Node, xi: Node,
     ]
 
 
-def collapse_extend(families: List[FrozenSet], validate: bool = True):
+def collapse_extend(families: List[FrozenSet]):
     """Prefix every family below a fresh branch point and append the first
     family unchanged; returns (families, chi, chi_prime) with chi in the
     appended family and chi a prefix of chi_prime."""
-    if validate:
-        _check_family(families)
+    _check_family(families)
     nu_prime = min(families[0])
     j = 1
     while any(
@@ -189,14 +185,12 @@ def build_onevar_scaffold(m: int, seed: FrozenSet) -> Scaffold:
         raise ResourceCapError(f"scaffold level {m} (family count is doubly exponential)",
                                SCAFFOLD_LEVEL_CAP)
     seed = frozenset(seed)
-    if not seed or not is_antichain(seed):
-        raise ValueError("seed must be a nonempty antichain")
+    _check_family([seed])
     families: List[FrozenSet] = [seed]
     embedding: Dict[Node, Node] = {(): min(seed)}
     chi = chi_prime = None
-    for level in range(1, m):
-        products = collapse_product(families, (0,), (1,), validate=level == 1)
-        families, chi, chi_prime = collapse_extend(products, validate=False)
+    for _ in range(1, m):
+        families, chi, chi_prime = collapse_extend(collapse_product(families, (0,), (1,)))
         embedding = {
             (): chi,
             **{

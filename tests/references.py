@@ -10,8 +10,9 @@ listing of all 2^n subsets, the maximal conflict-free sets by Bron-Kerbosch,
 the member-by-member boolean witness, the closed-form family counts the
 builders' own counts replaced, the first primes by trial division, and the
 skolem parameters as running products.
-Chains and antichains: the pairwise chain test, domain membership by length and digits, the canonical sort of node sets, the chain
-generator over prefix subsets, the antichain listing from the scan over the
+Chains and antichains: the pairwise incomparability, antichain and chain
+tests, domain membership by length and digits, the canonical sort of node
+sets, the chain generator over prefix subsets, the antichain listing from the scan over the
 2-chains, the required sets of every pattern (SOP2's incomparable pairs
 filtered from all pairs, SOP1's pairs from every two nodes, TP's combinations
 of children, TP2's combinations of rows and cells, all sorted) and the
@@ -40,9 +41,20 @@ from treeprop import (FormulaError, VerificationReport, eval_formula,
 from treeprop.antichains import (AntichainCatalog, _check_subset_cap, mask_labels,
                                  mask_set)
 from treeprop.oracles import FO_X_VAR, FO_Y_VARS
-from treeprop.nodes import (TreeDomain, closure, concat_set, incomparable,
-                            is_prefix, meet, node_str, sorted_nodes)
+from treeprop.nodes import (TreeDomain, closure, concat_set, is_prefix, meet,
+                            node_str, sorted_nodes)
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
+
+
+def incomparable(eta, nu):
+    """Whether neither node is a prefix of the other."""
+    return not is_prefix(eta, nu) and not is_prefix(nu, eta)
+
+
+def is_antichain(nodes):
+    """Whether every two of the nodes are incomparable."""
+    xs = list(nodes)
+    return all(incomparable(a, b) for a, b in itertools.combinations(xs, 2))
 
 
 def is_chain(nodes):

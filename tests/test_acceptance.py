@@ -15,12 +15,11 @@ from treeprop import (ConjunctionOracle, FoOracle, GcdOracle, TreeDomain,
                       parse_formula, reduce_katp, sim0, sim0_atomic,
                       sim0_sets, synth_boolean, synth_skolem, verify,
                       verify_ss_ll)
-from treeprop.nodes import is_antichain
 from treeprop.oracles import STRUCTURE
 from treeprop.patterns import (ATP, KATP, SOP1, SOP2, TP, TP2,
                                ConsistencyFamily)
 
-from references import max_chain_bounded_sets
+from references import is_antichain, max_chain_bounded_sets
 
 
 def report(n, text, started):

@@ -8,9 +8,9 @@ from treeprop import (ResourceCapError, TreeDomain, alpha, count_antichains,
 from treeprop import antichains
 from treeprop.antichains import (chain_free_count, finite_antichain_stream,
                                  maximal_chain_free_binary)
-from treeprop.nodes import concat_set, is_antichain, sorted_nodes
+from treeprop.nodes import concat_set, sorted_nodes
 
-from references import canonical_sets, is_chain, max_chain_bounded_sets
+from references import canonical_sets, is_antichain, is_chain, max_chain_bounded_sets
 
 
 def test_alpha_values():

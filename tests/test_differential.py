@@ -11,7 +11,8 @@ canonical type forms and the grouped ss-ll check against byte-packed relation
 tables compared pair by pair, with the symmetry that lets the check form
 increasing tuples only, and the run-length type forms and the meet-tree
 shape iso-copy search against the quadratic prefix matrix and the
-combination scan, the subtree walk over chains and antichains against brute force and
+combination scan, the meet-tree shape against closure types and the
+pairwise antichain test, the subtree walk over chains and antichains against brute force and
 the scan and sorts it replaced, every pattern's required sets against the
 sorted references, and exhaustive verification by the oracles'
 semilattice meets, whose report is the class-pair tables' own, against one
@@ -40,13 +41,13 @@ from treeprop import (BitsetOracle, ConjunctionOracle, ConsistencyFamily,
                       required_consistent, required_inconsistent,
                       synth_boolean, synth_skolem, verify)
 from treeprop import antichains, formulas, oracles, patterns, qftypes
-from treeprop.antichains import (_choose, chain_free_count, find_iso_copy,
+from treeprop.antichains import (_choose, _shape, chain_free_count, find_iso_copy,
                                  finite_antichain_stream, mask_labels, mask_set,
                                  maximal_chain_free_binary,
                                  maximal_chain_free_masks,
                                  maximal_choice_masks, subtree_walk,
                                  universal_prefix)
-from treeprop.nodes import closure, incomparable, is_antichain
+from treeprop.nodes import closure, sorted_nodes
 from treeprop.oracles import SKOLEM, STRUCTURE, TupleWitness, semilattice
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2, PatternSpec
 from treeprop.synth import _first_primes
@@ -54,7 +55,7 @@ from treeprop.transforms import build_onevar_scaffold
 
 from references import (RecordingOracle, ReferenceConjunctionOracle,
                         canonical_sets, chains, contains, forbidden_free_table,
-                        has_chain,
+                        has_chain, incomparable, is_antichain,
                         is_chain, listed,
                         max_chain_bounded_sets,
                         reference_antichain_stream, reference_choose,
@@ -1320,6 +1321,40 @@ def test_iso_search_matches_the_combination_scan():
     for y in [{(0,), (0, 1)}, {(1,), (0,), (0, 0, 1)}, {(), (2,)}]:
         with pytest.raises(ValueError, match="not an antichain"):
             find_iso_copy(frozenset(y), universal_prefix(3))
+
+
+def test_shapes_partition_antichains_as_closure_types():
+    # among the antichains of each size, equal shapes are equal qftype0s:
+    # the first 300 stream antichains, every scaffold family for m <= 4 and,
+    # since no binary meet joins a third child, every ternary antichain of
+    # depth 3
+    sets = list(itertools.islice(finite_antichain_stream(), 300))
+    sets += [x for m in range(1, 5) for x in build_onevar_scaffold(m, {(0,)}).families]
+    sets += enumerate_antichains(TreeDomain(3, 3)).items
+    by_size = {}
+    for x in map(sorted_nodes, sets):
+        by_size.setdefault(len(x), []).append(x)
+    assert sorted(by_size) == list(range(1, 10))
+    for xs in by_size.values():
+        assert same_partition([_shape(x) for x in xs], [qftypes.qftype0(x) for x in xs])
+    assert len({_shape(x) for x in by_size[3]}) == 3
+
+
+def test_shape_refuses_exactly_the_node_sets_that_are_not_antichains():
+    rng = random.Random(28)
+    refused = []
+    for domain in (TreeDomain(2, 5), TreeDomain(3, 3)):
+        nodes = list(domain.nodes())
+        for _ in range(400):
+            x = sorted_nodes(rng.sample(nodes, rng.randint(1, 6)))
+            try:
+                _shape(x)
+            except ValueError:
+                refused.append(True)
+            else:
+                refused.append(False)
+            assert refused[-1] == (not is_antichain(x)), x
+    assert 100 < refused.count(True) and 100 < refused.count(False)
 
 
 def _form_values(tuples):

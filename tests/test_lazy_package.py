@@ -21,8 +21,7 @@ EXPORTS = {
                    "find_iso_copy", "maximal_antichains", "universal_prefix"],
     "errors": ["FormulaError", "ResourceCapError", "TreepropError", "WitnessError"],
     "formulas": ["FiniteStructure", "divisor_structure", "eval_formula", "parse_formula"],
-    "nodes": ["Node", "TreeDomain", "closure", "concat_set", "is_antichain", "meet",
-              "node_str"],
+    "nodes": ["Node", "TreeDomain", "closure", "concat_set", "meet", "node_str"],
     "oracles": ["BitsetOracle", "ConjunctionOracle", "FoOracle", "GcdOracle", "TupleWitness",
                 "Witness", "oracle_for"],
     "patterns": ["ConsistencyFamily", "PatternSpec", "VerificationReport", "exact_family",
@@ -86,7 +85,7 @@ def test_synth_and_verify_run_no_formulas_transforms_or_dot(tmp_path):
 
 def test_exports_are_the_defining_modules_names():
     names = [name for module_names in EXPORTS.values() for name in module_names]
-    assert len(names) == 54
+    assert len(names) == 53
     assert sorted(treeprop.__all__) == sorted(names)
     for module, module_names in EXPORTS.items():
         for name in module_names:

@@ -6,11 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import treeprop.nodes
-from treeprop import (ResourceCapError, TreeDomain, closure, concat_set, is_antichain,
-                      meet, node_str)
-from treeprop.nodes import incomparable, is_prefix, sorted_nodes
+from treeprop import ResourceCapError, TreeDomain, closure, concat_set, meet, node_str
+from treeprop.nodes import is_prefix, sorted_nodes
 
-from references import domain_contains, is_chain
+from references import domain_contains, incomparable, is_antichain, is_chain
 
 nodes = st.lists(st.integers(0, 2), max_size=6).map(tuple)
 binary_nodes = st.lists(st.integers(0, 1), max_size=6).map(tuple)

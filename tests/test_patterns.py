@@ -9,12 +9,11 @@ from treeprop import (ConsistencyFamily, PatternSpec, ResourceCapError,
                       maximal_antichains, oracle_for, required_consistent,
                       required_inconsistent, verify)
 from treeprop import antichains, patterns
-from treeprop.nodes import is_antichain
 from treeprop.oracles import SKOLEM, Witness
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
 from treeprop.synth import synth_boolean, synth_skolem
 
-from references import contains, is_chain, listed
+from references import contains, is_antichain, is_chain, listed
 
 
 @pytest.mark.parametrize("value", [2.0, 2.5, True, "2"])

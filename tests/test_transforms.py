@@ -8,11 +8,12 @@ from treeprop import (ConjunctionOracle, ResourceCapError, TupleWitness,
                       fatten, make_pattern, maximal_antichains, oracle_for,
                       reduce_katp, sim0, sim0_atomic, sim0_sets, synth_skolem,
                       verify)
-from treeprop.nodes import concat_set, is_antichain, is_prefix
+from treeprop import transforms
+from treeprop.nodes import concat_set, is_prefix
 from treeprop.patterns import ATP, KATP
 from treeprop.transforms import _check_family, elongated_core, probe_set
 
-from references import source_union
+from references import is_antichain, source_union
 
 
 def atp_witness(depth):
@@ -222,6 +223,28 @@ def test_scaffold_atomic_embedding_on_longer_tuples():
     nodes = sorted(s.embedding)
     for tup in itertools.permutations(nodes, 3):
         assert sim0_atomic(tup, tuple(s.embedding[x] for x in tup))
+
+
+@pytest.mark.parametrize("broken_level", [2, 3])
+def test_scaffold_refuses_a_product_family_of_another_shape(monkeypatch, broken_level):
+    # the product step at level 2 or 3 hands on one family swapped for a
+    # comb, an antichain of its size that is not strongly isomorphic to it;
+    # every later step checks its families, so the scaffold is refused
+    real, calls = transforms.collapse_product, []
+
+    def broken(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(len(out))
+        if len(calls) == broken_level:
+            n = len(out[1])
+            comb = frozenset([(1,) * i + (0,) for i in range(n - 1)] + [(1,) * (n - 1)])
+            assert is_antichain(comb) and len(comb) == n and not sim0_sets(comb, out[1])
+            out[1] = comb
+        return out
+    monkeypatch.setattr(transforms, "collapse_product", broken)
+    with pytest.raises(ValueError, match="not strongly isomorphic"):
+        build_onevar_scaffold(4, {(0,)})
+    assert calls[-1] == [4, 25][broken_level - 2]
 
 
 def test_scaffold_validation():
