@@ -280,8 +280,11 @@ def maximal_choice_masks(branching: int, n: int, pick: int, emptied=()) -> List[
     `maximal_chain_free_masks`. SOP1 is (2, n, 1, emptied=(0,)), as (1) pairs
     with all of the 0-subtree; SOP2 the paths (2, n, 1, emptied=(0, 1)); TP
     (b, n, min(k - 1, b)). The root stays out of `_choose`: a forced part
-    would widen its rows."""
+    would widen its rows. With every child kept whole, the one set is the
+    whole tree, not built by `_choose`'s ORs of growing ints."""
     choice_count(branching, n, pick, emptied)
+    if pick == branching:
+        return [(1 << TreeDomain(branching, n).node_count()) - 1]
     masks = [1]
     for depth in range(2, n + 1):
         s = (branching ** (depth - 1) - 1) // (branching - 1)

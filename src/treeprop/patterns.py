@@ -165,8 +165,9 @@ def required_inconsistent(p: PatternSpec) -> Iterator[int]:
         index = {x: n for n, x in enumerate(labels)}
         return (1 << n | 1 << index[x[:i] + (1,)] for n, x in enumerate(labels)
                 for i in reversed(range(len(x))) if x[i] == 0)
-    if p.kind == TP:  # by first sibling; the c-th after it starts c runs on
+    if p.kind == TP:  # by first sibling, if k - 1 follow it; the c-th after it starts c runs on
         return (sum((1 << j for j in others), 1 << i) for i, x in enumerate(labels[1:], 1)
+                if p.branching - x[-1] >= p.k
                 for others in itertools.combinations(
                     [i + c * runs[i] for c in range(1, p.branching - x[-1])], p.k - 1))
     k = p.k if p.kind == KATP else 2

@@ -764,3 +764,16 @@ def test_library_calls_past_the_family_cap_exit_cleanly():
              ["call", "antichains.maximal_antichains", 30]]
     for status, err in sweep(calls).values():
         assert status == 3 and err.count("\n") == 1 and "(cap 33554432)" in err, err
+
+
+def test_wide_tp_families_are_built_and_verified_in_time(capsys, tmp_path):
+    # each ran past the 10 s alarm of `sweep`: a TP pattern with k > b has no
+    # sibling set, yet every label's later siblings were listed; and with
+    # k - 1 = b children kept, the one member was ORed from b growing ints
+    # (5.9 s for b = 10^6, quadratic in b)
+    src = synth(capsys, tmp_path, "tp.json", "--pattern", "tp:50001", "--b", "50000",
+                "--depth", "2", "--backend", "boolean")
+    results = sweep([["verify", "--witness", str(src)],
+                     ["call", "antichains.maximal_choice_masks", 10 ** 6, 2, 10 ** 6],
+                     ["call", "antichains.maximal_choice_masks", 4 * 10 ** 6, 2, 4 * 10 ** 6]])
+    assert [status for status, _ in results.values()] == [0, 0, 0], results
