@@ -229,7 +229,7 @@ def test_scaffold_atomic_embedding_on_longer_tuples():
 def test_scaffold_refuses_a_product_family_of_another_shape(monkeypatch, broken_level):
     # the product step at level 2 or 3 hands on one family swapped for a
     # comb, an antichain of its size that is not strongly isomorphic to it;
-    # every later step checks its families, so the scaffold is refused
+    # the extension step right after it refuses the families
     real, calls = transforms.collapse_product, []
 
     def broken(*args, **kwargs):
