@@ -2,14 +2,23 @@
 
 Index subsets are int bitmasks over a canonical label order (bit i is the
 i-th label). `subtree_walk` lists every nonempty chain or antichain of a
-tree or of an array whose rows are chains. One choice routine, `_choose`,
-builds the maximal sets of every tree pattern free of its forbidden
-configuration (k-chains, SOP1 pairs, incomparable pairs, k siblings)
-without the subset scan, their reference in the tests: each is the root,
-then below each node a maximal set of each child subtree, some children
-kept whole and the others dropped; TP2's sets of one cell per row are
-binary strings. Each builder first counts its family by its own recursion
-and refuses it past FAMILY_CELL_CAP cells before building any member.
+tree or of an array whose rows are chains.
+
+The exact families, the maximal sets of every pattern free of its forbidden
+configuration (k-chains, SOP1 pairs, incomparable pairs, k siblings, two
+cells of a row), are built as label columns and a count, never as member
+lists: label i's column is the bitmask of the sets that hold it, which is
+all that synthesis and exhaustive verification read. A k-chain-free set is
+the root and a product of two maximal sets of the child subtrees, or a
+product without the root; one choice routine, `_choose`, builds the SOP1,
+SOP2 and TP sets, each the root and below each node a maximal set of each
+child subtree, some children kept whole and the others dropped; TP2's
+columns have a closed form. All of them are made by three column operations
+(a product, a concatenation, a root column), linear in the bits they make.
+Each builder first counts its family by its own recursion and refuses it
+past FAMILY_CELL_CAP member x label cells, the column bits it would make,
+before building any. `_transpose` turns columns into member masks, for the
+callers that list members, and masks into columns.
 `_shape`, a lex-sorted antichain's meet-tree shape, is the library's one
 antichain check and type: `find_iso_copy` and the collapse steps of
 `transforms`, which always check their families, compare shapes.
@@ -17,8 +26,8 @@ antichain check and type: `find_iso_copy` and the collapse steps of
 Canonical orders used throughout:
   * a node set is canonically presented as its lex-sorted tuple of nodes;
   * a list of node sets is canonically ordered by comparing those tuples
-    (`nodes.sorted_nodes` is the key); the walk and `_choose` emit their
-    sets in that order, so their listings need no sort;
+    (`nodes.sorted_nodes` is the key); the walk and the family builders
+    emit their sets in that order, so their listings need no sort;
   * the enumeration X_0, X_1, ... of all finite nonempty binary antichains
     is by depth of first appearance, then canonical set order within a
     depth: depth d brings the antichains of TreeDomain(2, d) whose longest
@@ -31,7 +40,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import FrozenSet, Iterator, List, Optional, Tuple
 
 from .errors import ResourceCapError
@@ -41,10 +49,10 @@ NodeSet = FrozenSet[Node]
 
 # index subsets that one listing or exhaustive scan may range over
 DEFAULT_SUBSET_CAP = 2 ** 20
-# member-label cells of an exact family, the bits of its masks, and its index
-# labels (also the labels of TP's required sibling sets): ATP d6, the largest
-# family built, has 63 x 458330 of them
-FAMILY_CELL_CAP = 2 ** 25
+# member-label cells of an exact family, the bits of its columns, and its
+# index labels (also the labels of TP's required sibling sets): SOP1 d6, the
+# largest family built, has 63 x 3263442 of them, 24.5 MB of columns
+FAMILY_CELL_CAP = 2 ** 28
 # decimal digits of an antichain count: the interpreter's int-to-str limit
 COUNT_DIGITS_CAP = sys.int_info.default_max_str_digits
 
@@ -183,7 +191,7 @@ def _check_members(bits: int) -> None:
 
 def chain_free_count(n: int, k: int) -> int:
     """Number of maximal k-chain-free sets of the binary tree of depth n, by
-    the recursion of `maximal_chain_free_masks`: c(d, b) = 1 when b == 1 or
+    the recursion of `chain_free_columns`: c(d, b) = 1 when b == 1 or
     b > d, else c(d-1, b-1)**2 + c(d-1, b)**2. Every count it passes through
     is at most c(n, k), so the first level whose largest count passes
     FAMILY_CELL_CAP cells over the 2^n - 1 labels refuses, before any count
@@ -200,7 +208,7 @@ def chain_free_count(n: int, k: int) -> int:
 
 
 def choice_count(branching: int, n: int, pick: int, emptied=()) -> int:
-    """Number of sets `maximal_choice_masks` builds, by its recursion: 1 at
+    """Number of sets `choice_columns` builds, by its recursion: 1 at
     depth 1, then with u = len(emptied), c' is the sum over the t kept emptied
     children of C(u, t) C(b - u, pick - t) c^(b - u + t). Each level's count is
     at most the last, so each is refused past FAMILY_CELL_CAP cells over the
@@ -229,82 +237,182 @@ def row_choice_count(rows: int, cols: int) -> int:
     return members
 
 
-def _choose(parts, pick: int) -> List[int]:
-    """The ORs of one mask per (shift, kept, dropped) part, shifted by its
-    shift, exactly `pick` parts taking theirs from kept, in canonical order:
-    that of `itertools.product` over each part's kept + dropped. Built from
-    the last part, so each suffix is made once and shared; row j holds the
-    suffixes from part i on with j kept, built only if the i parts before
-    can make up the rest of `pick`."""
-    tails = {0: [0]}
+# A family of m sets over L labels is held as (columns, m): columns[i] is
+# label i's column, the m-bit int whose bit n is set when set n holds label
+# i. The builders below make columns only, by three operations: the product
+# F x G in F-major order (set (a, b) is set a |G| + b), the concatenation X
+# then Y (Y's sets after X's), and a root column, all ones over the block
+# of sets that holds the root.
+
+# the most bits `_spread` makes from one string of binary digits, not by halves
+_SPREAD_DIGITS = 2 ** 10
+# _BIT_DIGITS[t][v] is the ASCII digit of bit t of the byte v
+_BIT_DIGITS = [bytes(48 + (v >> t & 1) for v in range(256)) for t in range(8)]
+
+
+def _transpose(rows, width: int) -> list:
+    """The bit-matrix transpose: `width` ints, the i-th with bit n set when
+    rows[n], an int of at most `width` bits, has bit i set. A strided slice
+    of the rows' bytes, last row first, translated to digits, is one output
+    int. It turns a family's columns into its members' masks and masks into
+    columns."""
+    size = (width + 7) // 8
+    data = b"".join(r.to_bytes(size, "little") for r in reversed(rows))
+    return [int(data[i // 8::size].translate(_BIT_DIGITS[i % 8]) or b"0", 2)
+            for i in range(width)]
+
+
+def _spread(column: int, width: int, run: int) -> int:
+    """The column of `width` bits with bit i moved to bit i * run, by halves
+    down to at most _SPREAD_DIGITS bits out, whose binary digits are joined
+    by run - 1 zeros."""
+    if column <= 1:
+        return column
+    if width * run <= _SPREAD_DIGITS:
+        return int(("0" * (run - 1)).join(format(column, "b")), 2)
+    half = width >> 1
+    return (_spread(column & (1 << half) - 1, half, run)
+            | _spread(column >> half, width - half, run) << half * run)
+
+
+def _widen(column: int, width: int, run: int) -> int:
+    """The column of `width` bits with each bit made a run of `run` equal
+    bits: the spread bits, each times 2^run - 1."""
+    if run == 1:
+        return column
+    spread = _spread(column, width, run)
+    return (spread << run) - spread
+
+
+def _repeat(column: int, width: int, times: int) -> int:
+    """`times` copies of the column of `width` bits side by side, by doubling."""
+    if times == 1:
+        return column
+    out = shift = 0
+    while times:
+        if times & 1:
+            out |= column << shift
+            shift += width
+        times >>= 1
+        if times:
+            column |= column << width
+            width <<= 1
+    return out
+
+
+def _product(f, g):
+    """F x G in F-major order: F's columns widened by |G|, then G's repeated
+    |F| times, made as they are read."""
+    (f_columns, f_count), (g_columns, g_count) = f, g
+
+    def columns():
+        for c in f_columns:
+            yield _widen(c, f_count, g_count)
+        for c in g_columns:
+            yield _repeat(c, g_count, f_count)
+    return columns(), f_count * g_count
+
+
+def _concat(x, y):
+    """X's sets, then Y's: Y's columns shifted up by |X|, made as they are read."""
+    (x_columns, x_count), (y_columns, y_count) = x, y
+    return (a | b << x_count for a, b in zip(x_columns, y_columns)), x_count + y_count
+
+
+def _choose(parts, pick: int):
+    """The family of the unions of one set per (kept, dropped) part, the
+    parts' labels side by side, exactly `pick` parts taking theirs from kept,
+    in canonical order: that of `itertools.product` over each part's kept
+    then dropped sets. Built from the last part, so each suffix is made once
+    and shared; row j holds the suffixes from part i on with j kept, built
+    only if the i parts before can make up the rest of `pick`, as kept x row
+    j - 1 then dropped x row j, of which either row may not exist."""
+    tails, labels = {0: ([], 1)}, 0
     for i in reversed(range(len(parts))):
-        shift, kept, dropped = parts[i]
-        rows = range(max(pick - i, 0), min(pick, len(parts) - i) + 1)
-        tails = {j: [a << shift | t for a in kept for t in tails.get(j - 1, [])]
-                 + [a << shift | t for a in dropped for t in tails.get(j, [])]
-                 for j in rows}
-    return tails.get(pick, [])
+        kept, dropped = parts[i]
+        labels += len(kept[0])
+        rows = {}
+        for j in range(max(pick - i, 0), min(pick, len(parts) - i) + 1):
+            blocks = [_product(part, tails[t]) for part, t in ((kept, j - 1), (dropped, j))
+                      if t in tails]
+            columns, count = _concat(*blocks) if len(blocks) == 2 else blocks[0]
+            rows[j] = list(columns), count
+        tails = rows
+    return tails.get(pick, ([0] * labels, 0))
+
+
+def chain_free_columns(n: int, k: int):
+    """The maximal k-chain-free subsets of the binary tree of depth n as
+    (columns, count) over its nodes in lex order, in canonical order,
+    counted by `chain_free_count` before any column is built. The root is
+    the first label and each child subtree a run of the next ones. With the
+    root, both parts are maximal (k-1)-chain-free; without it, both are
+    maximal k-chain-free and must hold a (k-1)-chain (else the root fits),
+    which all of them do in subtrees of depth >= k-1 and none in shallower
+    ones. The root block first, each a product of both parts, is canonical."""
+    chain_free_count(n, k)
+    return _chain_free(n, k, {})
+
+
+def _chain_free(depth: int, bound: int, built: dict):
+    """`chain_free_columns(depth, bound)`, each family with 1 < bound <=
+    depth built once and kept in `built`."""
+    if bound > depth:  # the whole tree holds no bound-chain
+        return [1] * (2 ** depth - 1), 1
+    if bound == 1:
+        return [0] * (2 ** depth - 1), 1
+    if (depth, bound) not in built:
+        with_root = _chain_free(depth - 1, bound - 1, built)
+        without_root = _chain_free(depth - 1, bound, built)
+        columns, count = _concat(_product(with_root, with_root),
+                                 _product(without_root, without_root))
+        built[depth, bound] = [(1 << with_root[1] ** 2) - 1, *columns], count
+    return built[depth, bound]
 
 
 def maximal_chain_free_masks(n: int, k: int) -> List[int]:
-    """The maximal k-chain-free subsets of the binary tree of depth n as masks
-    over its nodes in lex order, in canonical order, counted by
-    `chain_free_count` before any is built. The root is bit 0 and each child
-    subtree a run of s = 2^(d-1) - 1 bits from bit 1 + i * s. With the root,
-    both parts are maximal (k-1)-chain-free; without it, both are maximal
-    k-chain-free and must hold a (k-1)-chain (else the root fits), which all
-    of them do in subtrees of depth >= k-1 and none in shallower ones. The
-    root block first, each a `_choose` of both parts, is canonical."""
-    chain_free_count(n, k)
-
-    @lru_cache(maxsize=None)
-    def rec(depth: int, bound: int) -> List[int]:
-        if bound > depth:  # the whole tree holds no bound-chain
-            return [(1 << 2 ** depth - 1) - 1]
-        if bound == 1:
-            return [0]
-        s = 2 ** (depth - 1) - 1
-        with_root = rec(depth - 1, bound - 1)
-        without_root = rec(depth - 1, bound)
-        return ([1 | t for t in _choose([(1, with_root, []), (1 + s, with_root, [])], 2)]
-                + _choose([(1, without_root, []), (1 + s, without_root, [])], 2))
-
-    return rec(n, k)
+    """`chain_free_columns` as the members' masks over the nodes in lex order."""
+    return _transpose(*chain_free_columns(n, k))
 
 
-def maximal_choice_masks(branching: int, n: int, pick: int, emptied=()) -> List[int]:
+def choice_columns(branching: int, n: int, pick: int, emptied=()):
     """The maximal sets of the tree of depth n >= 1 that hold the root and,
     below each internal node, a maximal set of each child subtree: `pick`
     children kept whole, the others less their root, or empty if in
-    `emptied`; counted by `choice_count` before any is built. Laid out as in
-    `maximal_chain_free_masks`. SOP1 is (2, n, 1, emptied=(0,)), as (1) pairs
-    with all of the 0-subtree; SOP2 the paths (2, n, 1, emptied=(0, 1)); TP
-    (b, n, min(k - 1, b)). The root stays out of `_choose`: a forced part
-    would widen its rows. With every child kept whole, the one set is the
-    whole tree, not built by `_choose`'s ORs of growing ints."""
+    `emptied`; as (columns, count) over the nodes in lex order, counted by
+    `choice_count` before any column is built. SOP1 is (2, n, 1,
+    emptied=(0,)), as (1) pairs with all of the 0-subtree; SOP2 the paths
+    (2, n, 1, emptied=(0, 1)); TP (b, n, min(k - 1, b)). The root stays out
+    of `_choose`: a forced part would widen its rows. With every child kept
+    whole, the one set is the whole tree."""
     choice_count(branching, n, pick, emptied)
     if pick == branching:
-        return [(1 << TreeDomain(branching, n).node_count()) - 1]
-    masks = [1]
-    for depth in range(2, n + 1):
-        s = (branching ** (depth - 1) - 1) // (branching - 1)
-        rootless = [a & ~1 for a in masks]
-        parts = [(1 + i * s, masks, [0] if i in emptied else rootless)
-                 for i in range(branching)]
-        masks = [1 | t for t in _choose(parts, pick)]
-    return masks
+        return [1] * TreeDomain(branching, n).node_count(), 1
+    family = [1], 1
+    for _ in range(2, n + 1):
+        columns, count = family
+        rootless = [0, *columns[1:]], count
+        empty = [0] * len(columns), 1
+        parts = [(family, empty if i in emptied else rootless) for i in range(branching)]
+        columns, count = _choose(parts, pick)
+        family = [(1 << count) - 1, *columns], count
+    return family
 
 
-def maximal_row_masks(rows: int, cols: int) -> List[int]:
-    """The sets of one cell per row of a rows x cols array as masks, cell
-    (r, c) bit r * cols + c, in canonical order, counted by `row_choice_count`
-    before any is built. Each is one binary string, the last row first and
-    each row's digits from its last column: not a tree, and a `_choose`
-    product would OR growing ints, quadratic in the rows."""
-    row_choice_count(rows, cols)
-    digits = ["0" * (cols - 1 - c) + "1" + "0" * c for c in range(cols)]
-    return [int("".join(digits[c] for c in reversed(choice)), 2)
-            for choice in itertools.product(range(cols), repeat=rows)]
+def row_columns(rows: int, cols: int):
+    """The sets of one cell per row of a rows x cols array as (columns,
+    count), cell (r, c) the column r * cols + c, in canonical order (that of
+    `itertools.product` over the rows, the first slowest), counted by
+    `row_choice_count` before any column is built. Row r's choice changes
+    every cols^(rows-1-r) sets, so cell (r, c)'s column is a run that long
+    at c runs into each period of cols runs, repeated cols^r times."""
+    count = row_choice_count(rows, cols)
+    columns = []
+    for r in range(rows):
+        run = cols ** (rows - 1 - r)
+        columns += [_repeat((1 << run) - 1 << c * run, cols * run, cols ** r)
+                    for c in range(cols)]
+    return columns, count
 
 
 def maximal_antichains(n: int) -> AntichainCatalog:

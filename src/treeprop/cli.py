@@ -104,7 +104,7 @@ def _cmd_synth(args) -> int:
     witnessio.save(witnessio.WitnessFile(pattern, witness), args.out)
     sys.stderr.write(
         f"synthesized {args.backend} witness for {args.pattern} "
-        f"({len(family.masks)} maximal members) -> {args.out}\n"
+        f"({family.count} maximal members) -> {args.out}\n"
     )
     return 0
 

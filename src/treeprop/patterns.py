@@ -16,11 +16,13 @@ TP2's rows are chains of cells. SOP1's pairs and TP's sibling sets are
 listed directly, TP's refused past `antichains.FAMILY_CELL_CAP` labels.
 `exact_family` only dispatches to the family builders of `antichains`,
 which size each family and refuse it there, and lists the labels once the
-masks exist. A `ConsistencyFamily` is its labels and its maximal members as
-masks; each label's column, the bitmask of the members containing it, is
-computed when first read, and membership and both synthesized witnesses
-read the columns. Members given from outside come in through the checked
-`from_members`; `exact_family` builds them maximal and in order, unchecked.
+columns exist. A `ConsistencyFamily` is its labels, each label's column (the
+bitmask of the maximal members containing it) and its count of members:
+membership and both synthesized witnesses read only the columns and the
+count, so no member is listed on their way. The members as masks and as
+frozensets are the columns transposed when first read. Members given from
+outside come in through the checked `from_members`; `exact_family` builds
+them maximal and in order, unchecked.
 """
 
 from __future__ import annotations
@@ -28,14 +30,14 @@ from __future__ import annotations
 import collections
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .antichains import (_check_row_choices, _check_sibling_sets,
-                         _check_subset_cap, mask_labels, mask_set,
-                         maximal_chain_free_masks, maximal_choice_masks,
-                         maximal_row_masks, subtree_walk)
+                         _check_subset_cap, _transpose, chain_free_columns,
+                         choice_columns, mask_labels, mask_set, row_columns,
+                         subtree_walk)
 from .nodes import TreeDomain, sorted_nodes
 from .oracles import semilattice
 
@@ -174,19 +176,6 @@ def required_inconsistent(p: PatternSpec) -> Iterator[int]:
     return (m for m in subtree_walk(runs, chains=p.kind != SOP2, most=k) if m.bit_count() == k)
 
 
-# _BIT_DIGITS[t][v] is the ASCII digit of bit t of the byte v
-_BIT_DIGITS = [bytes(48 + (v >> t & 1) for v in range(256)) for t in range(8)]
-
-
-def _columns(labels, masks) -> Dict:
-    """Each label's column: bit n is set when masks[n] holds the label. A
-    strided slice of the members' bytes, translated to digits, is one column."""
-    width = (len(labels) + 7) // 8
-    rows = b"".join(m.to_bytes(width, "little") for m in masks)
-    return {x: int(rows[i // 8::width].translate(_BIT_DIGITS[i % 8])[::-1] or b"0", 2)
-            for i, x in enumerate(labels)}
-
-
 def _containing(columns: Dict, subset) -> int:
     """The AND of the subset's columns: the members containing all of it."""
     acc = -1
@@ -197,15 +186,18 @@ def _containing(columns: Dict, subset) -> int:
 
 @dataclass(frozen=True)
 class ConsistencyFamily:
-    """A subset-closed family of nonempty index sets, stored by its maximal
-    members as bitmasks over the labels (bit i is labels[i]) in canonical
-    order; membership is inclusion in some member. Each label's column and
-    the members as frozensets (`maximal`) are computed when first read.
+    """A subset-closed family of nonempty index sets, stored by its count of
+    maximal members and each label's column: the bitmask of the members
+    holding it, bit n for the n-th member in canonical order. Membership is
+    inclusion in some member, the AND of the set's columns being nonzero.
+    The members as masks over the labels (`masks`, bit i is labels[i]) and
+    as frozensets (`maximal`) are the columns transposed when first read.
 
     The fields are trusted as given; `from_members` is the checked way in."""
 
     labels: Tuple
-    masks: Tuple[int, ...]
+    columns: Dict = field(hash=False)
+    count: int
 
     @classmethod
     def from_members(cls, labels, members) -> "ConsistencyFamily":
@@ -217,14 +209,14 @@ class ConsistencyFamily:
         unique = {frozenset(m) for m in members if m}
         if not all(m.issubset(index) for m in unique):  # before the sort compares labels
             raise ValueError("members must be subsets of the index set")
-        family = cls(labels, tuple(sum(1 << index[x] for x in m)
-                                   for m in sorted(unique, key=sorted_nodes)))
-        return cls(labels, tuple(m for m in family.masks if _containing(
-            family.columns, mask_labels(labels, m)).bit_count() == 1))
+        masks = [sum(1 << index[x] for x in m) for m in sorted(unique, key=sorted_nodes)]
+        columns = dict(zip(labels, _transpose(masks, len(labels))))
+        kept = [m for m in masks if _containing(columns, mask_labels(labels, m)).bit_count() == 1]
+        return cls(labels, dict(zip(labels, _transpose(kept, len(labels)))), len(kept))
 
     @cached_property
-    def columns(self) -> Dict:
-        return _columns(self.labels, self.masks)
+    def masks(self) -> Tuple[int, ...]:
+        return tuple(_transpose(self.columns.values(), self.count))
 
     @cached_property
     def maximal(self) -> Tuple[FrozenSet, ...]:
@@ -233,19 +225,22 @@ class ConsistencyFamily:
 
 def exact_family(p: PatternSpec) -> ConsistencyFamily:
     """Maximal members of the family of sets avoiding the pattern's forbidden
-    configuration, in canonical order and unchecked, from the `antichains`
-    builder of its kind, which refuses the family past its cap before any
-    member or label is built: one choice per node for every tree kind, one
-    cell per row for TP2. The labels are listed once the masks exist."""
+    configuration, in canonical order and unchecked, as the label columns
+    that the `antichains` builder of its kind makes, which refuses the family
+    past its cap before any column or label is built: one choice per node
+    for every tree kind, one cell per row for TP2. The labels are listed once
+    the columns exist."""
     if p.kind in (ATP, KATP):
-        masks = maximal_chain_free_masks(p.depth, 2 if p.kind == ATP else p.k)
+        columns, count = chain_free_columns(p.depth, 2 if p.kind == ATP else p.k)
     elif p.kind in (SOP1, SOP2):
-        masks = maximal_choice_masks(2, p.depth, 1, emptied=(0,) if p.kind == SOP1 else (0, 1))
+        columns, count = choice_columns(2, p.depth, 1,
+                                        emptied=(0,) if p.kind == SOP1 else (0, 1))
     elif p.kind == TP:
-        masks = maximal_choice_masks(p.branching, p.depth, min(p.k - 1, p.branching))
+        columns, count = choice_columns(p.branching, p.depth, min(p.k - 1, p.branching))
     else:
-        masks = maximal_row_masks(p.rows, p.cols)
-    return ConsistencyFamily(p.index_labels(), tuple(masks))
+        columns, count = row_columns(p.rows, p.cols)
+    labels = p.index_labels()
+    return ConsistencyFamily(labels, dict(zip(labels, columns)), count)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ instead, so a subset has nonzero meet under the same condition.
 
 Only the maximal members are enumerated; the verdict "contained in some
 member" is unchanged and the parameters stay small. Both read the family's
-label columns (`ConsistencyFamily.columns`), never its member sets: the
-boolean witness is the columns, and the skolem witness multiplies the primes
-of each column's bits. Its total size is bounded from the columns' popcounts
+label columns (`ConsistencyFamily.columns`) and its count of members, never
+its member sets, so synthesis lists no member: the boolean witness is the
+columns, and the skolem witness multiplies the primes of each column's
+bits. Its total size is bounded from the count and the columns' popcounts
 before any prime is drawn and refused past `SKOLEM_BITS_CAP`; the primes
 come from one sieve of the odd numbers per call, up to Rosser's bound on the
 m-th prime. Labels with equal columns get equal params, so each distinct
@@ -68,7 +69,7 @@ def _first_primes(m: int) -> list:
 def _skolem_bits_bound(family: ConsistencyFamily) -> int:
     """An upper bound on the total bit length of the skolem parameters: each
     is a product of popcount(column) primes, none above `_prime_bound(m)`."""
-    largest = _prime_bound(len(family.masks))
+    largest = _prime_bound(family.count)
     return sum(c.bit_count() for c in family.columns.values()) * largest.bit_length()
 
 
@@ -93,17 +94,17 @@ def _column_product(ps: list, column: int, offset: int = 0) -> int:
 
 
 def synth_skolem(family: ConsistencyFamily) -> Witness:
-    if not family.masks:
+    if not family.count:
         raise WitnessError("cannot synthesize from an empty family")
     check_skolem_bits(_skolem_bits_bound(family), "up to")
-    ps = _first_primes(len(family.masks))
+    ps = _first_primes(family.count)
     products = {column: _column_product(ps, column) for column in set(family.columns.values())}
     assigned = {label: products[column] for label, column in family.columns.items()}
     return Witness(SKOLEM, tuple(family.labels), assigned)
 
 
 def synth_boolean(family: ConsistencyFamily) -> Witness:
-    if not family.masks:
+    if not family.count:
         raise WitnessError("cannot synthesize from an empty family")
     return Witness(BOOLEAN, tuple(family.labels), dict(family.columns),
-                   width=len(family.masks))
+                   width=family.count)

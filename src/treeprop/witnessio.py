@@ -35,6 +35,16 @@ ASCII, and a skolem document whose params hold more digits than
 `synth.SKOLEM_BITS_CAP` bits allow is refused before any is read. Files of
 version 1, which wrote skolem params in decimal, are refused.
 
+The text is exactly json.dumps(doc, sort_keys=True, indent=2) and a
+newline, but one writer makes it in pieces, one param or provenance line at
+a time, each param formatted only when its line is written: `save` writes
+the pieces to the file as they come and `dumps` joins them. So saving a
+witness holds one line of its text, where json.dumps, whose indenting
+encoder is pure Python, held every token of it. The entries come in the
+sorted order of their keys without the keys being listed and sorted, by
+the order of decimal texts (`_in_key_order`), and a witness whose labels
+are not the pattern's is refused before any piece is written.
+
 Three documents that treeprop never writes are refused before their params
 are read: a skolem or tuple document that declares a width, which the
 writers would pad skolem params to; a tuple document whose base is itself a
@@ -45,8 +55,11 @@ would make the writers pad every param to that many bits.
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Union
 
 from . import antichains
@@ -122,39 +135,6 @@ class WitnessFile:
     witness: Union[Witness, TupleWitness]
     base_pattern: PatternSpec = None  # source pattern of a tuple witness
 
-    def to_json(self) -> dict:
-        w = self.witness
-        if isinstance(w, TupleWitness):
-            if self.base_pattern is None:
-                raise WitnessError("tuple witness file needs the base pattern")
-            base_doc = WitnessFile(self.base_pattern, w.base).to_json()
-            src = self.base_pattern
-            return {
-                "version": VERSION,
-                "pattern": self.pattern.to_json(),
-                "backend": "tuple",
-                "arity": w.arity,
-                "provenance": {
-                    label_str(self.pattern, label): [
-                        label_str(src, s) for s in w.provenance[label]
-                    ]
-                    for label in w.labels
-                },
-                "base": base_doc,
-            }
-        data = {
-            "version": VERSION,
-            "pattern": self.pattern.to_json(),
-            "backend": w.backend,
-            "params": {
-                label_str(self.pattern, label): param_str(w.params[label], w.width)
-                for label in w.labels
-            },
-        }
-        if w.backend == BOOLEAN:
-            data["width"] = w.width
-        return data
-
     @classmethod
     def from_json(cls, data) -> "WitnessFile":
         """Parse a witness document. Every malformed document raises
@@ -208,8 +188,136 @@ class WitnessFile:
         return cls(pattern, Witness(backend, labels, params, width=width))
 
 
+def _dumped(value, indent: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) as it reads nested at
+    `indent`, for a document's values: objects with string keys, lists,
+    strings and ints. json.dumps would run its pure-Python encoder here,
+    whose closures are cyclic garbage on every call; this calls its string
+    encoder directly and lays out objects and lists as `_object` does."""
+    inner = indent + "  "
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        return "".join(_object(((key, _dumped(v, inner)) for key, v in sorted(value.items())),
+                               indent))
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return f"[\n{inner}" + f",\n{inner}".join(_dumped(v, inner) for v in value) + f"\n{indent}]"
+    return json.dumps(value)
+
+
+def _object(members, indent: str) -> Iterator[str]:
+    """A JSON object's text as `_dumped` writes it at `indent`, in pieces,
+    from its (key, text) members in sorted key order, each read only when
+    its line is written: text is the value's JSON text one level in, or an
+    iterator of its pieces (a nested document or object)."""
+    inner, opened = indent + "  ", False
+    for key, text in members:
+        head = f"{',' if opened else '{'}\n{inner}{encode_basestring_ascii(key)}: "
+        opened = True
+        if isinstance(text, str):
+            yield head + text
+        else:
+            yield head
+            yield from text
+    yield f"\n{indent}}}" if opened else "{}"
+
+
+def _decimal_order(n: int) -> Iterator[int]:
+    """0, ..., n - 1 in the sorted order of their decimal texts, one at a
+    time: after v comes 10v if it is below n, else v with its trailing 9s
+    (and any value past n - 1) cut off, plus one."""
+    if n <= 10:
+        yield from range(n)
+        return
+    yield 0
+    v = 1
+    for _ in range(n - 1):
+        yield v
+        if 10 * v < n:
+            v *= 10
+        else:
+            while v % 10 == 9 or v + 1 >= n:
+                v //= 10
+            v += 1
+
+
+def _in_key_order(pattern: PatternSpec) -> Iterator:
+    """The pattern's labels in the sorted order of their `label_str` texts,
+    one at a time rather than sorted: a text's separator ("." or ",") sorts
+    below every digit, so the texts sort as the labels do once each
+    position's values are taken in `_decimal_order`, a node's text right
+    before those of its subtree. Up to 10 values per position that is the
+    labels' own order."""
+    if pattern.kind == TP2:
+        return ((r, c) for r in _decimal_order(pattern.rows)
+                for c in _decimal_order(pattern.cols))
+    return _subtree((), pattern.branching, pattern.depth)
+
+
+def _subtree(node, branching: int, depth: int) -> Iterator:
+    """The node, then its subtree in a tree of the given depth, each node's
+    children in `_decimal_order`; leaves are yielded by their parent."""
+    yield node
+    if len(node) < depth - 2:
+        for d in _decimal_order(branching):
+            yield from _subtree(node + (d,), branching, depth)
+    elif len(node) == depth - 2:
+        for d in _decimal_order(branching):
+            yield node + (d,)
+
+
+def _entries(pattern: PatternSpec, table: dict, value, indent: str) -> Iterator:
+    """(key, text) for each label of the pattern, keyed by `label_str`, in
+    key order: text is value(table[label]) dumped at `indent`, made when it
+    is read."""
+    for label in _in_key_order(pattern):
+        yield label_str(pattern, label), _dumped(value(table[label]), indent)
+
+
+def _pieces(wf: WitnessFile, indent: str = "") -> Iterator[str]:
+    """The document's text, as json.dumps(doc, sort_keys=True, indent=2)
+    writes it at `indent`, in pieces: the version, pattern, backend and
+    width or arity; the params or provenance one line per label, each param
+    written when its line is; a tuple witness's base document nested the
+    same way. A tuple witness without its base pattern, or whose labels are
+    not the pattern's, is refused here, before any piece."""
+    w, inner = wf.witness, indent + "  "
+    table = w.provenance if isinstance(w, TupleWitness) else w.params
+    if len(w.labels) != wf.pattern.index_count() or not all(
+            label in table for label in _in_key_order(wf.pattern)):
+        raise WitnessError("witness labels are not the pattern's index set")
+    members = {"version": VERSION, "pattern": wf.pattern.to_json()}
+    if isinstance(w, TupleWitness):
+        if wf.base_pattern is None:
+            raise WitnessError("tuple witness file needs the base pattern")
+        src = wf.base_pattern
+        members.update(backend="tuple", arity=w.arity)
+        entries = _entries(wf.pattern, table,
+                           lambda sources: [label_str(src, s) for s in sources], inner + "  ")
+        texts = {"base": _pieces(WitnessFile(src, w.base), inner),
+                 "provenance": _object(entries, inner)}
+    else:
+        members.update(backend=w.backend)
+        if w.backend == BOOLEAN:
+            members["width"] = w.width
+        entries = _entries(wf.pattern, table, lambda param: param_str(param, w.width),
+                           inner + "  ")
+        texts = {"params": _object(entries, inner)}
+    texts.update((key, _dumped(value, inner)) for key, value in members.items())
+    return _object(sorted(texts.items()), indent)
+
+
+def _text(wf: WitnessFile) -> Iterator[str]:
+    """The witness file's text in pieces: the document and a final newline."""
+    return itertools.chain(_pieces(wf), ["\n"])
+
+
 def dumps(wf: WitnessFile) -> str:
-    return json.dumps(wf.to_json(), sort_keys=True, indent=2) + "\n"
+    """The witness file's text: json.dumps(doc, sort_keys=True, indent=2) and
+    a newline, doc being the document of the layout above."""
+    return "".join(_text(wf))
 
 
 def loads(text: str) -> WitnessFile:
@@ -223,8 +331,11 @@ def loads(text: str) -> WitnessFile:
 
 
 def save(wf: WitnessFile, path) -> None:
+    """Write `dumps(wf)` to the file piece by piece, so that no more than one
+    param line of the text is held at a time."""
+    pieces = _text(wf)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(wf))
+        fh.writelines(pieces)
 
 
 def load(path) -> WitnessFile:

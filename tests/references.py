@@ -6,7 +6,10 @@ forbidden family, and its maximal masks), the pairwise maximality filter,
 the frozenset recursions for maximal antichains and k-chain-free sets, the
 subset scan over every k-chain, the SOP1, SOP2 and TP families scanned and
 sorted, the choice product filtered by its count of kept parts, a direct
-listing of all 2^n subsets, the maximal conflict-free sets by Bron-Kerbosch,
+listing of all 2^n subsets, the mask builders that the column builders
+replaced (the choice tails over masks, the chain-free, choice and row
+recursions) with the strided-byte transpose of their masks into columns,
+the maximal conflict-free sets by Bron-Kerbosch,
 the member-by-member boolean witness, the closed-form family counts the
 builders' own counts replaced, the first primes by trial division, and the
 skolem parameters as running products.
@@ -192,6 +195,83 @@ def reference_choose(parts, pick):
     return [functools.reduce(operator.or_, (m for m, _ in choice), 0)
             for choice in itertools.product(*options)
             if sum(was_kept for _, was_kept in choice) == pick]
+
+
+def reference_tails(parts, pick):
+    """`antichains._choose` over member masks, as the family builders used it
+    before they built columns: the ORs of one mask per (shift, kept,
+    dropped) part, exactly pick parts taking theirs from kept, built from
+    the last part as rows of shared suffixes."""
+    tails = {0: [0]}
+    for i in reversed(range(len(parts))):
+        shift, kept, dropped = parts[i]
+        rows = range(max(pick - i, 0), min(pick, len(parts) - i) + 1)
+        tails = {j: [a << shift | t for a in kept for t in tails.get(j - 1, [])]
+                 + [a << shift | t for a in dropped for t in tails.get(j, [])]
+                 for j in rows}
+    return tails.get(pick, [])
+
+
+def reference_chain_free_masks(n, k):
+    """The maximal k-chain-free sets of the binary tree of depth n as member
+    masks, by the mask recursion: the root block, each with_root x with_root,
+    then without_root x without_root."""
+    @functools.lru_cache(maxsize=None)
+    def rec(depth, bound):
+        if bound > depth:
+            return [(1 << 2 ** depth - 1) - 1]
+        if bound == 1:
+            return [0]
+        s = 2 ** (depth - 1) - 1
+        with_root, without_root = rec(depth - 1, bound - 1), rec(depth - 1, bound)
+        return ([1 | t for t in reference_tails([(1, with_root, []), (1 + s, with_root, [])], 2)]
+                + reference_tails([(1, without_root, []), (1 + s, without_root, [])], 2))
+
+    return rec(n, k)
+
+
+def reference_choice_masks(branching, n, pick, emptied=()):
+    """`antichains.choice_columns` as member masks, by the mask recursion."""
+    masks = [1]
+    for depth in range(2, n + 1):
+        s = (branching ** (depth - 1) - 1) // (branching - 1)
+        rootless = [a & ~1 for a in masks]
+        parts = [(1 + i * s, masks, [0] if i in emptied else rootless)
+                 for i in range(branching)]
+        masks = [1 | t for t in reference_tails(parts, pick)]
+    return masks
+
+
+def reference_row_masks(rows, cols):
+    """The sets of one cell per row as member masks, cell (r, c) bit r * cols
+    + c, in the order of the product over the rows."""
+    return [sum(1 << r * cols + c for r, c in enumerate(choice))
+            for choice in itertools.product(range(cols), repeat=rows)]
+
+
+def reference_exact_masks(p):
+    """The member masks of p's exact family by the mask builders."""
+    if p.kind in (ATP, KATP):
+        return reference_chain_free_masks(p.depth, 2 if p.kind == ATP else p.k)
+    if p.kind in (SOP1, SOP2):
+        return reference_choice_masks(2, p.depth, 1, (0,) if p.kind == SOP1 else (0, 1))
+    if p.kind == TP:
+        return reference_choice_masks(p.branching, p.depth, min(p.k - 1, p.branching))
+    return reference_row_masks(p.rows, p.cols)
+
+
+# _BIT_DIGITS[t][v] is the ASCII digit of bit t of the byte v
+_BIT_DIGITS = [bytes(48 + (v >> t & 1) for v in range(256)) for t in range(8)]
+
+
+def reference_columns(labels, masks):
+    """Each label's column from the member masks: bit n is set when masks[n]
+    holds the label. A strided slice of the members' bytes, translated to
+    digits, is one column."""
+    width = (len(labels) + 7) // 8
+    rows = b"".join(m.to_bytes(width, "little") for m in masks)
+    return {x: int(rows[i // 8::width].translate(_BIT_DIGITS[i % 8])[::-1] or b"0", 2)
+            for i, x in enumerate(labels)}
 
 
 def reference_antichain_stream():
@@ -412,7 +492,7 @@ def reference_skolem_params(family):
     """The skolem parameters as a running product: each label's param is the
     product, one prime after another, of the primes of the members that hold
     it, the n-th member taking the n-th prime."""
-    ps = reference_first_primes(len(family.masks))
+    ps = reference_first_primes(family.count)
     return {label: math.prod(mask_labels(ps, column))
             for label, column in family.columns.items()}
 

@@ -64,9 +64,9 @@ def test_maximal_antichains_root_first_in_canonical_order():
 
 def test_maximal_antichains_cap():
     # alpha(6) members over 63 labels fit the cell cap; depth 7 is refused by
-    # its depth-6 count over 127 labels, before any node is listed
+    # its own count over 127 labels, before any node is listed
     assert chain_free_count(6, 2) == alpha(6) and alpha(6) * 63 <= antichains.FAMILY_CELL_CAP
-    with pytest.raises(ResourceCapError, match="at least 458330 maximal members over 127"):
+    with pytest.raises(ResourceCapError, match="of 210066388901 maximal members over 127"):
         maximal_antichains(7)
 
 

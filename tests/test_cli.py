@@ -356,13 +356,13 @@ def test_synth_caps_the_family_before_listing_labels(capsys, monkeypatch, tmp_pa
     for pattern, b, depth, size in [
             ("sop2", 2, 30, "index set of 1073741823 labels"),
             ("katp:40", 2, 30, "index set of 1073741823 labels"),
-            ("sop1", 2, 6, "family of 3263442 maximal members over 63 labels"),
-            ("tp:2", 3, 4, "family of 1594323 maximal members over 40 labels")]:
+            ("sop1", 2, 7, "family of at least 3263442 maximal members over 127 labels"),
+            ("tp:2", 3, 5, "family of at least 2^61 maximal members")]:
         out_file = tmp_path / "w.json"
         code, out, err = run(capsys, "synth", "--pattern", pattern, "--b", str(b),
                              "--depth", str(depth), "--backend", "boolean",
                              "--out", str(out_file))
-        assert code == 3 and out == "" and f"{size} (cap 33554432)" in err
+        assert code == 3 and out == "" and f"{size} (cap 268435456)" in err
         assert not out_file.exists()
 
 
@@ -593,14 +593,14 @@ def test_synth_atp_past_the_catalog_cap(capsys, tmp_path):
                          "--backend", "skolem",
                          "--out", str(tmp_path / "w.json"))
     assert code == 3 and out == ""
-    assert "family of at least 458330 maximal members over 127 labels (cap 33554432)" in err
+    assert "family of 210066388901 maximal members over 127 labels (cap 268435456)" in err
 
 
 def test_synth_katp_past_the_family_cap(capsys, tmp_path):
     code, out, err = run(capsys, "synth", "--pattern", "katp:3", "--depth", "6",
                          "--backend", "boolean", "--out", str(tmp_path / "w.json"))
     assert code == 3 and out == ""
-    assert "family of 10545305 maximal members over 63 labels (cap 33554432)" in err
+    assert "family of 10545305 maximal members over 63 labels (cap 268435456)" in err
     assert not (tmp_path / "w.json").exists()
 
 
@@ -614,6 +614,19 @@ def test_synth_atp_depth_six_boolean_only(capsys, tmp_path):
     assert code == 0 and "458330 maximal members" in err
     data = json.loads((tmp_path / "b.json").read_text())
     assert data["backend"] == "boolean" and len(data["params"]) == 63
+
+
+def test_skolem_synthesis_of_the_frontier_families_is_refused_before_any_prime(
+        capsys, monkeypatch, tmp_path):
+    def no_primes(m):
+        raise AssertionError("primes drawn before the size cap check")
+    monkeypatch.setattr(treeprop.synth, "_first_primes", no_primes)
+    for pattern, b, depth in [("sop1", 2, 6), ("tp:2", 3, 4)]:
+        code, out, err = run(capsys, "synth", "--pattern", pattern, "--b", str(b),
+                             "--depth", str(depth), "--backend", "skolem",
+                             "--out", str(tmp_path / "s.json"))
+        assert code == 3 and out == "" and f"bits (cap {SKOLEM_BITS_CAP})" in err, err
+        assert not (tmp_path / "s.json").exists()
 
 
 # --- every integer argument, sized before any work ---
@@ -759,11 +772,27 @@ def test_library_calls_past_the_family_cap_exit_cleanly():
     # each raised MemoryError under the limits of `sweep` before the family
     # was sized where it is built; never make these calls without them
     calls = [["call", "antichains.maximal_chain_free_masks", 40, 50],
-             ["call", "antichains.maximal_choice_masks", 2, 40, 2],
+             ["call", "antichains.choice_columns", 2, 40, 2],
              ["call", "antichains.maximal_chain_free_binary", 30, 40],
              ["call", "antichains.maximal_antichains", 30]]
     for status, err in sweep(calls).values():
-        assert status == 3 and err.count("\n") == 1 and "(cap 33554432)" in err, err
+        assert status == 3 and err.count("\n") == 1 and "(cap 268435456)" in err, err
+
+
+def test_frontier_families_are_built_and_verified_in_time(tmp_path):
+    # SOP1 d6 (3,263,442 members over 63 labels) and TP b3 d4 (1,594,323
+    # over 40) pass the cell cap once families are built as columns; each
+    # command exits 0 within the 512 MB and 10 s of `sweep`
+    out = {name: str(tmp_path / f"{name}.json") for name in ("atp", "sop1", "tp")}
+    results = sweep([
+        ["synth", "--pattern", "atp", "--depth", "6", "--backend", "boolean", "--out", out["atp"]],
+        ["synth", "--pattern", "sop1", "--depth", "6", "--backend", "boolean",
+         "--out", out["sop1"]],
+        ["synth", "--pattern", "tp:2", "--b", "3", "--depth", "4", "--backend", "boolean",
+         "--out", out["tp"]],
+        ["verify", "--witness", out["sop1"]],
+        ["verify", "--witness", out["tp"]]])
+    assert [status for status, _ in results.values()] == [0] * 5, results
 
 
 def test_wide_tp_families_are_built_and_verified_in_time(capsys, tmp_path):
@@ -774,6 +803,6 @@ def test_wide_tp_families_are_built_and_verified_in_time(capsys, tmp_path):
     src = synth(capsys, tmp_path, "tp.json", "--pattern", "tp:50001", "--b", "50000",
                 "--depth", "2", "--backend", "boolean")
     results = sweep([["verify", "--witness", str(src)],
-                     ["call", "antichains.maximal_choice_masks", 10 ** 6, 2, 10 ** 6],
-                     ["call", "antichains.maximal_choice_masks", 4 * 10 ** 6, 2, 4 * 10 ** 6]])
+                     ["call", "antichains.choice_columns", 10 ** 6, 2, 10 ** 6],
+                     ["call", "antichains.choice_columns", 4 * 10 ** 6, 2, 4 * 10 ** 6]])
     assert [status for status, _ in results.values()] == [0, 0, 0], results

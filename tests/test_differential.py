@@ -1,13 +1,14 @@
 """Differential tests of the fast paths against the plain references in
 `references.py`: the column-mask consistency family against the pairwise
 O(m^2) maximality filter, the reference subset scan against a direct
-enumeration of all 2^n subsets, the mask recursion for maximal k-chain-free
-sets against the frozenset recursions and the k-chain scan it replaced, the
-choice routine against the brute-force product and the SOP1, SOP2 and TP
-families it builds against the subset scan they replaced, every family of
-forbidden pairs against Bron-Kerbosch up to depth 5 or 6, each family
-builder's own count against its masks and the closed forms, the
-canonical type forms and the grouped ss-ll check against byte-packed relation
+enumeration of all 2^n subsets, the column recursion for maximal
+k-chain-free sets, transposed to masks, against the frozenset recursions and
+the k-chain scan it replaced, the choice routine against the brute-force
+product and the SOP1, SOP2 and TP families it builds against the subset scan
+they replaced, every family of forbidden pairs against Bron-Kerbosch up to
+depth 5 or 6, each family builder's own count against its build and the
+closed forms, the column builders against the member-mask builders they
+replaced and their transpose, the canonical type forms and the grouped ss-ll check against byte-packed relation
 tables compared pair by pair, with the symmetry that lets the check form
 increasing tuples only, and the run-length type forms and the meet-tree
 shape iso-copy search against the quadratic prefix matrix and the
@@ -41,11 +42,11 @@ from treeprop import (BitsetOracle, ConjunctionOracle, ConsistencyFamily,
                       required_consistent, required_inconsistent,
                       synth_boolean, synth_skolem, verify)
 from treeprop import antichains, formulas, oracles, patterns, qftypes
-from treeprop.antichains import (_choose, _shape, chain_free_count, find_iso_copy,
+from treeprop.antichains import (_choose, _shape, _transpose, chain_free_columns,
+                                 chain_free_count, choice_columns, find_iso_copy,
                                  finite_antichain_stream, mask_labels, mask_set,
                                  maximal_chain_free_binary,
-                                 maximal_chain_free_masks,
-                                 maximal_choice_masks, subtree_walk,
+                                 maximal_chain_free_masks, subtree_walk,
                                  universal_prefix)
 from treeprop.nodes import closure, sorted_nodes
 from treeprop.oracles import SKOLEM, STRUCTURE, TupleWitness, semilattice
@@ -60,6 +61,7 @@ from references import (RecordingOracle, ReferenceConjunctionOracle,
                         max_chain_bounded_sets,
                         reference_antichain_stream, reference_choose,
                         reference_atomic, reference_boolean_params,
+                        reference_columns, reference_exact_masks,
                         reference_atomic_form, reference_chain_free_binary,
                         reference_delta, reference_delta_form,
                         reference_family, reference_family_count,
@@ -136,13 +138,13 @@ def test_tp_recursion_builds_only_parts_of_members():
     # sets would build sum_j C(b, j) = 2^b of them on the way
     tracemalloc.start()
     try:
-        assert maximal_choice_masks(20, 2, 20) == [(1 << 21) - 1]
+        assert choice_columns(20, 2, 20) == ([1] * 21, 1)
         assert tracemalloc.get_traced_memory()[1] < 2 ** 20
     finally:
         tracemalloc.stop()
     assert exact_family(make_pattern(TP, branching=40, depth=2, k=41)).masks == ((1 << 41) - 1,)
     # pick = b: one row per child, not one per child and count, so b = 20000 is quick
-    assert maximal_choice_masks(20000, 2, 20000) == [(1 << 20001) - 1]
+    assert choice_columns(20000, 2, 20000) == ([1] * 20001, 1)
     family = exact_family(make_pattern(TP, branching=30, depth=2, k=30))
     assert len(family.masks) == 30 and all(m.bit_count() == 30 for m in family.masks)
 
@@ -250,11 +252,11 @@ def test_chain_free_cap_fires_before_any_work(monkeypatch):
         raise AssertionError("nodes listed before the cap check")
     monkeypatch.setattr(TreeDomain, "nodes", no_nodes)
     for p, size in [
-            # refused by the depth-6 count over depth 7's 127 labels
-            (make_pattern(ATP, depth=7), "family of at least 458330 maximal members over 127"),
+            # refused by its own count, the depth-6 count's square plus one
+            (make_pattern(ATP, depth=7), "family of 210066388901 maximal members over 127"),
             (make_pattern(KATP, depth=6, k=3), "family of 10545305 maximal members over 63"),
             (make_pattern(ATP, depth=40), "index set of 1099511627775")]:
-        with pytest.raises(ResourceCapError, match=f"{size} labels \\(cap 33554432\\)"):
+        with pytest.raises(ResourceCapError, match=f"{size} labels \\(cap 268435456\\)"):
             exact_family(p)
 
 
@@ -266,18 +268,19 @@ def test_family_size_cap_fires_before_any_label(monkeypatch):
                     (make_pattern(KATP, depth=30, k=40), "index set of 1073741823 labels"),
                     (make_pattern(KATP, depth=20000, k=20001),
                      r"index set of \(at least 2\^19999\) labels"),
-                    # refused at depth 7, where 64 paths over 2^20 - 1 labels pass the cap
+                    # refused at depth 10, where 512 paths over 2^20 - 1 labels pass the cap
                     (make_pattern(SOP2, depth=20),
-                     "family of at least 64 maximal members over 1048575 labels"),
+                     "family of at least 512 maximal members over 1048575 labels"),
                     (make_pattern(TP2, rows=40, cols=3), r"at least 2\^40 maximal members"),
                     # 10^10 >= 2^(10 x 3), a bound taken before the power
                     (make_pattern(TP2, rows=10, cols=10), r"family of at least 2\^30 maximal"),
                     (make_pattern(SOP1, depth=30), "index set of 1073741823 labels"),
-                    (make_pattern(SOP1, depth=6), "family of 3263442 maximal members over 63"),
+                    (make_pattern(SOP1, depth=7),
+                     "family of at least 3263442 maximal members over 127 labels"),
                     (make_pattern(SOP1, depth=8),
                      "family of at least 3263442 maximal members over 255 labels"),
-                    (make_pattern(TP, branching=3, depth=4, k=2),
-                     "family of 1594323 maximal members over 40 labels"),
+                    (make_pattern(TP, branching=3, depth=5, k=2),
+                     r"family of at least 2\^61 maximal members"),
                     # C(2^24, 2^23 - 1) is refused by a bound before it is taken
                     (make_pattern(TP, branching=2 ** 24, depth=2, k=2 ** 23),
                      r"at least 2\^8388607 maximal members"),
@@ -326,18 +329,19 @@ def refused_by_closed_form(p):
 
 def first_count_fault():
     """The first COUNT_GRID pattern whose builder count differs from its
-    built masks or from the closed form, or that is not refused, under the
-    cap, before `_choose` runs or a node is listed (both made to raise);
-    None if there is none."""
+    built family's count or from the closed form, or that is not refused,
+    under the cap, before a column product or repeat is made or a node is
+    listed (all made to raise); None if there is none."""
     def no_work(*args):
-        raise AssertionError("a member or a label built before the cap check")
+        raise AssertionError("a column or a label built before the cap check")
     for p in COUNT_GRID:
         if not refused_by_closed_form(p):
-            if not family_count(p) == len(exact_family(p).masks) == reference_family_count(p):
+            if not family_count(p) == exact_family(p).count == reference_family_count(p):
                 return p
             continue
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(antichains, "_choose", no_work)
+            patch.setattr(antichains, "_product", no_work)
+            patch.setattr(antichains, "_repeat", no_work)
             patch.setattr(TreeDomain, "nodes", no_work)
             try:
                 exact_family(p)
@@ -352,7 +356,8 @@ def first_count_fault():
 def test_builder_counts_mirror_their_builds():
     assert first_count_fault() is None
     refused = sum(map(refused_by_closed_form, COUNT_GRID))
-    assert (refused, len(COUNT_GRID) - refused) == (25, 107)
+    # SOP1 d6 and TP b3 d4 (k = 2, 3) are built: 2^28 cells take them
+    assert (refused, len(COUNT_GRID) - refused) == (22, 110)
 
 
 def test_broken_counts_fail_the_gate(monkeypatch):
@@ -565,44 +570,108 @@ def test_exhaustive_verify_makes_no_subset_scan(monkeypatch):
                 if name in ("forbidden_free_table", "maximal_free_masks")]
 
 
+# --- the column builders against the mask builders they replaced ---
+
+# SOP1 d1-5, the TP cases of RECURSION_SPECS, ATP d1-6, k-ATP with k = 3, 4
+# at d <= 5 and TP2 up to 4 x 4
+COLUMN_SPECS = (
+    [make_pattern(SOP1, depth=d) for d in range(1, 6)]
+    + [p for p in RECURSION_SPECS if p.kind == TP]
+    + [make_pattern(ATP, depth=d) for d in range(1, 7)]
+    + [make_pattern(KATP, depth=d, k=k) for k in (3, 4) for d in range(1, 6)]
+    + [make_pattern(TP2, rows=r, cols=c) for r in range(1, 5) for c in range(1, 5)]
+)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_family_masks(p):
+    """The mask builders' members of p's family and their columns."""
+    masks = reference_exact_masks(p)
+    return tuple(masks), reference_columns(p.index_labels(), masks)
+
+
+def column_mismatches(specs):
+    """The patterns whose family's columns, count or transposed masks differ
+    from the mask builders' members and their columns."""
+    out = []
+    for p in specs:
+        family = exact_family(p)
+        masks, columns = reference_family_masks(p)
+        if family.columns != columns or family.count != len(masks) or family.masks != masks:
+            out.append(p)
+    return out
+
+
+def test_columns_match_the_mask_builders():
+    assert column_mismatches(COLUMN_SPECS) == []
+
+
+def test_broken_column_operations_fail_the_gate(monkeypatch):
+    small = [p for p in COLUMN_SPECS if p.index_count() * reference_family_count(p) < 10 ** 5]
+    breaks = [
+        # a widened bit one short of its run
+        (antichains, "_widen", "(spread << run) - spread", "(spread << run - 1) - spread"),
+        # the string base of the spread with one zero too many between bits
+        (antichains, "_spread", '"0" * (run - 1)', '"0" * run'),
+        # one copy too few past the first doubling
+        (antichains, "_repeat", "column |= column << width", "column |= column << width + 1"),
+        # Y's sets shifted by |Y| instead of |X|
+        (antichains, "_concat", "a | b << x_count", "a | b << y_count"),
+        # the root column over every set of the chain-free family
+        (antichains, "_chain_free", "(1 << with_root[1] ** 2) - 1", "(1 << count) - 1"),
+        # each cell's run one period late
+        (patterns, "row_columns", "(1 << run) - 1 << c * run", "(1 << run) - 1 << (c + 1) * run"),
+    ]
+    for module, name, old, new in breaks:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, mutant(antichains, name, old, new))
+            assert column_mismatches(small), (name, new)
+
+
 # --- the choice routine against brute force, and the tree families it
 # builds against the subset scan they replaced ---
 
 def random_choices(count, seed=20261019):
-    """Random (parts, pick) for `_choose`: up to 4 parts side by side, each
-    with 0-3 kept and 0-3 dropped masks of its width, and every pick from 0
-    to the number of parts."""
+    """Random (parts, widths, pick): up to 4 (shift, kept, dropped) parts side
+    by side, each with 0-3 kept and 0-3 dropped masks of its width, and every
+    pick from 0 to the number of parts."""
     rng = random.Random(seed)
     for _ in range(count):
-        parts, shift = [], 0
+        parts, widths, shift = [], [], 0
         for _ in range(rng.randint(0, 4)):
             width = rng.randint(1, 4)
             kept, dropped = ([rng.randrange(1 << width) for _ in range(rng.randint(0, 3))]
                              for _ in range(2))
             parts.append((shift, kept, dropped))
+            widths.append(width)
             shift += width
-        yield parts, rng.randint(0, len(parts))
+        yield parts, widths, rng.randint(0, len(parts))
 
 
 def choose_mismatches(choose):
-    """The random cases on which choose lists other masks than the brute-force
-    product, or another order."""
-    return [(parts, pick) for parts, pick in random_choices(400)
-            if choose(parts, pick) != reference_choose(parts, pick)]
+    """The random cases on which choose, given each part's kept and dropped
+    masks as column families, builds other columns or another count than the
+    transposed brute-force product, whose order is canonical."""
+    out = []
+    for parts, widths, pick in random_choices(400):
+        families = [tuple((_transpose(masks, width), len(masks)) for masks in (kept, dropped))
+                    for (_, kept, dropped), width in zip(parts, widths)]
+        columns, count = choose(families, pick)
+        masks = reference_choose(parts, pick)
+        if (list(columns), count) != (_transpose(masks, sum(widths)), len(masks)):
+            out.append((parts, pick))
+    return out
 
 
 def test_choose_matches_the_product():
     assert choose_mismatches(_choose) == []
-    assert _choose([], 0) == [0] and _choose([(0, [1], [])], 2) == []
+    assert _choose([], 0) == ([], 1) and _choose([(([1], 1), ([0], 0))], 2) == ([0], 0)
 
 
 def test_broken_choose_fails_the_gate():
     breaks = [
-        # dropped masks before kept ones
-        ("""[a << shift | t for a in kept for t in tails.get(j - 1, [])]
-                 + [a << shift | t for a in dropped for t in tails.get(j, [])]""",
-         """[a << shift | t for a in dropped for t in tails.get(j, [])]
-                 + [a << shift | t for a in kept for t in tails.get(j - 1, [])]"""),
+        # dropped sets before kept ones
+        ("((kept, j - 1), (dropped, j))", "((dropped, j), (kept, j - 1))"),
         # the rows one short at the top and at the bottom
         ("min(pick, len(parts) - i) + 1", "min(pick, len(parts) - i)"),
         ("max(pick - i, 0)", "max(pick - i + 1, 0)"),
@@ -626,22 +695,27 @@ def test_broken_tp_recursion_fails_the_gate(monkeypatch):
     assert recursion_mismatches() == []
     # the kept parts taken one combination at a time, outermost
     combinations_outermost = mutant(antichains, "_choose", """\
-    tails = {0: [0]}
+    tails, labels = {0: ([], 1)}, 0
     for i in reversed(range(len(parts))):
-        shift, kept, dropped = parts[i]
-        rows = range(max(pick - i, 0), min(pick, len(parts) - i) + 1)
-        tails = {j: [a << shift | t for a in kept for t in tails.get(j - 1, [])]
-                 + [a << shift | t for a in dropped for t in tails.get(j, [])]
-                 for j in rows}
-    return tails.get(pick, [])
+        kept, dropped = parts[i]
+        labels += len(kept[0])
+        rows = {}
+        for j in range(max(pick - i, 0), min(pick, len(parts) - i) + 1):
+            blocks = [_product(part, tails[t]) for part, t in ((kept, j - 1), (dropped, j))
+                      if t in tails]
+            columns, count = _concat(*blocks) if len(blocks) == 2 else blocks[0]
+            rows[j] = list(columns), count
+        tails = rows
+    return tails.get(pick, ([0] * labels, 0))
 """, """\
-    out = []
+    out = None
     for chosen in itertools.combinations(range(len(parts)), pick):
-        tails = [0]
+        tail = ([], 1)
         for i in reversed(range(len(parts))):
-            shift, kept, dropped = parts[i]
-            tails = [a << shift | t for a in (kept if i in chosen else dropped) for t in tails]
-        out += tails
+            columns, count = _product(parts[i][i not in chosen], tail)
+            tail = list(columns), count
+        columns, count = tail if out is None else _concat(out, tail)
+        out = list(columns), count
     return out
 """)
     monkeypatch.setattr(antichains, "_choose", combinations_outermost)
@@ -690,12 +764,14 @@ def test_broken_builders_fail_the_conflict_free_gate(monkeypatch):
         # a `_choose` row one short at the top: members dropped
         (antichains, "_choose", "min(pick, len(parts) - i) + 1", "min(pick, len(parts) - i)"),
         # the choice parts without their rootless options: members dropped
-        (patterns, "maximal_choice_masks", "else rootless", "else []"),
+        (patterns, "choice_columns", "else rootless", "else ([0] * len(columns), 0)"),
         # the choice parts with whole subtrees for rootless ones: members repeated
-        (patterns, "maximal_choice_masks", "else rootless", "else masks"),
+        (patterns, "choice_columns", "else rootless", "else family"),
         # the chain-free sets without the root left out: members dropped
-        (patterns, "maximal_chain_free_masks",
-         "+ _choose([(1, without_root, []), (1 + s, without_root, [])], 2))", "+ [])"),
+        (antichains, "_chain_free",
+         "_concat(_product(with_root, with_root),\n"
+         "                                 _product(without_root, without_root))",
+         "_product(with_root, with_root)"),
     ]
     for module, name, old, new in breaks:
         with monkeypatch.context() as patch:
@@ -979,14 +1055,17 @@ def test_broken_family_builders_fail_the_verify_gate(monkeypatch, synth):
     fails, at ATP d4, for a builder that drops its last mask and for one that
     adds a non-member."""
     p = make_pattern(ATP, depth=4)
+
+    def from_masks(masks):
+        return _transpose(masks, p.index_count()), len(masks)
     builders = [
-        lambda n, k: maximal_chain_free_masks(n, k)[:-1],
+        lambda n, k: from_masks(maximal_chain_free_masks(n, k)[:-1]),
         # the root and its first child, a 2-chain
-        lambda n, k: maximal_chain_free_masks(n, k) + [0b11],
+        lambda n, k: from_masks(maximal_chain_free_masks(n, k) + [0b11]),
     ]
     for builder in builders:
         with monkeypatch.context() as patch:
-            patch.setattr(patterns, "maximal_chain_free_masks", builder)
+            patch.setattr(patterns, "chain_free_columns", builder)
             witness = synth(exact_family(p))
             report = verify(oracle_for(witness), witness, p, exhaustive=True)
             assert report.passed

@@ -152,7 +152,8 @@ def test_consistency_family_invariants():
         ("a", "b", "c"), [{"a"}, {"a", "b"}, {"c"}, {"a", "b"}]
     )
     assert fam.maximal == (frozenset({"a", "b"}), frozenset({"c"}))
-    assert fam == ConsistencyFamily(("a", "b", "c"), (0b011, 0b100))
+    assert fam == ConsistencyFamily(("a", "b", "c"), {"a": 0b01, "b": 0b01, "c": 0b10}, 2)
+    assert fam.masks == (0b011, 0b100) and fam.count == 2
     assert fam.columns == {"a": 0b01, "b": 0b01, "c": 0b10}
 
 

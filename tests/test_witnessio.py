@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -490,3 +491,85 @@ def test_the_most_digits_the_cap_allows_pass_the_size_check():
     doc = _doc(atp_file(1))
     doc["params"][""] = "0x" + "f" * _CAP_DIGITS
     assert loads(json.dumps(doc)).witness.params[()] == 16 ** _CAP_DIGITS - 1
+
+
+# --- the streamed writer against json.dumps ---
+
+# the witnesses the benchmark writes (its BENCH_SPECS), with the wide TP
+# pattern whose text json.dumps took 80 MB to make
+WRITER_SPECS = [
+    make_pattern(KATP, depth=5, k=3), make_pattern(KATP, depth=5, k=4),
+    make_pattern(ATP, depth=5), make_pattern(SOP1, depth=4),
+    make_pattern(TP, branching=3, depth=3, k=2), make_pattern(SOP2, depth=5),
+    make_pattern(TP2, rows=4, cols=4), make_pattern(ATP, depth=4),
+    make_pattern(KATP, depth=4, k=3), make_pattern(SOP2, depth=4),
+    make_pattern(TP2, rows=3, cols=4), make_pattern(ATP, depth=3),
+    # keys whose texts sort apart from the labels: "1,10" < "1,2", "1.10" < "1.2"
+    make_pattern(TP2, rows=12, cols=2), make_pattern(TP2, rows=2, cols=12),
+    make_pattern(TP, branching=12, depth=3, k=13),
+]
+
+
+@functools.cache
+def wide_tp_file():
+    p = make_pattern(TP, branching=200000, depth=2, k=200001)
+    return WitnessFile(p, synth_boolean(exact_family(p)))
+
+
+def _written_files():
+    for p in WRITER_SPECS:
+        family = exact_family(p)
+        for w in (synth_skolem(family), synth_boolean(family)):
+            yield WitnessFile(p, w)
+            if p.kind in (ATP, KATP) and p.depth >= 3:  # the transform outputs
+                tws = [(fatten(w, 1), p.kind, p.k)]
+                if p.kind == KATP:
+                    tws.append((elongate(w, p.k - 1), ATP, None))
+                for tw, kind, k in tws:
+                    q = make_pattern(kind, depth=max(len(l) for l in tw.labels) + 1, k=k)
+                    yield WitnessFile(q, tw, base_pattern=p)
+    yield wide_tp_file()
+
+
+def test_written_text_is_what_json_dumps_writes(tmp_path):
+    path = tmp_path / "w.json"
+    for wf in _written_files():
+        text = dumps(wf)
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", wf.pattern
+        save(wf, path)
+        assert path.read_text(encoding="utf-8") == text, wf.pattern
+        assert loads(text).witness.labels == wf.witness.labels
+
+
+def test_save_holds_no_copy_of_the_text(tmp_path):
+    # json.dumps of this 3.9 MB text took peak RSS from 53 to 134 MB; here
+    # the peak may grow by no more than the text and 4 MB
+    script = """if True:
+        import os, resource, sys
+        from treeprop import exact_family, make_pattern, synth_boolean
+        from treeprop.witnessio import WitnessFile, save
+
+        def peak():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+        p = make_pattern("tp", branching=200000, depth=2, k=200001)
+        wf = WitnessFile(p, synth_boolean(exact_family(p)))
+        before = peak()
+        save(wf, sys.argv[1])
+        print(peak() - before, os.path.getsize(sys.argv[1]))
+    """
+    src = os.path.dirname(os.path.dirname(treeprop.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "w.json")], env=env,
+                          check=True, timeout=120, capture_output=True, text=True)
+    grown, size = map(int, done.stdout.split())
+    assert size > 2 ** 21 and grown <= size + 2 ** 22
+
+
+def test_a_witness_over_other_labels_is_refused_before_any_text(tmp_path):
+    wf = atp_file(3)
+    for labels in (wf.witness.labels[:-1], wf.witness.labels[:-1] + ((2,),)):
+        params = {label: 1 for label in labels}
+        bad = WitnessFile(wf.pattern, replace(wf.witness, labels=labels, params=params))
+        with pytest.raises(WitnessError):
+            save(bad, tmp_path / "w.json")
+    assert not (tmp_path / "w.json").exists()
