@@ -10,12 +10,13 @@ The package is lazy. Importing it puts every submodule but `cli` in
 `sys.modules` and binds it here through `importlib.util.LazyLoader`, but runs
 none of them: a submodule runs when one of its attributes is first read. So
 a process, a CLI command above all, runs only the modules it uses:
-`import treeprop.cli` takes about 13 ms where it took 61 ms with every module
-run and compiled from source, and 7 ms where it took 43 ms with the bytecode
-cached (README, "Import cost"). The exported names are served by the module
-`__getattr__` (PEP 562), which reads each one from its defining module on
-every access and keeps none here: a name patched there is patched here too,
-and no longer than there.
+`import treeprop.cli` takes about 9 ms where it took 61 ms with every module
+run and compiled from source, and 5 ms where it took 43 ms with the bytecode
+cached (README, "Import cost"). No module imports `dataclasses`, whose import
+takes about 10 ms: records are `errors.record` named tuples. The exported
+names are served by the module `__getattr__` (PEP 562), which reads each one
+from its defining module on every access and keeps none here: a name patched
+there is patched here too, and no longer than there.
 A module imports names from another only if all of its callers need them;
 otherwise it binds the lazy module (`from . import qftypes`), which runs
 when a caller first reads a name through it. No module imports inside a

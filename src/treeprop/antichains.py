@@ -39,10 +39,9 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from typing import FrozenSet, Iterator, List, Optional, Tuple
 
-from .errors import ResourceCapError
+from .errors import ResourceCapError, record
 from .nodes import Node, TreeDomain, concat_set, meet, sorted_nodes
 
 NodeSet = FrozenSet[Node]
@@ -57,13 +56,15 @@ FAMILY_CELL_CAP = 2 ** 28
 COUNT_DIGITS_CAP = sys.int_info.default_max_str_digits
 
 
-@dataclass(frozen=True)
-class AntichainCatalog:
-    domain: TreeDomain
-    items: Tuple[NodeSet, ...]
+class AntichainCatalog(record("domain items")):
+    """Antichains of a tree domain; its length, iteration and membership are
+    the items'."""
 
     def __len__(self):
         return len(self.items)
+
+    def __contains__(self, antichain):
+        return antichain in self.items
 
     def __iter__(self):
         return iter(self.items)

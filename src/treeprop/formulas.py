@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .errors import FormulaError
+from .errors import FormulaError, record
 
 
 # --- AST ---
@@ -32,68 +31,48 @@ class Term:
     pass
 
 
-@dataclass(frozen=True)
-class Name(Term):
+class Name(record("ident"), Term):
     """Variable or constant reference, resolved at evaluation time."""
-    ident: str
 
 
-@dataclass(frozen=True)
-class Literal(Term):
-    value: int
+class Literal(record("value"), Term):
+    pass
 
 
-@dataclass(frozen=True)
-class Apply(Term):
-    func: str
-    args: Tuple[Term, ...]
+class Apply(record("func args"), Term):
+    pass
 
 
 class Formula:
     pass
 
 
-@dataclass(frozen=True)
-class Atom(Formula):
-    rel: str
-    args: Tuple[Term, ...]
+class Atom(record("rel args"), Formula):
+    pass
 
 
-@dataclass(frozen=True)
-class Equals(Formula):
-    left: Term
-    right: Term
-    negated: bool = False
+class Equals(record("left right negated", defaults=(False,)), Formula):
+    pass
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    inner: Formula
+class Not(record("inner"), Formula):
+    pass
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class And(record("left right"), Formula):
+    pass
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Or(record("left right"), Formula):
+    pass
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Implies(record("left right"), Formula):
+    pass
 
 
-@dataclass(frozen=True)
-class Quantifier(Formula):
-    kind: str  # "exists" | "forall"
-    var: str
-    body: Formula
+class Quantifier(record("kind var body"), Formula):
+    """kind is "exists" or "forall"."""
 
 
 # --- Parser ---

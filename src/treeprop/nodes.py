@@ -11,10 +11,9 @@ so nodes can be sorted directly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Tuple
 
-from .errors import ResourceCapError
+from .errors import ResourceCapError, record
 
 Node = Tuple[int, ...]
 
@@ -68,22 +67,19 @@ def closure(nodes: Tuple[Node, ...]) -> Tuple[Node, ...]:
 DOMAIN_BITS_CAP = 2 ** 16
 
 
-@dataclass(frozen=True)
-class TreeDomain:
+class TreeDomain(record("branching depth")):
     """All nodes of length < depth over digits < branching."""
 
-    branching: int
-    depth: int
-
-    def __post_init__(self):
-        if self.branching < 2:
+    def __new__(cls, branching: int, depth: int):
+        if branching < 2:
             raise ValueError("branching must be >= 2")
-        if self.depth < 1:
+        if depth < 1:
             raise ValueError("depth must be >= 1")
-        bits = (self.depth - 1) * (self.branching.bit_length() - 1)
+        bits = (depth - 1) * (branching.bit_length() - 1)
         if bits >= DOMAIN_BITS_CAP:
             raise ResourceCapError(f"tree domain whose node count has over {bits} bits",
                                    DOMAIN_BITS_CAP)
+        return super().__new__(cls, branching, depth)
 
     def node_count(self) -> int:
         b = self.branching
@@ -91,14 +87,7 @@ class TreeDomain:
 
     def nodes(self) -> Iterator[Node]:
         """All nodes in lexicographic order (depth-first, digit order)."""
-
-        def walk(prefix: Node) -> Iterator[Node]:
-            yield prefix
-            if len(prefix) < self.depth - 1:
-                for d in range(self.branching):
-                    yield from walk(prefix + (d,))
-
-        return walk(ROOT)
+        return _walk(ROOT, self.branching, self.depth)
 
     def subtree_sizes(self) -> List[int]:
         """Each node's subtree size, in lex order: its run of nodes from it on."""
@@ -109,6 +98,15 @@ class TreeDomain:
 
     def level(self, n: int) -> Iterator[Node]:
         return itertools.product(range(self.branching), repeat=n)
+
+
+def _walk(prefix: Node, branching: int, depth: int) -> Iterator[Node]:
+    """The node, then its subtree in a tree of the given depth, in lex order.
+    A module-level generator, so a walk leaves no reference cycle behind."""
+    yield prefix
+    if len(prefix) < depth - 1:
+        for d in range(branching):
+            yield from _walk(prefix + (d,), branching, depth)
 
 
 def sorted_nodes(nodes: Iterable[Node]) -> Tuple[Node, ...]:

@@ -34,11 +34,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from . import formulas
-from .errors import FormulaError, WitnessError, shown_items
+from .errors import FormulaError, WitnessError, record, shown_items
 from .nodes import Node
 
 SKOLEM = "skolem"
@@ -51,57 +50,48 @@ FO_X_VAR = "x"
 FO_Y_VARS = ("y",)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(record("backend labels params width")):
     """One parameter per index label. Skolem parameters are positive ints,
     boolean parameters are bitsets of the declared width, structure
     parameters are tuples of universe elements."""
 
-    backend: str
-    labels: Tuple
-    params: Dict
-    width: Optional[int] = None
-
-    def __post_init__(self):
-        missing = [i for i in self.labels if i not in self.params]
-        if missing or len(self.params) != len(self.labels):
+    def __new__(cls, backend: str, labels: Tuple, params: Dict, width: Optional[int] = None):
+        missing = [i for i in labels if i not in params]
+        if missing or len(params) != len(labels):
             raise WitnessError("parameter map does not match labels: "
                                f"missing {shown_items(missing)}")
-        if self.backend == SKOLEM:
-            bad = [i for i in self.labels if not isinstance(self.params[i], int) or self.params[i] < 1]
+        if backend == SKOLEM:
+            bad = [i for i in labels if not isinstance(params[i], int) or params[i] < 1]
             if bad:
                 raise WitnessError(f"skolem parameters must be >= 1: {shown_items(bad)}")
-        elif self.backend == BOOLEAN:
-            if self.width is None or self.width < 0:
+        elif backend == BOOLEAN:
+            if width is None or width < 0:
                 raise WitnessError("boolean witness needs a declared width")
-            bad = [i for i in self.labels if self.params[i] >> self.width]
+            bad = [i for i in labels if params[i] >> width]
             if bad:
-                raise WitnessError(f"bitset wider than declared width {self.width}: "
+                raise WitnessError(f"bitset wider than declared width {width}: "
                                    f"{shown_items(bad)}")
-        elif self.backend != STRUCTURE:
-            raise WitnessError(f"unknown backend {self.backend!r}")
+        elif backend != STRUCTURE:
+            raise WitnessError(f"unknown backend {backend!r}")
+        return super().__new__(cls, backend, labels, params, width)
 
 
-@dataclass(frozen=True)
-class TupleWitness:
+class TupleWitness(record("base labels provenance arity")):
     """A witness whose parameter for each index is the tuple of base
     parameters at the recorded source indices, as fattening and elongation
     (`transforms`) make them."""
 
-    base: Witness
-    labels: Tuple[Node, ...]
-    provenance: Dict[Node, Tuple[Node, ...]]
-    arity: int
-
-    def __post_init__(self):
-        base_labels = set(self.base.labels)
-        for label in self.labels:
-            sources = self.provenance[label]
-            if len(sources) != self.arity:
+    def __new__(cls, base: Witness, labels: Tuple[Node, ...],
+                provenance: Dict[Node, Tuple[Node, ...]], arity: int):
+        base_labels = set(base.labels)
+        for label in labels:
+            sources = provenance[label]
+            if len(sources) != arity:
                 raise WitnessError(f"non-uniform arity at {label}")
             missing = [s for s in sources if s not in base_labels]
             if missing:
                 raise WitnessError(f"unknown source indices {shown_items(missing)} at {label}")
+        return super().__new__(cls, base, labels, provenance, arity)
 
     def components(self, label: Node) -> tuple:
         return tuple(self.base.params[s] for s in self.provenance[label])

@@ -30,14 +30,14 @@ from __future__ import annotations
 import collections
 import itertools
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from .antichains import (_check_row_choices, _check_sibling_sets,
                          _check_subset_cap, _transpose, chain_free_columns,
                          choice_columns, mask_labels, mask_set, row_columns,
                          subtree_walk)
+from .errors import record
 from .nodes import TreeDomain, sorted_nodes
 from .oracles import semilattice
 
@@ -51,14 +51,10 @@ TP2 = "tp2"
 TREE_KINDS = (ATP, KATP, SOP1, SOP2, TP)
 
 
-@dataclass(frozen=True)
-class PatternSpec:
-    kind: str
-    branching: int = 2
-    depth: int = 0
-    k: Optional[int] = None  # katp / tp arity of the inconsistency condition
-    rows: int = 0  # tp2 only
-    cols: int = 0
+class PatternSpec(record("kind branching depth k rows cols", defaults=(2, 0, None, 0, 0))):
+    """A pattern, unchecked (`make_pattern` is the checked way in): k is the
+    arity of the katp and tp inconsistency condition, rows and cols are
+    tp2's alone."""
 
     def index_labels(self) -> Tuple:
         """Index set in canonical order: tree nodes lexicographically, or
@@ -184,8 +180,7 @@ def _containing(columns: Dict, subset) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class ConsistencyFamily:
+class ConsistencyFamily(record("labels columns count")):
     """A subset-closed family of nonempty index sets, stored by its count of
     maximal members and each label's column: the bitmask of the members
     holding it, bit n for the n-th member in canonical order. Membership is
@@ -193,11 +188,11 @@ class ConsistencyFamily:
     The members as masks over the labels (`masks`, bit i is labels[i]) and
     as frozensets (`maximal`) are the columns transposed when first read.
 
-    The fields are trusted as given; `from_members` is the checked way in."""
+    The fields are trusted as given; `from_members` is the checked way in.
+    The hash leaves out the columns, a dict."""
 
-    labels: Tuple
-    columns: Dict = field(hash=False)
-    count: int
+    def __hash__(self):
+        return hash((type(self), self.labels, self.count))
 
     @classmethod
     def from_members(cls, labels, members) -> "ConsistencyFamily":
@@ -243,13 +238,10 @@ def exact_family(p: PatternSpec) -> ConsistencyFamily:
     return ConsistencyFamily(labels, dict(zip(labels, columns)), count)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    passed: bool
-    consistent_checked: int
-    inconsistent_checked: int
-    exhaustive: bool
-    counterexample: Optional[tuple] = None  # (subset, expected, actual)
+class VerificationReport(record("passed consistent_checked inconsistent_checked exhaustive "
+                                "counterexample", defaults=(None,))):
+    """A verdict and the subset counts it covers; counterexample is None or
+    (subset, expected, actual)."""
 
     def summary(self) -> str:
         verdict = "pass" if self.passed else "fail"

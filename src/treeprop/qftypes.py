@@ -25,10 +25,9 @@ the entries, which are the closure's diagonal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Tuple
 
-from .errors import ResourceCapError
+from .errors import ResourceCapError, record
 from .nodes import Node, TreeDomain, closure
 
 
@@ -133,12 +132,9 @@ def sim_delta(t1, t2) -> bool:
     return _same_form(delta_type, t1, t2)
 
 
-@dataclass(frozen=True)
-class SsLlReport:
-    passed: bool
-    tuple_count: int
-    pair_count: int
-    counterexample: tuple | None  # (tuple1, tuple2, sim_delta, sim0_of_closures)
+class SsLlReport(record("passed tuple_count pair_count counterexample")):
+    """A verdict and the tuples and pairs it covers; counterexample is None
+    or (tuple1, tuple2, sim_delta, sim0_of_closures)."""
 
 
 # ordered pairs of leaf tuples that one ss-ll check may stand for

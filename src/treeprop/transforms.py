@@ -16,11 +16,10 @@ Both collapse steps always check their families, by meet-tree shape
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .antichains import _shape
-from .errors import ResourceCapError, WitnessError
+from .errors import ResourceCapError, WitnessError, record
 from .nodes import Node, TreeDomain, concat_set, is_prefix, sorted_nodes
 from .oracles import TupleWitness, Witness
 
@@ -76,11 +75,9 @@ def elongate(witness: Witness, k: int) -> TupleWitness:
     return TupleWitness(witness, labels, provenance, k)
 
 
-@dataclass(frozen=True)
-class ReduceReport:
-    case: str  # "fatten" | "elongate"
-    fatten_level: Optional[int]
-    probes: Tuple[Tuple[int, bool], ...]  # (m, consistent(K_m))
+class ReduceReport(record("case fatten_level probes")):
+    """The case of a reduction, "fatten" or "elongate", the fattening level
+    (None for elongation) and the probes, (m, consistent(K_m)) each."""
 
 
 def probe_set(m: int, k: int) -> FrozenSet[Node]:
@@ -158,17 +155,10 @@ def collapse_extend(families: List[FrozenSet]):
     return out, chi, chi_prime
 
 
-@dataclass(frozen=True)
-class Scaffold:
+class Scaffold(record("level families embedding chi chi_prime")):
     """Level-m state of the recursive construction: the indexed antichain
     families, the embedding of the depth-m binary tree, and the last branch
-    point pair."""
-
-    level: int
-    families: Tuple[FrozenSet, ...]
-    embedding: Dict[Node, Node]
-    chi: Optional[Node]
-    chi_prime: Optional[Node]
+    point pair (chi, chi_prime), None at level 1."""
 
 
 # levels of the scaffold construction, whose family count is doubly exponential

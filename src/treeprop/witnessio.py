@@ -58,12 +58,10 @@ from __future__ import annotations
 import itertools
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Union
 
 from . import antichains
-from .errors import WitnessError
+from .errors import WitnessError, record
 from .nodes import node_str
 from .oracles import BOOLEAN, SKOLEM, TupleWitness, Witness
 from .patterns import TP2, PatternSpec
@@ -129,11 +127,9 @@ def _index_count_is(pattern: PatternSpec, count: int) -> bool:
             and pattern.index_count() == count)
 
 
-@dataclass(frozen=True)
-class WitnessFile:
-    pattern: PatternSpec
-    witness: Union[Witness, TupleWitness]
-    base_pattern: PatternSpec = None  # source pattern of a tuple witness
+class WitnessFile(record("pattern witness base_pattern", defaults=(None,))):
+    """A pattern and its Witness or TupleWitness; base_pattern is the source
+    pattern of a tuple witness."""
 
     @classmethod
     def from_json(cls, data) -> "WitnessFile":
@@ -320,14 +316,20 @@ def dumps(wf: WitnessFile) -> str:
     return "".join(_text(wf))
 
 
-def loads(text: str) -> WitnessFile:
-    """Parse a witness file's text. Text that is not JSON, or is nested too
-    deeply to parse, raises WitnessError like any other malformed file."""
+def _document(text: str):
+    """The JSON document of a witness file's text. Text that is not JSON, or
+    is nested too deeply to parse, raises WitnessError like any other
+    malformed file."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except (RecursionError, ValueError) as exc:
         raise WitnessError(f"witness file does not parse as JSON: {exc!r}") from None
-    return WitnessFile.from_json(data)
+
+
+def loads(text: str) -> WitnessFile:
+    """Parse a witness file's text, as `_document` and
+    `WitnessFile.from_json` do."""
+    return WitnessFile.from_json(_document(text))
 
 
 def save(wf: WitnessFile, path) -> None:
@@ -339,5 +341,8 @@ def save(wf: WitnessFile, path) -> None:
 
 
 def load(path) -> WitnessFile:
+    """Read and parse a witness file. The text is let go once it is parsed,
+    before any param is read, so it is not held beside the params."""
     with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+        data = _document(fh.read())
+    return WitnessFile.from_json(data)

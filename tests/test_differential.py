@@ -27,7 +27,6 @@ import operator
 import random
 import textwrap
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -491,7 +490,8 @@ def _broken_witnesses(family, witness, p):
         n = (column & -column).bit_length() - 1
         value = witness.params[label]
         value = value // primes[n] if witness.backend == SKOLEM else value & ~(1 << n)
-        out.append(replace(witness, params={**witness.params, label: value}))
+        out.append(Witness(witness.backend, witness.labels, {**witness.params, label: value},
+                           witness.width))
     forbidden = next(required_inconsistent(p), None)
     if forbidden is not None:
         params = dict(witness.params)
@@ -501,7 +501,7 @@ def _broken_witnesses(family, witness, p):
             else:
                 params[label] |= 1 << fresh
         width = None if witness.backend == SKOLEM else fresh + 1
-        out.append(replace(witness, params=params, width=width))
+        out.append(Witness(witness.backend, witness.labels, params, width))
     return out
 
 

@@ -69,6 +69,36 @@ def test_nested_imports_are_found(tmp_path):
     assert nested_imports(module) == [6, 9, 12, 14]
 
 
+def dataclass_imports(path):
+    """The lines that import dataclasses. Its import pulls in inspect and ast,
+    and each dataclass runs generated code when it is created, a cost every
+    process pays at start; `errors.record` makes records with neither."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Import)
+                  and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.split(".")[0] == "dataclasses")
+
+
+def test_no_module_imports_dataclasses():
+    modules = sorted(SOURCE.glob("*.py"))
+    assert len(modules) > 10
+    assert {path.name: dataclass_imports(path) for path in modules
+            if dataclass_imports(path)} == {}
+
+
+def test_dataclass_imports_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import os, dataclasses\n"
+                      "from dataclasses import dataclass, field\n"
+                      "def f():\n    import dataclasses as dc\n"
+                      "from . import dataclasses\nfrom .dataclasses import x\n"
+                      "import dataclasses_json, collections\n"
+                      "from dataclasses import *\n")
+    assert dataclass_imports(module) == [1, 2, 4, 8]
+
+
 def _module_constants(tree):
     """The UPPER_CASE names that the module assigns at its top level."""
     return {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import treeprop
+from treeprop.cli import main
+from treeprop.formulas import divisor_structure
 
 SOURCE = Path(treeprop.__file__).parent
 ENV = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
@@ -118,3 +120,62 @@ def test_running_the_cli_as_a_module_warns_of_nothing():
                           capture_output=True, text=True, env=ENV, timeout=60)
     assert done.returncode == 0 and done.stderr == ""
     assert done.stdout.startswith("usage: treeprop")
+
+
+# modules that no treeprop process imports: dataclasses costs about 10 ms to
+# import, most of it inspect, which it pulls in with ast, dis and tokenize
+UNIMPORTED = ("dataclasses", "inspect")
+
+# what a command leaves in sys.modules of UNIMPORTED, as the last line of stdout
+UNIMPORTED_REPORT = f"""
+import json, sys
+print()
+json.dump([name for name in {UNIMPORTED!r} if name in sys.modules], sys.stdout)
+"""
+
+CLI_COMMANDS = {
+    "synth-skolem": ["synth", "--pattern", "katp:3", "--depth", "4", "--backend", "skolem",
+                     "--out", "s.json"],
+    "synth-boolean": ["synth", "--pattern", "atp", "--depth", "3", "--backend", "boolean",
+                      "--out", "b.json"],
+    "transform-reduce": ["transform", "reduce", "--witness", "katp3.json", "--k", "2",
+                         "--out", "r.json"],
+    "verify-pattern": ["verify", "--witness", "katp3.json"],
+    "verify-exhaustive": ["verify", "--witness", "atp3.json", "--exhaustive"],
+    "export-dot": ["export-dot", "--witness", "atp3.json"],
+    "check-lemma": ["check-lemma", "ss-ll", "--n", "2", "--len", "2"],
+    "eval": ["eval", "--structure", "d12.json", "--formula", "exists y. divides(x, y)",
+             "--assign", "x=3"],
+}
+
+
+def unimported_after(code, cwd):
+    done = subprocess.run([sys.executable, "-c", code + UNIMPORTED_REPORT], capture_output=True,
+                          text=True, env=ENV, cwd=cwd, timeout=60, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli")
+    for pattern, name in (("katp:3", "katp3"), ("atp", "atp3")):
+        assert main(["synth", "--pattern", pattern, "--depth", "3", "--backend", "skolem",
+                     "--out", str(path / f"{name}.json")]) == 0
+    (path / "d12.json").write_text(json.dumps(divisor_structure(12).to_json()))
+    return path
+
+
+@pytest.mark.parametrize("command", list(CLI_COMMANDS))
+def test_no_cli_command_imports_dataclasses_or_inspect(cli_inputs, command):
+    code = f"import treeprop.cli\nassert treeprop.cli.main({CLI_COMMANDS[command]!r}) == 0\n"
+    assert unimported_after(code, cli_inputs) == []
+
+
+def test_running_every_module_imports_no_dataclasses_or_inspect(tmp_path):
+    modules = sorted(f"treeprop.{path.stem}" for path in SOURCE.glob("*.py")
+                     if path.stem != "__init__")
+    code = ("import importlib, sys, types\n"
+            f"for name in {modules!r}:\n"
+            "    vars(importlib.import_module(name))\n"
+            f"assert all(type(sys.modules[name]) is types.ModuleType for name in {modules!r})\n")
+    assert unimported_after(code, tmp_path) == []

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -6,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import treeprop.nodes
-from treeprop import ResourceCapError, TreeDomain, closure, concat_set, meet, node_str
+from treeprop import (ResourceCapError, TreeDomain, closure, concat_set, make_pattern, meet,
+                      node_str)
 from treeprop.nodes import is_prefix, sorted_nodes
 
 from references import domain_contains, incomparable, is_antichain, is_chain
@@ -140,6 +142,20 @@ def test_domain_size_cap_before_any_power(monkeypatch):
     assert TreeDomain(4, 4).node_count() == 85
     with pytest.raises(ResourceCapError, match="over 8 bits \\(cap 8\\)"):
         TreeDomain(4, 5)
+
+
+def test_walking_the_nodes_leaves_no_cyclic_garbage():
+    # every family, required-set stream and witness load walks a domain once
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(100):
+            make_pattern("atp", depth=3).index_labels()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_sorted_nodes_dedups():

@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeprop
-from treeprop import (ResourceCapError, WitnessError, elongate, exact_family, fatten,
+from treeprop import (ResourceCapError, Witness, WitnessError, elongate, exact_family, fatten,
                       make_pattern, synth_boolean, synth_skolem, witnessio)
 from treeprop.cli import main
 from treeprop.dot import export_dot
@@ -565,11 +564,45 @@ def test_save_holds_no_copy_of_the_text(tmp_path):
     assert size > 2 ** 21 and grown <= size + 2 ** 22
 
 
+def test_load_lets_the_text_go_before_any_param_is_read(tmp_path, monkeypatch):
+    # pattern verify of the 51.4 MB SOP1 d6 boolean witness peaked at 140 MB
+    # RSS with the text held while the params were read, and at 114 MB without
+    freed = []
+
+    class Text(str):
+        def __del__(self):
+            freed.append(True)
+
+    class File:
+        def __init__(self, path, encoding):
+            self.fh = open(path, encoding=encoding)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def read(self):
+            return Text(self.fh.read())
+
+    def params(backend, texts):
+        assert freed == [True]
+        return read_params(backend, texts)
+
+    save(atp_file(3), tmp_path / "w.json")
+    read_params = witnessio._params
+    monkeypatch.setattr(witnessio, "open", File, raising=False)
+    monkeypatch.setattr(witnessio, "_params", params)
+    assert load(tmp_path / "w.json") == atp_file(3)
+
+
 def test_a_witness_over_other_labels_is_refused_before_any_text(tmp_path):
     wf = atp_file(3)
     for labels in (wf.witness.labels[:-1], wf.witness.labels[:-1] + ((2,),)):
         params = {label: 1 for label in labels}
-        bad = WitnessFile(wf.pattern, replace(wf.witness, labels=labels, params=params))
+        witness = Witness(wf.witness.backend, labels, params, wf.witness.width)
+        bad = WitnessFile(wf.pattern, witness)
         with pytest.raises(WitnessError):
             save(bad, tmp_path / "w.json")
     assert not (tmp_path / "w.json").exists()
