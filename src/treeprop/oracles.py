@@ -21,23 +21,24 @@ tuple witnesses included.
 
 `semilattice(oracle)` hands out the four parts, and exhaustive `verify`
 joins meets of subsets from them and groups subsets by their meets, so meet
-values must be hashable (every built-in one is an int or a tuple). An oracle
-with only `consistent()` (no `holds`) still works: it gets the label-tuple
-lattice (top `()`, meet tuple concatenation, element `(label,)`, holds
-`consistent()` itself), whose meets are distinct, so exhaustive `verify`
-asks it once per subset in mask order, about the labels in label order, up
-to the first failing subset and nothing after.
+values must be hashable (every built-in one is an int or a tuple). Every
+library oracle has its lattice, and `ConjunctionOracle` refuses a base
+without one. Only exhaustive `verify` adapts an object with only
+`consistent()`: the label-tuple lattice (top `()`, meet tuple concatenation,
+element `(label,)`, holds `consistent()`) has distinct meets, so it is asked
+once per subset in mask order, up to the first failing subset.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
 from typing import Dict, Optional, Tuple
 
 from . import formulas
-from .errors import FormulaError, WitnessError, record, shown_items
+from .errors import TreepropError, WitnessError, record, shown_items
 from .nodes import Node
 
 SKOLEM = "skolem"
@@ -50,6 +51,11 @@ FO_X_VAR = "x"
 FO_Y_VARS = ("y",)
 
 
+def _repeated(labels) -> list:
+    """The labels that occur more than once, each named once."""
+    return [x for x, n in collections.Counter(labels).items() if n > 1]
+
+
 class Witness(record("backend labels params width")):
     """One parameter per index label. Skolem parameters are positive ints,
     boolean parameters are bitsets of the declared width, structure
@@ -58,7 +64,9 @@ class Witness(record("backend labels params width")):
     def __new__(cls, backend: str, labels: Tuple, params: Dict, width: Optional[int] = None):
         missing = [i for i in labels if i not in params]
         if missing or len(params) != len(labels):
-            raise WitnessError("parameter map does not match labels: "
+            repeated = _repeated(labels)
+            raise WitnessError(f"repeated labels {shown_items(repeated)}" if repeated
+                               else "parameter map does not match labels: "
                                f"missing {shown_items(missing)}")
         if backend == SKOLEM:
             bad = [i for i in labels if not isinstance(params[i], int) or params[i] < 1]
@@ -83,6 +91,10 @@ class TupleWitness(record("base labels provenance arity")):
 
     def __new__(cls, base: Witness, labels: Tuple[Node, ...],
                 provenance: Dict[Node, Tuple[Node, ...]], arity: int):
+        missing, repeated = [x for x in labels if x not in provenance], _repeated(labels)
+        if missing or repeated:
+            raise WitnessError(f"no provenance for labels {shown_items(missing)}" if missing
+                               else f"repeated labels {shown_items(repeated)}")
         base_labels = set(base.labels)
         for label in labels:
             sources = provenance[label]
@@ -162,23 +174,22 @@ class BitsetOracle(ParamOracle):
 
 class ConjunctionOracle(MeetOracle):
     """Judges sets of tuple instances by the base oracle on the union of
-    their source indices. It has the base oracle's lattice (`semilattice`),
-    and a label's element is the base meet over the label's sources, made
-    once per label. So a base with only consistent() is asked once per set,
-    about the sources of its labels in label order."""
+    their source indices. It has the base oracle's lattice, and a label's
+    element is the base meet over its sources, folded here once per label (an
+    element error of the base is raised here). A base without `top`, `meet`,
+    `element` and `holds` is refused."""
 
     def __init__(self, base_oracle, tuple_witness: TupleWitness):
+        if not all(hasattr(base_oracle, part) for part in ("top", "meet", "element", "holds")):
+            raise TreepropError(f"conjunction base {type(base_oracle).__name__} has no lattice: "
+                                "it needs top, meet, element and holds")
         self.base_oracle = base_oracle
         self.tuple_witness = tuple_witness
-        self.top, self.meet, self._base_element, self.holds = semilattice(base_oracle)
-        self._elements = {}
-
-    def element(self, label):
-        if label not in self._elements:
-            sources = self.tuple_witness.provenance[label]
-            self._elements[label] = functools.reduce(
-                self.meet, map(self._base_element, sources), self.top)
-        return self._elements[label]
+        self.top, self.meet, self.holds = base_oracle.top, base_oracle.meet, base_oracle.holds
+        element, provenance = base_oracle.element, tuple_witness.provenance
+        # a dict's own lookup, as in ParamOracle
+        self.element = {x: functools.reduce(self.meet, map(element, provenance[x]), self.top)
+                        for x in tuple_witness.labels}.__getitem__
 
 
 class FoOracle(MeetOracle):
@@ -189,9 +200,8 @@ class FoOracle(MeetOracle):
     phi(universe[j], p) for its parameter tuple p, computed once per p, so
     the structure, the formula and the witness are treated as fixed after
     construction. Where phi raises for some x, p has no mask (nothing is
-    cached): element() raises, so exhaustive `verify` does, and consistent()
-    judges a set holding that label by the plain search, x by x in universe
-    order, which raises only where it reaches the error."""
+    cached): element() raises `FormulaError`, so consistent() of any set
+    holding that label raises, and pattern and exhaustive `verify` both do."""
 
     top = -1
     meet = staticmethod(operator.and_)
@@ -230,17 +240,6 @@ class FoOracle(MeetOracle):
     @staticmethod
     def holds(value: int) -> bool:
         return value != 0
-
-    def consistent(self, labels) -> bool:
-        labels = tuple(labels)
-        try:
-            return super().consistent(labels)
-        except FormulaError:
-            # the fold stopped at a label without a mask, and every label
-            # before it has one
-            params = [self._params[i] for i in labels]
-            return any(all(self._phi(x, p) for p in params)
-                       for x in self.structure.universe)
 
 
 def oracle_for(witness):

@@ -344,10 +344,10 @@ def verify(oracle, witness, p: PatternSpec, exhaustive: bool = False) -> Verific
     by the class-pair tables of `_class_pairs`, and its report is theirs: a
     pass, or the first failing subset in mask order with the counts of the
     masks up to it. 2^n subsets are checked against DEFAULT_SUBSET_CAP before
-    any other work, and whatever the oracle raises propagates. An oracle with
-    only consistent() (or a conjunction over one) gets the label-tuple
-    lattice of `oracles.semilattice`, whose every class is one index, so it
-    is asked once per mask, in mask order, up to the first failing mask."""
+    any other work, and whatever the oracle raises propagates. Only this mode
+    adapts an oracle with only consistent(): the label-tuple lattice of
+    `oracles.semilattice` makes every index a class, so it is asked once per
+    mask, in mask order, up to the first failing mask."""
     if exhaustive:
         _check_subset_cap(p.index_count())
     labels = p.index_labels()

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from treeprop import (BitsetOracle, ConjunctionOracle, ConsistencyFamily,
                       FoOracle, FormulaError, GcdOracle, ResourceCapError,
-                      TreeDomain, Witness, alpha, divisor_structure,
+                      TreeDomain, TreepropError, Witness, alpha, divisor_structure,
                       elongate, enumerate_antichains, eval_formula,
                       exact_family, fatten, make_pattern, maximal_antichains,
                       oracle_for, parse_formula,
@@ -74,7 +74,7 @@ from references import (RecordingOracle, ReferenceConjunctionOracle,
                         reference_required_inconsistent,
                         reference_scan_masks, reference_skolem_params,
                         reference_ss_ll,
-                        reference_verify, required_sets, source_union)
+                        reference_verify, required_sets)
 
 def random_families(count, seed=20240817):
     """Random families in the style of acceptance criterion 8: 3-6 labels
@@ -960,29 +960,48 @@ def test_consistent_is_the_meet_fold():
     assert kinds == {GcdOracle, BitsetOracle, FoOracle, ConjunctionOracle}
 
 
-def test_conjunction_over_a_consistent_only_base_is_asked_as_before():
-    """A base with only consistent() gives the conjunction the label-tuple
-    lattice. Over the elongated and the fattened witness (ATP d3) it is asked
-    about the same source sets in the same order as by the conjunction that
-    asked about source unions, also when a verdict inverted in the exhaustive
-    loop stops it. (A plain RecordingOracle is checked the same way by
-    `_same_as_reference`.)"""
+def _own_sources(witness):
+    """The tuple witness of arity 1 whose every label is its own source."""
+    return TupleWitness(witness, witness.labels, {x: (x,) for x in witness.labels}, 1)
+
+
+def _swapped_sources(tw, rng, count):
+    """Copies of the tuple witness, each with the sources of two random labels
+    swapped."""
+    for _ in range(count):
+        a, b = rng.sample(tw.labels, 2)
+        provenance = {**tw.provenance, a: tw.provenance[b], b: tw.provenance[a]}
+        yield TupleWitness(tw.base, tw.labels, provenance, tw.arity)
+
+
+def test_conjunction_matches_source_unions():
+    """Exhaustive verify of the conjunction over a built-in base gets the
+    report of the reference, which asks the base once per set about the
+    union of its labels' sources: on every VERIFY_SPECS witness and broken
+    copy, on both backends, through `_own_sources`; and on the elongated and
+    the fattened witness over ATP d3, on both backends, with two labels'
+    sources swapped."""
+    for p, witness, expected in meet_cases():
+        tw = _own_sources(witness)
+        oracle = ConjunctionOracle(oracle_for(witness), tw)
+        assert verify(oracle, tw, p, exhaustive=True) == expected, (p, witness.backend)
     p = make_pattern(ATP, depth=3)
-    labels = p.index_labels()
-    required = required_sets(p)
-    outside = [mask_set(labels, m) for m in range(1, 1 << len(labels))
-               if mask_set(labels, m) not in required]
-    katp = synth_skolem(exact_family(make_pattern(KATP, depth=5, k=3)))
-    atp = synth_skolem(exact_family(make_pattern(ATP, depth=4)))
-    for tw in (elongate(katp, 2), fatten(atp, 1)):
-        for target in [None, *random.Random(3).sample(outside, 6)]:
-            sources = None if target is None else source_union(tw, target)
-            fast = RecordingOracle(oracle_for(tw.base), sources)
-            slow = RecordingOracle(oracle_for(tw.base), sources)
-            report = verify(ConjunctionOracle(fast, tw), tw, p, exhaustive=True)
-            assert report == reference_verify(ReferenceConjunctionOracle(slow, tw), tw, p)
-            assert report.passed == (target is None)
-            assert fast.seen == slow.seen
+    rng = random.Random(3)
+    reports = []
+    for synth in (synth_skolem, synth_boolean):
+        katp = synth(exact_family(make_pattern(KATP, depth=5, k=3)))
+        atp = synth(exact_family(make_pattern(ATP, depth=4)))
+        for tw in (elongate(katp, 2), fatten(atp, 1)):
+            assert verify(ConjunctionOracle(oracle_for(tw.base), tw), tw, p,
+                          exhaustive=True).passed
+            for broken in _swapped_sources(tw, rng, 6):
+                report = verify(ConjunctionOracle(oracle_for(tw.base), broken), broken, p,
+                                exhaustive=True)
+                expected = reference_verify(
+                    ReferenceConjunctionOracle(oracle_for(tw.base), broken), broken, p)
+                assert report == expected, (synth.__name__, broken.provenance)
+                reports.append(report)
+    assert sum(not report.passed for report in reports) > len(reports) // 2
 
 
 class RaisingOracle(RecordingOracle):
@@ -1036,15 +1055,26 @@ class ConsistentOnly:
         self.consistent = oracle.consistent
 
 
-def test_conjunctions_over_a_consistent_only_base_match_reference():
-    """On every VERIFY_SPECS witness and broken copy, on both backends, the
-    conjunction over a consistent()-only base, through the tuple witness of
-    arity 1 whose every label is its own source, gets the reference report.
-    (The base alone is checked by `_same_as_reference`.)"""
-    for p, witness, expected in meet_cases():
-        tw = TupleWitness(witness, witness.labels, {x: (x,) for x in witness.labels}, 1)
-        oracle = ConjunctionOracle(ConsistentOnly(oracle_for(witness)), tw)
-        assert verify(oracle, tw, p, exhaustive=True) == expected, (p, witness.backend)
+class NoHolds:
+    """An oracle's top, meet and element, without its holds."""
+
+    def __init__(self, oracle):
+        self.top, self.meet, self.element = oracle.top, oracle.meet, oracle.element
+
+
+def test_conjunction_refuses_a_base_without_a_lattice():
+    """A base without top, meet, element and holds is refused with one line,
+    whether it has consistent() alone, records its asks or lacks only holds;
+    only exhaustive verify adapts such an oracle."""
+    witness = synth_skolem(exact_family(make_pattern(ATP, depth=2)))
+    tw = _own_sources(witness)
+    for base in (ConsistentOnly(oracle_for(witness)), RecordingOracle(oracle_for(witness)),
+                 NoHolds(oracle_for(witness))):
+        with pytest.raises(TreepropError) as refused:
+            ConjunctionOracle(base, tw)
+        assert str(refused.value) == (f"conjunction base {type(base).__name__} has no lattice: "
+                                      "it needs top, meet, element and holds")
+        assert type(refused.value) is TreepropError
 
 
 @pytest.mark.parametrize("synth", [synth_skolem, synth_boolean])
@@ -1603,8 +1633,10 @@ def test_fo_memo_evaluates_each_pair_once(monkeypatch):
 
 
 def test_fo_memo_raises_on_the_same_calls():
-    """phi(3, y) needs an undefined relation whenever 3 divides y, and
-    phi(1, y) is false, so the search reaches it unless x = 2 succeeds."""
+    """phi(3, y) needs an undefined relation whenever 3 divides y, so the
+    masks of a and b raise and none is cached: consistent() raises on the
+    same calls as the masks of its labels, each time, and elsewhere agrees
+    with the search, which raises only where it reaches x = 3."""
     structure = divisor_structure(6)
     formula = parse_formula("x != 1 & divides(x, y) & (x != 3 | bogus(x))")
     params = {"a": (6,), "b": (3,), "c": (2,), "d": (1,)}
@@ -1619,39 +1651,38 @@ def test_fo_memo_raises_on_the_same_calls():
             except FormulaError:
                 out.append("FormulaError")
         return out
-    expected = outcomes(lambda labels: reference_fo_consistent(oracle, labels))
-    assert expected.count("FormulaError") == 4
+    searched = outcomes(lambda labels: reference_fo_consistent(oracle, labels))
+    assert searched.count("FormulaError") == 4
+    expected = ["FormulaError" if {"a", "b"} & set(labels) else verdict
+                for labels, verdict in zip(sequence, searched)]
+    assert expected.count("FormulaError") == 6
     assert outcomes(oracle.consistent) == expected
 
 
 def test_fo_exhaustive_verify_reads_every_mask():
-    """Exhaustive verify reads every label's universe mask, so it raises when
-    phi raises for any element and parameter; the pattern pass judges sets
-    through consistent(), which raises only where the search meets the error."""
+    """Both verify modes read the root's universe mask, and phi raises for
+    x = 3 against its parameter 6, so both raise."""
     structure = divisor_structure(6)
     formula = parse_formula("x != 1 & divides(x, y) & (x != 3 | bogus(x))")
     witness = Witness(STRUCTURE, ((),), {(): (6,)})
     oracle = FoOracle(structure, formula, witness)
     p = make_pattern(ATP, depth=1)
-    assert verify(oracle, witness, p).passed
-    with pytest.raises(FormulaError):
-        verify(oracle, witness, p, exhaustive=True)
+    for exhaustive in (False, True):
+        with pytest.raises(FormulaError):
+            verify(oracle, witness, p, exhaustive=exhaustive)
 
 
-def test_fo_exhaustive_verify_raises_where_pattern_verify_names_a_failure():
-    """The tables raise where phi raises, at the root's parameter 6, and
-    exhaustive verify lets the error through; pattern verify asks consistent()
-    about the required sets, which meets no error, and names the required
-    inconsistent pair of the root and its child, which is consistent (x = 2
-    divides both parameters)."""
+def test_fo_verify_raises_in_both_modes():
+    """The root's parameter 6 makes phi raise at x = 3, though x = 2 divides
+    every parameter: the tables raise where they read the root's mask, and
+    pattern verify raises at the first required set, the root."""
     structure = divisor_structure(6)
     formula = parse_formula("x != 1 & divides(x, y) & (x != 3 | bogus(x))")
     p = make_pattern(ATP, depth=2)
     params = dict(zip(p.index_labels(), [(6,), (2,), (2,)]))
     witness = Witness(STRUCTURE, tuple(params), params)
     oracle = FoOracle(structure, formula, witness)
-    with pytest.raises(FormulaError):
-        verify(oracle, witness, p, exhaustive=True)
-    report = verify(oracle, witness, p)
-    assert not report.passed and not report.exhaustive
-    assert report.counterexample == (frozenset({(), (0,)}), "inconsistent", "consistent")
+    for exhaustive in (True, False):
+        with pytest.raises(FormulaError):
+            verify(oracle, witness, p, exhaustive=exhaustive)
+    assert oracle.consistent([(0,), (1,)])

@@ -267,3 +267,47 @@ def test_int_typed_arguments_are_found(tmp_path):
                       "p.add_argument('--j', type=_integer), p.add_argument('--s', type=str)\n"
                       "q = int('3'), dict(type=int), p.add_argument('--i', int)\n")
     assert int_typed_arguments(module) == [1, 2, 3]
+
+
+def consistent_definitions(path):
+    """The classes that define consistent(): by a def or an assignment in the
+    class body, or by assigning self.consistent in a method. MeetOracle's is
+    the one fold; a second would be a second engine."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        names = [inner.name for inner in node.body
+                 if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        names += [target.id for inner in node.body if isinstance(inner, ast.Assign)
+                  for target in inner.targets if isinstance(target, ast.Name)]
+        names += [target.attr for inner in ast.walk(node)
+                  if isinstance(inner, (ast.Assign, ast.AnnAssign))
+                  for target in (inner.targets if isinstance(inner, ast.Assign)
+                                 else [inner.target])
+                  if isinstance(target, ast.Attribute)]
+        if "consistent" in names:
+            out.append(node.name)
+    return sorted(out)
+
+
+def test_no_class_but_meet_oracle_defines_consistent():
+    modules = sorted(SOURCE.glob("*.py"))
+    assert len(modules) > 10
+    assert {path.name: consistent_definitions(path) for path in modules
+            if consistent_definitions(path)} == {"oracles.py": ["MeetOracle"]}
+
+
+def test_consistent_definitions_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("class A:\n    def consistent(self, labels): pass\n"
+                      "class B(A):\n    consistent = A.consistent\n"
+                      "class C:\n    def __init__(self, o):\n        self.consistent = o\n"
+                      "class D:\n    async def consistent(self): pass\n"
+                      "class E:\n    def f(self):\n        def consistent(): pass\n"
+                      "        return consistent\n"
+                      "class F:\n    consistent: bool\n    holds = consistent = None\n"
+                      "def consistent(labels): pass\n"
+                      "class G:\n    def consistently(self): pass\n")
+    assert consistent_definitions(module) == ["A", "B", "C", "D", "F"]

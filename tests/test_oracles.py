@@ -8,7 +8,7 @@ from treeprop import (BitsetOracle, ConjunctionOracle, FoOracle, GcdOracle,
                       Witness, WitnessError, divisor_structure, exact_family,
                       fatten, make_pattern, oracle_for, parse_formula,
                       synth_boolean, synth_skolem)
-from treeprop.oracles import BOOLEAN, SKOLEM, STRUCTURE
+from treeprop.oracles import BOOLEAN, SKOLEM, STRUCTURE, TupleWitness
 
 
 def skolem(params):
@@ -26,6 +26,17 @@ def test_witness_validation():
         Witness(BOOLEAN, ("a",), {"a": 8}, width=3)
     with pytest.raises(WitnessError):
         Witness("other", ("a",), {"a": 1})
+    with pytest.raises(WitnessError, match=r"^repeated labels \['a'\]$"):
+        Witness(SKOLEM, ("a", "a"), {"a": 2})
+    with pytest.raises(WitnessError, match=r"^repeated labels \['a', 'c'\]$"):
+        Witness(SKOLEM, ("a", "b", "c", "a", "c"), {"a": 2, "b": 2, "c": 2})
+    w = Witness(SKOLEM, ("a",), {"a": 2})
+    with pytest.raises(WitnessError, match=r"^no provenance for labels \['x'\]$"):
+        TupleWitness(w, ("x",), {}, 1)
+    with pytest.raises(WitnessError, match=r"^repeated labels \['x'\]$"):
+        TupleWitness(w, ("x", "x"), {"x": ("a",)}, 1)
+    with pytest.raises(WitnessError, match=r"^no provenance for labels \['y', 'z'\]$"):
+        TupleWitness(w, ("x", "y", "x", "z"), {"x": ("a",)}, 1)
 
 
 def test_witness_errors_list_a_few_labels_and_a_count():
