@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
-    "antichains": ("AntichainCatalog", "alpha", "count_antichains",
+    "antichains": ("AntichainCatalog", "ConsistencyFamily", "alpha", "count_antichains",
                    "enumerate_antichains", "find_iso_copy", "maximal_antichains",
                    "universal_prefix"),
     "dot": (),
@@ -43,9 +43,8 @@ _EXPORTS = {
     "nodes": ("Node", "TreeDomain", "closure", "concat_set", "meet", "node_str"),
     "oracles": ("BitsetOracle", "ConjunctionOracle", "FoOracle", "GcdOracle",
                 "TupleWitness", "Witness", "oracle_for"),
-    "patterns": ("ConsistencyFamily", "PatternSpec", "VerificationReport",
-                 "exact_family", "make_pattern", "required_consistent",
-                 "required_inconsistent", "verify"),
+    "patterns": ("PatternSpec", "VerificationReport", "exact_family", "make_pattern",
+                 "required_consistent", "required_inconsistent", "verify"),
     "qftypes": ("atomic_pattern", "delta_type", "qftype0", "sim0", "sim0_atomic",
                 "sim0_sets", "sim_delta", "verify_ss_ll"),
     "synth": ("synth_boolean", "synth_skolem"),

@@ -6,19 +6,21 @@ tree or of an array whose rows are chains.
 
 The exact families, the maximal sets of every pattern free of its forbidden
 configuration (k-chains, SOP1 pairs, incomparable pairs, k siblings, two
-cells of a row), are built as label columns and a count, never as member
-lists: label i's column is the bitmask of the sets that hold it, which is
-all that synthesis and exhaustive verification read. A k-chain-free set is
-the root and a product of two maximal sets of the child subtrees, or a
-product without the root; one choice routine, `_choose`, builds the SOP1,
-SOP2 and TP sets, each the root and below each node a maximal set of each
-child subtree, some children kept whole and the others dropped; TP2's
-columns have a closed form. All of them are made by three column operations
-(a product, a concatenation, a root column), linear in the bits they make.
-Each builder first counts its family by its own recursion and refuses it
-past FAMILY_CELL_CAP member x label cells, the column bits it would make,
-before building any. `_transpose` turns columns into member masks, for the
-callers that list members, and masks into columns.
+cells of a row), are built here alone, never as member lists: each builder
+returns a `ConsistencyFamily` of its labels, listed once the columns exist,
+its columns in label order (columns[i] is the bitmask of the sets that hold
+labels[i], all that synthesis and exhaustive verification read) and its
+count. A k-chain-free set is the root and a product of two maximal sets of
+the child subtrees, or a product without the root; one choice routine,
+`_choose`, builds the SOP1, SOP2 and TP sets, each the root and below each
+node a maximal set of each child subtree, some children kept whole and the
+others dropped; TP2's columns have a closed form. All of them are made by
+three column operations (a product, a concatenation, a root column), linear
+in the bits they make. Each builder first counts its family by its own
+recursion and refuses it past FAMILY_CELL_CAP member x label cells, the
+column bits it would make, before building any. `_transpose` turns columns
+into member masks, which the family's `masks` and `maximal` views read, and
+masks into columns.
 `_shape`, a lex-sorted antichain's meet-tree shape, is the library's one
 antichain check and type: `find_iso_copy` and the collapse steps of
 `transforms`, which always check their families, compare shapes.
@@ -36,12 +38,14 @@ Canonical orders used throughout:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import sys
 from typing import FrozenSet, Iterator, List, Optional, Tuple
 
-from .errors import ResourceCapError, record
+from .errors import ResourceCapError, record, repeated_items, shown_items
 from .nodes import Node, TreeDomain, concat_set, meet, sorted_nodes
 
 NodeSet = FrozenSet[Node]
@@ -238,12 +242,55 @@ def row_choice_count(rows: int, cols: int) -> int:
     return members
 
 
-# A family of m sets over L labels is held as (columns, m): columns[i] is
-# label i's column, the m-bit int whose bit n is set when set n holds label
-# i. The builders below make columns only, by three operations: the product
-# F x G in F-major order (set (a, b) is set a |G| + b), the concatenation X
-# then Y (Y's sets after X's), and a root column, all ones over the block
-# of sets that holds the root.
+class ConsistencyFamily(record("labels columns count")):
+    """A subset-closed family of nonempty index sets, stored by its count of
+    maximal members and its columns in label order: columns[i] is the bitmask
+    of the members holding labels[i], bit n for the n-th member in canonical
+    order. Membership is inclusion in some member, the AND of the set's
+    columns being nonzero. The members as masks over the labels (`masks`,
+    bit i is labels[i]) and as frozensets (`maximal`) are the columns
+    transposed when first read.
+
+    The fields are trusted as given: the builders below make each family
+    maximal and in order, and `from_members` is the checked way in. The hash
+    leaves out the columns, whose every bit it would read."""
+
+    def __hash__(self):
+        return hash((type(self), self.labels, self.count))
+
+    @classmethod
+    def from_members(cls, labels, members) -> "ConsistencyFamily":
+        """The family of the given members, which must lie in the index set
+        of distinct labels: duplicates and members inside another are dropped
+        (a member is maximal and unique exactly when its columns AND to its
+        own bit)."""
+        labels = tuple(labels)
+        index = {x: i for i, x in enumerate(labels)}
+        if len(index) != len(labels):
+            raise ValueError(f"repeated labels {shown_items(repeated_items(labels))}")
+        unique = {frozenset(m) for m in members if m}
+        if not all(m.issubset(index) for m in unique):  # before the sort compares labels
+            raise ValueError("members must be subsets of the index set")
+        masks = [sum(1 << index[x] for x in m) for m in sorted(unique, key=sorted_nodes)]
+        columns = _transpose(masks, len(labels))
+        kept = [m for m in masks
+                if functools.reduce(operator.and_, mask_labels(columns, m)).bit_count() == 1]
+        return cls(labels, tuple(_transpose(kept, len(labels))), len(kept))
+
+    @functools.cached_property
+    def masks(self) -> Tuple[int, ...]:
+        return tuple(_transpose(self.columns, self.count))
+
+    @functools.cached_property
+    def maximal(self) -> Tuple[FrozenSet, ...]:
+        return tuple(mask_set(self.labels, m) for m in self.masks)
+
+
+# Inside the builders, a family of m sets is held as (columns, m), the
+# columns in label order. They make columns only, by three operations: the
+# product F x G in F-major order (set (a, b) is set a |G| + b), the
+# concatenation X then Y (Y's sets after X's), and a root column, all ones
+# over the block of sets that holds the root.
 
 # the most bits `_spread` makes from one string of binary digits, not by halves
 _SPREAD_DIGITS = 2 ** 10
@@ -342,22 +389,24 @@ def _choose(parts, pick: int):
     return tails.get(pick, ([0] * labels, 0))
 
 
-def chain_free_columns(n: int, k: int):
-    """The maximal k-chain-free subsets of the binary tree of depth n as
-    (columns, count) over its nodes in lex order, in canonical order,
-    counted by `chain_free_count` before any column is built. The root is
-    the first label and each child subtree a run of the next ones. With the
-    root, both parts are maximal (k-1)-chain-free; without it, both are
-    maximal k-chain-free and must hold a (k-1)-chain (else the root fits),
-    which all of them do in subtrees of depth >= k-1 and none in shallower
-    ones. The root block first, each a product of both parts, is canonical."""
+def chain_free_columns(n: int, k: int) -> ConsistencyFamily:
+    """The maximal k-chain-free subsets of the binary tree of depth n, in
+    canonical order, as the family over its nodes in lex order, counted by
+    `chain_free_count` before any column is built and the nodes listed once
+    the columns are. The root is the first label and each child subtree a
+    run of the next ones. With the root, both parts are maximal
+    (k-1)-chain-free; without it, both are maximal k-chain-free and must
+    hold a (k-1)-chain (else the root fits), which all of them do in
+    subtrees of depth >= k-1 and none in shallower ones. The root block
+    first, each a product of both parts, is canonical."""
     chain_free_count(n, k)
-    return _chain_free(n, k, {})
+    columns, count = _chain_free(n, k, {})
+    return ConsistencyFamily(tuple(TreeDomain(2, n).nodes()) if n else (), tuple(columns), count)
 
 
 def _chain_free(depth: int, bound: int, built: dict):
-    """`chain_free_columns(depth, bound)`, each family with 1 < bound <=
-    depth built once and kept in `built`."""
+    """The (columns, count) of `chain_free_columns(depth, bound)`, each
+    family with 1 < bound <= depth built once and kept in `built`."""
     if bound > depth:  # the whole tree holds no bound-chain
         return [1] * (2 ** depth - 1), 1
     if bound == 1:
@@ -371,66 +420,63 @@ def _chain_free(depth: int, bound: int, built: dict):
     return built[depth, bound]
 
 
-def maximal_chain_free_masks(n: int, k: int) -> List[int]:
-    """`chain_free_columns` as the members' masks over the nodes in lex order."""
-    return _transpose(*chain_free_columns(n, k))
-
-
-def choice_columns(branching: int, n: int, pick: int, emptied=()):
+def choice_columns(branching: int, n: int, pick: int, emptied=()) -> ConsistencyFamily:
     """The maximal sets of the tree of depth n >= 1 that hold the root and,
     below each internal node, a maximal set of each child subtree: `pick`
     children kept whole, the others less their root, or empty if in
-    `emptied`; as (columns, count) over the nodes in lex order, counted by
-    `choice_count` before any column is built. SOP1 is (2, n, 1,
-    emptied=(0,)), as (1) pairs with all of the 0-subtree; SOP2 the paths
-    (2, n, 1, emptied=(0, 1)); TP (b, n, min(k - 1, b)). The root stays out
-    of `_choose`: a forced part would widen its rows. With every child kept
-    whole, the one set is the whole tree."""
+    `emptied`; as the family over the nodes in lex order, counted by
+    `choice_count` before any column is built and the nodes listed once the
+    columns are. SOP1 is (2, n, 1, emptied=(0,)), as (1) pairs with all of
+    the 0-subtree; SOP2 the paths (2, n, 1, emptied=(0, 1)); TP (b, n,
+    min(k - 1, b)). The root stays out of `_choose`: a forced part would
+    widen its rows. With every child kept whole, the one set is the whole
+    tree."""
     choice_count(branching, n, pick, emptied)
+    domain = TreeDomain(branching, n)
     if pick == branching:
-        return [1] * TreeDomain(branching, n).node_count(), 1
-    family = [1], 1
-    for _ in range(2, n + 1):
-        columns, count = family
-        rootless = [0, *columns[1:]], count
-        empty = [0] * len(columns), 1
-        parts = [(family, empty if i in emptied else rootless) for i in range(branching)]
-        columns, count = _choose(parts, pick)
-        family = [(1 << count) - 1, *columns], count
-    return family
+        family = (1,) * domain.node_count(), 1
+    else:
+        family = [1], 1
+        for _ in range(2, n + 1):
+            columns, count = family
+            rootless = [0, *columns[1:]], count
+            empty = [0] * len(columns), 1
+            parts = [(family, empty if i in emptied else rootless) for i in range(branching)]
+            columns, count = _choose(parts, pick)
+            family = [(1 << count) - 1, *columns], count
+    columns, count = family
+    return ConsistencyFamily(tuple(domain.nodes()), tuple(columns), count)
 
 
-def row_columns(rows: int, cols: int):
-    """The sets of one cell per row of a rows x cols array as (columns,
-    count), cell (r, c) the column r * cols + c, in canonical order (that of
-    `itertools.product` over the rows, the first slowest), counted by
-    `row_choice_count` before any column is built. Row r's choice changes
-    every cols^(rows-1-r) sets, so cell (r, c)'s column is a run that long
-    at c runs into each period of cols runs, repeated cols^r times."""
+def row_columns(rows: int, cols: int) -> ConsistencyFamily:
+    """The sets of one cell per row of a rows x cols array as the family over
+    its cells row-major, cell (r, c) the column r * cols + c, in canonical
+    order (that of `itertools.product` over the rows, the first slowest),
+    counted by `row_choice_count` before any column is built and the cells
+    listed once the columns are. Row r's choice changes every cols^(rows-1-r)
+    sets, so cell (r, c)'s column is a run that long at c runs into each
+    period of cols runs, repeated cols^r times."""
     count = row_choice_count(rows, cols)
     columns = []
     for r in range(rows):
         run = cols ** (rows - 1 - r)
         columns += [_repeat((1 << run) - 1 << c * run, cols * run, cols ** r)
                     for c in range(cols)]
-    return columns, count
+    cells = tuple((r, c) for r in range(rows) for c in range(cols))
+    return ConsistencyFamily(cells, tuple(columns), count)
 
 
 def maximal_antichains(n: int) -> AntichainCatalog:
     """All maximal antichains of the binary tree of depth n (none for n = 0),
-    the k = 2 case of `maximal_chain_free_masks`, in canonical order; the
-    nodes are listed once the masks are built."""
-    masks = maximal_chain_free_masks(n, 2) if n else []
-    domain = TreeDomain(2, max(n, 1))
-    nodes = list(domain.nodes())
-    return AntichainCatalog(domain, tuple(mask_set(nodes, m) for m in masks))
+    the k = 2 case of `chain_free_columns`, in canonical order, read from its
+    `maximal` view."""
+    maximal = chain_free_columns(n, 2).maximal if n else ()
+    return AntichainCatalog(TreeDomain(2, max(n, 1)), maximal)
 
 
 def maximal_chain_free_binary(n: int, k: int) -> List[NodeSet]:
-    """`maximal_chain_free_masks` as node sets, listed once the masks are built."""
-    masks = maximal_chain_free_masks(n, k)
-    nodes = list(TreeDomain(2, n).nodes()) if n > 0 else []
-    return [mask_set(nodes, m) for m in masks]
+    """The `maximal` view of `chain_free_columns(n, k)`, as a list."""
+    return list(chain_free_columns(n, k).maximal)
 
 
 def finite_antichain_stream() -> Iterator[NodeSet]:

@@ -86,7 +86,7 @@ def _cmd_enum(args) -> int:
         if args.count_only:
             _print(f"{antichains.alpha(args.n)}\n")
             return 0
-        _print_listing(domain, antichains.maximal_chain_free_masks(args.n, 2))
+        _print_listing(domain, antichains.chain_free_columns(args.n, 2).masks)
         return 0
     if args.count_only:
         _print(f"{antichains.count_antichains(args.b, args.n)}\n")

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and `record`, the base of
-its immutable record classes."""
+"""Exception types shared across the package, the helpers that list items
+in their messages, and `record`, the base of its immutable record classes."""
 
 import collections
 
@@ -13,6 +13,11 @@ def shown_items(items: list) -> str:
     if len(items) <= MESSAGE_ITEMS:
         return str(items)
     return f"{str(items[:MESSAGE_ITEMS])[:-1]}, ... ({len(items) - MESSAGE_ITEMS} more)]"
+
+
+def repeated_items(items) -> list:
+    """The items that occur more than once, each named once."""
+    return [x for x, n in collections.Counter(items).items() if n > 1]
 
 
 class TreepropError(Exception):

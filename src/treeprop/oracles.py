@@ -31,14 +31,13 @@ once per subset in mask order, up to the first failing subset.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import operator
 from typing import Dict, Optional, Tuple
 
 from . import formulas
-from .errors import TreepropError, WitnessError, record, shown_items
+from .errors import TreepropError, WitnessError, record, repeated_items, shown_items
 from .nodes import Node
 
 SKOLEM = "skolem"
@@ -51,23 +50,20 @@ FO_X_VAR = "x"
 FO_Y_VARS = ("y",)
 
 
-def _repeated(labels) -> list:
-    """The labels that occur more than once, each named once."""
-    return [x for x, n in collections.Counter(labels).items() if n > 1]
-
-
 class Witness(record("backend labels params width")):
     """One parameter per index label. Skolem parameters are positive ints,
     boolean parameters are bitsets of the declared width, structure
     parameters are tuples of universe elements."""
 
     def __new__(cls, backend: str, labels: Tuple, params: Dict, width: Optional[int] = None):
-        missing = [i for i in labels if i not in params]
-        if missing or len(params) != len(labels):
-            repeated = _repeated(labels)
+        known = set(labels)
+        if len(params) != len(labels) or params.keys() != known:  # both hold: labels distinct
+            repeated = repeated_items(labels)
+            missing = [i for i in labels if i not in params]
+            unmatched = (f"missing {shown_items(missing)}" if missing
+                         else f"extra keys {shown_items([k for k in params if k not in known])}")
             raise WitnessError(f"repeated labels {shown_items(repeated)}" if repeated
-                               else "parameter map does not match labels: "
-                               f"missing {shown_items(missing)}")
+                               else f"parameter map does not match labels: {unmatched}")
         if backend == SKOLEM:
             bad = [i for i in labels if not isinstance(params[i], int) or params[i] < 1]
             if bad:
@@ -91,10 +87,14 @@ class TupleWitness(record("base labels provenance arity")):
 
     def __new__(cls, base: Witness, labels: Tuple[Node, ...],
                 provenance: Dict[Node, Tuple[Node, ...]], arity: int):
-        missing, repeated = [x for x in labels if x not in provenance], _repeated(labels)
+        missing, repeated = [x for x in labels if x not in provenance], repeated_items(labels)
         if missing or repeated:
             raise WitnessError(f"no provenance for labels {shown_items(missing)}" if missing
                                else f"repeated labels {shown_items(repeated)}")
+        if len(provenance) != len(labels):  # so some key is not a label
+            known = set(labels)
+            raise WitnessError("provenance for unknown labels "
+                               f"{shown_items([x for x in provenance if x not in known])}")
         base_labels = set(base.labels)
         for label in labels:
             sources = provenance[label]

@@ -14,15 +14,13 @@ order, from one chain and antichain walk (`antichains.subtree_walk`) over
 each label's run: a node's subtree, or the rest of a cell's row, so that
 TP2's rows are chains of cells. SOP1's pairs and TP's sibling sets are
 listed directly, TP's refused past `antichains.FAMILY_CELL_CAP` labels.
-`exact_family` only dispatches to the family builders of `antichains`,
-which size each family and refuse it there, and lists the labels once the
-columns exist. A `ConsistencyFamily` is its labels, each label's column (the
-bitmask of the maximal members containing it) and its count of members:
-membership and both synthesized witnesses read only the columns and the
-count, so no member is listed on their way. The members as masks and as
-frozensets are the columns transposed when first read. Members given from
-outside come in through the checked `from_members`; `exact_family` builds
-them maximal and in order, unchecked.
+`exact_family` only dispatches to the family builder of each kind in
+`antichains`, which sizes the family, refuses it there, and returns its
+`ConsistencyFamily`: the labels, a tuple of columns in label order (the
+bitmask of the maximal members holding each label) and the count of
+members. Membership and both synthesized witnesses read only the columns and
+the count, so no member is listed on their way; the class lives in
+`antichains`, and `patterns.ConsistencyFamily` names it too.
 """
 
 from __future__ import annotations
@@ -30,15 +28,14 @@ from __future__ import annotations
 import collections
 import itertools
 import operator
-from functools import cached_property
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from .antichains import (_check_row_choices, _check_sibling_sets,
-                         _check_subset_cap, _transpose, chain_free_columns,
-                         choice_columns, mask_labels, mask_set, row_columns,
-                         subtree_walk)
+from .antichains import (ConsistencyFamily, _check_row_choices,
+                         _check_sibling_sets, _check_subset_cap,
+                         chain_free_columns, choice_columns, mask_labels,
+                         mask_set, row_columns, subtree_walk)
 from .errors import record
-from .nodes import TreeDomain, sorted_nodes
+from .nodes import TreeDomain
 from .oracles import semilattice
 
 ATP = "atp"
@@ -172,70 +169,19 @@ def required_inconsistent(p: PatternSpec) -> Iterator[int]:
     return (m for m in subtree_walk(runs, chains=p.kind != SOP2, most=k) if m.bit_count() == k)
 
 
-def _containing(columns: Dict, subset) -> int:
-    """The AND of the subset's columns: the members containing all of it."""
-    acc = -1
-    for x in subset:
-        acc &= columns.get(x, 0)
-    return acc
-
-
-class ConsistencyFamily(record("labels columns count")):
-    """A subset-closed family of nonempty index sets, stored by its count of
-    maximal members and each label's column: the bitmask of the members
-    holding it, bit n for the n-th member in canonical order. Membership is
-    inclusion in some member, the AND of the set's columns being nonzero.
-    The members as masks over the labels (`masks`, bit i is labels[i]) and
-    as frozensets (`maximal`) are the columns transposed when first read.
-
-    The fields are trusted as given; `from_members` is the checked way in.
-    The hash leaves out the columns, a dict."""
-
-    def __hash__(self):
-        return hash((type(self), self.labels, self.count))
-
-    @classmethod
-    def from_members(cls, labels, members) -> "ConsistencyFamily":
-        """The family of the given members, which must lie in the index set:
-        duplicates and members inside another are dropped (a member is
-        maximal and unique exactly when its columns AND to its own bit)."""
-        labels = tuple(labels)
-        index = {x: i for i, x in enumerate(labels)}
-        unique = {frozenset(m) for m in members if m}
-        if not all(m.issubset(index) for m in unique):  # before the sort compares labels
-            raise ValueError("members must be subsets of the index set")
-        masks = [sum(1 << index[x] for x in m) for m in sorted(unique, key=sorted_nodes)]
-        columns = dict(zip(labels, _transpose(masks, len(labels))))
-        kept = [m for m in masks if _containing(columns, mask_labels(labels, m)).bit_count() == 1]
-        return cls(labels, dict(zip(labels, _transpose(kept, len(labels)))), len(kept))
-
-    @cached_property
-    def masks(self) -> Tuple[int, ...]:
-        return tuple(_transpose(self.columns.values(), self.count))
-
-    @cached_property
-    def maximal(self) -> Tuple[FrozenSet, ...]:
-        return tuple(mask_set(self.labels, m) for m in self.masks)
-
-
 def exact_family(p: PatternSpec) -> ConsistencyFamily:
     """Maximal members of the family of sets avoiding the pattern's forbidden
-    configuration, in canonical order and unchecked, as the label columns
-    that the `antichains` builder of its kind makes, which refuses the family
-    past its cap before any column or label is built: one choice per node
-    for every tree kind, one cell per row for TP2. The labels are listed once
-    the columns exist."""
+    configuration, in canonical order and unchecked, as the family that the
+    `antichains` builder of its kind makes, which refuses it past its cap
+    before any column or label is built: one choice per node for every tree
+    kind, one cell per row for TP2."""
     if p.kind in (ATP, KATP):
-        columns, count = chain_free_columns(p.depth, 2 if p.kind == ATP else p.k)
-    elif p.kind in (SOP1, SOP2):
-        columns, count = choice_columns(2, p.depth, 1,
-                                        emptied=(0,) if p.kind == SOP1 else (0, 1))
-    elif p.kind == TP:
-        columns, count = choice_columns(p.branching, p.depth, min(p.k - 1, p.branching))
-    else:
-        columns, count = row_columns(p.rows, p.cols)
-    labels = p.index_labels()
-    return ConsistencyFamily(labels, dict(zip(labels, columns)), count)
+        return chain_free_columns(p.depth, 2 if p.kind == ATP else p.k)
+    if p.kind in (SOP1, SOP2):
+        return choice_columns(2, p.depth, 1, emptied=(0,) if p.kind == SOP1 else (0, 1))
+    if p.kind == TP:
+        return choice_columns(p.branching, p.depth, min(p.k - 1, p.branching))
+    return row_columns(p.rows, p.cols)
 
 
 class VerificationReport(record("passed consistent_checked inconsistent_checked exhaustive "
@@ -301,8 +247,8 @@ def _class_pairs(lattice, labels, p: PatternSpec) -> VerificationReport:
     columns = exact_family(p).columns
     half = len(labels) // 2
     low, high = _meet_table(top, meet, elements[:half]), _meet_table(top, meet, elements[half:])
-    in_low = _meet_table(-1, operator.and_, [columns[x] for x in labels[:half]])
-    in_high = _meet_table(-1, operator.and_, [columns[x] for x in labels[half:]])
+    in_low = _meet_table(-1, operator.and_, columns[:half])
+    in_high = _meet_table(-1, operator.and_, columns[half:])
     n_cons = 0
     low_classes = _classes(in_low, low).items()
     for (in_h, high_value), (h0, count_h) in _classes(in_high, high).items():

@@ -7,18 +7,19 @@ exactly when it sits inside some member. The boolean witness sets bit n
 instead, so a subset has nonzero meet under the same condition.
 
 Only the maximal members are enumerated; the verdict "contained in some
-member" is unchanged and the parameters stay small. Both read the family's
-label columns (`ConsistencyFamily.columns`) and its count of members, never
-its member sets, so synthesis lists no member: the boolean witness is the
-columns, and the skolem witness multiplies the primes of each column's
-bits. Its total size is bounded from the count and the columns' popcounts
-before any prime is drawn and refused past `SKOLEM_BITS_CAP`; the primes
-come from one sieve of the odd numbers per call, up to Rosser's bound on the
-m-th prime. Labels with equal columns get equal params, so each distinct
-column's product is taken once and shared: in an ATP or k-ATP family the two
-sibling leaves under each node of depth d - 2 hold the same members (at depth
-5, 23 distinct columns among 31 labels), and these leaf columns are the ones
-with the most bits.
+member" is unchanged and the parameters stay small. Both read the family
+that its `antichains` builder makes, its labels, its columns in label order
+(`ConsistencyFamily.columns`) and its count of members, never its member
+sets, so synthesis lists no member: the boolean witness pairs each label
+with its column, and the skolem witness multiplies the primes of each
+column's bits. Its total size is bounded from the count and the columns'
+popcounts before any prime is drawn and refused past `SKOLEM_BITS_CAP`; the
+primes come from one sieve of the odd numbers per call, up to Rosser's bound
+on the m-th prime. Labels with equal columns get equal params, so each
+distinct column's product is taken once and shared: in an ATP or k-ATP
+family the two sibling leaves under each node of depth d - 2 hold the same
+members (at depth 5, 23 distinct columns among 31 labels), and these leaf
+columns are the ones with the most bits.
 
 A column's product is split in two: the product of its low half's primes
 times that of its high half's, the prime offset carried along, down to
@@ -33,9 +34,9 @@ from __future__ import annotations
 from itertools import compress
 from math import isqrt, log, prod
 
+from .antichains import ConsistencyFamily
 from .errors import ResourceCapError, WitnessError
 from .oracles import BOOLEAN, SKOLEM, Witness
-from .patterns import ConsistencyFamily
 
 # total bits of a skolem witness's parameters, synthesized or loaded: about
 # 5.9x the largest benchmarked family, k-ATP k=4 depth 5, whose parameters
@@ -70,7 +71,7 @@ def _skolem_bits_bound(family: ConsistencyFamily) -> int:
     """An upper bound on the total bit length of the skolem parameters: each
     is a product of popcount(column) primes, none above `_prime_bound(m)`."""
     largest = _prime_bound(family.count)
-    return sum(c.bit_count() for c in family.columns.values()) * largest.bit_length()
+    return sum(c.bit_count() for c in family.columns) * largest.bit_length()
 
 
 def check_skolem_bits(bits: int, size: str) -> None:
@@ -98,13 +99,13 @@ def synth_skolem(family: ConsistencyFamily) -> Witness:
         raise WitnessError("cannot synthesize from an empty family")
     check_skolem_bits(_skolem_bits_bound(family), "up to")
     ps = _first_primes(family.count)
-    products = {column: _column_product(ps, column) for column in set(family.columns.values())}
-    assigned = {label: products[column] for label, column in family.columns.items()}
+    products = {column: _column_product(ps, column) for column in set(family.columns)}
+    assigned = {label: products[column] for label, column in zip(family.labels, family.columns)}
     return Witness(SKOLEM, tuple(family.labels), assigned)
 
 
 def synth_boolean(family: ConsistencyFamily) -> Witness:
     if not family.count:
         raise WitnessError("cannot synthesize from an empty family")
-    return Witness(BOOLEAN, tuple(family.labels), dict(family.columns),
+    return Witness(BOOLEAN, tuple(family.labels), dict(zip(family.labels, family.columns)),
                    width=family.count)

@@ -494,7 +494,7 @@ def reference_skolem_params(family):
     it, the n-th member taking the n-th prime."""
     ps = reference_first_primes(family.count)
     return {label: math.prod(mask_labels(ps, column))
-            for label, column in family.columns.items()}
+            for label, column in zip(family.labels, family.columns)}
 
 
 def reference_family_count(p):

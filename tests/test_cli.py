@@ -771,7 +771,7 @@ def test_a_param_of_about_the_cap_is_written_in_time(capsys, tmp_path):
 def test_library_calls_past_the_family_cap_exit_cleanly():
     # each raised MemoryError under the limits of `sweep` before the family
     # was sized where it is built; never make these calls without them
-    calls = [["call", "antichains.maximal_chain_free_masks", 40, 50],
+    calls = [["call", "antichains.chain_free_columns", 40, 50],
              ["call", "antichains.choice_columns", 2, 40, 2],
              ["call", "antichains.maximal_chain_free_binary", 30, 40],
              ["call", "antichains.maximal_antichains", 30]]

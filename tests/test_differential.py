@@ -44,8 +44,7 @@ from treeprop import antichains, formulas, oracles, patterns, qftypes
 from treeprop.antichains import (_choose, _shape, _transpose, chain_free_columns,
                                  chain_free_count, choice_columns, find_iso_copy,
                                  finite_antichain_stream, mask_labels, mask_set,
-                                 maximal_chain_free_binary,
-                                 maximal_chain_free_masks, subtree_walk,
+                                 maximal_chain_free_binary, subtree_walk,
                                  universal_prefix)
 from treeprop.nodes import closure, sorted_nodes
 from treeprop.oracles import SKOLEM, STRUCTURE, TupleWitness, semilattice
@@ -137,13 +136,13 @@ def test_tp_recursion_builds_only_parts_of_members():
     # sets would build sum_j C(b, j) = 2^b of them on the way
     tracemalloc.start()
     try:
-        assert choice_columns(20, 2, 20) == ([1] * 21, 1)
+        assert choice_columns(20, 2, 20)[1:] == ((1,) * 21, 1)
         assert tracemalloc.get_traced_memory()[1] < 2 ** 20
     finally:
         tracemalloc.stop()
     assert exact_family(make_pattern(TP, branching=40, depth=2, k=41)).masks == ((1 << 41) - 1,)
     # pick = b: one row per child, not one per child and count, so b = 20000 is quick
-    assert choice_columns(20000, 2, 20000) == ([1] * 20001, 1)
+    assert choice_columns(20000, 2, 20000)[1:] == ((1,) * 20001, 1)
     family = exact_family(make_pattern(TP, branching=30, depth=2, k=30))
     assert len(family.masks) == 30 and all(m.bit_count() == 30 for m in family.masks)
 
@@ -216,7 +215,7 @@ def test_chain_free_recursion_matches_frozenset_recursions():
             expected = reference_chain_free_binary(n, k)
             assert maximal_chain_free_binary(n, k) == expected, (n, k)
             nodes = list(TreeDomain(2, n).nodes()) if n else []
-            masks = maximal_chain_free_masks(n, k)
+            masks = chain_free_columns(n, k).masks
             assert [mask_set(nodes, m) for m in masks] == expected
             assert chain_free_count(n, k) == len(masks)
         old = reference_maximal_antichains(n)
@@ -233,7 +232,7 @@ def test_exact_family_matches_the_former_from_members_path():
         maximal, columns = reference_family(labels, old_members)
         rebuilt = ConsistencyFamily.from_members(labels, old_members)
         assert family.maximal == rebuilt.maximal == maximal, p
-        assert family.columns == rebuilt.columns == columns, p
+        assert family.columns == rebuilt.columns == tuple(columns.values()), p
         assert family == rebuilt, p
 
 
@@ -241,9 +240,9 @@ def test_chain_free_count_is_exact():
     for n in range(7):
         for k in range(1, 9):
             if (n, k) not in {(6, 3), (6, 4), (6, 5)}:  # these three pass the cap
-                assert chain_free_count(n, k) == len(maximal_chain_free_masks(n, k))
+                assert chain_free_count(n, k) == len(chain_free_columns(n, k).masks)
     # deeper than the cap allows, but no k-chain fits: the whole tree, once
-    assert maximal_chain_free_masks(8, 9) == [(1 << 255) - 1]
+    assert chain_free_columns(8, 9).masks == ((1 << 255) - 1,)
 
 
 def test_chain_free_cap_fires_before_any_work(monkeypatch):
@@ -420,7 +419,7 @@ def test_skolem_takes_one_product_per_distinct_column(monkeypatch):
     for p in BENCH_SPECS:
         family = exact_family(p)
         params, calls = _column_product_calls(monkeypatch, family)
-        assert sorted(calls) == sorted(set(family.columns.values())), p
+        assert sorted(calls) == sorted(set(family.columns)), p
         assert params == reference_skolem_params(family), p
 
 
@@ -485,8 +484,8 @@ def _broken_witnesses(family, witness, p):
     fresh = len(family.maximal)
     out = []
     primes = _first_primes(fresh + 1)
-    for label in (labels[len(labels) // 2], labels[-1]):
-        column = family.columns[label]
+    for i in (len(labels) // 2, -1):
+        label, column = labels[i], family.columns[i]
         n = (column & -column).bit_length() - 1
         value = witness.params[label]
         value = value // primes[n] if witness.backend == SKOLEM else value & ~(1 << n)
@@ -587,7 +586,7 @@ COLUMN_SPECS = (
 def reference_family_masks(p):
     """The mask builders' members of p's family and their columns."""
     masks = reference_exact_masks(p)
-    return tuple(masks), reference_columns(p.index_labels(), masks)
+    return tuple(masks), tuple(reference_columns(p.index_labels(), masks).values())
 
 
 def column_mismatches(specs):
@@ -812,7 +811,7 @@ def test_meet_verify_matches_reference():
 def test_broken_meet_tables_fail_the_gate(monkeypatch):
     # a table that leaves out its last label: top stands in for its element
     skips_last = mutant(patterns, "_meet_table", "for e in elements:",
-                        "for e in elements[:-1] + [top]:")
+                        "for e in [*elements[:-1], top]:")
     with monkeypatch.context() as patch:
         patch.setattr(patterns, "_meet_table", skips_last)
         assert first_meet_mismatch(verify) is not None
@@ -825,7 +824,7 @@ def test_broken_meet_tables_fail_the_gate(monkeypatch):
     # the high table split off one label before the low table ends
     assert broken_pairs("elements[half:]", "elements[half - 1:]") is not None
     # the high membership table split off one label before the low one ends
-    assert broken_pairs("labels[half:]", "labels[half - 1:]") is not None
+    assert broken_pairs("columns[half:]", "columns[half - 1:]") is not None
     # classes keyed on the meet alone: an index joins the first class of its
     # meet, whatever its membership
     meet_alone = mutant(patterns, "_classes", "classes.setdefault(pair, [i, 0])",
@@ -879,7 +878,7 @@ def test_required_sets_split_by_family_membership():
         family, labels = exact_family(p), p.index_labels()
 
         def member(mask):
-            return patterns._containing(family.columns, mask_labels(labels, mask)) != 0
+            return functools.reduce(operator.and_, mask_labels(family.columns, mask), -1) != 0
         assert all(member(m) for m in required_consistent(p)), p
         assert not any(member(m) for m in required_inconsistent(p)), p
 
@@ -909,9 +908,10 @@ def test_exhaustive_verify_judges_each_class_pair_once(synth, oracle_class):
     oracle = Counting(witness)
     top, meet, element, _ = semilattice(oracle)
     classes = []
-    for part in (labels[:half], labels[half:]):
+    for part, columns in ((labels[:half], family.columns[:half]),
+                          (labels[half:], family.columns[half:])):
         values = patterns._meet_table(top, meet, [element(x) for x in part])
-        members = patterns._meet_table(-1, operator.and_, [family.columns[x] for x in part])
+        members = patterns._meet_table(-1, operator.and_, columns)
         classes.append(len(set(zip(members, values))))
     report = verify(oracle, witness, p, exhaustive=True)
     assert (report.passed, report.consistent_checked, report.inconsistent_checked) == \
@@ -1087,11 +1087,12 @@ def test_broken_family_builders_fail_the_verify_gate(monkeypatch, synth):
     p = make_pattern(ATP, depth=4)
 
     def from_masks(masks):
-        return _transpose(masks, p.index_count()), len(masks)
+        return ConsistencyFamily(p.index_labels(), tuple(_transpose(masks, p.index_count())),
+                                 len(masks))
     builders = [
-        lambda n, k: from_masks(maximal_chain_free_masks(n, k)[:-1]),
+        lambda n, k: from_masks(chain_free_columns(n, k).masks[:-1]),
         # the root and its first child, a 2-chain
-        lambda n, k: from_masks(maximal_chain_free_masks(n, k) + [0b11]),
+        lambda n, k: from_masks(chain_free_columns(n, k).masks + (0b11,)),
     ]
     for builder in builders:
         with monkeypatch.context() as patch:

@@ -311,3 +311,33 @@ def test_consistent_definitions_are_found(tmp_path):
                       "def consistent(labels): pass\n"
                       "class G:\n    def consistently(self): pass\n")
     assert consistent_definitions(module) == ["A", "B", "C", "D", "F"]
+
+
+def family_constructions(path):
+    """The lines that call ConsistencyFamily, by its name or as an attribute.
+    The family's format is decided where its builders are; a module that
+    makes one itself decides it a second time."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  == "ConsistencyFamily")
+
+
+def test_only_antichains_makes_a_consistency_family():
+    modules = sorted(SOURCE.glob("*.py"))
+    assert len(modules) > 10
+    assert family_constructions(SOURCE / "antichains.py")
+    assert {path.name: family_constructions(path) for path in modules
+            if path.name != "antichains.py" and family_constructions(path)} == {}
+
+
+def test_family_constructions_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("from .antichains import ConsistencyFamily\n"
+                      "a = ConsistencyFamily((), (), 0)\n"
+                      "b = antichains.ConsistencyFamily(\n    (), (), 0)\n"
+                      "c = ConsistencyFamily.from_members((), [])\n"
+                      "d = ConsistencyFamily, f(ConsistencyFamily)\n"
+                      "e = g(ConsistencyFamily(labels, columns, count))\n")
+    assert family_constructions(module) == [2, 3, 7]

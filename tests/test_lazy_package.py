@@ -19,15 +19,16 @@ ENV = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
 
 # what the package exports, by the module that defines it
 EXPORTS = {
-    "antichains": ["AntichainCatalog", "alpha", "count_antichains", "enumerate_antichains",
-                   "find_iso_copy", "maximal_antichains", "universal_prefix"],
+    "antichains": ["AntichainCatalog", "ConsistencyFamily", "alpha", "count_antichains",
+                   "enumerate_antichains", "find_iso_copy", "maximal_antichains",
+                   "universal_prefix"],
     "errors": ["FormulaError", "ResourceCapError", "TreepropError", "WitnessError"],
     "formulas": ["FiniteStructure", "divisor_structure", "eval_formula", "parse_formula"],
     "nodes": ["Node", "TreeDomain", "closure", "concat_set", "meet", "node_str"],
     "oracles": ["BitsetOracle", "ConjunctionOracle", "FoOracle", "GcdOracle", "TupleWitness",
                 "Witness", "oracle_for"],
-    "patterns": ["ConsistencyFamily", "PatternSpec", "VerificationReport", "exact_family",
-                 "make_pattern", "required_consistent", "required_inconsistent", "verify"],
+    "patterns": ["PatternSpec", "VerificationReport", "exact_family", "make_pattern",
+                 "required_consistent", "required_inconsistent", "verify"],
     "qftypes": ["atomic_pattern", "delta_type", "qftype0", "sim0", "sim0_atomic",
                 "sim0_sets", "sim_delta", "verify_ss_ll"],
     "synth": ["synth_boolean", "synth_skolem"],

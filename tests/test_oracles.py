@@ -30,6 +30,11 @@ def test_witness_validation():
         Witness(SKOLEM, ("a", "a"), {"a": 2})
     with pytest.raises(WitnessError, match=r"^repeated labels \['a', 'c'\]$"):
         Witness(SKOLEM, ("a", "b", "c", "a", "c"), {"a": 2, "b": 2, "c": 2})
+    with pytest.raises(WitnessError,
+                       match=r"^parameter map does not match labels: extra keys \['b'\]$"):
+        Witness(SKOLEM, ("a",), {"a": 2, "b": 3})
+    with pytest.raises(WitnessError, match=r"^repeated labels \['a'\]$"):
+        Witness(SKOLEM, ("a", "a"), {"a": 2, "b": 3})
     w = Witness(SKOLEM, ("a",), {"a": 2})
     with pytest.raises(WitnessError, match=r"^no provenance for labels \['x'\]$"):
         TupleWitness(w, ("x",), {}, 1)
@@ -37,6 +42,8 @@ def test_witness_validation():
         TupleWitness(w, ("x", "x"), {"x": ("a",)}, 1)
     with pytest.raises(WitnessError, match=r"^no provenance for labels \['y', 'z'\]$"):
         TupleWitness(w, ("x", "y", "x", "z"), {"x": ("a",)}, 1)
+    with pytest.raises(WitnessError, match=r"^provenance for unknown labels \['y'\]$"):
+        TupleWitness(w, ("x",), {"x": ("a",), "y": ("a",)}, 1)
 
 
 def test_witness_errors_list_a_few_labels_and_a_count():

@@ -143,18 +143,20 @@ def test_exact_family_tp2_counts():
 
 
 def test_consistency_family_invariants():
-    # from_members refuses labels outside the index set and drops empty,
-    # repeated and nested members
+    # from_members refuses labels outside the index set and repeated labels,
+    # and drops empty, repeated and nested members
     with pytest.raises(ValueError):
         ConsistencyFamily.from_members(("a", "b"), (frozenset({"c"}),))
+    with pytest.raises(ValueError, match=r"^repeated labels \['a'\]$"):
+        ConsistencyFamily.from_members(("a", "a", "b"), [{"a"}, {"b"}])
     assert ConsistencyFamily.from_members(("a", "b"), (frozenset(),)).masks == ()
     fam = ConsistencyFamily.from_members(
         ("a", "b", "c"), [{"a"}, {"a", "b"}, {"c"}, {"a", "b"}]
     )
     assert fam.maximal == (frozenset({"a", "b"}), frozenset({"c"}))
-    assert fam == ConsistencyFamily(("a", "b", "c"), {"a": 0b01, "b": 0b01, "c": 0b10}, 2)
+    assert fam == ConsistencyFamily(("a", "b", "c"), (0b01, 0b01, 0b10), 2)
     assert fam.masks == (0b011, 0b100) and fam.count == 2
-    assert fam.columns == {"a": 0b01, "b": 0b01, "c": 0b10}
+    assert fam.columns == (0b01, 0b01, 0b10)
 
 
 def test_from_members_checks_labels_before_sorting():

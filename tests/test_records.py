@@ -188,7 +188,7 @@ def test_a_family_hashes_without_its_columns_and_reads_its_members_lazily():
     assert "masks" not in vars(family) and "maximal" not in vars(family)
     assert len(family.maximal) == family.count
     assert "masks" in vars(family) and "maximal" in vars(family)
-    other = ConsistencyFamily(family.labels, {label: 0 for label in family.labels}, family.count)
+    other = ConsistencyFamily(family.labels, (0,) * len(family.labels), family.count)
     assert hash(other) == hash(family) and other != family
     assert family == exact_family(ATP3)
 

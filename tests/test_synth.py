@@ -72,9 +72,9 @@ def test_distinct_members_get_distinct_primes():
 
 def test_empty_family_rejected():
     with pytest.raises(WitnessError):
-        synth_skolem(ConsistencyFamily(("a",), {"a": 0}, 0))
+        synth_skolem(ConsistencyFamily(("a",), (0,), 0))
     with pytest.raises(WitnessError):
-        synth_boolean(ConsistencyFamily(("a",), {"a": 0}, 0))
+        synth_boolean(ConsistencyFamily(("a",), (0,), 0))
 
 
 def test_skolem_size_cap_fires_before_any_prime(monkeypatch):
