@@ -9,10 +9,16 @@ Each form comes from one sort of the positions and hashes no node: in
 sorted order equal values are adjacent and the values extending a value are
 the run right after it, so one forward walk finds every row's run of bits.
 
-Two tuples are strongly isomorphic (sim0) when the order types of their
-meet-closure tuples coincide; the closure tuple is meet-closed, so every
-quantifier-free term collapses to a closure position. The atomic pattern is
-the order type of the entries alone.
+Two tuples are strongly isomorphic (sim0) when their meet-closure tuples
+have one order type; the closure tuple is meet-closed, so every
+quantifier-free term collapses to a closure position. `qftype0` reads that
+type off 2k - 1 points, not the k^2 of the closure: the k entries, then the
+meets of lex-adjacent entries of the sorted tuple. For sorted nodes the meet
+of a_i and a_j (i < j) is the shortest adjacent meet between them, so these
+points take exactly the closure's distinct values, and each closure position
+is the longest value below both its entries in the prefix rows. sim0 is
+equality of this 2k - 1-point form. The atomic pattern is the order type of
+the entries alone.
 
 The four-place relation over an antichain holds of (a, b, c, d) when
 meet(a, b) is a prefix of meet(c, d); sim_delta is equality of that tensor
@@ -28,7 +34,7 @@ import itertools
 from typing import Tuple
 
 from .errors import ResourceCapError, record
-from .nodes import Node, TreeDomain, closure
+from .nodes import Node, TreeDomain, closure, meet
 
 
 def _order_type(points) -> tuple:
@@ -62,8 +68,14 @@ def _order_type(points) -> tuple:
 
 
 def qftype0(nodes: Tuple[Node, ...]) -> tuple:
-    """Order type of the meet-closure tuple."""
-    return _order_type(closure(tuple(nodes)))
+    """Order type of the entries followed by the meets of lex-adjacent
+    entries of the sorted tuple: equal exactly when the closure tuples'
+    order types are."""
+    t = tuple(nodes)
+    if not t:
+        raise ValueError("qftype0 of empty tuple")
+    s = sorted(t)
+    return _order_type(t + tuple(map(meet, s, s[1:])))
 
 
 def atomic_pattern(nodes: Tuple[Node, ...]) -> tuple:
@@ -103,33 +115,31 @@ def _delta_form(k: int, ranks: tuple, rows: tuple) -> tuple:
 
 
 def _forms(t: Tuple[Node, ...]) -> tuple:
-    """(delta_type(t), qftype0(t)), both read from one closure order type."""
+    """(delta_type(t), the closure tuple's own order type), both read from
+    one closure; the second is computed apart from qftype0."""
     ranks, rows = _order_type(closure(t))
     return _delta_form(len(t), ranks, rows), (ranks, rows)
 
 
-def _same_form(form, t1, t2) -> bool:
-    """Whether the node tuples have one length and one form."""
-    t1, t2 = tuple(t1), tuple(t2)
-    return len(t1) == len(t2) and form(t1) == form(t2)
-
+# Every form below has one rank per point and a point count fixed by the
+# tuple's length, so equal forms mean equal lengths.
 
 def sim0(t1, t2) -> bool:
-    """Strong isomorphism of node tuples."""
-    return _same_form(qftype0, t1, t2)
+    """Strong isomorphism of node tuples: equality of their qftype0 forms."""
+    return qftype0(t1) == qftype0(t2)
 
 
 def sim0_atomic(t1, t2) -> bool:
-    return _same_form(atomic_pattern, t1, t2)
+    return atomic_pattern(t1) == atomic_pattern(t2)
 
 
 def sim0_sets(x1, x2) -> bool:
     """Strong isomorphism of node sets, compared as lex-ordered tuples."""
-    return sim0(tuple(sorted(x1)), tuple(sorted(x2)))
+    return sim0(sorted(x1), sorted(x2))
 
 
 def sim_delta(t1, t2) -> bool:
-    return _same_form(delta_type, t1, t2)
+    return delta_type(t1) == delta_type(t2)
 
 
 class SsLlReport(record("passed tuple_count pair_count counterexample")):
@@ -143,8 +153,10 @@ SS_LL_PAIR_CAP = 2 ** 32
 
 def verify_ss_ll(branching: int, leaf_depth: int, tuple_len: int) -> SsLlReport:
     """Exhaustive finite check that sim_delta on tuples of distinct leaves
-    coincides with sim0 on their closure tuples (which is sim0 of the tuples:
-    the meets of a closure tuple are its own entries). Tuples are grouped by
+    coincides with sim0 on their closure tuples. The closure side is the
+    closure tuple's own order type, `_order_type(closure(t))`, computed apart
+    from qftype0: the meets of a closure tuple are its own entries, so its
+    order type is its sim0 type, which is the tuple's. Tuples are grouped by
     form: the lemma holds when delta forms map to closure forms and back as
     functions. pair_count is the T^2 ordered comparisons this covers; the
     tree above the leaves is sized first, and SS_LL_PAIR_CAP applies to the

@@ -27,9 +27,11 @@ forbidden sets, an oracle wrapper that records what it is asked, and the
 conjunction oracle that asked its base about source unions, with the source
 union of a tuple witness's labels.
 Types: byte-packed relation tables, the pairwise ss-ll check, the
-quadratic prefix matrix over every pair of values, and the combination scan
-for iso copies. The first-order oracle evaluated afresh on every call, and
-the formula tokenizer that sliced the rest of the text for every token.
+quadratic prefix matrix over every pair of values (over the closure tuple,
+and over the entries and the adjacent meets of the sorted entries that
+qftype0 ranks), and the combination scan for iso copies. The first-order
+oracle evaluated afresh on every call, and the formula tokenizer that sliced
+the rest of the text for every token.
 """
 
 import functools
@@ -680,6 +682,14 @@ def reference_order_type(points):
 
 
 def reference_qftype0_form(t):
+    """The order type of the entries followed by every adjacent meet of the
+    sorted entries, by the quadratic prefix matrix."""
+    t = tuple(t)
+    s = sorted(t)
+    return reference_order_type(t + tuple(meet(s[i], s[i + 1]) for i in range(len(s) - 1)))
+
+
+def reference_closure_form(t):
     return reference_order_type(closure(tuple(t)))
 
 
@@ -700,9 +710,9 @@ def reference_find_iso_copy(y, x):
     """The first combination of x's sorted nodes, in combinations order, whose
     closure type is y's, as a mapping from y's sorted nodes, or None."""
     y_tuple = sorted_nodes(y)
-    target = reference_qftype0_form(y_tuple)
+    target = reference_closure_form(y_tuple)
     for candidate in itertools.combinations(sorted_nodes(x), len(y_tuple)):
-        if reference_qftype0_form(candidate) == target:
+        if reference_closure_form(candidate) == target:
             return dict(zip(y_tuple, candidate))
     return None
 

@@ -12,7 +12,8 @@ replaced and their transpose, the canonical type forms and the grouped ss-ll che
 tables compared pair by pair, with the symmetry that lets the check form
 increasing tuples only, and the run-length type forms and the meet-tree
 shape iso-copy search against the quadratic prefix matrix and the
-combination scan, the meet-tree shape against closure types and the
+combination scan, qftype0's 2k - 1 points against the classes of the
+closure's relation bytes, the meet-tree shape against closure types and the
 pairwise antichain test, the subtree walk over chains and antichains against brute force and
 the scan and sorts it replaced, every pattern's required sets against the
 sorted references, and exhaustive verification by the oracles'
@@ -68,7 +69,7 @@ from references import (RecordingOracle, ReferenceConjunctionOracle,
                         reference_from_members, reference_maximal_antichains,
                         reference_maximal_free,
                         reference_members, reference_qftype0,
-                        reference_qftype0_form,
+                        reference_qftype0_form, reference_closure_form,
                         reference_required_consistent,
                         reference_required_inconsistent,
                         reference_scan_masks, reference_skolem_params,
@@ -1285,9 +1286,10 @@ def test_forms_match_bytes_on_random_tuples(t1, data):
 
 
 def test_ss_ll_reads_both_forms_from_one_closure():
+    # the closure side is the closure tuple's own order type, not qftype0
     for case in SS_LL_CASES:
         for t in _leaf_tuples(*case):
-            assert qftypes._forms(t) == (qftypes.delta_type(t), qftypes.qftype0(t)), t
+            assert qftypes._forms(t) == (qftypes.delta_type(t), reference_closure_form(t)), t
 
 
 def test_grouped_ss_ll_matches_pairwise():
@@ -1350,8 +1352,12 @@ def _assert_real_counterexample(report, delta, closure_type, case):
     assert not reference_ss_ll(*case, delta=delta, closure_type=closure_type)[0]
 
 
+def closure_form(t):
+    return qftypes._order_type(closure(t))
+
+
 def test_broken_forms_give_real_counterexamples(monkeypatch):
-    delta_type, qftype0 = qftypes.delta_type, qftypes.qftype0
+    delta_type = qftypes.delta_type
     # verify_ss_ll reads both forms of a tuple from one closure, in _forms
     with monkeypatch.context() as patch:
         # forgetting the lex ranks merges (a, b) with (b, a): same delta, new
@@ -1359,15 +1365,15 @@ def test_broken_forms_give_real_counterexamples(monkeypatch):
         # over them is blind to it; the forms no longer read p back, which the
         # symmetry check catches
         delta = lambda t: delta_type(t)[:2]
-        patch.setattr(qftypes, "_forms", lambda t: (delta(t), qftype0(t)))
+        patch.setattr(qftypes, "_forms", lambda t: (delta(t), closure_form(t)))
         for case in [(2, 2, 2), (2, 3, 3)]:
             assert qftypes.verify_ss_ll(*case).passed
             assert ss_ll_symmetry_breaks(qftypes._forms, case)
-            assert not reference_ss_ll(*case, delta=delta, closure_type=qftype0)[0]
+            assert not reference_ss_ll(*case, delta=delta, closure_type=closure_form)[0]
     breaks = [
         # splitting by the first entry: same closure type, new delta
-        (lambda t: (delta_type(t), t[0]), qftype0),
-        (delta_type, lambda t: (qftype0(t), t[-1])),
+        (lambda t: (delta_type(t), t[0]), closure_form),
+        (delta_type, lambda t: (closure_form(t), t[-1])),
     ]
     for delta, closure_type in breaks:
         monkeypatch.setattr(qftypes, "_forms", lambda t: (delta(t), closure_type(t)))
@@ -1468,13 +1474,13 @@ def test_shape_refuses_exactly_the_node_sets_that_are_not_antichains():
 
 
 def _form_values(tuples):
-    return [(qftypes.qftype0(t), qftypes.atomic_pattern(t), qftypes.delta_type(t))
-            for t in tuples]
+    return [(qftypes.qftype0(t), qftypes.atomic_pattern(t), qftypes.delta_type(t),
+             qftypes._forms(t)[1]) for t in tuples]
 
 
 def _reference_form_values(tuples):
-    return [(reference_qftype0_form(t), reference_atomic_form(t), reference_delta_form(t))
-            for t in tuples]
+    return [(reference_qftype0_form(t), reference_atomic_form(t), reference_delta_form(t),
+             reference_closure_form(t)) for t in tuples]
 
 
 FORM_TUPLES = [t for case in [(2, 2, 3), (3, 1, 3), (2, 3, 2)] for t in _leaf_tuples(*case)] + [
@@ -1568,6 +1574,56 @@ def test_broken_run_length_forms_fail_the_gate(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(qftypes, name, mutant(qftypes, name, old, new))
             assert _form_values(FORM_TUPLES) != _reference_form_values(FORM_TUPLES), new
+
+
+# --- qftype0's 2k - 1 points against the closure's k^2 ---
+
+@functools.lru_cache(maxsize=None)
+def qftype0_gate_cases():
+    """Named groups of tuples for the qftype0 gate, each with the closure's
+    relation bytes and the quadratic 2k - 1-point forms of its tuples: every
+    SS_LL_CASES tuple, the deep tuples, the 26 level-4 scaffold families
+    sorted and reversed, and FORM_TUPLES, with comparable and repeated nodes."""
+    families = [sorted_nodes(x) for x in build_onevar_scaffold(4, {(0,)}).families]
+    assert len(families) == 26
+    groups = [(case, _leaf_tuples(*case)) for case in SS_LL_CASES]
+    groups += [("deep", _deep_tuples()), ("scaffold 4", families + [x[::-1] for x in families]),
+               ("form tuples", FORM_TUPLES)]
+    return tuple((name, tuples, [reference_qftype0(t) for t in tuples],
+                  [reference_qftype0_form(t) for t in tuples]) for name, tuples in groups)
+
+
+def qftype0_gate_failures(qftype0):
+    """The groups where qftype0 splits the tuples into other classes than
+    the closure's relation bytes, or differs by value from the quadratic
+    reference of the 2k - 1-point form."""
+    failures = []
+    for name, tuples, relation_bytes, reference_forms in qftype0_gate_cases():
+        forms = [qftype0(t) for t in tuples]
+        if not same_partition(forms, relation_bytes):
+            failures.append((name, "classes"))
+        if forms != reference_forms:
+            failures.append((name, "values"))
+    return failures
+
+
+def test_qftype0_classes_are_the_closure_classes():
+    assert qftype0_gate_failures(qftypes.qftype0) == []
+
+
+def test_broken_qftype0_fails_the_gate():
+    breaks = [
+        # adjacent meets of the tuple as given, not of its lex-sorted entries
+        ("s = sorted(t)", "s = t"),
+        # the last adjacent meet dropped
+        ("s[1:]", "s[1:-1]"),
+        # the meets deduplicated through a set, so their order follows hashes
+        ("tuple(map(meet, s, s[1:]))", "tuple(set(map(meet, s, s[1:])))"),
+        # repeated entries deduplicated through a set before the meets
+        ("sorted(t)", "sorted(set(t))"),
+    ]
+    for old, new in breaks:
+        assert qftype0_gate_failures(mutant(qftypes, "qftype0", old, new)), new
 
 
 # --- the first-order oracle's cached universe masks against fresh evaluation ---

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from treeprop import (ResourceCapError, TreeDomain, closure, delta_type, qftype0,
                       sim0, sim0_atomic, sim0_sets, sim_delta, verify_ss_ll)
-from treeprop import qftypes
+from treeprop import nodes, qftypes
 from treeprop.qftypes import SsLlReport, atomic_pattern
 
 binary_nodes = st.lists(st.integers(0, 1), max_size=5).map(tuple)
@@ -60,6 +60,32 @@ def test_qftype_forms_are_hashable():
 def test_delta_type_rejects_empty():
     with pytest.raises(ValueError):
         delta_type(())
+
+
+def test_qftype0_ranks_2k_minus_1_points_and_builds_no_closure(monkeypatch):
+    def no_closure(t):
+        raise AssertionError("closure built")
+    monkeypatch.setattr(qftypes, "closure", no_closure)
+    monkeypatch.setattr(nodes, "closure", no_closure)
+    ranked, order_type = [], qftypes._order_type
+    monkeypatch.setattr(qftypes, "_order_type", lambda points: (
+        ranked.append(len(points)), order_type(points))[1])
+    t = ((1, 0), (0,), (1, 0, 1), (1, 0), (0, 1, 1))
+    for k in range(1, len(t) + 1):
+        ranks, _ = qftype0(t[:k])
+        assert ranked[-1] == len(ranks) == 2 * k - 1
+    assert sim0(t, tuple((2,) + x for x in t))
+    assert not sim0(t, t[::-1])
+    assert sim0_sets({(0,), (1,)}, [(1, 1), (1, 0)])
+    assert not sim0_sets({(0,), (1,)}, [(1,), (1, 0)])
+
+
+def test_empty_tuples_rejected(monkeypatch):
+    # refused by qftype0 itself, not by a closure of no nodes
+    monkeypatch.setattr(qftypes, "closure", lambda t: ())
+    for call in (lambda: qftype0(()), lambda: sim0((), ()), lambda: sim0_sets(set(), set())):
+        with pytest.raises(ValueError, match="empty"):
+            call()
 
 
 def test_sim_delta_examples():
