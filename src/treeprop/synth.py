@@ -21,18 +21,21 @@ family the two sibling leaves under each node of depth d - 2 hold the same
 members (at depth 5, 23 distinct columns among 31 labels), and these leaf
 columns are the ones with the most bits.
 
-A column's product is split in two: the product of its low half's primes
-times that of its high half's, the prime offset carried along, down to
-columns of at most 64 bits, whose binary digits pick their primes. So the
-factors of every multiplication are of about the same size, and a product
-of n primes costs what a balanced product tree costs rather than the n
-growing multiplications of a running product.
+A column's product is a product tree flattened into C calls: its binary
+digits become 0/1 bytes once, which `compress` the primes to those of its
+bits; `math.prod` multiplies each run of 32 of them, and the run products
+are multiplied in pairs, level by level, an odd last one carried up as it
+is. So the factors of every multiplication are of about the same size, and
+a product of n primes costs what a balanced product tree costs rather than
+the n growing multiplications of a running product, with one Python call
+per column rather than one per subtree.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from math import isqrt, log, prod
+from operator import mul
 
 from .antichains import ConsistencyFamily
 from .errors import ResourceCapError, WitnessError
@@ -44,6 +47,7 @@ from .oracles import BOOLEAN, SKOLEM, Witness
 SKOLEM_BITS_CAP = 2 ** 22
 
 _PICKS = bytes.maketrans(b"01", b"\0\1")  # a binary digit's 0/1 byte, which picks a prime
+_LEAF_PRIMES = 32  # primes per leaf of a column's product tree, multiplied by math.prod
 
 
 def _prime_bound(m: int) -> int:
@@ -81,17 +85,18 @@ def check_skolem_bits(bits: int, size: str) -> None:
         raise ResourceCapError(f"skolem parameters of {size} {bits} bits", SKOLEM_BITS_CAP)
 
 
-def _column_product(ps: list, column: int, offset: int = 0) -> int:
-    """The product of ps[offset + i] over the set bits i of the column. A
-    column of at most 64 bits maps its binary digits, lowest first, to 0/1
-    bytes by `_PICKS`, which pick the primes."""
-    width = column.bit_length()
-    if width <= 64:
-        picks = format(column, "b")[::-1].encode().translate(_PICKS)
-        return prod(compress(ps[offset:offset + width], picks))
-    half = width >> 1
-    return (_column_product(ps, column & ((1 << half) - 1), offset)
-            * _column_product(ps, column >> half, offset + half))
+def _column_product(ps: list, column: int) -> int:
+    """The product of ps[i] over the set bits i of the column. Its binary
+    digits, lowest first, map to 0/1 bytes by `_PICKS`, which pick its primes;
+    `math.prod` takes each run of `_LEAF_PRIMES` picked primes, and the
+    products are multiplied in pairs, an odd last one carried up a level as
+    it is, until one is left (1 for an empty column)."""
+    picked = list(compress(ps, format(column, "b")[::-1].encode().translate(_PICKS)))
+    level = [prod(picked[i:i + _LEAF_PRIMES]) for i in range(0, len(picked), _LEAF_PRIMES)]
+    while len(level) > 1:
+        odd = level[-1:] if len(level) & 1 else []
+        level = [*map(mul, level[0::2], level[1::2]), *odd]
+    return level[0] if level else 1
 
 
 def synth_skolem(family: ConsistencyFamily) -> Witness:

@@ -29,11 +29,16 @@ digits: a boolean param zero-padded to the digits of its width, a skolem
 param with the fewest digits. Hex converts in linear time and is outside
 the interpreter's int<->str digit limit, so a skolem param of millions of
 bits (a product of one prime per maximal member) needs no change to that
-limit. A param is read only as `0x` and one or more ASCII hex digits of
-either case, checked in one pass over its bytes once the text is known to be
-ASCII, and a skolem document whose params hold more digits than
-`synth.SKOLEM_BITS_CAP` bits allow is refused before any is read. Files of
-version 1, which wrote skolem params in decimal, are refused.
+limit. The digits are the value's big-endian bytes in hex (`int.to_bytes`,
+`bytes.hex`), and since they are ASCII, which JSON leaves as it is, a param
+line is written without JSON's string escaping. A param is read only as
+`0x` and one or more ASCII hex digits of either case, checked in one pass
+over its bytes once the text is known to be ASCII; only then is it read
+through bytes (`bytes.fromhex`, `int.from_bytes`), since `bytes.fromhex`
+would skip spaces. A skolem document whose params hold more significant
+digits (leading zeros left out) than `synth.SKOLEM_BITS_CAP` bits allow is
+refused before any is read. Files of version 1, which wrote skolem params
+in decimal, are refused.
 
 The text is exactly json.dumps(doc, sort_keys=True, indent=2) and a
 newline, but one writer makes it in pieces, one param or provenance line at
@@ -88,8 +93,11 @@ def _fetch(table: dict, keys, name: str) -> list:
 
 def param_str(value: int, width=None) -> str:
     """A param's text: `0x` and lowercase hex digits, as many as `width` bits
-    take for a boolean param, the fewest for a skolem one (no width)."""
-    return f"0x{value:0{max(1, ((width or 0) + 3) // 4)}x}"
+    take for a boolean param, the fewest for a skolem one (no width). The
+    digits are the value's big-endian bytes in hex, less a leading 0 when
+    their count is odd."""
+    digits = max(1, ((width or 0) + 3) // 4, (value.bit_length() + 3) // 4)
+    return "0x" + value.to_bytes((digits + 1) // 2, "big").hex()[digits & 1:]
 
 
 def _params(backend: str, texts) -> list:
@@ -97,20 +105,27 @@ def _params(backend: str, texts) -> list:
     digits: ASCII text of which no byte after `0x` is left once the hex
     digits are deleted. ASCII is checked first, since a lone surrogate (which
     JSON can carry) does not encode. Skolem params are sized before any is
-    read: d digits mean at least 4(d - 1) bits."""
+    read, by their significant digits: d of them mean at least 4(d - 1)
+    bits, and leading zeros mean none. Stripping "0x" strips the `0x` and
+    the leading zeros, since no hex digit is an x."""
     for text in texts:
         if not (isinstance(text, str) and text[:2] == "0x" and len(text) > 2
                 and text.isascii() and not text[2:].encode().translate(None, _HEX_BYTES)):
             raise WitnessError(f"{backend} param {text!r:.40} is not 0x and hex digits")
     if backend == SKOLEM:
-        digits = sum(len(text) - 2 for text in texts)
-        check_skolem_bits(4 * (digits - len(texts)), f"{digits} hex digits, at least")
+        significant = [len(text.lstrip("0x")) for text in texts]
+        digits = sum(significant)
+        check_skolem_bits(4 * (digits - sum(map(bool, significant))),
+                          f"{digits} hex digits, at least")
     return [_read_param(text) for text in texts]
 
 
 def _read_param(text: str) -> int:
-    """The value of a checked param text."""
-    return int(text, 16)
+    """The value of a checked param text, read as big-endian bytes: an odd
+    count of digits is padded with a leading 0. bytes.fromhex would also
+    skip spaces, which the check in `_params` has refused."""
+    digits = text[2:] if len(text) % 2 == 0 else "0" + text[2:]
+    return int.from_bytes(bytes.fromhex(digits), "big")
 
 
 def _plain_int(value, name: str) -> int:
@@ -264,12 +279,12 @@ def _subtree(node, branching: int, depth: int) -> Iterator:
             yield node + (d,)
 
 
-def _entries(pattern: PatternSpec, table: dict, value, indent: str) -> Iterator:
+def _entries(pattern: PatternSpec, table: dict, text) -> Iterator:
     """(key, text) for each label of the pattern, keyed by `label_str`, in
-    key order: text is value(table[label]) dumped at `indent`, made when it
-    is read."""
+    key order: text is text(table[label]), the entry's JSON text, made when
+    it is read."""
     for label in _in_key_order(pattern):
-        yield label_str(pattern, label), _dumped(value(table[label]), indent)
+        yield label_str(pattern, label), text(table[label])
 
 
 def _pieces(wf: WitnessFile, indent: str = "") -> Iterator[str]:
@@ -290,16 +305,16 @@ def _pieces(wf: WitnessFile, indent: str = "") -> Iterator[str]:
             raise WitnessError("tuple witness file needs the base pattern")
         src = wf.base_pattern
         members.update(backend="tuple", arity=w.arity)
-        entries = _entries(wf.pattern, table,
-                           lambda sources: [label_str(src, s) for s in sources], inner + "  ")
+        entries = _entries(wf.pattern, table, lambda sources: _dumped(
+            [label_str(src, s) for s in sources], inner + "  "))
         texts = {"base": _pieces(WitnessFile(src, w.base), inner),
                  "provenance": _object(entries, inner)}
     else:
         members.update(backend=w.backend)
         if w.backend == BOOLEAN:
             members["width"] = w.width
-        entries = _entries(wf.pattern, table, lambda param: param_str(param, w.width),
-                           inner + "  ")
+        # a param's text is ASCII hex, which JSON writes as it is
+        entries = _entries(wf.pattern, table, lambda param: '"' + param_str(param, w.width) + '"')
         texts = {"params": _object(entries, inner)}
     texts.update((key, _dumped(value, inner)) for key, value in members.items())
     return _object(sorted(texts.items()), indent)

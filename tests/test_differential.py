@@ -392,19 +392,14 @@ def test_skolem_bits_bound_holds_on_benchmark_families():
 
 def _column_product_calls(monkeypatch, family):
     """The skolem params of the family, and the columns that synth_skolem
-    asks `_column_product` for, leaving out its recursion into halves."""
+    asks `_column_product` for."""
     from treeprop import synth
 
-    product, calls, depth = synth._column_product, [], [0]
+    product, calls = synth._column_product, []
 
-    def counted(ps, column, offset=0):
-        if not depth[0]:
-            calls.append(column)
-        depth[0] += 1
-        try:
-            return product(ps, column, offset)
-        finally:
-            depth[0] -= 1
+    def counted(ps, column):
+        calls.append(column)
+        return product(ps, column)
     with monkeypatch.context() as patch:
         patch.setattr(synth, "_column_product", counted)
         return synth.synth_skolem(family).params, calls
@@ -441,6 +436,21 @@ def test_broken_product_sharing_fails_the_gate():
                     "next(v for c, v in products.items() if c.bit_count() == column.bit_count())"
                     " for label")
     assert skolem_mismatches(broken)
+
+
+def test_broken_column_products_fail_the_gate(monkeypatch):
+    from treeprop import synth
+
+    breaks = [
+        # a pairing level dropping its odd last product instead of carrying it up
+        ("level[-1:] if len(level) & 1 else []", "[]"),
+        # the leaves' slices of picked primes shifted by one
+        ("picked[i:i + _LEAF_PRIMES]", "picked[i + 1:i + 1 + _LEAF_PRIMES]"),
+    ]
+    for old, new in breaks:
+        with monkeypatch.context() as patch:
+            patch.setattr(synth, "_column_product", mutant(synth, "_column_product", old, new))
+            assert skolem_mismatches(synth_skolem), new
 
 
 def test_atp_depth_six_boolean_witness_sets_member_bits():

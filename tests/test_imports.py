@@ -179,11 +179,15 @@ def _hex_spec(spec) -> bool:
 
 def hex_codecs(path):
     """The lines that write or read hex: a call of hex(), an int() with base
-    16, a format() call or an f-string field whose spec ends in x or X."""
+    16, a format() call or an f-string field whose spec ends in x or X, or a
+    call of a method hex or fromhex (bytes.hex, bytes.fromhex)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.FormattedValue) and _hex_spec(node.format_spec):
+            out.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("hex", "fromhex")):
             out.append(node.lineno)
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             args = node.args[1:] + [k.value for k in node.keywords]
@@ -211,8 +215,11 @@ def test_hex_codecs_are_found(tmp_path):
                       "d = f'{a:08x}'\n"
                       "e = f'{a:0{b}X}'\n"
                       "f = format(a, 'x')\n"
-                      "g = int('10'), int('10', 2), f'{a:>8}', format(a, 'b'), f'{a!r}'\n")
-    assert hex_codecs(module) == [1, 2, 3, 4, 5, 6]
+                      "g = a.to_bytes(2, 'big').hex()\n"
+                      "h = bytes.fromhex('ff')\n"
+                      "i = int('10'), int('10', 2), f'{a:>8}', format(a, 'b'), f'{a!r}'\n"
+                      "j = a.to_bytes(2, 'big'), int.from_bytes(b'', 'big'), h.hexdigest()\n")
+    assert hex_codecs(module) == [1, 2, 3, 4, 5, 6, 7, 8]
 
 
 def lax_digit_tests(path):

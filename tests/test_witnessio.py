@@ -1,5 +1,6 @@
 import copy
 import functools
+import hashlib
 import json
 import os
 import random
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 import treeprop
 from treeprop import (ResourceCapError, Witness, WitnessError, elongate, exact_family, fatten,
-                      make_pattern, synth_boolean, synth_skolem, witnessio)
+                      make_pattern, oracle_for, reduce_katp, synth_boolean, synth_skolem,
+                      witnessio)
 from treeprop.cli import main
 from treeprop.dot import export_dot
 from treeprop.patterns import ATP, KATP, SOP1, SOP2, TP, TP2
@@ -399,6 +401,30 @@ def test_param_io_is_hex_under_any_digit_limit(digit_limit):
     assert sys.get_int_max_str_digits() == digit_limit
 
 
+def _reference_param_str(value, width=None):
+    """A param's text by the format spec that wrote it before: `0x` and the
+    value's hex digits, zero-padded to the digits of `width` bits."""
+    return f"0x{value:0{max(1, ((width or 0) + 3) // 4)}x}"
+
+
+def test_param_str_writes_what_the_format_spec_wrote():
+    values = [0, 1, 9, 15, 16, 255, 256, 2 ** 63 - 1, 2 ** 63, 2 ** 64, 2 ** 1000 - 1,
+              *_hex_cases()]
+    p = make_pattern(KATP, depth=5, k=3)
+    values += synth_skolem(exact_family(p)).params.values()
+    for width in [0, None, *range(1, 18), 63, 64, 65, 1000]:
+        for value in values:
+            assert param_str(value, width) == _reference_param_str(value, width), (value, width)
+
+
+def test_read_param_reads_what_int_reads():
+    texts = ["0x0", "0x00", "0x1", "0x01", "0xf", "0xF", "0x10", "0xabc", "0xABC", "0xAbCd",
+             "0x000abc", "0x0000", *(hex(value) for value in _hex_cases()),
+             *("0x0" + hex(value)[2:].upper() for value in _hex_cases())]
+    for text in texts:
+        assert witnessio._read_param(text) == int(text, 16), text[:40]
+
+
 def test_katp_round_trip_under_the_least_digit_limit(digit_limit):
     p = make_pattern(KATP, depth=5, k=4)
     wf = WitnessFile(p, synth_skolem(exact_family(p)))
@@ -415,10 +441,12 @@ def test_tp2_6x5_skolem_round_trip():
 
 
 # what each backend's param must not be: a sign, whitespace, an underscore,
-# a non-ASCII digit, a bare number, an upper-case 0X, a lone 0x or not text
+# a non-ASCII digit, a bare number, an upper-case 0X, a lone 0x or not text;
+# bytes.fromhex would read the spaces of "0x12 34" and "0x 12", int() the _
 _BAD_PARAMS = ["+15", " 15", "15 ", "1_5", "\u0661\u0665", "-15", "", "15.0", "1e3",
                " +0x0_1 ", "1", "0x", "0x_1", "0x\u0661", "0X1", "-0x1", "0x1 ", 1,
-               "0x+15", "0x 15", "0x1_5", "0x\u0661\u0665", "0X15", "0x15.0", "0x-1", "0x0x1"]
+               "0x+15", "0x 15", "0x1_5", "0x\u0661\u0665", "0X15", "0x15.0", "0x-1", "0x0x1",
+               "0x12 34", "0x 12", "0x1_2"]
 
 
 def _param_is_refused(backend, text):
@@ -486,6 +514,14 @@ def test_skolem_params_are_sized_before_any_is_read(monkeypatch):
         loads(json.dumps(doc))
 
 
+def test_leading_zeros_do_not_count_toward_the_size():
+    # such a file was refused as "1048587 hex digits, at least 4194336 bits"
+    wf = atp_file(2)
+    doc = _doc(wf)
+    doc["params"]["0"] = "0x" + "0" * (2 ** 20 + 8) + doc["params"]["0"][2:]
+    assert loads(json.dumps(doc)).witness == wf.witness
+
+
 def test_the_most_digits_the_cap_allows_pass_the_size_check():
     doc = _doc(atp_file(1))
     doc["params"][""] = "0x" + "f" * _CAP_DIGITS
@@ -537,7 +573,52 @@ def test_written_text_is_what_json_dumps_writes(tmp_path):
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", wf.pattern
         save(wf, path)
         assert path.read_text(encoding="utf-8") == text, wf.pattern
-        assert loads(text).witness.labels == wf.witness.labels
+        assert loads(text).witness == wf.witness, wf.pattern
+
+
+# the SHA-256 of each text dumps wrote before params were written from bytes:
+# the skolem and boolean witnesses of the benchmark's build-deep families,
+# and `transform reduce --k 2` of the katp:3 depth-5 skolem witness
+_PINNED_TEXTS = {
+    ("katp:3 d5", "skolem"): "b19bd6afbfb36fa6cb0cb3662ae7dda072f2fb8b43e1fdfd3208437174d54453",
+    ("katp:3 d5", "boolean"): "31bf53ded4c124804621715686a46bad241c3b6f0f13e0a9fc438560323d285c",
+    ("katp:4 d5", "skolem"): "49e91eddc7b8f840b59f5bd8e1fda2a9b4a7eb5cb3099da5acabb6d071d3f41f",
+    ("katp:4 d5", "boolean"): "045d7765e7d2d2c1b60879400edb06de066d0c3af70fcd2ff23ae99a46fcf4e0",
+    ("atp d5", "skolem"): "f8466d248f6e5e3ce46195ff9776db4e0de62a3e317df6076c30ef0549601f94",
+    ("atp d5", "boolean"): "d994840b00d8e7cbd8134b2c568e24e5e2e43cd9dfde5ce0d2d1476de3d116bf",
+    ("sop1 d4", "skolem"): "4722432bcb51a785ddae1a327c004043c5778774664ae9312c643883489dba12",
+    ("sop1 d4", "boolean"): "0ceaf4a99533bafed582a0736844371a0eecdbe4ae2847eb1761f4116f84450e",
+    ("tp:2 b3 d3", "skolem"): "cba08a123f7fe351db143c48d371c89adbd2b8fba846d95fa93b9c1ab2a6a675",
+    ("tp:2 b3 d3", "boolean"): "6ca3d3491d8f811799949d89b7ad61af719caa44717d13c675c7b5c1d4ef0878",
+    ("sop2 d5", "skolem"): "3fb1f9ebe61509d4c84044c87efdebb94a9bbe06668829477ccd083e0b3ddfb8",
+    ("sop2 d5", "boolean"): "90e6ebc59c22ab83b918c8a73eeec89ff601630a95d9778951f39c3ddd11b25e",
+    ("tp2 4x4", "skolem"): "4adbbdeba4edf94c6a83f4a5346ac92f40df762b47b65795e3a96e66ccf137fb",
+    ("tp2 4x4", "boolean"): "da520ca2aeb858c9db210118a13208fc7a951068410434da64d0f90d323cec2e",
+    ("katp:3 d5", "reduce 2"): "34c2ceb713ea8cfddea8f24602396b3c2d84ec6f796127fb31f3cb4af7b65f81",
+}
+
+_PINNED_PATTERNS = {
+    "katp:3 d5": make_pattern(KATP, depth=5, k=3), "katp:4 d5": make_pattern(KATP, depth=5, k=4),
+    "atp d5": make_pattern(ATP, depth=5), "sop1 d4": make_pattern(SOP1, depth=4),
+    "tp:2 b3 d3": make_pattern(TP, branching=3, depth=3, k=2),
+    "sop2 d5": make_pattern(SOP2, depth=5), "tp2 4x4": make_pattern(TP2, rows=4, cols=4),
+}
+
+
+def test_written_texts_are_byte_identical_to_the_pinned_ones():
+    digests = {}
+    for name, p in _PINNED_PATTERNS.items():
+        family = exact_family(p)
+        for backend, synth in (("skolem", synth_skolem), ("boolean", synth_boolean)):
+            digests[name, backend] = dumps(WitnessFile(p, synth(family)))
+    p = _PINNED_PATTERNS["katp:3 d5"]
+    w = synth_skolem(exact_family(p))
+    tw, report = reduce_katp(w, oracle_for(w), 2)
+    assert report.case == "elongate"
+    digests["katp:3 d5", "reduce 2"] = dumps(WitnessFile(make_pattern(ATP, depth=3), tw,
+                                                         base_pattern=p))
+    digests = {key: hashlib.sha256(text.encode()).hexdigest() for key, text in digests.items()}
+    assert digests == _PINNED_TEXTS
 
 
 def test_save_holds_no_copy_of_the_text(tmp_path):
