@@ -64,8 +64,12 @@ class Witness(record("backend labels params width")):
                          else f"extra keys {shown_items([k for k in params if k not in known])}")
             raise WitnessError(f"repeated labels {shown_items(repeated)}" if repeated
                                else f"parameter map does not match labels: {unmatched}")
+        if backend in (SKOLEM, BOOLEAN):
+            not_ints = [i for i in labels if type(params[i]) is not int]  # a bool is not
+            if not_ints:
+                raise WitnessError(f"{backend} parameters must be ints: {shown_items(not_ints)}")
         if backend == SKOLEM:
-            bad = [i for i in labels if not isinstance(params[i], int) or params[i] < 1]
+            bad = [i for i in labels if params[i] < 1]
             if bad:
                 raise WitnessError(f"skolem parameters must be >= 1: {shown_items(bad)}")
         elif backend == BOOLEAN:

@@ -1,13 +1,21 @@
 """Canonical forms of quantifier-free node-tuple types.
 
 Every type is one hashable form, so type equality is form equality and
-tuples group by type in a dict. `_order_type(points)` is the form of the
+tuples group by type in a dict, as the ss-ll check groups them.
+`_order_type(points)` is the form of the
 prefix and lex relations among a tuple's positions: each position's rank
 among the distinct values, and the prefix matrix over the distinct values in
 sorted order. Equal forms mean equal (prefix, lex) tables over positions.
 Each form comes from one sort of the positions and hashes no node: in
 sorted order equal values are adjacent and the values extending a value are
 the run right after it, so one forward walk finds every row's run of bits.
+
+sim0 and sim0_atomic answer only yes or no, so they build no form.
+`_same_order_type(t1, t2)` walks t1's sorted positions with t2 in step and
+returns False at the first step where the equality of adjacent positions,
+the strict lex order of t2 or a pop of the open-run stack differs. The pops
+fix the prefix rows, so the walk returns True exactly when the forms are
+equal; the differential tests tie it to form equality.
 
 Two tuples are strongly isomorphic (sim0) when their meet-closure tuples
 have one order type; the closure tuple is meet-closed, so every
@@ -17,8 +25,8 @@ meets of lex-adjacent entries of the sorted tuple. For sorted nodes the meet
 of a_i and a_j (i < j) is the shortest adjacent meet between them, so these
 points take exactly the closure's distinct values, and each closure position
 is the longest value below both its entries in the prefix rows. sim0 is
-equality of this 2k - 1-point form. The atomic pattern is the order type of
-the entries alone.
+equality of this 2k - 1-point form, walked over both tuples' points. The
+atomic pattern is the order type of the entries alone.
 
 The four-place relation over an antichain holds of (a, b, c, d) when
 meet(a, b) is a prefix of meet(c, d); sim_delta is equality of that tensor
@@ -67,15 +75,48 @@ def _order_type(points) -> tuple:
     return tuple(ranks), tuple(rows)
 
 
-def qftype0(nodes: Tuple[Node, ...]) -> tuple:
-    """Order type of the entries followed by the meets of lex-adjacent
-    entries of the sorted tuple: equal exactly when the closure tuples'
-    order types are."""
+def _same_order_type(t1, t2) -> bool:
+    """Whether `_order_type` of t1 and of t2 are equal, decided by its walk
+    over t1's sorted positions with t2 taken at the same positions."""
+    if len(t1) != len(t2):
+        return False
+    s1, s2 = [], []  # the open runs' values, each a prefix of the next
+    for p in sorted(range(len(t1)), key=t1.__getitem__):
+        b1, b2 = t1[p], t2[p]
+        if s1 and b1 == s1[-1]:
+            if b2 != s2[-1]:
+                return False
+            continue
+        if s2 and not b2 > s2[-1]:
+            return False
+        while s1:
+            below = b1[:len(s1[-1])] == s1[-1]
+            if below != (b2[:len(s2[-1])] == s2[-1]):
+                return False
+            if below:
+                break
+            s1.pop()
+            s2.pop()
+        s1.append(b1)
+        s2.append(b2)
+    return True
+
+
+def _points(nodes) -> tuple:
+    """The 2k - 1 points of a k-tuple: its entries, then the meets of
+    lex-adjacent entries of the sorted tuple."""
     t = tuple(nodes)
     if not t:
         raise ValueError("qftype0 of empty tuple")
     s = sorted(t)
-    return _order_type(t + tuple(map(meet, s, s[1:])))
+    return t + tuple(map(meet, s, s[1:]))
+
+
+def qftype0(nodes: Tuple[Node, ...]) -> tuple:
+    """Order type of the entries followed by the meets of lex-adjacent
+    entries of the sorted tuple: equal exactly when the closure tuples'
+    order types are."""
+    return _order_type(_points(nodes))
 
 
 def atomic_pattern(nodes: Tuple[Node, ...]) -> tuple:
@@ -125,12 +166,13 @@ def _forms(t: Tuple[Node, ...]) -> tuple:
 # tuple's length, so equal forms mean equal lengths.
 
 def sim0(t1, t2) -> bool:
-    """Strong isomorphism of node tuples: equality of their qftype0 forms."""
-    return qftype0(t1) == qftype0(t2)
+    """Strong isomorphism of node tuples: equality of their qftype0 forms,
+    decided by one walk over both tuples' points."""
+    return _same_order_type(_points(t1), _points(t2))
 
 
 def sim0_atomic(t1, t2) -> bool:
-    return atomic_pattern(t1) == atomic_pattern(t2)
+    return _same_order_type(tuple(t1), tuple(t2))
 
 
 def sim0_sets(x1, x2) -> bool:

@@ -12,8 +12,9 @@ replaced and their transpose, the canonical type forms and the grouped ss-ll che
 tables compared pair by pair, with the symmetry that lets the check form
 increasing tuples only, and the run-length type forms and the meet-tree
 shape iso-copy search against the quadratic prefix matrix and the
-combination scan, qftype0's 2k - 1 points against the classes of the
-closure's relation bytes, the meet-tree shape against closure types and the
+combination scan, the joint walk that decides sim0 and sim0_atomic against
+equality of the quadratic forms, qftype0's 2k - 1 points against the
+classes of the closure's relation bytes, the meet-tree shape against closure types and the
 pairwise antichain test, the subtree walk over chains and antichains against brute force and
 the scan and sorts it replaced, every pattern's required sets against the
 sorted references, and exhaustive verification by the oracles'
@@ -70,6 +71,7 @@ from references import (RecordingOracle, ReferenceConjunctionOracle,
                         reference_maximal_free,
                         reference_members, reference_qftype0,
                         reference_qftype0_form, reference_closure_form,
+                        reference_order_type,
                         reference_required_consistent,
                         reference_required_inconsistent,
                         reference_scan_masks, reference_skolem_params,
@@ -1564,6 +1566,16 @@ def test_forms_hash_no_node():
     with pytest.raises(TypeError):
         hash(wrapped[0][0])
     assert _form_values(wrapped) == _reference_form_values(FORM_TUPLES)
+    # the walks behind sim0, sim0_atomic and sim0_sets hash none either
+    pairs = list(itertools.product(range(0, len(FORM_TUPLES), 3), repeat=2))
+    for name, sim, form in [("sim0", qftypes.sim0, reference_qftype0_form),
+                            ("sim0_atomic", qftypes.sim0_atomic, reference_atomic_form),
+                            ("sim0_sets", qftypes.sim0_sets,
+                             lambda t: reference_qftype0_form(sorted(t)))]:
+        got = [sim(wrapped[i], wrapped[j]) for i, j in pairs]
+        expected = [form(FORM_TUPLES[i]) == form(FORM_TUPLES[j]) for i, j in pairs]
+        assert got == expected, name
+        assert 30 < got.count(True) < len(pairs) - 30, name
 
 
 def test_broken_run_length_forms_fail_the_gate(monkeypatch):
@@ -1621,7 +1633,7 @@ def test_qftype0_classes_are_the_closure_classes():
     assert qftype0_gate_failures(qftypes.qftype0) == []
 
 
-def test_broken_qftype0_fails_the_gate():
+def test_broken_qftype0_fails_the_gate(monkeypatch):
     breaks = [
         # adjacent meets of the tuple as given, not of its lex-sorted entries
         ("s = sorted(t)", "s = t"),
@@ -1633,7 +1645,123 @@ def test_broken_qftype0_fails_the_gate():
         ("sorted(t)", "sorted(set(t))"),
     ]
     for old, new in breaks:
-        assert qftype0_gate_failures(mutant(qftypes, "qftype0", old, new)), new
+        with monkeypatch.context() as patch:
+            patch.setattr(qftypes, "_points", mutant(qftypes, "_points", old, new))
+            assert qftype0_gate_failures(qftypes.qftype0), new
+
+
+# --- sim0 and sim0_atomic, one walk over both tuples, against form equality ---
+
+def _prefixed(t, digits=(1, 0)):
+    """t with `digits` prefixed to every entry: each prefix, lex and meet
+    relation is kept, so every form of t is kept."""
+    return tuple(digits + x for x in t)
+
+
+def _near_misses(t):
+    """t paired with its prefixed copy, and with each copy of t whose entry i
+    is another entry, that entry one digit longer or one digit shorter: such
+    pairs agree up to one entry, so the walk runs far before it can tell."""
+    pairs = [(t, _prefixed(t))]
+    for i, x in enumerate(t):
+        for y in dict.fromkeys((*t, x + (0,), x + (2,), x[:-1])):
+            if y != x:
+                pairs.append((t, t[:i] + (y,) + t[i + 1:]))
+    return pairs
+
+
+def _scaffold_pairs():
+    """Each tuple of `_deep_tuples()` whose entries are level-4 scaffold
+    embedding images, paired with its preimage, and each closure tuple there
+    with the closure of the preimage pair on its diagonal; the embedding
+    keeps closure types of pairs, but not always of triples."""
+    back = {v: k for k, v in build_onevar_scaffold(4, {(0,)}).embedding.items()}
+    pairs = []
+    for t in _deep_tuples():
+        if all(x in back for x in t):
+            pairs.append((tuple(back[x] for x in t), t))
+        else:
+            pairs.append((closure((back[t[0]], back[t[-1]])), t))
+    return pairs
+
+
+@functools.lru_cache(maxsize=None)
+def sim0_walk_cases():
+    """Named groups of tuple pairs for the walk gate, each with the reference
+    verdicts (sim0, sim0_atomic, one order type) of every pair, read as
+    equality of the quadratic forms: every ordered pair of FORM_TUPLES,
+    lengths unequal included; near misses of FORM_TUPLES, also as lists and
+    with the nodes of one side copied; and the scaffold pairs."""
+    near = [pair for t in FORM_TUPLES for pair in _near_misses(t)]
+    groups = [("form tuples", list(itertools.product(FORM_TUPLES, repeat=2))),
+              ("near misses", near),
+              ("near misses as lists", [(list(a), list(b)) for a, b in near]),
+              ("copied nodes", [(a, tuple(tuple(list(x)) for x in a)) for a, _ in near[::6]]
+               + [(a, tuple(tuple(list(x)) for x in b)) for a, b in near[1::6]]),
+              ("scaffold", _scaffold_pairs())]
+    forms = [reference_qftype0_form, reference_atomic_form, reference_order_type]
+    return tuple((name, pairs, [tuple(f(a) == f(b) for f in forms) for a, b in pairs])
+                 for name, pairs in groups)
+
+
+def sim0_walk_failures():
+    """The groups where sim0, sim0_atomic or `_same_order_type`, each read
+    from qftypes at the call, differs from the reference verdicts."""
+    return [name for name, pairs, expected in sim0_walk_cases()
+            if [(qftypes.sim0(a, b), qftypes.sim0_atomic(a, b), qftypes._same_order_type(a, b))
+                for a, b in pairs] != expected]
+
+
+def test_sim0_walks_agree_with_form_equality():
+    assert sim0_walk_failures() == []
+    for name, pairs, expected in sim0_walk_cases():
+        equal = [sum(verdicts[column] for verdicts in expected) for column in range(3)]
+        if name == "scaffold":  # the embedding keeps every atomic pattern
+            assert 0 < equal[0] < len(pairs) == equal[1] == equal[2]
+        else:
+            assert all(0 < n < len(pairs) for n in equal), name
+    lengths = {(len(a), len(b)) for a, b in sim0_walk_cases()[0][1]}
+    assert any(m != n for m, n in lengths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_tuples, st.data())
+def test_sim0_walks_agree_with_form_equality_on_random_pairs(t1, data):
+    # half the pairs are t1 and a prefixed copy, so the forms are equal and
+    # the walk runs to the end; the rest change one entry or draw afresh, at
+    # any length
+    kind = data.draw(st.integers(0, 3))
+    if kind < 2:
+        t2 = _prefixed(t1, data.draw(st.lists(st.integers(0, 2), max_size=3).map(tuple)))
+    elif kind == 2:
+        i = data.draw(st.integers(0, len(t1) - 1))
+        t2 = t1[:i] + data.draw(node_tuples)[:1] + t1[i + 1:]
+    else:
+        t2 = data.draw(node_tuples)
+    if data.draw(st.booleans()):
+        t1, t2 = list(t1), list(t2)
+    for sim, form in [(qftypes.sim0, reference_qftype0_form),
+                      (qftypes.sim0_atomic, reference_atomic_form),
+                      (qftypes._same_order_type, reference_order_type)]:
+        assert sim(t1, t2) == (form(t1) == form(t2)), sim
+
+
+def test_broken_sim0_walks_fail_the_gate(monkeypatch):
+    breaks = [
+        # t2 left free where t1 repeats a value
+        ("if b2 != s2[-1]:", "if False:"),
+        # t2 allowed to repeat where t1 rises
+        ("not b2 > s2[-1]", "not b2 >= s2[-1]"),
+        # a pop decided by t1 alone
+        ("if below != (b2[:len(s2[-1])] == s2[-1]):", "if False:"),
+        # s2 not popped in step with s1
+        ("s2.pop()", "pass"),
+    ]
+    for old, new in breaks:
+        with monkeypatch.context() as patch:
+            patch.setattr(qftypes, "_same_order_type",
+                          mutant(qftypes, "_same_order_type", old, new))
+            assert sim0_walk_failures(), new
 
 
 # --- the first-order oracle's cached universe masks against fresh evaluation ---

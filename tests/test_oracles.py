@@ -46,6 +46,18 @@ def test_witness_validation():
         TupleWitness(w, ("x",), {"x": ("a",), "y": ("a",)}, 1)
 
 
+def test_witness_refuses_params_that_are_not_plain_ints():
+    # a bool is an int to isinstance, and a skolem True would be written as 0x1
+    for backend, width in [(SKOLEM, None), (BOOLEAN, 3)]:
+        for bad in [1.5, "1", None, True, False, (1,)]:
+            with pytest.raises(WitnessError,
+                               match=rf"^{backend} parameters must be ints: \['b'\]$"):
+                Witness(backend, ("a", "b"), {"a": 1, "b": bad}, width)
+        with pytest.raises(WitnessError, match=r"must be ints: \[0, 1, 2, \.\.\. \(7 more\)\]$"):
+            Witness(backend, tuple(range(10)), dict.fromkeys(range(10), 2.0), width)
+        assert Witness(backend, ("a",), {"a": 1}, width).params == {"a": 1}
+
+
 def test_witness_errors_list_a_few_labels_and_a_count():
     labels = tuple(range(1000))
     with pytest.raises(WitnessError, match=r"missing \[0, 1, 2, \.\.\. \(997 more\)\]$"):

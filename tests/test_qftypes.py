@@ -80,6 +80,33 @@ def test_qftype0_ranks_2k_minus_1_points_and_builds_no_closure(monkeypatch):
     assert not sim0_sets({(0,), (1,)}, [(1,), (1, 0)])
 
 
+def test_sim0_walks_2k_minus_1_points_and_builds_no_form(monkeypatch):
+    def no_form(points):
+        raise AssertionError("form built")
+    monkeypatch.setattr(qftypes, "_order_type", no_form)
+    walked, walk = [], qftypes._same_order_type
+    monkeypatch.setattr(qftypes, "_same_order_type", lambda t1, t2: (
+        walked.append((len(t1), len(t2))), walk(t1, t2))[1])
+    t = ((1, 0), (0,), (1, 0, 1), (1, 0), (0, 1, 1))
+    for k in range(1, len(t) + 1):
+        assert sim0(t[:k], tuple((2,) + x for x in t[:k]))
+        assert walked[-1] == (2 * k - 1, 2 * k - 1)
+    assert not sim0(t, t[::-1]) and not sim0(t, t[:4])
+    assert sim0_atomic(t, tuple((2,) + x for x in t)) and walked[-1] == (5, 5)
+    assert not sim0_atomic(t, t[::-1])
+    assert sim0_sets({(0,), (1,)}, [(1, 1), (1, 0)])
+
+
+def test_sim0_sets_calls_sim0_through_the_module(monkeypatch):
+    # so a wrapper set on qftypes.sim0, as a tracer's call counter is, sees
+    # every sim0_sets call
+    calls, real = [], qftypes.sim0
+    monkeypatch.setattr(qftypes, "sim0", lambda t1, t2: (calls.append((t1, t2)), real(t1, t2))[1])
+    sets = [{(0,), (1,)}, [(1, 1), (1, 0)], {(0,), (0, 1)}]
+    assert [sim0_sets(x, sets[0]) for x in sets] == [True, True, False]
+    assert calls == [(sorted(x), sorted(sets[0])) for x in sets]
+
+
 def test_empty_tuples_rejected(monkeypatch):
     # refused by qftype0 itself, not by a closure of no nodes
     monkeypatch.setattr(qftypes, "closure", lambda t: ())
