@@ -13,10 +13,13 @@ a process, a CLI command above all, runs only the modules it uses:
 `import treeprop.cli` takes about 9 ms where it took 61 ms with every module
 run and compiled from source, and 5 ms where it took 43 ms with the bytecode
 cached (README, "Import cost"). No module imports `dataclasses`, whose import
-takes about 10 ms: records are `errors.record` named tuples. The exported
-names are served by the module `__getattr__` (PEP 562), which reads each one
-from its defining module on every access and keeps none here: a name patched
-there is patched here too, and no longer than there.
+takes about 10 ms: records are `errors.record` named tuples. The package's
+class is a `types.ModuleType` subclass with one read-only property per
+exported name, which reads the name from the submodule bound here on every
+access and keeps none in the package: a name patched there is patched here
+too, and no longer than there. A property is found on the class in one
+lookup, where a PEP 562 `__getattr__` ran only after the module's own lookup
+had failed and raised.
 A module imports names from another only if all of its callers need them;
 otherwise it binds the lazy module (`from . import qftypes`), which runs
 when a caller first reads a name through it. No module imports inside a
@@ -28,6 +31,8 @@ package starts no threads.
 
 import importlib.util
 import sys
+import types
+from operator import attrgetter
 
 __version__ = "0.1.0"
 
@@ -70,11 +75,11 @@ for _module in _EXPORTS:
     globals()[_module] = _register(_module)
 del _module
 
-
-def __getattr__(name: str):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(globals()[_HOME[name]], name)
+# The package's class: each exported name is a read-only property that reads
+# it from the submodule bound here, on every access.
+sys.modules[__name__].__class__ = type(
+    "_Package", (types.ModuleType,),
+    {name: property(attrgetter(f"{module}.{name}")) for name, module in _HOME.items()})
 
 
 def __dir__():

@@ -39,6 +39,7 @@ the entries, which are the closure's diagonal.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Tuple
 
 from .errors import ResourceCapError, record
@@ -189,8 +190,8 @@ class SsLlReport(record("passed tuple_count pair_count counterexample")):
     or (tuple1, tuple2, sim_delta, sim0_of_closures)."""
 
 
-# ordered pairs of leaf tuples that one ss-ll check may stand for
-SS_LL_PAIR_CAP = 2 ** 32
+# closure entries, C(leaves, k) increasing tuples x k^2, that one ss-ll check forms
+SS_LL_CELL_CAP = 2 ** 23
 
 
 def verify_ss_ll(branching: int, leaf_depth: int, tuple_len: int) -> SsLlReport:
@@ -201,9 +202,9 @@ def verify_ss_ll(branching: int, leaf_depth: int, tuple_len: int) -> SsLlReport:
     order type is its sim0 type, which is the tuple's. Tuples are grouped by
     form: the lemma holds when delta forms map to closure forms and back as
     functions. pair_count is the T^2 ordered comparisons this covers; the
-    tree above the leaves is sized first, and SS_LL_PAIR_CAP applies to the
-    pairs before any tuple is built. Past the leaf count there are no tuples,
-    and the check passes with none.
+    tree above the leaves is sized first, and SS_LL_CELL_CAP applies to the
+    closure entries of the tuples formed before any tuple is built. Past the
+    leaf count there are no tuples, and the check passes with none.
 
     Only the C(leaves, k) lex-increasing tuples are formed, which stand for
     all T = leaves! / (leaves - k)! of them by symmetry. Write t.p for t with
@@ -221,13 +222,19 @@ def verify_ss_ll(branching: int, leaf_depth: int, tuple_len: int) -> SsLlReport:
     leaves = branching ** leaf_depth
     if tuple_len > leaves:
         return SsLlReport(True, 0, 0, None)
-    tuple_count = 1
-    for free in range(leaves, leaves - tuple_len, -1):
-        tuple_count *= free
-        if tuple_count ** 2 > SS_LL_PAIR_CAP:  # reported as a power of two, which always prints
-            bits = 2 * tuple_count.bit_length() - 2
-            raise ResourceCapError(f"ss-ll check needs at least 2^{bits} pair comparisons",
-                                   SS_LL_PAIR_CAP)
+    # C(leaves, k) = C(leaves, m), m = min(k, leaves - k), is built one step
+    # at a time, and C(leaves, i) >= 2^i for i <= m: whatever the leaf count,
+    # a product past the cap is stopped within 24 steps, at a lower bound
+    increasing, per_tuple = 1, tuple_len * tuple_len
+    for step in range(min(tuple_len, leaves - tuple_len)):
+        if increasing * per_tuple > SS_LL_CELL_CAP:
+            break
+        increasing = increasing * (leaves - step) // (step + 1)
+    if increasing * per_tuple > SS_LL_CELL_CAP:  # reported as a power of two, which always prints
+        bits = (increasing * per_tuple).bit_length() - 1
+        raise ResourceCapError(f"ss-ll check needs at least 2^{bits} closure entries",
+                               SS_LL_CELL_CAP)
+    tuple_count = increasing * math.factorial(tuple_len)
     closure_of, delta_of = {}, {}
     for t in itertools.combinations(domain.level(leaf_depth), tuple_len):
         d, c = _forms(t)

@@ -95,9 +95,12 @@ def param_str(value: int, width=None) -> str:
     """A param's text: `0x` and lowercase hex digits, as many as `width` bits
     take for a boolean param, the fewest for a skolem one (no width). The
     digits are the value's big-endian bytes in hex, less a leading 0 when
-    their count is odd."""
+    their count is odd. A negative value has no such text."""
     digits = max(1, ((width or 0) + 3) // 4, (value.bit_length() + 3) // 4)
-    return "0x" + value.to_bytes((digits + 1) // 2, "big").hex()[digits & 1:]
+    try:
+        return "0x" + value.to_bytes((digits + 1) // 2, "big").hex()[digits & 1:]
+    except OverflowError:  # only a negative value overflows the bytes it is sized by
+        raise WitnessError(f"param {hex(value):.40} is negative") from None
 
 
 def _params(backend: str, texts) -> list:

@@ -1313,6 +1313,24 @@ def test_grouped_ss_ll_matches_pairwise():
         assert report.pair_count == tuple_count ** 2
 
 
+def test_ss_ll_at_length_five_matches_grouped_reference():
+    # all 6,720 tuples of 5 of the 8 leaves, grouped by reference forms: the
+    # lemma holds when delta forms and closure types make the same partition.
+    # The closure type is the closure tuple's atomic table, since sim0 of a
+    # closure tuple (its own closure's 625 points per tuple, about 0.1 s
+    # each) partitions as that table does, checked on SS_LL_CASES
+    for case in SS_LL_CASES:
+        tuples = _leaf_tuples(*case)
+        assert same_partition([reference_atomic(closure(t)) for t in tuples],
+                              [reference_qftype0(closure(t)) for t in tuples]), case
+    tuples = _leaf_tuples(2, 3, 5)
+    assert len(tuples) == 6720
+    passed = same_partition([reference_delta(t) for t in tuples],
+                            [reference_atomic(closure(t)) for t in tuples])
+    assert qftypes.verify_ss_ll(2, 3, 5) == qftypes.SsLlReport(passed, 6720, 6720 ** 2, None)
+    assert passed
+
+
 def _permuted_forms(forms, p):
     """The forms of t.p, where (t.p)[i] = t[p[i]], rebuilt from t's forms
     alone: closure entry (i, j) of t.p is t's entry (p[i], p[j]), over the

@@ -36,11 +36,14 @@ EXPORTS = {
                    "collapse_product", "elongate", "fatten", "reduce_katp"],
 }
 
-# the last line of stdout, after what the code prints
+# the last line of stdout, after what the code prints; a module has run unless
+# it is still a LazyLoader placeholder (the package's own class is a subclass
+# of ModuleType)
 REPORT = """
-import json, sys, types
+import importlib.util, json, sys
 print()
-json.dump({name: type(module) is types.ModuleType for name, module in sys.modules.items()
+json.dump({name: type(module) is not importlib.util._LazyModule
+           for name, module in sys.modules.items()
            if name == "treeprop" or name.startswith("treeprop.")}, sys.stdout)
 """
 
@@ -108,6 +111,16 @@ def test_a_name_is_read_from_its_module_on_every_access():
             "patterns.verify = real\n"
             "assert treeprop.verify is real and 'verify' not in vars(treeprop)\n")
     subprocess.run([sys.executable, "-c", code], env=ENV, timeout=60, check=True)
+
+
+def test_exports_are_properties_of_the_package_class():
+    # read every name first: none is kept in the package
+    names = [name for module_names in EXPORTS.values() for name in module_names]
+    for name in names:
+        getattr(treeprop, name)
+        assert isinstance(vars(type(treeprop))[name], property)
+    assert set(names).isdisjoint(vars(treeprop))
+    assert "__getattr__" not in vars(treeprop)
 
 
 def test_an_unknown_name_raises_attribute_error():

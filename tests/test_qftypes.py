@@ -138,24 +138,43 @@ def test_ss_ll_triples_depth_two():
 
 
 def test_ss_ll_cap(monkeypatch):
-    monkeypatch.setattr(qftypes, "SS_LL_PAIR_CAP", 1000)
-    with pytest.raises(ResourceCapError, match=r"2\^10 pair comparisons \(cap 1000\)"):
+    # 56 increasing triples of 8 leaves, 9 closure entries each: 504 entries
+    monkeypatch.setattr(qftypes, "SS_LL_CELL_CAP", 500)
+    with pytest.raises(ResourceCapError, match=r"2\^8 closure entries \(cap 500\)"):
         verify_ss_ll(2, 3, 3)
-    # 56 pairs of distinct leaves of 8: 3136 comparisons pass a cap of 3136 only
-    monkeypatch.setattr(qftypes, "SS_LL_PAIR_CAP", 3136)
+    # 28 increasing pairs of 8 leaves, 4 entries each: 112 entries pass a cap
+    # of 112 only, and the report still counts all 3136 ordered pairs of tuples
+    monkeypatch.setattr(qftypes, "SS_LL_CELL_CAP", 112)
     assert verify_ss_ll(2, 3, 2).pair_count == 3136
-    monkeypatch.setattr(qftypes, "SS_LL_PAIR_CAP", 3135)
-    with pytest.raises(ResourceCapError, match=r"2\^10 pair comparisons \(cap 3135\)"):
+    monkeypatch.setattr(qftypes, "SS_LL_CELL_CAP", 111)
+    with pytest.raises(ResourceCapError, match=r"2\^6 closure entries \(cap 111\)"):
         verify_ss_ll(2, 3, 2)
+
+
+def test_ss_ll_cap_admits_length_five_and_refuses_past_it(monkeypatch):
+    # C(32, 5) x 25 = 5,034,400 entries pass; C(32, 6) x 36 and C(64, 4) x 16 do not
+    def sized(self, n):
+        raise AssertionError("admitted")
+    monkeypatch.setattr(TreeDomain, "level", sized)
+    with pytest.raises(AssertionError, match="admitted"):
+        verify_ss_ll(2, 5, 5)
+    with pytest.raises(AssertionError, match="admitted"):
+        verify_ss_ll(2, 6, 62)
+    for args, bits in [((2, 5, 6), 24), ((2, 6, 4), 23), ((2, 6, 60), 27)]:
+        with pytest.raises(ResourceCapError, match=rf"at least 2\^{bits} closure entries"):
+            verify_ss_ll(*args)
 
 
 def test_ss_ll_cap_before_any_tuple(monkeypatch):
     def no_leaves(self, n):
         raise AssertionError("leaves listed before the cap check")
     monkeypatch.setattr(TreeDomain, "level", no_leaves)
-    # the message stays printable when the count passes the int-to-str digit limit
-    for args in [(2, 7, 4), (2, 30, 10 ** 6), (3, 20, 2), (2, 20000, 2)]:
-        with pytest.raises(ResourceCapError, match=r"at least 2\^\d+ pair comparisons"):
+    # the message stays printable when the count passes the int-to-str digit
+    # limit, and the binomial is not taken in full for a 65,537-bit leaf count
+    for args in [(2, 7, 4), (2, 30, 10 ** 6), (3, 20, 2), (2, 20000, 2), (2, 65536, 2),
+                 (2, 65536, 2 ** 65535), (2, 65536, 2 ** 65536 - 1), (2, 65536, 2 ** 65536),
+                 (2, 12, 4096)]:
+        with pytest.raises(ResourceCapError, match=r"at least 2\^\d+ closure entries"):
             verify_ss_ll(*args)
 
 

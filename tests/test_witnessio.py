@@ -50,6 +50,12 @@ def test_params_are_written_in_hex():
         ["0x9", "0x9", "0x9", "0x09", "0x09", "0x009", "0x0009"]
 
 
+def test_a_negative_param_has_no_text():
+    for value, width in [(-5, None), (-1, 8), (-(1 << 20000), None)]:
+        with pytest.raises(WitnessError, match=r"^param -0x[0-9a-f]{1,37} is negative$"):
+            param_str(value, width)
+
+
 def test_boolean_round_trip_uses_hex():
     wf = atp_file(3, backend="boolean")
     doc = json.loads(dumps(wf))
