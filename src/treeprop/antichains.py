@@ -45,7 +45,7 @@ import operator
 import sys
 from typing import FrozenSet, Iterator, List, Optional, Tuple
 
-from .errors import ResourceCapError, record, repeated_items, shown_items
+from .errors import ResourceCapError, record, repeated_items, shown_items, shown_size
 from .nodes import Node, TreeDomain, concat_set, meet, sorted_nodes
 
 NodeSet = FrozenSet[Node]
@@ -91,8 +91,8 @@ def count_antichains(branching: int, depth: int) -> int:
     for _ in range(depth):
         # c**b has at least b * (bit_length(c) - 1) bits, and 2**(4 * digits) > 10**digits
         if branching * (c.bit_length() - 1) >= 4 * digits or c ** branching + 1 >= 10 ** digits:
-            raise ResourceCapError(f"antichain count c({depth}) over {digits} decimal digits",
-                                   COUNT_DIGITS_CAP)
+            raise ResourceCapError(f"antichain count c({shown_size(depth)}) over {digits} "
+                                   "decimal digits", COUNT_DIGITS_CAP)
         c = c ** branching + 1
     return c - 1
 
@@ -112,16 +112,10 @@ def mask_set(labels, mask: int) -> frozenset:
     return frozenset(mask_labels(labels, mask))
 
 
-def _shown(n: int):
-    """A count for an error message: n itself, or, when it may be too long to
-    print in decimal (a deep domain's node count), a power of two below it."""
-    return n if n.bit_length() < 64 else f"(at least 2^{n.bit_length() - 1})"
-
-
 def _check_subset_cap(n: int) -> None:
     """Refuse a scan of 2^n subsets past DEFAULT_SUBSET_CAP, without building 1 << n."""
     if n >= DEFAULT_SUBSET_CAP.bit_length():
-        raise ResourceCapError(f"subset scan over 2^{_shown(n)} subsets", DEFAULT_SUBSET_CAP)
+        raise ResourceCapError(f"subset scan over 2^{shown_size(n)} subsets", DEFAULT_SUBSET_CAP)
 
 
 def _check_row_choices(rows: int, cols: int) -> None:
@@ -129,8 +123,8 @@ def _check_row_choices(rows: int, cols: int) -> None:
     past DEFAULT_SUBSET_CAP, bounding the power by 2^bits <= it before it is taken."""
     bits = rows * ((cols + 1).bit_length() - 1)
     if bits > DEFAULT_SUBSET_CAP.bit_length() or (cols + 1) ** rows - 1 > DEFAULT_SUBSET_CAP:
-        raise ResourceCapError(f"{_shown(cols + 1)}^{_shown(rows)} - 1 sets of at most one "
-                               f"cell per row", DEFAULT_SUBSET_CAP)
+        raise ResourceCapError(f"{shown_size(cols + 1)}^{shown_size(rows)} - 1 sets of at most "
+                               "one cell per row", DEFAULT_SUBSET_CAP)
 
 
 def _check_sibling_sets(b: int, k: int, internal: int) -> None:
@@ -138,8 +132,8 @@ def _check_sibling_sets(b: int, k: int, internal: int) -> None:
     FAMILY_CELL_CAP cells, bounding C(b, k) >= 2^min(k, b - k) before it is taken."""
     if internal and (min(k, b - k) >= FAMILY_CELL_CAP.bit_length()
                      or internal * math.comb(b, k) * k > FAMILY_CELL_CAP):
-        raise ResourceCapError(f"{_shown(internal)} x C({b}, {k}) sets of {k} siblings",
-                               FAMILY_CELL_CAP)
+        raise ResourceCapError(f"{shown_size(internal)} x C({shown_size(b)}, {shown_size(k)}) "
+                               f"sets of {shown_size(k)} siblings", FAMILY_CELL_CAP)
 
 
 def subtree_walk(runs, chains: bool = False, most: Optional[int] = None) -> Iterator[int]:
@@ -181,9 +175,10 @@ def _check_cells(members: int, labels: int, exact: bool = True) -> None:
     cells past it; members is the family's count when exact, else a count it
     has at least."""
     if labels > FAMILY_CELL_CAP:
-        raise ResourceCapError(f"index set of {_shown(labels)} labels", FAMILY_CELL_CAP)
+        raise ResourceCapError(f"index set of {shown_size(labels)} labels", FAMILY_CELL_CAP)
     if members * labels > FAMILY_CELL_CAP:
-        size = _shown(members) if exact or members.bit_length() >= 64 else f"at least {members}"
+        size = (shown_size(members) if exact else f"at least {members}"
+                if members.bit_length() < 64 else f"(at least 2^{members.bit_length() - 1})")
         raise ResourceCapError(f"family of {size} maximal members over {labels} labels",
                                FAMILY_CELL_CAP)
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the helpers that list items
-in their messages, and `record`, the base of its immutable record classes."""
+"""Exception types shared across the package, the helpers that write lists
+and sizes in their messages, and `record`, the base of its immutable record classes."""
 
 import collections
 
@@ -13,6 +13,15 @@ def shown_items(items: list) -> str:
     if len(items) <= MESSAGE_ITEMS:
         return str(items)
     return f"{str(items[:MESSAGE_ITEMS])[:-1]}, ... ({len(items) - MESSAGE_ITEMS} more)]"
+
+
+def shown_size(n: int) -> str:
+    """A size for an error message: n itself, or, past the digits that the
+    interpreter prints (a deep domain's node count), a power of two below it."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"(at least 2^{n.bit_length() - 1})"
 
 
 def repeated_items(items) -> list:

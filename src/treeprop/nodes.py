@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, List, Tuple
 
-from .errors import ResourceCapError, record
+from .errors import ResourceCapError, record, shown_size
 
 Node = Tuple[int, ...]
 
@@ -77,8 +77,8 @@ class TreeDomain(record("branching depth")):
             raise ValueError("depth must be >= 1")
         bits = (depth - 1) * (branching.bit_length() - 1)
         if bits >= DOMAIN_BITS_CAP:
-            raise ResourceCapError(f"tree domain whose node count has over {bits} bits",
-                                   DOMAIN_BITS_CAP)
+            raise ResourceCapError(f"tree domain whose node count has over {shown_size(bits)} "
+                                   "bits", DOMAIN_BITS_CAP)
         return super().__new__(cls, branching, depth)
 
     def node_count(self) -> int:

@@ -48,10 +48,40 @@ TP2 = "tp2"
 TREE_KINDS = (ATP, KATP, SOP1, SOP2, TP)
 
 
-class PatternSpec(record("kind branching depth k rows cols", defaults=(2, 0, None, 0, 0))):
-    """A pattern, unchecked (`make_pattern` is the checked way in): k is the
-    arity of the katp and tp inconsistency condition, rows and cols are
-    tp2's alone."""
+class PatternSpec(record("kind branching depth k rows cols")):
+    """A pattern, checked however it is built (`make_pattern` is this class):
+    k is the arity of the katp and tp inconsistency condition, rows and cols
+    are tp2's alone. The kind is read in any case, and each kind refuses the
+    arguments it does not use: tp2 a k, a depth or a branching other than 2,
+    the tree kinds rows or cols. Every size must be a plain int (a bool or a
+    float is not), and k may be None."""
+
+    def __new__(cls, kind: str, branching: int = 2, depth: int = 0, k: int = None,
+                rows: int = 0, cols: int = 0):
+        for name, value in zip(cls._fields[1:], (branching, depth, k, rows, cols)):
+            if type(value) is not int and not (name == "k" and value is None):
+                raise ValueError(f"{name} must be an integer, not {value!r:.40}")
+        kind = kind.lower() if isinstance(kind, str) else kind
+        if kind == TP2:
+            if rows < 1 or cols < 1:
+                raise ValueError("tp2 needs rows >= 1 and cols >= 1")
+            if k is not None:
+                raise ValueError("tp2 takes no k parameter")
+            if depth or branching != 2:
+                raise ValueError("tp2 takes no depth or branching")
+        elif kind not in TREE_KINDS:
+            raise ValueError(f"unknown pattern kind {kind!r}")
+        elif rows or cols:
+            raise ValueError(f"{kind} takes no rows or cols")
+        elif depth < 1:
+            raise ValueError(f"{kind} needs depth >= 1")
+        elif kind in (KATP, TP) and (k is None or k < 2):
+            raise ValueError(f"{kind} needs k >= 2")
+        elif kind not in (KATP, TP) and k is not None:
+            raise ValueError(f"{kind} takes no k parameter")
+        elif kind != TP and branching != 2:
+            raise ValueError(f"{kind} is a binary-tree pattern")
+        return super().__new__(cls, kind, branching, depth, k, rows, cols)
 
     def index_labels(self) -> Tuple:
         """Index set in canonical order: tree nodes lexicographically, or
@@ -89,47 +119,11 @@ class PatternSpec(record("kind branching depth k rows cols", defaults=(2, 0, Non
 
     @classmethod
     def from_json(cls, data: dict) -> "PatternSpec":
-        return make_pattern(
-            data["kind"],
-            branching=data.get("branching", 2),
-            depth=data.get("depth", 0),
-            k=data.get("k"),
-            rows=data.get("rows", 0),
-            cols=data.get("cols", 0),
-        )
+        return cls(data["kind"], branching=data.get("branching", 2), depth=data.get("depth", 0),
+                   k=data.get("k"), rows=data.get("rows", 0), cols=data.get("cols", 0))
 
 
-def make_pattern(kind: str, branching: int = 2, depth: int = 0, k: int = None,
-                 rows: int = 0, cols: int = 0) -> PatternSpec:
-    """A validated pattern. Each kind refuses the arguments it does not use:
-    tp2 a k, a depth or a branching other than 2, the tree kinds rows or cols.
-    Every size must be a plain int (a bool or a float is not), and k may be None."""
-    for name, value in dict(branching=branching, depth=depth, k=k, rows=rows, cols=cols).items():
-        if type(value) is not int and not (name == "k" and value is None):
-            raise ValueError(f"{name} must be an integer, not {value!r:.40}")
-    kind = kind.lower()
-    if kind == TP2:
-        if rows < 1 or cols < 1:
-            raise ValueError("tp2 needs rows >= 1 and cols >= 1")
-        if k is not None:
-            raise ValueError("tp2 takes no k parameter")
-        if depth or branching != 2:
-            raise ValueError("tp2 takes no depth or branching")
-        return PatternSpec(TP2, rows=rows, cols=cols)
-    if kind not in TREE_KINDS:
-        raise ValueError(f"unknown pattern kind {kind!r}")
-    if rows or cols:
-        raise ValueError(f"{kind} takes no rows or cols")
-    if depth < 1:
-        raise ValueError(f"{kind} needs depth >= 1")
-    if kind in (KATP, TP):
-        if k is None or k < 2:
-            raise ValueError(f"{kind} needs k >= 2")
-    elif k is not None:
-        raise ValueError(f"{kind} takes no k parameter")
-    if kind in (ATP, KATP, SOP1, SOP2) and branching != 2:
-        raise ValueError(f"{kind} is a binary-tree pattern")
-    return PatternSpec(kind, branching=branching, depth=depth, k=k)
+make_pattern = PatternSpec
 
 
 def required_consistent(p: PatternSpec) -> Iterator[int]:
@@ -171,7 +165,7 @@ def required_inconsistent(p: PatternSpec) -> Iterator[int]:
 
 def exact_family(p: PatternSpec) -> ConsistencyFamily:
     """Maximal members of the family of sets avoiding the pattern's forbidden
-    configuration, in canonical order and unchecked, as the family that the
+    configuration, in canonical order, as the family that the
     `antichains` builder of its kind makes, which refuses it past its cap
     before any column or label is built: one choice per node for every tree
     kind, one cell per row for TP2."""
@@ -215,7 +209,7 @@ def _classes(members, values) -> Dict:
     the classes of indices with equal membership and meet, in order of first
     index."""
     classes = {}
-    for i, pair in enumerate(zip(members, values)):
+    for i, pair in enumerate(zip(members, values, strict=True)):
         classes.setdefault(pair, [i, 0])[1] += 1
     return classes
 

@@ -19,7 +19,7 @@ import itertools
 from typing import Dict, FrozenSet, List, Tuple
 
 from .antichains import _shape
-from .errors import ResourceCapError, WitnessError, record
+from .errors import ResourceCapError, WitnessError, record, shown_size
 from .nodes import Node, TreeDomain, concat_set, is_prefix, sorted_nodes
 from .oracles import TupleWitness, Witness
 
@@ -172,8 +172,8 @@ def build_onevar_scaffold(m: int, seed: FrozenSet) -> Scaffold:
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > SCAFFOLD_LEVEL_CAP:
-        raise ResourceCapError(f"scaffold level {m} (family count is doubly exponential)",
-                               SCAFFOLD_LEVEL_CAP)
+        raise ResourceCapError(f"scaffold level {shown_size(m)} (family count is doubly "
+                               "exponential)", SCAFFOLD_LEVEL_CAP)
     seed = frozenset(seed)
     _check_family([seed])
     families: List[FrozenSet] = [seed]

@@ -2,12 +2,13 @@ import itertools
 
 import pytest
 
-from treeprop import (ResourceCapError, TreeDomain, alpha, count_antichains,
-                      enumerate_antichains, find_iso_copy,
-                      maximal_antichains, universal_prefix)
+from treeprop import (ResourceCapError, TreeDomain, alpha, build_onevar_scaffold,
+                      count_antichains, enumerate_antichains, find_iso_copy, make_pattern,
+                      maximal_antichains, required_inconsistent, universal_prefix)
 from treeprop import antichains
 from treeprop.antichains import (chain_free_count, finite_antichain_stream,
                                  maximal_chain_free_binary)
+from treeprop.errors import shown_size
 from treeprop.nodes import concat_set, sorted_nodes
 
 from references import canonical_sets, is_antichain, is_chain, max_chain_bounded_sets
@@ -68,6 +69,34 @@ def test_maximal_antichains_cap():
     assert chain_free_count(6, 2) == alpha(6) and alpha(6) * 63 <= antichains.FAMILY_CELL_CAP
     with pytest.raises(ResourceCapError, match="of 210066388901 maximal members over 127"):
         maximal_antichains(7)
+
+
+def test_chain_free_count_refuses_a_negative_depth():
+    with pytest.raises(ValueError, match="need n >= 0 and k >= 1"):
+        chain_free_count(-1, 2)
+
+
+def test_a_size_prints_in_decimal_up_to_the_digit_limit():
+    assert shown_size(0) == "0" and shown_size(10 ** 20 - 1) == "9" * 20
+    assert shown_size(10 ** 4299) == "1" + "0" * 4299
+    # 10^5000 has 16,610 bits, past the 4,300 digits that str() writes
+    assert shown_size(10 ** 5000) == "(at least 2^16609)"
+
+
+HUGE = 10 ** 5000  # an int of more digits than str() writes
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: count_antichains(2, HUGE), r"antichain count c\(\(at least 2\^16609\)\)"),
+    (lambda: alpha(HUGE), r"antichain count c\(\(at least 2\^16609\)\)"),
+    (lambda: TreeDomain(HUGE, HUGE), r"node count has over \(at least 2\^\d+\) bits"),
+    (lambda: build_onevar_scaffold(HUGE, {(0,)}), r"scaffold level \(at least 2\^16609\)"),
+    (lambda: required_inconsistent(make_pattern("tp", branching=HUGE, depth=2, k=HUGE // 2)),
+     r"1 x C\(\(at least 2\^16609\), \(at least 2\^16608\)\) sets of \(at least"),
+], ids=["count_antichains", "alpha", "TreeDomain", "build_onevar_scaffold", "tp-siblings"])
+def test_a_cap_message_prints_a_size_past_the_digit_limit(refused, message):
+    with pytest.raises(ResourceCapError, match=message):
+        refused()
 
 
 def test_chain_free_recursion_matches_scan():

@@ -249,6 +249,29 @@ def test_transforms_refuse_witnesses_that_are_not_atp(capsys, tmp_path, kind):
         assert "atp and katp witnesses" in err and not dst.exists()
 
 
+def test_a_transform_of_a_tuple_witness_exits_2(capsys, tmp_path):
+    src = synth(capsys, tmp_path, "katp.json", "--pattern", "katp:3", "--depth", "3",
+                "--backend", "skolem")
+    fattened, dst = tmp_path / "fattened.json", tmp_path / "out.json"
+    assert run(capsys, "transform", "fatten", "--m", "1", "--witness", str(src),
+               "--out", str(fattened))[0] == 0
+    for op in TRANSFORMS:
+        code, out, err = run(capsys, "transform", *op, "--witness", str(fattened),
+                             "--out", str(dst))
+        assert code == 2 and out == "" and not dst.exists(), op
+        assert err == "error: transforms apply to base witnesses, not tuple witnesses\n", op
+
+
+def test_elongate_without_k_exits_2(capsys, tmp_path):
+    src = synth(capsys, tmp_path, "katp.json", "--pattern", "katp:3", "--depth", "3",
+                "--backend", "skolem")
+    dst = tmp_path / "out.json"
+    code, out, err = run(capsys, "transform", "elongate", "--witness", str(src),
+                         "--out", str(dst))
+    assert code == 2 and out == "" and err == "error: elongate needs --k\n"
+    assert not dst.exists()
+
+
 def test_transform_missing_argument(capsys, tmp_path):
     src = synth(capsys, tmp_path, "atp.json",
                 "--pattern", "atp", "--depth", "2", "--backend", "skolem")
@@ -586,6 +609,25 @@ def test_alpha_prints_up_to_the_digit_cap(capsys):
 def test_huge_counts_hit_the_cap(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == "" and "decimal digits" in err
+
+
+# an integer argument one digit under the interpreter's 4,300-digit limit
+NINES = "9" * 4299
+
+
+@pytest.mark.parametrize("argv", [
+    ("enum-antichains", "--b", NINES, "--n", NINES, "--count-only"),
+    ("synth", "--pattern", "tp:2", "--b", NINES, "--depth", NINES, "--backend", "skolem"),
+    ("check-lemma", "ss-ll", "--b", NINES, "--n", NINES, "--len", "2"),
+], ids=["enum-antichains", "synth", "check-lemma"])
+def test_a_size_past_the_digit_limit_hits_the_cap(capsys, tmp_path, argv):
+    # the domain's bit bound has over 4,300 digits: its message once raised
+    # the interpreter's digit-limit ValueError, and the command exited 2
+    out_path = tmp_path / "w.json"
+    argv += ("--out", str(out_path)) if argv[0] == "synth" else ()
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "over (at least 2^" in err and "(cap 65536)" in err and not out_path.exists()
 
 
 def test_synth_atp_past_the_catalog_cap(capsys, tmp_path):

@@ -166,6 +166,27 @@ def test_structure_validation():
         FiniteStructure([1, 2], relations={"r": [[1, 3]]})
     with pytest.raises(ValueError):
         FiniteStructure([1, 2], constants={"c": 9})
+    with pytest.raises(FormulaError, match="universe has duplicate elements"):
+        FiniteStructure([1, 2, 1])
+    with pytest.raises(FormulaError, match=r"function f entry \(3,\) leaves the universe"):
+        FiniteStructure([1, 2], functions={"f": {(1,): 2, (3,): 1}})
+    with pytest.raises(FormulaError, match=r"function f entry \(1,\) leaves the universe"):
+        FiniteStructure([1, 2], functions={"f": {(1,): 7}})
+
+
+def test_a_token_other_than_the_expected_one_is_refused():
+    for text, message, position in [("exists x y = x", "expected '.', found 'y'", 9),
+                                    ("f(x = y", r"expected '\)', found '='", 4)]:
+        with pytest.raises(FormulaError, match=message) as err:
+            parse_formula(text)
+        assert err.value.position == position, text
+
+
+def test_a_literal_outside_the_universe_is_refused():
+    s = divisor_structure(6)
+    assert eval_formula(s, parse_formula("divides(x, 6)"), {"x": 2})
+    with pytest.raises(FormulaError, match="literal 7 not in universe"):
+        eval_formula(s, parse_formula("divides(x, 7)"), {"x": 2})
 
 
 @pytest.mark.parametrize("doc", [{}, [1], {"universe": 5}, {"universe": "ab"},

@@ -132,6 +132,11 @@ def test_fo_oracle_matches_gcd():
         assert fo.consistent(subset) == gcd.consistent(subset)
 
 
+def test_fo_oracle_refuses_a_witness_that_is_not_a_structure_witness():
+    with pytest.raises(WitnessError, match="fo oracle needs a structure witness, got skolem"):
+        FoOracle(divisor_structure(6), parse_formula("divides(x, y)"), skolem({"a": 2}))
+
+
 def test_fo_oracle_arity_check():
     structure = divisor_structure(6)
     formula = parse_formula("divides(x, y)")

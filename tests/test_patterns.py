@@ -53,6 +53,25 @@ def test_make_pattern_validation():
     assert make_pattern("TP2", rows=2, cols=2) == make_pattern(TP2, rows=2, cols=2)
 
 
+def test_a_pattern_built_by_its_class_verifies_as_make_pattern_does():
+    # the class once skipped make_pattern's checks: its "ATP" kind fell
+    # through to TP2's family, and exhaustive verify passed this witness on
+    # 0 consistent and 127 inconsistent subsets
+    witness = synth_skolem(exact_family(make_pattern(ATP, depth=3)))
+    for exhaustive, counts in [(True, (25, 102)), (False, (25, 10))]:
+        made, built = [verify(oracle_for(witness), witness, p, exhaustive=exhaustive)
+                       for p in (make_pattern(ATP, depth=3), PatternSpec("ATP", depth=3))]
+        assert made == built and built.passed
+        assert (built.consistent_checked, built.inconsistent_checked) == counts
+
+
+def test_membership_and_meet_tables_of_unequal_length_raise():
+    # zip would truncate the meets to the one membership entry
+    with pytest.raises(ValueError, match="zip"):
+        patterns._classes([-1], list(range(8)))
+    assert patterns._classes([-1, 1, 1], [0, 2, 2]) == {(-1, 0): [0, 1], (1, 2): [1, 2]}
+
+
 def test_pattern_index_labels():
     p = make_pattern(ATP, depth=3)
     assert len(p.index_labels()) == 7

@@ -155,7 +155,7 @@ def test_copies_are_equal_records(cls):
 
 
 def test_defaults_are_kept():
-    assert PatternSpec("atp") == PatternSpec("atp", 2, 0, None, 0, 0)
+    assert PatternSpec("atp", depth=3) == PatternSpec("atp", 2, 3, None, 0, 0)
     assert Witness("skolem", (), {}).width is None
     assert VerificationReport(True, 1, 2, False).counterexample is None
     assert WitnessFile(ATP3, _witness()).base_pattern is None
@@ -181,6 +181,31 @@ def test_no_way_of_building_skips_the_checks():
         TupleWitness._make((witness, ((5,),), {(5,): ((7,),)}, 1))
     with pytest.raises(TypeError):
         domain._replace(width=3)
+    pattern = make_pattern("katp", depth=3, k=3)
+    for build, message in [(lambda: PatternSpec("sop9", depth=3), "unknown pattern kind 'sop9'"),
+                           (lambda: PatternSpec("atp", depth=0), "atp needs depth >= 1"),
+                           (lambda: PatternSpec("katp", depth=3), "katp needs k >= 2"),
+                           (lambda: PatternSpec("tp", branching=3, depth=2), "tp needs k >= 2"),
+                           (lambda: pattern._replace(kind="sop9"), "unknown pattern kind"),
+                           (lambda: PatternSpec._make(("atp", 2, 0, None, 0, 0)), "needs depth"),
+                           (lambda: pattern._replace(depth=True), "depth must be an integer"),
+                           (lambda: PatternSpec("tp2", rows=2, cols=2, k=3), "tp2 takes no k"),
+                           (lambda: PatternSpec.from_json({"kind": "sop9", "depth": 3}),
+                            "unknown pattern kind"),
+                           (lambda: pickle.loads(pickle.dumps(pattern).replace(b"katp", b"ktap")),
+                            "unknown pattern kind 'ktap'")]:
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+def test_make_pattern_is_the_checked_pattern_class():
+    assert make_pattern is PatternSpec
+    # the kind is read in any case, and the spec equals and hashes as one
+    # made from the lower-case kind
+    upper, lower = PatternSpec("ATP", depth=3), make_pattern("atp", depth=3)
+    assert upper == lower == ATP3 and hash(upper) == hash(lower) and upper.kind == "atp"
+    assert PatternSpec.from_json({"kind": "TP2", "rows": 2, "cols": 3}) == make_pattern(
+        "tp2", rows=2, cols=3)
 
 
 def test_a_family_hashes_without_its_columns_and_reads_its_members_lazily():
