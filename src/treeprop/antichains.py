@@ -45,7 +45,7 @@ import operator
 import sys
 from typing import FrozenSet, Iterator, List, Optional, Tuple
 
-from .errors import ResourceCapError, record, repeated_items, shown_items, shown_size
+from .errors import ResourceCapError, record, repeated_items, shown, shown_size
 from .nodes import Node, TreeDomain, concat_set, meet, sorted_nodes
 
 NodeSet = FrozenSet[Node]
@@ -262,7 +262,7 @@ class ConsistencyFamily(record("labels columns count")):
         labels = tuple(labels)
         index = {x: i for i, x in enumerate(labels)}
         if len(index) != len(labels):
-            raise ValueError(f"repeated labels {shown_items(repeated_items(labels))}")
+            raise ValueError(f"repeated labels {shown(repeated_items(labels))}")
         unique = {frozenset(m) for m in members if m}
         if not all(m.issubset(index) for m in unique):  # before the sort compares labels
             raise ValueError("members must be subsets of the index set")

@@ -5,6 +5,12 @@ input error, 3 resource cap exceeded. Machine-readable output (JSON, DOT)
 goes to stdout; diagnostics go to stderr. The submodules are bound as the
 package's lazy modules, so a command runs only the modules it uses (see the
 package docstring).
+
+Every refusal is one `error:` line. A value read from the command line or a
+file shows in it through `errors.shown`, cut to a short repr, and a size
+through `errors.shown_size`, whole; argparse's own refusals, which show the
+argument themselves, keep their head and tail past `PARSER_MESSAGE_CHARS`
+characters, in `_Parser.error`.
 """
 
 from __future__ import annotations
@@ -15,7 +21,11 @@ import sys
 
 from . import (antichains, dot, formulas, nodes, oracles, patterns, qftypes, synth,
                transforms, witnessio)
-from .errors import ResourceCapError, TreepropError
+from .errors import ResourceCapError, TreepropError, shown, shown_size
+
+# characters of an argparse refusal that `_Parser.error` passes on whole:
+# its invalid-choice message for a command of five letters is 151
+PARSER_MESSAGE_CHARS = 200
 
 
 def _integer(text: str) -> int:
@@ -25,7 +35,7 @@ def _integer(text: str) -> int:
     catch, so it exits 2 with one line."""
     digits = text[1:] if text.startswith("-") else text
     if not digits or digits.strip("0123456789"):
-        raise TreepropError(f"integer argument {text!r:.40} is not ASCII digits")
+        raise TreepropError(f"integer argument {shown(text)} is not ASCII digits")
     try:
         return int(text)
     except ValueError:  # more digits than the interpreter converts
@@ -140,7 +150,8 @@ def _cmd_transform(args) -> int:
         if args.k is None:
             raise TreepropError(f"{args.op} needs --k")
         if wf.pattern.kind != patterns.KATP or wf.pattern.k != args.k + 1:
-            raise TreepropError(f"{args.op} --k {args.k} needs a katp:{args.k + 1} witness")
+            raise TreepropError(f"{args.op} --k {shown_size(args.k)} needs a "
+                                f"katp:{shown_size(args.k + 1)} witness")
     if args.op == "fatten":
         if args.m is None:
             raise TreepropError("fatten needs --m")
@@ -193,10 +204,13 @@ def _cmd_eval(args) -> int:
     if args.assign:
         elems = {str(e): e for e in structure.universe}
         for item in args.assign.split(","):
-            name, _, value = item.partition("=")
-            if not _ or value not in elems:
-                raise TreepropError(f"bad assignment {item!r}")
-            assignment[name.strip()] = elems[value]
+            name, eq, value = item.partition("=")
+            name = name.strip()
+            if not eq or not formulas.NAME.fullmatch(name) or value not in elems:
+                raise TreepropError(f"bad assignment {shown(item)}")
+            if name in assignment:
+                raise TreepropError(f"name {shown(name)} is assigned twice")
+            assignment[name] = elems[value]
     result = formulas.eval_formula(structure, formula, assignment)
     _print("true\n" if result else "false\n")
     return 0
@@ -205,9 +219,14 @@ def _cmd_eval(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and the class of its subcommand parsers, whose
     refusals raise TreepropError: `main` writes them as one `error:` line and
-    exits 2, with no usage text."""
+    exits 2, with no usage text. argparse puts the refused word in the
+    message whole, so a message past `PARSER_MESSAGE_CHARS` keeps only its
+    head and its tail, which lists the choices of an invalid choice."""
 
     def error(self, message):
+        if len(message) > PARSER_MESSAGE_CHARS:
+            half = PARSER_MESSAGE_CHARS // 2
+            message = f"{message[:half]} ... {message[-half:]}"
         raise TreepropError(message)
 
 

@@ -1,18 +1,30 @@
-"""Exception types shared across the package, the helpers that write lists
-and sizes in their messages, and `record`, the base of its immutable record classes."""
+"""Exception types shared across the package, the two printers of the values
+in their messages, and `record`, the base of its immutable record classes.
+
+Who prints what: a message shows a value that came from outside the program
+(a command-line word, a file's text or JSON value, a library caller's
+argument) through `shown`, which bounds it, and a size through `shown_size`,
+which prints it whole. The command line's own refusals (argparse's) are
+bounded where they pass, in `cli`."""
 
 import collections
 
 # items of a list that an error message shows before it gives only the count
 MESSAGE_ITEMS = 3
+# characters of any other value's repr that an error message shows
+MESSAGE_CHARS = 40
 
 
-def shown_items(items: list) -> str:
-    """A list for an error message: the whole list, or its first few items
-    and the count of the rest, so a message stays one short line."""
-    if len(items) <= MESSAGE_ITEMS:
-        return str(items)
-    return f"{str(items[:MESSAGE_ITEMS])[:-1]}, ... ({len(items) - MESSAGE_ITEMS} more)]"
+def shown(value) -> str:
+    """An outside value for an error message, one short line however large
+    it is: a list as the repr of each of its first few items, cut, and the
+    count of the rest; any other value as its repr, cut. A list inside a
+    list is cut as one item, so no nesting is walked here."""
+    if not isinstance(value, list):
+        return repr(value)[:MESSAGE_CHARS]
+    items = ", ".join(repr(x)[:MESSAGE_CHARS] for x in value[:MESSAGE_ITEMS])
+    more = len(value) - MESSAGE_ITEMS
+    return f"[{items}, ... ({more} more)]" if more > 0 else f"[{items}]"
 
 
 def shown_size(n: int) -> str:

@@ -22,7 +22,7 @@ import json
 import re
 from typing import Dict, List, Tuple
 
-from .errors import FormulaError, record
+from .errors import FormulaError, record, shown
 
 
 # --- AST ---
@@ -77,7 +77,9 @@ class Quantifier(record("kind var body"), Formula):
 
 # --- Parser ---
 
-_TOKEN = re.compile(r"->|!=|[()=.,&|!]|[A-Za-z_][A-Za-z_0-9]*|[0-9]+")
+# a name that a formula can write: a variable, constant, function or relation
+NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(rf"->|!=|[()=.,&|!]|{NAME.pattern}|[0-9]+")
 _SPACE = re.compile(r"\s*")
 
 
@@ -90,7 +92,7 @@ class _Parser:
         while pos < len(text):
             m = _TOKEN.match(text, pos)
             if not m:
-                raise FormulaError(f"unexpected character {text[pos]!r}", pos)
+                raise FormulaError(f"unexpected character {shown(text[pos])}", pos)
             self.tokens.append((m.group(), pos))
             pos = _SPACE.match(text, m.end()).end()
         self.i = 0
@@ -108,14 +110,14 @@ class _Parser:
     def expect(self, want: str):
         tok, pos = self.next()
         if tok != want:
-            raise FormulaError(f"expected {want!r}, found {tok!r}", pos)
+            raise FormulaError(f"expected {shown(want)}, found {shown(tok)}", pos)
 
     def formula(self) -> Formula:
         if self.peek() in ("exists", "forall"):
             kind, _ = self.next()
             var, pos = self.next()
             if not var.isidentifier():
-                raise FormulaError(f"expected variable name, found {var!r}", pos)
+                raise FormulaError(f"expected variable name, found {shown(var)}", pos)
             self.expect(".")
             return Quantifier(kind, var, self.formula())
         return self.impl()
@@ -173,7 +175,7 @@ class _Parser:
             except ValueError:  # past the int-to-str digit limit
                 raise FormulaError(f"integer literal of {len(tok)} digits", pos) from None
         if not tok.isidentifier():
-            raise FormulaError(f"expected term, found {tok!r}", pos)
+            raise FormulaError(f"expected term, found {shown(tok)}", pos)
         if self.peek() == "(":
             self.next()
             args = [self.term()]
@@ -193,7 +195,7 @@ def parse_formula(text: str) -> Formula:
         raise FormulaError("formula nested too deeply") from None
     if parser.peek() is not None:
         tok, pos = parser.tokens[parser.i]
-        raise FormulaError(f"trailing input {tok!r}", pos)
+        raise FormulaError(f"trailing input {shown(tok)}", pos)
     return f
 
 
@@ -219,14 +221,15 @@ class FiniteStructure:
         for name, rows in self.relations.items():
             for row in rows:
                 if any(e not in elems for e in row):
-                    raise FormulaError(f"relation {name} row {row} leaves the universe")
+                    raise FormulaError(f"relation {shown(name)} row {shown(row)} "
+                                       "leaves the universe")
         for name, table in self.functions.items():
             for args, val in table.items():
                 if any(e not in elems for e in args) or val not in elems:
-                    raise FormulaError(f"function {name} entry {args} leaves the universe")
+                    raise FormulaError(f"function {name} entry {shown(args)} leaves the universe")
         for name, val in self.constants.items():
             if val not in elems:
-                raise FormulaError(f"constant {name} = {val!r} not in universe")
+                raise FormulaError(f"constant {shown(name)} = {shown(val)} not in universe")
 
     # JSON layout: {"universe": [...], "relations": {name: [[...], ...]},
     # "functions": {name: {"a,b": value, ...}}, "constants": {name: value}}
@@ -242,7 +245,7 @@ class FiniteStructure:
         except FormulaError:
             raise
         except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise FormulaError(f"malformed structure: {exc!r}") from None
+            raise FormulaError(f"malformed structure: {shown(exc)}") from None
 
     @classmethod
     def _from_dict(cls, data: dict) -> "FiniteStructure":
@@ -287,23 +290,23 @@ class FiniteStructure:
 def eval_term(structure: FiniteStructure, term: Term, assignment: dict):
     if isinstance(term, Literal):
         if term.value not in structure.elements:
-            raise FormulaError(f"literal {term.value} not in universe")
+            raise FormulaError(f"literal {shown(term.value)} not in universe")
         return term.value
     if isinstance(term, Name):
         if term.ident in assignment:
             return assignment[term.ident]
         if term.ident in structure.constants:
             return structure.constants[term.ident]
-        raise FormulaError(f"unbound name {term.ident!r}")
+        raise FormulaError(f"unbound name {shown(term.ident)}")
     if isinstance(term, Apply):
         table = structure.functions.get(term.func)
         if table is None:
-            raise FormulaError(f"unknown function {term.func!r}")
+            raise FormulaError(f"unknown function {shown(term.func)}")
         args = tuple(eval_term(structure, a, assignment) for a in term.args)
         if args not in table:
-            raise FormulaError(f"function {term.func!r} undefined on {args}")
+            raise FormulaError(f"function {shown(term.func)} undefined on {shown(args)}")
         return table[args]
-    raise TypeError(f"not a term: {term!r}")
+    raise TypeError(f"not a term: {shown(term)}")
 
 
 def eval_formula(structure: FiniteStructure, f: Formula, assignment: dict) -> bool:
@@ -317,7 +320,7 @@ def _eval(structure: FiniteStructure, f: Formula, assignment: dict) -> bool:
     if isinstance(f, Atom):
         rows = structure.relations.get(f.rel)
         if rows is None:
-            raise FormulaError(f"unknown relation {f.rel!r}")
+            raise FormulaError(f"unknown relation {shown(f.rel)}")
         args = tuple(eval_term(structure, a, assignment) for a in f.args)
         return args in rows
     if isinstance(f, Equals):
@@ -340,7 +343,7 @@ def _eval(structure: FiniteStructure, f: Formula, assignment: dict) -> bool:
             for e in structure.universe
         )
         return any(hits) if f.kind == "exists" else all(hits)
-    raise TypeError(f"not a formula: {f!r}")
+    raise TypeError(f"not a formula: {shown(f)}")
 
 
 def divisor_structure(n: int) -> FiniteStructure:

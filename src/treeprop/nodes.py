@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, List, Tuple
 
-from .errors import ResourceCapError, record, shown_size
+from .errors import ResourceCapError, record, shown, shown_size
 
 Node = Tuple[int, ...]
 
@@ -68,9 +68,13 @@ DOMAIN_BITS_CAP = 2 ** 16
 
 
 class TreeDomain(record("branching depth")):
-    """All nodes of length < depth over digits < branching."""
+    """All nodes of length < depth over digits < branching. Both sizes must
+    be plain ints (a bool or a float is not)."""
 
     def __new__(cls, branching: int, depth: int):
+        for name, value in zip(cls._fields, (branching, depth)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, not {shown(value)}")
         if branching < 2:
             raise ValueError("branching must be >= 2")
         if depth < 1:

@@ -37,7 +37,7 @@ import operator
 from typing import Dict, Optional, Tuple
 
 from . import formulas
-from .errors import TreepropError, WitnessError, record, repeated_items, shown_items
+from .errors import TreepropError, WitnessError, record, repeated_items, shown
 from .nodes import Node
 
 SKOLEM = "skolem"
@@ -60,27 +60,27 @@ class Witness(record("backend labels params width")):
         if len(params) != len(labels) or params.keys() != known:  # both hold: labels distinct
             repeated = repeated_items(labels)
             missing = [i for i in labels if i not in params]
-            unmatched = (f"missing {shown_items(missing)}" if missing
-                         else f"extra keys {shown_items([k for k in params if k not in known])}")
-            raise WitnessError(f"repeated labels {shown_items(repeated)}" if repeated
+            unmatched = (f"missing {shown(missing)}" if missing
+                         else f"extra keys {shown([k for k in params if k not in known])}")
+            raise WitnessError(f"repeated labels {shown(repeated)}" if repeated
                                else f"parameter map does not match labels: {unmatched}")
         if backend in (SKOLEM, BOOLEAN):
             not_ints = [i for i in labels if type(params[i]) is not int]  # a bool is not
             if not_ints:
-                raise WitnessError(f"{backend} parameters must be ints: {shown_items(not_ints)}")
+                raise WitnessError(f"{backend} parameters must be ints: {shown(not_ints)}")
         if backend == SKOLEM:
             bad = [i for i in labels if params[i] < 1]
             if bad:
-                raise WitnessError(f"skolem parameters must be >= 1: {shown_items(bad)}")
+                raise WitnessError(f"skolem parameters must be >= 1: {shown(bad)}")
         elif backend == BOOLEAN:
             if width is None or width < 0:
                 raise WitnessError("boolean witness needs a declared width")
             bad = [i for i in labels if params[i] >> width]
             if bad:
                 raise WitnessError(f"bitset wider than declared width {width}: "
-                                   f"{shown_items(bad)}")
+                                   f"{shown(bad)}")
         elif backend != STRUCTURE:
-            raise WitnessError(f"unknown backend {backend!r}")
+            raise WitnessError(f"unknown backend {shown(backend)}")
         return super().__new__(cls, backend, labels, params, width)
 
 
@@ -93,20 +93,20 @@ class TupleWitness(record("base labels provenance arity")):
                 provenance: Dict[Node, Tuple[Node, ...]], arity: int):
         missing, repeated = [x for x in labels if x not in provenance], repeated_items(labels)
         if missing or repeated:
-            raise WitnessError(f"no provenance for labels {shown_items(missing)}" if missing
-                               else f"repeated labels {shown_items(repeated)}")
+            raise WitnessError(f"no provenance for labels {shown(missing)}" if missing
+                               else f"repeated labels {shown(repeated)}")
         if len(provenance) != len(labels):  # so some key is not a label
             known = set(labels)
             raise WitnessError("provenance for unknown labels "
-                               f"{shown_items([x for x in provenance if x not in known])}")
+                               f"{shown([x for x in provenance if x not in known])}")
         base_labels = set(base.labels)
         for label in labels:
             sources = provenance[label]
             if len(sources) != arity:
-                raise WitnessError(f"non-uniform arity at {label}")
+                raise WitnessError(f"non-uniform arity at {shown(label)}")
             missing = [s for s in sources if s not in base_labels]
             if missing:
-                raise WitnessError(f"unknown source indices {shown_items(missing)} at {label}")
+                raise WitnessError(f"unknown source indices {shown(missing)} at {shown(label)}")
         return super().__new__(cls, base, labels, provenance, arity)
 
     def components(self, label: Node) -> tuple:
@@ -223,7 +223,7 @@ class FoOracle(MeetOracle):
             self._params[i] = p if isinstance(p, tuple) else (p,)
             if len(self._params[i]) != len(FO_Y_VARS):
                 raise WitnessError(
-                    f"parameter for {i!r} does not match y-block arity {len(FO_Y_VARS)}"
+                    f"parameter for {shown(i)} does not match y-block arity {len(FO_Y_VARS)}"
                 )
         self._masks: Dict[Tuple, int] = {}  # parameter tuple -> universe mask
 
@@ -254,4 +254,4 @@ def oracle_for(witness):
     for oracle in (GcdOracle, BitsetOracle):
         if witness.backend == oracle.backend:
             return oracle(witness)
-    raise WitnessError(f"no default oracle for backend {witness.backend!r}")
+    raise WitnessError(f"no default oracle for backend {shown(witness.backend)}")

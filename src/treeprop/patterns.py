@@ -34,7 +34,7 @@ from .antichains import (ConsistencyFamily, _check_row_choices,
                          _check_sibling_sets, _check_subset_cap,
                          chain_free_columns, choice_columns, mask_labels,
                          mask_set, row_columns, subtree_walk)
-from .errors import record
+from .errors import record, shown
 from .nodes import TreeDomain
 from .oracles import semilattice
 
@@ -60,7 +60,7 @@ class PatternSpec(record("kind branching depth k rows cols")):
                 rows: int = 0, cols: int = 0):
         for name, value in zip(cls._fields[1:], (branching, depth, k, rows, cols)):
             if type(value) is not int and not (name == "k" and value is None):
-                raise ValueError(f"{name} must be an integer, not {value!r:.40}")
+                raise ValueError(f"{name} must be an integer, not {shown(value)}")
         kind = kind.lower() if isinstance(kind, str) else kind
         if kind == TP2:
             if rows < 1 or cols < 1:
@@ -70,7 +70,7 @@ class PatternSpec(record("kind branching depth k rows cols")):
             if depth or branching != 2:
                 raise ValueError("tp2 takes no depth or branching")
         elif kind not in TREE_KINDS:
-            raise ValueError(f"unknown pattern kind {kind!r}")
+            raise ValueError(f"unknown pattern kind {shown(kind)}")
         elif rows or cols:
             raise ValueError(f"{kind} takes no rows or cols")
         elif depth < 1:

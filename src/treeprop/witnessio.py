@@ -66,7 +66,7 @@ from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
 from . import antichains
-from .errors import WitnessError, record
+from .errors import WitnessError, record, shown
 from .nodes import node_str
 from .oracles import BOOLEAN, SKOLEM, TupleWitness, Witness
 from .patterns import TP2, PatternSpec
@@ -88,7 +88,7 @@ def _fetch(table: dict, keys, name: str) -> list:
     try:
         return [table[key] for key in keys]
     except KeyError as exc:
-        raise WitnessError(f"no key {exc.args[0]!r:.40} in the {name}") from None
+        raise WitnessError(f"no key {shown(exc.args[0])} in the {name}") from None
 
 
 def param_str(value: int, width=None) -> str:
@@ -114,7 +114,7 @@ def _params(backend: str, texts) -> list:
     for text in texts:
         if not (isinstance(text, str) and text[:2] == "0x" and len(text) > 2
                 and text.isascii() and not text[2:].encode().translate(None, _HEX_BYTES)):
-            raise WitnessError(f"{backend} param {text!r:.40} is not 0x and hex digits")
+            raise WitnessError(f"{backend} param {shown(text)} is not 0x and hex digits")
     if backend == SKOLEM:
         significant = [len(text.lstrip("0x")) for text in texts]
         digits = sum(significant)
@@ -134,7 +134,7 @@ def _read_param(text: str) -> int:
 def _plain_int(value, name: str) -> int:
     """The value, refused unless it is a plain int: a bool or a float is not."""
     if type(value) is not int:
-        raise WitnessError(f"witness {name} {value!r:.40} is not an integer")
+        raise WitnessError(f"witness {name} {shown(value)} is not an integer")
     return value
 
 
@@ -157,20 +157,20 @@ class WitnessFile(record("pattern witness base_pattern", defaults=(None,))):
             raise WitnessError("a witness file holds one JSON object")
         version = data.get("version")
         if type(version) is not int or version != VERSION:
-            raise WitnessError(f"unsupported witness file version {version!r:.40}")
+            raise WitnessError(f"unsupported witness file version {shown(version)}")
         try:
             return cls._parse(data)
         except WitnessError:
             raise
         except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
-            raise WitnessError(f"malformed witness file: {exc!r}") from exc
+            raise WitnessError(f"malformed witness file: {shown(exc)}") from exc
 
     @classmethod
     def _parse(cls, data: dict) -> "WitnessFile":
         pattern = PatternSpec.from_json(data["pattern"])
         backend = data["backend"]
         if backend != BOOLEAN and "width" in data:
-            raise WitnessError(f"a {backend!r:.40} witness declares no width")
+            raise WitnessError(f"a {shown(backend)} witness declares no width")
         entries = data["provenance"] if backend == "tuple" else data["params"]
         if not _index_count_is(pattern, len(entries)):
             raise WitnessError("witness params do not cover the pattern's index set")
@@ -183,7 +183,7 @@ class WitnessFile(record("pattern witness base_pattern", defaults=(None,))):
             base_file = cls.from_json(base)
             for keys in values:
                 if type(keys) is not list or any(type(key) is not str for key in keys):
-                    raise WitnessError(f"provenance entry {keys!r:.40} is not a list of keys")
+                    raise WitnessError(f"provenance entry {shown(keys)} is not a list of keys")
             source = {label_str(base_file.pattern, s): s for s in base_file.witness.labels}
             provenance = {label: tuple(_fetch(source, keys, "base witness"))
                           for label, keys in zip(labels, values)}
@@ -191,12 +191,12 @@ class WitnessFile(record("pattern witness base_pattern", defaults=(None,))):
                                    _plain_int(data["arity"], "arity"))
             return cls(pattern, witness, base_pattern=base_file.pattern)
         if backend not in (SKOLEM, BOOLEAN):
-            raise WitnessError(f"unknown witness backend {backend!r:.40}")
+            raise WitnessError(f"unknown witness backend {shown(backend)}")
         width = data.get("width")
         if width is not None:
             width = _plain_int(width, "width")
             if width * len(labels) > antichains.FAMILY_CELL_CAP:
-                raise WitnessError(f"witness width {width!r:.40} over {len(labels)} labels "
+                raise WitnessError(f"witness width {shown(width)} over {len(labels)} labels "
                                    f"is past {antichains.FAMILY_CELL_CAP} cells")
         params = dict(zip(labels, _params(backend, values)))
         return cls(pattern, Witness(backend, labels, params, width=width))
@@ -341,7 +341,7 @@ def _document(text: str):
     try:
         return json.loads(text)
     except (RecursionError, ValueError) as exc:
-        raise WitnessError(f"witness file does not parse as JSON: {exc!r}") from None
+        raise WitnessError(f"witness file does not parse as JSON: {shown(exc)}") from None
 
 
 def loads(text: str) -> WitnessFile:

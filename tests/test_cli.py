@@ -272,6 +272,18 @@ def test_elongate_without_k_exits_2(capsys, tmp_path):
     assert not dst.exists()
 
 
+def test_elongate_with_a_k_of_the_most_digits_exits_2(capsys, tmp_path):
+    # --k of 4,300 nines is read, and k + 1 has more digits than str() writes:
+    # the refusal once raised the interpreter's digit-limit ValueError
+    src = synth(capsys, tmp_path, "katp.json", "--pattern", "katp:3", "--depth", "3",
+                "--backend", "skolem")
+    dst = tmp_path / "out.json"
+    code, out, err = run(capsys, "transform", "elongate", "--k", "9" * 4300,
+                         "--witness", str(src), "--out", str(dst))
+    assert code == 2 and out == "" and not dst.exists()
+    assert err == f"error: elongate --k {'9' * 4300} needs a katp:(at least 2^14284) witness\n"
+
+
 def test_transform_missing_argument(capsys, tmp_path):
     src = synth(capsys, tmp_path, "atp.json",
                 "--pattern", "atp", "--depth", "2", "--backend", "skolem")
@@ -318,6 +330,24 @@ def test_eval_bad_assignment(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "--structure", str(path),
                        "--formula", "x = 1", "--assign", "x=999")
     assert code == 2 and "assignment" in err
+
+
+@pytest.mark.parametrize("assign, message", [
+    ("x=1,x=2", "error: name 'x' is assigned twice\n"),
+    ("y=2, x=1,x =3", "error: name 'x' is assigned twice\n"),
+    ("=1", "error: bad assignment '=1'\n"),
+    ("1x=1", "error: bad assignment '1x=1'\n"),
+    ("x-y=1", "error: bad assignment 'x-y=1'\n"),
+    ("\u00e9=1", "error: bad assignment '\u00e9=1'\n"),
+])
+def test_eval_refuses_a_name_assigned_twice_or_that_no_formula_writes(capsys, tmp_path,
+                                                                       assign, message):
+    # x=1,x=2 bound the last value, and a name a formula cannot write never bound
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(divisor_structure(6).to_json()))
+    code, out, err = run(capsys, "eval", "--structure", str(path), "--formula", "x = 2",
+                         "--assign", assign)
+    assert code == 2 and out == "" and err == message
 
 
 def test_eval_parse_error(capsys, tmp_path):
@@ -743,6 +773,47 @@ def test_every_integer_argument_is_ascii_digits(capsys):
             assert code == 2 and out == "" and err.startswith("error: "), (template, value)
             assert err.count("\n") == 1 and len(err) < 300, (template, value)
             assert ("is not ASCII digits" in err) == (value in lax), (template, value)
+
+
+LONG = "x" * 100_000
+
+
+def test_a_long_outside_value_gives_one_short_error_line(capsys, tmp_path):
+    # each once wrote the value whole, a 100 KB error line
+    structure = tmp_path / "structure.json"
+    structure.write_text(json.dumps(divisor_structure(6).to_json()))
+    constant, relation = tmp_path / "constant.json", tmp_path / "relation.json"
+    constant.write_text(json.dumps({"universe": [1], "constants": {"c": LONG}}))
+    relation.write_text(json.dumps({"universe": [1], "relations": {LONG: [[2]]}}))
+    witness = synth(capsys, tmp_path, "w.json", "--pattern", "atp", "--depth", "3",
+                    "--backend", "skolem")
+    doc = json.loads(witness.read_text())
+    doc["pattern"]["kind"] = LONG
+    witness.write_text(json.dumps(doc))
+    out_file = str(tmp_path / "out.json")
+    argvs = {
+        "pattern": ["synth", "--pattern", LONG, "--depth", "3", "--backend", "skolem",
+                    "--out", out_file],
+        "backend": ["synth", "--pattern", "atp", "--depth", "3", "--backend", LONG,
+                    "--out", out_file],
+        "command": [LONG],
+        "lemma": ["check-lemma", LONG, "--n", "2", "--len", "2"],
+        "option": ["alpha", "--n", "3", "--" + LONG],
+        "assign": ["eval", "--structure", str(structure), "--formula", "x = x",
+                   "--assign", LONG],
+        "trailing token": ["eval", "--structure", str(structure), "--formula", "1 = 1 " + LONG],
+        "relation": ["eval", "--structure", str(structure), "--formula", LONG + "(1)"],
+        "function": ["eval", "--structure", str(structure), "--formula", LONG + "(1) = 1"],
+        "unbound name": ["eval", "--structure", str(structure), "--formula", LONG + " = 1"],
+        "constant value": ["eval", "--structure", str(constant), "--formula", "1 = 1"],
+        "relation name": ["eval", "--structure", str(relation), "--formula", "1 = 1"],
+        "pattern kind": ["verify", "--witness", str(witness)],
+    }
+    for place, argv in argvs.items():
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: "), (place, err[:300])
+        assert err.count("\n") == 1 and len(err) <= 300, (place, err[:300])
+        assert "xxxxx" in err, (place, err)
 
 
 def test_every_transform_and_a_capped_verify_exit_cleanly(capsys, tmp_path):

@@ -348,3 +348,35 @@ def test_family_constructions_are_found(tmp_path):
                       "d = ConsistencyFamily, f(ConsistencyFamily)\n"
                       "e = g(ConsistencyFamily(labels, columns, count))\n")
     assert family_constructions(module) == [2, 3, 7]
+
+
+def repr_fields(path):
+    """The lines of the f-strings that show a value by its repr, with !r or
+    a call of repr, which prints the value whole; `errors.shown` is the one
+    printer of an outside value in a message, and it cuts the repr."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted({node.lineno for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+                   for inner in ast.walk(node)
+                   if isinstance(inner, ast.FormattedValue) and inner.conversion == ord("r")
+                   or isinstance(inner, ast.Call)
+                   and getattr(inner.func, "id", getattr(inner.func, "attr", None)) == "repr"})
+
+
+def test_no_message_but_errors_shows_a_repr():
+    modules = sorted(SOURCE.glob("*.py"))
+    assert len(modules) > 10
+    assert repr_fields(SOURCE / "errors.py")
+    assert {path.name: repr_fields(path) for path in modules
+            if path.name != "errors.py" and repr_fields(path)} == {}
+
+
+def test_repr_fields_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("a = f'{x!r}'\n"
+                      "b = f'{x!r:.40}'\n"
+                      "c = f'{repr(x)[:40]}'\n"
+                      "d = f'{x:>{w!r}}'\n"
+                      "e = (f'{x}'\n     f'{reprlib.repr(x)}')\n"
+                      "f = f'{x!s} {x!a} {x:r} {shown(x)}', repr(x), '%r' % x, '{!r}'.format(x)\n"
+                      "g = f'{[repr(y) for y in x]}'\n")
+    assert repr_fields(module) == [1, 2, 3, 4, 5, 8]

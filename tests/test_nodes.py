@@ -10,6 +10,7 @@ import treeprop.nodes
 from treeprop import (ResourceCapError, TreeDomain, closure, concat_set, make_pattern, meet,
                       node_str)
 from treeprop.nodes import is_prefix, sorted_nodes
+from treeprop.qftypes import verify_ss_ll
 
 from references import domain_contains, incomparable, is_antichain, is_chain
 
@@ -129,6 +130,26 @@ def test_domain_validation():
         TreeDomain(1, 3)
     with pytest.raises(ValueError):
         TreeDomain(2, 0)
+
+
+@pytest.mark.parametrize("branching, depth, message", [
+    (2, 3.0, "depth must be an integer, not 3.0"),
+    (2.5, 3, "branching must be an integer, not 2.5"),
+    (True, 3, "branching must be an integer, not True"),
+    (2, False, "depth must be an integer, not False"),
+    ("2", 3, "branching must be an integer, not '2'"),
+])
+def test_domain_sizes_are_plain_ints(branching, depth, message):
+    # TreeDomain(2, 3.0) counted 7.0 nodes, and a float branching raised
+    # AttributeError from bit_length
+    with pytest.raises(ValueError, match=message):
+        TreeDomain(branching, depth)
+
+
+def test_ss_ll_refuses_a_float_depth_before_building_tuples():
+    # it raised TypeError from range
+    with pytest.raises(ValueError, match="depth must be an integer, not 3.0"):
+        verify_ss_ll(2, 3.0, 2)
 
 
 def test_domain_size_cap_before_any_power(monkeypatch):
